@@ -15,17 +15,16 @@ The configuration is split into policy groups, each a frozen dataclass:
 * :class:`QosConfig` — multi-tenant share enforcement
   (:mod:`repro.tenancy`).
 
-The old flat keyword arguments (``SrcConfig(u_max=0.85)``) still work
-but emit a :class:`DeprecationWarning`; see ``docs/extending.md`` for
-the migration table.
+Policy knobs are only reachable through their group: the pre-split
+flat spellings (``SrcConfig(u_max=0.85)``, ``config.u_max``, flat
+``from_dict`` documents) are gone and fail loudly — see
+``docs/extending.md`` for the migration table.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
-from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Dict
+from dataclasses import dataclass, field, fields, replace
 
 from repro.common.errors import ConfigError
 from repro.common.units import KIB, MIB, PAGE_SIZE
@@ -55,16 +54,47 @@ class FlushPoint(enum.Enum):
     PER_SEGMENT_GROUP = "per-segment-group"
 
 
-def _enum_out(value):
-    return value.value if isinstance(value, enum.Enum) else value
+class _Document:
+    """Dict round-trip shared by the (frozen dataclass) config classes."""
 
+    def as_dict(self) -> dict:
+        """JSON-ready nested form; round-trips through :meth:`from_dict`."""
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, _Document):
+                value = value.as_dict()
+            elif isinstance(value, enum.Enum):
+                value = value.value
+            data[f.name] = value
+        return data
 
-def _enum_in(kind, value):
-    return kind(value) if not isinstance(value, kind) else value
+    @classmethod
+    def from_dict(cls, data: dict):
+        """Rebuild a config from :meth:`as_dict` output.
+
+        Unknown keys are refused: dropping them silently would load a
+        misspelt knob — or a whole pre-split flat document — with the
+        defaults instead.
+        """
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(
+                f"{cls.__name__} document has unknown key(s) "
+                f"{', '.join(unknown)}; policy knobs live in the nested "
+                "reclaim/faults/repair/qos groups (docs/extending.md)")
+        kwargs = dict(data)
+        for f in fields(cls):
+            value = kwargs.get(f.name)
+            if isinstance(f.default, enum.Enum) and f.name in kwargs:
+                kwargs[f.name] = type(f.default)(value)
+            elif isinstance(value, dict):          # a nested policy group
+                kwargs[f.name] = f.default_factory.from_dict(value)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class ReclaimConfig:
+class ReclaimConfig(_Document):
     """Free-space reclamation policy (paper §4.2)."""
 
     gc_scheme: GcScheme = GcScheme.SEL_GC
@@ -88,24 +118,9 @@ class ReclaimConfig:
         if self.gc_free_high < self.gc_free_low:
             raise ConfigError("gc_free_high must be >= gc_free_low")
 
-    def as_dict(self) -> dict:
-        return {f.name: _enum_out(getattr(self, f.name))
-                for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReclaimConfig":
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        if "gc_scheme" in kwargs:
-            kwargs["gc_scheme"] = _enum_in(GcScheme, kwargs["gc_scheme"])
-        if "victim_policy" in kwargs:
-            kwargs["victim_policy"] = _enum_in(VictimPolicy,
-                                               kwargs["victim_policy"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(_Document):
     """Resilience policies (§4.1 failure handling, extended by the
     repro.faults subsystem; see docs/fault_model.md)."""
 
@@ -132,17 +147,9 @@ class FaultConfig:
         if self.failslow_flush_p99 < 0:
             raise ConfigError("failslow_flush_p99 must be >= 0 (0 disables)")
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
 
 @dataclass(frozen=True)
-class RepairConfig:
+class RepairConfig(_Document):
     """Online repair (repro.repair; docs/fault_model.md)."""
 
     hot_spares: int = 0                 # spare SSDs attachable on failure
@@ -162,17 +169,9 @@ class RepairConfig:
             raise ConfigError("rebuild_fg_p99 and scrub_interval must be "
                               ">= 0 (0 disables)")
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RepairConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
 
 @dataclass(frozen=True)
-class QosConfig:
+class QosConfig(_Document):
     """Multi-tenant quality-of-service policy (:mod:`repro.tenancy`).
 
     Shares are fractions of the cache's data capacity.  A tenant's
@@ -197,36 +196,13 @@ class QosConfig:
             raise ConfigError("default_min_share must be <= "
                               "default_max_share")
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "QosConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
-# Deprecated flat SrcConfig kwargs -> the nested group that owns them.
-_FLAT_KWARGS: Dict[str, str] = {}
-for _group_name, _group_cls in (("reclaim", ReclaimConfig),
-                                ("faults", FaultConfig),
-                                ("repair", RepairConfig),
-                                ("qos", QosConfig)):
-    for _f in fields(_group_cls):
-        _FLAT_KWARGS[_f.name] = _group_name
-
-_GROUP_NAMES = ("reclaim", "faults", "repair", "qos")
-
-
-@dataclass(frozen=True, init=False)
-class SrcConfig:
+@dataclass(frozen=True)
+class SrcConfig(_Document):
     """Tunable parameters of an SRC cache instance (Table 7).
 
     Structural geometry lives here; policy knobs are grouped into the
     nested ``reclaim``, ``faults``, ``repair`` and ``qos`` dataclasses.
-    The constructor still accepts the pre-split flat keyword arguments
-    (``SrcConfig(u_max=0.85)``) for compatibility, routing them into
-    the owning group with a :class:`DeprecationWarning`.
     """
 
     n_ssds: int = 4
@@ -248,38 +224,7 @@ class SrcConfig:
     repair: RepairConfig = field(default_factory=RepairConfig)
     qos: QosConfig = field(default_factory=QosConfig)
 
-    def __init__(self, **kwargs):
-        # Route deprecated flat kwargs into the group that owns them.
-        flat: Dict[str, dict] = {}
-        deprecated = [name for name in kwargs if name in _FLAT_KWARGS]
-        if deprecated:
-            warnings.warn(
-                "flat SrcConfig kwarg(s) "
-                f"{', '.join(sorted(deprecated))} are deprecated; pass "
-                "nested reclaim=ReclaimConfig(...)/faults=FaultConfig(...)"
-                "/repair=RepairConfig(...)/qos=QosConfig(...) groups "
-                "instead (docs/extending.md)",
-                DeprecationWarning, stacklevel=2)
-            for name in deprecated:
-                flat.setdefault(_FLAT_KWARGS[name], {})[name] = \
-                    kwargs.pop(name)
-        for f in fields(type(self)):
-            if f.name in kwargs:
-                value = kwargs.pop(f.name)
-            elif f.default is not MISSING:
-                value = f.default
-            else:
-                value = f.default_factory()
-            if f.name in flat:
-                value = replace(value, **flat[f.name])
-            object.__setattr__(self, f.name, value)
-        if kwargs:
-            unexpected = ", ".join(sorted(kwargs))
-            raise TypeError(
-                f"SrcConfig got unexpected keyword argument(s): {unexpected}")
-        self._validate()
-
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_ssds < 1:
             raise ConfigError("need at least one SSD")
         if self.raid_level not in (0, 4, 5):
@@ -291,56 +236,6 @@ class SrcConfig:
                               "segment unit")
         if self.segment_unit % PAGE_SIZE:
             raise ConfigError("segment unit must be 4 KiB aligned")
-
-    # Deprecated flat read-through accessors -------------------------
-    # Each pre-split flat field keeps working as a property so stacks
-    # built against the old surface read the same values; the warning
-    # (and the CI -W error::DeprecationWarning guard) steers new code
-    # to the nested groups.
-    def _flat_read(self, name: str):
-        warnings.warn(
-            f"SrcConfig.{name} is deprecated; read "
-            f"SrcConfig.{_FLAT_KWARGS[name]}.{name} instead "
-            "(docs/extending.md)",
-            DeprecationWarning, stacklevel=3)
-        return getattr(getattr(self, _FLAT_KWARGS[name]), name)
-
-    # Serialization --------------------------------------------------
-    def as_dict(self) -> dict:
-        """JSON-ready nested form; round-trips through :meth:`from_dict`."""
-        data = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _GROUP_NAMES:
-                data[f.name] = value.as_dict()
-            else:
-                data[f.name] = _enum_out(value)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SrcConfig":
-        """Rebuild a config from :meth:`as_dict` output.
-
-        Flat (pre-split) documents are also accepted: any known flat
-        key outside a group dict is routed through the constructor's
-        compatibility shim (with its deprecation warning).
-        """
-        groups = {"reclaim": ReclaimConfig, "faults": FaultConfig,
-                  "repair": RepairConfig, "qos": QosConfig}
-        known = {f.name for f in fields(cls)}
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key in groups and isinstance(value, dict):
-                kwargs[key] = groups[key].from_dict(value)
-            elif key in known or key in _FLAT_KWARGS:
-                kwargs[key] = value
-        if "clean_redundancy" in kwargs:
-            kwargs["clean_redundancy"] = _enum_in(
-                CleanRedundancy, kwargs["clean_redundancy"])
-        if "flush_point" in kwargs:
-            kwargs["flush_point"] = _enum_in(FlushPoint,
-                                             kwargs["flush_point"])
-        return cls(**kwargs)
 
     # Geometry (paper §4.1, in the M = 4, S = 128 GB context) ----------
     @property
@@ -383,12 +278,3 @@ class SrcConfig:
             cache_space=scale(self.cache_space, 4 * KIB)
             if self.cache_space else 0,
         )
-
-
-def _install_flat_properties() -> None:
-    for _name in _FLAT_KWARGS:
-        setattr(SrcConfig, _name, property(
-            lambda self, _n=_name: self._flat_read(_n)))
-
-
-_install_flat_properties()

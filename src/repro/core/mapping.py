@@ -273,13 +273,13 @@ class MappingTable:
                                                           np.ndarray,
                                                           np.ndarray,
                                                           np.ndarray]:
-        """``(ssd, offset, checksum, version)`` column gathers.
+        """``(sg, segment, ssd, offset)`` column gathers for mapped LBAs.
 
         Copies, not views: reclaim invalidates/reinserts the same LBAs
         while it still holds the gathered locations.
         """
-        return (self._ssd[lbas].copy(), self._offset[lbas].copy(),
-                self._checksum[lbas].copy(), self._version[lbas].copy())
+        return (self._sg[lbas].copy(), self._segment[lbas].copy(),
+                self._ssd[lbas].copy(), self._offset[lbas].copy())
 
     def items(self) -> List[Tuple[int, CacheEntry]]:
         """Every valid (lba, entry) pair, in no particular order.

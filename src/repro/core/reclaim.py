@@ -1,0 +1,320 @@
+"""Free-space reclamation (paper §4.2).
+
+When free segment groups run low, :class:`Reclaimer` picks a closed
+group (FIFO, Greedy or cost-benefit) and empties it.  *S2D* destages
+the victim's dirty blocks to primary storage and drops its clean ones;
+*S2S* — Sel-GC's choice while utilization is at or below ``UMAX`` —
+copies dirty and hot clean blocks forward and drops only cold clean
+data.  The group is then TRIMmed and returned to the free list.
+
+There is one implementation, over arrays: a victim is its live LBAs in
+log order plus their dirty bits, classification is masks over them,
+and device traffic is one request per coalesced extent.  Tenant
+reservations, fail-stopped members and rebuilding spares are masks
+too, and a victim of three blocks takes the same path as one of three
+thousand.  ``tests/test_reclaim_golden.py`` pins the simulated outcome.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Optional, Tuple
+
+import numpy as np
+
+from repro.common.types import IoOrigin, Op, Request
+from repro.common.units import PAGE_SIZE
+from repro.core.arrays import B_MAPPED
+from repro.core.config import GcScheme, VictimPolicy
+from repro.obs.events import Destage, GcEnd, GcStart
+
+
+def _runs(breaks: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` of each run in a sequence one longer than
+    ``breaks``, where ``breaks[i]`` says element ``i + 1`` starts one."""
+    starts = np.nonzero(np.concatenate(([True], breaks)))[0]
+    stops = np.concatenate((starts[1:], [breaks.shape[0] + 1]))
+    return zip(starts.tolist(), stops.tolist())
+
+
+class Reclaimer:
+    """Victim selection and group collection for one ``SrcCache``."""
+
+    def __init__(self, cache) -> None:
+        self.cache = cache
+        # True inside reclaim_until: segment writes issued meanwhile
+        # are GC traffic and must not start a nested reclaim.
+        self.running = False
+
+    def pick_victim(self) -> Optional[int]:
+        cache = self.cache
+        closed = cache._closed_fifo
+        if not closed:
+            return None
+        policy = cache.config.reclaim.victim_policy
+        if policy is VictimPolicy.FIFO:
+            return closed[0]
+        if policy is VictimPolicy.COST_BENEFIT:
+            return max(closed, key=self.cost_benefit_score)
+        return min(closed, key=cache.mapping.sg_valid_count)
+
+    def cost_benefit_score(self, sg: int) -> float:
+        """LFS cost-benefit: age x (1 - u) / (1 + u), higher is better
+        (age in SG allocation epochs since the group was opened,
+        utilization its valid fraction)."""
+        cache = self.cache
+        capacity = (cache.layout.segments_per_group
+                    * cache.layout.dirty_segment_capacity())
+        u = min(1.0, cache.mapping.sg_valid_count(sg) / capacity)
+        age = max(1, cache._sg_sequence - cache.groups[sg].sequence)
+        return age * (1.0 - u) / (1.0 + u)
+
+    def reclaim_until(self, target_free: int, now: float,
+                      force_s2d: bool = False) -> float:
+        cache = self.cache
+        self.running = True
+        try:
+            end = now
+            stalled = 0
+            while len(cache._free) < target_free:
+                victim = self.pick_victim()
+                if victim is None:
+                    break
+                before = len(cache._free)
+                # S2S copies everything forward when a victim is fully
+                # hot/dirty, gaining no space; after two stalled victims
+                # fall back to S2D, which always frees (§4.2's UMAX bound
+                # exists for exactly this pressure regime).  Reservation
+                # protection survives that first escalation — destaging
+                # unprotected dirty data usually frees plenty — and is
+                # shed only if even protected S2D stalls twice more, so
+                # reclaim can always make progress in the worst case.
+                end = self.collect_group(victim, end,
+                                         force_s2d=force_s2d or stalled >= 2,
+                                         protect=stalled < 4)
+                stalled = stalled + 1 if len(cache._free) <= before else 0
+            return end
+        finally:
+            self.running = False
+
+    def collect_group(self, victim: int, now: float, force_s2d: bool = False,
+                      protect: bool = True) -> float:
+        """Reclaim one segment group by S2D or Sel-GC rules."""
+        cache = self.cache
+        cfg = cache.config.reclaim
+        lbas, dirty = cache.mapping.sg_blocks_arrays(victim)
+        n_valid = lbas.shape[0]
+        if cache.obs.enabled:
+            cache.obs.emit(GcStart(t=now, device=cache.name, victim=victim,
+                                   valid_pages=n_valid))
+        if (not force_s2d and cfg.gc_scheme is GcScheme.SEL_GC
+                and cache.utilization() <= cfg.u_max):
+            end = self._collect_s2s(lbas, dirty, now)
+            cache.srcstats.s2s_collections += 1
+        else:
+            end = self._collect_s2d(lbas, dirty, now, protect)
+            cache.srcstats.s2d_collections += 1
+        # Everything left in the SG is dead now.
+        cache.mapping.drop_sg(victim)
+        cache.metadata.drop_group(victim)
+        cache.repair.on_group_dropped(victim, end)
+        end = max(end, self._trim_group(victim, end))
+        cache._release_group(victim)
+        if cfg.background_reclaim:
+            # State is applied instantly, but the reclaim's device I/O
+            # finishes at ``end``; a writer taking this group earlier
+            # must wait for it (backpressure in _roll_group).
+            cache._group_ready[victim] = end
+            cache.srcstats.background_reclaims += 1
+        if cache.obs.enabled:
+            cache.obs.emit(GcEnd(t=end, device=cache.name, victim=victim,
+                                 moved_pages=n_valid))
+        return end
+
+    def _reserved(self, lbas: np.ndarray) -> np.ndarray:
+        """Mask of the drop candidates a tenant reservation keeps.
+
+        Asked block by block, in victim log order: ``keep_for_reserve``
+        tallies the drops it has allowed so far in this collection, so
+        its answer depends on the blocks asked before.
+        """
+        tenants, tally = self.cache.tenants, {}
+        if tenants is None:
+            return np.zeros(lbas.shape[0], dtype=bool)
+        return np.fromiter((tenants.keep_for_reserve(lba, tally)
+                            for lba in lbas.tolist()),
+                           dtype=bool, count=lbas.shape[0])
+
+    def _collect_s2s(self, lbas: np.ndarray, dirty: np.ndarray,
+                     now: float) -> float:
+        """Copy dirty + hot clean blocks forward; drop cold clean ones.
+
+        Cold clean blocks of a tenant at or below its reservation are
+        copied too: evicting them would break its ``min_share``.  The
+        future-work ``separate_hot_clean`` option (§6) only changes the
+        copy order — clean and dirty never share a segment anyway.
+        """
+        cache = self.cache
+        cfg = cache.config.reclaim
+        if cfg.hotness_aware:        # the ablation copies blindly
+            hot = cache.hotness.is_hot_many(lbas)
+            keep = dirty | hot
+            # No clean block keeps its bit: hot survivors consume their
+            # second chance, and whatever is dropped below was cold.
+            cache.hotness.evict_many(lbas[~dirty])
+            cold = ~keep
+            keep[cold] = self._reserved(lbas[cold])
+            cache.srcstats.gc_reserved_copies += int(keep[cold].sum())
+            dropped = lbas.shape[0] - int(keep.sum())
+            cache.cstats.evicted_clean_blocks += dropped
+            cache.srcstats.gc_dropped_clean += dropped
+            lbas, dirty = lbas[keep], dirty[keep]
+        # Only the blocks being kept need to be read off the victim.
+        read_end = self.victim_read(lbas, now, IoOrigin.GC)
+        if cfg.separate_hot_clean:
+            order = np.argsort(dirty, kind="stable")
+            lbas, dirty = lbas[order], dirty[order]
+        cache.srcstats.gc_copied_blocks += lbas.shape[0]
+        end = self._copy_forward(lbas, dirty, read_end, now)
+        # Copied dirty blocks must be durable again BEFORE the victim's
+        # summaries are dropped: until the new segment seals, the old
+        # segment is their only persistent copy, and a power cut in
+        # that window would lose acknowledged dirty data.  Clean blocks
+        # need no such care — the origin still holds them.
+        if dirty.any() and not cache.dirty_buf.empty:
+            end = max(end, cache._write_segment(dirty=True,
+                                                now=max(end, read_end)))
+        return max(end, read_end)
+
+    def _collect_s2d(self, lbas: np.ndarray, dirty: np.ndarray, now: float,
+                     protect: bool) -> float:
+        """Destage dirty blocks to primary storage; drop clean blocks.
+
+        Under ``protect``, blocks of a tenant at or below its
+        reservation stay cached: dropping them would turn a guaranteed
+        footprint into origin re-read churn.  Reservation guarantees
+        *residency*, not dirtiness — a protected dirty block is
+        destaged like any other (the origin copy is what lets S2D free
+        the group) and re-enters the cache as clean, data in hand.
+        """
+        cache = self.cache
+        end = self.destage(np.sort(lbas[dirty]), now)
+        keep = (self._reserved(lbas) if protect
+                else np.zeros(lbas.shape[0], dtype=bool))
+        dropped = lbas[~dirty & ~keep]
+        cache.cstats.evicted_clean_blocks += dropped.shape[0]
+        cache.hotness.evict_many(dropped)
+        if keep.any():
+            keep_clean = lbas[keep & ~dirty]   # must be read off the victim
+            read_end = self.victim_read(keep_clean, now, IoOrigin.GC)
+            kept = np.concatenate((keep_clean, lbas[keep & dirty]))
+            cache.srcstats.gc_copied_blocks += kept.shape[0]
+            cache.srcstats.gc_reserved_copies += kept.shape[0]
+            end = self._copy_forward(kept, np.zeros(kept.shape[0], dtype=bool),
+                                     max(read_end, end), end)
+            end = max(end, read_end)
+        return end
+
+    def _copy_forward(self, lbas: np.ndarray, dirty: np.ndarray,
+                      avail: float, end: float) -> float:
+        """Re-log ``lbas`` in order through the buffer ``dirty`` selects.
+
+        As many blocks as the buffer has room for leave the victim and
+        enter it; a full buffer seals at ``avail``, when the data is in
+        hand.  At every seal the mapping, buffers and tenant occupancy
+        are where a block-by-block loop would have them.  Returns
+        ``end`` advanced by the seals.
+        """
+        cache = self.cache
+        if not lbas.shape[0]:
+            return end
+        for pos, stop in _runs(dirty[1:] != dirty[:-1]):
+            to_dirty = bool(dirty[pos])
+            buf = cache.dirty_buf if to_dirty else cache.clean_buf
+            while pos < stop:
+                take = lbas[pos:min(stop, pos + buf.capacity - len(buf))]
+                # A mapped block is in no buffer, so every add is new.
+                assert (cache._state.a[take] == B_MAPPED).all()
+                cache.mapping.invalidate_many(take)
+                buf.add_many(take)
+                pos += take.shape[0]
+                if buf.full:
+                    end = max(end, cache._write_segment(dirty=to_dirty,
+                                                        now=avail))
+        return end
+
+    def destage(self, lbas: np.ndarray, now: float) -> float:
+        """Write sorted dirty ``lbas`` back to the origin, an extent per
+        request.  Extents also break where the owning tenant changes,
+        so each write carries one tenant tag and bills its owner."""
+        cache = self.cache
+        n = lbas.shape[0]
+        if not n:
+            return now
+        read_end = self.victim_read(lbas, now, IoOrigin.DESTAGE)
+        end = read_end
+        breaks = np.diff(lbas) != 1
+        tenants = cache.tenants
+        owners = None
+        if tenants is not None:
+            owners = [tenants.tenant_of(lba) for lba in lbas.tolist()]
+            breaks |= np.array([a != b for a, b in zip(owners, owners[1:])],
+                               dtype=bool)
+        for s, e in _runs(breaks):
+            tenant = owners[s] if owners is not None else None
+            end = max(end, cache.origin.submit(
+                Request(Op.WRITE, int(lbas[s]) * PAGE_SIZE,
+                        (e - s) * PAGE_SIZE, origin=IoOrigin.DESTAGE,
+                        tenant=tenant), read_end))
+            if tenant is not None:
+                tenants.count_destaged(tenant, e - s)
+        cache.srcstats.gc_destaged_blocks += n
+        cache.cstats.destaged_blocks += n
+        if cache.obs.enabled:
+            cache.obs.emit(Destage(t=end, device=cache.name, blocks=n))
+        return end
+
+    def victim_read(self, lbas: np.ndarray, now: float,
+                    origin: IoOrigin = IoOrigin.GC) -> float:
+        """Read mapped ``lbas`` off the SSDs, one READ per contiguous span.
+
+        Blocks on a fail-stopped member, or in a unit a rebuilding
+        spare has not reconstructed yet, are masked out before any I/O
+        is issued.  Members are visited in first-block order and each
+        gets its spans at ``now``.
+        """
+        cache = self.cache
+        if not lbas.shape[0]:
+            return now
+        sgs, segments, ssds, offsets = cache.mapping.locations_arrays(lbas)
+        readable = np.array([cache._alive(i)
+                             for i in range(len(cache.ssds))])[ssds]
+        if cache.repair.jobs:
+            units, unit = np.unique(np.stack((ssds, sgs, segments)), axis=1,
+                                    return_inverse=True)
+            ready = [cache.repair.unit_ready(*u) for u in units.T.tolist()]
+            readable &= np.array(ready)[unit.ravel()]
+        ssds, offsets = ssds[readable], offsets[readable]
+        end = now
+        _, first = np.unique(ssds, return_index=True)
+        for idx in ssds[np.sort(first)].tolist():
+            offs = np.sort(offsets[ssds == idx])
+            for s, e in _runs(np.diff(offs) != PAGE_SIZE):
+                done = cache._ssd_submit(
+                    idx, Request(Op.READ, int(offs[s]), (e - s) * PAGE_SIZE,
+                                 origin=origin), now)
+                if done is not None:
+                    end = max(end, done)
+        return end
+
+    def _trim_group(self, victim: int, now: float) -> float:
+        """TRIM the reclaimed SG so the FTLs know the space is dead."""
+        cache = self.cache
+        base = cache.layout.unit_offset(victim, 0)
+        end = now
+        for idx in range(len(cache.ssds)):
+            if cache._alive(idx):
+                done = cache._ssd_submit(idx, Request(
+                    Op.TRIM, base, cache.config.erase_group_size), now)
+                if done is not None:
+                    end = max(end, done)
+        return end

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Tuple
 
+import numpy as np
+
 from repro.block.device import BlockDevice
 from repro.common.errors import ConfigError
 from repro.core.src import SrcCache
@@ -41,7 +43,8 @@ def _migrate(old: SrcCache, new: SrcCache, now: float) -> float:
         blocks = old.mapping.sg_blocks(sg)
         if not blocks:
             continue
-        read_end = old._bulk_read(sg, [lba for lba, _ in blocks], now)
+        read_end = old.reclaimer.victim_read(
+            np.array([lba for lba, _ in blocks], dtype=np.int64), now)
         end = max(end, read_end)
         for lba, entry in blocks:
             new._versions[lba] = entry.version

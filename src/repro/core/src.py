@@ -10,8 +10,8 @@ The cache target that ties the pieces together:
   the data, so both clean and dirty contents survive crashes;
 * cache-level RAID-0/4/5 stripes assembled inside segments, with the
   NPC option that omits parity for clean-data segments (§4.3);
-* free-space reclamation by S2D destaging or Sel-GC, with FIFO or
-  Greedy victim selection and the UMAX utilization bound (§4.2);
+* free-space reclamation (:mod:`repro.core.reclaim`) by S2D destaging
+  or Sel-GC, with FIFO or Greedy victims and the UMAX bound (§4.2);
 * flush-command control: SSD flushes per segment or per SG (§4.1);
 * failure handling: parity reconstruction for reads under a failed or
   silently-corrupted SSD block, online rebuild, and crash recovery by
@@ -37,18 +37,18 @@ from repro.common.units import PAGE_SIZE
 from repro.core.arrays import (B_CLEAN, B_DIRTY, B_MAPPED, B_NONE,
                                B_STAGING, BlockState, VersionArray)
 from repro.core.buffers import SegmentBuffer, StagingBuffer
-from repro.core.config import (CleanRedundancy, FlushPoint, GcScheme,
-                               SrcConfig, VictimPolicy)
+from repro.core.config import CleanRedundancy, FlushPoint, SrcConfig
 from repro.core.hotness import HotnessBitmap
 from repro.core.layout import SegmentLayout
 from repro.core.mapping import CacheEntry, MappingTable
 from repro.core.metadata import (MetadataStore, SegmentSummary, Superblock,
                                  SRC_MAGIC)
+from repro.core.reclaim import Reclaimer
 from repro.faults.failslow import FailSlowDetector
 from repro.faults.policy import RetryPolicy, submit_with_retry
 from repro.obs.events import (BackpressureStall, BypassEntered, DegradedRead,
-                              Destage, DeviceLimping, FlushBarrier, GcEnd,
-                              GcStart, RebuildProgress, SegmentSealed)
+                              DeviceLimping, FlushBarrier, RebuildProgress,
+                              SegmentSealed)
 from repro.obs.recorder import ObsRecorder
 from repro.repair.controller import RepairController
 from repro.ssd.device import SSDDevice
@@ -179,7 +179,7 @@ class SrcCache(CacheTarget):
         self.active: _GroupState = self._take_free_group()
         self._versions = VersionArray()
         self._last_dirty_write = 0.0
-        self._in_gc = False
+        self.reclaimer = Reclaimer(self)
         # Background reclaim bookkeeping: group index -> simulated time
         # at which its (already state-applied) reclaim I/O completes on
         # the devices.  A foreground roll that takes such a group before
@@ -279,6 +279,14 @@ class SrcCache(CacheTarget):
         self.srcstats.sg_allocations += 1
         return group
 
+    def _release_group(self, index: int) -> None:
+        """Return a reclaimed (closed, now empty) group to the free list."""
+        group = self.groups[index]
+        group.state = _GroupState.FREE
+        group.next_segment = 0
+        self._closed_fifo.remove(index)
+        self._free.insert(0, index)
+
     def _version_of(self, lba: int, bump: bool) -> int:
         if bump:
             self._versions[lba] = self._versions.get(lba, 0) + 1
@@ -305,15 +313,15 @@ class SrcCache(CacheTarget):
         # / detach walk the tree setting this attribute), so the setter
         # is the single choke point the cached chunk gate needs.
         self._obs = recorder
-        self._chunk_gate = None
-        self._seal_fast = None
+        self.invalidate_chunk_gate()
 
-    def invalidate_chunk_gate(self) -> None:
+    def invalidate_chunk_gate(self, _source=None) -> None:
         """Force :meth:`_chunk_fast_ok` to re-derive its cached verdict.
 
         Called by everything that can change a gate input: observer
         (re)assignment on the mapping/buffers, repair-job and spare
-        mutations, bypass entry, tenancy attach, fault-plan arming.
+        mutations, bypass entry, tenancy attach, and an injector's
+        plan-change hook (which passes itself as ``_source``).
         """
         self._chunk_gate = None
         self._seal_fast = None
@@ -328,11 +336,7 @@ class SrcCache(CacheTarget):
         them.
         """
         if hasattr(device, "on_plan_change"):
-            device.on_plan_change = self._member_plan_changed
-
-    def _member_plan_changed(self, _injector) -> None:
-        self._chunk_gate = None
-        self._seal_fast = None
+            device.on_plan_change = self.invalidate_chunk_gate
 
     def _armed_fault_live(self) -> bool:
         """True while any member (or the origin) has an armed plan."""
@@ -459,8 +463,7 @@ class SrcCache(CacheTarget):
         if self.bypass:
             return
         self.bypass = True
-        self._chunk_gate = None
-        self._seal_fast = None
+        self.invalidate_chunk_gate()
         lost = self.mapping.dirty_count + len(self.dirty_buf)
         self.srcstats.bypass_lost_dirty += lost
         self.repair.enter_bypass(now)
@@ -833,9 +836,10 @@ class SrcCache(CacheTarget):
         # subsequent foreground writes instead of extending this one's
         # acknowledgement.  If the trickle cannot keep up, the roll
         # path stalls at the hard floor (backpressure).
-        if (self.config.reclaim.background_reclaim and not self._in_gc
-                and len(self._free) < self.config.reclaim.gc_free_low):
-            self._reclaim_until(self.config.reclaim.gc_free_high, end)
+        reclaim = self.config.reclaim
+        if (reclaim.background_reclaim and not self.reclaimer.running
+                and len(self._free) < reclaim.gc_free_low):
+            self.reclaimer.reclaim_until(reclaim.gc_free_high, end)
         return end
 
     def _issue_unit_writes(self, sg: int, segment: int, nblocks: int,
@@ -846,7 +850,7 @@ class SrcCache(CacheTarget):
         parity_ssd = (self.layout.parity_ssd(sg, segment)
                       if with_parity else -1)
         base = self.layout.unit_offset(sg, segment)
-        origin = IoOrigin.GC if self._in_gc else IoOrigin.FOREGROUND
+        origin = IoOrigin.GC if self.reclaimer.running else IoOrigin.FOREGROUND
         fast = self._seal_fast_ok()
         end = now
         blocks_left = nblocks
@@ -935,8 +939,10 @@ class SrcCache(CacheTarget):
             rolled.state = _GroupState.CLOSED
             self._closed_fifo.append(rolled.index)
         end = now
-        if not self._in_gc and len(self._free) < self.config.reclaim.gc_free_low:
-            if self.config.reclaim.background_reclaim:
+        reclaim = self.config.reclaim
+        if (not self.reclaimer.running
+                and len(self._free) < reclaim.gc_free_low):
+            if reclaim.background_reclaim:
                 # The trickle (kicked after segment writes) normally
                 # keeps free groups above the low watermark; reaching
                 # it here is the hard floor.  Reclaim state now — the
@@ -948,16 +954,16 @@ class SrcCache(CacheTarget):
                 # into a GC-feeds-GC equilibrium; destaging always
                 # gains a whole group and sheds dirty data, letting
                 # the trickle catch back up.
-                self._reclaim_until(self.config.reclaim.gc_free_low, end,
-                                    force_s2d=True)
+                self.reclaimer.reclaim_until(reclaim.gc_free_low, end,
+                                             force_s2d=True)
             else:
-                end = self._reclaim_until(self.config.reclaim.gc_free_high, end)
+                end = self.reclaimer.reclaim_until(reclaim.gc_free_high, end)
         if self.active is rolled:
             self.active = self._take_free_group()
             ready = self._group_ready.pop(self.active.index, 0.0)
             if ready > end:
                 waited = ready - end
-                if not self._in_gc:
+                if not self.reclaimer.running:
                     self.srcstats.throttle_stalls += 1
                     self.srcstats.throttle_wait_s += waited
                     if self.tenants is not None:
@@ -967,434 +973,6 @@ class SrcCache(CacheTarget):
                             t=ready, device=self.name, waited=waited,
                             free_groups=len(self._free)))
                 end = ready
-        return end
-
-    # ==================================================================
-    # free space reclamation (§4.2)
-    # ==================================================================
-    def _pick_victim_sg(self) -> Optional[int]:
-        if not self._closed_fifo:
-            return None
-        if self.config.reclaim.victim_policy is VictimPolicy.FIFO:
-            return self._closed_fifo[0]
-        if self.config.reclaim.victim_policy is VictimPolicy.COST_BENEFIT:
-            return max(self._closed_fifo, key=self._cost_benefit_score)
-        return min(self._closed_fifo,
-                   key=lambda sg: self.mapping.sg_valid_count(sg))
-
-    def _cost_benefit_score(self, sg: int) -> float:
-        """LFS cost-benefit: age x (1 - u) / (1 + u), higher is better.
-
-        Age is measured in SG allocation epochs since the group was
-        opened; utilization is its valid fraction.
-        """
-        capacity = (self.layout.segments_per_group
-                    * self.layout.dirty_segment_capacity())
-        u = min(1.0, self.mapping.sg_valid_count(sg) / capacity)
-        age = max(1, self._sg_sequence - self.groups[sg].sequence)
-        return age * (1.0 - u) / (1.0 + u)
-
-    def _reclaim_until(self, target_free: int, now: float,
-                       force_s2d: bool = False) -> float:
-        self._in_gc = True
-        try:
-            end = now
-            stalled = 0
-            while len(self._free) < target_free:
-                victim = self._pick_victim_sg()
-                if victim is None:
-                    break
-                before = len(self._free)
-                # S2S copies everything forward when a victim is fully
-                # hot/dirty, gaining no space; after two stalled victims
-                # fall back to S2D, which always frees (§4.2's UMAX bound
-                # exists for exactly this pressure regime).  Reservation
-                # protection survives that first escalation — destaging
-                # unprotected dirty data usually frees plenty — and is
-                # shed only if even protected S2D stalls twice more, so
-                # reclaim can always make progress in the worst case.
-                end = self._collect_group(victim, end,
-                                          force_s2d=force_s2d
-                                          or stalled >= 2,
-                                          protect=stalled < 4)
-                stalled = stalled + 1 if len(self._free) <= before else 0
-            return end
-        finally:
-            self._in_gc = False
-
-    def _collect_group(self, victim: int, now: float,
-                       force_s2d: bool = False,
-                       protect: bool = True) -> float:
-        """Reclaim one segment group by S2D or Sel-GC rules."""
-        use_s2s = (not force_s2d
-                   and self.config.reclaim.gc_scheme is GcScheme.SEL_GC
-                   and self.utilization() <= self.config.reclaim.u_max)
-        # Vectorized victim walk: classification, mapping drops and
-        # buffer refills move as index arrays instead of materialized
-        # CacheEntry rows.  Gated on the per-block side channels being
-        # absent (tenant reservations, membership observers) and on the
-        # bulk-read fast path's preconditions (all members alive, no
-        # rebuilding spare whose units would be skipped per-block).
-        vector = (self.tenants is None
-                  and self.mapping.observer is None
-                  and not self.repair.jobs
-                  and self.mapping.sg_valid_count(victim) >= SCALAR_THRESHOLD
-                  and all(self._alive(i) for i in range(len(self.ssds))))
-        if vector:
-            lbas, dirty = self.mapping.sg_blocks_arrays(victim)
-            n_valid = int(lbas.shape[0])
-        else:
-            blocks = self.mapping.sg_blocks(victim)
-            n_valid = len(blocks)
-        if self.obs.enabled:
-            self.obs.emit(GcStart(t=now, device=self.name, victim=victim,
-                                  valid_pages=n_valid))
-        end = now
-        if use_s2s:
-            end = (self._collect_s2s_arrays(victim, lbas, dirty, now)
-                   if vector else self._collect_s2s(victim, blocks, now))
-            self.srcstats.s2s_collections += 1
-        else:
-            end = (self._collect_s2d_arrays(victim, lbas, dirty, now)
-                   if vector
-                   else self._collect_s2d(victim, blocks, now,
-                                          protect=protect))
-            self.srcstats.s2d_collections += 1
-        # Everything left in the SG is dead now.
-        self.mapping.drop_sg(victim)
-        self.metadata.drop_group(victim)
-        self.repair.on_group_dropped(victim, end)
-        end = max(end, self._trim_group(victim, end))
-        group = self.groups[victim]
-        group.state = _GroupState.FREE
-        group.next_segment = 0
-        self._closed_fifo.remove(victim)
-        self._free.insert(0, victim)
-        if self.config.reclaim.background_reclaim:
-            # State is applied instantly, but the reclaim's device I/O
-            # finishes at ``end``; a writer taking this group earlier
-            # must wait for it (backpressure in _roll_group).
-            self._group_ready[victim] = end
-            self.srcstats.background_reclaims += 1
-        if self.obs.enabled:
-            self.obs.emit(GcEnd(t=end, device=self.name, victim=victim,
-                                moved_pages=n_valid))
-        return end
-
-    def _collect_s2d(self, victim: int, blocks, now: float,
-                     protect: bool = True) -> float:
-        """Destage dirty blocks to primary storage; drop clean blocks.
-
-        Clean blocks belonging to a tenant at or below its reservation
-        are copied forward instead of dropped (``protect``): dropping
-        them would silently convert a guaranteed footprint into origin
-        re-read churn, defeating ``min_share``.
-        """
-        dirty_lbas = sorted(lba for lba, e in blocks if e.dirty)
-        end = self._destage(victim, dirty_lbas, now)
-        tenants = self.tenants
-        reserve_drops: Dict[str, int] = {}
-        keep_clean: List[int] = []   # must be read off the victim
-        keep_dirty: List[int] = []   # destaged above: data in hand, now clean
-        for lba, entry in blocks:
-            protected = (protect and tenants is not None
-                         and tenants.keep_for_reserve(lba, reserve_drops))
-            if entry.dirty:
-                # Reservation guarantees *residency*, not dirtiness: a
-                # protected dirty block is destaged like any other (the
-                # origin copy is what lets S2D free its group) but
-                # re-enters the cache as clean instead of vanishing.
-                if protected:
-                    keep_dirty.append(lba)
-                continue
-            if protected:
-                keep_clean.append(lba)
-                continue
-            self.cstats.evicted_clean_blocks += 1
-            self.hotness.evict(lba)
-        if keep_clean or keep_dirty:
-            read_end = (self._bulk_read(victim, keep_clean, now, IoOrigin.GC)
-                        if keep_clean else now)
-            avail = max(read_end, end)
-            for lba in keep_clean + keep_dirty:
-                self.mapping.invalidate(lba)
-                if lba not in self.clean_buf:
-                    if self.clean_buf.add(lba):
-                        end = max(end, self._write_segment(dirty=False,
-                                                           now=avail))
-                    self.srcstats.gc_copied_blocks += 1
-                    self.srcstats.gc_reserved_copies += 1
-            end = max(end, read_end)
-        return end
-
-    def _collect_s2s(self, victim: int, blocks, now: float) -> float:
-        """Copy dirty + hot clean blocks forward; drop cold clean ones.
-
-        The future-work ``separate_hot_clean`` option segregates hot
-        clean data from dirty data during the copy (§6): without it,
-        S2S-copied clean blocks travel through their own clean buffer
-        anyway (clean/dirty never mix in one segment), so the option
-        only changes the copy order, grouping clean blocks together to
-        improve the clustering of like data.
-        """
-        end = now
-        copy_list = []
-        reserve_drops: Dict[str, int] = {}
-        for lba, entry in blocks:
-            if entry.dirty:
-                copy_list.append((lba, entry))
-            elif not self.config.reclaim.hotness_aware:
-                copy_list.append((lba, entry))   # ablation: blind copy
-            elif self.hotness.is_hot(lba):
-                self.hotness.clear(lba)   # consume the second chance
-                copy_list.append((lba, entry))
-            elif self.tenants is not None and \
-                    self.tenants.keep_for_reserve(lba, reserve_drops):
-                # Cold but reserved: the tenant is at/below min_share,
-                # so eviction would break its occupancy guarantee.
-                copy_list.append((lba, entry))
-                self.srcstats.gc_reserved_copies += 1
-            else:
-                self.cstats.evicted_clean_blocks += 1
-                self.srcstats.gc_dropped_clean += 1
-                self.hotness.evict(lba)
-        # Only the blocks being kept need to be read off the victim.
-        read_end = self._bulk_read(victim, [lba for lba, _ in copy_list],
-                                   now, IoOrigin.GC)
-        if self.config.reclaim.separate_hot_clean:
-            copy_list.sort(key=lambda item: item[1].dirty)
-        copied_dirty = False
-        for lba, entry in copy_list:
-            dirty = entry.dirty
-            copied_dirty = copied_dirty or dirty
-            self.mapping.invalidate(lba)
-            buf = self.dirty_buf if dirty else self.clean_buf
-            if lba not in buf:
-                full = buf.add(lba)
-                self.srcstats.gc_copied_blocks += 1
-                if full:
-                    end = max(end, self._write_segment(dirty=dirty,
-                                                       now=read_end))
-        # Copied dirty blocks must be durable again BEFORE the victim's
-        # summaries are dropped: until the new segment seals, the old
-        # segment is their only persistent copy, and a power cut in
-        # that window would lose acknowledged dirty data.  Clean blocks
-        # need no such care — the origin still holds them.
-        if copied_dirty and not self.dirty_buf.empty:
-            end = max(end, self._write_segment(dirty=True,
-                                               now=max(end, read_end)))
-        return max(end, read_end)
-
-    def _collect_s2d_arrays(self, victim: int, lbas: np.ndarray,
-                            dirty: np.ndarray, now: float) -> float:
-        """Vector :meth:`_collect_s2d` (single-tenant, no observers).
-
-        Without tenant reservations nothing is protected: dirty blocks
-        destage, clean blocks drop — the per-block walk collapsed into
-        two masked arrays.
-        """
-        end = self._destage_arrays(victim, np.sort(lbas[dirty]), now)
-        clean = lbas[~dirty]
-        self.cstats.evicted_clean_blocks += int(clean.shape[0])
-        self.hotness.evict_many(clean)
-        return end
-
-    def _collect_s2s_arrays(self, victim: int, lbas: np.ndarray,
-                            dirty: np.ndarray, now: float) -> float:
-        """Vector :meth:`_collect_s2s` (single-tenant, no observers).
-
-        Classification is three masks; the copy-forward replays the
-        scalar order exactly — buffer refills land in victim log order
-        (optionally stably clean-first) and a segment seals at the same
-        fill points, so device timelines and metadata sequence numbers
-        cannot diverge from the per-block loop.
-        """
-        if self.config.reclaim.hotness_aware:
-            hot = self.hotness.is_hot_many(lbas)
-            keep = dirty | hot
-            # Hot clean survivors consume their second chance; cold
-            # clean blocks are dropped.  Both are plain bit discards on
-            # disjoint sets, so two batched discards reproduce the
-            # scalar loop's interleaved clear/evict calls.
-            self.hotness.evict_many(lbas[~dirty & hot])
-            dropped = int(np.count_nonzero(~keep))
-            self.cstats.evicted_clean_blocks += dropped
-            self.srcstats.gc_dropped_clean += dropped
-            self.hotness.evict_many(lbas[~keep])
-            copy_lbas = lbas[keep]
-            copy_dirty = dirty[keep]
-        else:
-            copy_lbas = lbas     # ablation: blind copy
-            copy_dirty = dirty
-        end = now
-        read_end = self._bulk_read_arrays(victim, copy_lbas, now,
-                                          IoOrigin.GC)
-        if self.config.reclaim.separate_hot_clean:
-            order = np.argsort(copy_dirty, kind="stable")
-            copy_lbas = copy_lbas[order]
-            copy_dirty = copy_dirty[order]
-        n_copy = int(copy_lbas.shape[0])
-        copied_dirty = bool(copy_dirty.any())
-        if n_copy:
-            # Every copied block leaves its old location before any new
-            # segment seals, and no seal below reads the victim's
-            # mapping state, so the upfront batch drop is equivalent to
-            # the scalar loop's interleaved invalidates.
-            self.mapping.invalidate_many(copy_lbas)
-            self.srcstats.gc_copied_blocks += n_copy
-            starts = np.nonzero(np.concatenate(
-                ([True], copy_dirty[1:] != copy_dirty[:-1])))[0]
-            stops = np.concatenate((starts[1:], [n_copy]))
-            for s, e in zip(starts.tolist(), stops.tolist()):
-                d = bool(copy_dirty[s])
-                buf = self.dirty_buf if d else self.clean_buf
-                pos = s
-                while pos < e:
-                    take = min(buf.capacity - len(buf), e - pos)
-                    buf.add_many(copy_lbas[pos:pos + take])
-                    pos += take
-                    if len(buf) >= buf.capacity:
-                        end = max(end, self._write_segment(dirty=d,
-                                                           now=read_end))
-        if copied_dirty and not self.dirty_buf.empty:
-            end = max(end, self._write_segment(dirty=True,
-                                               now=max(end, read_end)))
-        return max(end, read_end)
-
-    def _destage(self, victim: int, lbas: List[int], now: float) -> float:
-        """Write dirty blocks back to the origin, coalescing extents."""
-        if not lbas:
-            return now
-        read_end = self._bulk_read(victim, lbas, now, IoOrigin.DESTAGE)
-        end = read_end
-        # Multi-tenant: coalesced runs must not cross a volume boundary
-        # so each destage write carries one tenant tag and the blocks
-        # are billed to their owner.
-        tenants = self.tenants
-        owner = tenants.tenant_of if tenants is not None else None
-        run_start = prev = lbas[0]
-        run_tenant = owner(run_start) if owner is not None else None
-        for lba in lbas[1:] + [None]:
-            if (lba is not None and lba == prev + 1
-                    and (owner is None or owner(lba) == run_tenant)):
-                prev = lba
-                continue
-            nblocks = prev - run_start + 1
-            end = max(end, self.origin.submit(
-                Request(Op.WRITE, run_start * PAGE_SIZE, nblocks * PAGE_SIZE,
-                        origin=IoOrigin.DESTAGE, tenant=run_tenant),
-                read_end))
-            if run_tenant is not None:
-                tenants.count_destaged(run_tenant, nblocks)
-            if lba is not None:
-                run_start = prev = lba
-                run_tenant = owner(lba) if owner is not None else None
-        self.srcstats.gc_destaged_blocks += len(lbas)
-        self.cstats.destaged_blocks += len(lbas)
-        if self.obs.enabled:
-            self.obs.emit(Destage(t=end, device=self.name,
-                                  blocks=len(lbas)))
-        return end
-
-    def _destage_arrays(self, victim: int, lbas: np.ndarray,
-                        now: float) -> float:
-        """Vector :meth:`_destage` (single-tenant): runs via np.diff."""
-        if not lbas.shape[0]:
-            return now
-        read_end = self._bulk_read_arrays(victim, lbas, now,
-                                          IoOrigin.DESTAGE)
-        end = read_end
-        starts = np.nonzero(np.concatenate(([True],
-                                            np.diff(lbas) != 1)))[0]
-        stops = np.concatenate((starts[1:], [lbas.shape[0]]))
-        for s, e in zip(starts.tolist(), stops.tolist()):
-            run_start = int(lbas[s])
-            nblocks = int(lbas[e - 1]) - run_start + 1
-            end = max(end, self.origin.submit(
-                Request(Op.WRITE, run_start * PAGE_SIZE,
-                        nblocks * PAGE_SIZE, origin=IoOrigin.DESTAGE),
-                read_end))
-        n = int(lbas.shape[0])
-        self.srcstats.gc_destaged_blocks += n
-        self.cstats.destaged_blocks += n
-        if self.obs.enabled:
-            self.obs.emit(Destage(t=end, device=self.name, blocks=n))
-        return end
-
-    def _bulk_read(self, victim: int, lbas: List[int], now: float,
-                   origin: IoOrigin = IoOrigin.GC) -> float:
-        """Read a victim SG's valid blocks, merging contiguous spans."""
-        if not lbas:
-            return now
-        spans: Dict[int, List[int]] = {}
-        for lba in lbas:
-            entry = self.mapping.lookup(lba)
-            if entry is None:
-                continue
-            loc = entry.location
-            if not self._alive(loc.ssd):
-                continue
-            if not self.repair.unit_ready(loc.ssd, loc.sg, loc.segment):
-                continue   # un-rebuilt spare unit: nothing there to read
-            spans.setdefault(loc.ssd, []).append(loc.offset)
-        end = now
-        for ssd_idx, offsets in spans.items():
-            offsets.sort()
-            run_start = prev = offsets[0]
-            for off in offsets[1:] + [None]:
-                if off is not None and off == prev + PAGE_SIZE:
-                    prev = off
-                    continue
-                length = prev - run_start + PAGE_SIZE
-                done = self._ssd_submit(
-                    ssd_idx, Request(Op.READ, run_start, length,
-                                     origin=origin), now)
-                if done is not None:
-                    end = max(end, done)
-                if off is not None:
-                    run_start = prev = off
-        return end
-
-    def _bulk_read_arrays(self, victim: int, lbas: np.ndarray, now: float,
-                          origin: IoOrigin = IoOrigin.GC) -> float:
-        """Vector :meth:`_bulk_read`: location gather + span merge.
-
-        The caller guarantees every member is alive and no rebuild job
-        is active, so the scalar loop's per-block liveness/unit-ready
-        probes are vacuous.  Each SSD receives the identical coalesced
-        READ sequence at ``now``; cross-device issue order cannot
-        affect any single device's timeline.
-        """
-        if not lbas.shape[0]:
-            return now
-        ssds_col, offs_col, _, _ = self.mapping.locations_arrays(lbas)
-        end = now
-        uniq, first_pos = np.unique(ssds_col, return_index=True)
-        for ssd_idx in uniq[np.argsort(first_pos)].tolist():
-            offsets = np.sort(offs_col[ssds_col == ssd_idx])
-            starts = np.nonzero(np.concatenate(
-                ([True], np.diff(offsets) != PAGE_SIZE)))[0]
-            stops = np.concatenate((starts[1:], [offsets.shape[0]]))
-            for s, e in zip(starts.tolist(), stops.tolist()):
-                run_start = int(offsets[s])
-                length = int(offsets[e - 1]) - run_start + PAGE_SIZE
-                done = self._ssd_submit(
-                    ssd_idx, Request(Op.READ, run_start, length,
-                                     origin=origin), now)
-                if done is not None:
-                    end = max(end, done)
-        return end
-
-    def _trim_group(self, victim: int, now: float) -> float:
-        """TRIM the reclaimed SG so the FTLs know the space is dead."""
-        base = self.layout.unit_offset(victim, 0)
-        end = now
-        for idx in range(len(self.ssds)):
-            if self._alive(idx):
-                done = self._ssd_submit(idx, Request(
-                    Op.TRIM, base, self.config.erase_group_size), now)
-                if done is not None:
-                    end = max(end, done)
         return end
 
     # ==================================================================

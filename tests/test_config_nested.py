@@ -1,17 +1,14 @@
-"""Nested SrcConfig groups: round-trips, flat-kwarg shims, identity."""
+"""Nested SrcConfig groups: round-trips, and no way around them."""
 
 import warnings
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.types import Op, Request
-from repro.common.units import MIB, PAGE_SIZE
+from repro.common.units import MIB
 from repro.core.config import (FaultConfig, GcScheme, QosConfig,
                                ReclaimConfig, RepairConfig, SrcConfig,
                                VictimPolicy)
-
-from _stacks import TINY_SRC, make_src
 
 
 # ----------------------------------------------------------------------
@@ -37,13 +34,6 @@ def test_as_dict_is_nested_and_json_ready():
     assert data["qos"]["enforce_shares"] is True
 
 
-def test_from_dict_accepts_flat_legacy_documents():
-    with pytest.warns(DeprecationWarning):
-        config = SrcConfig.from_dict({"u_max": 0.7, "hot_spares": 2})
-    assert config.reclaim.u_max == 0.7
-    assert config.repair.hot_spares == 2
-
-
 def test_scaled_preserves_policy_groups():
     config = SrcConfig(cache_space=1024 * MIB,
                        qos=QosConfig(enforce_shares=False))
@@ -54,19 +44,30 @@ def test_scaled_preserves_policy_groups():
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
+# the flat spellings are gone, loudly
 # ----------------------------------------------------------------------
-def test_flat_kwargs_warn_and_route_into_groups():
-    with pytest.warns(DeprecationWarning, match="u_max"):
-        config = SrcConfig(u_max=0.85, hot_spares=1)
-    assert config.reclaim.u_max == 0.85
-    assert config.repair.hot_spares == 1
+def test_flat_kwargs_raise_type_error():
+    with pytest.raises(TypeError, match="u_max"):
+        SrcConfig(u_max=0.85)
+    with pytest.raises(AttributeError):
+        SrcConfig().u_max
 
 
-def test_flat_attribute_reads_warn_and_match_nested():
-    config = SrcConfig(reclaim=ReclaimConfig(u_max=0.8))
-    with pytest.warns(DeprecationWarning, match="u_max"):
-        assert config.u_max == config.reclaim.u_max == 0.8
+def test_from_dict_rejects_flat_legacy_documents():
+    # Silently dropping the keys would load the document with u_max
+    # and hot_spares reverted to their defaults.
+    with pytest.raises(ConfigError, match="hot_spares, u_max"):
+        SrcConfig.from_dict({"u_max": 0.7, "hot_spares": 2})
+
+
+def test_from_dict_rejects_unknown_keys_inside_a_group():
+    doc = SrcConfig().as_dict()
+    doc["reclaim"]["u_maxx"] = 0.7
+    with pytest.raises(ConfigError, match="ReclaimConfig.*u_maxx"):
+        SrcConfig.from_dict(doc)
+    for group in (FaultConfig, RepairConfig, QosConfig):
+        with pytest.raises(ConfigError, match="typo"):
+            group.from_dict({"typo": 1})
 
 
 def test_nested_construction_emits_no_warnings():
@@ -87,37 +88,5 @@ def test_group_validation_still_fires():
         ReclaimConfig(u_max=1.5)
     with pytest.raises(ConfigError):
         QosConfig(default_min_share=0.9, default_max_share=0.5)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ConfigError):
-            SrcConfig(u_max=1.5)          # routed into the group, validated
-
-
-# ----------------------------------------------------------------------
-# flat vs nested behavioural identity
-# ----------------------------------------------------------------------
-def test_flat_and_nested_configs_are_equal_and_run_identically():
-    with pytest.warns(DeprecationWarning):
-        flat = SrcConfig(
-            erase_group_size=TINY_SRC.erase_group_size,
-            segment_unit=TINY_SRC.segment_unit,
-            cache_space=TINY_SRC.cache_space,
-            t_wait=TINY_SRC.t_wait,
-            u_max=0.85, gc_scheme=GcScheme.S2D)
-    nested = SrcConfig(
-        erase_group_size=TINY_SRC.erase_group_size,
-        segment_unit=TINY_SRC.segment_unit,
-        cache_space=TINY_SRC.cache_space,
-        t_wait=TINY_SRC.t_wait,
-        reclaim=ReclaimConfig(u_max=0.85, gc_scheme=GcScheme.S2D))
-    assert flat == nested
-
-    def drive(config):
-        cache = make_src(config)
-        now = 0.0
-        for offset in range(0, 24 * MIB, PAGE_SIZE):
-            now = cache.submit(Request(Op.WRITE, offset, PAGE_SIZE), now)
-        for offset in range(0, 8 * MIB, PAGE_SIZE):
-            now = cache.submit(Request(Op.READ, offset, PAGE_SIZE), now)
-        return now, cache.cstats.as_dict(), cache.srcstats.as_dict()
-
-    assert drive(flat) == drive(nested)
+    with pytest.raises(ConfigError):      # geometry, on SrcConfig itself
+        SrcConfig(raid_level=6)

@@ -9,6 +9,7 @@ from repro.block.device import BlockDevice
 from repro.block.lifecycle import QueuedDevice, Submission
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import GIB, PAGE_SIZE
+from repro.core.config import ReclaimConfig
 from repro.core.src import SrcCache
 from repro.faults.injector import FaultInjector
 from repro.faults.policy import RetryPolicy, submit_with_retry
@@ -127,8 +128,9 @@ def test_retry_reenters_queue_behind_new_traffic():
 def _small_src(background: bool):
     # TWAIT is pushed out of reach so every segment write in the driver
     # is caused by the driver itself (deterministic overlap accounting).
-    config = replace(TORTURE_CONFIG, background_reclaim=background,
-                     t_wait=10.0)
+    config = replace(
+        TORTURE_CONFIG, t_wait=10.0,
+        reclaim=ReclaimConfig(background_reclaim=background))
     ssds = [SSDDevice(TORTURE_SSD, name=f"s{i}")
             for i in range(config.n_ssds)]
     origin = PrimaryStorage(n_disks=2,
@@ -240,7 +242,9 @@ def test_origin_bytes_attributed_by_origin():
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("background", [True, False])
 def test_acked_dirty_blocks_survive_crash_points(background):
-    config = replace(TORTURE_CONFIG, background_reclaim=background)
+    config = replace(
+        TORTURE_CONFIG,
+        reclaim=ReclaimConfig(background_reclaim=background))
     crashed = 0
     for point in range(9):   # three crash points per torture mode
         case = run_case(seed=3, point=point, config=config)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.types import Op, Request
 from repro.common.units import PAGE_SIZE
-from repro.core.config import CleanRedundancy
+from repro.core.config import CleanRedundancy, FaultConfig, RepairConfig
 from repro.core.recovery import recover
 from repro.core.src import SrcCache
 from repro.faults import FaultInjector, FaultPlan
@@ -153,7 +153,8 @@ def test_rebuild_job_queue_semantics():
 # ------------------------------------------------------------------
 def test_fail_stop_attaches_spare_and_rebuild_completes():
     rec = ObsRecorder()
-    config = replace(TINY_SRC, rebuild_rate=0.0)   # unthrottled
+    config = replace(TINY_SRC,
+                     repair=RepairConfig(rebuild_rate=0.0))   # unthrottled
     cache = make_repair_src({1: FaultPlan().fail_stop(at=FAIL_AT)},
                             config=config, recorder=rec)
     now = fill_segments(cache, n=3)
@@ -178,7 +179,7 @@ def test_fail_stop_attaches_spare_and_rebuild_completes():
 
 
 def test_rebuilt_data_is_readable_without_degradation():
-    config = replace(TINY_SRC, rebuild_rate=0.0)
+    config = replace(TINY_SRC, repair=RepairConfig(rebuild_rate=0.0))
     cache = make_repair_src({1: FaultPlan().fail_stop(at=FAIL_AT)},
                             config=config)
     now = fill_segments(cache, n=3)
@@ -197,7 +198,7 @@ def test_rebuilt_data_is_readable_without_degradation():
 
 def test_reads_of_unrebuilt_units_are_served_degraded_and_promoted():
     # 1 byte/s: after the 2-unit burst the rebuild is effectively frozen.
-    config = replace(TINY_SRC, rebuild_rate=1.0)
+    config = replace(TINY_SRC, repair=RepairConfig(rebuild_rate=1.0))
     cache = make_repair_src({1: FaultPlan().fail_stop(at=FAIL_AT)},
                             config=config)
     now = fill_segments(cache, n=4)
@@ -230,7 +231,7 @@ def test_reads_of_unrebuilt_units_are_served_degraded_and_promoted():
 def test_foreground_guard_defers_rebuild_io():
     # An absurdly low p99 limit: the guard is hot from the first window,
     # so the pump defers every rebuild unit while foreground runs.
-    config = replace(TINY_SRC, rebuild_fg_p99=1e-9)
+    config = replace(TINY_SRC, repair=RepairConfig(rebuild_fg_p99=1e-9))
     cache = make_repair_src({1: FaultPlan().fail_stop(at=FAIL_AT)},
                             config=config)
     now = fill_segments(cache, n=2)
@@ -249,7 +250,8 @@ def test_bypass_waits_while_spare_rebuild_is_in_flight():
     # Regression: _maybe_bypass must not fire while a hot spare holds
     # the slot; the transition order is DEGRADED -> REBUILDING with no
     # bypass in between, and bypass only comes once coverage runs out.
-    config = replace(TINY_SRC, rebuild_rate=1.0)    # frozen after burst
+    # 1 byte/s: frozen after the burst.
+    config = replace(TINY_SRC, repair=RepairConfig(rebuild_rate=1.0))
     cache = make_repair_src({1: FaultPlan().fail_stop(at=FAIL_AT),
                              2: FaultPlan().fail_stop(at=10.0)},
                             config=config)
@@ -331,7 +333,7 @@ def test_scrub_double_fault_is_unrepairable_and_dropped():
 
 
 def test_periodic_scrub_runs_from_the_pump():
-    config = replace(TINY_SRC, scrub_interval=1.0)
+    config = replace(TINY_SRC, repair=RepairConfig(scrub_interval=1.0))
     cache = make_repair_src(n_spares=0, config=config)
     now = fill_segments(cache, n=1)
     assert now < 1.0                    # the fill ends before the due time
@@ -349,7 +351,8 @@ def test_periodic_scrub_runs_from_the_pump():
 # ------------------------------------------------------------------
 def test_flush_latencies_feed_their_own_failslow_detector():
     rec = ObsRecorder()
-    config = replace(TINY_SRC, failslow_flush_p99=50e-3)
+    config = replace(TINY_SRC,
+                     faults=FaultConfig(failslow_flush_p99=50e-3))
     cache = make_repair_src(
         {3: FaultPlan().limp_window(0.0, 1e9, 100.0)},
         config=config, n_spares=0, recorder=rec)
@@ -366,7 +369,7 @@ def test_flush_latencies_feed_their_own_failslow_detector():
     assert not cache.bypass
     assert cache.repair.health.state(3) is DeviceHealth.DEGRADED
     limps = [e for e in rec.trace.events if e.kind == "DeviceLimping"]
-    assert limps and limps[0].threshold == config.failslow_flush_p99
+    assert limps and limps[0].threshold == config.faults.failslow_flush_p99
     # The healthy drives were never flagged.
     assert all(not cache.ssds[i].failed for i in (0, 1, 2))
 
@@ -380,7 +383,7 @@ def test_recover_after_mid_run_rebuild_is_clean():
     # match parity_reconstructions exactly.
     rec = ObsRecorder()
     config = replace(TINY_SRC, clean_redundancy=CleanRedundancy.PC,
-                     rebuild_rate=1.0)
+                     repair=RepairConfig(rebuild_rate=1.0))
     cache = make_repair_src({1: FaultPlan().fail_stop(at=FAIL_AT)},
                             config=config, recorder=rec)
     now = fill_segments(cache, n=3)

@@ -5,15 +5,15 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.units import GIB, KIB, MIB
 from repro.core.config import (CleanRedundancy, FlushPoint, GcScheme,
-                               SrcConfig, VictimPolicy)
+                               ReclaimConfig, SrcConfig, VictimPolicy)
 
 
 def test_defaults_match_table7_bold_entries():
     config = SrcConfig()
     assert config.erase_group_size == 256 * MIB
-    assert config.gc_scheme is GcScheme.SEL_GC
-    assert config.u_max == pytest.approx(0.90)
-    assert config.victim_policy is VictimPolicy.FIFO
+    assert config.reclaim.gc_scheme is GcScheme.SEL_GC
+    assert config.reclaim.u_max == pytest.approx(0.90)
+    assert config.reclaim.victim_policy is VictimPolicy.FIFO
     assert config.clean_redundancy is CleanRedundancy.NPC
     assert config.raid_level == 5
     assert config.flush_point is FlushPoint.PER_SEGMENT_GROUP
@@ -50,10 +50,10 @@ def test_single_ssd_raid0_allowed():
 
 def test_umax_bounds():
     with pytest.raises(ConfigError):
-        SrcConfig(u_max=0.0)
+        ReclaimConfig(u_max=0.0)
     with pytest.raises(ConfigError):
-        SrcConfig(u_max=1.5)
-    SrcConfig(u_max=1.0)
+        ReclaimConfig(u_max=1.5)
+    ReclaimConfig(u_max=1.0)
 
 
 def test_erase_group_must_align_to_segment_unit():
@@ -68,7 +68,7 @@ def test_segment_unit_must_be_page_aligned():
 
 def test_gc_watermarks_ordered():
     with pytest.raises(ConfigError):
-        SrcConfig(gc_free_low=5, gc_free_high=2)
+        ReclaimConfig(gc_free_low=5, gc_free_high=2)
 
 
 def test_scaled_preserves_ratios_and_floors():

@@ -4,9 +4,14 @@ from dataclasses import replace
 
 
 from repro.common.units import PAGE_SIZE
-from repro.core.config import GcScheme, VictimPolicy
+from repro.core.config import GcScheme, ReclaimConfig, VictimPolicy
 
 from _stacks import TINY_SRC, make_src
+
+
+def gc_src(**reclaim):
+    """A ``TINY_SRC`` cache under the given reclaim policy knobs."""
+    return make_src(replace(TINY_SRC, reclaim=ReclaimConfig(**reclaim)))
 
 
 def churn(cache, unique_blocks, total_writes, now=0.0, step=1e-4):
@@ -26,7 +31,7 @@ def writes_to_fill(cache, factor=2.0):
 
 
 def test_gc_triggers_when_free_groups_low():
-    cache = make_src(replace(TINY_SRC, gc_scheme=GcScheme.S2D))
+    cache = gc_src(gc_scheme=GcScheme.S2D)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.8))
     assert cache.srcstats.s2d_collections > 0
@@ -34,7 +39,7 @@ def test_gc_triggers_when_free_groups_low():
 
 
 def test_s2d_destages_dirty_to_origin():
-    cache = make_src(replace(TINY_SRC, gc_scheme=GcScheme.S2D))
+    cache = gc_src(gc_scheme=GcScheme.S2D)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.8))
     assert cache.srcstats.gc_destaged_blocks > 0
@@ -46,8 +51,7 @@ def test_sel_gc_copies_dirty_forward():
     # Random writes over a working set below UMAX-utilization: victims
     # hold surviving dirty blocks, which Sel-GC must copy forward.
     import numpy as np
-    cache = make_src(replace(TINY_SRC, gc_scheme=GcScheme.SEL_GC,
-                             u_max=0.95))
+    cache = gc_src(gc_scheme=GcScheme.SEL_GC, u_max=0.95)
     rng = np.random.default_rng(7)
     ws = int(cache_capacity_blocks(cache) * 0.6)
     now = 0.0
@@ -59,8 +63,7 @@ def test_sel_gc_copies_dirty_forward():
 
 
 def test_sel_gc_falls_back_to_s2d_above_umax():
-    cache = make_src(replace(TINY_SRC, gc_scheme=GcScheme.SEL_GC,
-                             u_max=0.10))
+    cache = gc_src(gc_scheme=GcScheme.SEL_GC, u_max=0.10)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.8))
     assert cache.srcstats.s2d_collections > 0
@@ -88,15 +91,13 @@ def _mixed_clean_churn(cache, hot_reads=False):
 
 
 def test_sel_gc_drops_cold_clean():
-    cache = make_src(replace(TINY_SRC, gc_scheme=GcScheme.SEL_GC,
-                             u_max=0.95))
+    cache = gc_src(gc_scheme=GcScheme.SEL_GC, u_max=0.95)
     _mixed_clean_churn(cache)
     assert cache.srcstats.gc_dropped_clean > 0
 
 
 def test_sel_gc_keeps_hot_clean():
-    cache = make_src(replace(TINY_SRC, gc_scheme=GcScheme.SEL_GC,
-                             u_max=0.95))
+    cache = gc_src(gc_scheme=GcScheme.SEL_GC, u_max=0.95)
     hot_blocks = 32
     now = 0.0
     # Establish a hot clean set by reading it repeatedly between fills.
@@ -115,27 +116,26 @@ def test_sel_gc_keeps_hot_clean():
 
 
 def test_fifo_picks_oldest_group():
-    cache = make_src(replace(TINY_SRC, victim_policy=VictimPolicy.FIFO))
+    cache = gc_src(victim_policy=VictimPolicy.FIFO)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.2))
     first_closed = cache._closed_fifo[0]
-    victim = cache._pick_victim_sg()
+    victim = cache.reclaimer.pick_victim()
     assert victim == first_closed
 
 
 def test_greedy_picks_least_valid_group():
-    cache = make_src(replace(TINY_SRC,
-                             victim_policy=VictimPolicy.GREEDY))
+    cache = gc_src(victim_policy=VictimPolicy.GREEDY)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.2))
-    victim = cache._pick_victim_sg()
+    victim = cache.reclaimer.pick_victim()
     counts = {sg: cache.mapping.sg_valid_count(sg)
               for sg in cache._closed_fifo}
     assert counts[victim] == min(counts.values())
 
 
 def test_reclaimed_group_is_trimmed():
-    cache = make_src(replace(TINY_SRC, gc_scheme=GcScheme.S2D))
+    cache = gc_src(gc_scheme=GcScheme.S2D)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.8))
     assert all(s.stats.trim_ops > 0 for s in cache.ssds)
@@ -143,8 +143,7 @@ def test_reclaimed_group_is_trimmed():
 
 def test_gc_survives_full_dirty_hot_cache():
     """The S2S no-progress guard: all-dirty victims must not livelock."""
-    cache = make_src(replace(TINY_SRC, gc_scheme=GcScheme.SEL_GC,
-                             u_max=0.99))
+    cache = gc_src(gc_scheme=GcScheme.SEL_GC, u_max=0.99)
     churn(cache, cache_capacity_blocks(cache),
           writes_to_fill(cache, 2.2))
     assert cache.free_groups >= 1
@@ -152,8 +151,8 @@ def test_gc_survives_full_dirty_hot_cache():
 
 
 def test_blind_s2s_ablation_copies_clean():
-    cache = make_src(replace(TINY_SRC, gc_scheme=GcScheme.SEL_GC,
-                             u_max=0.95, hotness_aware=False))
+    cache = gc_src(gc_scheme=GcScheme.SEL_GC, u_max=0.95,
+                   hotness_aware=False)
     _mixed_clean_churn(cache)
     assert cache.srcstats.gc_dropped_clean == 0
     assert cache.srcstats.gc_copied_blocks > 0
@@ -170,32 +169,29 @@ def test_mapping_consistent_after_heavy_churn():
 
 def test_cost_benefit_victim_policy():
     """§6 extension: cost-benefit blends age and utilization."""
-    cache = make_src(replace(TINY_SRC,
-                             victim_policy=VictimPolicy.COST_BENEFIT))
+    cache = gc_src(victim_policy=VictimPolicy.COST_BENEFIT)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.2))
-    victim = cache._pick_victim_sg()
-    scores = {sg: cache._cost_benefit_score(sg)
+    victim = cache.reclaimer.pick_victim()
+    scores = {sg: cache.reclaimer.cost_benefit_score(sg)
               for sg in cache._closed_fifo}
     assert scores[victim] == max(scores.values())
 
 
 def test_cost_benefit_prefers_old_empty_groups():
-    cache = make_src(replace(TINY_SRC,
-                             victim_policy=VictimPolicy.COST_BENEFIT))
+    cache = gc_src(victim_policy=VictimPolicy.COST_BENEFIT)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.2))
     # An old empty group must outscore a fresh full one.
     old_sg = cache._closed_fifo[0]
     new_sg = cache._closed_fifo[-1]
     cache.mapping.drop_sg(old_sg)     # make it empty
-    assert cache._cost_benefit_score(old_sg) > \
-        cache._cost_benefit_score(new_sg)
+    score = cache.reclaimer.cost_benefit_score
+    assert score(old_sg) > score(new_sg)
 
 
 def test_cost_benefit_runs_end_to_end():
-    cache = make_src(replace(TINY_SRC,
-                             victim_policy=VictimPolicy.COST_BENEFIT))
+    cache = gc_src(victim_policy=VictimPolicy.COST_BENEFIT)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.8))
     assert cache.free_groups >= 1

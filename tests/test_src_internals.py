@@ -33,18 +33,26 @@ def test_partial_segment_writes_less_than_full_unit():
 
 
 def test_bulk_read_merges_contiguous_slots():
-    cache = make_src()
-    cap = cache.layout.dirty_segment_capacity()
-    now = 0.0
-    for i in range(cap):
-        now = cache.write(i * PAGE_SIZE, PAGE_SIZE, now)
-    reads_before = sum(s.stats.read_ops for s in cache.ssds)
-    sg = cache.mapping.lookup(0).location.sg
-    lbas = [lba for lba, _ in cache.mapping.sg_blocks(sg)]
-    cache._bulk_read(sg, lbas, now)
-    reads = sum(s.stats.read_ops for s in cache.ssds) - reads_before
-    # A whole segment's blocks are contiguous per SSD: one read each.
-    assert reads == 3
+    # Healthy, then with one member fail-stopped: its blocks have
+    # nothing to read and are masked out before any I/O is issued.
+    for failed, expected_reads in ((None, 3), (1, 2)):
+        cache = make_src()
+        cap = cache.layout.dirty_segment_capacity()
+        now = 0.0
+        for i in range(cap):
+            now = cache.write(i * PAGE_SIZE, PAGE_SIZE, now)
+        if failed is not None:
+            cache.ssds[failed].fail()
+        before = [s.stats.read_ops for s in cache.ssds]
+        sg = cache.mapping.lookup(0).location.sg
+        lbas, _ = cache.mapping.sg_blocks_arrays(sg)
+        cache.reclaimer.victim_read(lbas, now)
+        reads = [s.stats.read_ops - b for s, b in zip(cache.ssds, before)]
+        # A whole segment's blocks are contiguous per SSD: one read
+        # on each live data member, none on the parity member.
+        assert sum(reads) == expected_reads and max(reads) == 1
+        assert failed is None or reads[failed] == 0
+        assert cache.reclaimer.victim_read(lbas[:0], now) == now
 
 
 def test_degraded_segment_write_skips_failed_ssd():

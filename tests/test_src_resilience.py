@@ -7,6 +7,7 @@ import pytest
 from repro.block.device import NullDevice
 from repro.common.errors import ConfigError, DeviceFailedError
 from repro.common.units import MIB, PAGE_SIZE
+from repro.core.config import FaultConfig
 from repro.core.src import SrcCache
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdd.backend import PrimaryStorage
@@ -99,7 +100,8 @@ def test_retry_exhaustion_converts_ssd_to_fail_stop():
 # ------------------------------------------------------------------
 def test_limping_ssd_is_detected_and_converted():
     rec = ObsRecorder()
-    config = replace(TINY_SRC, failslow_p99=5e-3, failslow_window=4)
+    config = replace(TINY_SRC, faults=FaultConfig(failslow_p99=5e-3,
+                                                  failslow_window=4))
     cache = make_faulty_src(
         {2: FaultPlan().limp_window(0.0, 1e9, 100.0)},
         config=config, recorder=rec)
@@ -163,7 +165,8 @@ def test_array_loss_enters_origin_bypass_with_loss_accounting():
 
 
 def test_bypass_disabled_keeps_strict_semantics():
-    config = replace(TINY_SRC, raid_level=0, bypass_on_failure=False)
+    config = replace(TINY_SRC, raid_level=0,
+                     faults=FaultConfig(bypass_on_failure=False))
     cache = make_faulty_src(
         {0: FaultPlan().transient_window(0.5, 1e9, 1.0)}, config=config)
     fill_one_dirty_segment(cache)
@@ -227,4 +230,4 @@ def test_raid0_member_loss_after_retries_is_fatal():
 ])
 def test_resilience_config_validation(bad):
     with pytest.raises(ConfigError):
-        replace(TINY_SRC, **bad)
+        replace(TINY_SRC, faults=FaultConfig(**bad))

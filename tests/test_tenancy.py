@@ -1,5 +1,6 @@
 """Multi-tenant volume layer: shares, borrowing, admission, stats."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
@@ -232,6 +233,22 @@ def test_destage_attribution_reaches_owner():
                         for s in reg.stats().values())
     assert total_destaged == reg.stats()["w"]["destaged_blocks"]
     reg.check_invariants()
+    # An extent that runs across a volume boundary is cut there: one
+    # origin write per owner, each carrying its tenant tag.
+    other = reg.create_volume("x", 4 * MIB)
+    edge = other.base_block
+    for volume, block in ((vol, vol.blocks - 2), (vol, vol.blocks - 1),
+                          (other, 0), (other, 1)):
+        now = volume.submit(
+            Request(Op.WRITE, block * PAGE_SIZE, PAGE_SIZE), now)
+    now = reg.cache.flush(now)
+    assert all(lba in reg.cache.mapping for lba in range(edge - 2, edge + 2))
+    writes = reg.cache.origin.stats.write_ops
+    billed = reg.stats()["w"]["destaged_blocks"]
+    reg.cache.reclaimer.destage(np.arange(edge - 2, edge + 2), now)
+    assert reg.cache.origin.stats.write_ops == writes + 2
+    assert reg.stats()["w"]["destaged_blocks"] == billed + 2
+    assert reg.stats()["x"]["destaged_blocks"] == 2
 
 
 # ----------------------------------------------------------------------
