@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.block.device import BlockDevice
-from repro.common.chunks import (NO_TENANT, OP_WRITE, ORIGIN_FG,
-                                 request_from_row)
+from repro.common.chunks import (DECLINED, SCALAR_THRESHOLD,
+                                 conformant_mask, request_from_row)
 from repro.common.errors import ConfigError, ReproError
 from repro.common.throttle import ForegroundGuard, TokenBucket
 from repro.common.types import IoOrigin, Op, Request
@@ -62,11 +62,6 @@ from .volume import ClusterVolume
 # States in which a shard slot serves I/O.  REBUILDING serves: an
 # attached spare warms through ordinary misses while it fills.
 _SERVING = (DeviceHealth.HEALTHY, DeviceHealth.REBUILDING)
-
-_EMPTY_TIMES = np.empty(0, dtype=np.float64)
-
-# Same scalar/vector crossover the SRC core and the FTL use.
-SCALAR_THRESHOLD = 32
 
 
 @dataclass
@@ -285,7 +280,7 @@ class ShardRouter(BlockDevice):
         n_total = rows.shape[0]
         if (n_total == 0 or self._migration is not None or self._overrides
                 or self._spare_ready or self.obs.enabled):
-            return _EMPTY_TIMES, _EMPTY_TIMES, 0
+            return DECLINED
         offsets = rows["offset"]
         # Bounded scan, widened geometrically only while the whole
         # window is one conformant same-owner run: consistent hashing
@@ -294,18 +289,12 @@ class ShardRouter(BlockDevice):
         scan = 64 if n_total > 64 else n_total
         slab_blocks = self.config.slab_blocks
         while True:
-            offs = offsets[:scan]
-            conf = ((rows["op"][:scan] == OP_WRITE)
-                    & (rows["length"][:scan] == PAGE_SIZE)
-                    & (rows["origin"][:scan] == ORIGIN_FG)
-                    & (rows["tenant"][:scan] == NO_TENANT)
-                    & (offs % PAGE_SIZE == 0)
-                    & (offs + PAGE_SIZE <= self.size))
-            nonconf = np.nonzero(~conf)[0]
+            nonconf = np.nonzero(
+                ~conformant_mask(rows[:scan], self.size))[0]
             n_conf = int(nonconf[0]) if nonconf.shape[0] else scan
             if n_conf == 0:
-                return _EMPTY_TIMES, _EMPTY_TIMES, 0
-            owners = self._owners_of(offs[:n_conf] // PAGE_SIZE
+                return DECLINED
+            owners = self._owners_of(offsets[:n_conf] // PAGE_SIZE
                                      // slab_blocks)
             slot = int(owners[0])
             other = np.nonzero(owners != slot)[0]
@@ -346,10 +335,10 @@ class ShardRouter(BlockDevice):
                 k += 1
             return issue_s[:k], done_s[:k], k
         if not self.slot_serving(slot):
-            return _EMPTY_TIMES, _EMPTY_TIMES, 0
+            return DECLINED
         shard_chunk = getattr(self.shards[slot], "submit_chunk", None)
         if shard_chunk is None:
-            return _EMPTY_TIMES, _EMPTY_TIMES, 0
+            return DECLINED
         issue_t, done_t, n = shard_chunk(rows[:n_run], start, think_time,
                                          deadline, limit)
         if n:

@@ -31,6 +31,7 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro.common.types import IoOrigin, Op, Request
+from repro.common.units import PAGE_SIZE
 
 # One row per request.  int64 offsets/lengths cover any device size the
 # simulator models; uint8 codes keep a 4096-row chunk under 128 KiB.
@@ -58,6 +59,15 @@ ORIGIN_CODE = {o: i for i, o in enumerate(_ORIGINS)}
 
 NO_TENANT = -1
 
+# Below this many rows a scalar loop beats numpy dispatch overhead (the
+# crossover ssd/ftl.py measured); above it the vector path wins.
+SCALAR_THRESHOLD = 32
+
+# What a ``submit_chunk`` returns when it serves no row: ``(issue_times,
+# done_times, n)`` with ``n == 0``.  Declining is always legal; the
+# engine serves the head row through the scalar issue function.
+DECLINED = (None, None, 0)
+
 # Default generator granularity: big enough to amortize numpy dispatch,
 # small enough that a chunk of row objects stays cache-resident.
 DEFAULT_CHUNK_REQUESTS = 4096
@@ -81,6 +91,25 @@ def make_chunk(offsets, lengths, op: int = OP_WRITE,
     chunk["origin"] = origin
     chunk["tenant"] = tenant
     return chunk
+
+
+def conformant_mask(rows: np.ndarray, device_size: int) -> np.ndarray:
+    """Which ``rows`` the vector write windows may serve.
+
+    A conformant row is an untenanted foreground write of exactly one
+    page, page-aligned and inside ``[0, device_size)``.  Every
+    ``submit_chunk`` classifies its slice here, so anything else — a
+    negative offset included — reaches :func:`request_from_row` and
+    fails exactly as it does on the per-request path.
+    """
+    offsets = rows["offset"]
+    return ((rows["op"] == OP_WRITE)
+            & (rows["length"] == PAGE_SIZE)
+            & (rows["origin"] == ORIGIN_FG)
+            & (rows["tenant"] == NO_TENANT)
+            & (offsets >= 0)
+            & (offsets % PAGE_SIZE == 0)
+            & (offsets + PAGE_SIZE <= device_size))
 
 
 def op_of(code: int) -> Op:

@@ -27,6 +27,8 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.core.arrays import B_NONE, B_STAGING, BlockState, grow_to
 
+RAM_LATENCY = 2e-6  # buffer hit / insert latency
+
 
 class SegmentBuffer:
     """An in-RAM accumulation buffer for one class of data.

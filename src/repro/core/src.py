@@ -28,15 +28,14 @@ import numpy as np
 from repro.baselines.common import CacheTarget
 from repro.block.device import BlockDevice
 from repro.common.checksum import block_checksum, block_checksums_array
-from repro.common.chunks import (NO_TENANT, OP_WRITE, ORIGIN_FG,
-                                 request_from_row)
+from repro.common.chunks import SCALAR_THRESHOLD
 from repro.common.errors import (ConfigError, DeviceFailedError,
                                  RaidDegradedError, RequestTimeoutError)
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import (B_CLEAN, B_DIRTY, B_MAPPED, B_NONE,
                                B_STAGING, BlockState, VersionArray)
-from repro.core.buffers import SegmentBuffer, StagingBuffer
+from repro.core.buffers import RAM_LATENCY, SegmentBuffer, StagingBuffer
 from repro.core.config import CleanRedundancy, FlushPoint, SrcConfig
 from repro.core.hotness import HotnessBitmap
 from repro.core.layout import SegmentLayout
@@ -44,22 +43,13 @@ from repro.core.mapping import CacheEntry, MappingTable
 from repro.core.metadata import (MetadataStore, SegmentSummary, Superblock,
                                  SRC_MAGIC)
 from repro.core.reclaim import Reclaimer
+from repro.core.window import WriteWindow
 from repro.faults.failslow import FailSlowDetector
 from repro.faults.policy import RetryPolicy, submit_with_retry
 from repro.obs.events import (BackpressureStall, BypassEntered, DegradedRead,
                               DeviceLimping, FlushBarrier, RebuildProgress,
                               SegmentSealed)
-from repro.obs.recorder import ObsRecorder
 from repro.repair.controller import RepairController
-from repro.ssd.device import SSDDevice
-
-RAM_LATENCY = 2e-6  # buffer hit / insert latency
-
-# Below this many blocks the scalar loop beats numpy dispatch overhead
-# (the crossover ssd/ftl.py measured); above it the vector path wins.
-SCALAR_THRESHOLD = 32
-
-_EMPTY_TIMES = np.empty(0, dtype=np.float64)
 
 
 @dataclass
@@ -150,6 +140,9 @@ class SrcCache(CacheTarget):
         if len(ssds) != config.n_ssds:
             raise ConfigError(
                 f"config expects {config.n_ssds} SSDs, got {len(ssds)}")
+        # Built first: BlockDevice.__init__ assigns ``obs``, and the
+        # ``obs`` setter below invalidates the window's gates.
+        self.window = WriteWindow(self)
         super().__init__(ssds[0], origin, "src")  # cache_dev unused directly
         self.ssds = ssds
         self.config = config
@@ -214,26 +207,13 @@ class SrcCache(CacheTarget):
         self.tenants = None
         self._active_tenant: Optional[str] = None
 
-        # Cached batched-path gate: None = recompute on next chunk.
-        # Every event that can change a gate input invalidates it —
-        # observer attach (mapping/buffer callbacks below), obs attach
-        # (the ``obs`` property), repair activity (RepairController),
-        # bypass entry, tenancy attach, fault-plan arming (injector
-        # callbacks below) — so ``submit_chunk`` pays one attribute
-        # load per chunk instead of ten predicate checks.
-        self._chunk_gate: Optional[bool] = None
-        # Companion gate for the lean segment-seal path: while True,
-        # unit writes and flushes go through the SSDs' inlined
-        # ``submit_write_fast``/``submit_flush_fast`` instead of the
-        # retry/fail-slow wrapper (which those gates prove is inert).
-        # Invalidated at the same sites as the chunk gate.
-        self._seal_fast: Optional[bool] = None
-        self.mapping.on_observer_change = self.invalidate_chunk_gate
-        self.dirty_buf.on_observer_change = self.invalidate_chunk_gate
-        self.clean_buf.on_observer_change = self.invalidate_chunk_gate
-        for member in self.ssds:
-            self.watch_member_faults(member)
-        self.watch_member_faults(origin)
+        # Everything that can flip a fast-path gate input notifies the
+        # window (core/window.py lists the sites).
+        self.mapping.on_observer_change = self.window.invalidate
+        self.dirty_buf.on_observer_change = self.window.invalidate
+        self.clean_buf.on_observer_change = self.window.invalidate
+        for device in (*self.ssds, origin):
+            self.window.watch_member_faults(device)
 
         if self.metadata.superblock is None:
             self.metadata.format(Superblock(
@@ -300,9 +280,6 @@ class SrcCache(CacheTarget):
         """Unattached hot spares (walked by the observability attach)."""
         return self.repair.spares
 
-    # ==================================================================
-    # batched-path gate invalidation
-    # ==================================================================
     @property
     def obs(self):
         return self._obs
@@ -311,63 +288,9 @@ class SrcCache(CacheTarget):
     def obs(self, recorder) -> None:
         # Telemetry only changes by (re)assignment (obs.recorder.attach
         # / detach walk the tree setting this attribute), so the setter
-        # is the single choke point the cached chunk gate needs.
+        # is the single choke point the window's cached gates need.
         self._obs = recorder
-        self.invalidate_chunk_gate()
-
-    def invalidate_chunk_gate(self, _source=None) -> None:
-        """Force :meth:`_chunk_fast_ok` to re-derive its cached verdict.
-
-        Called by everything that can change a gate input: observer
-        (re)assignment on the mapping/buffers, repair-job and spare
-        mutations, bypass entry, tenancy attach, and an injector's
-        plan-change hook (which passes itself as ``_source``).
-        """
-        self._chunk_gate = None
-        self._seal_fast = None
-
-    def watch_member_faults(self, device) -> None:
-        """Subscribe to ``device``'s fault-plan changes (if injectable).
-
-        A :class:`~repro.faults.FaultInjector` fires ``on_plan_change``
-        on every plan (re)assignment; an armed plan anywhere in the
-        array must flip the chunk gate so the vectorized window
-        declines and faults fire on the scalar path that can observe
-        them.
-        """
-        if hasattr(device, "on_plan_change"):
-            device.on_plan_change = self.invalidate_chunk_gate
-
-    def _armed_fault_live(self) -> bool:
-        """True while any member (or the origin) has an armed plan."""
-        for device in self.ssds:
-            plan = getattr(device, "plan", None)
-            if plan is not None and getattr(plan, "armed", False):
-                return True
-        plan = getattr(self.origin, "plan", None)
-        return plan is not None and getattr(plan, "armed", False)
-
-    def _seal_fast_ok(self) -> bool:
-        """Whether segment seals may use the lean device submission.
-
-        True only while every side channel of :meth:`_ssd_submit` is
-        provably inert: no fail-slow detectors sampling latencies, no
-        telemetry on SRC or any member, no armed fault plan anywhere
-        (the retry/backoff wrapper only acts on injected errors), and
-        every member is a plain :class:`~repro.ssd.device.SSDDevice`
-        (an injector wrapper or test double must keep the full path).
-        Cached like the chunk gate and invalidated at the same sites.
-        """
-        gate = self._seal_fast
-        if gate is None:
-            gate = self._seal_fast = (
-                self.failslow is None
-                and self.flush_failslow is None
-                and not self.obs.enabled
-                and not self._armed_fault_live()
-                and all(type(s) is SSDDevice and not s.obs.enabled
-                        for s in self.ssds))
-        return gate
+        self.window.invalidate()
 
     # ==================================================================
     # resilient SSD submission (retry/backoff, fail-slow, bypass)
@@ -463,7 +386,7 @@ class SrcCache(CacheTarget):
         if self.bypass:
             return
         self.bypass = True
-        self.invalidate_chunk_gate()
+        self.window.invalidate()
         lost = self.mapping.dirty_count + len(self.dirty_buf)
         self.srcstats.bypass_lost_dirty += lost
         self.repair.enter_bypass(now)
@@ -489,6 +412,22 @@ class SrcCache(CacheTarget):
             # Rebuild back-off watches the foreground's rolling p99.
             self.repair.observe_foreground(end - now)
         return end
+
+    def submit_chunk(self, rows: np.ndarray, start: float,
+                     think_time: float, deadline: float,
+                     limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Serve a closed-loop (qd1) prefix of ``rows`` in one call.
+
+        ``rows`` is a :data:`repro.common.chunks.CHUNK_DTYPE` array;
+        the stream issues row ``i+1`` at ``done[i] + think_time``,
+        starting at ``start``, never at or past ``deadline``, and
+        processing at most ``limit`` rows (0 = unbounded).  Returns
+        ``(issue_times, done_times, n_processed)`` — bit-identical to
+        driving the same rows through :meth:`submit` one at a time,
+        which is what the differential suite asserts.
+        """
+        return self.window.submit_chunk(rows, start, think_time, deadline,
+                                        limit)
 
     # ==================================================================
     # application write path
@@ -851,7 +790,7 @@ class SrcCache(CacheTarget):
                       if with_parity else -1)
         base = self.layout.unit_offset(sg, segment)
         origin = IoOrigin.GC if self.reclaimer.running else IoOrigin.FOREGROUND
-        fast = self._seal_fast_ok()
+        fast = self.window.seal_fast_ok()
         end = now
         blocks_left = nblocks
         for idx in data_ssds:
@@ -894,7 +833,7 @@ class SrcCache(CacheTarget):
 
     def _flush_ssds(self, now: float) -> float:
         end = now
-        fast = self._seal_fast_ok()
+        fast = self.window.seal_fast_ok()
         for idx in range(len(self.ssds)):
             if self._alive(idx):
                 if fast:
@@ -1041,289 +980,6 @@ class SrcCache(CacheTarget):
             self.staging.pop(block)
             self.hotness.evict(block)
         return now
-
-    # ==================================================================
-    # batched submission (repro.sim.engine batch mode)
-    # ==================================================================
-    def _chunk_fast_ok(self, think_time: float) -> bool:
-        """Whether the vectorized write window may run right now.
-
-        Every gate names a per-request side channel the scalar path
-        could exercise; while any is live, ``submit_chunk`` declines
-        and the engine serves rows through the scalar oracle instead.
-        The verdict is a *cached* predicate: everything that can flip a
-        gate input invalidates it (:meth:`invalidate_chunk_gate` — a
-        boundary row's segment write failing mid-run attaches spares,
-        starts rebuild jobs, arms bypass; observers, telemetry and
-        fault plans attach through notifying setters), so the sub-run
-        recheck is one attribute load, not ten predicate evaluations.
-        """
-        gate = self._chunk_gate
-        if gate is None:
-            gate = self._chunk_gate = (
-                not self.bypass
-                and self.tenants is None
-                and self.mapping.observer is None
-                and self.dirty_buf.observer is None
-                and self.clean_buf.observer is None
-                and (not self.obs.enabled or type(self._obs) is ObsRecorder)
-                and not self.repair.guard.enabled
-                and not self.repair.jobs
-                and self.config.repair.scrub_interval <= 0
-                and not self._armed_fault_live())
-        return gate and think_time >= 0.0
-
-    def submit_chunk(self, rows: np.ndarray, start: float,
-                     think_time: float, deadline: float,
-                     limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Serve a closed-loop (qd1) prefix of ``rows`` vectorized.
-
-        ``rows`` is a :data:`repro.common.chunks.CHUNK_DTYPE` array;
-        the stream issues row ``i+1`` at ``done[i] + think_time``,
-        starting at ``start``, never at or past ``deadline``, and
-        processing at most ``limit`` rows (0 = unbounded).  Returns
-        ``(issue_times, done_times, n_processed)`` — bit-identical to
-        driving the same rows through :meth:`submit` one at a time,
-        which is what the differential suite asserts.
-
-        Only single-page foreground writes vectorize (the randwrite
-        saturation shape).  Within a window, rows are classified off a
-        residency-code snapshot: rewrites of dirty-buffered blocks are
-        RAM-absorbed hits, first-occurrence rows displace their old
-        incarnation and append to the dirty buffer.  A row that seals a
-        segment (the buffer's ``space``-th new block) or trips TWAIT
-        mid-window takes the full scalar path, because everything —
-        GC, backpressure, device faults — can hang off that write.
-        """
-        n_total = rows.shape[0]
-        if n_total == 0 or not self._chunk_fast_ok(think_time):
-            return _EMPTY_TIMES, _EMPTY_TIMES, 0
-        if deadline - start < SCALAR_THRESHOLD * (RAM_LATENCY + think_time):
-            # Tiny horizon: with many closed-loop streams in lockstep
-            # (trace replay) the next stream's turn is a few service
-            # times away, so at most a handful of rows fit and the
-            # vector window's setup would cost more than it serves.
-            # Serve the plain-row prefix through the scalar oracle with
-            # no vector work at all — bit-identical by the same
-            # argument as the short conformant run below.
-            origins = rows["origin"]
-            tenants = rows["tenant"]
-            lim = min(limit, n_total) if limit else n_total
-            issue_s = np.empty(lim, dtype=np.float64)
-            done_s = np.empty(lim, dtype=np.float64)
-            t = start
-            k = 0
-            while k < lim and t < deadline:
-                if origins[k] != ORIGIN_FG or tenants[k] != NO_TENANT:
-                    break
-                end = self.submit(request_from_row(rows[k]), t)
-                issue_s[k] = t
-                done_s[k] = end
-                t = end + think_time
-                k += 1
-            return issue_s[:k], done_s[:k], k
-        offsets = rows["offset"]
-        # Conformity scan, bounded: scan a short prefix first and only
-        # widen to the full slice if every scanned row conforms — a
-        # trace with short write runs pays for 64 rows, a pure
-        # randwrite chunk pays one extra 64-row pass.
-        scan = 64 if n_total > 64 else n_total
-        while True:
-            offs = offsets[:scan]
-            conf = ((rows["op"][:scan] == OP_WRITE)
-                    & (rows["length"][:scan] == PAGE_SIZE)
-                    & (rows["origin"][:scan] == ORIGIN_FG)
-                    & (rows["tenant"][:scan] == NO_TENANT)
-                    & (offs % PAGE_SIZE == 0)
-                    & (offs + PAGE_SIZE <= self.size))
-            nonconf = np.nonzero(~conf)[0]
-            if nonconf.shape[0]:
-                n_conf = int(nonconf[0])
-                break
-            if scan == n_total:
-                n_conf = n_total
-                break
-            scan = n_total
-        if n_conf < SCALAR_THRESHOLD:
-            # Short (or empty) conformant run: drive the scalar oracle
-            # right here instead of bouncing each row back through the
-            # engine, which would re-run this scan per row.  Rows past
-            # the conformant run still qualify as long as they are
-            # untenanted foreground I/O — anything the engine's own
-            # fallback would account identically (reads, large writes;
-            # SRC never returns Submissions, so queue-delay accounting
-            # never diverges).  The run stops at the first row needing
-            # engine-side handling or opening a new vectorizable span.
-            plain = ((rows["origin"][:scan] == ORIGIN_FG)
-                     & (rows["tenant"][:scan] == NO_TENANT))
-            stop = np.nonzero(~plain | (conf & (np.arange(scan)
-                                                >= n_conf)))[0]
-            n_run = int(stop[0]) if stop.shape[0] else scan
-            if n_run == 0:
-                return _EMPTY_TIMES, _EMPTY_TIMES, 0
-            lim = limit if limit else n_run
-            issue_s = np.empty(n_run, dtype=np.float64)
-            done_s = np.empty(n_run, dtype=np.float64)
-            t = start
-            k = 0
-            while k < n_run and k < lim and t < deadline:
-                end = self.submit(request_from_row(rows[k]), t)
-                issue_s[k] = t
-                done_s[k] = end
-                t = end + think_time
-                k += 1
-            return issue_s[:k], done_s[:k], k
-        blocks = offsets[:n_conf] // PAGE_SIZE
-        t_wait = self.config.t_wait
-        fg_key = IoOrigin.FOREGROUND.value
-        self._active_tenant = None
-
-        issue_parts: List[np.ndarray] = []
-        done_parts: List[np.ndarray] = []
-        t = start
-        done_rows = 0
-        limit_left = limit if limit else n_conf
-        while (done_rows < n_conf and limit_left > 0 and t < deadline
-               and self._chunk_fast_ok(think_time)):
-            # The head row's TWAIT check, exactly where the scalar path
-            # runs it; intermediate rows' checks are no-ops (proven by
-            # the fire mask below) and are skipped.
-            self._check_timeout(t)
-            lastw0 = self._last_dirty_write
-
-            # A sub-run can consume at most ``space`` new blocks before
-            # the segment-sealing boundary row, so scanning much past
-            # that wastes vector work on rows the next sub-run will
-            # re-classify against a fresh snapshot (consumed-row
-            # semantics only ever look *backwards*, so the cap cannot
-            # change results — it is pure lookahead sizing).
-            space = self.dirty_buf.capacity - len(self.dirty_buf)
-            w = min(n_conf - done_rows, limit_left, 4 * space + 64)
-            lb = blocks[done_rows:done_rows + w]
-            codes = self._state.ensure(int(lb.max()) + 1)[lb]
-            order = np.argsort(lb, kind="stable")
-            sorted_lb = lb[order]
-            first_sorted = np.empty(w, dtype=bool)
-            first_sorted[0] = True
-            first_sorted[1:] = sorted_lb[1:] != sorted_lb[:-1]
-            first = np.empty(w, dtype=bool)
-            first[order] = first_sorted
-            # A row absorbs in RAM iff its block is dirty-buffered at
-            # its turn: pre-snapshot B_DIRTY, or a duplicate of an
-            # earlier row in this window.  Everything else displaces
-            # its old incarnation and appends to the dirty buffer.
-            adds = first & (codes != B_DIRTY)
-
-            # Exact per-row times: accumulate adds floats in the same
-            # order the scalar loop's repeated additions do.
-            seq = np.empty(2 * w, dtype=np.float64)
-            seq[0] = t
-            seq[1::2] = RAM_LATENCY
-            seq[2::2] = think_time
-            seq = np.add.accumulate(seq)
-            issue = seq[0::2]
-            done = seq[1::2]
-
-            # Sub-run bound: the row that seals a segment (the buffer's
-            # space-th new block) or would trip TWAIT mid-window (only
-            # absorbed rewrites don't refresh _last_dirty_write, so a
-            # long absorb run can age the buffer past t_wait).  Either
-            # row runs the full scalar path below.
-            add_pos = np.nonzero(adds)[0]
-            bound = (int(add_pos[space - 1])
-                     if add_pos.shape[0] >= space else w)
-            if w > 1:
-                last_add = np.maximum.accumulate(
-                    np.where(adds, issue, -np.inf)[:-1])
-                nonempty = (not self.dirty_buf.empty) | (last_add > -np.inf)
-                fire = nonempty & (issue[1:] - np.maximum(lastw0, last_add)
-                                   > t_wait)
-                fi = np.nonzero(fire)[0]
-                if fi.shape[0] and int(fi[0]) + 1 < bound:
-                    bound = int(fi[0]) + 1
-            n_ok = int(np.searchsorted(issue, deadline, side="left"))
-            k = min(bound, n_ok)
-
-            if k:
-                wl = lb[:k]
-                kcodes = codes[:k]
-                kadds = adds[:k]
-                hits = (kcodes != B_NONE) | ~first[:k]
-                n_hits = int(np.count_nonzero(hits))
-                self.cstats.write_hits += n_hits
-                self.cstats.write_misses += k - n_hits
-                self.hotness.touch_many(wl[hits])
-                add_lbas = wl[kadds]
-                if add_lbas.shape[0]:
-                    acodes = kcodes[kadds]
-                    self.mapping.invalidate_many(
-                        add_lbas[acodes == B_MAPPED])
-                    self.clean_buf.remove_many(add_lbas[acodes == B_CLEAN])
-                    for lba in add_lbas[acodes == B_STAGING].tolist():
-                        self.staging.pop(lba)
-                    va = self._versions.ensure(int(add_lbas.max()) + 1)
-                    va[add_lbas] += 1
-                    self.dirty_buf.add_many(add_lbas)
-                    # Absorbed rewrites don't refresh the TWAIT clock;
-                    # the last *added* row does (scalar line order).
-                    self._last_dirty_write = max(
-                        self._last_dirty_write,
-                        float(issue[int(np.nonzero(kadds)[0][-1])]))
-                self.stats.write_ops += k
-                self.stats.write_bytes += k * PAGE_SIZE
-                self.stats.bytes_by_origin[fg_key] = (
-                    self.stats.bytes_by_origin.get(fg_key, 0)
-                    + k * PAGE_SIZE)
-                if self.obs.enabled:
-                    # The scalar path records each row's latency from
-                    # BlockDevice._lifecycle; the bulk record replays
-                    # the same per-row ``done - issued`` values in row
-                    # order, so the histogram is bit-identical.
-                    self.obs.observe_io_chunk(self, done[:k] - issue[:k])
-                issue_parts.append(issue[:k])
-                done_parts.append(done[:k])
-                done_rows += k
-                limit_left -= k
-                t = float(done[k - 1]) + think_time
-
-            if bound < n_ok:
-                # Boundary row: the full write path — segment sealing
-                # (GC, backpressure, faults) or a TWAIT flush hangs off
-                # this write.  t == issue[bound] by construction.  With
-                # telemetry off, the Request object and the _lifecycle
-                # dispatch are skipped: the inlined accounting below is
-                # exactly what they add for a conformant row.
-                block = int(offsets[done_rows]) // PAGE_SIZE
-                if self.obs.enabled:
-                    done_b = self.submit(
-                        Request(Op.WRITE, block * PAGE_SIZE, PAGE_SIZE), t)
-                else:
-                    self.stats.write_ops += 1
-                    self.stats.write_bytes += PAGE_SIZE
-                    self.stats.bytes_by_origin[fg_key] = (
-                        self.stats.bytes_by_origin.get(fg_key, 0)
-                        + PAGE_SIZE)
-                    self._active_tenant = None
-                    try:
-                        done_b = self.write_block(block, t)
-                    except (DeviceFailedError, RaidDegradedError) as exc:
-                        if not self.config.faults.bypass_on_failure:
-                            raise
-                        self._enter_bypass(
-                            t, f"{type(exc).__name__}: {exc}")
-                        done_b = self.write_block(block, t)
-                issue_parts.append(np.array([t]))
-                done_parts.append(np.array([done_b]))
-                done_rows += 1
-                limit_left -= 1
-                t = done_b + think_time
-            elif n_ok < w:
-                break   # deadline lands inside this window
-
-        if issue_parts:
-            return (np.concatenate(issue_parts),
-                    np.concatenate(done_parts), done_rows)
-        return _EMPTY_TIMES, _EMPTY_TIMES, 0
 
     # ==================================================================
     # shard-extraction hooks (repro.cluster migration)

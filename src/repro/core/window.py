@@ -1,0 +1,300 @@
+"""The vector write window: SRC's ``submit_chunk`` and its gates.
+
+:class:`WriteWindow` (held as ``cache.window``) serves a closed-loop
+prefix of a chunk's rows for one :class:`~repro.core.src.SrcCache`.
+Long runs of conformant rows (:func:`~repro.common.chunks.conformant_mask`)
+are classified against the residency array and served whole; every
+other row, and the one row per sub-run that seals a segment, goes
+through ``cache.submit`` — the per-request path stays the only place
+GC, backpressure, faults and bypass are handled.
+
+Two cached gates live here: the *chunk gate* (may the vector window run
+at all) and the *seal gate* (may segment seals use the SSDs' lean
+``submit_write_fast`` / ``submit_flush_fast``).  Each clause names a
+per-request side channel that must be inert, and every event that can
+flip one calls :meth:`WriteWindow.invalidate` — observer (re)assignment
+on the mapping and buffers, the ``SrcCache.obs`` setter, repair-job and
+spare mutations, bypass entry, an injector's plan-change hook — so a
+window pays one attribute load, not ten predicate checks.  To add a
+side channel to the per-request path, add its liveness check here.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Tuple
+
+import numpy as np
+
+from repro.common.chunks import (DECLINED, NO_TENANT, ORIGIN_FG,
+                                 SCALAR_THRESHOLD, conformant_mask,
+                                 request_from_row)
+from repro.common.types import IoOrigin, Op, Request
+from repro.common.units import PAGE_SIZE
+from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED, B_NONE, B_STAGING
+from repro.core.buffers import RAM_LATENCY
+from repro.obs.recorder import ObsRecorder
+from repro.ssd.device import SSDDevice
+
+
+class WriteWindow:
+    """Vectorized write service and fast-path gates of one ``SrcCache``."""
+
+    def __init__(self, cache) -> None:
+        self.cache = cache
+        # Cached verdicts; None = recompute on next use.
+        self._chunk_gate: Optional[bool] = None
+        self._seal_gate: Optional[bool] = None
+
+    def invalidate(self, _source=None) -> None:
+        """Drop both cached verdicts (plan-change hooks pass themselves)."""
+        self._chunk_gate = None
+        self._seal_gate = None
+
+    def watch_member_faults(self, device) -> None:
+        """Subscribe to ``device``'s fault-plan changes (if injectable):
+        a :class:`~repro.faults.FaultInjector` fires ``on_plan_change``
+        on every plan (re)assignment, and an armed plan anywhere must
+        close the gates so faults fire on the path that observes them."""
+        if hasattr(device, "on_plan_change"):
+            device.on_plan_change = self.invalidate
+
+    def _armed_fault_live(self) -> bool:
+        """True while any member (or the origin) has an armed plan."""
+        cache = self.cache
+        return any(getattr(getattr(device, "plan", None), "armed", False)
+                   for device in (*cache.ssds, cache.origin))
+
+    def seal_fast_ok(self) -> bool:
+        """Whether segment seals may use the lean device submission.
+
+        True only while every side channel of ``SrcCache._ssd_submit``
+        is provably inert: no fail-slow detectors sampling latencies, no
+        telemetry on SRC or any member, no armed fault plan anywhere
+        (the retry/backoff wrapper only acts on injected errors), and
+        every member is a plain :class:`~repro.ssd.device.SSDDevice`
+        (an injector wrapper or test double must keep the full path).
+        """
+        gate = self._seal_gate
+        if gate is None:
+            cache = self.cache
+            gate = self._seal_gate = (
+                cache.failslow is None
+                and cache.flush_failslow is None
+                and not cache.obs.enabled
+                and not self._armed_fault_live()
+                and all(type(s) is SSDDevice and not s.obs.enabled
+                        for s in cache.ssds))
+        return gate
+
+    def chunk_fast_ok(self, think_time: float) -> bool:
+        """Whether the vectorized write window may run right now (else
+        ``submit_chunk`` declines and the engine serves rows one at a
+        time).  Rechecked per sub-run: a boundary row's segment write
+        failing attaches spares, starts rebuild jobs or enters bypass."""
+        gate = self._chunk_gate
+        if gate is None:
+            cache = self.cache
+            gate = self._chunk_gate = (
+                not cache.bypass
+                and cache.tenants is None
+                and cache.mapping.observer is None
+                and cache.dirty_buf.observer is None
+                and cache.clean_buf.observer is None
+                and (not cache.obs.enabled or type(cache.obs) is ObsRecorder)
+                and not cache.repair.guard.enabled
+                and not cache.repair.jobs
+                and cache.config.repair.scrub_interval <= 0
+                and not self._armed_fault_live())
+        return gate and think_time >= 0.0
+
+    def scalar_run(self, rows: np.ndarray, n_max: int, start: float,
+                   think_time: float, deadline: float,
+                   limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Serve a prefix of ``rows[:n_max]`` through ``cache.submit``.
+
+        The in-target closed loop for spans not worth a vector window;
+        bouncing each row back through the engine would re-run the
+        window's scan per row.  Stops at the deadline, at ``limit`` rows
+        (0 = unbounded) and at the first tenanted or non-foreground row,
+        which needs the engine's own accounting; any other row (reads,
+        large writes) the engine would account identically — SRC never
+        returns Submissions, so queue-delay accounting cannot diverge.
+        """
+        if limit and limit < n_max:
+            n_max = limit
+        cache = self.cache
+        origins = rows["origin"]
+        tenants = rows["tenant"]
+        issue_t = np.empty(n_max, dtype=np.float64)
+        done_t = np.empty(n_max, dtype=np.float64)
+        t = start
+        k = 0
+        while (k < n_max and t < deadline and origins[k] == ORIGIN_FG
+               and tenants[k] == NO_TENANT):
+            end = cache.submit(request_from_row(rows[k]), t)
+            issue_t[k] = t
+            done_t[k] = end
+            t = end + think_time
+            k += 1
+        return issue_t[:k], done_t[:k], k
+
+    def submit_chunk(self, rows: np.ndarray, start: float,
+                     think_time: float, deadline: float,
+                     limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The window behind :meth:`SrcCache.submit_chunk` (contract there).
+
+        Only single-page foreground writes vectorize (the randwrite
+        saturation shape).  Within a window, rows are classified off a
+        residency-code snapshot: rewrites of dirty-buffered blocks are
+        RAM-absorbed hits, first-occurrence rows displace their old
+        incarnation and append to the dirty buffer.  A row that seals a
+        segment (the buffer's ``space``-th new block) or trips TWAIT
+        mid-window takes the full scalar path, because everything —
+        GC, backpressure, device faults — can hang off that write.
+        """
+        cache = self.cache
+        n_total = rows.shape[0]
+        if n_total == 0 or not self.chunk_fast_ok(think_time):
+            return DECLINED
+        if deadline - start < SCALAR_THRESHOLD * (RAM_LATENCY + think_time):
+            # Tiny horizon: with many closed-loop streams in lockstep
+            # (trace replay) the next stream's turn is a few service
+            # times away, so at most a handful of rows fit and the
+            # conformity scan would cost more than a window serves.
+            return self.scalar_run(rows, n_total, start, think_time,
+                                   deadline, limit)
+        # Conformity scan, bounded: scan a short prefix first and only
+        # widen to the full slice if every scanned row conforms — a
+        # trace with short write runs pays for 64 rows, a pure
+        # randwrite chunk pays one extra 64-row pass.
+        scan = min(n_total, 64)
+        conf = conformant_mask(rows[:scan], cache.size)
+        if scan < n_total and conf.all():
+            scan = n_total
+            conf = conformant_mask(rows, cache.size)
+        n_conf = scan if conf.all() else int(np.argmin(conf))
+        if n_conf < SCALAR_THRESHOLD:
+            # Short (or empty) conformant run: serve it and the
+            # non-conformant rows behind it, up to the row that opens
+            # the next vectorizable span.
+            later = np.nonzero(conf[n_conf:])[0]
+            n_max = n_conf + int(later[0]) if later.shape[0] else scan
+            return self.scalar_run(rows, n_max, start, think_time,
+                                   deadline, limit)
+        blocks = rows["offset"][:n_conf] // PAGE_SIZE
+        dirty_buf = cache.dirty_buf
+        stats = cache.stats
+        fg_key = IoOrigin.FOREGROUND.value
+        cache._active_tenant = None
+
+        n_max = min(limit, n_conf) if limit else n_conf
+        issue_t = np.empty(n_max, dtype=np.float64)
+        done_t = np.empty(n_max, dtype=np.float64)
+        t = start
+        done_rows = 0
+        while (done_rows < n_max and t < deadline
+               and self.chunk_fast_ok(think_time)):
+            # The head row's TWAIT check, exactly where the scalar path
+            # runs it; intermediate rows' checks are no-ops (proven by
+            # the fire mask below) and are skipped.
+            cache._check_timeout(t)
+
+            # A sub-run can consume at most ``space`` new blocks before
+            # the segment-sealing boundary row, so scanning much past
+            # that wastes vector work on rows the next sub-run will
+            # re-classify against a fresh snapshot (consumed-row
+            # semantics only ever look *backwards*, so the cap cannot
+            # change results — it is pure lookahead sizing).
+            space = dirty_buf.capacity - len(dirty_buf)
+            w = min(n_max - done_rows, 4 * space + 64)
+            lb = blocks[done_rows:done_rows + w]
+            codes = cache._state.ensure(int(lb.max()) + 1)[lb]
+            first = np.zeros(w, dtype=bool)   # first occurrence of its block
+            first[np.unique(lb, return_index=True)[1]] = True
+            # A row absorbs in RAM iff its block is dirty-buffered at
+            # its turn: pre-snapshot B_DIRTY, or a duplicate of an
+            # earlier row in this window.  Everything else displaces
+            # its old incarnation and appends to the dirty buffer.
+            adds = first & (codes != B_DIRTY)
+
+            # Exact per-row times: accumulate adds floats in the same
+            # order the scalar loop's repeated additions do.
+            seq = np.empty(2 * w, dtype=np.float64)
+            seq[0] = t
+            seq[1::2] = RAM_LATENCY
+            seq[2::2] = think_time
+            seq = np.add.accumulate(seq)
+            issue = seq[0::2]
+            done = seq[1::2]
+
+            # Sub-run bound: the row that seals a segment (the buffer's
+            # space-th new block) or would trip TWAIT mid-window (only
+            # absorbed rewrites don't refresh _last_dirty_write, so a
+            # long absorb run can age the buffer past t_wait).  Either
+            # row runs the full scalar path below.
+            add_pos = np.nonzero(adds)[0]
+            bound = (int(add_pos[space - 1])
+                     if add_pos.shape[0] >= space else w)
+            last_add = np.maximum.accumulate(
+                np.where(adds, issue, -np.inf)[:-1])
+            nonempty = (not dirty_buf.empty) | (last_add > -np.inf)
+            fire = nonempty & (
+                issue[1:] - np.maximum(cache._last_dirty_write, last_add)
+                > cache.config.t_wait)
+            if fire.any():
+                bound = min(bound, int(np.argmax(fire)) + 1)
+            # Rows issuing before the deadline; when it cuts the sub-run
+            # short, t lands on issue[n_ok] >= deadline and the loop ends.
+            n_ok = int(np.searchsorted(issue, deadline, side="left"))
+            k = min(bound, n_ok)
+
+            if k:
+                wl = lb[:k]
+                kcodes = codes[:k]
+                hit_lbas = wl[(kcodes != B_NONE) | ~first[:k]]
+                cache.cstats.write_hits += hit_lbas.shape[0]
+                cache.cstats.write_misses += k - hit_lbas.shape[0]
+                cache.hotness.touch_many(hit_lbas)
+                add_lbas = wl[adds[:k]]
+                if add_lbas.shape[0]:
+                    acodes = kcodes[adds[:k]]
+                    cache.mapping.invalidate_many(
+                        add_lbas[acodes == B_MAPPED])
+                    cache.clean_buf.remove_many(add_lbas[acodes == B_CLEAN])
+                    for lba in add_lbas[acodes == B_STAGING].tolist():
+                        cache.staging.pop(lba)
+                    va = cache._versions.ensure(int(add_lbas.max()) + 1)
+                    va[add_lbas] += 1
+                    dirty_buf.add_many(add_lbas)
+                    # Absorbed rewrites don't refresh the TWAIT clock;
+                    # the last *added* row does (scalar line order).
+                    cache._last_dirty_write = max(
+                        cache._last_dirty_write,
+                        float(issue[add_pos[add_lbas.shape[0] - 1]]))
+                stats.write_ops += k
+                stats.write_bytes += k * PAGE_SIZE
+                stats.bytes_by_origin[fg_key] = (
+                    stats.bytes_by_origin.get(fg_key, 0) + k * PAGE_SIZE)
+                if cache.obs.enabled:
+                    # The scalar path records each row's latency from
+                    # BlockDevice._lifecycle; the bulk record replays
+                    # the same per-row ``done - issued`` values in row
+                    # order, so the histogram is bit-identical.
+                    cache.obs.observe_io_chunk(cache, done[:k] - issue[:k])
+                issue_t[done_rows:done_rows + k] = issue[:k]
+                done_t[done_rows:done_rows + k] = done[:k]
+                done_rows += k
+                t = float(done[k - 1]) + think_time
+
+            if bound < n_ok:
+                # Boundary row: the full write path — segment sealing
+                # (GC, backpressure, faults) or a TWAIT flush hangs off
+                # this write.  t == issue[bound] by construction.
+                offset = int(blocks[done_rows]) * PAGE_SIZE
+                done_b = cache.submit(Request(Op.WRITE, offset, PAGE_SIZE), t)
+                issue_t[done_rows] = t
+                done_t[done_rows] = done_b
+                done_rows += 1
+                t = done_b + think_time
+
+        return issue_t[:done_rows], done_t[:done_rows], done_rows

@@ -209,8 +209,7 @@ class _RaidBase(BlockDevice):
 
         The slot's device must be serviceable (a replacement or an
         attached spare); the data is reconstructed in the background as
-        the job is pumped — by request admission, :meth:`step_rebuild`,
-        or the synchronous :meth:`rebuild` wrapper.
+        the job is pumped — by request admission or :meth:`step_rebuild`.
         """
         if not self._alive(member):
             raise RaidDegradedError(
@@ -301,36 +300,6 @@ class _RaidBase(BlockDevice):
         self._emit(RebuildCompleted(t=done_at, device=self.name,
                                     member=job.member, units=job.total,
                                     elapsed=self.health.last_mttr or 0.0))
-
-    def rebuild(self, member_index: int, now: float = 0.0) -> float:
-        """Synchronously rebuild one member; returns the completion time.
-
-        The compatibility wrapper over the resumable job: it runs the
-        job to completion, advancing simulated time stripe by stripe
-        (each stripe's reconstruction waits for the previous one).
-        """
-        if not self._alive(member_index):
-            raise RaidDegradedError(
-                f"member {member_index} must be repaired before rebuild")
-        if (self.rebuild_job is None
-                or self.rebuild_job.member != member_index):
-            self.start_rebuild(member_index, now)
-        job = self.rebuild_job
-        end = now
-        report_every = max(1, self.stripes // 16)
-        while job is not None and self.rebuild_job is job:
-            stripe = job.next_unit()
-            if stripe is None:
-                break
-            end = max(end, self._rebuild_step(member_index, stripe, end))
-            job.mark_done(stripe, end)
-            if self.obs.enabled and len(job.done) % report_every == 0:
-                self.obs.emit(RebuildProgress(
-                    t=end, device=self.name, done=len(job.done),
-                    total=job.total))
-        if job is not None and self.rebuild_job is job and job.complete:
-            self._finish_rebuild(job, end)
-        return end
 
     def _extents(self, req: Request) -> Iterator[_Extent]:
         offset, remaining = req.offset, req.length

@@ -62,8 +62,7 @@ class JobStream:
     inflate its percentiles.
     """
 
-    __slots__ = ("source", "think_time", "name", "iodepth", "stats",
-                 "latency", "exhausted", "_inflight")
+    __slots__ = ("source", "think_time", "name", "iodepth", "_inflight")
 
     def __init__(self, source: RequestSource, think_time: float = 0.0,
                  name: str = "", iodepth: int = 1):
@@ -73,9 +72,6 @@ class JobStream:
         self.think_time = think_time
         self.name = name
         self.iodepth = iodepth
-        self.stats = IoStats()
-        self.latency = LatencyStats()
-        self.exhausted = False
         self._inflight: List[float] = []   # outstanding completion times
 
     def slot_free_after(self, issue_time: float, done: float) -> float:
@@ -98,11 +94,7 @@ class JobStream:
         return heapq.heappop(self._inflight) + self.think_time
 
     def next_request(self) -> Optional[Request]:
-        try:
-            return next(self.source)
-        except StopIteration:
-            self.exhausted = True
-            return None
+        return next(self.source, None)
 
 
 class ChunkStream:
@@ -119,8 +111,8 @@ class ChunkStream:
 
     iodepth = 1   # chunked batching models the classic qd1 closed loop
 
-    __slots__ = ("source", "think_time", "name", "tenant_names", "stats",
-                 "latency", "exhausted", "_chunk", "_pos")
+    __slots__ = ("source", "think_time", "name", "tenant_names", "_chunk",
+                 "_pos")
 
     def __init__(self, source: ChunkSource, think_time: float = 0.0,
                  name: str = "", tenant_names: Optional[List[str]] = None):
@@ -128,26 +120,20 @@ class ChunkStream:
         self.think_time = think_time
         self.name = name
         self.tenant_names = tenant_names
-        self.stats = IoStats()
-        self.latency = LatencyStats()
-        self.exhausted = False
         self._chunk = None
         self._pos = 0
 
     def next_rows(self):
         """Remaining rows of the current chunk (fetching the next).
 
-        Returns ``None`` once the source is exhausted.
+        Returns ``None`` once the source is exhausted.  Empty chunks
+        are skipped in a loop: a source may yield any number in a row.
         """
-        if self._chunk is None or self._pos >= len(self._chunk):
-            try:
-                self._chunk = next(self.source)
-            except StopIteration:
-                self.exhausted = True
+        while self._chunk is None or self._pos >= len(self._chunk):
+            self._chunk = next(self.source, None)
+            if self._chunk is None:
                 return None
             self._pos = 0
-            if len(self._chunk) == 0:
-                return self.next_rows()
         return self._chunk[self._pos:]
 
     def advance(self, n: int) -> None:
@@ -204,39 +190,27 @@ class Engine:
     """Drives a set of job streams against an issue function.
 
     ``sampler`` (any object with ``observe(now, stats)``, normally a
-    :class:`repro.obs.sampler.Sampler`) is called after request
-    completions with the cumulative counters, enabling periodic
-    time-series capture without touching the issue path.  By default it
-    observes every completion; ``sample_stride`` decimates to every
-    N-th completion, and ``sample_interval`` (seconds of simulated
-    time, overriding stride when set) to at most one observation per
-    interval.  Either way observations still carry the duration-clamped
-    completion time, so the series never leaks past the run window.
+    :class:`repro.obs.sampler.Sampler`) is called after every request
+    completion with the cumulative counters, enabling periodic
+    time-series capture without touching the issue path.  Observations
+    carry the duration-clamped completion time, so the series never
+    leaks past the run window.
 
     ``issue_chunk`` (optional) is the vectorized companion of
     ``issue``: given a structured-array row slice, a start time, the
     stream's think time, a deadline and a request budget, it issues a
     prefix of the rows in one call and returns their exact issue/done
-    time columns.  When it is set, a sampler is not, and every stream
-    is a :class:`ChunkStream`, :meth:`run` switches to the batched
-    loop; any row the chunk path declines falls back to ``issue``
-    one-at-a-time, so results are bit-identical to the scalar loop.
+    time columns.  It is offered each stream's turn when it is set, a
+    sampler is not, and every stream is a :class:`ChunkStream`; any row
+    it declines is served through ``issue`` by the same per-request
+    body every other run uses, so results are bit-identical.
     """
 
     def __init__(self, issue: IssueFn, sampler=None,
-                 sample_stride: int = 1, sample_interval: float = 0.0,
                  issue_chunk: Optional[IssueChunkFn] = None):
-        if sample_stride < 1:
-            raise ConfigError(
-                f"sample_stride must be >= 1, got {sample_stride}")
-        if sample_interval < 0:
-            raise ConfigError(
-                f"sample_interval must be >= 0, got {sample_interval}")
         self.issue = issue
         self.streams: List[JobStream] = []
         self.sampler = sampler
-        self.sample_stride = sample_stride
-        self.sample_interval = sample_interval
         self.issue_chunk = issue_chunk
 
     def add_stream(self, stream: JobStream) -> None:
@@ -248,11 +222,18 @@ class Engine:
 
         ``max_requests`` (if nonzero) bounds the total number of issued
         requests, which keeps unit tests fast.
+
+        Streams interleave through the (time, index) heap.  With a
+        usable ``issue_chunk``, the stream at the front first offers it
+        the whole span until the next stream's turn (the *horizon*) as
+        one row slice; the chunk path issues the longest prefix it can
+        prove equivalent to per-request submission.  Whatever it
+        declines (a non-conformant row, a closed fast-path gate, a
+        horizon tie) takes the per-request body instead — one row — and
+        both share the accounting and rescheduling that follow.  Ties at the horizon
+        re-enter the heap, where the per-stream index restores scalar
+        ordering.
         """
-        if (self.issue_chunk is not None and self.sampler is None
-                and self.streams
-                and all(isinstance(s, ChunkStream) for s in self.streams)):
-            return self._run_batched(duration, max_requests)
         heap: List[tuple] = [(0.0, i, stream)
                              for i, stream in enumerate(self.streams)]
         heapq.heapify(heap)
@@ -260,7 +241,6 @@ class Engine:
         totals = IoStats()
         latencies = LatencyStats()
         queue_delays = LatencyStats()
-        completed = 0
         end_time = 0.0
         issued = 0
 
@@ -269,9 +249,10 @@ class Engine:
         # of the engine's own overhead at millions of requests.
         issue = self.issue
         sampler = self.sampler
-        sample_stride = self.sample_stride
-        sample_interval = self.sample_interval
-        next_sample_t = 0.0
+        issue_chunk = self.issue_chunk
+        if sampler is not None or not all(isinstance(s, ChunkStream)
+                                          for s in self.streams):
+            issue_chunk = None
         heappop = heapq.heappop
         heappush = heapq.heappush
         totals_record = totals.record
@@ -283,38 +264,53 @@ class Engine:
             issue_time, index, stream = heappop(heap)
             if issue_time >= duration:
                 continue
-            request = stream.next_request()
-            if request is None:
-                continue
-            is_fg = request.origin is foreground
-            result = issue(request, issue_time)
-            if isinstance(result, Submission):
-                done = result.done_t
-                if is_fg:
-                    queue_delays_record(result.begin_t - result.issue_t)
+            n = 0
+            if issue_chunk is not None:
+                rows = stream.next_rows()
+                if rows is None:
+                    continue
+                deadline = duration
+                if heap and heap[0][0] < deadline:
+                    deadline = heap[0][0]
+                limit = max_requests - issued if max_requests else 0
+                issue_t, done_t, n = issue_chunk(rows, issue_time,
+                                                 stream.think_time,
+                                                 deadline, limit)
+            if n:
+                stream.advance(n)
+                served = rows[:n]
+                totals.record_chunk(served["op"], served["length"],
+                                    served["origin"])
+                # Chunk-conformant rows are foreground by construction:
+                # each feeds the latency reservoir.
+                is_fg = True
+                latencies.record_many(done_t - issue_t)
+                done = float(done_t[-1])   # done times are monotone
             else:
-                done = result
-            if done < issue_time:
-                raise AssertionError(
-                    f"completion {done} precedes issue {issue_time}")
-            stream.stats.record(request)
-            totals_record(request)
-            if is_fg:
-                latency = done - issue_time
-                stream.latency.record(latency)
-                latencies_record(latency)
-            completed += 1
-            issued += 1
+                request = stream.next_request()
+                if request is None:
+                    continue
+                is_fg = request.origin is foreground
+                result = issue(request, issue_time)
+                if isinstance(result, Submission):
+                    done = result.done_t
+                    if is_fg:
+                        queue_delays_record(result.begin_t - result.issue_t)
+                else:
+                    done = result
+                if done < issue_time:
+                    raise AssertionError(
+                        f"completion {done} precedes issue {issue_time}")
+                totals_record(request)
+                if is_fg:
+                    latencies_record(done - issue_time)
+                n = 1
+            issued += n
+            # Completions can land past the run window (the last
+            # in-flight requests); samples and elapsed stay inside it.
             clipped = done if done < duration else duration
             if sampler is not None:
-                # Completions can land past the run window (the last
-                # in-flight requests); samples stay inside it.
-                if sample_interval > 0.0:
-                    if clipped >= next_sample_t:
-                        sampler.observe(clipped, totals)
-                        next_sample_t = clipped + sample_interval
-                elif sample_stride <= 1 or completed % sample_stride == 0:
-                    sampler.observe(clipped, totals)
+                sampler.observe(clipped, totals)
             if clipped > end_time:
                 end_time = clipped
             if max_requests and issued >= max_requests:
@@ -336,120 +332,7 @@ class Engine:
         if max_requests and issued >= max_requests:
             elapsed = end_time
         return RunResult(elapsed=elapsed, stats=totals, latency=latencies,
-                         completed_ops=completed, queue_delay=queue_delays)
-
-    def _run_batched(self, duration: float, max_requests: int) -> RunResult:
-        """Chunked closed-loop run, bit-identical to the scalar loop.
-
-        Streams still interleave through the (time, index) heap, but
-        when a stream reaches the front the whole span until the next
-        stream's turn (the *horizon*) is handed to ``issue_chunk`` as
-        one row slice.  The chunk path issues the longest prefix it can
-        prove equivalent to per-request submission and returns exact
-        issue/done columns; whatever it declines (a non-conformant row,
-        a closed fast-path gate, a horizon tie) is served through the
-        scalar ``issue`` function — the same code path, one row at a
-        time — and the loop continues.  Ties at the horizon re-enter
-        the heap, where the per-stream index restores scalar ordering.
-        """
-        heap: List[tuple] = [(0.0, i, stream)
-                             for i, stream in enumerate(self.streams)]
-        heapq.heapify(heap)
-
-        totals = IoStats()
-        latencies = LatencyStats()
-        queue_delays = LatencyStats()
-        completed = 0
-        end_time = 0.0
-        issued = 0
-
-        issue = self.issue
-        issue_chunk = self.issue_chunk
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        foreground = IoOrigin.FOREGROUND
-
-        while heap:
-            issue_time, index, stream = heappop(heap)
-            if issue_time >= duration:
-                continue
-            rows = stream.next_rows()
-            if rows is None:
-                continue
-            deadline = duration
-            if heap and heap[0][0] < deadline:
-                deadline = heap[0][0]
-            limit = max_requests - issued if max_requests else 0
-            issue_t, done_t, n = issue_chunk(rows, issue_time,
-                                             stream.think_time,
-                                             deadline, limit)
-            if n:
-                stream.advance(n)
-                done = rows[:n]
-                ops = done["op"]
-                lengths = done["length"]
-                origins = done["origin"]
-                stream.stats.record_chunk(ops, lengths, origins)
-                totals.record_chunk(ops, lengths, origins)
-                # Chunk-conformant rows are foreground by construction,
-                # so every one feeds the latency reservoirs.
-                lats = done_t - issue_t
-                stream.latency.record_many(lats)
-                latencies.record_many(lats)
-                completed += n
-                issued += n
-                last_done = float(done_t[-1])   # done times are monotone
-                clipped = last_done if last_done < duration else duration
-                if clipped > end_time:
-                    end_time = clipped
-                if max_requests and issued >= max_requests:
-                    break
-                heappush(heap, (last_done + stream.think_time,
-                                index, stream))
-                continue
-            # Chunk path declined the head row: serve it exactly as the
-            # scalar loop would and come back around.
-            request = stream.next_request()
-            if request is None:
-                continue
-            is_fg = request.origin is foreground
-            result = issue(request, issue_time)
-            if isinstance(result, Submission):
-                done_one = result.done_t
-                if is_fg:
-                    queue_delays.record(result.begin_t - result.issue_t)
-            else:
-                done_one = result
-            if done_one < issue_time:
-                raise AssertionError(
-                    f"completion {done_one} precedes issue {issue_time}")
-            stream.stats.record(request)
-            totals.record(request)
-            if is_fg:
-                latency = done_one - issue_time
-                stream.latency.record(latency)
-                latencies.record(latency)
-            completed += 1
-            issued += 1
-            clipped = done_one if done_one < duration else duration
-            if clipped > end_time:
-                end_time = clipped
-            if max_requests and issued >= max_requests:
-                break
-            if is_fg:
-                heappush(heap, (stream.slot_free_after(issue_time, done_one),
-                                index, stream))
-            else:
-                heappush(heap, (issue_time + stream.think_time,
-                                index, stream))
-
-        elapsed = duration if duration != float("inf") else end_time
-        if duration != float("inf") and end_time < duration and not heap:
-            elapsed = end_time
-        if max_requests and issued >= max_requests:
-            elapsed = end_time
-        return RunResult(elapsed=elapsed, stats=totals, latency=latencies,
-                         completed_ops=completed, queue_delay=queue_delays)
+                         completed_ops=issued, queue_delay=queue_delays)
 
 
 def run_streams(issue: IssueFn, sources: List[RequestSource],
@@ -474,8 +357,8 @@ def run_chunk_streams(issue: IssueFn, chunk_sources: List[ChunkSource],
                       tenant_names: Optional[List[str]] = None) -> RunResult:
     """Convenience wrapper for chunked sources: one ChunkStream each.
 
-    With ``issue_chunk`` set the run takes the batched loop; without
-    it the same streams drive the scalar loop row by row, which is the
+    With ``issue_chunk`` set the engine offers it each horizon; without
+    it the same streams are served row by row, which is the
     forced-scalar side of the differential tests.
     """
     engine = Engine(issue, issue_chunk=issue_chunk)

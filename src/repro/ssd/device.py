@@ -28,9 +28,10 @@ import numpy as np
 
 from repro.block.device import BlockDevice
 from repro.block.lifecycle import QueuedDevice
-from repro.common.chunks import NO_TENANT, OP_WRITE, ORIGIN_FG
+from repro.common.chunks import DECLINED, conformant_mask
 from repro.common.errors import DeviceFailedError
 from repro.common.types import IoOrigin, Op, Request
+from repro.common.units import PAGE_SIZE
 from repro.obs.events import FlushBarrier
 from repro.sim.timeline import Link, Timeline
 from repro.ssd.ftl import FtlOpResult, PageMappedFtl
@@ -288,12 +289,14 @@ class SSDDevice(QueuedDevice, BlockDevice):
         times replay the exact ``_write`` recurrence (link pipeline,
         NAND backlog, buffer slack), so results are bit-identical to
         per-request submission; any non-conformant head row, armed
-        corruption, observability, or an in-flight queue at window
-        start declines to the scalar path.
+        corruption, observability, a flash page that is not the chunk
+        format's ``PAGE_SIZE``, or an in-flight queue at window start
+        declines to the scalar path.
         """
+        page = self.spec.page_size
         if (self.failed or self.obs.enabled or self._corrupted_pages
-                or think_time < 0.0):
-            return None, None, 0
+                or think_time < 0.0 or page != PAGE_SIZE):
+            return DECLINED
         depth = self.queue_depth
         if depth:
             # Drain completions exactly as admission would; any I/O
@@ -304,26 +307,17 @@ class SSDDevice(QueuedDevice, BlockDevice):
             while q and q[0] <= start:
                 heapq.heappop(q)
             if q:
-                return None, None, 0
+                return DECLINED
         n_scan = len(rows)
         if limit and limit < n_scan:
             n_scan = limit
         if n_scan == 0:
-            return None, None, 0
-        page = self.spec.page_size
-        scan = rows[:n_scan]
-        offsets = scan["offset"]
-        conf = ((scan["op"] == OP_WRITE)
-                & (scan["length"] == page)
-                & (scan["origin"] == ORIGIN_FG)
-                & (scan["tenant"] == NO_TENANT)
-                & (offsets >= 0)
-                & (offsets % page == 0)
-                & (offsets + page <= self.size))
+            return DECLINED
+        conf = conformant_mask(rows[:n_scan], self.size)
         n_conf = n_scan if conf.all() else int(np.argmin(conf))
         if n_conf == 0:
-            return None, None, 0
-        lpns = offsets[:n_conf] // page
+            return DECLINED
+        lpns = rows["offset"][:n_conf] // page
         base_cost = page / self.spec.nand_prog_bw
         read_bw = self.spec.nand_read_bw
         erase_latency = self.spec.erase_latency
@@ -390,7 +384,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
             t = done + think_time
         n = len(issue_times)
         if n == 0:
-            return None, None, 0
+            return DECLINED
         if ftl_write is None and n < n_conf:
             raise AssertionError("batched FTL ran ahead of issued rows")
         link_free[0] = link_head

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.common import CacheTarget
+from repro.common.chunks import DECLINED
 from repro.common.types import IoStats, LatencyStats, Request
 from repro.common.units import mb_per_sec
 from repro.obs.recorder import get_recorder
@@ -97,22 +98,21 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
     per-request submission); targets without ``submit_chunk``, or runs
     with a bound sampler, fall back to the scalar loop.
     """
-    window = {
-        "started": warmup <= 0.0,
-        "app": IoStats(),
-        "cstats": target.cstats.copy() if warmup <= 0.0 else None,
-        "ssd": _ssd_bytes(target) if warmup <= 0.0 else 0,
-        "origin": target.origin.stats.total_bytes if warmup <= 0.0 else 0,
-        "ops": 0,
-        "latency": LatencyStats(),
-    }
+    window = {"started": False, "app": IoStats(), "cstats": None,
+              "ssd": 0, "origin": 0, "ops": 0, "latency": LatencyStats()}
+
+    def open_window() -> None:
+        window["started"] = True
+        window["cstats"] = target.cstats.copy()
+        window["ssd"] = _ssd_bytes(target)
+        window["origin"] = target.origin.stats.total_bytes
+
+    if warmup <= 0.0:
+        open_window()
 
     def issue(req: Request, now: float) -> float:
         if not window["started"] and now >= warmup:
-            window["started"] = True
-            window["cstats"] = target.cstats.copy()
-            window["ssd"] = _ssd_bytes(target)
-            window["origin"] = target.origin.stats.total_bytes
+            open_window()
         done = target.submit(req, now)
         if window["started"]:
             window["app"].record(req)
@@ -126,11 +126,8 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
                 # Scalar fallback paces through warm-up one row at a
                 # time so the measurement snapshot lands on the exact
                 # request it would in the scalar replay.
-                return None, None, 0
-            window["started"] = True
-            window["cstats"] = target.cstats.copy()
-            window["ssd"] = _ssd_bytes(target)
-            window["origin"] = target.origin.stats.total_bytes
+                return DECLINED
+            open_window()
         issue_t, done_t, n = target.submit_chunk(rows, start, think,
                                                  deadline, limit)
         if n:

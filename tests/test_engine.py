@@ -3,9 +3,11 @@
 import pytest
 
 from repro.block.lifecycle import Submission
+from repro.common.chunks import empty_chunk, make_chunk
 from repro.common.errors import ConfigError
 from repro.common.types import read, write
-from repro.sim.engine import Engine, JobStream, run_streams
+from repro.sim.engine import (Engine, JobStream, run_chunk_streams,
+                              run_streams)
 from repro.sim.timeline import Timeline
 
 
@@ -43,6 +45,17 @@ def test_exhausted_source_stops_engine():
                          [repeat(write(0, 4096), count=3)])
     assert result.completed_ops == 3
     assert result.elapsed == pytest.approx(1.5)
+
+
+def test_long_run_of_empty_chunks_is_skipped():
+    """A source may yield any number of empty chunks in a row (a trace
+    filter that drops whole windows); they are skipped in a loop, not
+    one stack frame each."""
+    chunks = [empty_chunk(0)] * 3000 + [
+        make_chunk([0, 4096, 8192, 12288], 4096)]
+    result = run_chunk_streams(fixed_latency_issue(0.5), [iter(chunks)])
+    assert result.completed_ops == 4
+    assert result.elapsed == pytest.approx(2.0)
 
 
 def test_max_requests_bound():

@@ -25,6 +25,7 @@ from repro.common.chunks import (NO_TENANT, OP_READ, OP_TRIM, OP_WRITE,
                                  make_chunk, requests_from_chunk)
 from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, PAGE_SIZE
+from repro.core.arrays import B_NONE
 from repro.core.src import SrcCache
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdd.backend import PrimaryStorage
@@ -253,6 +254,33 @@ def test_cluster_passthrough_bit_identical():
     # Both shards must have seen traffic or the run-splitting was moot.
     assert all(len(shard.mapping) > 0
                for shard in router.shards.values())
+
+
+def _src_caches(target):
+    return list(target.shards.values()) if hasattr(target, "shards") \
+        else [target]
+
+
+@pytest.mark.parametrize("make_target", [make_src, _make_cluster],
+                         ids=["src", "cluster"])
+def test_negative_offset_row_fails_identically(make_target):
+    """Bad input fails loudly, the same way in both modes: a row with a
+    negative offset is non-conformant, so it reaches ``Request`` and
+    raises instead of wrapping to the residency array's last block."""
+    offsets = np.arange(96, dtype=np.int64) * PAGE_SIZE
+    offsets[5] = -PAGE_SIZE
+    targets = {}
+    for batched in (False, True):
+        target = targets[batched] = make_target()
+        with pytest.raises(ValueError, match="negative offset"):
+            _run(target, [iter([make_chunk(offsets, PAGE_SIZE)])], batched)
+        assert target.stats.write_ops == 5
+        for cache in _src_caches(target):
+            cache.mapping.check_invariants()
+            assert cache._state.a[-1] == B_NONE
+    assert targets[True].stats == targets[False].stats
+    for a, b in zip(_src_caches(targets[False]), _src_caches(targets[True])):
+        _assert_src_state_equal(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -543,19 +571,19 @@ def test_fault_plan_activation_flips_chunk_gate_mid_run():
     """Arming a member's plan by assignment must invalidate the cached
     fast-path verdict immediately — no request traffic in between."""
     src = _make_injected_src()
-    assert src._chunk_fast_ok(0.0)
+    assert src.window.chunk_fast_ok(0.0)
     rows = make_chunk([0, PAGE_SIZE], PAGE_SIZE)
 
     _, _, n = src.submit_chunk(rows, 0.0, 0.0, float("inf"), 0)
     assert n == 2
 
     src.ssds[0].plan = FaultPlan(seed=7).limp_window(0.0, 1e9, 4.0)
-    assert not src._chunk_fast_ok(0.0)
+    assert not src.window.chunk_fast_ok(0.0)
     _, _, n = src.submit_chunk(rows, 1.0, 0.0, float("inf"), 0)
     assert n == 0                      # declined -> engine goes scalar
 
     src.ssds[0].disarm()
-    assert src._chunk_fast_ok(0.0)
+    assert src.window.chunk_fast_ok(0.0)
     _, _, n = src.submit_chunk(rows, 2.0, 0.0, float("inf"), 0)
     assert n == 2
 
@@ -637,4 +665,4 @@ def test_mid_run_arming_switches_batched_to_scalar_fallback():
     assert results[True].as_dict() == results[False].as_dict()
     _assert_src_state_equal(targets[False], targets[True])
     assert targets[True].ssds[0].injected["limp"] > 0
-    assert not targets[True]._chunk_fast_ok(0.0)
+    assert not targets[True].window.chunk_fast_ok(0.0)

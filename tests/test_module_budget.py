@@ -1,0 +1,23 @@
+"""No module under ``src/repro`` outgrows what a reader can hold.
+
+ROADMAP item 2: "no file over ~600 lines".  The files still above the
+limit are listed with their current ceiling; an entry may only be
+lowered (and removed once the file fits), never raised or added.
+"""
+
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+LIMIT = 600
+RATCHET = {"core/src.py": 1250, "raid/array.py": 660,
+           "cluster/router.py": 640}
+
+
+def test_every_module_fits_its_budget():
+    over = {}
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        lines = len(path.read_text().splitlines())
+        if lines > RATCHET.get(name, LIMIT):
+            over[name] = lines
+    assert not over, f"modules over budget: {over}"

@@ -172,7 +172,8 @@ def test_raid5_rebuild_touches_all_stripes():
     array = Raid5Device(devs, chunk_size=4 * KIB)
     devs[1].failed = True
     devs[1].failed = False   # "replaced"
-    array.rebuild(1, now=0.0)
+    array.start_rebuild(1, now=0.0)
+    array.step_rebuild(0.0, max_units=array.stripes)
     assert devs[1].stats.write_ops == array.stripes
     assert devs[0].stats.read_ops == array.stripes
 
@@ -182,7 +183,7 @@ def test_rebuild_requires_live_member():
     array = Raid5Device(devs, chunk_size=4 * KIB)
     devs[2].failed = True
     with pytest.raises(RaidDegradedError):
-        array.rebuild(2)
+        array.start_rebuild(2)
 
 
 def test_flush_skips_failed_members():
@@ -205,7 +206,8 @@ def test_raid1_rebuild_resilvers_from_mirror():
     reads_before = devs[1].stats.read_ops
     devs[0].failed = True
     devs[0].failed = False   # "replaced"
-    array.rebuild(0, now=1.0)
+    array.start_rebuild(0, now=1.0)
+    array.step_rebuild(1.0, max_units=array.stripes)
     assert devs[0].stats.write_ops - writes_before == array.stripes
     assert devs[1].stats.read_ops - reads_before == array.stripes
     assert array.health.state(0) is DeviceHealth.HEALTHY
@@ -215,7 +217,7 @@ def test_raid1_rebuild_resilvers_from_mirror():
 def test_raid0_cannot_rebuild():
     array = Raid0Device(members(4))
     with pytest.raises(RaidDegradedError):
-        array.rebuild(0)
+        array.start_rebuild(0)
 
 
 def test_async_rebuild_is_resumable_in_steps():

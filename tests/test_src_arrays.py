@@ -6,11 +6,14 @@ oracle, so a vector helper is correct exactly when a run built with it
 is indistinguishable from one built one element at a time.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.common.checksum import block_checksum, block_checksums_array
-from repro.common.chunks import make_chunk, requests_from_chunk
+from repro.common.chunks import (OP_READ, OP_WRITE, ORIGIN_GC, conformant_mask,
+                                 make_chunk, requests_from_chunk)
 from repro.common.types import IoStats, LatencyStats, Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import (B_DIRTY, B_NONE, BlockState, VersionArray,
@@ -433,7 +436,7 @@ def test_src_obs_telemetry_bit_identical_between_modes(think, n):
     for batched in (False, True):
         recorder = ObsRecorder()
         src = attach(make_src(), recorder)
-        assert src._chunk_fast_ok(think), "obs recorder closed the gate"
+        assert src.window.chunk_fast_ok(think), "obs recorder closed the gate"
         rng = np.random.default_rng(17)
         span = min(src.size, 4 * src.config.cache_space)
         offsets = rng.integers(0, span // PAGE_SIZE, size=n) * PAGE_SIZE
@@ -487,3 +490,76 @@ def test_src_submit_chunk_respects_limit_and_deadline():
     # scalar loop would issue the head request before noticing).
     i_t, d_t, n = src_b.submit_chunk(rows, 5.0, 0.0, 5.0, 0)
     assert n <= 1
+
+
+# ----------------------------------------------------------------------
+# the window's in-target scalar run: one loop, four stop conditions
+# ----------------------------------------------------------------------
+def _mixed_rows():
+    """Eight foreground rows; only rows 0 and 3 are conformant."""
+    rows = make_chunk(np.arange(8, dtype=np.int64) * 4 * PAGE_SIZE,
+                      PAGE_SIZE)
+    rows["op"] = [OP_WRITE, OP_READ, OP_READ, OP_WRITE,
+                  OP_READ, OP_WRITE, OP_READ, OP_READ]
+    rows["length"][5] = 4 * PAGE_SIZE
+    return rows
+
+
+def _closed_loop(src, rows, n, think):
+    """Reference: the first ``n`` rows through per-request submit."""
+    t, issues, dones = 0.0, [], []
+    for req in itertools.islice(requests_from_chunk(rows), n):
+        done = src.submit(req, t)
+        issues.append(t)
+        dones.append(done)
+        t = done + think
+    return np.array(issues), np.array(dones)
+
+
+@pytest.mark.parametrize("case,expected_n", [
+    ("tenanted", 3), ("background", 3), ("next-span", 3),
+    ("deadline", 2), ("limit", 4), ("all", 8)])
+def test_window_scalar_run_stop_conditions(case, expected_n):
+    think = 1e-4
+    rows = _mixed_rows()
+    deadline, limit = float("inf"), 0
+    if case == "tenanted":
+        rows["tenant"][3] = 0
+    elif case == "background":
+        rows["origin"][3] = ORIGIN_GC
+    elif case == "deadline":     # row 2's issue time: it must not issue
+        deadline = _closed_loop(make_src(), rows, 3, think)[0][2]
+    elif case == "limit":
+        limit = 4
+    src, twin = make_src(), make_src()
+    if case == "next-span":
+        # submit_chunk bounds the run at the first conformant row past
+        # the short conformant prefix (row 3 opens the next window).
+        issue_t, done_t, n = src.submit_chunk(rows, 0.0, think, deadline,
+                                              limit)
+    else:
+        issue_t, done_t, n = src.window.scalar_run(rows, 8, 0.0, think,
+                                                   deadline, limit)
+    assert n == expected_n
+    want_issue, want_done = _closed_loop(twin, rows, n, think)
+    assert np.array_equal(issue_t, want_issue)
+    assert np.array_equal(done_t, want_done)
+    _assert_src_state_equal(src, twin)
+
+
+# ----------------------------------------------------------------------
+# the one conformity predicate
+# ----------------------------------------------------------------------
+def test_conformant_mask_each_clause():
+    size = 64 * PAGE_SIZE
+    rows = make_chunk(np.full(8, 8 * PAGE_SIZE), PAGE_SIZE)
+    rows["op"][1] = OP_READ
+    rows["length"][2] = 2 * PAGE_SIZE
+    rows["origin"][3] = ORIGIN_GC
+    rows["tenant"][4] = 0
+    rows["offset"][5] = -PAGE_SIZE
+    rows["offset"][6] = 8 * PAGE_SIZE + 512
+    rows["offset"][7] = size            # first byte past the device
+    assert conformant_mask(rows, size).tolist() == [True] + [False] * 7
+    rows["offset"][7] = size - PAGE_SIZE    # last page: in range
+    assert conformant_mask(rows, size)[7]
