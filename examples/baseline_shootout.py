@@ -12,7 +12,7 @@ Run:  python examples/baseline_shootout.py [write|mixed|read]  (~3 min)
 import sys
 
 from repro.baselines.common import WritePolicy
-from repro.core.config import GcScheme, SrcConfig
+from repro.core.config import GcScheme, ReclaimConfig, SrcConfig
 from repro.harness.context import (CACHE_SPACE, ExperimentScale,
                                    build_bcache, build_flashcache,
                                    build_src)
@@ -27,8 +27,9 @@ def main() -> None:
         ("SRC", lambda: build_src(
             ES.scale, SrcConfig(cache_space=CACHE_SPACE))),
         ("SRC-S2D", lambda: build_src(
-            ES.scale, SrcConfig(cache_space=CACHE_SPACE,
-                                gc_scheme=GcScheme.S2D))),
+            ES.scale, SrcConfig(
+                cache_space=CACHE_SPACE,
+                reclaim=ReclaimConfig(gc_scheme=GcScheme.S2D)))),
         ("Bcache5", lambda: build_bcache(
             ES.scale, raid_level=5, policy=WritePolicy.WRITE_BACK,
             writeback_percent=0.90)),

@@ -35,7 +35,7 @@ from typing import List
 
 from repro.common.errors import ReproError
 from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED, B_STAGING
-from repro.core.src import _GroupState
+from repro.core.segments import GroupState
 from repro.repair.health import DeviceHealth
 
 
@@ -46,22 +46,23 @@ class InvariantViolation(ReproError):
 def check_group_accounting(cache) -> List[str]:
     """Free-space conservation across the segment groups."""
     problems: List[str] = []
-    free = set(cache._free)
-    closed = set(cache._closed_fifo)
+    log = cache.segments
+    free = set(log._free)
+    closed = set(log._closed_fifo)
     if free & closed:
         problems.append(
             f"groups {sorted(free & closed)} on both free and closed lists")
-    active_index = cache.active.index if cache.active is not None else None
-    for group in cache.groups:
-        if group.state == _GroupState.FREE:
+    active_index = log.active.index if log.active is not None else None
+    for group in log.groups:
+        if group.state == GroupState.FREE:
             if group.index not in free:
                 problems.append(
                     f"group {group.index} FREE but not on the free list")
-        elif group.state == _GroupState.ACTIVE:
+        elif group.state == GroupState.ACTIVE:
             if group.index != active_index:
                 problems.append(
                     f"group {group.index} ACTIVE but not the active group")
-        elif group.state == _GroupState.CLOSED:
+        elif group.state == GroupState.CLOSED:
             if group.index not in closed and group.index != 0:
                 problems.append(
                     f"group {group.index} CLOSED but not on the closed "
@@ -70,20 +71,20 @@ def check_group_accounting(cache) -> List[str]:
             problems.append(
                 f"group {group.index} in unknown state {group.state!r}")
     for index in free:
-        if cache.groups[index].state != _GroupState.FREE:
+        if log.groups[index].state != GroupState.FREE:
             problems.append(
                 f"free list holds group {index} in state "
-                f"{cache.groups[index].state}")
+                f"{log.groups[index].state}")
     for index in closed:
-        if cache.groups[index].state != _GroupState.CLOSED:
+        if log.groups[index].state != GroupState.CLOSED:
             problems.append(
                 f"closed FIFO holds group {index} in state "
-                f"{cache.groups[index].state}")
+                f"{log.groups[index].state}")
     for lba, entry in cache.mapping.items():
         sg = entry.location.sg
         if sg == 0:
             problems.append(f"lba {lba} mapped into superblock group 0")
-        elif cache.groups[sg].state == _GroupState.FREE:
+        elif log.groups[sg].state == GroupState.FREE:
             problems.append(f"lba {lba} mapped into FREE group {sg}")
     return problems
 

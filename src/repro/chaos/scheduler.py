@@ -29,14 +29,13 @@ schedule by construction.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.chaos.invariants import InvariantSuite
 from repro.chaos.oracle import IntegrityOracle
 from repro.cluster import ShardRouter
-from repro.common.chunks import OP_READ, OP_WRITE, make_chunk
+from repro.common.chunks import OP_READ, make_chunk
 from repro.common.errors import PowerCutError
 from repro.common.units import GIB, PAGE_SIZE
 from repro.core.recovery import recover

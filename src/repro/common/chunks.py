@@ -59,8 +59,11 @@ ORIGIN_CODE = {o: i for i, o in enumerate(_ORIGINS)}
 
 NO_TENANT = -1
 
-# Below this many rows a scalar loop beats numpy dispatch overhead (the
-# crossover ssd/ftl.py measured); above it the vector path wins.
+# Around this many rows (or FTL pages) a scalar loop stops beating
+# numpy dispatch overhead.  Measured on the FTL: a vector op's fixed
+# cost (array allocation, np.unique) is ~15-20 us against ~0.3 us per
+# page element-wise, so scalar wins until roughly 48-64; 32 keeps a
+# safety margin on slower interpreters (docs/performance.md).
 SCALAR_THRESHOLD = 32
 
 # What a ``submit_chunk`` returns when it serves no row: ``(issue_times,

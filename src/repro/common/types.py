@@ -116,6 +116,11 @@ class Request:
         last = (self.end + PAGE_SIZE - 1) // PAGE_SIZE
         return range(first, last)
 
+    def whole_pages(self, page_size: int = PAGE_SIZE) -> range:
+        """Pages this request covers completely — what a TRIM may
+        discard: the rest of a partly covered page is still live."""
+        return range(-(-self.offset // page_size), self.end // page_size)
+
 
 def read(offset: int, length: int) -> Request:
     return Request(Op.READ, offset, length)

@@ -165,13 +165,7 @@ class SegmentBuffer:
 
     def drain(self) -> List[int]:
         """Take every buffered block, emptying the buffer."""
-        blocks = self._order[:self._n].tolist()
-        self._state.a[self._order[:self._n]] = B_NONE
-        self._n = 0
-        if self.observer is not None:
-            for lba in blocks:
-                self.observer.block_evicted(lba)
-        return blocks
+        return self.drain_array().tolist()
 
     def drain_array(self) -> np.ndarray:
         """Batch-path ``drain``: the order array itself, no row objects."""

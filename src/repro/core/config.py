@@ -102,12 +102,6 @@ class ReclaimConfig(_Document):
     victim_policy: VictimPolicy = VictimPolicy.FIFO
     gc_free_low: int = 2                # SGs: reclaim below this many free
     gc_free_high: int = 4               # SGs: reclaim up to this many free
-    # Background reclaim (§4.2): GC/destage I/O overlaps with foreground
-    # writes instead of extending their acknowledgement.  Foreground
-    # only throttles when it must take a group whose reclaim has not
-    # yet finished (the hard-floor backpressure path).  False restores
-    # the legacy inline behaviour, kept as a comparison baseline.
-    background_reclaim: bool = True
     separate_hot_clean: bool = False    # future-work extension (§6)
     hotness_aware: bool = True          # ablation: False copies all clean
                                         # data in S2S instead of hot only

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigError
 from repro.common.units import PAGE_SIZE
 from repro.core.config import CleanRedundancy, SrcConfig
@@ -142,7 +144,6 @@ class SegmentLayout:
         segment writer installs a whole sealed segment's mappings in
         one call instead of materializing n BlockLocation objects.
         """
-        import numpy as np
         ssd_order = np.asarray(self.data_ssds(sg, segment, with_parity),
                                dtype=np.int32)
         per_unit = self.data_blocks_per_unit
@@ -153,14 +154,7 @@ class SegmentLayout:
         offsets = (base + (1 + slots % per_unit) * PAGE_SIZE).astype(np.int64)
         return ssd_order[slots // per_unit], offsets
 
-    def stripe_row_ssds(self, sg: int, segment: int,
-                        with_parity: bool) -> Tuple[List[int], int]:
-        """(data SSDs, parity SSD) for reconstruct-on-read."""
-        return (self.data_ssds(sg, segment, with_parity),
-                self.parity_ssd(sg, segment))
-
-    def metadata_offsets(self, sg: int, segment: int) -> List[Tuple[int, int]]:
-        """(MS offset, ME offset) within each SSD for this segment."""
+    def metadata_offsets(self, sg: int, segment: int) -> Tuple[int, int]:
+        """(MS offset, ME offset) of this segment, on every SSD."""
         base = self.unit_offset(sg, segment)
-        last = base + (self.unit_blocks - 1) * PAGE_SIZE
-        return [(base, last) for _ in range(self.config.n_ssds)]
+        return base, base + (self.unit_blocks - 1) * PAGE_SIZE

@@ -160,9 +160,10 @@ class MappingTable:
                      versions: np.ndarray) -> None:
         """Vector insert of one sealed segment's blocks (slot order).
 
-        Batch-path only: the caller (the segment writer) guarantees the
-        LBAs are currently unmapped — they came straight out of a
-        segment buffer, and anything buffered was invalidated on entry.
+        The caller (``SegmentLog.install``) guarantees the LBAs are
+        currently unmapped: they came straight out of a segment buffer
+        (anything buffered was invalidated on entry), or recovery
+        invalidated the ones an earlier segment had mapped.
         """
         k = lbas.shape[0]
         if k == 0:
@@ -292,12 +293,7 @@ class MappingTable:
 
     def drop_sg(self, sg: int) -> None:
         """Forget every mapping in a segment group (post-reclaim)."""
-        live = self._sg_live_lbas(sg)
-        if live.shape[0] >= 32 and self.observer is None:
-            self.invalidate_many(live)
-        else:
-            for lba in live.tolist():
-                self.invalidate(lba)
+        self.invalidate_many(self._sg_live_lbas(sg))
         self._log_n[sg] = 0
 
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ class Reclaimer:
 
     def pick_victim(self) -> Optional[int]:
         cache = self.cache
-        closed = cache._closed_fifo
+        closed = cache.segments._closed_fifo
         if not closed:
             return None
         policy = cache.config.reclaim.victim_policy
@@ -65,21 +65,22 @@ class Reclaimer:
         capacity = (cache.layout.segments_per_group
                     * cache.layout.dirty_segment_capacity())
         u = min(1.0, cache.mapping.sg_valid_count(sg) / capacity)
-        age = max(1, cache._sg_sequence - cache.groups[sg].sequence)
+        log = cache.segments
+        age = max(1, log._sg_sequence - log.groups[sg].sequence)
         return age * (1.0 - u) / (1.0 + u)
 
     def reclaim_until(self, target_free: int, now: float,
                       force_s2d: bool = False) -> float:
-        cache = self.cache
+        free = self.cache.segments._free
         self.running = True
         try:
             end = now
             stalled = 0
-            while len(cache._free) < target_free:
+            while len(free) < target_free:
                 victim = self.pick_victim()
                 if victim is None:
                     break
-                before = len(cache._free)
+                before = len(free)
                 # S2S copies everything forward when a victim is fully
                 # hot/dirty, gaining no space; after two stalled victims
                 # fall back to S2D, which always frees (§4.2's UMAX bound
@@ -91,7 +92,7 @@ class Reclaimer:
                 end = self.collect_group(victim, end,
                                          force_s2d=force_s2d or stalled >= 2,
                                          protect=stalled < 4)
-                stalled = stalled + 1 if len(cache._free) <= before else 0
+                stalled = stalled + 1 if len(free) <= before else 0
             return end
         finally:
             self.running = False
@@ -118,13 +119,8 @@ class Reclaimer:
         cache.metadata.drop_group(victim)
         cache.repair.on_group_dropped(victim, end)
         end = max(end, self._trim_group(victim, end))
-        cache._release_group(victim)
-        if cfg.background_reclaim:
-            # State is applied instantly, but the reclaim's device I/O
-            # finishes at ``end``; a writer taking this group earlier
-            # must wait for it (backpressure in _roll_group).
-            cache._group_ready[victim] = end
-            cache.srcstats.background_reclaims += 1
+        cache.segments.release_group(victim, ready_at=end)
+        cache.srcstats.background_reclaims += 1
         if cache.obs.enabled:
             cache.obs.emit(GcEnd(t=end, device=cache.name, victim=victim,
                                  moved_pages=n_valid))
@@ -181,8 +177,8 @@ class Reclaimer:
         # that window would lose acknowledged dirty data.  Clean blocks
         # need no such care — the origin still holds them.
         if dirty.any() and not cache.dirty_buf.empty:
-            end = max(end, cache._write_segment(dirty=True,
-                                                now=max(end, read_end)))
+            end = max(end, cache.segments.seal(dirty=True,
+                                               now=max(end, read_end)))
         return max(end, read_end)
 
     def _collect_s2d(self, lbas: np.ndarray, dirty: np.ndarray, now: float,
@@ -238,8 +234,8 @@ class Reclaimer:
                 buf.add_many(take)
                 pos += take.shape[0]
                 if buf.full:
-                    end = max(end, cache._write_segment(dirty=to_dirty,
-                                                        now=avail))
+                    end = max(end, cache.segments.seal(dirty=to_dirty,
+                                                       now=avail))
         return end
 
     def destage(self, lbas: np.ndarray, now: float) -> float:
@@ -286,7 +282,7 @@ class Reclaimer:
         if not lbas.shape[0]:
             return now
         sgs, segments, ssds, offsets = cache.mapping.locations_arrays(lbas)
-        readable = np.array([cache._alive(i)
+        readable = np.array([cache.members.alive(i)
                              for i in range(len(cache.ssds))])[ssds]
         if cache.repair.jobs:
             units, unit = np.unique(np.stack((ssds, sgs, segments)), axis=1,
@@ -299,7 +295,7 @@ class Reclaimer:
         for idx in ssds[np.sort(first)].tolist():
             offs = np.sort(offsets[ssds == idx])
             for s, e in _runs(np.diff(offs) != PAGE_SIZE):
-                done = cache._ssd_submit(
+                done = cache.members.submit(
                     idx, Request(Op.READ, int(offs[s]), (e - s) * PAGE_SIZE,
                                  origin=origin), now)
                 if done is not None:
@@ -312,8 +308,8 @@ class Reclaimer:
         base = cache.layout.unit_offset(victim, 0)
         end = now
         for idx in range(len(cache.ssds)):
-            if cache._alive(idx):
-                done = cache._ssd_submit(idx, Request(
+            if cache.members.alive(idx):
+                done = cache.members.submit(idx, Request(
                     Op.TRIM, base, cache.config.erase_group_size), now)
                 if done is not None:
                     end = max(end, done)

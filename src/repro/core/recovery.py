@@ -14,15 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+import numpy as np
+
 from repro.block.device import BlockDevice
-from repro.common.checksum import block_checksum
 from repro.common.errors import RecoveryError
 from repro.common.types import Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.config import SrcConfig
-from repro.core.mapping import CacheEntry
 from repro.core.metadata import MetadataStore
-from repro.core.src import SrcCache, _GroupState
+from repro.core.segments import GroupState
+from repro.core.src import SrcCache
 
 
 @dataclass
@@ -57,25 +58,25 @@ def recover(ssds: List[BlockDevice], origin: BlockDevice,
 
     # Hand the constructor-allocated active SG back; the replay decides
     # which groups are occupied before a fresh active SG is chosen.
-    recycled = cache.active.index
-    cache.groups[recycled].state = _GroupState.FREE
-    cache._free.append(recycled)
+    log = cache.segments
+    recycled = log.active.index
+    log.groups[recycled].state = GroupState.FREE
+    log._free.append(recycled)
 
     # Scan pass: MS/ME reads for every summary, charged to the SSDs.
     end = now
     summaries = metadata.all_summaries()
     for summary in summaries:
         report.segments_scanned += 1
-        for ms_off, me_off in cache.layout.metadata_offsets(
-                summary.sg, summary.segment):
-            for ssd in ssds:
-                if getattr(ssd, "failed", False):
-                    continue
-                end = max(end, ssd.submit(
-                    Request(Op.READ, ms_off, PAGE_SIZE), now))
-                end = max(end, ssd.submit(
-                    Request(Op.READ, me_off, PAGE_SIZE), now))
-            break  # offsets identical across SSDs; charge each SSD once
+        ms_off, me_off = cache.layout.metadata_offsets(summary.sg,
+                                                       summary.segment)
+        for ssd in ssds:
+            if getattr(ssd, "failed", False):
+                continue
+            end = max(end, ssd.submit(
+                Request(Op.READ, ms_off, PAGE_SIZE), now))
+            end = max(end, ssd.submit(
+                Request(Op.READ, me_off, PAGE_SIZE), now))
 
     # Replay pass: later sequence numbers win.
     discarded = []
@@ -87,24 +88,21 @@ def recover(ssds: List[BlockDevice], origin: BlockDevice,
             continue
         groups_seen.setdefault(summary.sg, summary.sequence)
         report.segments_recovered += 1
-        for slot, lba in enumerate(summary.lbas):
-            version = (summary.versions[slot]
-                       if slot < len(summary.versions) else 0)
-            stored_crc = summary.checksums[slot]
-            if stored_crc != block_checksum(lba, version):
-                report.checksum_failures += 1
-                continue
-            loc = cache.layout.slot_location(
-                summary.sg, summary.segment, slot, summary.with_parity)
-            cache.mapping.insert(lba, CacheEntry(
-                location=loc, dirty=summary.dirty, checksum=stored_crc,
-                version=version))
-            cache._versions[lba] = version
-            report.blocks_recovered += 1
-            if summary.dirty:
-                report.dirty_blocks += 1
-            else:
-                report.clean_blocks += 1
+        kept = len(log.install(
+            summary.sg, summary.segment,
+            np.asarray(summary.lbas, dtype=np.int64),
+            np.asarray(summary.versions, dtype=np.int64),
+            summary.dirty, summary.with_parity,
+            stored=np.asarray(summary.checksums, dtype=np.int64)))
+        report.checksum_failures += len(summary.lbas) - kept
+        report.blocks_recovered += kept
+        if summary.dirty:
+            report.dirty_blocks += kept
+        else:
+            report.clean_blocks += kept
+    # Write versions resume from the copies that won the replay.
+    for lba, entry in cache.mapping.items():
+        cache._versions[lba] = entry.version
 
     for sg, segment in discarded:
         metadata.discard_summary(sg, segment)
@@ -112,13 +110,13 @@ def recover(ssds: List[BlockDevice], origin: BlockDevice,
     # Group states: any SG with recovered segments is closed; FIFO order
     # follows first-use sequence so victim selection behaves as before.
     for sg in sorted(groups_seen, key=groups_seen.get):
-        group = cache.groups[sg]
-        group.state = _GroupState.CLOSED
+        group = log.groups[sg]
+        group.state = GroupState.CLOSED
         group.next_segment = cache.layout.segments_per_group
-        cache._free.remove(sg)
-        cache._closed_fifo.append(sg)
+        log._free.remove(sg)
+        log._closed_fifo.append(sg)
     report.groups_in_use = sorted(groups_seen)
 
-    cache.active = cache._take_free_group()
+    log.active = log.take_free_group()
     report.elapsed = end - now
     return cache, report

@@ -28,16 +28,13 @@ def _migrate(old: SrcCache, new: SrcCache, now: float) -> float:
     """Re-log every valid block of ``old`` into ``new``."""
     end = now
     # Buffered (not yet persisted) blocks move for free: RAM to RAM.
-    for lba in old.dirty_buf.drain():
-        full = new.dirty_buf.add(lba)
-        new._versions[lba] = old._versions.get(lba, 1)
-        if full:
-            end = max(end, new._write_segment(dirty=True, now=now))
-    for lba in old.clean_buf.drain():
-        full = new.clean_buf.add(lba)
-        new._versions[lba] = old._versions.get(lba, 0)
-        if full:
-            end = max(end, new._write_segment(dirty=False, now=now))
+    for dirty, src, dst in ((True, old.dirty_buf, new.dirty_buf),
+                            (False, old.clean_buf, new.clean_buf)):
+        for lba in src.drain():
+            full = dst.add(lba)
+            new._versions[lba] = old._versions.get(lba, int(dirty))
+            if full:
+                end = max(end, new.segments.seal(dirty=dirty, now=now))
     # Persisted blocks: bulk-read from the old array, re-log into new.
     for sg in range(1, old.layout.groups):
         blocks = old.mapping.sg_blocks(sg)
@@ -53,13 +50,13 @@ def _migrate(old: SrcCache, new: SrcCache, now: float) -> float:
                 continue
             full = buf.add(lba)
             if full:
-                end = max(end, new._write_segment(dirty=entry.dirty,
+                end = max(end, new.segments.seal(dirty=entry.dirty,
                                                   now=read_end))
     # Whatever remains buffered is persisted as partial segments so the
     # new instance is immediately crash-consistent.
     end = max(end, new.flush_partial(end))
     if not new.clean_buf.empty:
-        end = max(end, new._write_segment(dirty=False, now=end))
+        end = max(end, new.segments.seal(dirty=False, now=end))
     return end
 
 

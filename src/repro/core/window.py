@@ -67,7 +67,7 @@ class WriteWindow:
     def seal_fast_ok(self) -> bool:
         """Whether segment seals may use the lean device submission.
 
-        True only while every side channel of ``SrcCache._ssd_submit``
+        True only while every side channel of ``Members.submit``
         is provably inert: no fail-slow detectors sampling latencies, no
         telemetry on SRC or any member, no armed fault plan anywhere
         (the retry/backoff wrapper only acts on injected errors), and
@@ -78,8 +78,8 @@ class WriteWindow:
         if gate is None:
             cache = self.cache
             gate = self._seal_gate = (
-                cache.failslow is None
-                and cache.flush_failslow is None
+                cache.members.failslow is None
+                and cache.members.flush_failslow is None
                 and not cache.obs.enabled
                 and not self._armed_fault_live()
                 and all(type(s) is SSDDevice and not s.obs.enabled

@@ -45,7 +45,8 @@ from repro.common.units import GIB, KIB, MIB, PAGE_SIZE
 from repro.core.config import RepairConfig, SrcConfig
 from repro.core.metadata import MetadataStore
 from repro.core.recovery import recover
-from repro.core.src import SrcCache, _GroupState
+from repro.core.segments import GroupState
+from repro.core.src import SrcCache
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.context import DEFAULT_SCALE, ExperimentScale
 from repro.harness.results import ExperimentResult
@@ -378,18 +379,17 @@ def _run_migrate_cut(case: CaseResult, rng: random.Random,
     return case
 
 
-def run_case(seed: int, point: int, break_seal: bool = False,
-             config: SrcConfig = TORTURE_CONFIG) -> CaseResult:
+def run_case(seed: int, point: int, break_seal: bool = False) -> CaseResult:
     """Run one seeded workload to one crash point and check recovery."""
     case = CaseResult(seed=seed, point=point, mode=MODES[point % len(MODES)],
                       crashed=False, ops_before_crash=0, torn_at_crash=0)
     if case.mode == "migrate-cut":
         rng = random.Random((seed << 20) ^ point)
         return _run_migrate_cut(case, rng, break_seal=break_seal)
-    if case.mode in REPAIR_MODES and config.repair.hot_spares == 0:
-        # The repair crash modes need a spare to cut and a scrubber to
-        # interrupt, whatever config the caller brought.
-        config = replace(config, repair=TORTURE_REPAIR_CONFIG.repair)
+    # The repair crash modes need a spare to cut and a scrubber to
+    # interrupt.
+    config = (TORTURE_REPAIR_CONFIG if case.mode in REPAIR_MODES
+              else TORTURE_CONFIG)
     rng = random.Random((seed << 20) ^ point)
     cache, ssds, spares, origin, metadata = _build_stack(
         break_seal=break_seal, config=config)
@@ -475,9 +475,9 @@ def run_case(seed: int, point: int, break_seal: bool = False,
     for sg in sorted(mapped_sgs):
         if sg == 0:
             case.violations.append("block mapped into superblock SG 0")
-        elif recovered.groups[sg].state is not _GroupState.CLOSED:
+        elif recovered.segments.groups[sg].state is not GroupState.CLOSED:
             case.violations.append(
-                f"mapped SG {sg} is {recovered.groups[sg].state}, "
+                f"mapped SG {sg} is {recovered.segments.groups[sg].state}, "
                 "not closed")
         elif sg not in report.groups_in_use:
             case.violations.append(f"mapped SG {sg} missing from report")

@@ -10,33 +10,23 @@ microseconds but pay periodic segment-write stalls; the block-mapped
 baselines spread cost across every request; everyone's p99 is dominated
 by backend round-trips on misses.
 
-An extra ``SRC-inline`` row disables the background reclaim scheduler
-(``background_reclaim=False``) so the split-phase pipeline's tail-latency
-win over the legacy inline-GC/destage path is visible side by side.
-
-Two ``(paced)`` rows replay with a per-thread think time so the two SRC
-variants meet at equal offered throughput.  Saturated closed-loop replay
-is a degenerate comparison point for background work: the inline path's
-blocking acks throttle the offered load, so freeing the foreground only
-admits more load into a device with no spare capacity.  With any
-idleness in the arrival process the background scheduler soaks it up and
-the foreground tail drops — that paced regime is where the pipeline's
-p99 win is measured.
+A ``(paced)`` row replays the write group with a per-thread think
+time.  Saturated closed-loop replay leaves a device no spare capacity
+for SRC's background reclaim to hide in; with any idleness in the
+arrival process the reclaim scheduler soaks it up and the foreground
+tail drops.
 """
 
 from __future__ import annotations
 
-from repro.core.config import ReclaimConfig, SrcConfig
-from repro.harness.context import (CACHE_SPACE, DEFAULT_SCALE,
-                                   ExperimentScale, build_src)
+from repro.harness.context import DEFAULT_SCALE, ExperimentScale
 from repro.harness.exp_fig7 import SCHEMES, _builders
 from repro.harness.results import ExperimentResult
 from repro.harness.runner import TRACE_GROUPS, run_trace_group
 
-LINEUP = tuple(SCHEMES) + ("SRC-inline",)
+LINEUP = tuple(SCHEMES)
 # Per-thread pause between completion and next issue for the paced
-# rows: enough idleness for background reclaim to hide in, with both
-# SRC variants still within ~1% of each other's throughput.
+# row: enough idleness for background reclaim to hide in.
 PACED_THINK = 0.002
 
 
@@ -47,10 +37,6 @@ def run(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
         columns=["Scheme"] + list(TRACE_GROUPS),
     )
     builders = dict(_builders(es))
-    builders["SRC-inline"] = lambda: build_src(
-        es.scale, SrcConfig(cache_space=CACHE_SPACE,
-                            reclaim=ReclaimConfig(
-                                background_reclaim=False)))
     cells = {scheme: [] for scheme in LINEUP}
     for group in TRACE_GROUPS:
         for scheme in LINEUP:
@@ -63,29 +49,21 @@ def run(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
     for scheme in LINEUP:
         result.add_row(scheme, *cells[scheme])
 
-    # Equal-throughput comparison: pace the replay threads and rerun
-    # the two SRC variants side by side on the write-dominant group.
-    paced = {}
-    for scheme in ("SRC", "SRC-inline"):
-        res = run_trace_group(builders[scheme](), "write", es,
-                              think_time=PACED_THINK)
-        paced[scheme] = res
-        lat = res.latency
-        result.add_row(
-            f"{scheme} (paced)",
-            f"{lat.p50 * 1e3:.2f} | {lat.p99 * 1e3:.1f} | "
-            f"{lat.max * 1e3:.0f}",
-            "-", "-")
+    # Pace the replay threads and rerun SRC on the write-dominant group.
+    paced = run_trace_group(builders["SRC"](), "write", es,
+                            think_time=PACED_THINK)
+    lat = paced.latency
+    result.add_row(
+        "SRC (paced)",
+        f"{lat.p50 * 1e3:.2f} | {lat.p99 * 1e3:.1f} | {lat.max * 1e3:.0f}",
+        "-", "-")
 
     result.notes.append("not in the paper; percentiles from a "
                         "reservoir sample of the measured window")
-    result.notes.append("SRC-inline = background_reclaim off: GC and "
-                        "destage run inside the foreground ack path")
     result.notes.append(
-        f"paced rows: write group, {PACED_THINK * 1e3:.0f} ms think "
-        "time per replay thread — equal offered throughput ("
-        f"SRC {paced['SRC'].throughput_mb_s:.1f} vs SRC-inline "
-        f"{paced['SRC-inline'].throughput_mb_s:.1f} MB/s)")
+        f"paced row: write group, {PACED_THINK * 1e3:.0f} ms think "
+        "time per replay thread "
+        f"(SRC {paced.throughput_mb_s:.1f} MB/s)")
     return result
 
 

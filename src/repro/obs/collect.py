@@ -98,7 +98,7 @@ def collect(device, _seen: Optional[Set[int]] = None) -> dict:
         if isinstance(group, dict):
             # The router keeps shards keyed by slot; walk in slot order.
             group = [group[k] for k in sorted(group)]
-        if group:
+        if isinstance(group, (list, tuple)):
             for i, child in enumerate(group):
                 if id(child) not in _seen:
                     children[f"{attr}[{i}]"] = collect(child, _seen)

@@ -152,8 +152,10 @@ def use(recorder) -> Iterator:
 
 # Attribute names that link a device to its children; walking them
 # covers every stack shape in the repository (caches, RAID, backends).
-_CHILD_ATTRS = ("lower", "cache_dev", "origin", "array",
-                "ssds", "members", "disks", "spares")
+# A list attribute that holds something else (SrcCache.members is its
+# member-I/O component, not a device list) is not a link.
+_CHILD_ATTRS = ("lower", "cache_dev", "origin", "array")
+_CHILD_LIST_ATTRS = ("ssds", "members", "disks", "spares")
 
 
 def iter_devices(root) -> Iterator:
@@ -167,13 +169,11 @@ def iter_devices(root) -> Iterator:
         seen.add(id(node))
         yield node
         for attr in _CHILD_ATTRS:
-            child = getattr(node, attr, None)
-            if child is None:
-                continue
-            if isinstance(child, (list, tuple)):
-                stack.extend(child)
-            else:
-                stack.append(child)
+            stack.append(getattr(node, attr, None))
+        for attr in _CHILD_LIST_ATTRS:
+            children = getattr(node, attr, None)
+            if isinstance(children, (list, tuple)):
+                stack.extend(children)
 
 
 def attach(root, recorder=None):

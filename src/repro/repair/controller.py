@@ -105,7 +105,7 @@ class RepairController:
         dead drive does until its job completes.
         """
         dead = sum(1 for i in range(len(self.cache.ssds))
-                   if not self.cache._alive(i))
+                   if not self.cache.members.alive(i))
         rebuilding = self.health.count(DeviceHealth.REBUILDING)
         return dead + rebuilding
 
@@ -265,12 +265,12 @@ class RepairController:
         involved = self._involved(sg, segment, summary.with_parity)
         sources = [other for other in involved if other != member]
         can_reconstruct = summary.with_parity and all(
-            cache._alive(other) and self.unit_ready(other, sg, segment)
+            cache.members.alive(other) and self.unit_ready(other, sg, segment)
             for other in sources)
         if can_reconstruct:
             step = now
             for other in sources:
-                got = cache._ssd_submit(
+                got = cache.members.submit(
                     other, Request(Op.READ, base, length,
                                    origin=IoOrigin.REBUILD), now)
                 if got is None:
@@ -280,7 +280,7 @@ class RepairController:
             if job.cancelled:
                 return now
             if can_reconstruct:
-                wrote = cache._ssd_submit(
+                wrote = cache.members.submit(
                     member, Request(Op.WRITE, base, length,
                                     origin=IoOrigin.REBUILD), step)
                 if wrote is not None:
@@ -386,8 +386,8 @@ class RepairController:
         length = cache.layout.unit_blocks * PAGE_SIZE
         end = now
         for idx in self._involved(sg, segment, summary.with_parity):
-            if cache._alive(idx) and self.unit_ready(idx, sg, segment):
-                got = cache._ssd_submit(
+            if cache.members.alive(idx) and self.unit_ready(idx, sg, segment):
+                got = cache.members.submit(
                     idx, Request(Op.READ, base, length,
                                  origin=IoOrigin.SCRUB), now)
                 if got is not None:
@@ -418,19 +418,8 @@ class RepairController:
         loc = entry.location
         member = loc.ssd
         ssd = cache.ssds[member]
-        summary = cache.metadata.read_summary(loc.sg, loc.segment)
-        with_parity = (summary.with_parity if summary is not None
-                       else cache._segment_has_parity(entry))
-        sources = [other
-                   for other in self._involved(loc.sg, loc.segment,
-                                               with_parity)
-                   if other != member]
-        can_parity = with_parity and all(
-            cache._alive(other)
-            and self.unit_ready(other, loc.sg, loc.segment)
-            for other in sources)
-        if can_parity:
-            end = cache._stripe_read(entry, now, skip_ssd=member)
+        if cache.members.can_reconstruct(entry):
+            end = cache.members.stripe_read(entry, now)
             source = "parity"
         elif not entry.dirty:
             end = cache.origin_read(lba, now)
@@ -447,7 +436,7 @@ class RepairController:
             if hasattr(ssd, "clear_corruption"):
                 ssd.clear_corruption(loc.offset, PAGE_SIZE)
             return now
-        wrote = cache._ssd_submit(
+        wrote = cache.members.submit(
             member, Request(Op.WRITE, loc.offset, PAGE_SIZE,
                             origin=IoOrigin.SCRUB), end)
         if hasattr(ssd, "clear_corruption"):

@@ -121,32 +121,26 @@ class SSDDevice(QueuedDevice, BlockDevice):
             return self._trim(req, now)
         if req.op is Op.READ:
             return self._read(req, now)
-        return self._write(req, now)
+        return self._write(req.offset, req.length, req.fua, now)
 
-    def _npages(self, req: Request) -> int:
+    def _write(self, offset: int, length: int, fua: bool,
+               now: float) -> float:
         page = self.spec.page_size
-        first = req.offset // page
-        last = (req.end + page - 1) // page
-        return max(1, last - first)
-
-    def _page_of(self, offset: int) -> int:
-        return offset // self.spec.page_size
-
-    def _write(self, req: Request, now: float) -> float:
-        npages = self._npages(req)
+        first = offset // page
+        last = (offset + length + page - 1) // page
         if self.obs.enabled:
             self.ftl.clock = now
-        result = self.ftl.write(self._page_of(req.offset), npages)
+        result = self.ftl.write(first, max(1, last - first))
         # Overwrites scrub any injected corruption for the range.
         if self._corrupted_pages:
-            self.clear_corruption(req.offset, req.length)
+            self.clear_corruption(offset, length)
         # Programming is pipelined with the host transfer: NAND work can
         # start as soon as the first pages stream into the DRAM buffer.
-        xfer_begin, xfer_end = self.link.transfer(now, req.length)
+        xfer_begin, xfer_end = self.link.transfer(now, length)
         nand_time = self._nand_cost(result)
         _, nand_end = self.nand.acquire(xfer_begin, nand_time)
         nand_end = max(nand_end, xfer_end)
-        if req.fua:
+        if fua:
             _, fua_end = self.nand.acquire(nand_end, self.spec.flush_latency)
             return fua_end
         # Ack when the transfer is in and the backlog fits the buffer.
@@ -162,9 +156,11 @@ class SSDDevice(QueuedDevice, BlockDevice):
         return cost
 
     def _read(self, req: Request, now: float) -> float:
-        npages = self._npages(req)
-        self.ftl.read(self._page_of(req.offset), npages)
-        read_time = npages * self.spec.page_size / self.spec.nand_read_bw
+        page = self.spec.page_size
+        first = req.offset // page
+        npages = max(1, (req.end + page - 1) // page - first)
+        self.ftl.read(first, npages)
+        read_time = npages * page / self.spec.nand_read_bw
         # Only host (foreground) reads ride the read-priority pipeline;
         # internal moves — GC copies, destage reads, rebuild scans —
         # interleave with the program backlog so they never starve the
@@ -181,9 +177,14 @@ class SSDDevice(QueuedDevice, BlockDevice):
         return max(nand_end, out_end)
 
     def _trim(self, req: Request, now: float) -> float:
-        npages = self._npages(req)
-        self.ftl.trim(self._page_of(req.offset), npages)
-        self.clear_corruption(req.offset, req.length)
+        # Only pages the range covers whole are unmapped: the rest of a
+        # partly covered page is live data.  A TRIM that covers none
+        # still pays its command time.
+        page = self.spec.page_size
+        pages = req.whole_pages(page)
+        if pages:
+            self.ftl.trim(pages.start, len(pages))
+            self.clear_corruption(pages.start * page, len(pages) * page)
         _, end = self.link.transfer(now, 512)  # command-only transfer
         return end
 
@@ -201,13 +202,12 @@ class SSDDevice(QueuedDevice, BlockDevice):
                           origin: IoOrigin = IoOrigin.FOREGROUND) -> float:
         """Lean WRITE submission, bit-identical to ``submit``.
 
-        Replays the exact ``_lifecycle`` sequence — stats, queue
-        admission, :meth:`_write`, retire — without allocating a
-        :class:`Request` or dispatching through ``_service``.  Callers
-        (the SRC batched seal path) guarantee obs is off, the range is
-        inside the device and ``fua`` is not needed; everything else,
-        including queue-depth delays and fail-stop, behaves exactly as
-        the generic path.
+        The ``_lifecycle`` sequence — stats, queue admission,
+        :meth:`_write`, retire — without allocating a :class:`Request`
+        or dispatching through ``_service``.  Callers (the SRC seal
+        path) guarantee obs is off, the range is inside the device and
+        ``fua`` is not needed; everything else, including queue-depth
+        delays and fail-stop, behaves exactly as the generic path.
         """
         if self.failed:
             raise DeviceFailedError(f"{self.name} has failed")
@@ -217,36 +217,9 @@ class SSDDevice(QueuedDevice, BlockDevice):
         by_origin = stats.bytes_by_origin
         key = origin.value
         by_origin[key] = by_origin.get(key, 0) + length
-        begin = now
-        depth = self.queue_depth
-        if depth:
-            q = self._inflight
-            while q and q[0] <= now:
-                heapq.heappop(q)
-            while len(q) >= depth:
-                popped = heapq.heappop(q)
-                if popped > begin:
-                    begin = popped
-        page = self.spec.page_size
-        first = offset // page
-        last = (offset + length + page - 1) // page
-        result = self.ftl.write(first, max(1, last - first))
-        if self._corrupted_pages:
-            self.clear_corruption(offset, length)
-        xfer_begin, xfer_end = self.link.transfer(begin, length)
-        _, nand_end = self.nand.acquire(xfer_begin, self._nand_cost(result))
-        nand_end = max(nand_end, xfer_end)
-        done = max(xfer_end, nand_end - self._buffer_slack)
-        if depth:
-            heapq.heappush(self._inflight, done)
-            qs = self.qstats
-            qs.submissions += 1
-            outstanding = len(self._inflight)
-            if outstanding > qs.max_outstanding:
-                qs.max_outstanding = outstanding
-            if begin > now:
-                qs.queued_ops += 1
-                qs.queue_delay_total += begin - now
+        begin = self._admit(None, now)
+        done = self._write(offset, length, False, begin)
+        self._retire(None, now, begin, done)
         return done
 
     def submit_flush_fast(self, now: float) -> float:
@@ -255,27 +228,9 @@ class SSDDevice(QueuedDevice, BlockDevice):
         if self.failed:
             raise DeviceFailedError(f"{self.name} has failed")
         self.stats.flush_ops += 1
-        begin = now
-        depth = self.queue_depth
-        if depth:
-            q = self._inflight
-            while q and q[0] <= now:
-                heapq.heappop(q)
-            while len(q) >= depth:
-                popped = heapq.heappop(q)
-                if popped > begin:
-                    begin = popped
+        begin = self._admit(None, now)
         done = self._flush(begin)
-        if depth:
-            heapq.heappush(self._inflight, done)
-            qs = self.qstats
-            qs.submissions += 1
-            outstanding = len(self._inflight)
-            if outstanding > qs.max_outstanding:
-                qs.max_outstanding = outstanding
-            if begin > now:
-                qs.queued_ops += 1
-                qs.queue_delay_total += begin - now
+        self._retire(None, now, begin, done)
         return done
 
     def submit_chunk(self, rows, start: float, think_time: float,

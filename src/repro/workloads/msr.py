@@ -21,7 +21,7 @@ import numpy as np
 from repro.common.chunks import (DEFAULT_CHUNK_REQUESTS, OP_READ, OP_WRITE,
                                  empty_chunk, requests_from_chunk)
 from repro.common.errors import ConfigError
-from repro.common.types import Op, Request
+from repro.common.types import Request
 from repro.common.units import GB, KB, KIB, PAGE_SIZE
 from repro.workloads.zipf import ZipfSampler
 

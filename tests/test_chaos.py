@@ -8,13 +8,13 @@ from _stacks import TINY_DISK, TINY_SRC, TINY_SSD
 from repro.chaos import (ChaosScheduler, CrashFrontier, CrashPointExplorer,
                          IntegrityOracle, InvariantSuite, InvariantViolation,
                          SCENARIOS)
-from repro.chaos.invariants import (check_cluster_ownership,
-                                    check_group_accounting, check_ledger,
+from repro.chaos.invariants import (check_group_accounting, check_ledger,
                                     check_residency)
 from repro.common.checksum import block_checksum
 from repro.common.types import Op, Request
 from repro.common.units import PAGE_SIZE
-from repro.core.src import CacheEntry, SrcCache
+from repro.core.mapping import CacheEntry
+from repro.core.src import SrcCache
 from repro.hdd.backend import PrimaryStorage
 from repro.ssd.device import SSDDevice
 
@@ -133,10 +133,10 @@ def test_group_accounting_catches_cooked_books():
     cache = _tiny_src()
     _drive(cache)
     assert check_group_accounting(cache) == []
-    victim = cache._free.pop()    # free group vanishes from the list
+    victim = cache.segments._free.pop()    # free group vanishes from the list
     problems = check_group_accounting(cache)
     assert any(f"group {victim}" in p for p in problems)
-    cache._free.append(victim)
+    cache.segments._free.append(victim)
     assert check_group_accounting(cache) == []
 
 
@@ -152,7 +152,7 @@ def test_residency_monitor_catches_stray_code():
 def test_check_all_raises_when_asked():
     cache = _tiny_src()
     _drive(cache)
-    cache._free.pop()
+    cache.segments._free.pop()
     with pytest.raises(InvariantViolation):
         InvariantSuite(caches=[cache]).check_all(raise_on_violation=True)
 

@@ -65,6 +65,10 @@ def test_from_dict_rejects_unknown_keys_inside_a_group():
     doc["reclaim"]["u_maxx"] = 0.7
     with pytest.raises(ConfigError, match="ReclaimConfig.*u_maxx"):
         SrcConfig.from_dict(doc)
+    # A removed knob is an unknown key like any other: the inline
+    # reclaim mode is gone, and a stored document asking for it fails.
+    with pytest.raises(ConfigError, match="background_reclaim"):
+        ReclaimConfig.from_dict({"background_reclaim": False})
     for group in (FaultConfig, RepairConfig, QosConfig):
         with pytest.raises(ConfigError, match="typo"):
             group.from_dict({"typo": 1})

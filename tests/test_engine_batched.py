@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ShardRouter
-from repro.common.chunks import (NO_TENANT, OP_READ, OP_TRIM, OP_WRITE,
-                                 make_chunk, requests_from_chunk)
+from repro.common.chunks import OP_READ, OP_TRIM, OP_WRITE, make_chunk
 from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.arrays import B_NONE
@@ -153,6 +152,21 @@ def test_trim_rows_bit_identical():
         _assert_src_state_equal,
         max_requests=6000)
     assert src.stats.trim_ops > 0
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "chunk"])
+def test_partial_trim_keeps_the_dirty_block(batched):
+    """A TRIM drops the blocks it covers whole and no others: the rest
+    of a partly covered block is live (here: dirty, unpersisted) data."""
+    src = make_src()
+    chunk = make_chunk(
+        [0, PAGE_SIZE, 2 * PAGE_SIZE, 512, PAGE_SIZE // 2],
+        [PAGE_SIZE, PAGE_SIZE, PAGE_SIZE, 512, 2 * PAGE_SIZE])
+    chunk["op"][3:] = OP_TRIM     # inside block 0; then [2 KiB, 10 KiB)
+    result = _run(src, [iter([chunk])], batched)
+    assert result.completed_ops == 5 and src.stats.trim_ops == 2
+    assert src.dirty_buf.peek() == [0, 2]       # only block 1 was whole
+    assert src.srcstats.segment_writes == 0
 
 
 def test_flush_rows_bit_identical():

@@ -9,7 +9,6 @@ from repro.block.device import BlockDevice
 from repro.block.lifecycle import QueuedDevice, Submission
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import GIB, PAGE_SIZE
-from repro.core.config import ReclaimConfig
 from repro.core.src import SrcCache
 from repro.faults.injector import FaultInjector
 from repro.faults.policy import RetryPolicy, submit_with_retry
@@ -125,12 +124,10 @@ def test_retry_reenters_queue_behind_new_traffic():
 # ---------------------------------------------------------------------------
 # SRC background reclaim: overlap, backpressure, attribution
 # ---------------------------------------------------------------------------
-def _small_src(background: bool):
+def _small_src():
     # TWAIT is pushed out of reach so every segment write in the driver
     # is caused by the driver itself (deterministic overlap accounting).
-    config = replace(
-        TORTURE_CONFIG, t_wait=10.0,
-        reclaim=ReclaimConfig(background_reclaim=background))
+    config = replace(TORTURE_CONFIG, t_wait=10.0)
     ssds = [SSDDevice(TORTURE_SSD, name=f"s{i}")
             for i in range(config.n_ssds)]
     origin = PrimaryStorage(n_disks=2,
@@ -173,18 +170,8 @@ def _drive(cache, ops: int = 1500, seed: int = 11, span: int = 1500):
     return write_lat, overlaps
 
 
-def _tail(samples, n: int = 15):
-    """Sum of the n slowest samples — a stable tail mass at this scale.
-
-    A point percentile is too coarse here: only ~1% of writes trigger
-    segment I/O at all, so p99 lands on the same ordinary sample in
-    both modes while the actual stalls hide beyond it.
-    """
-    return sum(sorted(samples)[-n:])
-
-
 def test_foreground_write_completes_while_destage_in_flight():
-    cache, _, _ = _small_src(background=True)
+    cache, _, _ = _small_src()
     _, overlaps = _drive(cache)
     # The acceptance property of the split-phase refactor: a destage's
     # device I/O is still running when the triggering write is acked.
@@ -193,23 +180,8 @@ def test_foreground_write_completes_while_destage_in_flight():
     assert cache.srcstats.background_reclaims > 0
 
 
-def test_inline_reclaim_never_overlaps():
-    cache, _, _ = _small_src(background=False)
-    _, overlaps = _drive(cache)
-    assert overlaps["destage"] == 0
-    assert overlaps["gc"] == 0
-    assert cache.srcstats.background_reclaims == 0
-
-
-def test_background_reclaim_improves_foreground_tail():
-    lat_bg, _ = _drive(_small_src(background=True)[0])
-    lat_inline, _ = _drive(_small_src(background=False)[0])
-    assert _tail(lat_bg) < _tail(lat_inline)
-    assert sum(lat_bg) / len(lat_bg) < sum(lat_inline) / len(lat_inline)
-
-
 def test_backpressure_accounting_consistent():
-    cache, _, _ = _small_src(background=True)
+    cache, _, _ = _small_src()
     _drive(cache)
     stalls = cache.srcstats.throttle_stalls
     events = cache.obs.trace.of_type(BackpressureStall)
@@ -221,7 +193,7 @@ def test_backpressure_accounting_consistent():
 
 
 def test_origin_bytes_attributed_by_origin():
-    cache, ssds, origin = _small_src(background=True)
+    cache, ssds, origin = _small_src()
     _drive(cache)
     for dev in ssds + [origin]:
         stats = dev.stats
@@ -240,14 +212,10 @@ def test_origin_bytes_attributed_by_origin():
 # ---------------------------------------------------------------------------
 # crash safety: async destage loses nothing that was acknowledged
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("background", [True, False])
-def test_acked_dirty_blocks_survive_crash_points(background):
-    config = replace(
-        TORTURE_CONFIG,
-        reclaim=ReclaimConfig(background_reclaim=background))
+def test_acked_dirty_blocks_survive_crash_points():
     crashed = 0
     for point in range(9):   # three crash points per torture mode
-        case = run_case(seed=3, point=point, config=config)
+        case = run_case(seed=3, point=point)
         assert case.violations == [], (point, case.violations)
         crashed += case.crashed
     assert crashed > 0

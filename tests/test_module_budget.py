@@ -9,8 +9,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LIMIT = 600
-RATCHET = {"core/src.py": 1250, "raid/array.py": 660,
-           "cluster/router.py": 640}
+RATCHET = {"raid/array.py": 660, "cluster/router.py": 640}
 
 
 def test_every_module_fits_its_budget():

@@ -82,7 +82,7 @@ def state_digest(cache: SrcCache, registry=None) -> str:
         "metadata": [(s.sequence, s.sg, s.segment, s.dirty, len(s.lbas))
                      for s in cache.metadata.all_summaries()],
         "buffers": [cache.dirty_buf.peek(), cache.clean_buf.peek()],
-        "groups": [cache.free_groups, cache.active.index],
+        "groups": [cache.free_groups, cache.segments.active.index],
         "tenants": registry.as_dict() if registry is not None else None,
     }
     blob = json.dumps(doc, sort_keys=True, default=repr)
@@ -254,7 +254,8 @@ def test_golden_victims_below_32_valid_blocks():
         for i in range(int(_capacity(cache) * 2.5)):
             before = (cache.srcstats.s2s_collections
                       + cache.srcstats.s2d_collections)
-            victim = cache._closed_fifo[0] if cache._closed_fifo else None
+            closed = cache.segments._closed_fifo
+            victim = closed[0] if closed else None
             valid = (cache.mapping.sg_valid_count(victim)
                      if victim is not None else 0)
             if i % 257 == 0:

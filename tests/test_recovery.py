@@ -118,9 +118,9 @@ def test_recovered_groups_marked_closed():
     recovered, report = crash_and_recover(cache)
     assert set(report.groups_in_use) == used
     for sg in used:
-        assert recovered.groups[sg].state == "closed"
-        assert sg not in recovered._free
-    assert recovered.active.index not in used
+        assert recovered.segments.groups[sg].state == "closed"
+        assert sg not in recovered.segments._free
+    assert recovered.segments.active.index not in used
 
 
 def test_hit_ratio_preserved_after_recovery():

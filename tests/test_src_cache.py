@@ -207,5 +207,5 @@ def test_partial_segment_consumes_slot():
     cache = make_src()
     cache.write(0, PAGE_SIZE, 0.0)
     cache.flush_partial(1.0)
-    seg_before = cache.active.next_segment
+    seg_before = cache.segments.active.next_segment
     assert seg_before == 1

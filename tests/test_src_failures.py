@@ -2,12 +2,14 @@
 
 from dataclasses import replace
 
-import pytest
-
+from repro.common.types import Op, Request
 from repro.common.units import PAGE_SIZE
-from repro.core.config import CleanRedundancy
+from repro.core.config import CleanRedundancy, RepairConfig
+from repro.core.src import SrcCache
+from repro.hdd.backend import PrimaryStorage
+from repro.ssd.device import SSDDevice
 
-from _stacks import TINY_SRC, make_src
+from _stacks import TINY_DISK, TINY_SRC, TINY_SSD, make_src
 
 
 def fill_one_dirty_segment(cache, start=0):
@@ -113,35 +115,81 @@ def test_writes_continue_degraded():
     assert cache.ssds[2].stats.write_ops == 0
 
 
+def test_read_block_after_scrub_unmap_is_an_ordinary_miss():
+    # read_request saw the block cached; the repair pump at the top of
+    # read_block then scrubs it — corrupt, dirty, no redundancy: a
+    # double fault, dropped from the mapping — so the read finds
+    # nothing and must take the one miss path: fetch, count, fill.
+    cache = make_src(replace(TINY_SRC, raid_level=0,
+                             repair=RepairConfig(scrub_interval=1.0)))
+    now, cap = fill_one_dirty_segment(cache)
+    entry = cache.mapping.lookup(0)
+    cache.ssds[entry.location.ssd].inject_corruption(entry.location.offset,
+                                                     PAGE_SIZE)
+    assert now < 1.0 and cache.block_cached(0)
+    origin_reads = cache.origin.stats.read_ops
+    end = cache.read_block(0, 2.0)
+    assert cache.srcstats.scrub_unrepairable == 1
+    assert cache.cstats.read_misses == 1 and cache.cstats.read_hits == 0
+    assert cache.origin.stats.read_ops == origin_reads + 1
+    assert end > 2.0 and cache.cstats.fills == 1 and 0 in cache.clean_buf
+
+
+# ------------------------------------------------------------------
+# hot-spare rebuild (repro.repair; more in tests/test_repair.py)
+# ------------------------------------------------------------------
+def make_spared_src(config=TINY_SRC):
+    """A cache with one hot spare and an unthrottled rebuild."""
+    config = replace(config, repair=RepairConfig(hot_spares=1,
+                                                 rebuild_rate=0.0))
+    ssds = [SSDDevice(TINY_SSD, name=f"tiny{i}")
+            for i in range(config.n_ssds)]
+    origin = PrimaryStorage(n_disks=4, disk_spec=TINY_DISK)
+    return SrcCache(ssds, origin, config,
+                    spares=[SSDDevice(TINY_SSD, name="spare")])
+
+
+def lose_member(cache, idx, now):
+    """Fail-stop a member under an I/O, so SRC notices, swaps the
+    spare into the slot and rebuilds it on the next pump."""
+    cache.ssds[idx].fail()
+    assert cache.members.submit(
+        idx, Request(Op.READ, 0, PAGE_SIZE), now) is None
+    assert cache.ssds[idx].name == "spare"
+    cache.repair.pump(now)
+    assert not cache.repair.jobs
+
+
 def test_rebuild_restores_parity_protected_units():
-    cache = make_src()
+    cache = make_spared_src()
     now, cap = fill_one_dirty_segment(cache)
     cache.flush_partial(now)
-    victim = 1
-    cache.ssds[victim].fail()
-    cache.ssds[victim].repair()
-    end = cache.rebuild_ssd(victim, now + 1.0)
-    assert end > now + 1.0
-    assert cache.ssds[victim].stats.write_ops > 0
+    before = cache.mapping.valid_blocks()
+    lose_member(cache, 1, now + 1.0)
+    stats = cache.srcstats
+    assert stats.rebuilds_completed == 1 and stats.rebuild_units > 0
+    assert cache.ssds[1].stats.write_ops > 0
+    assert stats.rebuild_dropped_blocks == 0
+    assert cache.mapping.valid_blocks() == before
+    # The rebuilt unit serves reads directly again.
+    lba = next(lba for lba, e in cache.mapping.items()
+               if e.location.ssd == 1)
+    cache.read(lba * PAGE_SIZE, PAGE_SIZE, now + 2.0)
+    assert stats.degraded_reads == 0
 
 
 def test_rebuild_drops_npc_clean_of_lost_ssd():
-    cache = make_src()
+    cache = make_spared_src()
     now, cap = fill_one_clean_segment(cache)
     lost_ssd = cache.mapping.lookup(0).location.ssd
     before = cache.mapping.valid_blocks()
-    cache.ssds[lost_ssd].fail()
-    cache.ssds[lost_ssd].repair()
-    cache.rebuild_ssd(lost_ssd, now + 1.0)
-    assert cache.mapping.valid_blocks() < before
-
-
-def test_rebuild_requires_live_ssd():
-    from repro.common.errors import RaidDegradedError
-    cache = make_src()
-    cache.ssds[0].fail()
-    with pytest.raises(RaidDegradedError):
-        cache.rebuild_ssd(0, 0.0)
+    lose_member(cache, lost_ssd, now + 1.0)
+    stats = cache.srcstats
+    assert cache.mapping.lookup(0) is None
+    assert stats.rebuild_dropped_blocks == \
+        before - cache.mapping.valid_blocks() > 0
+    assert stats.rebuild_units == 0            # nothing to rebuild from
+    assert stats.unrecoverable_errors == 0     # clean data refetches
 
 
 # ------------------------------------------------------------------
@@ -167,13 +215,10 @@ def test_degraded_read_emits_event():
 
 
 def test_rebuild_emits_progress_events():
-    cache, rec = _recorded(make_src())
+    cache, rec = _recorded(make_spared_src())
     now, cap = fill_one_dirty_segment(cache)
     cache.flush_partial(now)
-    victim = 1
-    cache.ssds[victim].fail()
-    cache.ssds[victim].repair()
-    cache.rebuild_ssd(victim, now + 1.0)
+    lose_member(cache, 1, now + 1.0)
     progress = [e for e in rec.trace.events if e.kind == "RebuildProgress"]
     assert progress
     assert progress[-1].done == progress[-1].total > 0

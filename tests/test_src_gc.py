@@ -119,7 +119,7 @@ def test_fifo_picks_oldest_group():
     cache = gc_src(victim_policy=VictimPolicy.FIFO)
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.2))
-    first_closed = cache._closed_fifo[0]
+    first_closed = cache.segments._closed_fifo[0]
     victim = cache.reclaimer.pick_victim()
     assert victim == first_closed
 
@@ -130,7 +130,7 @@ def test_greedy_picks_least_valid_group():
           writes_to_fill(cache, 1.2))
     victim = cache.reclaimer.pick_victim()
     counts = {sg: cache.mapping.sg_valid_count(sg)
-              for sg in cache._closed_fifo}
+              for sg in cache.segments._closed_fifo}
     assert counts[victim] == min(counts.values())
 
 
@@ -174,7 +174,7 @@ def test_cost_benefit_victim_policy():
           writes_to_fill(cache, 1.2))
     victim = cache.reclaimer.pick_victim()
     scores = {sg: cache.reclaimer.cost_benefit_score(sg)
-              for sg in cache._closed_fifo}
+              for sg in cache.segments._closed_fifo}
     assert scores[victim] == max(scores.values())
 
 
@@ -183,8 +183,8 @@ def test_cost_benefit_prefers_old_empty_groups():
     churn(cache, cache_capacity_blocks(cache) * 2,
           writes_to_fill(cache, 1.2))
     # An old empty group must outscore a fresh full one.
-    old_sg = cache._closed_fifo[0]
-    new_sg = cache._closed_fifo[-1]
+    old_sg = cache.segments._closed_fifo[0]
+    new_sg = cache.segments._closed_fifo[-1]
     cache.mapping.drop_sg(old_sg)     # make it empty
     score = cache.reclaimer.cost_benefit_score
     assert score(old_sg) > score(new_sg)

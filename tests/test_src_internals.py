@@ -69,15 +69,15 @@ def test_degraded_segment_write_skips_failed_ssd():
 
 def test_parity_flag_by_segment_class():
     cache = make_src()
-    assert cache._segment_parity_flag(dirty=True) is True
-    assert cache._segment_parity_flag(dirty=False) is False  # NPC default
+    assert cache.segments.parity_flag(dirty=True) is True
+    assert cache.segments.parity_flag(dirty=False) is False  # NPC default
 
 
 def test_sg0_reserved_for_superblock():
     cache = make_src()
-    assert cache.groups[0].state == "closed"
-    assert 0 not in cache._free
-    assert cache.active.index != 0
+    assert cache.segments.groups[0].state == "closed"
+    assert 0 not in cache.segments._free
+    assert cache.segments.active.index != 0
 
 
 def test_active_group_advances_across_segments():
@@ -85,7 +85,7 @@ def test_active_group_advances_across_segments():
     cap = cache.layout.dirty_segment_capacity()
     segments_per_group = cache.layout.segments_per_group
     now = 0.0
-    first_active = cache.active.index
+    first_active = cache.segments.active.index
     for seg in range(segments_per_group):
         for i in range(cap):
             now = cache.write((seg * cap + i) * PAGE_SIZE, PAGE_SIZE, now)
@@ -93,8 +93,8 @@ def test_active_group_advances_across_segments():
     cache.write(1_000_000 * PAGE_SIZE, PAGE_SIZE, now)
     for i in range(cap):
         now = cache.write((1_000_000 + i) * PAGE_SIZE, PAGE_SIZE, now)
-    assert cache.active.index != first_active
-    assert cache.groups[first_active].state == "closed"
+    assert cache.segments.active.index != first_active
+    assert cache.segments.groups[first_active].state == "closed"
 
 
 def test_version_bumps_on_rewrite():

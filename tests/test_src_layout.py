@@ -123,7 +123,7 @@ def test_slot_location_beyond_capacity_rejected():
 
 def test_metadata_offsets_bracket_unit():
     layout = make_layout()
-    ms, me = layout.metadata_offsets(1, 0)[0]
+    ms, me = layout.metadata_offsets(1, 0)
     base = layout.unit_offset(1, 0)
     assert ms == base
     assert me == base + 256 * KIB - PAGE_SIZE

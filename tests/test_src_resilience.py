@@ -127,7 +127,7 @@ def test_failslow_disabled_by_default():
     for segment in range(4):
         now, _ = fill_one_dirty_segment(cache, start=segment * 1000,
                                         now=now + 1e-3)
-    assert cache.failslow is None
+    assert cache.members.failslow is None
     assert cache.srcstats.limping_detected == 0
     assert not cache.ssds[2].failed
 

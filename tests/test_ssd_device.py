@@ -119,6 +119,19 @@ def test_trim_clears_corruption():
     assert not ssd.corrupted_in(0, 4096)
 
 
+def test_trim_unmaps_only_whole_pages():
+    ssd = small_ssd()
+    ssd.write(0, 12 * KIB, 0.0)                 # pages 0, 1, 2
+    ssd.inject_corruption(0, 4096)
+    done = ssd.trim(512, 512, 1.0)              # inside page 0: no page
+    assert done > 1.0                           # the command still costs
+    assert ssd.ftl.mapped_page_count == 3
+    assert ssd.corrupted_in(0, 4096)            # page 0 is untouched
+    ssd.trim(2048, 8192, 2.0)                   # [2 KiB, 10 KiB): page 1
+    assert [ssd.ftl.read(p, 1).mapped_pages for p in range(3)] == [1, 0, 1]
+    assert ssd.stats.trim_ops == 2
+
+
 def test_bytes_programmed_tracks_wear():
     ssd = small_ssd()
     ssd.write(0, 1 * MIB, 0.0)
