@@ -121,6 +121,7 @@ def cmd_run(args) -> int:
             "id": exp_id,
             "results": [r.as_dict() for r in results],
             "telemetry": recorder.telemetry(),
+            "paths": recorder.paths(),
         })
     out = payloads[0] if len(payloads) == 1 else payloads
     print(to_json(out))

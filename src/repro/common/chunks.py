@@ -13,8 +13,10 @@ contiguous array of rows with columns
     small-integer codes for :class:`~repro.common.types.Op` and
     :class:`~repro.common.types.IoOrigin` (see ``OP_*`` / ``ORIGIN_*``);
 ``tenant``
-    index into a per-stream tenant-name table, ``-1`` for untagged
-    single-tenant traffic.
+    index of the submitting tenant in the *target registry's*
+    registration order (``TenantRegistry.tenant_names()``, the table
+    ``run_chunk_streams(tenant_names=...)`` callers pass), ``-1`` for
+    untagged traffic.
 
 Chunks are the wire format between workload generators
 (:func:`repro.workloads.fio.uniform_random_chunks`, ...) and targets
@@ -96,20 +98,28 @@ def make_chunk(offsets, lengths, op: int = OP_WRITE,
     return chunk
 
 
-def conformant_mask(rows: np.ndarray, device_size: int) -> np.ndarray:
+def conformant_mask(rows: np.ndarray, device_size: int,
+                    owner_index=None) -> np.ndarray:
     """Which ``rows`` the vector write windows may serve.
 
-    A conformant row is an untenanted foreground write of exactly one
-    page, page-aligned and inside ``[0, device_size)``.  Every
+    A conformant row is a foreground write of exactly one page,
+    page-aligned and inside ``[0, device_size)``, untagged or — when
+    the target passes its registry's ``owner_index`` (blocks -> tenant
+    index, -1 = unowned) — tagged with the address's owner.  Every
     ``submit_chunk`` classifies its slice here, so anything else — a
-    negative offset included — reaches :func:`request_from_row` and
-    fails exactly as it does on the per-request path.
+    negative offset, a mis-owned tag, any tag on a target without a
+    registry — reaches :func:`request_from_row` and is served, or
+    fails, exactly as on the per-request path.
     """
     offsets = rows["offset"]
+    tags = rows["tenant"]
+    tag_ok = tags == NO_TENANT
+    if owner_index is not None:
+        tag_ok |= owner_index(offsets // PAGE_SIZE) == tags
     return ((rows["op"] == OP_WRITE)
             & (rows["length"] == PAGE_SIZE)
             & (rows["origin"] == ORIGIN_FG)
-            & (rows["tenant"] == NO_TENANT)
+            & tag_ok
             & (offsets >= 0)
             & (offsets % PAGE_SIZE == 0)
             & (offsets + PAGE_SIZE <= device_size))

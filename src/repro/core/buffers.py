@@ -34,10 +34,11 @@ class SegmentBuffer:
     """An in-RAM accumulation buffer for one class of data.
 
     ``observer`` (optional; duck-typed with ``block_cached(lba)`` /
-    ``block_evicted(lba)``) is notified on real membership changes.
-    ``drain`` fires ``block_evicted`` per block: drained blocks are
-    immediately re-inserted into the mapping table by the segment
-    writer, whose own ``block_cached`` nets the count back out — so an
+    ``block_evicted(lba)`` and the array twins ``blocks_cached(lbas)``
+    / ``blocks_evicted(lbas)`` the batch methods call once) is notified
+    on real membership changes.  ``drain`` reports its blocks evicted:
+    the segment writer re-inserts them into the mapping table at once,
+    whose own ``blocks_cached`` nets the count back out — so an
     observer tracking (mapping ∪ buffers) membership stays exact.
     """
 
@@ -126,9 +127,7 @@ class SegmentBuffer:
         state.ensure(int(lbas.max()) + 1)
         state.a[lbas] = self._code
         if self.observer is not None:
-            cached = self.observer.block_cached
-            for lba in lbas.tolist():
-                cached(lba)
+            self.observer.blocks_cached(lbas)
 
     def remove(self, lba: int) -> bool:
         """Drop a buffered block (e.g. invalidated by a newer write)."""
@@ -153,15 +152,13 @@ class SegmentBuffer:
         k = lbas.shape[0]
         if k == 0:
             return
-        if self.observer is not None:
-            for lba in lbas.tolist():
-                self.remove(lba)
-            return
         order = self._order[:self._n]
         keep = order[~np.isin(order, lbas)]
         self._order[:keep.shape[0]] = keep
         self._n = keep.shape[0]
         self._state.a[lbas] = B_NONE
+        if self.observer is not None:
+            self.observer.blocks_evicted(lbas)
 
     def drain(self) -> List[int]:
         """Take every buffered block, emptying the buffer."""
@@ -173,9 +170,7 @@ class SegmentBuffer:
         self._state.a[blocks] = B_NONE
         self._n = 0
         if self.observer is not None:
-            evicted = self.observer.block_evicted
-            for lba in blocks.tolist():
-                evicted(lba)
+            self.observer.blocks_evicted(blocks)
         return blocks
 
     def peek(self) -> List[int]:

@@ -45,8 +45,10 @@ class MappingTable:
     """LBA -> cache-location map plus per-SG reverse indexes.
 
     ``observer`` (optional; duck-typed with ``block_cached(lba)`` /
-    ``block_evicted(lba)``) is notified on every real membership change
-    — an insert that adds a new LBA, an invalidate that removes one.
+    ``block_evicted(lba)`` and, for the batch methods, the array twins
+    ``blocks_cached(lbas)`` / ``blocks_evicted(lbas)``) is notified on
+    every real membership change — an insert that adds a new LBA, an
+    invalidate that removes one.
     Re-inserting a mapped LBA fires evicted-then-cached (the insert
     invalidates first), so an observer counting membership nets zero.
     The tenancy layer uses this for exact per-tenant occupancy.
@@ -188,9 +190,7 @@ class MappingTable:
             self.dirty_count += k
         self._state.a[lbas] = B_MAPPED
         if self.observer is not None:
-            cached = self.observer.block_cached
-            for lba in lbas.tolist():
-                cached(lba)
+            self.observer.blocks_cached(lbas)
 
     def invalidate(self, lba: int) -> Optional[CacheEntry]:
         """Drop the mapping for ``lba`` (returns the old entry if any)."""
@@ -215,15 +215,9 @@ class MappingTable:
 
         Batch-path only: the caller has already masked down to blocks
         whose residency code is ``B_MAPPED``, so every row is live.
-        Falls back to the scalar loop when an observer is attached so
-        per-block eviction callbacks fire in the same order.
         """
         k = lbas.shape[0]
         if k == 0:
-            return
-        if self.observer is not None:
-            for lba in lbas.tolist():
-                self.invalidate(lba)
             return
         counts = np.bincount(self._sg[lbas])
         for sg in np.nonzero(counts)[0].tolist():
@@ -233,6 +227,8 @@ class MappingTable:
         self.dirty_count -= int(np.count_nonzero(self._dirty[lbas]))
         self._dirty[lbas] = False
         self._state.a[lbas] = B_NONE
+        if self.observer is not None:
+            self.observer.blocks_evicted(lbas)
 
     def mark_clean(self, lba: int) -> None:
         """Transition a dirty block to clean after destaging."""

@@ -127,18 +127,12 @@ class Reclaimer:
         return end
 
     def _reserved(self, lbas: np.ndarray) -> np.ndarray:
-        """Mask of the drop candidates a tenant reservation keeps.
-
-        Asked block by block, in victim log order: ``keep_for_reserve``
-        tallies the drops it has allowed so far in this collection, so
-        its answer depends on the blocks asked before.
-        """
-        tenants, tally = self.cache.tenants, {}
+        """Mask of the drop candidates (in victim log order) a tenant
+        reservation keeps."""
+        tenants = self.cache.tenants
         if tenants is None:
             return np.zeros(lbas.shape[0], dtype=bool)
-        return np.fromiter((tenants.keep_for_reserve(lba, tally)
-                            for lba in lbas.tolist()),
-                           dtype=bool, count=lbas.shape[0])
+        return tenants.reserved_mask(lbas)
 
     def _collect_s2s(self, lbas: np.ndarray, dirty: np.ndarray,
                      now: float) -> float:
@@ -250,13 +244,12 @@ class Reclaimer:
         end = read_end
         breaks = np.diff(lbas) != 1
         tenants = cache.tenants
-        owners = None
         if tenants is not None:
-            owners = [tenants.tenant_of(lba) for lba in lbas.tolist()]
-            breaks |= np.array([a != b for a, b in zip(owners, owners[1:])],
-                               dtype=bool)
+            owners = tenants.owner_index(lbas)
+            breaks |= np.diff(owners) != 0
         for s, e in _runs(breaks):
-            tenant = owners[s] if owners is not None else None
+            tenant = (tenants.tenant_at(owners[s])
+                      if tenants is not None else None)
             end = max(end, cache.origin.submit(
                 Request(Op.WRITE, int(lbas[s]) * PAGE_SIZE,
                         (e - s) * PAGE_SIZE, origin=IoOrigin.DESTAGE,

@@ -2,11 +2,14 @@
 
 :class:`WriteWindow` (held as ``cache.window``) serves a closed-loop
 prefix of a chunk's rows for one :class:`~repro.core.src.SrcCache`.
-Long runs of conformant rows (:func:`~repro.common.chunks.conformant_mask`)
-are classified against the residency array and served whole; every
-other row, and the one row per sub-run that seals a segment, goes
-through ``cache.submit`` — the per-request path stays the only place
-GC, backpressure, faults and bypass are handled.
+Long runs of conformant rows (:func:`~repro.common.chunks.conformant_mask`:
+single-page foreground writes, untagged or tagged with the address's
+owner) are classified against the residency array and served whole;
+every other row, and the one row per sub-run that seals a segment,
+trips TWAIT or is refused admission, goes through ``cache.submit`` —
+the per-request path stays the only place GC, backpressure, faults,
+bypass and write-around are handled.  :meth:`WriteWindow.paths` says
+which path served how many rows, and why a window was not used.
 
 Two cached gates live here: the *chunk gate* (may the vector window run
 at all) and the *seal gate* (may segment seals use the SSDs' lean
@@ -21,13 +24,13 @@ side channel to the per-request path, add its liveness check here.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.common.chunks import (DECLINED, NO_TENANT, ORIGIN_FG,
-                                 SCALAR_THRESHOLD, conformant_mask,
-                                 request_from_row)
+from repro.common.chunks import (DECLINED, ORIGIN_FG, SCALAR_THRESHOLD,
+                                 conformant_mask, request_from_row)
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED, B_NONE, B_STAGING
@@ -41,14 +44,27 @@ class WriteWindow:
 
     def __init__(self, cache) -> None:
         self.cache = cache
-        # Cached verdicts; None = recompute on next use.
-        self._chunk_gate: Optional[bool] = None
+        # Cached verdicts; None = recompute on next use.  The chunk
+        # gate caches the name of the clause that closes it ("" = open).
+        self._chunk_gate: Optional[str] = None
         self._seal_gate: Optional[bool] = None
+        # Behind paths().  Not in SrcStats / collect(): those must read
+        # the same after a chunked and a per-request run; this cannot.
+        self.ledger = Counter(vector_rows=0, boundary_rows=0,
+                              scalar_run_rows=0)
 
     def invalidate(self, _source=None) -> None:
         """Drop both cached verdicts (plan-change hooks pass themselves)."""
         self._chunk_gate = None
         self._seal_gate = None
+
+    def paths(self) -> dict:
+        """Rows served by the vector window, as its boundary rows and
+        by :meth:`scalar_run`, plus ``declined.<reason>``: calls the
+        window did not take (a closed chunk-gate clause,
+        ``tiny_horizon``, ``nonconformant_head``) and sub-runs an
+        ``admission_bound`` cut short."""
+        return dict(self.ledger)
 
     def watch_member_faults(self, device) -> None:
         """Subscribe to ``device``'s fault-plan changes (if injectable):
@@ -94,18 +110,23 @@ class WriteWindow:
         gate = self._chunk_gate
         if gate is None:
             cache = self.cache
-            gate = self._chunk_gate = (
-                not cache.bypass
-                and cache.tenants is None
-                and cache.mapping.observer is None
-                and cache.dirty_buf.observer is None
-                and cache.clean_buf.observer is None
-                and (not cache.obs.enabled or type(cache.obs) is ObsRecorder)
-                and not cache.repair.guard.enabled
-                and not cache.repair.jobs
-                and cache.config.repair.scrub_interval <= 0
-                and not self._armed_fault_live())
-        return gate and think_time >= 0.0
+            clauses = {
+                "bypass": cache.bypass,
+                # The registry's hooks have array twins; any other
+                # observer needs the per-block callbacks.
+                "foreign_observer": any(
+                    s.observer is not None and s.observer is not cache.tenants
+                    for s in (cache.mapping, cache.dirty_buf,
+                              cache.clean_buf)),
+                "foreign_recorder": (cache.obs.enabled
+                                     and type(cache.obs) is not ObsRecorder),
+                "repair_guard": cache.repair.guard.enabled,
+                "repair_jobs": bool(cache.repair.jobs),
+                "scrub": cache.config.repair.scrub_interval > 0,
+                "armed_fault": self._armed_fault_live()}
+            gate = self._chunk_gate = next(
+                (name for name, closed in clauses.items() if closed), "")
+        return not gate and think_time >= 0.0
 
     def scalar_run(self, rows: np.ndarray, n_max: int, start: float,
                    think_time: float, deadline: float,
@@ -115,27 +136,32 @@ class WriteWindow:
         The in-target closed loop for spans not worth a vector window;
         bouncing each row back through the engine would re-run the
         window's scan per row.  Stops at the deadline, at ``limit`` rows
-        (0 = unbounded) and at the first tenanted or non-foreground row,
-        which needs the engine's own accounting; any other row (reads,
-        large writes) the engine would account identically — SRC never
-        returns Submissions, so queue-delay accounting cannot diverge.
+        (0 = unbounded) and at the first non-foreground row, which
+        needs the engine's own accounting; any other row (reads, large
+        writes, tagged rows) the engine would account identically — SRC
+        never returns Submissions, so queue-delay accounting cannot
+        diverge.
         """
         if limit and limit < n_max:
             n_max = limit
         cache = self.cache
         origins = rows["origin"]
-        tenants = rows["tenant"]
+        tags = rows["tenant"]
+        tenants = cache.tenants
         issue_t = np.empty(n_max, dtype=np.float64)
         done_t = np.empty(n_max, dtype=np.float64)
         t = start
         k = 0
-        while (k < n_max and t < deadline and origins[k] == ORIGIN_FG
-               and tenants[k] == NO_TENANT):
-            end = cache.submit(request_from_row(rows[k]), t)
+        while k < n_max and t < deadline and origins[k] == ORIGIN_FG:
+            req = request_from_row(rows[k])
+            if tenants is not None:
+                req.tenant = tenants.tenant_at(tags[k])
+            end = cache.submit(req, t)
             issue_t[k] = t
             done_t[k] = end
             t = end + think_time
             k += 1
+        self.ledger["scalar_run_rows"] += k
         return issue_t[:k], done_t[:k], k
 
     def submit_chunk(self, rows: np.ndarray, start: float,
@@ -144,39 +170,49 @@ class WriteWindow:
         """The window behind :meth:`SrcCache.submit_chunk` (contract there).
 
         Only single-page foreground writes vectorize (the randwrite
-        saturation shape).  Within a window, rows are classified off a
-        residency-code snapshot: rewrites of dirty-buffered blocks are
-        RAM-absorbed hits, first-occurrence rows displace their old
-        incarnation and append to the dirty buffer.  A row that seals a
-        segment (the buffer's ``space``-th new block) or trips TWAIT
-        mid-window takes the full scalar path, because everything —
-        GC, backpressure, device faults — can hang off that write.
+        saturation shape), tenanted or not.  Within a window, rows are
+        classified off a residency-code snapshot: rewrites of
+        dirty-buffered blocks are RAM-absorbed hits, first-occurrence
+        rows displace their old incarnation and append to the dirty
+        buffer.  A row that seals a segment (the buffer's ``space``-th
+        new block), trips TWAIT mid-window or is refused admission by
+        the tenant registry takes the full scalar path, because
+        everything — GC, backpressure, device faults, write-around —
+        can hang off that write.
         """
         cache = self.cache
         n_total = rows.shape[0]
-        if n_total == 0 or not self.chunk_fast_ok(think_time):
+        if n_total == 0:
+            return DECLINED
+        if not self.chunk_fast_ok(think_time):
+            reason = self._chunk_gate or "negative_think"
+            self.ledger["declined." + reason] += 1
             return DECLINED
         if deadline - start < SCALAR_THRESHOLD * (RAM_LATENCY + think_time):
             # Tiny horizon: with many closed-loop streams in lockstep
             # (trace replay) the next stream's turn is a few service
             # times away, so at most a handful of rows fit and the
             # conformity scan would cost more than a window serves.
+            self.ledger["declined.tiny_horizon"] += 1
             return self.scalar_run(rows, n_total, start, think_time,
                                    deadline, limit)
+        tenants = cache.tenants
+        owner_index = tenants.owner_index if tenants is not None else None
         # Conformity scan, bounded: scan a short prefix first and only
         # widen to the full slice if every scanned row conforms — a
         # trace with short write runs pays for 64 rows, a pure
         # randwrite chunk pays one extra 64-row pass.
         scan = min(n_total, 64)
-        conf = conformant_mask(rows[:scan], cache.size)
+        conf = conformant_mask(rows[:scan], cache.size, owner_index)
         if scan < n_total and conf.all():
             scan = n_total
-            conf = conformant_mask(rows, cache.size)
+            conf = conformant_mask(rows, cache.size, owner_index)
         n_conf = scan if conf.all() else int(np.argmin(conf))
         if n_conf < SCALAR_THRESHOLD:
             # Short (or empty) conformant run: serve it and the
             # non-conformant rows behind it, up to the row that opens
             # the next vectorizable span.
+            self.ledger["declined.nonconformant_head"] += 1
             later = np.nonzero(conf[n_conf:])[0]
             n_max = n_conf + int(later[0]) if later.shape[0] else scan
             return self.scalar_run(rows, n_max, start, think_time,
@@ -184,8 +220,13 @@ class WriteWindow:
         blocks = rows["offset"][:n_conf] // PAGE_SIZE
         dirty_buf = cache.dirty_buf
         stats = cache.stats
+        ledger = self.ledger
         fg_key = IoOrigin.FOREGROUND.value
         cache._active_tenant = None
+        if tenants is not None:
+            # Admission goes by the address's owner, stall billing by
+            # the row's tag (the same tenant, or nobody).
+            owners, tags = owner_index(blocks), rows["tenant"]
 
         n_max = min(limit, n_conf) if limit else n_conf
         issue_t = np.empty(n_max, dtype=np.float64)
@@ -195,8 +236,11 @@ class WriteWindow:
         while (done_rows < n_max and t < deadline
                and self.chunk_fast_ok(think_time)):
             # The head row's TWAIT check, exactly where the scalar path
-            # runs it; intermediate rows' checks are no-ops (proven by
-            # the fire mask below) and are skipped.
+            # runs it (a flush's backpressure stall bills the head
+            # row's tenant); intermediate rows' checks are no-ops
+            # (proven by the fire mask below) and are skipped.
+            if tenants is not None:
+                cache._active_tenant = tenants.tenant_at(tags[done_rows])
             cache._check_timeout(t)
 
             # A sub-run can consume at most ``space`` new blocks before
@@ -243,6 +287,19 @@ class WriteWindow:
                 > cache.config.t_wait)
             if fire.any():
                 bound = min(bound, int(np.argmax(fire)) + 1)
+            if tenants is not None:
+                # ... or the first miss the registry would refuse.
+                # Only misses ask it, and within a sub-run occupancy
+                # only grows: by the admitted misses and by staged
+                # blocks, never counted before (a displaced mapped or
+                # clean block nets zero).
+                own = owners[done_rows:done_rows + bound]
+                asks = (adds & (codes == B_NONE))[:bound]
+                admitted = tenants.admit_bound(
+                    own, asks, asks | (adds & (codes == B_STAGING))[:bound])
+                if admitted < bound:
+                    bound = admitted
+                    ledger["declined.admission_bound"] += 1
             # Rows issuing before the deadline; when it cuts the sub-run
             # short, t lands on issue[n_ok] >= deadline and the loop ends.
             n_ok = int(np.searchsorted(issue, deadline, side="left"))
@@ -257,6 +314,8 @@ class WriteWindow:
                 cache.hotness.touch_many(hit_lbas)
                 add_lbas = wl[adds[:k]]
                 if add_lbas.shape[0]:
+                    if tenants is not None:
+                        tenants.count_admitted(own[:k][asks[:k]])
                     acodes = kcodes[adds[:k]]
                     cache.mapping.invalidate_many(
                         add_lbas[acodes == B_MAPPED])
@@ -284,17 +343,27 @@ class WriteWindow:
                 issue_t[done_rows:done_rows + k] = issue[:k]
                 done_t[done_rows:done_rows + k] = done[:k]
                 done_rows += k
+                ledger["vector_rows"] += k
                 t = float(done[k - 1]) + think_time
 
             if bound < n_ok:
                 # Boundary row: the full write path — segment sealing
-                # (GC, backpressure, faults) or a TWAIT flush hangs off
-                # this write.  t == issue[bound] by construction.
+                # (GC, backpressure, faults), a TWAIT flush or a
+                # write-around hangs off this write, billed to the
+                # row's tenant.  t == issue[bound] by construction.
                 offset = int(blocks[done_rows]) * PAGE_SIZE
-                done_b = cache.submit(Request(Op.WRITE, offset, PAGE_SIZE), t)
+                tenant = (tenants.tenant_at(tags[done_rows])
+                          if tenants is not None else None)
+                done_b = cache.submit(
+                    Request(Op.WRITE, offset, PAGE_SIZE, tenant=tenant), t)
                 issue_t[done_rows] = t
                 done_t[done_rows] = done_b
                 done_rows += 1
+                ledger["boundary_rows"] += 1
                 t = done_b + think_time
 
+        if tenants is not None and done_rows:
+            # Where the per-request path leaves it: the last row's.
+            cache._active_tenant = tenants.tenant_at(tags[done_rows - 1])
         return issue_t[:done_rows], done_t[:done_rows], done_rows
+

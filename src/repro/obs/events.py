@@ -260,8 +260,10 @@ class AdmissionRejected(Event):
     The I/O still completes — writes go around the cache straight to
     the origin, read misses are served from the origin uncached — so
     this marks lost caching opportunity, not a failed request.
-    ``reason`` is ``max_share`` (tenant at its occupancy cap) or
-    ``no_free`` (nothing left to borrow work-conservingly).
+    ``reason`` is ``max_share`` (tenant at its occupancy cap),
+    ``no_borrow`` (past its reservation with borrowing switched off,
+    ``work_conserving=False``) or ``no_free`` (nothing left to borrow
+    work-conservingly).
     """
 
     tenant: str

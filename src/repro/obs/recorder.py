@@ -24,6 +24,7 @@ stacks.
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 from typing import Iterator, Optional
 
 from repro.obs.events import Event, EventTrace
@@ -65,6 +66,8 @@ class ObsRecorder:
             Sampler(sample_interval) if sample_interval > 0 else None)
         self._latency: dict = {}
         self._queues: dict = {}
+        # (device name, live WriteWindow ledger) per attached SrcCache.
+        self._windows: list = []
 
     def emit(self, event: Event) -> None:
         self.trace.append(event)
@@ -109,6 +112,14 @@ class ObsRecorder:
 
     def device_latency(self, name: str) -> Optional[Histogram]:
         return self._latency.get(name)
+
+    def paths(self) -> dict:
+        """``WriteWindow.paths`` summed per device name.  Kept out of
+        :meth:`telemetry`, which is identical between engine modes."""
+        out: dict = {}
+        for name, ledger in self._windows:
+            out.setdefault(name, Counter()).update(ledger)
+        return {name: dict(total) for name, total in out.items()}
 
     def telemetry(self, include_events: bool = False) -> dict:
         """One nested dict with everything this recorder captured."""
@@ -189,6 +200,9 @@ def attach(root, recorder=None):
     for device in iter_devices(root):
         if hasattr(device, "obs"):
             device.obs = recorder
+        window = getattr(device, "window", None)
+        if window is not None:
+            recorder._windows.append((device.name, window.ledger))
         ftl = getattr(device, "ftl", None)
         if ftl is not None and hasattr(ftl, "obs"):
             ftl.obs = recorder

@@ -5,7 +5,9 @@ attaches to a running :class:`~repro.core.src.SrcCache` by installing
 itself as the membership observer of the mapping table and both
 segment buffers, so per-tenant occupancy is exact — every cached block
 is either in the mapping or in a RAM segment buffer, and both fire
-``block_cached``/``block_evicted`` on real membership changes.
+``block_cached``/``block_evicted`` on real membership changes.  What
+the registry adds to the write path is order-independent counts, so
+each per-block hook has an array twin for the batch paths.
 
 Admission semantics (reservation-safe work-conserving borrowing), for
 a tenant ``t`` wanting to cache one more block:
@@ -33,6 +35,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.common.errors import ConfigError
 from repro.common.types import IoOrigin, IoStats, LatencyStats, Op, Request
 from repro.common.units import PAGE_SIZE
@@ -40,6 +44,18 @@ from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED
 from repro.obs.events import AdmissionRejected
 from repro.tenancy.qos import QosSpec
 from repro.tenancy.volume import Volume
+
+
+def _rank_in_group(keys: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    """Per row, how many earlier rows share its key and are ``counted``."""
+    order = np.argsort(keys, kind="stable")
+    keys, c = keys[order], counted[order].astype(np.int64)
+    before = np.cumsum(c) - c           # non-decreasing, so a group's
+    opens = np.ones(keys.shape[0], dtype=bool)     # base is a running max
+    opens[1:] = keys[1:] != keys[:-1]
+    rank = np.empty_like(before)
+    rank[order] = before - np.maximum.accumulate(np.where(opens, before, 0))
+    return rank
 
 
 class TenantStats:
@@ -118,11 +134,15 @@ class TenantRegistry:
                                    max_share=qos_cfg.default_max_share)
         self.capacity_blocks = cache.layout.cache_data_capacity_blocks()
         self._tenants: Dict[str, _Tenant] = {}
+        # Registration order: position = the ``tenant`` tag of chunk rows.
+        self._order: List[_Tenant] = []
         # Volume map: parallel sorted arrays of [base_block, end_block)
         # windows and the owning tenant, for bisect lookup.
         self._bases: List[int] = []
         self._ends: List[int] = []
         self._owners: List[_Tenant] = []
+        # The same map as three arrays, for :meth:`owner_index`.
+        self._volume_map = np.zeros((3, 0), dtype=np.int64)
         self._alloc_cursor = 0          # next free origin block
         self._total_unmet_reserve = 0   # Σ max(0, min_t - occ_t)
         # Adopt blocks already resident at attach time: a registry
@@ -152,6 +172,7 @@ class TenantRegistry:
         max_blocks = max(1, int(spec.max_share * self.capacity_blocks))
         tenant = _Tenant(name, spec, min_blocks, max_blocks)
         self._tenants[name] = tenant
+        self._order.append(tenant)
         self._total_unmet_reserve += min_blocks
         total_reserved = sum(t.min_blocks for t in self._tenants.values())
         if total_reserved > self.capacity_blocks:
@@ -190,15 +211,16 @@ class TenantRegistry:
         self._bases.append(base)
         self._ends.append(base + blocks)
         self._owners.append(t)
+        self._volume_map = np.array(
+            [self._bases, self._ends,
+             [self._order.index(o) for o in self._owners]], dtype=np.int64)
         t.volumes.append(volume)
         resident = self._resident_in(base, base + blocks)
         if resident:
             # Post-recovery attach: blocks of this window already in
             # the cache belong to the tenant from block one.
-            unmet_before = max(0, t.min_blocks - t.occupancy)
             t.occupancy += resident
-            self._total_unmet_reserve += (
-                max(0, t.min_blocks - t.occupancy) - unmet_before)
+            self._total_unmet_reserve = self._unmet_reserve()
         return volume
 
     def _resident_in(self, lo: int, hi: int) -> int:
@@ -221,6 +243,22 @@ class TenantRegistry:
         if i >= 0 and block < self._ends[i]:
             return self._owners[i]
         return None
+
+    def owner_index(self, blocks: np.ndarray) -> np.ndarray:
+        """Vector :meth:`tenant_of`: the registration index
+        (:meth:`tenant_names` order) of each block's owner, -1 = none."""
+        bases, ends, owners = self._volume_map
+        if not bases.shape[0]:
+            return np.full(blocks.shape[0], -1, dtype=np.int64)
+        vol = np.searchsorted(bases, blocks, side="right") - 1
+        return np.where((vol >= 0) & (blocks < ends[vol]), owners[vol], -1)
+
+    def tenant_at(self, index: int) -> Optional[str]:
+        """Name behind an :meth:`owner_index` value or a chunk row's
+        tag; ``None`` for -1 (unowned, untagged) and for a tag that
+        names nobody — whom a stall is then billed to: nobody."""
+        order = self._order
+        return order[index].name if 0 <= index < len(order) else None
 
     def qos_of(self, tenant: str) -> QosSpec:
         return self._tenants[tenant].qos
@@ -246,6 +284,30 @@ class TenantRegistry:
         if t.occupancy < t.min_blocks:
             self._total_unmet_reserve += 1
 
+    def blocks_cached(self, lbas: np.ndarray) -> None:
+        """Batch :meth:`block_cached` (order-independent: counts only)."""
+        self._occupancy_moved(lbas, 1)
+
+    def blocks_evicted(self, lbas: np.ndarray) -> None:
+        self._occupancy_moved(lbas, -1)
+
+    def _occupancy_moved(self, lbas: np.ndarray, sign: int) -> None:
+        self._total_occupancy += sign * lbas.shape[0]
+        for t, blocks in self._tally(self.owner_index(lbas)):
+            t.occupancy += sign * blocks
+        self._total_unmet_reserve = self._unmet_reserve()
+
+    def _unmet_reserve(self) -> int:
+        """What the per-block +-1 bookkeeping keeps current: a function
+        of the occupancies, so a batch recomputes it instead."""
+        return sum(max(0, t.min_blocks - t.occupancy) for t in self._order)
+
+    def _tally(self, owner: np.ndarray) -> List[tuple]:
+        """``(tenant, rows)`` per tenant that :meth:`owner_index` named."""
+        counts = np.bincount(owner[owner >= 0])
+        return [(self._order[i], int(counts[i]))
+                for i in np.nonzero(counts)[0].tolist()]
+
     # ------------------------------------------------------------------
     # admission control
     # ------------------------------------------------------------------
@@ -261,8 +323,10 @@ class TenantRegistry:
         if occ < t.min_blocks:
             t.stats.admitted_blocks += 1
             return True
-        if occ >= t.max_blocks or not self.work_conserving:
+        if occ >= t.max_blocks:
             return self._reject(t, block, now, "max_share")
+        if not self.work_conserving:
+            return self._reject(t, block, now, "no_borrow")
         # Borrow only what no reservation has dibs on.  ``t`` itself
         # contributes nothing to the unmet-reserve sum here (occ >= min).
         free_unreserved = (self.capacity_blocks - self._total_occupancy
@@ -272,24 +336,67 @@ class TenantRegistry:
         t.stats.admitted_blocks += 1
         return True
 
-    def keep_for_reserve(self, lba: int, dropped: Dict[str, int]) -> bool:
-        """Should reclaim retain this clean block to honour a reservation?
+    def admit_bound(self, owner: np.ndarray, asks: np.ndarray,
+                    grows: np.ndarray) -> int:
+        """How many leading rows of a write window :meth:`admit` passes.
+
+        Row ``i`` writes a block of tenant ``owner[i]``
+        (:meth:`owner_index`); ``asks`` marks the rows the per-request
+        path would put to :meth:`admit`, ``grows`` the rows that add a
+        block to the occupancy.  Within a window occupancy only grows,
+        so what ``admit`` would see at row ``i`` is the state now plus
+        counts over the rows before it — exact up to the first
+        rejection, whose position is returned.
+        """
+        n = owner.shape[0]
+        if not self.enforce or not self._bases:
+            return n
+        owned = owner >= 0
+        own = np.where(owned, owner, 0)
+        occ, low, cap = np.array([(t.occupancy, t.min_blocks, t.max_blocks)
+                                  for t in self._order])[own].T
+        occ = occ + _rank_in_group(owner, grows)
+        over = True
+        if self.work_conserving:
+            # Each grown block leaves ``free_unreserved``, unless it
+            # fills part of its owner's (already set aside) reservation.
+            taken = (grows & ~(owned & (occ < low))).astype(np.int64)
+            over = (occ >= cap) | (
+                self.capacity_blocks - self._total_occupancy
+                - self._total_unmet_reserve - np.cumsum(taken) + taken <= 0)
+        rejected = np.flatnonzero(asks & owned & (occ >= low) & over)
+        return int(rejected[0]) if rejected.shape[0] else n
+
+    def count_admitted(self, owner: np.ndarray) -> None:
+        """``admitted_blocks`` of the rows :meth:`admit_bound` passed."""
+        for t, blocks in self._tally(owner):
+            t.stats.admitted_blocks += blocks
+
+    def reserved_mask(self, lbas: np.ndarray) -> np.ndarray:
+        """Which of a collection's drop candidates (victim log order)
+        reclaim must retain to honour a reservation.
 
         Admission alone cannot uphold ``min_share``: log reclaim is
         tenant-blind and would evict a reserved tenant's cold clean
         blocks, turning its guaranteed occupancy into a churn of origin
-        re-reads.  Reclaim therefore consults this before dropping a
-        clean block — a tenant at or below its reservation keeps its
-        blocks (they are copied forward instead); above it, normal
-        hotness-based eviction applies.
-
-        ``dropped`` is the caller's per-collection tally of clean drops
-        already decided, keyed by tenant: occupancy observers only fire
-        when the whole victim group is dropped at the end of a
-        collection, so the tally keeps the reservation math current
-        *within* one collection.  A ``False`` return registers the drop
-        in it.
+        re-reads.  So a tenant sheds only its first ``occupancy -
+        min_blocks`` candidates; the rest are copied forward.  (The
+        observers fire when the victim group is dropped, at the end of
+        the collection, hence the ranking inside it.)
         """
+        owner = self.owner_index(lbas)
+        owned = owner >= 0
+        if not self.enforce or not owned.any():
+            return np.zeros(lbas.shape[0], dtype=bool)
+        surplus = np.array([max(0, t.occupancy - t.min_blocks)
+                            for t in self._order])
+        return owned & (_rank_in_group(owner, owned)
+                        >= surplus[np.where(owned, owner, 0)])
+
+    def keep_for_reserve(self, lba: int, dropped: Dict[str, int]) -> bool:
+        """Per-block reference of :meth:`reserved_mask`: ``dropped`` is
+        the caller's tally of drops already allowed in this collection,
+        by tenant; a ``False`` return registers one more."""
         if not self.enforce:
             return False
         t = self._owner_of(lba)
@@ -358,7 +465,7 @@ class TenantRegistry:
         return self._tenants[tenant].occupancy
 
     def tenant_names(self) -> List[str]:
-        return list(self._tenants)
+        return [t.name for t in self._order]
 
     def stats(self) -> Dict[str, dict]:
         """Per-tenant stats snapshot, keyed by tenant name."""
@@ -398,9 +505,8 @@ class TenantRegistry:
                              or lba in cache.clean_buf)
             assert truth == t.occupancy, (
                 f"tenant {t.name}: occupancy {t.occupancy} != truth {truth}")
-        unmet = sum(max(0, t.min_blocks - t.occupancy)
-                    for t in self._tenants.values())
-        assert unmet == self._total_unmet_reserve, "unmet reserve drifted"
+        assert self._unmet_reserve() == self._total_unmet_reserve, \
+            "unmet reserve drifted"
         total_truth = (cache.mapping.valid_blocks()
                        + len(cache.dirty_buf) + len(cache.clean_buf))
         assert self._total_occupancy == total_truth, (

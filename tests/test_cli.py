@@ -45,6 +45,7 @@ def test_run_json_format(capsys):
     assert result["experiment"] == "Table 6"
     assert result["columns"] and result["rows"]
     assert set(data["telemetry"]) >= {"metrics", "events"}
+    assert data["paths"] == {}       # table6 builds no SRC stack
 
 
 def test_run_json_multiple_is_list(capsys):

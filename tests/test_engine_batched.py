@@ -15,22 +15,26 @@ never materialize full request lists.
 
 import importlib.util
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ShardRouter
-from repro.common.chunks import OP_READ, OP_TRIM, OP_WRITE, make_chunk
+from repro.common.chunks import (OP_FLUSH, OP_READ, OP_TRIM, OP_WRITE,
+                                 make_chunk, requests_from_chunk)
 from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.arrays import B_NONE
 from repro.core.src import SrcCache
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdd.backend import PrimaryStorage
+from repro.obs import ObsRecorder, attach
+from repro.obs.events import AdmissionRejected
 from repro.sim.engine import run_chunk_streams
 from repro.ssd.device import SSDDevice
-from repro.tenancy import TenantRegistry
+from repro.tenancy import QosSpec, TenantRegistry
 from repro.workloads.fio import (fio_job_chunk_streams, fio_job_streams,
                                  mixed_chunks, sequential, sequential_chunks,
                                  uniform_random, uniform_random_chunks)
@@ -192,44 +196,353 @@ def test_large_requests_bit_identical():
 
 
 # ----------------------------------------------------------------------
-# tenant admission (registry observers close the fast-path gates)
+# tenant-aware windows: admission and occupancy proved per window
 # ----------------------------------------------------------------------
-def test_tenant_rows_bit_identical():
-    vol_bytes = 8 * MIB
-    vol_blocks = vol_bytes // PAGE_SIZE
+_CAPACITY = make_src().layout.cache_data_capacity_blocks()
 
+
+def _share(blocks):
+    """The share that ``TenantRegistry`` turns into exactly ``blocks``."""
+    return (blocks + 0.5) / _CAPACITY
+
+
+def _declines(cache):
+    """``{reason: count}`` of ``cache.window.paths()``."""
+    return {key.split(".", 1)[1]: n
+            for key, n in cache.window.paths().items() if "." in key}
+
+
+def _vector_share(cache):
+    paths = cache.window.paths()
+    served = (paths["vector_rows"] + paths["boundary_rows"]
+              + paths["scalar_run_rows"])
+    return paths["vector_rows"] / served if served else 0.0
+
+
+def _tenant_differential(build, make_sources, names, **run_kwargs):
+    """Chunked vs forced-scalar over fresh ``build()`` = (cache,
+    registry) pairs; ``make_sources(cache, registry)`` feeds each.
+    Returns the chunked pair for path and scenario assertions."""
+    runs = {}
+    for batched in (False, True):
+        cache, registry = build()
+        result = _run(cache, make_sources(cache, registry), batched,
+                      tenant_names=names, **run_kwargs)
+        registry.check_invariants()
+        runs[batched] = (result, cache, registry)
+    (want, cache_s, registry_s), (got, cache_b, registry_b) = (
+        runs[False], runs[True])
+    assert got.as_dict() == want.as_dict()
+    _assert_src_state_equal(cache_s, cache_b)
+    assert registry_b.stats() == registry_s.stats()
+    assert registry_b.as_dict() == registry_s.as_dict()
+    assert (registry_b._total_unmet_reserve
+            == registry_s._total_unmet_reserve)
+    assert cache_b._active_tenant == cache_s._active_tenant
+    if cache_s.obs.enabled:        # AdmissionRejected events included
+        assert (cache_b.obs.telemetry(include_events=True)
+                == cache_s.obs.telemetry(include_events=True))
+    assert _vector_share(cache_s) == 0.0       # nobody offered it chunks
+    return cache_b, registry_b
+
+
+def _tenant_stack(specs, observed=False, **registry_kwargs):
+    """``build`` for a TINY_SRC cache with one volume per
+    ``(name, MiB, QosSpec-or-None)``, in that registration order."""
     def build():
         cache = make_src()
+        if observed:
+            attach(cache, ObsRecorder())
+        registry = TenantRegistry(cache, **registry_kwargs)
+        for name, mib, qos in specs:
+            registry.create_volume(name, mib * MIB, qos)
+        return cache, registry
+    return build
+
+
+def _tagged_chunks(registry, weights, spans, seed, theta=None, rows=512):
+    """One stream of tagged single-page writes: tenant ``i`` (volume
+    ``i``) with probability ``weights[i]``, uniform or Zipf(``theta``)
+    over the first ``spans[i]`` blocks of its volume."""
+    rng = np.random.default_rng(seed)
+    bases = registry._bases
+    samplers = [ZipfSampler(span, theta, seed=seed + i) if theta else None
+                for i, span in enumerate(spans)]
+    while True:
+        tenant = rng.choice(len(weights), size=rows, p=weights)
+        block = np.empty(rows, dtype=np.int64)
+        for i, span in enumerate(spans):
+            mine = tenant == i
+            k = int(np.count_nonzero(mine))
+            block[mine] = bases[i] + (samplers[i].sample_many(k) if theta
+                                      else rng.integers(0, span, size=k))
+        yield make_chunk(block * PAGE_SIZE, PAGE_SIZE, OP_WRITE,
+                         tenant=tenant)
+
+
+def test_tenant_rows_bit_identical():
+    """(a) The bench shape: four tenants under their caps, one stream,
+    Zipf-hot rows tagged at random — and the window serves them."""
+    names = [f"tenant{i}" for i in range(4)]
+    qos = QosSpec(min_share=0.1, max_share=0.6)
+    vol_blocks = 4 * MIB // PAGE_SIZE
+    cache, registry = _tenant_differential(
+        _tenant_stack([(name, 4, qos) for name in names]),
+        lambda c, r: [_tagged_chunks(r, [0.25] * 4, [vol_blocks] * 4,
+                                     seed=30, theta=0.99)],
+        names, max_requests=20000)
+    doc = registry.stats()
+    assert all(doc[name]["cached_blocks"] > 0 for name in names)
+    assert sum(doc[name]["rejected_blocks"] for name in names) == 0
+    assert cache.srcstats.segment_writes > 0
+    assert _vector_share(cache) > 0.9
+    assert _declines(cache) == {}
+
+
+# Strict partitioning gives a tenant its reservation and nothing more,
+# so the bulk tenant reserves what the whale does not.
+_BULK_QOS = QosSpec(min_share=0.94)
+
+
+@pytest.mark.parametrize("registry_kwargs,whale_qos,rejects", [
+    ({}, QosSpec(max_share=0.05), True),
+    ({"work_conserving": False}, QosSpec(min_share=0.05), True),
+    ({"enforce": False}, QosSpec(max_share=0.05), False),
+], ids=["max-share", "no-borrow", "unenforced"])
+def test_tenant_whale_rejections_bit_identical(registry_kwargs, whale_qos,
+                                               rejects):
+    """(b, c) A whale crosses its share mid-window while a bulk tenant
+    churns the log: rejections, write-arounds and — once reclaim has
+    evicted some of its blocks — re-admission, all in the window."""
+    names = ["bulk", "whale"]
+    cache, registry = _tenant_differential(
+        _tenant_stack([("bulk", 512, _BULK_QOS), ("whale", 64, whale_qos)],
+                      observed="work_conserving" in registry_kwargs,
+                      **registry_kwargs),
+        lambda c, r: [_tagged_chunks(
+            r, [0.9, 0.1], [4 * TINY_SRC.cache_space // PAGE_SIZE, 4096],
+            seed=32)],
+        names, max_requests=40000)
+    whale = registry.stats()["whale"]
+    stats = cache.srcstats
+    assert stats.s2s_collections + stats.s2d_collections > 0
+    assert _vector_share(cache) > 0.9
+    if rejects:
+        limit = max(whale["min_blocks"], 1) if registry_kwargs \
+            else whale["max_blocks"]
+        assert whale["rejected_blocks"] > 0
+        assert whale["write_arounds"] == whale["rejected_blocks"]
+        assert whale["admitted_blocks"] > limit        # re-admitted
+        assert _declines(cache)["admission_bound"] > 0
+        if cache.obs.enabled:
+            events = cache.obs.trace.of_type(AdmissionRejected)
+            assert len(events) == whale["rejected_blocks"]
+            assert {e.reason for e in events} == {"no_borrow"}
+    else:
+        assert whale["rejected_blocks"] == 0
+        assert whale["admitted_blocks"] > whale["max_blocks"]
+        assert "admission_bound" not in _declines(cache)
+
+
+def _edge_rows(vol, occupied, staged, fresh, hot):
+    """The main window of the residency-edge scenarios: one write each
+    onto a mapped, a clean-buffered and (``staged`` of them) staged
+    block, then ``fresh`` never-seen blocks, every row followed by
+    ``hot`` rewrites of the first block (dirty by then: absorbed)."""
+    base = vol.base_block
+    blocks = [base + 5, base + occupied - 3]           # mapped, clean
+    blocks += [base + 2000 + i for i in range(staged)]
+    blocks += [base + 3000 + i for i in range(fresh)]
+    rows = np.full((len(blocks), 1 + hot), base + 5, dtype=np.int64)
+    rows[:, 0] = blocks
+    return rows.ravel()
+
+
+@pytest.mark.parametrize("occupied,qos,idle_free,staged,admitted", [
+    # Exactly at min_blocks: borrowing until the unreserved capacity
+    # (40 blocks, one of them taken by the staged block) runs out.
+    (96, QosSpec(min_share=_share(96), max_share=1.0), 40, 1, 39),
+    # At max_blocks - 1: one more miss fits ...
+    (96, QosSpec(min_share=_share(16), max_share=_share(97)), 4000, 0, 1),
+    # ... unless a staged block, which never asks, takes the slot.
+    (96, QosSpec(min_share=_share(16), max_share=_share(97)), 4000, 1, 0),
+    # Already over the cap through staged blocks: every miss bounces.
+    (96, QosSpec(min_share=_share(16), max_share=_share(97)), 4000, 3, 0),
+], ids=["at-min", "at-max-1", "at-max-1-staged", "past-max-staged"])
+def test_tenant_residency_edges_bit_identical(occupied, qos, idle_free,
+                                              staged, admitted):
+    """(d) Writes onto B_MAPPED / B_CLEAN / B_STAGING blocks of a tenant
+    sitting exactly on an admission threshold: displacements net zero,
+    a staged block grows the occupancy unasked, and the first miss past
+    the threshold is refused at the same row in both modes."""
+    names = ["idle", "edge"]
+    fresh, hot = 60, 24
+    idle_qos = QosSpec(min_share=_share(_CAPACITY - occupied - idle_free))
+    seen = {}
+
+    def source(cache, registry):
+        vol = registry._tenants["edge"].volumes[0]
+        base = vol.base_block * PAGE_SIZE
+        # Prologue: 80 blocks written and sealed (mapped), 16 read in
+        # (clean buffer) -> ``occupied`` blocks resident, none dirty.
+        rows = make_chunk(base + np.arange(80) * PAGE_SIZE, PAGE_SIZE,
+                          tenant=1)
+        flush = make_chunk([0], 0, op=OP_FLUSH, tenant=1)
+        reads = make_chunk(base + np.arange(80, occupied) * PAGE_SIZE,
+                           PAGE_SIZE, op=OP_READ, tenant=1)
+        yield np.concatenate((rows, flush, reads))
+        seen["before"] = registry.stats()["edge"]
+        for i in range(staged):        # fetched, not yet in a buffer
+            cache.staging.put(vol.base_block + 2000 + i, 0.0)
+        yield make_chunk(
+            _edge_rows(vol, occupied, staged, fresh, hot) * PAGE_SIZE,
+            PAGE_SIZE, tenant=1)
+
+    cache, registry = _tenant_differential(
+        _tenant_stack([("idle", 4, idle_qos), ("edge", 32, qos)]),
+        lambda c, r: [source(c, r)], names)
+    before, edge = seen["before"], registry.stats()["edge"]
+    assert before["cached_blocks"] == occupied
+    assert edge["admitted_blocks"] - before["admitted_blocks"] == admitted
+    assert edge["rejected_blocks"] == fresh - admitted
+    assert edge["cached_blocks"] == occupied + staged + admitted
+    assert _vector_share(cache) > 0.9
+
+
+@pytest.mark.parametrize("think,t_wait", [(0.0, 10.0), (0.002, 5e-3)],
+                         ids=["backpressure", "twait"])
+def test_tenant_stalls_and_twait_billed_identically(think, t_wait):
+    """(e) A backpressure stall (the roll takes a group whose reclaim
+    I/O is still in flight) and TWAIT flushes inside tenanted windows:
+    the stall is billed to the head / boundary row's tenant, exactly
+    as the per-request path bills ``req.tenant``."""
+    from repro.harness.exp_faults import TORTURE_CONFIG, TORTURE_SSD
+
+    def build():
+        config = replace(TORTURE_CONFIG, t_wait=t_wait)
+        ssds = [SSDDevice(TORTURE_SSD, name=f"s{i}")
+                for i in range(config.n_ssds)]
+        cache = SrcCache(ssds, PrimaryStorage(n_disks=2,
+                                              disk_spec=TINY_DISK), config)
         registry = TenantRegistry(cache)
-        vols = [registry.create_volume(name, vol_bytes)
-                for name in ("alice", "bob")]
-        return cache, registry, vols
+        for name in ("alice", "bob"):
+            registry.create_volume(name, 16 * MIB)
+        return cache, registry
 
-    def tenant_chunks(base_block, tenant_idx, seed):
-        rng = np.random.default_rng(seed)
-        while True:
-            offsets = ((base_block
-                        + rng.integers(0, vol_blocks, size=512))
-                       * PAGE_SIZE)
-            yield make_chunk(offsets, PAGE_SIZE, OP_WRITE,
-                             tenant=tenant_idx)
+    cache, registry = _tenant_differential(
+        build,
+        lambda c, r: [_tagged_chunks(r, [0.5, 0.5], [1500, 1500], seed=5,
+                                     theta=0.99)],
+        ["alice", "bob"], think_time=think, max_requests=20000)
+    doc = registry.stats()
+    stalls = sum(t["stalls"] for t in doc.values())
+    assert stalls == cache.srcstats.throttle_stalls
+    if think:
+        assert cache.srcstats.timeout_flushes > 0
+    else:
+        assert stalls > 0 and all(t["stalls"] for t in doc.values())
+        assert sum(t["stall_s"] for t in doc.values()) == pytest.approx(
+            cache.srcstats.throttle_wait_s)
+    assert _vector_share(cache) > 0.9
 
-    states = {}
-    results = {}
+
+def test_head_row_twait_flush_bills_the_head_rows_tenant():
+    """A window's first ``_check_timeout`` can flush a partial segment,
+    roll the group and stall on its unfinished reclaim: that stall is
+    the head row's tenant's, whoever was served last."""
+    runs = {}
     for batched in (False, True):
-        cache, registry, vols = build()
-        sources = [tenant_chunks(vols[0].base_block, 0, seed=30),
-                   tenant_chunks(vols[1].base_block, 1, seed=31)]
-        results[batched] = _run(cache, sources, batched,
-                                max_requests=5000,
-                                tenant_names=["alice", "bob"])
-        states[batched] = (cache, registry)
-    assert results[True].as_dict() == results[False].as_dict()
-    _assert_src_state_equal(states[False][0], states[True][0])
-    assert states[True][1].stats() == states[False][1].stats()
-    doc = states[False][1].stats()
-    assert doc["alice"]["cached_blocks"] > 0
-    assert doc["bob"]["cached_blocks"] > 0
+        cache, registry = _tenant_stack([("alice", 8, None),
+                                         ("bob", 8, None)])()
+        bob = registry._tenants["bob"].volumes[0].base_block * PAGE_SIZE
+        cache.submit(Request(Op.WRITE, bob, PAGE_SIZE, tenant="bob"), 0.0)
+        # The active group is full and the next one still has reclaim
+        # I/O in flight until t = 1.0.
+        log = cache.segments
+        log.active.next_segment = cache.layout.segments_per_group
+        log._group_ready[log._free[-1]] = 1.0
+        rows = make_chunk(np.arange(64) * PAGE_SIZE, PAGE_SIZE, tenant=0)
+        if batched:
+            issue_t, done_t, n = cache.submit_chunk(rows, 0.5, 0.0,
+                                                    float("inf"), 0)
+            assert n == 64
+        else:
+            issue_t, done_t, t = [], [], 0.5
+            for req in requests_from_chunk(rows, ["alice", "bob"]):
+                issue_t.append(t)
+                t = cache.submit(req, t)
+                done_t.append(t)
+        runs[batched] = (list(issue_t), list(done_t), registry.stats())
+        assert cache.srcstats.timeout_flushes == 1
+    assert runs[True] == runs[False]
+    doc = runs[True][2]
+    assert (doc["alice"]["stalls"], doc["bob"]["stalls"]) == (1, 0)
+    assert doc["alice"]["stall_s"] == pytest.approx(0.5)
+
+
+def test_unnameable_and_misowned_tags_take_the_per_request_path():
+    """(f) A tag the registry cannot name, a tag that is not the
+    address's owner, and any tag on an untenanted cache: all served,
+    none by the vector window — and billed as the engine bills them."""
+    names = ["alice", "bob", "ghost"]      # the stream knows one more
+
+    def sources(cache, registry):
+        rng = np.random.default_rng(33)
+        blocks = rng.integers(0, 2048, size=(6, 256))   # alice's volume
+        return [iter([make_chunk(b * PAGE_SIZE, PAGE_SIZE, tenant=tag)
+                      for b in blocks for tag in (2, 1)])]
+
+    cache, registry = _tenant_differential(
+        _tenant_stack([("alice", 8, None), ("bob", 8, None)]), sources,
+        names)
+    paths = cache.window.paths()
+    assert paths["vector_rows"] == paths["boundary_rows"] == 0
+    assert paths["scalar_run_rows"] == cache.stats.write_ops == 12 * 256
+    assert set(_declines(cache)) == {"nonconformant_head"}
+    assert registry.stats()["alice"]["cached_blocks"] > 0    # by address
+
+    plain = {}
+    for batched in (False, True):
+        plain[batched] = make_src()
+        _run(plain[batched], sources(None, None), batched,
+             tenant_names=names)
+    _assert_src_state_equal(plain[False], plain[True])
+    assert plain[True].window.paths()["vector_rows"] == 0
+    assert plain[True].stats.write_ops == 12 * 256
+
+
+def test_registry_on_recovered_cache_driven_chunked():
+    """(g) Post power-cut adopt path: a registry attached to a
+    recovered cache seeds occupancy from the survivors, and the window
+    proves admission against that baseline."""
+    from repro.core.recovery import recover
+
+    qos = QosSpec(min_share=0.05, max_share=0.12)
+    specs = [("alice", 16, qos), ("bob", 16, qos)]
+
+    def build():
+        cache, registry = _tenant_stack(specs)()
+        now = 0.0
+        for vol in (registry._tenants[n].volumes[0] for n in ("alice",
+                                                              "bob")):
+            for offset in range(0, 6 * MIB, PAGE_SIZE):
+                now = vol.submit(Request(Op.WRITE, offset, PAGE_SIZE), now)
+        recovered, _ = recover(cache.ssds, cache.origin, cache.config,
+                               cache.metadata)
+        adopted = TenantRegistry(recovered)
+        for name, mib, spec in specs:
+            adopted.create_volume(name, mib * MIB, spec)
+        assert adopted.occupancy("alice") > 0
+        return recovered, adopted
+
+    cache, registry = _tenant_differential(
+        build,
+        lambda c, r: [_tagged_chunks(r, [0.5, 0.5], [4096, 4096], seed=34,
+                                     theta=0.99)],
+        ["alice", "bob"], max_requests=20000)
+    doc = registry.stats()
+    assert all(doc[n]["rejected_blocks"] > 0 for n in ("alice", "bob"))
+    assert _vector_share(cache) > 0.9
 
 
 # ----------------------------------------------------------------------
@@ -595,6 +908,7 @@ def test_fault_plan_activation_flips_chunk_gate_mid_run():
     assert not src.window.chunk_fast_ok(0.0)
     _, _, n = src.submit_chunk(rows, 1.0, 0.0, float("inf"), 0)
     assert n == 0                      # declined -> engine goes scalar
+    assert _declines(src)["armed_fault"] == 1
 
     src.ssds[0].disarm()
     assert src.window.chunk_fast_ok(0.0)

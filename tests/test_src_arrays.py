@@ -196,6 +196,12 @@ def test_mapping_invalidate_many_with_observer_preserves_order():
         def block_evicted(self, lba):
             self.events.append(("evicted", lba))
 
+        def blocks_cached(self, lbas):
+            self.events += [("cached", lba) for lba in lbas.tolist()]
+
+        def blocks_evicted(self, lbas):
+            self.events += [("evicted", lba) for lba in lbas.tolist()]
+
     scalar, batched = MappingTable(1), MappingTable(1)
     obs_scalar, obs_batched = Recorder(), Recorder()
     scalar.observer, batched.observer = obs_scalar, obs_batched
@@ -206,7 +212,7 @@ def test_mapping_invalidate_many_with_observer_preserves_order():
     victims = lbas[10:60]
     for lba in victims.tolist():
         scalar.invalidate(lba)
-    batched.invalidate_many(victims)     # observer forces scalar loop
+    batched.invalidate_many(victims)     # one blocks_evicted(victims) call
     assert obs_batched.events == obs_scalar.events
 
 
@@ -423,6 +429,16 @@ def test_src_submit_chunk_declines_while_observer_attached():
     rows = make_chunk(np.array([0]), PAGE_SIZE)
     _, _, n = src.submit_chunk(rows, 0.0, 0.0, float("inf"), 0)
     assert n == 0
+    assert src.window.paths()["declined.foreign_observer"] == 1
+    src.mapping.observer = None
+    _, _, n = src.submit_chunk(rows, 0.0, -1.0, float("inf"), 0)
+    assert n == 0
+    _, _, n = src.submit_chunk(rows, 0.0, 0.0, 1e-9, 0)    # scalar_run
+    assert n == 1
+    assert src.window.paths() == {
+        "vector_rows": 0, "boundary_rows": 0, "scalar_run_rows": 1,
+        "declined.foreign_observer": 1, "declined.negative_think": 1,
+        "declined.tiny_horizon": 1}
 
 
 @pytest.mark.parametrize("think,n", [(0.0, 12000), (0.005, 2000)])
@@ -465,6 +481,11 @@ def test_src_obs_telemetry_bit_identical_between_modes(think, n):
         assert hist_b._bins == hist_s._bins
     src_hist = rec_b.device_latency(src_b.name)
     assert src_hist is not None and src_hist.count == n
+    # What differs between the modes is kept out of telemetry(): the
+    # recorder's path ledger, summed per device name.
+    assert rec_b.paths() == {src_b.name: src_b.window.paths()}
+    assert rec_b.paths()[src_b.name]["vector_rows"] > 0.9 * n
+    assert rec_s.paths()[src_s.name]["vector_rows"] == 0
 
 
 def test_src_obs_chunk_gate_closes_for_non_obsrecorder():
@@ -478,6 +499,7 @@ def test_src_obs_chunk_gate_closes_for_non_obsrecorder():
     rows = make_chunk(np.array([0]), PAGE_SIZE)
     _, _, n = src.submit_chunk(rows, 0.0, 0.0, float("inf"), 0)
     assert n == 0
+    assert src.window.paths()["declined.foreign_recorder"] == 1
 
 
 def test_src_submit_chunk_respects_limit_and_deadline():
@@ -493,7 +515,7 @@ def test_src_submit_chunk_respects_limit_and_deadline():
 
 
 # ----------------------------------------------------------------------
-# the window's in-target scalar run: one loop, four stop conditions
+# the window's in-target scalar run: one loop, three stop conditions
 # ----------------------------------------------------------------------
 def _mixed_rows():
     """Eight foreground rows; only rows 0 and 3 are conformant."""
@@ -517,13 +539,13 @@ def _closed_loop(src, rows, n, think):
 
 
 @pytest.mark.parametrize("case,expected_n", [
-    ("tenanted", 3), ("background", 3), ("next-span", 3),
+    ("tenanted", 8), ("background", 3), ("next-span", 3),
     ("deadline", 2), ("limit", 4), ("all", 8)])
 def test_window_scalar_run_stop_conditions(case, expected_n):
     think = 1e-4
     rows = _mixed_rows()
     deadline, limit = float("inf"), 0
-    if case == "tenanted":
+    if case == "tenanted":       # a tag no registry names: served anyway
         rows["tenant"][3] = 0
     elif case == "background":
         rows["origin"][3] = ORIGIN_GC

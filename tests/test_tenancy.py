@@ -252,6 +252,139 @@ def test_destage_attribution_reaches_owner():
 
 
 # ----------------------------------------------------------------------
+# array twins of the per-block hooks (the batch paths call these)
+# ----------------------------------------------------------------------
+def _three_tenants(**qos_kwargs):
+    """Volumes a | b | (gap: unowned) with distinct reservations, plus a
+    volume-less tenant whose reservation still counts as unmet."""
+    reg = _registry(**qos_kwargs)
+    reg.create_volume("a", 1 * MIB, QosSpec(min_share=0.002, max_share=0.004))
+    reg.create_volume("b", 1 * MIB, QosSpec(min_share=0.001, max_share=1.0))
+    reg.add_tenant("absent", QosSpec(min_share=0.01))
+    return reg
+
+
+def test_owner_index_matches_tenant_of():
+    reg = _three_tenants()
+    names = reg.tenant_names()
+    blocks = np.arange(-2, 2 * (1 * MIB // PAGE_SIZE) + 5)
+    want = [reg.tenant_of(int(b)) for b in blocks]
+    got = [names[i] if i >= 0 else None for i in reg.owner_index(blocks)]
+    assert got == want and None in got and "b" in got
+    empty = _registry()
+    assert empty.owner_index(blocks).tolist() == [-1] * len(blocks)
+
+
+def test_batch_observers_match_the_scalar_pair():
+    """Random cached / evicted batches, unowned blocks included: the
+    array hooks land on the same occupancies, total and unmet reserve
+    as the per-block ones (the reserve sum is recomputed, not stepped)."""
+    scalar, batch = _three_tenants(), _three_tenants()
+    rng = np.random.default_rng(51)
+    resident = np.zeros(600, dtype=bool)        # blocks 512.. are unowned
+    for _ in range(200):
+        lbas = rng.choice(600, size=rng.integers(0, 40), replace=False)
+        evict = rng.random() < 0.45
+        lbas = lbas[resident[lbas] == evict]
+        resident[lbas] = not evict
+        for lba in lbas.tolist():
+            (scalar.block_evicted if evict else scalar.block_cached)(lba)
+        (batch.blocks_evicted if evict else batch.blocks_cached)(lbas)
+        assert batch.as_dict() == scalar.as_dict()
+        assert batch._total_unmet_reserve == scalar._total_unmet_reserve
+        assert batch._total_unmet_reserve == sum(
+            max(0, t.min_blocks - t.occupancy)
+            for t in batch._tenants.values())
+    assert scalar.occupancy("a") > scalar._tenants["a"].min_blocks
+
+
+@pytest.mark.parametrize("qos_kwargs", [
+    {}, {"work_conserving": False}, {"enforce_shares": False}],
+    ids=["borrowing", "strict", "unenforced"])
+def test_admit_bound_matches_sequential_admit(qos_kwargs):
+    """``admit_bound`` names the row the per-block loop first refuses,
+    from every starting occupancy a random walk reaches."""
+    rng = np.random.default_rng(52)
+    bounded = 0
+    for trial in range(60):
+        scalar, batch = _three_tenants(**qos_kwargs), \
+            _three_tenants(**qos_kwargs)
+        if trial % 2:   # squeeze the unreserved capacity: "no_free"
+            scalar.capacity_blocks = batch.capacity_blocks = 400
+        warm = rng.choice(600, size=rng.integers(0, 250), replace=False)
+        scalar.blocks_cached(warm)
+        batch.blocks_cached(warm)
+        lbas = rng.choice(np.setdiff1d(np.arange(600), warm), size=64,
+                          replace=False)
+        asks = rng.random(64) < 0.7
+        grows = asks | (rng.random(64) < 0.1)       # staged blocks
+        want = 64
+        for i, lba in enumerate(lbas.tolist()):
+            if asks[i] and not scalar.admit(lba):
+                want = i
+                break
+            if grows[i]:
+                scalar.block_cached(lba)
+        owner = batch.owner_index(lbas)
+        assert batch.admit_bound(owner, asks, grows) == want
+        batch.count_admitted(owner[:want][asks[:want]])
+        batch.blocks_cached(lbas[:want][grows[:want]])
+        for name in ("a", "b"):
+            assert (batch.stats()[name]["admitted_blocks"]
+                    == scalar.stats()[name]["admitted_blocks"])
+            assert batch.occupancy(name) == scalar.occupancy(name)
+        bounded += want < 64
+    assert (bounded == 0) == (qos_kwargs == {"enforce_shares": False})
+
+
+@pytest.mark.parametrize("enforce", [True, False])
+def test_reserved_mask_matches_keep_for_reserve(enforce):
+    rng = np.random.default_rng(53)
+    kept = 0
+    for trial in range(40):
+        reg = _three_tenants(enforce_shares=enforce)
+        reg.blocks_cached(rng.choice(600, size=rng.integers(0, 400),
+                                     replace=False))
+        lbas = rng.choice(600, size=rng.integers(0, 200), replace=False)
+        tally = {}
+        want = [reg.keep_for_reserve(lba, tally) for lba in lbas.tolist()]
+        assert reg.reserved_mask(lbas).tolist() == want
+        kept += sum(want)
+    assert (kept > 0) == enforce
+
+
+def test_rejection_reasons_name_the_clause_that_refused():
+    """``max_share`` at the cap, ``no_borrow`` past the reservation with
+    borrowing off (it is *not* at its cap), ``no_free`` when nothing
+    unreserved is left."""
+    from repro.obs import ObsRecorder, attach
+    from repro.obs.events import AdmissionRejected
+
+    def reasons(reg, volume, nbytes):
+        attach(reg.cache, ObsRecorder())
+        _fill(volume, nbytes)
+        events = reg.cache.obs.trace.of_type(AdmissionRejected)
+        assert len(events) == reg.stats()[volume.tenant]["rejected_blocks"]
+        return {e.reason for e in events}
+
+    reg = _registry()
+    whale = reg.create_volume("whale", 32 * MIB, QosSpec(max_share=0.10))
+    assert reasons(reg, whale, 32 * MIB) == {"max_share"}
+
+    reg = _registry(work_conserving=False)
+    strict = reg.create_volume("strict", 32 * MIB,
+                               QosSpec(min_share=0.05, max_share=1.0))
+    assert reasons(reg, strict, 16 * MIB) == {"no_borrow"}
+    t = reg.stats()["strict"]
+    assert t["min_blocks"] <= t["cached_blocks"] < t["max_blocks"]
+
+    reg = _registry()
+    reg.create_volume("idle", 4 * MIB, QosSpec(min_share=0.9))
+    greedy = reg.create_volume("greedy", 64 * MIB, QosSpec(max_share=1.0))
+    assert reasons(reg, greedy, 32 * MIB) == {"no_free"}
+
+
+# ----------------------------------------------------------------------
 # recovery (registry occupancy survives a power cut exactly)
 # ----------------------------------------------------------------------
 def _window_occupancy(cache, base: int, blocks: int) -> int:
