@@ -244,12 +244,13 @@ class Reclaimer:
         end = read_end
         breaks = np.diff(lbas) != 1
         tenants = cache.tenants
+        names = None
         if tenants is not None:
-            owners = tenants.owner_index(lbas)
+            owners = tenants.owner_index(lbas)      # -1: the last name
+            names = [*tenants.tenant_names(), None]
             breaks |= np.diff(owners) != 0
         for s, e in _runs(breaks):
-            tenant = (tenants.tenant_at(owners[s])
-                      if tenants is not None else None)
+            tenant = names[owners[s]] if names else None
             end = max(end, cache.origin.submit(
                 Request(Op.WRITE, int(lbas[s]) * PAGE_SIZE,
                         (e - s) * PAGE_SIZE, origin=IoOrigin.DESTAGE,

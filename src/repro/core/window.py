@@ -8,8 +8,10 @@ owner) are classified against the residency array and served whole;
 every other row, and the one row per sub-run that seals a segment,
 trips TWAIT or is refused admission, goes through ``cache.submit`` —
 the per-request path stays the only place GC, backpressure, faults,
-bypass and write-around are handled.  :meth:`WriteWindow.paths` says
-which path served how many rows, and why a window was not used.
+bypass and write-around are handled — as does a span in which refused
+admissions come too densely for sub-runs between them to pay.
+:meth:`WriteWindow.paths` says which path served how many rows, and
+why a window was not used.
 
 Two cached gates live here: the *chunk gate* (may the vector window run
 at all) and the *seal gate* (may segment seals use the SSDs' lean
@@ -62,8 +64,9 @@ class WriteWindow:
         """Rows served by the vector window, as its boundary rows and
         by :meth:`scalar_run`, plus ``declined.<reason>``: calls the
         window did not take (a closed chunk-gate clause,
-        ``tiny_horizon``, ``nonconformant_head``) and sub-runs an
-        ``admission_bound`` cut short."""
+        ``tiny_horizon``, ``nonconformant_head``), sub-runs an
+        ``admission_bound`` cut short and spans that ``dense_refusals``
+        sent to :meth:`scalar_run`."""
         return dict(self.ledger)
 
     def watch_member_faults(self, device) -> None:
@@ -128,6 +131,13 @@ class WriteWindow:
                 (name for name, closed in clauses.items() if closed), "")
         return not gate and think_time >= 0.0
 
+    def _tag_names(self) -> list:
+        """Tag -> tenant name (the registry's registration order; -1,
+        untagged, lands on the trailing ``None``)."""
+        tenants = self.cache.tenants
+        return [*(tenants.tenant_names() if tenants is not None else ()),
+                None]
+
     def scalar_run(self, rows: np.ndarray, n_max: int, start: float,
                    think_time: float, deadline: float,
                    limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -147,15 +157,16 @@ class WriteWindow:
         cache = self.cache
         origins = rows["origin"]
         tags = rows["tenant"]
-        tenants = cache.tenants
+        names = self._tag_names()
+        named = len(names) - 1      # 0: no registry, nobody to bill
         issue_t = np.empty(n_max, dtype=np.float64)
         done_t = np.empty(n_max, dtype=np.float64)
         t = start
         k = 0
         while k < n_max and t < deadline and origins[k] == ORIGIN_FG:
             req = request_from_row(rows[k])
-            if tenants is not None:
-                req.tenant = tenants.tenant_at(tags[k])
+            if named and 0 <= tags[k] < named:  # other tags bill nobody
+                req.tenant = names[tags[k]]
             end = cache.submit(req, t)
             issue_t[k] = t
             done_t[k] = end
@@ -222,11 +233,11 @@ class WriteWindow:
         stats = cache.stats
         ledger = self.ledger
         fg_key = IoOrigin.FOREGROUND.value
-        cache._active_tenant = None
         if tenants is not None:
             # Admission goes by the address's owner, stall billing by
             # the row's tag (the same tenant, or nobody).
-            owners, tags = owner_index(blocks), rows["tenant"]
+            owners = owner_index(blocks)
+        names, tags = self._tag_names(), rows["tenant"]
 
         n_max = min(limit, n_conf) if limit else n_conf
         issue_t = np.empty(n_max, dtype=np.float64)
@@ -239,8 +250,7 @@ class WriteWindow:
             # runs it (a flush's backpressure stall bills the head
             # row's tenant); intermediate rows' checks are no-ops
             # (proven by the fire mask below) and are skipped.
-            if tenants is not None:
-                cache._active_tenant = tenants.tenant_at(tags[done_rows])
+            cache._active_tenant = names[tags[done_rows]]
             cache._check_timeout(t)
 
             # A sub-run can consume at most ``space`` new blocks before
@@ -295,10 +305,23 @@ class WriteWindow:
                 # clean block nets zero).
                 own = owners[done_rows:done_rows + bound]
                 asks = (adds & (codes == B_NONE))[:bound]
-                admitted = tenants.admit_bound(
+                refused = tenants.refusals(
                     own, asks, asks | (adds & (codes == B_STAGING))[:bound])
-                if admitted < bound:
-                    bound = admitted
+                if refused.shape[0] * SCALAR_THRESHOLD > 2 * bound:
+                    # An over-share tenant keeps missing.  Sub-runs of
+                    # under ~16 rows cost more to classify than their
+                    # rows take per request (docs/performance.md), so
+                    # the classified span goes that way instead.
+                    ledger["declined.dense_refusals"] += 1
+                    i_t, d_t, k = self.scalar_run(
+                        rows[done_rows:], w, t, think_time, deadline, 0)
+                    issue_t[done_rows:done_rows + k] = i_t
+                    done_t[done_rows:done_rows + k] = d_t
+                    done_rows += k
+                    t = float(d_t[-1]) + think_time
+                    continue
+                if refused.shape[0]:
+                    bound = int(refused[0])
                     ledger["declined.admission_bound"] += 1
             # Rows issuing before the deadline; when it cuts the sub-run
             # short, t lands on issue[n_ok] >= deadline and the loop ends.
@@ -352,18 +375,17 @@ class WriteWindow:
                 # write-around hangs off this write, billed to the
                 # row's tenant.  t == issue[bound] by construction.
                 offset = int(blocks[done_rows]) * PAGE_SIZE
-                tenant = (tenants.tenant_at(tags[done_rows])
-                          if tenants is not None else None)
                 done_b = cache.submit(
-                    Request(Op.WRITE, offset, PAGE_SIZE, tenant=tenant), t)
+                    Request(Op.WRITE, offset, PAGE_SIZE,
+                            tenant=names[tags[done_rows]]), t)
                 issue_t[done_rows] = t
                 done_t[done_rows] = done_b
                 done_rows += 1
                 ledger["boundary_rows"] += 1
                 t = done_b + think_time
 
-        if tenants is not None and done_rows:
+        if done_rows:
             # Where the per-request path leaves it: the last row's.
-            cache._active_tenant = tenants.tenant_at(tags[done_rows - 1])
+            cache._active_tenant = names[tags[done_rows - 1]]
         return issue_t[:done_rows], done_t[:done_rows], done_rows
 

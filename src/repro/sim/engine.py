@@ -359,8 +359,17 @@ def run_chunk_streams(issue: IssueFn, chunk_sources: List[ChunkSource],
 
     With ``issue_chunk`` set the engine offers it each horizon; without
     it the same streams are served row by row, which is the
-    forced-scalar side of the differential tests.
+    forced-scalar side of the differential tests.  A target with a
+    tenant registry names a row's ``tenant`` tag itself (registration
+    order), so ``tenant_names`` must open with the registry's names.
     """
+    registry = getattr(getattr(issue_chunk, "__self__", None), "tenants",
+                       None)
+    if registry is not None and tenant_names is not None:
+        known = registry.tenant_names()
+        if list(tenant_names[:len(known)]) != known:
+            raise ValueError(f"tenant_names {tenant_names} do not open "
+                             f"with the target registry's {known}")
     engine = Engine(issue, issue_chunk=issue_chunk)
     for i, source in enumerate(chunk_sources):
         engine.add_stream(ChunkStream(source, think_time, name=f"job{i}",

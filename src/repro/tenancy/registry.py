@@ -5,9 +5,8 @@ attaches to a running :class:`~repro.core.src.SrcCache` by installing
 itself as the membership observer of the mapping table and both
 segment buffers, so per-tenant occupancy is exact — every cached block
 is either in the mapping or in a RAM segment buffer, and both fire
-``block_cached``/``block_evicted`` on real membership changes.  What
-the registry adds to the write path is order-independent counts, so
-each per-block hook has an array twin for the batch paths.
+``block_cached``/``block_evicted`` on real membership changes (counts,
+so each per-block hook has an order-free array twin for batch paths).
 
 Admission semantics (reservation-safe work-conserving borrowing), for
 a tenant ``t`` wanting to cache one more block:
@@ -97,12 +96,13 @@ class TenantStats:
 class _Tenant:
     """Registry-internal per-tenant state."""
 
-    __slots__ = ("name", "qos", "stats", "occupancy", "min_blocks",
+    __slots__ = ("name", "index", "qos", "stats", "occupancy", "min_blocks",
                  "max_blocks", "volumes")
 
-    def __init__(self, name: str, qos: QosSpec, min_blocks: int,
+    def __init__(self, name: str, index: int, qos: QosSpec, min_blocks: int,
                  max_blocks: int):
         self.name = name
+        self.index = index      # registration order: a chunk row's tag
         self.qos = qos
         self.stats = TenantStats()
         self.occupancy = 0
@@ -134,15 +134,11 @@ class TenantRegistry:
                                    max_share=qos_cfg.default_max_share)
         self.capacity_blocks = cache.layout.cache_data_capacity_blocks()
         self._tenants: Dict[str, _Tenant] = {}
-        # Registration order: position = the ``tenant`` tag of chunk rows.
-        self._order: List[_Tenant] = []
         # Volume map: parallel sorted arrays of [base_block, end_block)
         # windows and the owning tenant, for bisect lookup.
         self._bases: List[int] = []
         self._ends: List[int] = []
         self._owners: List[_Tenant] = []
-        # The same map as three arrays, for :meth:`owner_index`.
-        self._volume_map = np.zeros((3, 0), dtype=np.int64)
         self._alloc_cursor = 0          # next free origin block
         self._total_unmet_reserve = 0   # Σ max(0, min_t - occ_t)
         # Adopt blocks already resident at attach time: a registry
@@ -170,9 +166,8 @@ class TenantRegistry:
         spec = qos if qos is not None else self.default_qos
         min_blocks = int(spec.min_share * self.capacity_blocks)
         max_blocks = max(1, int(spec.max_share * self.capacity_blocks))
-        tenant = _Tenant(name, spec, min_blocks, max_blocks)
-        self._tenants[name] = tenant
-        self._order.append(tenant)
+        self._tenants[name] = _Tenant(name, len(self._tenants), spec,
+                                      min_blocks, max_blocks)
         self._total_unmet_reserve += min_blocks
         total_reserved = sum(t.min_blocks for t in self._tenants.values())
         if total_reserved > self.capacity_blocks:
@@ -211,9 +206,6 @@ class TenantRegistry:
         self._bases.append(base)
         self._ends.append(base + blocks)
         self._owners.append(t)
-        self._volume_map = np.array(
-            [self._bases, self._ends,
-             [self._order.index(o) for o in self._owners]], dtype=np.int64)
         t.volumes.append(volume)
         resident = self._resident_in(base, base + blocks)
         if resident:
@@ -247,18 +239,11 @@ class TenantRegistry:
     def owner_index(self, blocks: np.ndarray) -> np.ndarray:
         """Vector :meth:`tenant_of`: the registration index
         (:meth:`tenant_names` order) of each block's owner, -1 = none."""
-        bases, ends, owners = self._volume_map
-        if not bases.shape[0]:
-            return np.full(blocks.shape[0], -1, dtype=np.int64)
-        vol = np.searchsorted(bases, blocks, side="right") - 1
-        return np.where((vol >= 0) & (blocks < ends[vol]), owners[vol], -1)
-
-    def tenant_at(self, index: int) -> Optional[str]:
-        """Name behind an :meth:`owner_index` value or a chunk row's
-        tag; ``None`` for -1 (unowned, untagged) and for a tag that
-        names nobody — whom a stall is then billed to: nobody."""
-        order = self._order
-        return order[index].name if 0 <= index < len(order) else None
+        vol = np.searchsorted(self._bases, blocks, side="right") - 1
+        # A block below every base lands on -1: the (0, -1) sentinel.
+        ends = np.array(self._ends + [0])
+        owners = np.array([t.index for t in self._owners] + [-1])
+        return np.where(blocks < ends[vol], owners[vol], -1)
 
     def qos_of(self, tenant: str) -> QosSpec:
         return self._tenants[tenant].qos
@@ -284,29 +269,25 @@ class TenantRegistry:
         if t.occupancy < t.min_blocks:
             self._total_unmet_reserve += 1
 
-    def blocks_cached(self, lbas: np.ndarray) -> None:
+    def blocks_cached(self, lbas: np.ndarray, sign: int = 1) -> None:
         """Batch :meth:`block_cached` (order-independent: counts only)."""
-        self._occupancy_moved(lbas, 1)
-
-    def blocks_evicted(self, lbas: np.ndarray) -> None:
-        self._occupancy_moved(lbas, -1)
-
-    def _occupancy_moved(self, lbas: np.ndarray, sign: int) -> None:
         self._total_occupancy += sign * lbas.shape[0]
-        for t, blocks in self._tally(self.owner_index(lbas)):
+        for t, blocks in self._per_tenant(self.owner_index(lbas)):
             t.occupancy += sign * blocks
         self._total_unmet_reserve = self._unmet_reserve()
 
-    def _unmet_reserve(self) -> int:
-        """What the per-block +-1 bookkeeping keeps current: a function
-        of the occupancies, so a batch recomputes it instead."""
-        return sum(max(0, t.min_blocks - t.occupancy) for t in self._order)
+    def blocks_evicted(self, lbas: np.ndarray) -> None:
+        self.blocks_cached(lbas, -1)
 
-    def _tally(self, owner: np.ndarray) -> List[tuple]:
-        """``(tenant, rows)`` per tenant that :meth:`owner_index` named."""
-        counts = np.bincount(owner[owner >= 0])
-        return [(self._order[i], int(counts[i]))
-                for i in np.nonzero(counts)[0].tolist()]
+    def _unmet_reserve(self) -> int:
+        """What the per-block +-1s keep current; a batch recomputes it."""
+        return sum(max(0, t.min_blocks - t.occupancy)
+                   for t in self._tenants.values())
+
+    def _per_tenant(self, owner: np.ndarray):
+        """``(tenant, rows naming it)`` over :meth:`owner_index` values."""
+        counts = np.bincount(owner[owner >= 0], minlength=len(self._tenants))
+        return zip(self._tenants.values(), counts.tolist())
 
     # ------------------------------------------------------------------
     # admission control
@@ -336,25 +317,23 @@ class TenantRegistry:
         t.stats.admitted_blocks += 1
         return True
 
-    def admit_bound(self, owner: np.ndarray, asks: np.ndarray,
-                    grows: np.ndarray) -> int:
-        """How many leading rows of a write window :meth:`admit` passes.
+    def refusals(self, owner: np.ndarray, asks: np.ndarray,
+                 grows: np.ndarray) -> np.ndarray:
+        """Rows of a write window :meth:`admit` would refuse.
 
-        Row ``i`` writes a block of tenant ``owner[i]``
-        (:meth:`owner_index`); ``asks`` marks the rows the per-request
-        path would put to :meth:`admit`, ``grows`` the rows that add a
-        block to the occupancy.  Within a window occupancy only grows,
-        so what ``admit`` would see at row ``i`` is the state now plus
-        counts over the rows before it — exact up to the first
-        rejection, whose position is returned.
+        Row ``i`` writes a block of tenant ``owner[i]``; ``asks`` marks
+        the rows the per-request path puts to :meth:`admit`, ``grows``
+        those that add a block.  Within a window occupancy only grows,
+        so ``admit`` sees at row ``i`` the state now plus counts over
+        the rows before it: exact up to the first refusal, an estimate
+        (as if that block were cached) of their density after it.
         """
-        n = owner.shape[0]
-        if not self.enforce or not self._bases:
-            return n
-        owned = owner >= 0
-        own = np.where(owned, owner, 0)
-        occ, low, cap = np.array([(t.occupancy, t.min_blocks, t.max_blocks)
-                                  for t in self._order])[own].T
+        if not self.enforce:
+            return np.empty(0, dtype=np.int64)
+        owned = owner >= 0          # -1 picks the all-zero last row
+        occ, low, cap = np.array(
+            [(t.occupancy, t.min_blocks, t.max_blocks)
+             for t in self._tenants.values()] + [(0, 0, 0)])[owner].T
         occ = occ + _rank_in_group(owner, grows)
         over = True
         if self.work_conserving:
@@ -364,34 +343,30 @@ class TenantRegistry:
             over = (occ >= cap) | (
                 self.capacity_blocks - self._total_occupancy
                 - self._total_unmet_reserve - np.cumsum(taken) + taken <= 0)
-        rejected = np.flatnonzero(asks & owned & (occ >= low) & over)
-        return int(rejected[0]) if rejected.shape[0] else n
+        return np.flatnonzero(asks & owned & (occ >= low) & over)
 
     def count_admitted(self, owner: np.ndarray) -> None:
-        """``admitted_blocks`` of the rows :meth:`admit_bound` passed."""
-        for t, blocks in self._tally(owner):
+        """``admitted_blocks`` of the asking rows ahead of a refusal."""
+        for t, blocks in self._per_tenant(owner):
             t.stats.admitted_blocks += blocks
 
     def reserved_mask(self, lbas: np.ndarray) -> np.ndarray:
         """Which of a collection's drop candidates (victim log order)
-        reclaim must retain to honour a reservation.
+        reclaim must copy forward to honour a reservation.
 
-        Admission alone cannot uphold ``min_share``: log reclaim is
-        tenant-blind and would evict a reserved tenant's cold clean
-        blocks, turning its guaranteed occupancy into a churn of origin
-        re-reads.  So a tenant sheds only its first ``occupancy -
-        min_blocks`` candidates; the rest are copied forward.  (The
-        observers fire when the victim group is dropped, at the end of
-        the collection, hence the ranking inside it.)
+        Admission alone cannot uphold ``min_share``: tenant-blind log
+        reclaim would turn a reserved tenant's cold clean blocks into a
+        churn of origin re-reads.  So a tenant sheds only its first
+        ``occupancy - min_blocks`` candidates (the observers fire when
+        the victim group is dropped, after the collection).
         """
+        if not self.enforce:
+            return np.zeros(lbas.shape[0], dtype=bool)
         owner = self.owner_index(lbas)
         owned = owner >= 0
-        if not self.enforce or not owned.any():
-            return np.zeros(lbas.shape[0], dtype=bool)
         surplus = np.array([max(0, t.occupancy - t.min_blocks)
-                            for t in self._order])
-        return owned & (_rank_in_group(owner, owned)
-                        >= surplus[np.where(owned, owner, 0)])
+                            for t in self._tenants.values()] + [0])
+        return owned & (_rank_in_group(owner, owned) >= surplus[owner])
 
     def keep_for_reserve(self, lba: int, dropped: Dict[str, int]) -> bool:
         """Per-block reference of :meth:`reserved_mask`: ``dropped`` is
@@ -465,7 +440,7 @@ class TenantRegistry:
         return self._tenants[tenant].occupancy
 
     def tenant_names(self) -> List[str]:
-        return [t.name for t in self._order]
+        return list(self._tenants)
 
     def stats(self) -> Dict[str, dict]:
         """Per-tenant stats snapshot, keyed by tenant name."""

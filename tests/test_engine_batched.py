@@ -304,29 +304,40 @@ def test_tenant_rows_bit_identical():
 _BULK_QOS = QosSpec(min_share=0.94)
 
 
-@pytest.mark.parametrize("registry_kwargs,whale_qos,rejects", [
-    ({}, QosSpec(max_share=0.05), True),
-    ({"work_conserving": False}, QosSpec(min_share=0.05), True),
-    ({"enforce": False}, QosSpec(max_share=0.05), False),
-], ids=["max-share", "no-borrow", "unenforced"])
+@pytest.mark.parametrize("registry_kwargs,whale_qos,whale_rows,rejects", [
+    ({}, QosSpec(max_share=0.01), 0.02, True),
+    ({"work_conserving": False}, QosSpec(min_share=0.01), 0.02, True),
+    ({"enforce": False}, QosSpec(max_share=0.01), 0.02, False),
+    ({}, QosSpec(max_share=0.05), 0.3, True),
+], ids=["max-share", "no-borrow", "unenforced", "dense"])
 def test_tenant_whale_rejections_bit_identical(registry_kwargs, whale_qos,
-                                               rejects):
+                                               whale_rows, rejects):
     """(b, c) A whale crosses its share mid-window while a bulk tenant
     churns the log: rejections, write-arounds and — once reclaim has
-    evicted some of its blocks — re-admission, all in the window."""
+    evicted some of its blocks — re-admission, all in the window.
+    Unless the whale's misses come so densely (``dense``) that the
+    sub-runs between them would not pay for their classification: then
+    the window hands those spans to its per-request loop."""
     names = ["bulk", "whale"]
     cache, registry = _tenant_differential(
         _tenant_stack([("bulk", 512, _BULK_QOS), ("whale", 64, whale_qos)],
                       observed="work_conserving" in registry_kwargs,
                       **registry_kwargs),
         lambda c, r: [_tagged_chunks(
-            r, [0.9, 0.1], [4 * TINY_SRC.cache_space // PAGE_SIZE, 4096],
-            seed=32)],
+            r, [1 - whale_rows, whale_rows],
+            [4 * TINY_SRC.cache_space // PAGE_SIZE, 4096], seed=32)],
         names, max_requests=40000)
     whale = registry.stats()["whale"]
     stats = cache.srcstats
     assert stats.s2s_collections + stats.s2d_collections > 0
-    assert _vector_share(cache) > 0.9
+    if whale_rows > 0.1:
+        paths = cache.window.paths()
+        assert paths["declined.dense_refusals"] > 0
+        assert paths["scalar_run_rows"] > paths["vector_rows"] > 0
+        # Short sub-runs were the exception, not the rule.
+        assert paths["declined.admission_bound"] < 10
+    else:
+        assert _vector_share(cache) > 0.9
     if rejects:
         limit = max(whale["min_blocks"], 1) if registry_kwargs \
             else whale["max_blocks"]
@@ -511,13 +522,27 @@ def test_unnameable_and_misowned_tags_take_the_per_request_path():
     assert plain[True].stats.write_ops == 12 * 256
 
 
+def test_reordered_tenant_table_is_refused():
+    """The window names a tag by the registry's registration order, the
+    per-request path by the stream's table: the two must agree."""
+    cache, registry = _tenant_stack([("alice", 8, None),
+                                     ("bob", 8, None)])()
+    rows = make_chunk(np.arange(64) * PAGE_SIZE, PAGE_SIZE, tenant=0)
+    for names in (["bob", "alice"], ["alice"]):
+        with pytest.raises(ValueError, match="registry"):
+            _run(cache, [iter([rows])], True, tenant_names=names)
+    assert cache.stats.write_ops == 0
+    _run(cache, [iter([rows])], True, tenant_names=["alice", "bob", "x"])
+    assert cache.stats.write_ops == 64
+
+
 def test_registry_on_recovered_cache_driven_chunked():
     """(g) Post power-cut adopt path: a registry attached to a
     recovered cache seeds occupancy from the survivors, and the window
     proves admission against that baseline."""
     from repro.core.recovery import recover
 
-    qos = QosSpec(min_share=0.05, max_share=0.12)
+    qos = QosSpec(min_share=0.05, max_share=0.135)
     specs = [("alice", 16, qos), ("bob", 16, qos)]
 
     def build():

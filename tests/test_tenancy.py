@@ -301,9 +301,9 @@ def test_batch_observers_match_the_scalar_pair():
 @pytest.mark.parametrize("qos_kwargs", [
     {}, {"work_conserving": False}, {"enforce_shares": False}],
     ids=["borrowing", "strict", "unenforced"])
-def test_admit_bound_matches_sequential_admit(qos_kwargs):
-    """``admit_bound`` names the row the per-block loop first refuses,
-    from every starting occupancy a random walk reaches."""
+def test_refusals_matches_sequential_admit(qos_kwargs):
+    """``refusals`` opens with the row the per-block loop first
+    refuses, from every starting occupancy a random walk reaches."""
     rng = np.random.default_rng(52)
     bounded = 0
     for trial in range(60):
@@ -326,7 +326,8 @@ def test_admit_bound_matches_sequential_admit(qos_kwargs):
             if grows[i]:
                 scalar.block_cached(lba)
         owner = batch.owner_index(lbas)
-        assert batch.admit_bound(owner, asks, grows) == want
+        refused = batch.refusals(owner, asks, grows)
+        assert (int(refused[0]) if refused.shape[0] else 64) == want
         batch.count_admitted(owner[:want][asks[:want]])
         batch.blocks_cached(lbas[:want][grows[:want]])
         for name in ("a", "b"):
