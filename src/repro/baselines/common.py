@@ -169,10 +169,10 @@ class CacheTarget(BlockDevice):
     def block_cached(self, block: int) -> bool:
         """Whether ``block`` can be served without touching the origin.
 
-        Subclasses implementing this (plus :meth:`install_fill`) get
-        coalesced miss fetches: consecutive missing blocks of one
-        request are read from the origin in a single extent, as the
-        real systems do, instead of one random 4 KiB read per block.
+        With :meth:`install_fill` this gives every target coalesced
+        miss fetches: consecutive missing blocks of one request are
+        read from the origin in a single extent, as the real systems
+        do, instead of one random 4 KiB read per block.
         """
         raise NotImplementedError
 
@@ -199,26 +199,19 @@ class CacheTarget(BlockDevice):
 
     def read_request(self, req: Request, now: float) -> float:
         """Serve a read: cached blocks per block, misses as extents."""
-        try:
-            end = now
-            run: list = []
-            for block in req.pages():
-                if self.block_cached(block):
-                    if run:
-                        end = max(end, self._fetch_run(run, now))
-                        run = []
-                    end = max(end, self.read_block(block, now))
-                else:
-                    run.append(block)
-            if run:
-                end = max(end, self._fetch_run(run, now))
-            return end
-        except NotImplementedError:
-            # Fallback: strictly per-block (used by simple targets).
-            end = now
-            for block in req.pages():
+        end = now
+        run: list = []
+        for block in req.pages():
+            if self.block_cached(block):
+                if run:
+                    end = max(end, self._fetch_run(run, now))
+                    run = []
                 end = max(end, self.read_block(block, now))
-            return end
+            else:
+                run.append(block)
+        if run:
+            end = max(end, self._fetch_run(run, now))
+        return end
 
     def _fetch_run(self, blocks: list, now: float) -> float:
         """One origin read covering a run of consecutive missing blocks."""

@@ -3,7 +3,7 @@
 Every internal resource transition worth explaining a paper number with
 is a small frozen dataclass: GC activity and erases inside the SSDs'
 FTLs, segment seals / destages / degraded reads inside SRC, flush
-barriers at every layer, rebuild progress in the RAID layers.  Events
+barriers at every layer, rebuild progress in SRC's repair.  Events
 carry a simulated timestamp ``t`` (issue time for start-of-operation
 events, completion time for end-of-operation ones) and the emitting
 device's name, so a merged trace across a whole stack stays

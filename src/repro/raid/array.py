@@ -8,34 +8,29 @@ reconstruct-write, whichever touches fewer members (§2.2, §3.2).
 
 Redundant arrays survive a single member failure per redundancy group:
 reads of the lost member are reconstructed from the survivors (parity)
-or served by the mirror (RAID-1).  Repair follows the md model through
-the shared :mod:`repro.repair` state machine: each member slot tracks
-``HEALTHY → DEGRADED → REBUILDING → HEALTHY`` health, hot spares from
-:meth:`_RaidBase.attach_spare` take a failed slot automatically, and
-rebuild is a resumable background job — pumped from request admission,
-rate-limited by :meth:`_RaidBase.set_rebuild_rate`, with reads of
-not-yet-rebuilt stripes served degraded.  RAID-1 resilvers by copying
-the surviving mirror; parity levels reconstruct from the survivors.
+or served by the mirror (RAID-1), and writes proceed degraded.  Each
+member slot tracks ``HEALTHY → DEGRADED → FAILED`` health in the shared
+:class:`~repro.repair.health.HealthTracker`: a fail-stop (or an
+exhausted retry budget) degrades the slot, and losing the copy that
+covered it fails it.  The paper never resilvers an md array, so there
+is no rebuild here; online repair is SRC's
+(:class:`~repro.repair.controller.RepairController`, §4.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.block.device import BlockDevice
 from repro.common.errors import (ConfigError, DeviceFailedError,
                                  RaidDegradedError, RequestTimeoutError)
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import Op, Request
 from repro.common.units import KIB
 from repro.faults.policy import DEFAULT_RETRY, RetryPolicy
 from repro.faults.policy import submit_with_retry
-from repro.obs.events import (DegradedRead, HealthTransition,
-                              RebuildCompleted, RebuildProgress,
-                              RebuildStarted)
+from repro.obs.events import DegradedRead, HealthTransition
 from repro.repair.health import DeviceHealth, HealthTracker
-from repro.repair.rebuild import RebuildJob
-from repro.common.throttle import TokenBucket
 
 
 @dataclass(frozen=True)
@@ -67,61 +62,18 @@ class _RaidBase(BlockDevice):
         self.retry_policy: RetryPolicy = DEFAULT_RETRY
         self.member_retries = 0
         self.member_failstops = 0
-        # Online repair (repro.repair): per-slot health, a hot-spare
-        # pool, and at most one resumable rebuild job at a time.
         self.health = HealthTracker(len(members), device=name)
-        self.spares: List[BlockDevice] = []
-        self.rebuild_job: Optional[RebuildJob] = None
-        self.rebuild_bucket = TokenBucket(0.0, chunk_size)  # unlimited
-        self.rebuilds_completed = 0
-        self._pumping = False
-
-    # -- repair plumbing ----------------------------------------------
-    def attach_spare(self, device: BlockDevice) -> None:
-        """Add a hot spare that will take the next failed slot."""
-        if device.size < self.member_size:
-            raise ConfigError(
-                f"spare {device.name} smaller than member size")
-        self.spares.append(device)
-
-    def set_rebuild_rate(self, rate_bytes_s: float) -> None:
-        """Throttle rebuild I/O (bytes/s of rebuilt data; 0 = unlimited)."""
-        self.rebuild_bucket = TokenBucket(rate_bytes_s, 2 * self.chunk_size)
-
-    def _emit(self, event) -> None:
-        if self.obs.enabled:
-            self.obs.emit(event)
 
     def _transition(self, member: int, new: DeviceHealth, now: float,
                     reason: str) -> None:
         record = self.health.transition(member, new, now, reason)
-        self._emit(HealthTransition(
-            t=now, device=self.name, member=member,
-            old=record.old.value, new=record.new.value, reason=reason))
+        if self.obs.enabled:
+            self.obs.emit(HealthTransition(
+                t=now, device=self.name, member=member,
+                old=record.old.value, new=record.new.value, reason=reason))
 
     def _alive(self, index: int) -> bool:
         return not getattr(self.members[index], "failed", False)
-
-    def _readable(self, index: int, stripe: int) -> bool:
-        """Whether a member's share of ``stripe`` holds valid data.
-
-        False for a failed member and for a rebuilding spare whose copy
-        of the stripe has not been reconstructed yet.
-        """
-        if not self._alive(index):
-            return False
-        job = self.rebuild_job
-        if job is not None and job.member == index and job.covers(stripe):
-            return False
-        return True
-
-    def _admit(self, req: Request, now: float) -> float:
-        # Background rebuild is caller-driven: it advances at request
-        # admission, so its I/O competes with the request on the same
-        # member timelines.
-        if self.rebuild_job is not None and not self._pumping:
-            self._pump_rebuild(now)
-        return super()._admit(req, now)
 
     def _member_submit(self, index: int, req: Request, now: float) -> float:
         """Submit to one member with bounded retry and backoff.
@@ -129,9 +81,8 @@ class _RaidBase(BlockDevice):
         A member that exhausts its retry budget is marked failed and a
         :class:`DeviceFailedError` is raised so redundancy-aware callers
         can fall back (mirror, reconstruction) or surface the loss.
-        Either way the repair layer is notified first: the slot turns
-        DEGRADED and a hot spare may take it before the caller even
-        sees the error.
+        Either way the slot's health is updated first: it turns
+        DEGRADED, or FAILED when nothing covers it any more.
         """
         member = self.members[index]
 
@@ -155,151 +106,19 @@ class _RaidBase(BlockDevice):
             self._on_member_failed(index, now)
             raise
 
-    # -- failure handling and spare attach ----------------------------
-    def _rebuild_feasible(self, member: int) -> bool:
-        """Whether the level has a surviving copy to rebuild from."""
-        return False   # RAID-0: nothing to reconstruct
-
-    def _rebuild_step(self, member: int, stripe: int, now: float) -> float:
-        """Reconstruct one stripe's share onto ``members[member]``."""
-        raise RaidDegradedError(f"{self.name}: level cannot rebuild")
+    # -- failure handling ---------------------------------------------
+    def _covers(self, member: int) -> bool:
+        """Whether the level still holds a copy of ``member``'s data."""
+        return False   # RAID-0: no redundancy
 
     def _on_member_failed(self, index: int, now: float) -> None:
         state = self.health.state(index)
-        if state is DeviceHealth.REBUILDING:
-            # The spare holding the slot died mid-rebuild.
-            job = self.rebuild_job
-            if job is not None and job.member == index:
-                job.cancelled = True
-                self.rebuild_job = None
-            self._transition(index, DeviceHealth.DEGRADED, now,
-                             "spare failed during rebuild")
-        elif state is DeviceHealth.HEALTHY:
+        if state is DeviceHealth.HEALTHY:
             self._transition(index, DeviceHealth.DEGRADED, now, "fail-stop")
-        elif state is not DeviceHealth.DEGRADED:
-            return   # terminal; nothing more to do
-        if not self._rebuild_feasible(index):
-            if self.health.state(index) is DeviceHealth.DEGRADED:
-                self._transition(index, DeviceHealth.FAILED, now,
-                                 "no surviving copy to rebuild from")
-            return
-        if self.spares and self.rebuild_job is None:
-            spare = self.spares.pop(0)
-            self.members[index] = spare
-            self._transition(index, DeviceHealth.REBUILDING, now,
-                             f"spare {spare.name} attached")
-            self._start_job(index, now)
-
-    # -- resumable rebuild --------------------------------------------
-    def _start_job(self, member: int, now: float) -> None:
-        job = RebuildJob(
-            member=member, target_name=self.members[member].name,
-            units=range(self.stripes),
-            failed_at=self.health.failed_since(member) or now,
-            started_at=now, unit_bytes=self.chunk_size)
-        self.rebuild_job = job
-        self._emit(RebuildStarted(t=now, device=self.name, member=member,
-                                  spare=self.members[member].name,
-                                  units=job.total))
-        if job.complete:
-            self._finish_rebuild(job, now)
-
-    def start_rebuild(self, member: int, now: float = 0.0) -> None:
-        """Begin (or resume bookkeeping for) rebuilding one member slot.
-
-        The slot's device must be serviceable (a replacement or an
-        attached spare); the data is reconstructed in the background as
-        the job is pumped — by request admission or :meth:`step_rebuild`.
-        """
-        if not self._alive(member):
-            raise RaidDegradedError(
-                f"member {member} must be repaired before rebuild")
-        if self.rebuild_job is not None:
-            if self.rebuild_job.member == member:
-                return   # already in flight; resumable by design
-            raise RaidDegradedError(
-                f"{self.name}: another rebuild is already in flight")
-        if not self._rebuild_feasible(member):
-            raise RaidDegradedError(
-                f"{self.name}: no surviving copy to rebuild member "
-                f"{member} from")
-        if self.health.state(member) in (DeviceHealth.HEALTHY,
-                                         DeviceHealth.DEGRADED):
-            self._transition(member, DeviceHealth.REBUILDING, now,
-                             "manual resilver")
-        self._start_job(member, now)
-
-    def step_rebuild(self, now: float, max_units: int = 1) -> float:
-        """Advance an active rebuild by up to ``max_units`` stripes.
-
-        Ignores the rate budget (the caller IS the scheduler here).
-        Returns the completion time of the last issued stripe.
-        """
-        job = self.rebuild_job
-        end = now
-        if job is None:
-            return end
-        for _ in range(max_units):
-            stripe = job.next_unit()
-            if stripe is None:
-                break
-            end = max(end, self._rebuild_step(job.member, stripe, now))
-            job.mark_done(stripe, end)
-        if job.complete and self.rebuild_job is job:
-            self._finish_rebuild(job, end)
-        return end
-
-    def _pump_rebuild(self, now: float) -> None:
-        job = self.rebuild_job
-        if job is None:
-            return
-        self._pumping = True
-        try:
-            progress_every = max(1, job.total // 16)
-            while True:
-                stripe = job.next_unit()
-                if stripe is None:
-                    break
-                if self.rebuild_bucket.ready_time(self.chunk_size,
-                                                  now) > now:
-                    break
-                self.rebuild_bucket.consume(self.chunk_size, now)
-                try:
-                    end = self._rebuild_step(job.member, stripe, now)
-                except (DeviceFailedError, RaidDegradedError):
-                    # A source (or the spare) died mid-step; the
-                    # failure path has already re-planned.
-                    if self.rebuild_job is job:
-                        job.cancelled = True
-                        self.rebuild_job = None
-                        if (self.health.state(job.member)
-                                is DeviceHealth.REBUILDING):
-                            self._transition(job.member,
-                                             DeviceHealth.DEGRADED, now,
-                                             "rebuild source lost")
-                    return
-                if job.cancelled or self.rebuild_job is not job:
-                    return
-                job.mark_done(stripe, end)
-                done = len(job.done)
-                if done % progress_every == 0 or done == job.total:
-                    self._emit(RebuildProgress(t=end, device=self.name,
-                                               done=done, total=job.total))
-            if job.complete:
-                self._finish_rebuild(job, now)
-        finally:
-            self._pumping = False
-
-    def _finish_rebuild(self, job: RebuildJob, now: float) -> None:
-        if self.rebuild_job is job:
-            self.rebuild_job = None
-        done_at = max(now, job.last_io_end)
-        self._transition(job.member, DeviceHealth.HEALTHY, done_at,
-                         "rebuild complete")
-        self.rebuilds_completed += 1
-        self._emit(RebuildCompleted(t=done_at, device=self.name,
-                                    member=job.member, units=job.total,
-                                    elapsed=self.health.last_mttr or 0.0))
+            state = DeviceHealth.DEGRADED
+        if state is DeviceHealth.DEGRADED and not self._covers(index):
+            self._transition(index, DeviceHealth.FAILED, now,
+                             "no surviving copy")
 
     def _extents(self, req: Request) -> Iterator[_Extent]:
         offset, remaining = req.offset, req.length
@@ -360,25 +179,8 @@ class Raid1Device(_RaidBase):
         super().__init__(members, len(members) // 2, chunk_size, name)
         self._read_toggle = 0
 
-    def _pair(self, chunk: int) -> Tuple[BlockDevice, BlockDevice]:
-        return self.members[2 * chunk], self.members[2 * chunk + 1]
-
-    def _rebuild_feasible(self, member: int) -> bool:
+    def _covers(self, member: int) -> bool:
         return self._alive(member ^ 1)   # the other half of the pair
-
-    def _rebuild_step(self, member: int, stripe: int, now: float) -> float:
-        """Mirror resilver: copy one chunk row from the surviving half."""
-        mirror = member ^ 1
-        if not self._alive(mirror):
-            raise RaidDegradedError(
-                f"{self.name}: mirror of member {member} is dead")
-        off = stripe * self.chunk_size
-        read_end = self.members[mirror].submit(
-            Request(Op.READ, off, self.chunk_size,
-                    origin=IoOrigin.REBUILD), now)
-        return self.members[member].submit(
-            Request(Op.WRITE, off, self.chunk_size,
-                    origin=IoOrigin.REBUILD), read_end)
 
     def _service(self, req: Request, now: float) -> float:
         if req.op is Op.FLUSH:
@@ -390,8 +192,7 @@ class Raid1Device(_RaidBase):
                           origin=req.origin, tenant=req.tenant)
             pair = (2 * ext.chunk, 2 * ext.chunk + 1)
             if req.op is Op.READ:
-                alive = [i for i in pair
-                         if self._readable(i, ext.stripe)]
+                alive = [i for i in pair if self._alive(i)]
                 if not alive:
                     raise RaidDegradedError(
                         f"{self.name}: both mirrors of chunk dead")
@@ -445,22 +246,9 @@ class _ParityRaid(_RaidBase):
         parity = self._parity_member(stripe)
         return chunk if chunk < parity else chunk + 1
 
-    def _rebuild_feasible(self, member: int) -> bool:
+    def _covers(self, member: int) -> bool:
         return all(self._alive(i) for i in range(len(self.members))
                    if i != member)
-
-    def _rebuild_step(self, member: int, stripe: int, now: float) -> float:
-        """Reconstruct one stripe: read every survivor, write the target."""
-        off = stripe * self.chunk_size
-        end = now
-        for i, device in enumerate(self.members):
-            sub = (Request(Op.WRITE, off, self.chunk_size,
-                           origin=IoOrigin.REBUILD)
-                   if i == member
-                   else Request(Op.READ, off, self.chunk_size,
-                                origin=IoOrigin.REBUILD))
-            end = max(end, device.submit(sub, now))
-        return end
 
     def _failed_members(self) -> List[int]:
         return [i for i in range(len(self.members)) if not self._alive(i)]
@@ -483,7 +271,7 @@ class _ParityRaid(_RaidBase):
         for ext in self._extents(req):
             member_idx = self._data_member(ext.stripe, ext.chunk)
             off = ext.stripe * self.chunk_size + ext.offset
-            if self._readable(member_idx, ext.stripe):
+            if self._alive(member_idx):
                 sub = Request(Op.READ, off, ext.length,
                               origin=req.origin)
                 try:
@@ -496,11 +284,10 @@ class _ParityRaid(_RaidBase):
                             f"{self.name}: second member lost mid-read")
             # Degraded read: reconstruct from all surviving members.
             # Every other share of the stripe must be readable — a
-            # second dead member, or a rebuilding spare that has not
-            # reached this stripe, leaves nothing to reconstruct from.
+            # second dead member leaves nothing to reconstruct from.
             sources = [i for i in range(len(self.members))
                        if i != member_idx]
-            if not all(self._readable(i, ext.stripe) for i in sources):
+            if not self._covers(member_idx):
                 raise RaidDegradedError(
                     f"{self.name}: stripe {ext.stripe} is not "
                     "reconstructable")
@@ -508,11 +295,6 @@ class _ParityRaid(_RaidBase):
                 self.obs.emit(DegradedRead(
                     t=now, device=self.name,
                     lba=(ext.stripe * self.data_members + ext.chunk)))
-            if (self.rebuild_job is not None
-                    and self.rebuild_job.member == member_idx):
-                # A read already paid for this stripe's reconstruction;
-                # rebuild it next so the cost is paid once, not per read.
-                self.rebuild_job.promote(ext.stripe)
             sub = Request(Op.READ, ext.stripe * self.chunk_size,
                           self.chunk_size, origin=req.origin)
             for i in sources:

@@ -7,7 +7,9 @@ slot and reconstruction is in flight), then healthy again.  Two states
 are terminal: *failed* (no redundancy and no spare — the slot's data is
 gone) and *bypass* (SRC gave the array up and passes everything to the
 origin).  Making the machine explicit lets SRC and ``repro.raid``
-share one vocabulary, lets the observability layer emit typed
+share one vocabulary (a RAID slot only ever walks ``HEALTHY ->
+DEGRADED -> FAILED``: nothing resilvers an md array here), lets the
+observability layer emit typed
 ``HealthTransition`` events, and lets MTTR / degraded-window time be
 accounted mechanistically instead of inferred from logs.
 
@@ -58,13 +60,9 @@ class DeviceHealth(enum.Enum):
         return self in (DeviceHealth.FAILED, DeviceHealth.BYPASS)
 
 
-# HEALTHY -> REBUILDING covers a manual resilver of a repaired member
-# (md lets you re-add a wiped drive without it ever being "degraded"
-# from the array's point of view).
 LEGAL_TRANSITIONS: Dict[DeviceHealth, frozenset] = {
     DeviceHealth.HEALTHY: frozenset({
-        DeviceHealth.DEGRADED, DeviceHealth.REBUILDING,
-        DeviceHealth.FAILED, DeviceHealth.BYPASS}),
+        DeviceHealth.DEGRADED, DeviceHealth.FAILED, DeviceHealth.BYPASS}),
     DeviceHealth.DEGRADED: frozenset({
         DeviceHealth.REBUILDING, DeviceHealth.FAILED,
         DeviceHealth.BYPASS}),

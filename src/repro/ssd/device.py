@@ -21,7 +21,6 @@ flush-cost findings of Table 3.
 
 from __future__ import annotations
 
-import heapq
 from typing import Set
 
 import numpy as np
@@ -125,12 +124,14 @@ class SSDDevice(QueuedDevice, BlockDevice):
 
     def _write(self, offset: int, length: int, fua: bool,
                now: float) -> float:
+        if not length:
+            return self._command_only(now)
         page = self.spec.page_size
         first = offset // page
         last = (offset + length + page - 1) // page
         if self.obs.enabled:
             self.ftl.clock = now
-        result = self.ftl.write(first, max(1, last - first))
+        result = self.ftl.write(first, last - first)
         # Overwrites scrub any injected corruption for the range.
         if self._corrupted_pages:
             self.clear_corruption(offset, length)
@@ -156,9 +157,11 @@ class SSDDevice(QueuedDevice, BlockDevice):
         return cost
 
     def _read(self, req: Request, now: float) -> float:
+        if not req.length:
+            return self._command_only(now)
         page = self.spec.page_size
         first = req.offset // page
-        npages = max(1, (req.end + page - 1) // page - first)
+        npages = (req.end + page - 1) // page - first
         self.ftl.read(first, npages)
         read_time = npages * page / self.spec.nand_read_bw
         # Only host (foreground) reads ride the read-priority pipeline;
@@ -185,7 +188,12 @@ class SSDDevice(QueuedDevice, BlockDevice):
         if pages:
             self.ftl.trim(pages.start, len(pages))
             self.clear_corruption(pages.start * page, len(pages) * page)
-        _, end = self.link.transfer(now, 512)  # command-only transfer
+        return self._command_only(now)
+
+    def _command_only(self, now: float) -> float:
+        """A command that moves no data (TRIM, a zero-length READ or
+        WRITE): link time only, no flash page touched."""
+        _, end = self.link.transfer(now, 512)
         return end
 
     def _flush(self, now: float) -> float:
@@ -235,132 +243,37 @@ class SSDDevice(QueuedDevice, BlockDevice):
 
     def submit_chunk(self, rows, start: float, think_time: float,
                      deadline: float, limit: int):
-        """Vectorized closed-loop window (engine ``issue_chunk`` hook).
+        """Closed-loop window (engine ``issue_chunk`` hook).
 
-        Serves a conformant prefix of ``rows`` — aligned single-page
-        foreground writes, untenanted, in range — in one call and
-        returns ``(issue_times, done_times, n)``.  FTL state advances
-        through :meth:`PageMappedFtl.write_batch` and per-row program
-        times replay the exact ``_write`` recurrence (link pipeline,
-        NAND backlog, buffer slack), so results are bit-identical to
-        per-request submission; any non-conformant head row, armed
-        corruption, observability, a flash page that is not the chunk
-        format's ``PAGE_SIZE``, or an in-flight queue at window start
+        Serves the conformant prefix of ``rows`` — aligned single-page
+        foreground writes, untenanted, in range — one
+        :meth:`submit_write_fast` per row until ``deadline`` / ``limit``
+        and returns ``(issue_times, done_times, n)``.  A non-conformant
+        head row, a failed drive, observability, a negative think time
+        or a flash page that is not the chunk format's ``PAGE_SIZE``
         declines to the scalar path.
         """
-        page = self.spec.page_size
-        if (self.failed or self.obs.enabled or self._corrupted_pages
-                or think_time < 0.0 or page != PAGE_SIZE):
+        if (self.failed or self.obs.enabled or think_time < 0.0
+                or self.spec.page_size != PAGE_SIZE):
             return DECLINED
-        depth = self.queue_depth
-        if depth:
-            # Drain completions exactly as admission would; any I/O
-            # still outstanding at window start could delay admission
-            # mid-window, which the closed-loop recurrence below cannot
-            # see — decline and let the scalar path arbitrate.
-            q = self._inflight
-            while q and q[0] <= start:
-                heapq.heappop(q)
-            if q:
-                return DECLINED
-        n_scan = len(rows)
-        if limit and limit < n_scan:
-            n_scan = limit
-        if n_scan == 0:
-            return DECLINED
-        conf = conformant_mask(rows[:n_scan], self.size)
-        n_conf = n_scan if conf.all() else int(np.argmin(conf))
-        if n_conf == 0:
-            return DECLINED
-        lpns = rows["offset"][:n_conf] // page
-        base_cost = page / self.spec.nand_prog_bw
-        read_bw = self.spec.nand_read_bw
-        erase_latency = self.spec.erase_latency
-        ftl_write = None
-        if deadline == float("inf"):
-            # No horizon to respect: the whole prefix will issue, so the
-            # FTL can consume it in one batched call.
-            gc_read, gc_prog, erases = self.ftl.write_batch(lpns)
-            costs = np.full(n_conf, base_cost)
-            hot = np.nonzero(gc_read | gc_prog | erases)[0]
-            for i in hot.tolist():
-                # Scalar float order of _nand_cost, term by term.
-                cost = 1 * page / self.spec.nand_prog_bw
-                cost += int(gc_read[i]) * page / read_bw
-                cost += int(gc_prog[i]) * page / self.spec.nand_prog_bw
-                cost += int(erases[i]) * erase_latency
-                costs[i] = cost
-            costs_list = costs.tolist()
-        else:
-            # A finite deadline can cut the window mid-prefix, and how
-            # far we get depends on per-row times — advance the FTL row
-            # by row so state never runs ahead of issued I/O.
-            ftl_write = self.ftl.write
-            lpns_list = lpns.tolist()
-            costs_list = None
-        link = self.link
-        link_tl = link._timeline
-        link_free = link_tl._free
-        nand_free = self.nand._free
-        link_head = link_free[0]
-        nand_head = nand_free[0]
-        link_busy = link_tl.busy_time
-        nand_busy = self.nand.busy_time
-        link_cost = link.latency + page / link.bandwidth
-        slack = self._buffer_slack
-        nand_cost = self._nand_cost
+        if limit:
+            rows = rows[:limit]
+        conf = conformant_mask(rows, self.size)
+        n_conf = len(rows) if conf.all() else int(np.argmin(conf))
         issue_times = []
         done_times = []
-        issue_append = issue_times.append
-        done_append = done_times.append
         t = start
-        for i in range(n_conf):
+        for offset in rows["offset"][:n_conf].tolist():
             if t >= deadline:
                 break
-            if ftl_write is not None:
-                cost = nand_cost(ftl_write(lpns_list[i], 1))
-            else:
-                cost = costs_list[i]
-            xfer_begin = t if t > link_head else link_head
-            xfer_end = xfer_begin + link_cost
-            link_head = xfer_end
-            link_busy += link_cost
-            nand_begin = xfer_begin if xfer_begin > nand_head else nand_head
-            nand_end = nand_begin + cost
-            nand_head = nand_end
-            nand_busy += cost
-            if xfer_end > nand_end:
-                nand_end = xfer_end
-            done = nand_end - slack
-            if xfer_end > done:
-                done = xfer_end
-            issue_append(t)
-            done_append(done)
+            done = self.submit_write_fast(offset, PAGE_SIZE, t)
+            issue_times.append(t)
+            done_times.append(done)
             t = done + think_time
-        n = len(issue_times)
-        if n == 0:
+        if not issue_times:
             return DECLINED
-        if ftl_write is None and n < n_conf:
-            raise AssertionError("batched FTL ran ahead of issued rows")
-        link_free[0] = link_head
-        nand_free[0] = nand_head
-        link_tl.busy_time = link_busy
-        self.nand.busy_time = nand_busy
-        moved = n * page
-        link.bytes_moved += moved
-        stats = self.stats
-        stats.write_ops += n
-        stats.write_bytes += moved
-        by_origin = stats.bytes_by_origin
-        fg = IoOrigin.FOREGROUND.value
-        by_origin[fg] = by_origin.get(fg, 0) + moved
-        if depth:
-            heapq.heappush(self._inflight, done_times[-1])
-            qs = self.qstats
-            qs.submissions += n
-            if qs.max_outstanding < 1:
-                qs.max_outstanding = 1
-        return (np.asarray(issue_times), np.asarray(done_times), n)
+        return (np.asarray(issue_times), np.asarray(done_times),
+                len(issue_times))
 
 
 def precondition(ssd: SSDDevice, fill_fraction: float = 1.0,

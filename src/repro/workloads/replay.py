@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.common import CacheTarget
-from repro.common.chunks import DECLINED
 from repro.common.types import IoStats, LatencyStats, Request
 from repro.common.units import mb_per_sec
 from repro.obs.recorder import get_recorder
-from repro.sim.engine import run_chunk_streams, run_streams
-from repro.workloads.msr import build_group, build_group_chunks
+from repro.sim.engine import run_streams
+from repro.workloads.msr import build_group
 
 
 @dataclass
@@ -76,8 +75,7 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
                  seed: int = 0, threads_per_trace: int = 4,
                  max_requests: int = 0,
                  footprint_cap_gb: float = 0.0,
-                 think_time: float = 0.0,
-                 batched: bool = False) -> ReplayResult:
+                 think_time: float = 0.0) -> ReplayResult:
     """Replay one trace group against a cache target.
 
     ``scale`` shrinks trace footprints to match scaled-down devices.
@@ -89,14 +87,6 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
     the next issue.  Zero reproduces the paper's saturated replay; a
     nonzero value paces the offered load below saturation, which is how
     latency comparisons "at equal throughput" are run.
-
-    ``batched`` replays the same traces through the engine's chunked
-    loop: each thread becomes a ``ChunkStream`` over the trace's
-    structured-array chunks, and conformant spans are handed to the
-    target's ``submit_chunk`` in one call.  Results are bit-identical
-    to the scalar replay (the chunk path is differential-tested against
-    per-request submission); targets without ``submit_chunk``, or runs
-    with a bound sampler, fall back to the scalar loop.
     """
     window = {"started": False, "app": IoStats(), "cstats": None,
               "ssd": 0, "origin": 0, "ops": 0, "latency": LatencyStats()}
@@ -120,53 +110,20 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
             window["latency"].record(done - now)
         return done
 
-    def issue_chunk(rows, start, think, deadline, limit):
-        if not window["started"]:
-            if start < warmup:
-                # Scalar fallback paces through warm-up one row at a
-                # time so the measurement snapshot lands on the exact
-                # request it would in the scalar replay.
-                return DECLINED
-            open_window()
-        issue_t, done_t, n = target.submit_chunk(rows, start, think,
-                                                 deadline, limit)
-        if n:
-            served = rows[:n]
-            window["app"].record_chunk(served["op"], served["length"],
-                                       served["origin"])
-            window["ops"] += n
-            window["latency"].record_many(done_t - issue_t)
-        return issue_t, done_t, n
-
     recorder = get_recorder()
     sampler = recorder.sampler if recorder.enabled else None
     if sampler is not None:
         sampler.bind_target(target)
-    use_batched = (batched and sampler is None
-                   and hasattr(target, "submit_chunk"))
-    if use_batched:
-        chunk_streams, span = build_group_chunks(
-            group, scale=scale, seed=seed,
-            threads_per_trace=threads_per_trace,
-            footprint_cap_gb=footprint_cap_gb)
-    else:
-        streams, span = build_group(group, scale=scale, seed=seed,
-                                    threads_per_trace=threads_per_trace,
-                                    footprint_cap_gb=footprint_cap_gb)
+    streams, span = build_group(group, scale=scale, seed=seed,
+                                threads_per_trace=threads_per_trace,
+                                footprint_cap_gb=footprint_cap_gb)
     if span > target.size:
         raise ValueError(
             f"trace group spans {span} bytes but the target volume is "
             f"{target.size}; enlarge the origin or lower scale")
-    if use_batched:
-        run = run_chunk_streams(issue, chunk_streams,
-                                duration=warmup + duration,
-                                think_time=think_time,
-                                max_requests=max_requests,
-                                issue_chunk=issue_chunk)
-    else:
-        run = run_streams(issue, streams, duration=warmup + duration,
-                          think_time=think_time,
-                          max_requests=max_requests, sampler=sampler)
+    run = run_streams(issue, streams, duration=warmup + duration,
+                      think_time=think_time,
+                      max_requests=max_requests, sampler=sampler)
     if window["cstats"] is None:   # run too short to leave warm-up
         window["cstats"] = target.cstats.copy()
     measured = min(duration, max(run.elapsed - warmup, 1e-9))

@@ -1,4 +1,4 @@
-"""CacheTarget base-class contracts (dispatch, fallbacks, helpers)."""
+"""CacheTarget base-class contracts (dispatch, miss extents, helpers)."""
 
 import pytest
 
@@ -9,7 +9,8 @@ from repro.common.units import MIB, PAGE_SIZE
 
 
 class MinimalCache(CacheTarget):
-    """Implements only the per-block hooks (no coalescing support)."""
+    """The required interface and nothing else; every block is
+    resident unless a test lists it in ``missing``."""
 
     def __init__(self):
         super().__init__(NullDevice(8 * MIB, name="c"),
@@ -17,6 +18,14 @@ class MinimalCache(CacheTarget):
                          "minimal")
         self.reads = []
         self.writes = []
+        self.missing = set()
+        self.fills = []
+
+    def block_cached(self, block):
+        return block not in self.missing
+
+    def install_fill(self, block, now):
+        self.fills.append(block)
 
     def read_block(self, block, now):
         self.reads.append(block)
@@ -31,9 +40,17 @@ class MinimalCache(CacheTarget):
 
 
 def test_read_falls_back_to_per_block_without_hooks():
+    """Resident blocks are read per block; a run of missing ones is
+    one origin extent, each block installed once."""
     cache = MinimalCache()
     cache.submit(Request(Op.READ, 0, 3 * PAGE_SIZE), 0.0)
     assert cache.reads == [0, 1, 2]
+    cache.missing = {4, 5}
+    cache.submit(Request(Op.READ, 3 * PAGE_SIZE, 4 * PAGE_SIZE), 1.0)
+    assert cache.reads == [0, 1, 2, 3, 6]
+    assert cache.fills == [4, 5]
+    assert cache.origin.stats.read_ops == 1
+    assert cache.origin.stats.read_bytes == 2 * PAGE_SIZE
 
 
 def test_write_dispatch_per_block():

@@ -9,21 +9,18 @@ buffer order, device stats.  The scalar path is the oracle; the batch
 path exists only as a faster spelling of it.
 
 Also hosts the streaming-generator audit (satellite 3): workload
-sources must be constant-memory iterators, and the bench scenarios must
-never materialize full request lists.
+sources must be constant-memory iterators.
 """
 
-import importlib.util
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ShardRouter
-from repro.common.chunks import (OP_FLUSH, OP_READ, OP_TRIM, OP_WRITE,
-                                 make_chunk, requests_from_chunk)
+from repro.common.chunks import (DECLINED, OP_FLUSH, OP_READ, OP_TRIM,
+                                 OP_WRITE, make_chunk, requests_from_chunk)
 from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.arrays import B_NONE
@@ -40,12 +37,9 @@ from repro.workloads.fio import (fio_job_chunk_streams, fio_job_streams,
                                  uniform_random, uniform_random_chunks)
 from repro.workloads.msr import (MAX_REQUEST, TRACES, SyntheticTrace,
                                  build_group, build_group_chunks)
-from repro.workloads.replay import replay_group
 from repro.workloads.zipf import ZipfSampler, zipf_chunks, zipf_requests
 
 from _stacks import TINY_DISK, TINY_SRC, TINY_SSD, make_src
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -636,7 +630,8 @@ def test_negative_offset_row_fails_identically(make_target):
 
 
 # ----------------------------------------------------------------------
-# trace replay (warm-up snapshot + measurement window)
+# trace replay: the window's only multi-page / read-row trace-shaped
+# differential (warm-up here is a span the chunk path may not serve)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("group,warmup,think", [
     ("write", 0.0, 0.0),
@@ -644,14 +639,25 @@ def test_negative_offset_row_fails_identically(make_target):
     ("read", 0.0, 0.002),
 ])
 def test_replay_group_batched_bit_identical(group, warmup, think):
+    """MSR trace-group chunk streams with and without the window.
+    ``warmup`` keeps the chunk path closed for the first simulated
+    seconds, as a measurement wrapper pacing through warm-up does, so
+    the run hands over from scalar rows to windows mid-stream."""
     results = {}
     targets = {}
     for batched in (False, True):
         src = make_src()
-        results[batched] = replay_group(
-            src, group, scale=0.002, duration=float("inf"),
-            warmup=warmup, seed=5, threads_per_trace=1,
-            max_requests=5000, think_time=think, batched=batched)
+
+        def issue_chunk(rows, start, *window, _src=src):
+            if start < warmup:
+                return DECLINED
+            return _src.submit_chunk(rows, start, *window)
+
+        streams, _ = build_group_chunks(group, scale=0.002, seed=5,
+                                        threads_per_trace=1)
+        results[batched] = run_chunk_streams(
+            src.submit, streams, think_time=think, max_requests=5000,
+            issue_chunk=issue_chunk if batched else None)
         targets[batched] = src
     assert results[True].as_dict() == results[False].as_dict()
     _assert_src_state_equal(targets[False], targets[True])
@@ -847,62 +853,6 @@ def test_chunk_generators_run_in_constant_memory():
     # 60 chunks of 4096 rows streamed through ~5 sources must not
     # accumulate: peak is a few transient chunks, not 60 x 132 KiB.
     assert peak < 8 * MIB
-
-
-def _load_bench_module():
-    spec = importlib.util.spec_from_file_location(
-        "bench_engine_audit", REPO_ROOT / "scripts" / "bench_engine.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_bench_scenarios_never_materialize_request_lists():
-    from repro.common.types import IoStats, LatencyStats
-    from repro.sim.engine import RunResult
-    from repro.workloads.replay import ReplayResult
-
-    bench = _load_bench_module()
-    bench.precondition = lambda ssd, fill_fraction: None
-    seen = []
-
-    def fake_run_streams(issue, sources, **kwargs):
-        for source in sources:
-            _assert_lazy(source)
-        seen.append(len(sources))
-        return RunResult(elapsed=1.0, stats=IoStats(),
-                         latency=LatencyStats(), completed_ops=1)
-
-    def fake_run_chunk_streams(issue, sources, **kwargs):
-        for source in sources:
-            _assert_lazy(source)
-        seen.append(("chunks", len(sources)))
-        return RunResult(elapsed=1.0, stats=IoStats(),
-                         latency=LatencyStats(), completed_ops=1)
-
-    def fake_replay_group(target, group, **kwargs):
-        seen.append("replay")
-        return ReplayResult(group=group, elapsed=1.0, app_bytes=0,
-                            read_bytes=0, write_bytes=0, completed_ops=1,
-                            io_amplification=0.0, hit_ratio=0.0,
-                            ssd_bytes=0, origin_bytes=0)
-
-    bench.run_streams = fake_run_streams
-    bench.run_chunk_streams = fake_run_chunk_streams
-    bench.replay_group = fake_replay_group
-    rows = [
-        bench._scenario_engine("float/depth1", 10, 1, False, 1),
-        bench._scenario_engine("submission/depth32", 10, 32, True, 1),
-        bench._scenario_src("src/randwrite4k", 10, 1, batched=True),
-        bench._scenario_src("src/randwrite4k-scalar", 10, 1),
-        bench._scenario_src_obs("src/randwrite4k-obs", 10, 1,
-                                batched=True),
-        bench._scenario_cluster("cluster/passthrough", 10, 1,
-                                batched=True),
-        bench._scenario_replay("replay/msr-write", 10, 1, batched=True),
-    ]
-    assert len(seen) == 7
-    assert all(row["scenario"] for row in rows)
 
 
 # ----------------------------------------------------------------------

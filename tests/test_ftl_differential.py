@@ -415,17 +415,45 @@ def test_ssd_submit_chunk_mid_run_fail_stop_identical():
     _assert_ssd_state_equal(scalar, batched)
 
 
-def test_ssd_submit_chunk_declines_under_armed_corruption():
-    """Latent-sector corruption must be scrubbed per-request (the
-    vector window cannot observe clear_corruption's range math), so an
-    armed corruption set closes the chunk gate until scrubbed."""
-    ssd = _make_ssd()
-    page = ssd.spec.page_size
-    ssd.inject_corruption(0, page)
-    rows = make_chunk(np.array([0, page]), page)
-    _, _, n = ssd.submit_chunk(rows, 0.0, 0.0, float("inf"), 0)
-    assert n == 0
-    done = ssd.submit(Request(Op.WRITE, 0, page), 0.0)   # scrubs page 0
-    assert done > 0.0 and not ssd._corrupted_pages
-    _, _, n = ssd.submit_chunk(rows, done, 0.0, float("inf"), 0)
-    assert n == 2                  # gate reopens once the set is empty
+def test_ssd_submit_chunk_scrubs_armed_corruption():
+    """A chunk over latent-corrupted pages is per-request submission:
+    every row is served and each overwrite scrubs its page."""
+    scalar, batched = _make_ssd(), _make_ssd()
+    page = scalar.spec.page_size
+    offsets = _random_page_offsets(scalar, 2000, seed=55)
+    for ssd in (scalar, batched):
+        for off in offsets[::7].tolist():
+            ssd.inject_corruption(off, page)
+    i_s, d_s = _drive_scalar(scalar, offsets)
+    i_b, d_b, n = batched.submit_chunk(make_chunk(offsets, page), 0.0, 0.0,
+                                       float("inf"), 0)
+    assert n == offsets.size
+    assert np.array_equal(i_s, i_b)
+    assert np.array_equal(d_s, d_b)
+    _assert_ssd_state_equal(scalar, batched)
+    assert not batched.corrupted_in(0, batched.size)
+
+
+def test_ssd_submit_chunk_inflight_queue_at_window_start_identical():
+    """A burst still outstanding when the window opens fills the
+    command queue, so admission delays rows mid-window; the chunk
+    serves them all and queues exactly as per-request submission."""
+    scalar, batched = _make_ssd(), _make_ssd()
+    page = scalar.spec.page_size
+    offsets = _random_page_offsets(scalar, 3000, seed=56)
+    depth = scalar.queue_depth
+    burst, rest = offsets[:2 * depth], offsets[2 * depth:]
+    for ssd in (scalar, batched):
+        for off in burst.tolist():
+            ssd.submit(Request(Op.WRITE, off, page), 0.0)
+        assert ssd.outstanding(0.0) == depth
+    i_s, d_s = _drive_scalar(scalar, rest)
+    i_b, d_b, n = batched.submit_chunk(make_chunk(rest, page), 0.0, 0.0,
+                                       float("inf"), 0)
+    assert n == rest.size
+    assert np.array_equal(i_s, i_b)
+    assert np.array_equal(d_s, d_b)
+    _assert_ssd_state_equal(scalar, batched)
+    assert scalar.qstats.as_dict() == batched.qstats.as_dict()
+    assert batched.qstats.queued_ops > depth, "no window row waited"
+    assert scalar._inflight == batched._inflight

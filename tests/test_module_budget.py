@@ -1,7 +1,7 @@
 """No module under ``src/repro`` outgrows what a reader can hold.
 
-ROADMAP item 2: "no file over ~600 lines".  The files still above the
-limit are listed with their current ceiling; an entry may only be
+ROADMAP item 2: "no file over ~600 lines".  The one file still above
+the limit is listed with its current ceiling; an entry may only be
 lowered (and removed once the file fits), never raised or added.
 """
 
@@ -9,7 +9,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LIMIT = 600
-RATCHET = {"raid/array.py": 660, "cluster/router.py": 640}
+RATCHET = {"cluster/router.py": 633}
 
 
 def test_every_module_fits_its_budget():

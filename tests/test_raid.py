@@ -127,7 +127,7 @@ def test_raid5_parity_rotates():
 
 
 # ------------------------------------------------------------------
-# degraded operation & rebuild
+# degraded operation
 # ------------------------------------------------------------------
 def test_raid5_degraded_read_reconstructs():
     devs = members(4)
@@ -167,25 +167,6 @@ def test_raid1_both_mirrors_down_fatal():
         array.read(0, 4 * KIB, 0.0)
 
 
-def test_raid5_rebuild_touches_all_stripes():
-    devs = members(4, size=64 * KIB)
-    array = Raid5Device(devs, chunk_size=4 * KIB)
-    devs[1].failed = True
-    devs[1].failed = False   # "replaced"
-    array.start_rebuild(1, now=0.0)
-    array.step_rebuild(0.0, max_units=array.stripes)
-    assert devs[1].stats.write_ops == array.stripes
-    assert devs[0].stats.read_ops == array.stripes
-
-
-def test_rebuild_requires_live_member():
-    devs = members(4)
-    array = Raid5Device(devs, chunk_size=4 * KIB)
-    devs[2].failed = True
-    with pytest.raises(RaidDegradedError):
-        array.start_rebuild(2)
-
-
 def test_flush_skips_failed_members():
     devs = members(4)
     array = Raid5Device(devs, chunk_size=4 * KIB)
@@ -196,76 +177,26 @@ def test_flush_skips_failed_members():
 
 
 # ------------------------------------------------------------------
-# online repair: resilver, async rebuild, hot spares
+# slot health: HEALTHY -> DEGRADED -> FAILED
 # ------------------------------------------------------------------
-def test_raid1_rebuild_resilvers_from_mirror():
-    devs = members(2, size=64 * KIB)
-    array = Raid1Device(devs, chunk_size=4 * KIB)
-    array.write(0, 32 * KIB, 0.0)
-    writes_before = devs[0].stats.write_ops
-    reads_before = devs[1].stats.read_ops
-    devs[0].failed = True
-    devs[0].failed = False   # "replaced"
-    array.start_rebuild(0, now=1.0)
-    array.step_rebuild(1.0, max_units=array.stripes)
-    assert devs[0].stats.write_ops - writes_before == array.stripes
-    assert devs[1].stats.read_ops - reads_before == array.stripes
-    assert array.health.state(0) is DeviceHealth.HEALTHY
-    assert array.rebuilds_completed == 1
+@pytest.mark.parametrize("cls", [Raid5Device, Raid1Device],
+                         ids=["second-parity-member", "both-mirror-halves"])
+def test_losing_the_covering_copy_fails_the_slot(cls):
+    array = cls(members(4), chunk_size=4 * KIB)
 
+    def fail_stop(index):   # the array finds out on its next I/O
+        array.members[index] = FaultInjector(
+            array.members[index], FaultPlan().fail_stop(at=0.0),
+            name=f"f{index}")
 
-def test_raid0_cannot_rebuild():
-    array = Raid0Device(members(4))
+    fail_stop(0)
+    array.write(0, 12 * KIB, 1.0)           # absorbed: degraded write
+    assert array.health.state(0) is DeviceHealth.DEGRADED
+    fail_stop(1)                            # RAID-1: the other half of 0
     with pytest.raises(RaidDegradedError):
-        array.start_rebuild(0)
-
-
-def test_async_rebuild_is_resumable_in_steps():
-    devs = members(4, size=64 * KIB)
-    array = Raid5Device(devs, chunk_size=4 * KIB)
-    array.start_rebuild(1, now=0.0)
-    assert array.health.state(1) is DeviceHealth.REBUILDING
-    job = array.rebuild_job
-    assert job is not None and job.pending() == array.stripes
-
-    array.step_rebuild(0.0, max_units=3)
-    assert job.pending() == array.stripes - 3
-    # A second start_rebuild for the same member resumes, not restarts.
-    array.start_rebuild(1, now=0.5)
-    assert array.rebuild_job is job
-    with pytest.raises(RaidDegradedError):
-        array.start_rebuild(2, now=0.5)   # one job at a time
-
-    while array.rebuild_job is not None:
-        array.step_rebuild(1.0, max_units=4)
-    assert array.health.state(1) is DeviceHealth.HEALTHY
-    assert devs[1].stats.write_ops == array.stripes
-    assert array.rebuilds_completed == 1
-
-
-def test_raid5_spare_takes_failed_slot_and_rebuilds():
-    devs = members(4, size=64 * KIB)
-    victim = FaultInjector(FailableNull(64 * KIB, name="victim"),
-                           FaultPlan().fail_stop(at=0.5), name="fv")
-    devs[1] = victim
-    array = Raid5Device(devs, chunk_size=4 * KIB)
-    spare = FailableNull(64 * KIB, name="spare")
-    array.attach_spare(spare)
-
-    array.write(0, 12 * KIB, 0.0)
-    # The victim dies mid-write; RAID-5 absorbs it as a degraded write
-    # and the repair hook hands the slot to the spare underneath.
-    array.write(0, 12 * KIB, 1.0)
-    assert array.members[1] is spare
-    assert array.health.state(1) is DeviceHealth.REBUILDING
-
-    # The next admitted request pumps the (unthrottled) rebuild dry.
-    array.write(0, 12 * KIB, 2.0)
-    assert array.rebuild_job is None
-    assert array.health.state(1) is DeviceHealth.HEALTHY
-    assert array.rebuilds_completed == 1
-    assert spare.stats.write_ops >= array.stripes
-    # And the resilvered copy serves reads directly.
-    before = spare.stats.read_ops
-    array.read(4 * KIB, 4 * KIB, 3.0)
-    assert spare.stats.read_ops >= before
+        array.write(0, 12 * KIB, 2.0)
+    # Nothing covers slot 1 any more: it passes through DEGRADED.
+    assert [(t.member, t.new) for t in array.health.history] == [
+        (0, DeviceHealth.DEGRADED),
+        (1, DeviceHealth.DEGRADED), (1, DeviceHealth.FAILED)]
+    assert array.health.state(2) is DeviceHealth.HEALTHY

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import DeviceFailedError
+from repro.common.errors import AddressError, DeviceFailedError
+from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, mb_per_sec
+from repro.raid.array import Raid0Device
 from repro.ssd.device import SSDDevice, precondition
 from repro.ssd.spec import SATA_MLC_128, SATA_TLC_128, NVME_MLC_400
 
@@ -130,6 +132,32 @@ def test_trim_unmaps_only_whole_pages():
     ssd.trim(2048, 8192, 2.0)                   # [2 KiB, 10 KiB): page 1
     assert [ssd.ftl.read(p, 1).mapped_pages for p in range(3)] == [1, 0, 1]
     assert ssd.stats.trim_ops == 2
+
+
+@pytest.mark.parametrize("through_raid0", [False, True],
+                         ids=["bare", "raid0"])
+def test_zero_length_request_is_command_only(through_raid0):
+    """A zero-length READ / WRITE moves no data: no flash page is
+    programmed, mapped, read or scrubbed, at any offset <= size."""
+    ssds = [small_ssd(), small_ssd()]
+    target = (Raid0Device(ssds, chunk_size=4 * KIB) if through_raid0
+              else ssds[0])
+    target.write(0, 8 * KIB, 0.0)               # one page per member
+    ssds[0].inject_corruption(0, 4096)
+    before = [(s.ftl.l2p.copy(), s.ftl.counters.host_pages_written,
+               s.ftl.counters.host_pages_read) for s in ssds]
+    for op in (Op.WRITE, Op.READ):
+        for offset in (0, 4096, 100, target.size):
+            assert target.submit(Request(op, offset, 0), 1.0) >= 1.0
+    for ssd, (l2p, written, read) in zip(ssds, before):
+        assert np.array_equal(ssd.ftl.l2p, l2p)
+        assert ssd.ftl.counters.host_pages_written == written
+        assert ssd.ftl.counters.host_pages_read == read
+    assert ssds[0].corrupted_in(0, 4096)        # not an overwrite
+    if not through_raid0:
+        assert target.submit(Request(Op.WRITE, 0, 0), 2.0) > 2.0
+    with pytest.raises(AddressError):
+        target.submit(Request(Op.WRITE, target.size + 1, 0), 3.0)
 
 
 def test_bytes_programmed_tracks_wear():
