@@ -46,7 +46,7 @@ from repro.api import (CACHE_SPACE, DEFAULT_SCALE, EXPERIMENTS, GIB, KIB,
                        export_synthetic_trace, flush, generate_report,
                        mb_per_sec, open_array, replay_group,
                        result_violations, run_cluster, run_experiment,
-                       run_faults, run_rebuild, to_json, use)
+                       run_rebuild, to_json, use)
 
 # Device-level classes below the stable facade, kept importable from
 # the package root for existing scripts and tests.

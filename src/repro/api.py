@@ -108,15 +108,6 @@ def result_violations(result: ExperimentResult) -> List[str]:
     return [n for n in result.notes if n.startswith("violation:")]
 
 
-def run_faults(es: ExperimentScale = DEFAULT_SCALE, seeds: int = 5,
-               points: int = 50,
-               demonstrate_break: bool = False) -> ExperimentResult:
-    """The seeded crash-point torture harness (``repro faults``)."""
-    from repro.harness import exp_faults
-    return exp_faults.run(es, seeds=seeds, points=points,
-                          demonstrate_break=demonstrate_break)
-
-
 def run_rebuild(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
     """The hot-spare rebuild sweep + scrub demo (``repro rebuild``)."""
     from repro.harness import exp_rebuild
@@ -138,11 +129,13 @@ def run_chaos(scenarios: Optional[List[str]] = None,
     """The chaos verification layer (``repro chaos``).
 
     Explores up to ``budget`` unexplored crash points per scenario
-    (``None`` = exhaust the space, the nightly mode) against the
-    resumable frontier at ``frontier_path``, then runs one
+    (``None`` = the whole space, what CI runs) against the frontier at
+    ``frontier_path`` (``None`` = in memory), proves the explorer
+    catches a deliberately skipped ME seal, then runs one
     composed-fault scheduler pass.  Returns a JSON-ready payload whose
     ``"ok"`` is False iff any oracle, invariant, or differential
-    violation was found.
+    violation was found, an exception escaped a recovery, or the
+    broken seal went unnoticed.
     """
     from repro.chaos import (ChaosScheduler, CrashFrontier,
                              CrashPointExplorer, SCENARIOS)
@@ -150,7 +143,8 @@ def run_chaos(scenarios: Optional[List[str]] = None,
     explorer = CrashPointExplorer(
         seed=seed, **({"ops": ops} if ops else {}),
         frontier=CrashFrontier(frontier_path))
-    payload: dict = {"scenarios": {}, "composed": None, "ok": True}
+    payload: dict = {"scenarios": {}, "sensitivity": None, "composed": None,
+                     "ok": True}
     for name in names:
         report = explorer.explore(name, budget=budget)
         payload["scenarios"][name] = {
@@ -161,6 +155,10 @@ def run_chaos(scenarios: Optional[List[str]] = None,
             "violations": report.violations,
         }
         payload["ok"] = payload["ok"] and report.ok
+    caught = explorer.broken_seal_caught()
+    payload["sensitivity"] = {"break": "ME seal skipped",
+                              "violations_caught": caught}
+    payload["ok"] = payload["ok"] and caught > 0
     if composed:
         composed_report = ChaosScheduler(seed=seed).run()
         payload["composed"] = composed_report.as_dict()
@@ -333,7 +331,6 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "run_cluster",
-    "run_faults",
     "run_rebuild",
     "result_violations",
     "generate_report",

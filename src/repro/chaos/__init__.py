@@ -1,8 +1,9 @@
 """repro.chaos — the chaos verification layer.
 
-Robustness work in this repo used to rest on sampled crash points and
-per-subsystem spot checks.  This package turns that into systematic
-verification with three pillars:
+The one crash-testing mechanism of the repository: systematic
+verification with three pillars, all built on one crash rig
+(:mod:`repro.chaos.rig`: the tiny geometry, the injector-wrapped stack
+builders and the one cluster recovery).
 
 * :mod:`repro.chaos.oracle` — an **end-to-end integrity oracle**.  A
   shadow map of expected per-block content (and therefore checksums)
@@ -11,11 +12,11 @@ verification with three pillars:
   recovery, after migration.  Silent data loss stops being a silent
   statistic and becomes a hard failure.
 * :mod:`repro.chaos.crashpoints` — a **systematic crash-point
-  explorer**.  Instead of sampling seeds, every interesting durability
-  site (metadata summary write, segment seal, destage ack, migration
-  ledger transition, spare attach) is enumerated deterministically; a
-  resumable frontier lets CI explore a bounded budget per run while a
-  nightly job exhausts the space.
+  explorer**.  Instead of sampling seeds, every durability site
+  (metadata summary write, segment seal, member or spare write,
+  destage ack, migration ledger transition, spare attach) is
+  enumerated deterministically and CI cuts power at every one; a
+  resumable frontier serves budgeted local runs.
 * :mod:`repro.chaos.invariants` — **invariant monitors** (free-space
   conservation, mapping/buffer/residency consistency, tenant
   accounting, migration-ledger bounds, health-machine legality) that

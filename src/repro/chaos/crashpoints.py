@@ -1,30 +1,37 @@
 """Systematic crash-point exploration (chaos pillar 2).
 
-The seeded torture harness (:mod:`repro.harness.exp_faults`) *samples*
-crash points: seeds × points draw write-count and wall-clock cuts and
-hope the interesting windows get hit.  This module replaces sampling
-with enumeration.  Every durability site in a scenario — each metadata
-summary write (MS), each segment seal (ME), each destage ack reaching
-the origin, each migration-ledger transition, each hot-spare attach —
-is instrumented; a **pilot run** of the deterministic workload counts
-how often each site fires, which defines the exact crash-point space:
+This is the only code in the repository that cuts power on purpose.
+Every durability site in a scenario — each metadata summary write
+(MS), each segment seal (ME), each WRITE reaching a member SSD or hot
+spare, each destage ack reaching the origin, each migration-ledger
+transition, each hot-spare attach — is instrumented; a **pilot run**
+of the deterministic workload counts how often each site fires, which
+defines the exact crash-point space:
 
     ``site#ordinal:pre``   power cut *just before* the site's Nth firing
     ``site#ordinal:post``  power cut *just after* it completed
 
 An **armed run** replays the identical workload and raises
 :class:`~repro.common.errors.PowerCutError` at exactly one point, then
-recovery runs and the integrity oracle plus the invariant monitors
-audit the survivors.  Because pilot and armed runs share one seed and
-the instrumentation is count-based, exploration is exactly
-reproducible point by point.
+recovery runs (:mod:`repro.chaos.rig`) and the integrity oracle plus
+the invariant monitors audit the survivors.  Because pilot and armed
+runs share one seed and the instrumentation is count-based,
+exploration is exactly reproducible point by point.  Durable state
+only changes at sites and nothing between a member and the explorer
+catches the cut, so a cut raised from a READ or a FLUSH, or at a
+wall-clock time, would hand recovery the same input as the adjacent
+enumerated point.
 
-The space is large (hundreds of points per scenario), so exploration
-is budgeted and **resumable**: a :class:`CrashFrontier` persists the
-discovered space and each point's verdict to JSON
-(``CHAOS_frontier.json`` by convention); CI explores a bounded number
-of new points per run, the nightly job passes ``budget=None`` and
-exhausts whatever remains.
+``python -m repro chaos --budget 0`` explores every point of both
+scenarios in memory; CI does that on every run.  A
+:class:`CrashFrontier` given a path persists the discovered space and
+each point's verdict to JSON, which makes a budgeted local exploration
+resumable.
+
+:meth:`CrashPointExplorer.broken_seal_caught` is the explorer's proof
+of its own sensitivity: with the ME seal deliberately skipped, a cut
+must surface violations — an explorer that cannot see a broken crash
+protocol proves nothing.
 """
 
 from __future__ import annotations
@@ -39,26 +46,41 @@ from repro.chaos.invariants import (check_cluster_ownership,
                                     check_group_accounting, check_ledger,
                                     check_repair, check_residency)
 from repro.chaos.oracle import IntegrityOracle
-from repro.cluster import ShardRouter
+from repro.chaos.rig import (LBA_SPAN, OPS_PER_CASE, TORTURE_CONFIG, Cluster,
+                             build_origin, build_shard, recover_cluster,
+                             recover_shard, torn_summaries)
 from repro.common.errors import PowerCutError
 from repro.common.types import Op, Request
-from repro.common.units import GIB, MIB, PAGE_SIZE
+from repro.common.units import MIB, PAGE_SIZE
 from repro.core.config import RepairConfig
-from repro.core.recovery import recover
-from repro.faults import FaultInjector, FaultPlan
-from repro.harness.exp_faults import (LBA_SPAN, OPS_PER_CASE,
-                                      TORTURE_CLUSTER, TORTURE_CONFIG,
-                                      _build_cluster_shard, _build_stack)
-from repro.hdd.backend import PrimaryStorage
-from repro.hdd.disk import DiskSpec
+from repro.faults import FaultPlan
 
 SCENARIOS = ("src", "cluster")
 
-# The src scenario runs with one hot spare and a deterministic early
-# member fail-stop, so the spare-attach and rebuild durability sites
-# exist in every run (scrub is off: it adds runtime, not new sites).
+# The src scenario runs with one hot spare, a deterministic early
+# member fail-stop and a deliberately slow rebuild, so the spare-attach
+# site exists and the rebuild's window is wide; the scrubber's period
+# is short, so its passes reach the latent corruption seeded a third
+# of the way in.
 SRC_CHAOS_CONFIG = replace(TORTURE_CONFIG, repair=RepairConfig(
-    hot_spares=1, rebuild_rate=2 * MIB, scrub_interval=0.0))
+    hot_spares=1, rebuild_rate=2 * MIB, scrub_interval=0.02))
+
+
+def _is_write(req: Request, now: float) -> bool:
+    return req.op is Op.WRITE
+
+
+def _seed_corruption(cache, rng: random.Random) -> None:
+    """Corrupt a few sealed, still-mapped blocks; the damage sits latent
+    until the periodic scrub (or a foreground read) reaches it."""
+    live = [entry for summary in cache.metadata.all_summaries()
+            for lba in summary.lbas
+            if (entry := cache.mapping.lookup(lba)) is not None
+            and (entry.location.sg, entry.location.segment)
+            == (summary.sg, summary.segment)]
+    for entry in rng.sample(live, min(4, len(live))):
+        cache.ssds[entry.location.ssd].inject_corruption(
+            entry.location.offset, PAGE_SIZE)
 
 
 def point_id(site: str, ordinal: int, flavor: str) -> str:
@@ -76,11 +98,13 @@ class _Instrument:
     what makes pilot and armed runs comparable.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, armed: Optional[Tuple[str, int, str]]) -> None:
         self.counts: Dict[str, int] = {}
-        self.discovered: List[Tuple[str, int]] = []
-        self.armed: Optional[Tuple[str, int, str]] = None
-        self.fired: Optional[str] = None
+        # Every crash point the run exposed, in firing order.  A firing
+        # whose wrapped call raised (a WRITE to a fail-stopped member)
+        # has no ``post``: there is no "after it completed" to cut at.
+        self.discovered: List[str] = []
+        self.armed = armed
         # Set once the workload window closes: recovery and resumed
         # migrations drive the same methods, but those firings belong
         # to the recovery path, not the explorable crash space.
@@ -96,25 +120,28 @@ class _Instrument:
                 return inner(*args, **kwargs)
             ordinal = self.counts.get(site, 0)
             self.counts[site] = ordinal + 1
-            self.discovered.append((site, ordinal))
+            self.discovered.append(point_id(site, ordinal, "pre"))
             if self.armed == (site, ordinal, "pre"):
-                self.fired = point_id(site, ordinal, "pre")
                 raise PowerCutError(f"chaos: cut before {site}#{ordinal}")
             result = inner(*args, **kwargs)
+            self.discovered.append(point_id(site, ordinal, "post"))
             if self.armed == (site, ordinal, "post"):
-                self.fired = point_id(site, ordinal, "post")
                 raise PowerCutError(f"chaos: cut after {site}#{ordinal}")
             return result
 
         setattr(obj, attr, wrapped)
 
-    def points(self) -> List[str]:
-        """Every crash point the run exposed, in firing order."""
-        ids = []
-        for site, ordinal in self.discovered:
-            ids.append(point_id(site, ordinal, "pre"))
-            ids.append(point_id(site, ordinal, "post"))
-        return ids
+    @property
+    def point(self) -> str:
+        """The armed point's id; the unarmed run is the pilot."""
+        return point_id(*self.armed) if self.armed else "(pilot)"
+
+    def member_sites(self, injectors) -> None:
+        """A ``<device>.member-write`` site on every WRITE submitted to
+        each member or spare injector."""
+        for injector in injectors:
+            self.site(injector, "submit",
+                      f"{injector.lower.name}.member-write", only=_is_write)
 
 
 @dataclass
@@ -125,6 +152,10 @@ class PointResult:
     crashed: bool
     ops_before_crash: int
     torn_at_crash: int
+    # What the repair machinery was doing when the machine died: open
+    # rebuild jobs, and scrub repairs made so far.
+    rebuilds_open: int = 0
+    scrub_repairs: int = 0
     violations: List[str] = field(default_factory=list)
 
     @property
@@ -135,6 +166,8 @@ class PointResult:
         return {"ok": self.ok, "crashed": self.crashed,
                 "ops": self.ops_before_crash,
                 "torn": self.torn_at_crash,
+                "rebuilds_open": self.rebuilds_open,
+                "scrub_repairs": self.scrub_repairs,
                 "violations": self.violations}
 
 
@@ -232,7 +265,7 @@ class CrashPointExplorer:
     # ------------------------------------------------------------------
     def _drive(self, submit, oracle: IntegrityOracle, in_dirty,
                read_verify=None, events=None) -> Tuple[int, bool, List[str]]:
-        """The shared seeded op loop; returns (ops, crashed, problems)."""
+        """The one seeded op loop; returns (ops, crashed, problems)."""
         rng = random.Random((self.seed << 16) ^ 0x5EED)
         problems: List[str] = []
         now = 0.0
@@ -260,184 +293,127 @@ class CrashPointExplorer:
                     problems.extend(oracle.verify_read(read_verify, lba))
                 completed += 1
                 now = max(now, end) + 10e-6
+                if rng.random() < 0.01:
+                    # Idle: TWAIT seals a partial segment, and the
+                    # rebuild and the scrubber get time to themselves.
+                    now += TORTURE_CONFIG.t_wait * 1.5
         except PowerCutError:
             return completed, True, problems
         return completed, False, problems
 
+    @staticmethod
+    def _judge(result: PointResult,
+               autopsy: Callable[[], List[str]]) -> PointResult:
+        """Recover and audit a dead stack.  Whatever escapes recovery or
+        the audit is this point's verdict, not the explorer's crash."""
+        try:
+            result.violations += autopsy()
+        except Exception as exc:
+            result.violations.append(
+                f"recovery raised {type(exc).__name__}: {exc}")
+        return result
+
     # ------------------------------------------------------------------
-    # scenario: single SRC stack (spare + rebuild in play)
+    # scenario: single SRC stack (spare, rebuild and scrub in play)
     # ------------------------------------------------------------------
-    def _run_src(self, armed: Optional[Tuple[str, int, str]]) -> Tuple[
-            _Instrument, PointResult]:
-        cache, ssds, spares, origin, metadata = _build_stack(
-            config=SRC_CHAOS_CONFIG)
-        inst = _Instrument()
-        inst.site(metadata, "write_summary", "ms-write")
-        inst.site(metadata, "seal_summary", "me-seal")
-        inst.site(origin, "submit", "destage-ack",
-                  only=lambda req, now: req.op is Op.WRITE)
+    def _run_src(self, armed: Optional[Tuple[str, int, str]],
+                 break_seal: bool = False) -> Tuple[_Instrument, PointResult]:
+        origin = build_origin()
+        cache, members = build_shard(origin, SRC_CHAOS_CONFIG,
+                                     break_seal=break_seal)
+        inst = _Instrument(armed)
+        inst.site(cache.metadata, "write_summary", "ms-write")
+        inst.site(cache.metadata, "seal_summary", "me-seal")
+        inst.site(origin, "submit", "destage-ack", only=_is_write)
         inst.site(cache.repair, "_try_attach", "spare-attach")
-        inst.armed = armed
+        inst.member_sites(members)
         # Deterministic early member loss: every run exercises the
         # spare attach and the rebuild's durability sites.
-        ssds[0].plan = FaultPlan(seed=self.seed).fail_stop(at=0.004)
+        members[0].plan = FaultPlan(seed=self.seed).fail_stop(at=0.004)
+
+        def events(op_index: int, now: float) -> None:
+            if op_index == self.ops // 3:
+                _seed_corruption(cache, random.Random(self.seed))
 
         oracle = IntegrityOracle()
         completed, crashed, live_problems = self._drive(
-            cache.submit, oracle,
-            lambda b: b in cache.dirty_buf, read_verify=cache)
+            cache.submit, oracle, lambda b: b in cache.dirty_buf,
+            read_verify=cache, events=events)
 
         # The machine is dead; only durable state may speak now.
         inst.disabled = True
-        inst.armed = None
-        torn_before = [(s.sg, s.segment) for s in metadata.all_summaries()
-                       if not s.consistent]
-        for injector in ssds + spares + [origin]:
+        for injector in members + [origin]:
             injector.disarm()
-        recovered, report = recover(list(cache.ssds), origin,
-                                    SRC_CHAOS_CONFIG, metadata)
 
-        violations = list(live_problems)
-        violations += oracle.verify_cache(recovered)
-        violations += oracle.verify_durability([recovered],
+        def autopsy() -> List[str]:
+            recovered, problems = recover_shard(cache, origin)
+            return (problems
+                    + oracle.verify_cache(recovered)
+                    + oracle.verify_durability([recovered],
                                                origin.written_pages)
-        if report.segments_discarded != len(torn_before):
-            violations.append(
-                f"discarded {report.segments_discarded} segments, "
-                f"expected {len(torn_before)} torn")
-        violations += check_group_accounting(recovered)
-        violations += check_residency(recovered)
-        violations += check_repair(recovered)
-        point = (point_id(*armed) if armed is not None else "(pilot)")
-        return inst, PointResult(point=point, crashed=crashed,
-                                 ops_before_crash=completed,
-                                 torn_at_crash=len(torn_before),
-                                 violations=violations)
+                    + check_group_accounting(recovered)
+                    + check_residency(recovered)
+                    + check_repair(recovered))
+
+        return inst, self._judge(PointResult(
+            point=inst.point, crashed=crashed, ops_before_crash=completed,
+            torn_at_crash=len(torn_summaries(cache)),
+            rebuilds_open=len(cache.repair.jobs),
+            scrub_repairs=cache.srcstats.scrub_repairs,
+            violations=live_problems), autopsy)
 
     # ------------------------------------------------------------------
     # scenario: 2-shard cluster with an online shard add mid-run
     # ------------------------------------------------------------------
-    def _run_cluster(self, armed: Optional[Tuple[str, int, str]]) -> Tuple[
-            _Instrument, PointResult]:
-        origin = FaultInjector(
-            PrimaryStorage(n_disks=2, disk_spec=DiskSpec(capacity=2 * GIB)),
-            name="fault-origin", record_writes=True)
-        shards, ssd_groups, metadatas = [], [], []
-        for index in range(TORTURE_CLUSTER.n_shards):
-            shard, ssds, metadata = _build_cluster_shard(
-                f"shard{index}", origin)
-            shards.append(shard)
-            ssd_groups.append(ssds)
-            metadatas.append(metadata)
-        new_shard, new_ssds, new_metadata = _build_cluster_shard(
-            "shard-new", origin)
-        router = ShardRouter(shards, origin, TORTURE_CLUSTER,
-                             name="chaos-cluster")
-
-        inst = _Instrument()
-        for shard, metadata in zip(shards + [new_shard],
-                                   metadatas + [new_metadata]):
-            inst.site(metadata, "write_summary", f"{shard.name}.ms-write")
-            inst.site(metadata, "seal_summary", f"{shard.name}.me-seal")
+    def _run_cluster(self, armed: Optional[Tuple[str, int, str]],
+                     ) -> Tuple[_Instrument, PointResult]:
+        cluster = Cluster()
+        router = cluster.router
+        inst = _Instrument(armed)
+        for shard, members in zip(cluster.shards, cluster.members):
+            inst.site(shard.metadata, "write_summary",
+                      f"{shard.name}.ms-write")
+            inst.site(shard.metadata, "seal_summary", f"{shard.name}.me-seal")
+            inst.member_sites(members)
         inst.site(router.ledger, "begin", "ledger-begin")
         inst.site(router.ledger, "record", "ledger-commit")
         inst.site(router.ledger, "complete", "ledger-complete")
-        inst.site(origin, "submit", "destage-ack",
-                  only=lambda req, now: req.op is Op.WRITE)
-        inst.armed = armed
-
-        add_at = self.ops // 3
+        inst.site(cluster.origin, "submit", "destage-ack", only=_is_write)
 
         def events(op_index: int, now: float) -> None:
-            if op_index == add_at:
-                router.add_shard(new_shard, now)
+            if op_index == self.ops // 3:
+                cluster.add_shard(now)
 
-        all_shards = shards + [new_shard]
         oracle = IntegrityOracle()
         completed, crashed, live_problems = self._drive(
             router.submit, oracle,
-            lambda b: any(b in s.dirty_buf for s in all_shards),
+            lambda b: any(b in s.dirty_buf for s in cluster.shards),
             events=events)
-
         inst.disabled = True
-        inst.armed = None
-        all_metadata = metadatas + [new_metadata]
-        torn = [(s.sg, s.segment) for m in all_metadata
-                for s in m.all_summaries() if not s.consistent]
-        for injectors in ssd_groups + [new_ssds]:
-            for injector in injectors:
-                injector.disarm()
-        origin.disarm()
 
-        ledger = router.ledger
-        # The durable record of the topology change is the ledger, not
-        # the dead router's memory: ``add_shard`` mutates its in-memory
-        # shard table *before* ``ledger.begin``, so a cut in between
-        # leaves the slot present in RAM while durably the add never
-        # happened.  The add completed iff the intent closed after a
-        # ``ledger.complete`` actually executed (the site counter
-        # increments pre-call, so a cut *at* complete leaves the
-        # ledger active and correctly lands in the resume branch).
-        add_completed = (not ledger.active
-                         and inst.counts.get("ledger-complete", 0) > 0)
-        recovered = []
-        discarded = 0
-        for shard, metadata in zip(all_shards, all_metadata):
-            cache, report = recover(list(shard.ssds), origin,
-                                    TORTURE_CONFIG, metadata)
-            cache.name = shard.name
-            recovered.append(cache)
-            discarded += report.segments_discarded
+        def autopsy() -> List[str]:
+            rebuilt, problems = recover_cluster(cluster)
+            # Cross-shard audits.  Versions are shard-local (migration
+            # re-logs a block under the target's counter), so the oracle
+            # checks checksum self-consistency and dirty survival, not
+            # exact version equality.
+            problems += oracle.verify_durability(
+                rebuilt.shards.values(), cluster.origin.written_pages,
+                exact_versions=False)
+            for shard in rebuilt.shards.values():
+                for problem in (oracle.verify_cache(shard,
+                                                    exact_versions=False)
+                                + check_group_accounting(shard)
+                                + check_residency(shard)):
+                    problems.append(f"{shard.name}: {problem}")
+            return (problems + check_ledger(rebuilt.ledger)
+                    + check_cluster_ownership(rebuilt))
 
-        violations = list(live_problems)
-        if discarded != len(torn):
-            violations.append(
-                f"discarded {discarded} segments, expected "
-                f"{len(torn)} torn")
-
-        resume_at = 10.0
-        if add_completed:
-            config3 = replace(TORTURE_CLUSTER, n_shards=3)
-            rebuilt = ShardRouter(recovered, origin, config3,
-                                  ledger=ledger, name="chaos-cluster")
-            rebuilt.recover_interrupted(resume_at)
-        else:
-            rebuilt = ShardRouter(recovered[:2], origin, TORTURE_CLUSTER,
-                                  ledger=ledger, name="chaos-cluster")
-            rebuilt.recover_interrupted(
-                resume_at,
-                new_shard=recovered[2] if ledger.active else None)
-            t = resume_at
-            for _ in range(200_000):
-                if rebuilt._migration is None:
-                    break
-                rebuilt.pump(t)
-                t += 1e-3
-            else:
-                violations.append("resumed migration did not complete")
-            rebuilt.reconcile(t)
-
-        # Cross-shard audits.  Versions are shard-local (migration
-        # re-logs a block under the target's counter), so the oracle
-        # checks checksum self-consistency and dirty survival, not
-        # exact version equality.
-        violations += oracle.verify_durability(
-            rebuilt.shards.values(), origin.written_pages,
-            exact_versions=False)
-        for shard in rebuilt.shards.values():
-            for problem in (oracle.verify_cache(shard,
-                                                exact_versions=False)
-                            + check_group_accounting(shard)
-                            + check_residency(shard)):
-                violations.append(f"{shard.name}: {problem}")
-        violations += check_ledger(rebuilt.ledger)
-        violations += check_cluster_ownership(rebuilt)
-
-        point = (point_id(*armed) if armed is not None else "(pilot)")
-        return inst, PointResult(point=point, crashed=crashed,
-                                 ops_before_crash=completed,
-                                 torn_at_crash=len(torn),
-                                 violations=violations)
+        return inst, self._judge(PointResult(
+            point=inst.point, crashed=crashed, ops_before_crash=completed,
+            torn_at_crash=sum(len(torn_summaries(shard))
+                              for shard in cluster.shards),
+            violations=live_problems), autopsy)
 
     # ------------------------------------------------------------------
     # enumeration + budgeted, resumable exploration
@@ -468,16 +444,30 @@ class CrashPointExplorer:
             raise AssertionError(
                 f"chaos pilot for {scenario!r} is not clean: "
                 + "; ".join(pilot.violations[:5]))
-        points = inst.points()
-        self.frontier.set_discovered(scenario, self.seed, points)
+        self.frontier.set_discovered(scenario, self.seed, inst.discovered)
         self.frontier.save()
-        return points
+        return inst.discovered
 
     def explore_point(self, scenario: str, point: str) -> PointResult:
         """Run one armed crash point end to end and record the verdict."""
         _, result = self._runner(scenario)(self.parse_point(point))
         self.frontier.record(scenario, result)
         return result
+
+    def broken_seal_caught(self) -> int:
+        """Skip the ME seal and count the violations that surface.
+
+        Walks the ``src`` scenario's first seals with ``break_seal`` set
+        until a cut lands with sealed data at stake; returns the
+        violation count there (0: the explorer is blind to a broken
+        crash protocol).
+        """
+        for ordinal in range(8):
+            _, result = self._run_src(("me-seal", ordinal, "post"),
+                                      break_seal=True)
+            if result.crashed and result.violations:
+                return len(result.violations)
+        return 0
 
     def explore(self, scenario: str,
                 budget: Optional[int] = None) -> ExplorationReport:

@@ -16,11 +16,11 @@ cache, a rebuilt cluster) can then be audited block by block:
 * a durably-acknowledged dirty version that is neither mapped dirty
   anywhere nor proven destaged to the origin is **silent data loss**.
 
-Durable acknowledgement follows the write-back contract the torture
-harness established: a dirty write is only *durable* once its block
-left the RAM dirty buffer under an operation that completed normally
-(the segment sealed).  Blocks that were only RAM-acknowledged may be
-lost by a crash; the oracle never charges those.
+Durable acknowledgement follows the write-back contract: a dirty write
+is only *durable* once its block left the RAM dirty buffer under an
+operation that completed normally (the segment sealed).  Blocks that
+were only RAM-acknowledged may be lost by a crash; the oracle never
+charges those.
 
 The oracle is deliberately stack-agnostic: it holds no reference to
 the cache and is fed through three narrow entry points
@@ -46,9 +46,15 @@ class IntegrityOracle:
     """Shadow content map + durability floor, fed from requests alone."""
 
     def __init__(self) -> None:
-        # lba -> number of application writes ever issued (the version
-        # the newest acknowledged content must carry).
+        # lba -> the version the newest acknowledged content should
+        # carry: the application writes issued, less the rewrites the
+        # oracle believes were absorbed in RAM.
         self.expected: Dict[int, int] = {}
+        # lba -> application writes ever issued.  No version can exceed
+        # it, whatever was absorbed: a write the oracle took for a
+        # rewrite of a buffered block is a new version when TWAIT
+        # sealed the buffer inside that very submit.
+        self.issued: Dict[int, int] = {}
         # lba -> version that was durably acknowledged (sealed).
         self.durable: Dict[int, int] = {}
         # Writes acknowledged into RAM whose segment has not sealed.
@@ -68,9 +74,8 @@ class IntegrityOracle:
 
         The write supersedes the block's durable claim: its newest
         version now lives only in RAM, and write-back caching is
-        allowed to lose a RAM-only version (the contract the torture
-        harness established).  The claim returns when the new version
-        seals (:meth:`sweep_sealed`).
+        allowed to lose a RAM-only version.  The claim returns when
+        the new version seals (:meth:`sweep_sealed`).
 
         A write to a block still sitting in a dirty buffer is an
         *absorbed rewrite*: the cache coalesces it in RAM without a
@@ -80,6 +85,7 @@ class IntegrityOracle:
         buffer by :meth:`sweep_sealed`.
         """
         self.writes_seen += 1
+        self.issued[lba] = self.issued.get(lba, 0) + 1
         if lba in self._ram_acked:
             return   # absorbed rewrite: same version, still RAM-only
         self.expected[lba] = self.expected.get(lba, 0) + 1
@@ -138,10 +144,10 @@ class IntegrityOracle:
             problems.append(
                 f"lba {lba}: stored checksum {entry.checksum:#x} does "
                 f"not match identity (version {entry.version})")
-        if exact_versions and entry.version > self.expected.get(lba, 0):
+        if exact_versions and entry.version > self.issued.get(lba, 0):
             problems.append(
                 f"lba {lba}: mapped version {entry.version} exceeds "
-                f"{self.expected.get(lba, 0)} application writes")
+                f"{self.issued.get(lba, 0)} application writes")
         return problems
 
     def verify_cache(self, cache, exact_versions: bool = True) -> List[str]:
@@ -195,7 +201,6 @@ class IntegrityOracle:
         """Audit what a read of ``lba`` on ``cache`` would serve."""
         problems: List[str] = []
         self.blocks_audited += 1
-        expected = self.expected.get(lba, 0)
         if lba in cache.dirty_buf or lba in cache.clean_buf \
                 or lba in cache.staging:
             return problems   # RAM copy is by construction the newest
@@ -207,10 +212,6 @@ class IntegrityOracle:
             problems.append(
                 f"lba {lba}: read would serve version {entry.version} "
                 f"below the durable floor {self.durable.get(lba, 0)}")
-        if entry.version > expected:
-            problems.append(
-                f"lba {lba}: read would serve version {entry.version} "
-                f"newer than anything written ({expected})")
         return problems
 
     def resync(self, caches) -> None:

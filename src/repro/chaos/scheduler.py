@@ -32,43 +32,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.chaos.invariants import InvariantSuite
 from repro.chaos.oracle import IntegrityOracle
+from repro.chaos.rig import (LBA_SPAN, TORTURE_CONFIG, Cluster,
+                             recover_cluster)
 from repro.cluster import ShardRouter
 from repro.common.chunks import OP_READ, make_chunk
 from repro.common.errors import PowerCutError
-from repro.common.units import GIB, PAGE_SIZE
-from repro.core.recovery import recover
-from repro.faults import FaultInjector, FaultPlan
-from repro.core.metadata import MetadataStore
-from repro.core.src import SrcCache
-from repro.harness.exp_faults import (LBA_SPAN, TORTURE_CLUSTER,
-                                      TORTURE_CONFIG, TORTURE_SSD)
-from repro.hdd.backend import PrimaryStorage
-from repro.hdd.disk import DiskSpec
+from repro.common.units import MIB, PAGE_SIZE
+from repro.faults import FaultPlan
 from repro.sim.engine import run_chunk_streams
-from repro.ssd.device import SSDDevice
 
-import numpy as np
-
-from repro.common.units import MIB
-
-# Shards get half of the torture cache so the seeded workload's
+# Shards get half of the rig's cache so the seeded workload's
 # write volume laps each shard's capacity several times — garbage
 # collection is then continuously active ("GC storm") rather than an
 # occasional event, which is the composition the scheduler promises.
 CHAOS_SHARD_CONFIG = replace(TORTURE_CONFIG, cache_space=4 * MIB)
-
-
-def _build_chaos_shard(label: str, origin: FaultInjector):
-    """One small SRC shard behind injectors (chaos geometry)."""
-    ssds = [FaultInjector(SSDDevice(TORTURE_SSD, name=f"{label}t{i}"),
-                          name=f"fault-{label}{i}")
-            for i in range(CHAOS_SHARD_CONFIG.n_ssds)]
-    metadata = MetadataStore()
-    shard = SrcCache(ssds, origin, CHAOS_SHARD_CONFIG, metadata=metadata)
-    shard.name = label
-    return shard, ssds, metadata
 
 
 @dataclass
@@ -103,34 +84,6 @@ class ChaosReport:
             "differential_ok": self.differential_ok,
             "violations": self.violations,
         }
-
-
-class _Stack:
-    """One freshly-built injector-wrapped cluster (scalar or batched)."""
-
-    def __init__(self, seed: int) -> None:
-        self.origin = FaultInjector(
-            PrimaryStorage(n_disks=2, disk_spec=DiskSpec(capacity=2 * GIB)),
-            name="fault-origin", record_writes=True)
-        self.shards = []
-        self.ssd_groups = []
-        self.metadatas = []
-        for index in range(TORTURE_CLUSTER.n_shards):
-            shard, ssds, metadata = _build_chaos_shard(
-                f"shard{index}", self.origin)
-            self.shards.append(shard)
-            self.ssd_groups.append(ssds)
-            self.metadatas.append(metadata)
-        self.new_shard, self.new_ssds, self.new_metadata = \
-            _build_chaos_shard("shard-new", self.origin)
-        self.router = ShardRouter(self.shards, self.origin,
-                                  TORTURE_CLUSTER, name="chaos-composed")
-        self.seed = seed
-
-    def all_injectors(self) -> List[FaultInjector]:
-        out = [inj for group in self.ssd_groups for inj in group]
-        out += list(self.new_ssds) + [self.origin]
-        return out
 
 
 class ChaosScheduler:
@@ -170,23 +123,24 @@ class ChaosScheduler:
     # ------------------------------------------------------------------
     # fault schedule (op-count keyed; `now` comes from the engine)
     # ------------------------------------------------------------------
-    def _fire_events(self, stack: _Stack, state: dict, now: float) -> None:
+    def _fire_events(self, stack: Cluster, state: dict,
+                     now: float) -> None:
         ops = state["ops"]
         if ops >= self.limp_at and "fail-slow" not in state["armed"]:
             state["armed"].add("fail-slow")
-            stack.ssd_groups[0][0].plan = FaultPlan(
+            stack.members[0][0].plan = FaultPlan(
                 seed=self.seed).limp_window(now, now + 30.0, 4.0)
         if ops >= self.transient_at and "transient" not in state["armed"]:
             state["armed"].add("transient")
-            stack.ssd_groups[1][1].plan = FaultPlan(
+            stack.members[1][1].plan = FaultPlan(
                 seed=self.seed + 1).transient_window(
                     now, now + 30.0, 0.02, detect_s=200e-6)
         if ops >= self.rebalance_at and "rebalance" not in state["armed"]:
             state["armed"].add("rebalance")
-            stack.router.add_shard(stack.new_shard, now)
+            stack.add_shard(now)
         if ops >= self.cut_at and "power-cut" not in state["armed"]:
             state["armed"].add("power-cut")
-            victim = stack.ssd_groups[0][1]
+            victim = stack.members[0][1]
             victim.plan = FaultPlan(
                 seed=self.seed + 2,
                 power_cut_after_writes=victim.writes_seen + 8)
@@ -206,18 +160,16 @@ class ChaosScheduler:
     # ------------------------------------------------------------------
     # one run (scalar or batched) through the engine
     # ------------------------------------------------------------------
-    def _run_one(self, batched: bool) -> Tuple[_Stack, dict]:
-        stack = _Stack(self.seed)
+    def _run_one(self, batched: bool) -> Tuple[Cluster, dict]:
+        stack = Cluster(CHAOS_SHARD_CONFIG, name="chaos-composed")
         oracle = IntegrityOracle()
-        suite = InvariantSuite(router=stack.router)
-        suite.caches.append(stack.new_shard)
+        suite = InvariantSuite(caches=stack.shards, router=stack.router)
         state = {"ops": 0, "armed": set(), "last_check": 0,
                  "suite": suite, "oracle": oracle, "cut": False}
         router = stack.router
-        all_shards = stack.shards + [stack.new_shard]
 
         def in_dirty(block: int) -> bool:
-            return any(block in s.dirty_buf for s in all_shards)
+            return any(block in s.dirty_buf for s in stack.shards)
 
         def issue(req, now):
             self._fire_events(stack, state, now)
@@ -237,7 +189,7 @@ class ChaosScheduler:
                     rows, start, think, deadline, bounded)
             except PowerCutError:
                 # Unknown how many rows landed before the cut; note
-                # the whole window so `expected` stays an upper bound.
+                # the whole window so `issued` stays an upper bound.
                 oracle.note_chunk(rows)
                 raise
             if n:
@@ -258,53 +210,10 @@ class ChaosScheduler:
     # ------------------------------------------------------------------
     # recovery + audit of one cut stack
     # ------------------------------------------------------------------
-    def _recover_and_audit(self, stack: _Stack, state: dict) -> Tuple[
+    def _recover_and_audit(self, stack: Cluster, state: dict) -> Tuple[
             ShardRouter, List[str]]:
-        for injector in stack.all_injectors():
-            injector.disarm()
-        all_shards = stack.shards + [stack.new_shard]
-        all_metadata = stack.metadatas + [stack.new_metadata]
-        torn = sum(1 for m in all_metadata
-                   for s in m.all_summaries() if not s.consistent)
-        recovered = []
-        discarded = 0
-        for shard, metadata in zip(all_shards, all_metadata):
-            cache, report = recover(list(shard.ssds), stack.origin,
-                                    CHAOS_SHARD_CONFIG, metadata)
-            cache.name = shard.name
-            recovered.append(cache)
-            discarded += report.segments_discarded
-
-        ledger = stack.router.ledger
-        new_slot = TORTURE_CLUSTER.n_shards
-        add_completed = (not ledger.active
-                         and new_slot in stack.router.shards)
-        resume_at = 100.0
-        if add_completed:
-            config3 = replace(TORTURE_CLUSTER, n_shards=3)
-            rebuilt = ShardRouter(recovered, stack.origin, config3,
-                                  ledger=ledger, name="chaos-composed")
-            rebuilt.recover_interrupted(resume_at)
-        else:
-            rebuilt = ShardRouter(recovered[:2], stack.origin,
-                                  TORTURE_CLUSTER, ledger=ledger,
-                                  name="chaos-composed")
-            rebuilt.recover_interrupted(
-                resume_at,
-                new_shard=recovered[2] if ledger.active else None)
-            t = resume_at
-            for _ in range(200_000):
-                if rebuilt._migration is None:
-                    break
-                rebuilt.pump(t)
-                t += 1e-3
-            rebuilt.reconcile(t)
-
+        rebuilt, violations = recover_cluster(stack)
         oracle = state["oracle"]
-        violations = []
-        if discarded != torn:
-            violations.append(
-                f"discarded {discarded} segments, expected {torn} torn")
         violations += oracle.verify_durability(
             rebuilt.shards.values(), stack.origin.written_pages,
             exact_versions=False)
@@ -317,7 +226,7 @@ class ChaosScheduler:
         return rebuilt, violations
 
     @staticmethod
-    def _fingerprint(rebuilt: ShardRouter, stack: _Stack,
+    def _fingerprint(rebuilt: ShardRouter, stack: Cluster,
                      state: dict) -> dict:
         """Everything the two paths must agree on, bit for bit."""
         mappings = {}
@@ -335,9 +244,9 @@ class ChaosScheduler:
             "mappings": mappings,
             "destaged": sorted(stack.origin.written_pages or ()),
             "injected": [dict(inj.injected)
-                         for inj in stack.all_injectors()],
+                         for inj in stack.injectors()],
             "writes_seen": [inj.writes_seen
-                            for inj in stack.all_injectors()],
+                            for inj in stack.injectors()],
         }
 
     # ------------------------------------------------------------------
@@ -375,14 +284,14 @@ class ChaosScheduler:
                 # the counters over.
                 report.gc_collections = sum(
                     s.srcstats.s2s_collections + s.srcstats.s2d_collections
-                    for s in stack.shards + [stack.new_shard])
+                    for s in stack.shards)
                 report.migration_began = "rebalance" in state["armed"]
                 report.limp_injected = sum(
                     inj.injected.get("limp", 0)
-                    for inj in stack.all_injectors())
+                    for inj in stack.injectors())
                 report.transient_injected = sum(
                     inj.injected.get("transient", 0)
-                    for inj in stack.all_injectors())
+                    for inj in stack.injectors())
         report.differential_ok = fingerprints[False] == fingerprints[True]
         if not report.differential_ok:
             report.violations.append(

@@ -11,10 +11,13 @@ trace <exp-id>           run one experiment and dump its event trace
 report [out.md]          run everything, write the experiments report
 replay <group>           replay a trace group against a chosen target
 export-trace <name> ...  materialise a synthetic trace as MSR CSV
-faults                   seeded crash-point torture harness
 rebuild                  hot-spare rebuild sweep + scrub demo
 cluster                  sharded-cluster acceptance suite (scaling,
                          rebalance under load, blast radius)
+chaos                    crash-point exploration (``--budget 0``: every
+                         point), the broken-seal sensitivity proof and
+                         the composed-fault scheduler; exits 1 on any
+                         violation
 
 Any :class:`~repro.common.errors.ReproError` escaping a command is
 reported as a one-line message and exit status 2.
@@ -217,30 +220,6 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def cmd_faults(args) -> int:
-    from repro.api import run_faults
-    es = _scale_from(args)
-    if args.format == "json":
-        from repro.api import ObsRecorder, to_json, use
-        recorder = ObsRecorder(sample_interval=SAMPLE_INTERVAL)
-        with use(recorder):
-            result = run_faults(
-                es, seeds=args.seeds, points=args.points,
-                demonstrate_break=args.demonstrate_break)
-        print(to_json({
-            "id": "faults",
-            "results": [result.as_dict()],
-            "telemetry": recorder.telemetry(),
-        }))
-    else:
-        result = run_faults(
-            es, seeds=args.seeds, points=args.points,
-            demonstrate_break=args.demonstrate_break)
-        print(result.render())
-    violations = result.cell("TOTAL", "Violations")
-    return 1 if violations else 0
-
-
 def cmd_rebuild(args) -> int:
     from repro.api import run_rebuild
     es = _scale_from(args)
@@ -295,6 +274,11 @@ def cmd_chaos(args) -> int:
                   f"{entry['remaining']} remaining")
             for violation in entry["violations"]:
                 print(f"  violation: {violation}")
+        caught = payload["sensitivity"]["violations_caught"]
+        print(f"sensitivity: ME seal skipped, {caught} violation(s) caught"
+              if caught else
+              "sensitivity: ME seal skipped, NOT caught - the explorer "
+              "is blind")
         composed = payload["composed"]
         if composed is not None:
             print(f"composed: faults={','.join(composed['faults_composed'])} "
@@ -356,20 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="table")
     _add_scale_flags(replay)
 
-    faults = sub.add_parser(
-        "faults", help="seeded crash-point torture harness")
-    faults.add_argument("--seeds", type=int, default=5,
-                        help="number of workload seeds (base: --seed)")
-    faults.add_argument("--points", type=int, default=50,
-                        help="crash points per seed")
-    faults.add_argument("--demonstrate-break", action="store_true",
-                        help="also verify the harness catches a "
-                             "deliberately broken ME seal")
-    faults.add_argument("--format", choices=("table", "json"),
-                        default="table",
-                        help="table (default) or json with telemetry")
-    _add_scale_flags(faults)
-
     rebuild = sub.add_parser(
         "rebuild", help="hot-spare rebuild sweep + scrub demo")
     rebuild.add_argument("--format", choices=("table", "json"),
@@ -392,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
                       "composed-fault scheduler")
     chaos.add_argument("--budget", type=int, default=40,
                        help="new crash points to explore per scenario "
-                            "(<=0 explores everything: nightly mode)")
+                            "(<=0 explores everything: what CI runs)")
     chaos.add_argument("--scenario", choices=("all", "src", "cluster"),
                        default="all")
     chaos.add_argument("--frontier", default=None, metavar="FILE",
-                       help="resumable frontier JSON (e.g. "
-                            "CHAOS_frontier.json); omitted = in-memory")
+                       help="resumable frontier JSON for a budgeted "
+                            "local exploration; omitted = in-memory")
     chaos.add_argument("--seed", type=int, default=0,
                        help="workload seed (changing it resets the "
                             "frontier's scenario)")
@@ -428,7 +398,6 @@ def main(argv=None) -> int:
         "report": cmd_report,
         "replay": cmd_replay,
         "export-trace": cmd_export_trace,
-        "faults": cmd_faults,
         "rebuild": cmd_rebuild,
         "cluster": cmd_cluster,
         "chaos": cmd_chaos,

@@ -117,6 +117,13 @@ def recover(ssds: List[BlockDevice], origin: BlockDevice,
         log._closed_fifo.append(sg)
     report.groups_in_use = sorted(groups_seen)
 
+    if not log._free:
+        # Every group holds recovered segments: the cache died at its
+        # free-space hard floor, writing into the last group it had
+        # (counted full above).  It would have gone on by reclaiming at
+        # its next roll, so recovery makes the call that roll makes.
+        end = cache.reclaimer.reclaim_until(config.reclaim.gc_free_low, end,
+                                            force_s2d=True)
     log.active = log.take_free_group()
     report.elapsed = end - now
     return cache, report

@@ -14,10 +14,10 @@ Three composable pieces:
 * :mod:`repro.faults.failslow` — :class:`FailSlowDetector`, rolling-p99
   limping detection that lets SRC convert a slow drive to fail-stop.
 
-The crash-point torture harness that drives all of this lives in
-:mod:`repro.harness.exp_faults` (CLI: ``python -m repro faults``).
-See ``docs/fault_model.md`` for the taxonomy and the recovery
-invariants the harness enforces.
+The crash-point explorer that drives all of this lives in
+:mod:`repro.chaos` (CLI: ``python -m repro chaos``).  See
+``docs/fault_model.md`` for the taxonomy and the recovery invariants
+it enforces.
 """
 
 from repro.faults.failslow import FailSlowDetector

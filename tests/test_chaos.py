@@ -7,10 +7,11 @@ import pytest
 from _stacks import TINY_DISK, TINY_SRC, TINY_SSD
 from repro.chaos import (ChaosScheduler, CrashFrontier, CrashPointExplorer,
                          IntegrityOracle, InvariantSuite, InvariantViolation,
-                         SCENARIOS)
+                         SCENARIOS, rig)
 from repro.chaos.invariants import (check_group_accounting, check_ledger,
                                     check_residency)
 from repro.common.checksum import block_checksum
+from repro.common.errors import ConfigError
 from repro.common.types import Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.mapping import CacheEntry
@@ -57,6 +58,21 @@ def test_oracle_absorbed_rewrite_does_not_advance_version():
     oracle.note_write(5)          # fresh insertion after the seal
     assert oracle.expected[5] == 2
     assert 5 not in oracle.durable   # newest version is RAM-only again
+
+
+def test_oracle_bounds_versions_by_writes_issued():
+    # A rewrite the oracle takes for absorbed is a new version when
+    # TWAIT seals the buffer inside that very submit; the bound on a
+    # mapped version is the writes issued, not the oracle's guess.
+    oracle = IntegrityOracle()
+    oracle.note_write(9)
+    oracle.note_write(9)
+    assert oracle.expected[9] == 1 and oracle.issued[9] == 2
+    entry = CacheEntry.__new__(CacheEntry)
+    entry.version, entry.checksum = 2, block_checksum(9, 2)
+    assert oracle.verify_entry(9, entry) == []
+    entry.version, entry.checksum = 3, block_checksum(9, 3)
+    assert any("exceeds" in p for p in oracle.verify_entry(9, entry))
 
 
 def test_oracle_flags_checksum_and_version_mismatches():
@@ -230,6 +246,118 @@ def test_armed_cluster_points_cover_migration(tmp_path):
         result = explorer.explore_point("cluster", point)
         assert result.ok, result.violations
         assert result.crashed
+
+
+# ----------------------------------------------------------------------
+# the default-ops crash space (what ``repro chaos --budget 0`` explores)
+# ----------------------------------------------------------------------
+def _family(point: str) -> str:
+    """``shard0t1.member-write#3:pre`` -> ``member-write``."""
+    return CrashPointExplorer.parse_point(point)[0].rpartition(".")[2]
+
+
+@pytest.fixture(scope="module")
+def default_space():
+    """One explorer over both default-ops pilots: scenario -> site
+    family -> its points in firing order."""
+    explorer = CrashPointExplorer(seed=0)
+    space = {}
+    for scenario in SCENARIOS:
+        families = space.setdefault(scenario, {})
+        for point in explorer.discover(scenario):
+            families.setdefault(_family(point), []).append(point)
+    return explorer, space
+
+
+def test_small_matrix_has_zero_violations(default_space):
+    # The first, middle and last cut of every site family, in both
+    # scenarios: each must fire and each must recover clean.
+    explorer, space = default_space
+    for scenario, families in space.items():
+        for points in families.values():
+            for point in {points[0], points[len(points) // 2], points[-1]}:
+                result = explorer.explore_point(scenario, point)
+                assert result.crashed, (scenario, point)
+                assert result.ok, (scenario, point, result.violations)
+
+
+def test_every_site_family_fires_with_its_window_open(default_space):
+    explorer, space = default_space
+    assert set(space["src"]) == {"ms-write", "me-seal", "member-write",
+                                 "destage-ack", "spare-attach"}
+    assert set(space["cluster"]) == {"ms-write", "me-seal", "member-write",
+                                     "ledger-begin", "ledger-commit",
+                                     "ledger-complete"}
+    # Cuts land on migration copies: the shard the add brings in only
+    # ever sees those.
+    assert any(p.startswith("shard-new") for p in
+               space["cluster"]["member-write"])
+    # The scrubber reaches the seeded corruption and repairs it, so
+    # some member-write cuts land on its repair writes.
+    _, pilot = explorer._run_src(None)
+    assert pilot.scrub_repairs > 0
+    # A cut on the hot spare's first write lands mid-rebuild.
+    result = explorer.explore_point("src", "spare0.member-write#0:pre")
+    assert result.crashed and result.ok, result.violations
+    assert result.rebuilds_open >= 1
+
+
+def test_torn_segments_are_found_and_discarded(default_space):
+    # A cut right after an MS write is mid-segment-write: the summary
+    # is torn at the cut, and recovery discards it (``ok`` covers the
+    # discard count, the survivors and the mappings).
+    explorer, space = default_space
+    point = next(p for p in space["src"]["ms-write"] if p.endswith(":post"))
+    result = explorer.explore_point("src", point)
+    assert result.crashed and result.torn_at_crash >= 1
+    assert result.ok, result.violations
+
+
+def test_deliberate_protocol_break_is_caught():
+    # Skipping the trailing ME write must produce violations — an
+    # explorer that cannot see a broken crash protocol proves nothing.
+    assert CrashPointExplorer(seed=1).broken_seal_caught() > 0
+
+
+def test_recovery_survives_cut_at_the_free_space_floor(monkeypatch):
+    # src me-seal#112:post (seed 0, default ops): the cache dies with
+    # an empty free list and a partly written active group — mid-GC, a
+    # state it runs on from.  Recovery raised ConfigError("no free
+    # segment groups") here.
+    in_use = []
+    recover = rig.recover
+
+    def spy(*args, **kwargs):
+        cache, report = recover(*args, **kwargs)
+        in_use.append((len(report.groups_in_use), cache.layout.groups - 1))
+        return cache, report
+
+    monkeypatch.setattr(rig, "recover", spy)
+    result = CrashPointExplorer(seed=0).explore_point("src",
+                                                      "me-seal#112:post")
+    assert result.crashed and result.ok, result.violations
+    # The point still is what it says: every group but the superblock's
+    # held recovered segments, so there was no free one to open.
+    assert in_use == [(7, 7)]
+
+
+def test_exception_in_recovery_is_a_verdict(monkeypatch):
+    explorer = CrashPointExplorer(seed=0, ops=400)
+    explorer.discover("src")
+
+    def boom(*args, **kwargs):
+        raise ConfigError("no free segment groups")
+
+    monkeypatch.setattr(rig, "recover", boom)
+    report = explorer.explore("src", budget=3)
+    # Exploration went on past the first bad point; every verdict is
+    # recorded.
+    assert report.explored_now == 3 and not report.ok
+    assert len(report.violations) == 3
+    assert all(v.endswith("recovery raised ConfigError: "
+                          "no free segment groups")
+               for v in report.violations)
+    assert len(explorer.frontier.violations("src")) == 3
 
 
 # ----------------------------------------------------------------------

@@ -134,17 +134,32 @@ def test_repro_error_exits_2_with_one_line_message(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_faults_verb_runs_small_matrix(capsys):
-    assert main(["faults", "--seeds", "1", "--points", "3"]) == 0
+def test_chaos_verb_explores_a_small_budget(capsys):
+    assert main(["chaos", "--budget", "2", "--ops", "400",
+                 "--skip-composed"]) == 0
     out = capsys.readouterr().out
-    assert "Crash-point torture" in out and "TOTAL" in out
+    assert "src: 2 explored now" in out and "cluster: 2 explored now" in out
+    assert "sensitivity: ME seal skipped" in out and "caught" in out
+    assert out.rstrip().endswith("chaos: OK")
 
 
-def test_faults_verb_json_telemetry_shows_injected_faults(capsys):
-    assert main(["faults", "--seeds", "1", "--points", "3",
+def test_chaos_verb_json_payload(capsys, tmp_path):
+    frontier = tmp_path / "frontier.json"
+    assert main(["chaos", "--budget", "2", "--ops", "400", "--scenario", "src",
+                 "--frontier", str(frontier), "--skip-composed",
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["id"] == "faults"
-    result = data["results"][0]
-    assert result["columns"][0] == "Mode"
-    assert data["telemetry"]["events"]["counts"].get("FaultInjected", 0) > 0
+    assert data["ok"] and data["composed"] is None
+    assert list(data["scenarios"]) == ["src"]
+    assert data["scenarios"]["src"]["explored_total"] == 2
+    assert data["scenarios"]["src"]["violations"] == []
+    assert data["sensitivity"]["violations_caught"] > 0
+    explored = json.loads(frontier.read_text())["scenarios"]["src"]["explored"]
+    assert len(explored) == 2 and all(v["crashed"] for v in explored.values())
+
+
+def test_faults_verb_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["faults"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'faults'" in capsys.readouterr().err

@@ -421,7 +421,7 @@ def test_tenant_stalls_and_twait_billed_identically(think, t_wait):
     I/O is still in flight) and TWAIT flushes inside tenanted windows:
     the stall is billed to the head / boundary row's tenant, exactly
     as the per-request path bills ``req.tenant``."""
-    from repro.harness.exp_faults import TORTURE_CONFIG, TORTURE_SSD
+    from repro.chaos.rig import TORTURE_CONFIG, TORTURE_SSD
 
     def build():
         config = replace(TORTURE_CONFIG, t_wait=t_wait)

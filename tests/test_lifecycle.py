@@ -7,12 +7,13 @@ import pytest
 
 from repro.block.device import BlockDevice
 from repro.block.lifecycle import QueuedDevice, Submission
+from repro.chaos import CrashPointExplorer
+from repro.chaos.rig import TORTURE_CONFIG, TORTURE_SSD
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import GIB, PAGE_SIZE
 from repro.core.src import SrcCache
 from repro.faults.injector import FaultInjector
 from repro.faults.policy import RetryPolicy, submit_with_retry
-from repro.harness.exp_faults import TORTURE_CONFIG, TORTURE_SSD, run_case
 from repro.hdd.backend import PrimaryStorage
 from repro.hdd.disk import DiskDevice, DiskSpec
 from repro.obs.events import BackpressureStall, Destage, GcEnd
@@ -213,9 +214,13 @@ def test_origin_bytes_attributed_by_origin():
 # crash safety: async destage loses nothing that was acknowledged
 # ---------------------------------------------------------------------------
 def test_acked_dirty_blocks_survive_crash_points():
-    crashed = 0
-    for point in range(9):   # three crash points per torture mode
-        case = run_case(seed=3, point=point)
-        assert case.violations == [], (point, case.violations)
-        crashed += case.crashed
-    assert crashed > 0
+    # Destage runs behind the ack: cut power just before and just after
+    # the first, a middle and the last destage write reaches the origin.
+    explorer = CrashPointExplorer(seed=3, ops=800)
+    acks = [p for p in explorer.discover("src")
+            if p.startswith("destage-ack#")]
+    assert acks
+    for point in acks[:2] + acks[len(acks) // 2:][:2] + acks[-2:]:
+        result = explorer.explore_point("src", point)
+        assert result.crashed, point
+        assert result.violations == [], (point, result.violations)

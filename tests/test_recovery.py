@@ -201,6 +201,39 @@ def test_recovery_after_gc_reflects_reclaimed_groups():
     recovered.mapping.check_invariants()
 
 
+def test_recovery_with_no_free_group_reclaims_like_a_roll():
+    # A cache that died with its free list empty and its last group
+    # partly written — where the live cache's next roll reclaims at the
+    # hard floor — recovers, and loses no dirty block doing so.
+    from dataclasses import replace
+    from repro.chaos.invariants import check_group_accounting
+    from repro.core.config import ReclaimConfig
+    from _stacks import TINY_SRC
+    filling = replace(TINY_SRC, reclaim=ReclaimConfig(gc_free_low=0,
+                                                      gc_free_high=0))
+    cache = make_src(filling)
+    log = cache.segments
+    now, block = 0.0, 0
+    while log._free or not log.active.next_segment:
+        now = cache.write(block * PAGE_SIZE, PAGE_SIZE, now)
+        block += 1
+    assert log.active.next_segment < cache.layout.segments_per_group
+    persisted = {lba for s in cache.metadata.all_summaries()
+                 for lba in s.lbas}
+
+    recovered, report = recover(cache.ssds, cache.origin, TINY_SRC,
+                                cache.metadata)
+    assert len(report.groups_in_use) == cache.layout.groups - 1
+    assert check_group_accounting(recovered) == []
+    assert recovered.segments._free
+    kept = sum(1 for lba in persisted
+               if (entry := recovered.mapping.lookup(lba)) is not None
+               and entry.dirty)
+    assert kept + recovered.cstats.destaged_blocks == len(persisted)
+    assert recovered.cstats.destaged_blocks > 0
+    recovered.write(0, PAGE_SIZE, now)
+
+
 def test_recovery_with_failed_ssd_still_scans():
     """Metadata scan proceeds on the survivors when a drive is down."""
     cache = make_src()
