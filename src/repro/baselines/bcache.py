@@ -136,11 +136,6 @@ class BcacheDevice(CacheTarget):
         self.cstats.fills += 1
         return self._slot_offset(self.open.index, slot)
 
-    def _append(self, block: int, dirty: bool, now: float) -> float:
-        """Write one block at the open bucket's tail."""
-        offset = self._place(block, dirty, now)
-        return self.cache_write(offset, now)
-
     def write_request(self, req: Request, now: float) -> float:
         """Insert a whole write as one extent (real Bcache inserts
         extent keys, and consecutive open-bucket slots are physically
@@ -200,11 +195,7 @@ class BcacheDevice(CacheTarget):
             if not bucket.valid[slot]:
                 continue
             if bucket.dirty[slot]:
-                read_end = self.cache_read(self._slot_offset(idx, slot), now)
-                self.writeback.enqueue(block, read_end)
-                end = max(end, read_end)
-                self.dirty_blocks -= 1
-                self.cstats.destaged_blocks += 1
+                end = max(end, self._destage(bucket, slot, now))
             else:
                 self.cstats.evicted_clean_blocks += 1
             bucket.valid[slot] = False
@@ -216,19 +207,24 @@ class BcacheDevice(CacheTarget):
     # ------------------------------------------------------------------
     # destage on writeback_percent (immediate, per §3.1)
     # ------------------------------------------------------------------
+    def _destage(self, bucket: _Bucket, slot: int, now: float) -> float:
+        """Read one dirty slot back and queue it for writeback."""
+        read_end = self.cache_read(
+            self._slot_offset(bucket.index, slot), now)
+        self.writeback.enqueue(bucket.blocks[slot], read_end)
+        bucket.dirty[slot] = False
+        self.dirty_blocks -= 1
+        self.cstats.destaged_blocks += 1
+        return read_end
+
     def _writeback(self, now: float) -> None:
         rotations = 0
         while self.dirty_ratio > self.writeback_percent and self.fifo:
             oldest = self.buckets[self.fifo[0]]
             destaged_any = False
-            for slot, block in enumerate(oldest.blocks):
+            for slot in range(len(oldest.blocks)):
                 if oldest.valid[slot] and oldest.dirty[slot]:
-                    read_end = self.cache_read(
-                        self._slot_offset(oldest.index, slot), now)
-                    self.writeback.enqueue(block, read_end)
-                    oldest.dirty[slot] = False
-                    self.dirty_blocks -= 1
-                    self.cstats.destaged_blocks += 1
+                    self._destage(oldest, slot, now)
                     destaged_any = True
             if destaged_any:
                 rotations = 0
@@ -250,34 +246,16 @@ class BcacheDevice(CacheTarget):
 
     def install_fill(self, block: int, now: float) -> None:
         self.cstats.read_misses += 1
-        self._append(block, dirty=False, now=now)
+        # Clean insert: data write only, metadata cached in memory.
+        self.cache_write(self._place(block, False, now), now)
 
     def read_block(self, block: int, now: float) -> float:
         entry = self.lookup.get(block)
-        if entry is not None:
-            self.cstats.read_hits += 1
-            bucket_idx, slot = entry
-            return self.cache_read(self._slot_offset(bucket_idx, slot), now)
-        self.cstats.read_misses += 1
-        fetch_end = self.origin_read(block, now)
-        # Clean insert: data write only, metadata cached in memory.
-        self._append(block, dirty=False, now=fetch_end)
-        return fetch_end
-
-    def write_block(self, block: int, now: float) -> float:
-        if self.lookup.get(block) is not None:
-            self.cstats.write_hits += 1
-        else:
-            self.cstats.write_misses += 1
-        if self.policy is WritePolicy.WRITE_THROUGH:
-            origin_end = self.origin_write(block, now)
-            cache_end = self._append(block, dirty=False, now=now)
-            return max(origin_end, cache_end)
-        data_end = self._append(block, dirty=True, now=now)
-        # Dirty write: journal the btree update, flushing on commit.
-        meta_end = self._journal_write(data_end)
-        self._writeback(now)
-        return meta_end
+        if entry is None:       # reclaimed by the fills fetched just before
+            return self._fetch_run([block], now)
+        self.cstats.read_hits += 1
+        bucket_idx, slot = entry
+        return self.cache_read(self._slot_offset(bucket_idx, slot), now)
 
     def handle_flush(self, now: float) -> float:
         # Bcache honours flushes: commit the journal.
@@ -290,12 +268,7 @@ class BcacheDevice(CacheTarget):
         """Flush every dirty block to the origin."""
         end = now
         for bucket in self.buckets:
-            for slot, block in enumerate(bucket.blocks):
+            for slot in range(len(bucket.blocks)):
                 if bucket.valid[slot] and bucket.dirty[slot]:
-                    end = max(end, self.cache_read(
-                        self._slot_offset(bucket.index, slot), now))
-                    self.writeback.enqueue(block, end)
-                    bucket.dirty[slot] = False
-                    self.dirty_blocks -= 1
-                    self.cstats.destaged_blocks += 1
+                    end = max(end, self._destage(bucket, slot, now))
         return max(end, self.writeback.flush(end))

@@ -155,6 +155,10 @@ class CacheTarget(BlockDevice):
 
     # Subclass interface ------------------------------------------------
     def read_block(self, block: int, now: float) -> float:
+        """Serve a read hit.  Cached blocks only: :meth:`read_request`
+        sends misses through :meth:`_fetch_run` — as does a target
+        whose fills can evict, for a block the run fetched just before
+        this call pushed out (``_fetch_run([block], now)``)."""
         raise NotImplementedError
 
     def write_block(self, block: int, now: float) -> float:

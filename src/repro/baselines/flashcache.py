@@ -19,7 +19,7 @@ model reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.baselines.common import CacheTarget, WritePolicy, WritebackScheduler
 from repro.block.device import BlockDevice
@@ -90,9 +90,6 @@ class FlashcacheDevice(CacheTarget):
     # ------------------------------------------------------------------
     # replacement
     # ------------------------------------------------------------------
-    def _find(self, block: int) -> Optional[tuple]:
-        return self.lookup.get(block)
-
     def _victim_way(self, set_idx: int) -> int:
         """FIFO within the set; prefer an empty way."""
         ways = self.sets[set_idx]
@@ -101,21 +98,27 @@ class FlashcacheDevice(CacheTarget):
             return empties[0]
         return min(range(len(ways)), key=lambda w: ways[w].seq)
 
+    def _destage(self, set_idx: int, way: int, now: float) -> float:
+        """Read one dirty way back and queue it for writeback."""
+        slot = self.sets[set_idx][way]
+        read_end = self.cache_read(self._slot_offset(set_idx, way), now)
+        self.writeback.enqueue(slot.block, read_end)
+        slot.dirty = False
+        self.dirty_blocks -= 1
+        self.cstats.destaged_blocks += 1
+        return read_end
+
     def _evict(self, set_idx: int, way: int, now: float) -> float:
         """Free a way, destaging its contents if dirty."""
         slot = self.sets[set_idx][way]
         end = now
         if slot.block >= 0:
             if slot.dirty:
-                end = self.cache_read(self._slot_offset(set_idx, way), now)
-                self.writeback.enqueue(slot.block, end)
-                self.dirty_blocks -= 1
-                self.cstats.destaged_blocks += 1
+                end = self._destage(set_idx, way, now)
             else:
                 self.cstats.evicted_clean_blocks += 1
             self.lookup.pop(slot.block, None)
             slot.block = -1
-            slot.dirty = False
         return end
 
     def _install(self, block: int, set_idx: int, way: int,
@@ -150,12 +153,7 @@ class FlashcacheDevice(CacheTarget):
                 break
             for way, slot in enumerate(self.sets[set_idx]):
                 if slot.block >= 0 and slot.dirty:
-                    read_end = self.cache_read(
-                        self._slot_offset(set_idx, way), now)
-                    self.writeback.enqueue(slot.block, read_end)
-                    slot.dirty = False
-                    self.dirty_blocks -= 1
-                    self.cstats.destaged_blocks += 1
+                    self._destage(set_idx, way, now)
                     destaged += 1
                     if destaged >= self.destage_batch:
                         break
@@ -168,6 +166,7 @@ class FlashcacheDevice(CacheTarget):
 
     def install_fill(self, block: int, now: float) -> None:
         self.cstats.read_misses += 1
+        # Load the clean copy into cache (metadata stays in memory).
         set_idx = self._set_of(block)
         way = self._victim_way(set_idx)
         self._evict(set_idx, way, now)
@@ -175,20 +174,12 @@ class FlashcacheDevice(CacheTarget):
         self._install(block, set_idx, way, dirty=False)
 
     def read_block(self, block: int, now: float) -> float:
-        hit = self._find(block)
-        if hit is not None:
-            self.cstats.read_hits += 1
-            set_idx, way = hit
-            return self.cache_read(self._slot_offset(set_idx, way), now)
-        self.cstats.read_misses += 1
-        fetch_end = self.origin_read(block, now)
-        # Load the clean copy into cache (metadata stays in memory).
-        set_idx = self._set_of(block)
-        way = self._victim_way(set_idx)
-        self._evict(set_idx, way, fetch_end)
-        self.cache_write(self._slot_offset(set_idx, way), fetch_end)
-        self._install(block, set_idx, way, dirty=False)
-        return fetch_end
+        hit = self.lookup.get(block)
+        if hit is None:         # evicted by the fills fetched just before
+            return self._fetch_run([block], now)
+        self.cstats.read_hits += 1
+        set_idx, way = hit
+        return self.cache_read(self._slot_offset(set_idx, way), now)
 
     def write_block(self, block: int, now: float) -> float:
         if self.policy is WritePolicy.WRITE_THROUGH:
@@ -196,7 +187,7 @@ class FlashcacheDevice(CacheTarget):
         return self._write_back(block, now)
 
     def _write_through(self, block: int, now: float) -> float:
-        hit = self._find(block)
+        hit = self.lookup.get(block)
         origin_end = self.origin_write(block, now)
         if hit is not None:
             self.cstats.write_hits += 1
@@ -211,7 +202,7 @@ class FlashcacheDevice(CacheTarget):
         return max(origin_end, cache_end)
 
     def _write_back(self, block: int, now: float) -> float:
-        hit = self._find(block)
+        hit = self.lookup.get(block)
         if hit is not None:
             self.cstats.write_hits += 1
             set_idx, way = hit
@@ -244,10 +235,5 @@ class FlashcacheDevice(CacheTarget):
         for set_idx in range(self.n_sets):
             for way, slot in enumerate(self.sets[set_idx]):
                 if slot.block >= 0 and slot.dirty:
-                    end = max(end, self.cache_read(
-                        self._slot_offset(set_idx, way), now))
-                    self.writeback.enqueue(slot.block, end)
-                    slot.dirty = False
-                    self.dirty_blocks -= 1
-                    self.cstats.destaged_blocks += 1
+                    end = max(end, self._destage(set_idx, way, now))
         return max(end, self.writeback.flush(end))

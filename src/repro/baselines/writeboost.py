@@ -144,18 +144,12 @@ class WriteboostDevice(CacheTarget):
         self.cstats.read_misses += 1
 
     def read_block(self, block: int, now: float) -> float:
+        self.cstats.read_hits += 1
         if block in self.ram_buffer:
-            self.cstats.read_hits += 1
             return now + 2e-6
-        entry = self.lookup.get(block)
-        if entry is not None:
-            self.cstats.read_hits += 1
-            seg_idx, slot = entry
-            offset = (self._segment_offset(seg_idx)
-                      + (slot + 1) * PAGE_SIZE)
-            return self.cache_read(offset, now)
-        self.cstats.read_misses += 1
-        return self.origin_read(block, now)
+        seg_idx, slot = self.lookup[block]
+        offset = self._segment_offset(seg_idx) + (slot + 1) * PAGE_SIZE
+        return self.cache_read(offset, now)
 
     def write_block(self, block: int, now: float) -> float:
         if self.block_cached(block):

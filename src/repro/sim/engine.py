@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.block.lifecycle import Submission
-from repro.common.chunks import request_from_row
+from repro.common.chunks import (DEFAULT_CHUNK_REQUESTS, SCALAR_THRESHOLD,
+                                 request_from_row)
 from repro.common.errors import ConfigError
 from repro.common.types import IoOrigin, IoStats, LatencyStats, Request
 from repro.common.units import mb_per_sec
@@ -32,8 +33,7 @@ ChunkSource = Iterator["np.ndarray"]
 IssueFn = Callable[[Request, float], "float | Submission"]
 # Vectorized variant: (rows, start, think_time, deadline, limit) ->
 # (issue_times, done_times, n_processed).  Processing a prefix (or
-# nothing) is always legal; the engine serves the next row through the
-# scalar IssueFn and retries.
+# nothing) is always legal; ``Engine.run`` says what follows either.
 IssueChunkFn = Callable[..., "Tuple"]
 
 # Streams are interleaved through a heap of plain (next_time, index,
@@ -112,7 +112,7 @@ class ChunkStream:
     iodepth = 1   # chunked batching models the classic qd1 closed loop
 
     __slots__ = ("source", "think_time", "name", "tenant_names", "_chunk",
-                 "_pos")
+                 "_pos", "hold", "backoff")
 
     def __init__(self, source: ChunkSource, think_time: float = 0.0,
                  name: str = "", tenant_names: Optional[List[str]] = None):
@@ -122,6 +122,8 @@ class ChunkStream:
         self.tenant_names = tenant_names
         self._chunk = None
         self._pos = 0
+        # Engine.run's back-off: rows left to hold, the hold's length.
+        self.hold = self.backoff = 0
 
     def next_rows(self):
         """Remaining rows of the current chunk (fetching the next).
@@ -200,10 +202,10 @@ class Engine:
     ``issue``: given a structured-array row slice, a start time, the
     stream's think time, a deadline and a request budget, it issues a
     prefix of the rows in one call and returns their exact issue/done
-    time columns.  It is offered each stream's turn when it is set, a
-    sampler is not, and every stream is a :class:`ChunkStream`; any row
-    it declines is served through ``issue`` by the same per-request
-    body every other run uses, so results are bit-identical.
+    time columns.  :meth:`run` offers it a stream's turn when it is
+    set, a sampler is not and every stream is a :class:`ChunkStream`;
+    every row it leaves is served through ``issue`` by the same
+    per-request body every other run uses, so results are bit-identical.
     """
 
     def __init__(self, issue: IssueFn, sampler=None,
@@ -227,12 +229,18 @@ class Engine:
         usable ``issue_chunk``, the stream at the front first offers it
         the whole span until the next stream's turn (the *horizon*) as
         one row slice; the chunk path issues the longest prefix it can
-        prove equivalent to per-request submission.  Whatever it
-        declines (a non-conformant row, a closed fast-path gate, a
-        horizon tie) takes the per-request body instead — one row — and
-        both share the accounting and rescheduling that follow.  Ties at the horizon
-        re-enter the heap, where the per-stream index restores scalar
-        ordering.
+        prove equivalent to per-request submission.  When it serves
+        nothing (a non-conformant row, a closed fast-path gate, a
+        horizon tie) the per-request body takes one row instead, and
+        both share the accounting and rescheduling that follow.  Ties
+        at the horizon re-enter the heap, where the per-stream index
+        restores scalar ordering.
+
+        Serving nothing also backs the stream off: its next
+        ``SCALAR_THRESHOLD`` rows take the per-request body without an
+        offer, twice as many after each further decline in a row (at
+        most ``DEFAULT_CHUNK_REQUESTS``), until an offer serves a row.
+        That body is the oracle, so any hold length is correct.
         """
         heap: List[tuple] = [(0.0, i, stream)
                              for i, stream in enumerate(self.streams)]
@@ -266,16 +274,26 @@ class Engine:
                 continue
             n = 0
             if issue_chunk is not None:
-                rows = stream.next_rows()
-                if rows is None:
-                    continue
-                deadline = duration
-                if heap and heap[0][0] < deadline:
-                    deadline = heap[0][0]
-                limit = max_requests - issued if max_requests else 0
-                issue_t, done_t, n = issue_chunk(rows, issue_time,
-                                                 stream.think_time,
-                                                 deadline, limit)
+                if stream.hold:
+                    stream.hold -= 1
+                else:
+                    rows = stream.next_rows()
+                    if rows is None:
+                        continue
+                    deadline = duration
+                    if heap and heap[0][0] < deadline:
+                        deadline = heap[0][0]
+                    limit = max_requests - issued if max_requests else 0
+                    issue_t, done_t, n = issue_chunk(rows, issue_time,
+                                                     stream.think_time,
+                                                     deadline, limit)
+                    if n:
+                        stream.backoff = 0
+                    else:
+                        stream.backoff = min(
+                            2 * stream.backoff or SCALAR_THRESHOLD,
+                            DEFAULT_CHUNK_REQUESTS)
+                        stream.hold = stream.backoff - 1   # + this row
             if n:
                 stream.advance(n)
                 served = rows[:n]

@@ -53,6 +53,20 @@ def test_read_hit_stays_on_cache():
     assert fc.origin.stats.read_ops == origin_reads
 
 
+def test_read_serves_a_block_its_own_fills_evicted():
+    """One read, blocks 0..1, block 1 cached and oldest in a full set:
+    fetching block 0 evicts block 1 before it is read, and it is then
+    served as the miss it has become."""
+    fc = make_fc(cache_size=16 * KIB, set_size=8 * KIB)   # one 2-way set
+    fc.read(PAGE_SIZE, PAGE_SIZE, 0.0)
+    fc.read(5 * PAGE_SIZE, PAGE_SIZE, 1.0)
+    assert fc.block_cached(1) and fc.block_cached(5)
+    fc.read(0, 2 * PAGE_SIZE, 2.0)
+    assert (fc.cstats.read_hits, fc.cstats.read_misses) == (0, 4)
+    assert fc.origin.stats.read_ops == 4
+    assert fc.block_cached(0) and fc.block_cached(1)
+
+
 def test_write_hit_marks_dirty_once():
     fc = make_fc()
     fc.write(0, PAGE_SIZE, 0.0)

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ShardRouter
-from repro.common.chunks import (DECLINED, OP_FLUSH, OP_READ, OP_TRIM,
-                                 OP_WRITE, make_chunk, requests_from_chunk)
+from repro.common.chunks import (DECLINED, DEFAULT_CHUNK_REQUESTS, OP_FLUSH,
+                                 OP_READ, OP_TRIM, OP_WRITE, SCALAR_THRESHOLD,
+                                 make_chunk, requests_from_chunk)
 from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.arrays import B_NONE
@@ -179,8 +180,8 @@ def test_flush_rows_bit_identical():
 
 
 def test_large_requests_bit_identical():
-    """Multi-page writes are non-conformant; the in-target scalar run
-    must pace them exactly like per-request submission."""
+    """Multi-page writes are non-conformant: every offer is declined
+    and the backed-off stream is paced per request."""
     span = min(make_src().size, 2 * TINY_SRC.cache_space)
     _differential(
         make_src,
@@ -206,17 +207,15 @@ def _declines(cache):
             for key, n in cache.window.paths().items() if "." in key}
 
 
-def _vector_share(cache):
-    paths = cache.window.paths()
-    served = (paths["vector_rows"] + paths["boundary_rows"]
-              + paths["scalar_run_rows"])
-    return paths["vector_rows"] / served if served else 0.0
+def _vector_share(cache, result):
+    return cache.window.paths()["vector_rows"] / result.completed_ops
 
 
 def _tenant_differential(build, make_sources, names, **run_kwargs):
     """Chunked vs forced-scalar over fresh ``build()`` = (cache,
     registry) pairs; ``make_sources(cache, registry)`` feeds each.
-    Returns the chunked pair for path and scenario assertions."""
+    Returns the chunked pair and the share of the run's rows the
+    vector window served, for path and scenario assertions."""
     runs = {}
     for batched in (False, True):
         cache, registry = build()
@@ -236,8 +235,8 @@ def _tenant_differential(build, make_sources, names, **run_kwargs):
     if cache_s.obs.enabled:        # AdmissionRejected events included
         assert (cache_b.obs.telemetry(include_events=True)
                 == cache_s.obs.telemetry(include_events=True))
-    assert _vector_share(cache_s) == 0.0       # nobody offered it chunks
-    return cache_b, registry_b
+    assert _vector_share(cache_s, want) == 0.0  # nobody offered it chunks
+    return cache_b, registry_b, _vector_share(cache_b, got)
 
 
 def _tenant_stack(specs, observed=False, **registry_kwargs):
@@ -280,7 +279,7 @@ def test_tenant_rows_bit_identical():
     names = [f"tenant{i}" for i in range(4)]
     qos = QosSpec(min_share=0.1, max_share=0.6)
     vol_blocks = 4 * MIB // PAGE_SIZE
-    cache, registry = _tenant_differential(
+    cache, registry, share = _tenant_differential(
         _tenant_stack([(name, 4, qos) for name in names]),
         lambda c, r: [_tagged_chunks(r, [0.25] * 4, [vol_blocks] * 4,
                                      seed=30, theta=0.99)],
@@ -289,7 +288,7 @@ def test_tenant_rows_bit_identical():
     assert all(doc[name]["cached_blocks"] > 0 for name in names)
     assert sum(doc[name]["rejected_blocks"] for name in names) == 0
     assert cache.srcstats.segment_writes > 0
-    assert _vector_share(cache) > 0.9
+    assert share > 0.9
     assert _declines(cache) == {}
 
 
@@ -311,9 +310,9 @@ def test_tenant_whale_rejections_bit_identical(registry_kwargs, whale_qos,
     evicted some of its blocks — re-admission, all in the window.
     Unless the whale's misses come so densely (``dense``) that the
     sub-runs between them would not pay for their classification: then
-    the window hands those spans to its per-request loop."""
+    the window ends the call and the engine backs the stream off."""
     names = ["bulk", "whale"]
-    cache, registry = _tenant_differential(
+    cache, registry, share = _tenant_differential(
         _tenant_stack([("bulk", 512, _BULK_QOS), ("whale", 64, whale_qos)],
                       observed="work_conserving" in registry_kwargs,
                       **registry_kwargs),
@@ -327,11 +326,11 @@ def test_tenant_whale_rejections_bit_identical(registry_kwargs, whale_qos,
     if whale_rows > 0.1:
         paths = cache.window.paths()
         assert paths["declined.dense_refusals"] > 0
-        assert paths["scalar_run_rows"] > paths["vector_rows"] > 0
+        assert 0 < share < 0.5
         # Short sub-runs were the exception, not the rule.
         assert paths["declined.admission_bound"] < 10
     else:
-        assert _vector_share(cache) > 0.9
+        assert share > 0.9
     if rejects:
         limit = max(whale["min_blocks"], 1) if registry_kwargs \
             else whale["max_blocks"]
@@ -403,7 +402,7 @@ def test_tenant_residency_edges_bit_identical(occupied, qos, idle_free,
             _edge_rows(vol, occupied, staged, fresh, hot) * PAGE_SIZE,
             PAGE_SIZE, tenant=1)
 
-    cache, registry = _tenant_differential(
+    cache, registry, share = _tenant_differential(
         _tenant_stack([("idle", 4, idle_qos), ("edge", 32, qos)]),
         lambda c, r: [source(c, r)], names)
     before, edge = seen["before"], registry.stats()["edge"]
@@ -411,7 +410,7 @@ def test_tenant_residency_edges_bit_identical(occupied, qos, idle_free,
     assert edge["admitted_blocks"] - before["admitted_blocks"] == admitted
     assert edge["rejected_blocks"] == fresh - admitted
     assert edge["cached_blocks"] == occupied + staged + admitted
-    assert _vector_share(cache) > 0.9
+    assert share > 0.9
 
 
 @pytest.mark.parametrize("think,t_wait", [(0.0, 10.0), (0.002, 5e-3)],
@@ -434,7 +433,7 @@ def test_tenant_stalls_and_twait_billed_identically(think, t_wait):
             registry.create_volume(name, 16 * MIB)
         return cache, registry
 
-    cache, registry = _tenant_differential(
+    cache, registry, share = _tenant_differential(
         build,
         lambda c, r: [_tagged_chunks(r, [0.5, 0.5], [1500, 1500], seed=5,
                                      theta=0.99)],
@@ -448,7 +447,7 @@ def test_tenant_stalls_and_twait_billed_identically(think, t_wait):
         assert stalls > 0 and all(t["stalls"] for t in doc.values())
         assert sum(t["stall_s"] for t in doc.values()) == pytest.approx(
             cache.srcstats.throttle_wait_s)
-    assert _vector_share(cache) > 0.9
+    assert share > 0.9
 
 
 def test_head_row_twait_flush_bills_the_head_rows_tenant():
@@ -497,12 +496,12 @@ def test_unnameable_and_misowned_tags_take_the_per_request_path():
         return [iter([make_chunk(b * PAGE_SIZE, PAGE_SIZE, tenant=tag)
                       for b in blocks for tag in (2, 1)])]
 
-    cache, registry = _tenant_differential(
+    cache, registry, _ = _tenant_differential(
         _tenant_stack([("alice", 8, None), ("bob", 8, None)]), sources,
         names)
     paths = cache.window.paths()
     assert paths["vector_rows"] == paths["boundary_rows"] == 0
-    assert paths["scalar_run_rows"] == cache.stats.write_ops == 12 * 256
+    assert cache.stats.write_ops == 12 * 256
     assert set(_declines(cache)) == {"nonconformant_head"}
     assert registry.stats()["alice"]["cached_blocks"] > 0    # by address
 
@@ -554,14 +553,14 @@ def test_registry_on_recovered_cache_driven_chunked():
         assert adopted.occupancy("alice") > 0
         return recovered, adopted
 
-    cache, registry = _tenant_differential(
+    cache, registry, share = _tenant_differential(
         build,
         lambda c, r: [_tagged_chunks(r, [0.5, 0.5], [4096, 4096], seed=34,
                                      theta=0.99)],
         ["alice", "bob"], max_requests=20000)
     doc = registry.stats()
     assert all(doc[n]["rejected_blocks"] > 0 for n in ("alice", "bob"))
-    assert _vector_share(cache) > 0.9
+    assert share > 0.9
 
 
 # ----------------------------------------------------------------------
@@ -665,12 +664,13 @@ def test_replay_group_batched_bit_identical(group, warmup, think):
 
 
 # ----------------------------------------------------------------------
-# engine fallback: a declining chunk fn degenerates to the scalar loop
+# engine fallback: a decline backs the stream off to the scalar loop
 # ----------------------------------------------------------------------
 def test_always_declining_chunk_fn_matches_scalar_loop():
     span = 32 * MIB
     results = {}
     devices = {}
+    offers = []
     for mode in ("scalar", "declining"):
         ssd = SSDDevice(TINY_SSD)
 
@@ -680,15 +680,86 @@ def test_always_declining_chunk_fn_matches_scalar_loop():
         issue_chunk = None
         if mode == "declining":
             def issue_chunk(rows, start, think, deadline, limit):
-                return None, None, 0
+                offers.append(start)
+                return DECLINED
 
         results[mode] = run_chunk_streams(
             issue, [uniform_random_chunks(span, 4 * KIB, seed=28)],
-            issue_chunk=issue_chunk, max_requests=3000)
+            issue_chunk=issue_chunk, max_requests=20000)
         devices[mode] = ssd
     assert (results["declining"].as_dict()
             == results["scalar"].as_dict())
     assert devices["declining"].stats == devices["scalar"].stats
+    # Holds of 32, 64, ... 4096 rows, then 4096 each: not one per row.
+    assert 0 < len(offers) <= 16
+
+
+_STRIDE = 1 << 20      # row i of stream s writes block s * _STRIDE + i
+
+
+def _paced_run(latencies, declines, n_rows):
+    """One ``n_rows`` stream per latency against a target that completes
+    a row of stream ``s`` ``latencies[s]`` after its issue and whose
+    ``issue_chunk`` serves the offered rows up to the first for which
+    ``declines(stream, row)`` holds.  Chunked must equal forced scalar;
+    returns the ``(stream, row)`` heading every offer and the number of
+    rows each stream was served per request in the chunked run."""
+    offers, per_request = [], [0] * len(latencies)
+
+    def issue(req, now):
+        stream = req.offset // PAGE_SIZE // _STRIDE
+        per_request[stream] += 1
+        return now + latencies[stream]
+
+    def issue_chunk(rows, start, think, deadline, limit):
+        stream, head = divmod(int(rows["offset"][0]) // PAGE_SIZE, _STRIDE)
+        offers.append((stream, head))
+        issue_t, done_t, t = [], [], start
+        for row in range(head, head + min(len(rows), limit or len(rows))):
+            if t >= deadline or declines(stream, row):
+                break
+            issue_t.append(t)
+            done_t.append(t + latencies[stream])
+            t = done_t[-1] + think
+        return np.array(issue_t), np.array(done_t), len(issue_t)
+
+    def sources():
+        return [iter([make_chunk((s * _STRIDE + np.arange(n_rows))
+                                 * PAGE_SIZE, PAGE_SIZE)])
+                for s in range(len(latencies))]
+
+    want = run_chunk_streams(issue, sources())
+    per_request[:] = [0] * len(latencies)
+    got = run_chunk_streams(issue, sources(), issue_chunk=issue_chunk)
+    assert got.as_dict() == want.as_dict()
+    assert got.completed_ops == n_rows * len(latencies)
+    return offers, per_request
+
+
+def test_declined_stream_is_offered_again_and_backoff_resets():
+    """Declined for its first 1,000 rows, a stream is back on the chunk
+    path within one maximal hold; once an offer has served a row, the
+    next decline starts over at the shortest hold."""
+    offers, _ = _paced_run(
+        [0.5], lambda s, row: row < 1000 or 3000 <= row < 3010, 4096)
+    rows = [row for _, row in offers]
+    assert rows == [0, 32, 96, 224, 480, 992,      # holds double ...
+                    2016,                          # ... served to row 3000
+                    3000, 3000 + SCALAR_THRESHOLD]
+    assert rows[6] < 1000 + DEFAULT_CHUNK_REQUESTS
+
+
+def test_backoff_is_per_stream():
+    """One stream always declined, the other never: the first backs
+    off alone, the second is offered every one of its turns and served
+    by windows only."""
+    # Stream 0 is the slow one: between two of its turns stream 1 has
+    # a 128-row horizon (and loses every tie, so no empty one).
+    offers, per_request = _paced_run([64.0, 0.5], lambda s, row: s == 0,
+                                     1024)
+    assert [row for s, row in offers if s == 0] == [0, 32, 96, 224, 480, 992]
+    assert [row for s, row in offers if s == 1] == list(range(0, 1024, 128))
+    assert per_request == [1024, 0]
 
 
 # ----------------------------------------------------------------------
@@ -874,10 +945,10 @@ def test_fault_plan_activation_flips_chunk_gate_mid_run():
     fast-path verdict immediately — no request traffic in between."""
     src = _make_injected_src()
     assert src.window.chunk_fast_ok(0.0)
-    rows = make_chunk([0, PAGE_SIZE], PAGE_SIZE)
+    rows = make_chunk(np.arange(SCALAR_THRESHOLD) * PAGE_SIZE, PAGE_SIZE)
 
     _, _, n = src.submit_chunk(rows, 0.0, 0.0, float("inf"), 0)
-    assert n == 2
+    assert n == SCALAR_THRESHOLD
 
     src.ssds[0].plan = FaultPlan(seed=7).limp_window(0.0, 1e9, 4.0)
     assert not src.window.chunk_fast_ok(0.0)
@@ -888,7 +959,7 @@ def test_fault_plan_activation_flips_chunk_gate_mid_run():
     src.ssds[0].disarm()
     assert src.window.chunk_fast_ok(0.0)
     _, _, n = src.submit_chunk(rows, 2.0, 0.0, float("inf"), 0)
-    assert n == 2
+    assert n == SCALAR_THRESHOLD
 
 
 def _fault_differential(plan_factories, seed, max_requests=6000):

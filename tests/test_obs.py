@@ -3,15 +3,19 @@
 import io
 import json
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
 from _stacks import TINY_DISK, TINY_SRC, TINY_SSD
 from repro.baselines.common import CacheStats
 from repro.block.device import NullDevice, StatsDevice
+from repro.common.chunks import make_chunk
 from repro.common.types import IoStats, LatencyStats
-from repro.common.units import KIB, MIB
+from repro.common.units import KIB, MIB, PAGE_SIZE
+from repro.core.config import RepairConfig
 from repro.core.src import SrcCache, SrcStats
 from repro.hdd.backend import PrimaryStorage
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
@@ -186,6 +190,48 @@ def test_attach_wires_whole_tree():
     for dev in obs.iter_devices(cache):
         assert dev.obs is rec
     assert cache.ssds[0].ftl.obs is rec
+
+
+def test_attach_reaches_every_shard_of_a_cluster():
+    from repro.cluster import ClusterConfig, ShardRouter
+    origin = PrimaryStorage(n_disks=4, disk_spec=TINY_DISK)
+    shards = [SrcCache([SSDDevice(TINY_SSD, name=f"s{i}t{j}")
+                        for j in range(4)], origin, TINY_SRC)
+              for i in range(2)]
+    rec = obs.ObsRecorder()
+    router = obs.attach(ShardRouter(shards, origin, ClusterConfig(n_shards=2)),
+                        rec)
+    for shard in shards:
+        assert shard.obs is rec
+        assert all(ssd.obs is rec and ssd.ftl.obs is rec
+                   for ssd in shard.ssds)
+    # A tree walked twice registers each cache's path ledger once.
+    rows = make_chunk(np.arange(64) * PAGE_SIZE, PAGE_SIZE)
+    assert shards[0].submit_chunk(rows, 0.0, 0.0, float("inf"), 0)[2] == 64
+    obs.attach(router, rec)
+    assert rec.paths() == {"src": {"vector_rows": 64, "boundary_rows": 0}}
+
+
+def test_collect_and_attach_walk_the_same_tree():
+    """A hot spare, which ``attach`` has always reached, has a node in
+    ``collect()`` — under the role the shared child walk gives it."""
+    config = replace(TINY_SRC, repair=RepairConfig(hot_spares=1))
+    spare = SSDDevice(TINY_SSD, name="spare0")
+    ssds = [SSDDevice(TINY_SSD, name=f"tiny{i}") for i in range(4)]
+    cache = SrcCache(ssds, PrimaryStorage(n_disks=4, disk_spec=TINY_DISK),
+                     config, spares=[spare])
+    kids = obs.collect(cache)["children"]
+    assert kids["spares[0]"]["name"] == "spare0"
+    assert "ftl" in kids["spares[0]"]
+
+    def names(node):
+        yield node.get("name")
+        for child in node.get("children", {}).values():
+            yield from names(child)
+
+    walked = [dev.name for dev in obs.iter_devices(cache)]
+    assert sorted(walked) == sorted(names(obs.collect(cache)))
+    assert "spare0" in walked
 
 
 def test_attach_null_recorder_is_free():

@@ -6,13 +6,12 @@ oracle, so a vector helper is correct exactly when a run built with it
 is indistinguishable from one built one element at a time.
 """
 
-import itertools
 
 import numpy as np
 import pytest
 
 from repro.common.checksum import block_checksum, block_checksums_array
-from repro.common.chunks import (OP_READ, OP_WRITE, ORIGIN_GC, conformant_mask,
+from repro.common.chunks import (OP_READ, ORIGIN_GC, conformant_mask,
                                  make_chunk, requests_from_chunk)
 from repro.common.types import IoStats, LatencyStats, Op, Request
 from repro.common.units import PAGE_SIZE
@@ -404,16 +403,14 @@ def test_src_submit_chunk_bit_identical_to_submit(think, n):
     assert stats.segment_writes > 0
 
 
-def test_src_submit_chunk_serves_nonvector_head_rows_scalar():
-    batched_src, scalar_src = make_src(), make_src()
-    rows = make_chunk(np.array([0, PAGE_SIZE]), PAGE_SIZE)
+def test_src_submit_chunk_declines_a_nonvector_head():
+    src = make_src()
+    rows = make_chunk(np.arange(64) * PAGE_SIZE, PAGE_SIZE)
     rows["op"][0] = 0      # READ head: not vectorizable, still FG
-    issue_t, done_t, n = batched_src.submit_chunk(rows, 0.0, 0.0,
-                                                  float("inf"), 0)
-    assert n == 1          # stops where the next vectorizable span begins
-    expected = scalar_src.submit(Request(Op.READ, 0, PAGE_SIZE), 0.0)
-    assert issue_t[0] == 0.0
-    assert done_t[0] == expected
+    _, _, n = src.submit_chunk(rows, 0.0, 0.0, float("inf"), 0)
+    assert n == 0          # the engine's per-request body serves it
+    assert src.stats.read_ops == 0
+    assert src.window.paths()["declined.nonconformant_head"] == 1
 
 
 def test_src_submit_chunk_declines_background_origin_head():
@@ -433,10 +430,10 @@ def test_src_submit_chunk_declines_while_observer_attached():
     src.mapping.observer = None
     _, _, n = src.submit_chunk(rows, 0.0, -1.0, float("inf"), 0)
     assert n == 0
-    _, _, n = src.submit_chunk(rows, 0.0, 0.0, 1e-9, 0)    # scalar_run
-    assert n == 1
+    _, _, n = src.submit_chunk(rows, 0.0, 0.0, 1e-9, 0)
+    assert n == 0
     assert src.window.paths() == {
-        "vector_rows": 0, "boundary_rows": 0, "scalar_run_rows": 1,
+        "vector_rows": 0, "boundary_rows": 0,
         "declined.foreign_observer": 1, "declined.negative_think": 1,
         "declined.tiny_horizon": 1}
 
@@ -512,61 +509,6 @@ def test_src_submit_chunk_respects_limit_and_deadline():
     # scalar loop would issue the head request before noticing).
     i_t, d_t, n = src_b.submit_chunk(rows, 5.0, 0.0, 5.0, 0)
     assert n <= 1
-
-
-# ----------------------------------------------------------------------
-# the window's in-target scalar run: one loop, three stop conditions
-# ----------------------------------------------------------------------
-def _mixed_rows():
-    """Eight foreground rows; only rows 0 and 3 are conformant."""
-    rows = make_chunk(np.arange(8, dtype=np.int64) * 4 * PAGE_SIZE,
-                      PAGE_SIZE)
-    rows["op"] = [OP_WRITE, OP_READ, OP_READ, OP_WRITE,
-                  OP_READ, OP_WRITE, OP_READ, OP_READ]
-    rows["length"][5] = 4 * PAGE_SIZE
-    return rows
-
-
-def _closed_loop(src, rows, n, think):
-    """Reference: the first ``n`` rows through per-request submit."""
-    t, issues, dones = 0.0, [], []
-    for req in itertools.islice(requests_from_chunk(rows), n):
-        done = src.submit(req, t)
-        issues.append(t)
-        dones.append(done)
-        t = done + think
-    return np.array(issues), np.array(dones)
-
-
-@pytest.mark.parametrize("case,expected_n", [
-    ("tenanted", 8), ("background", 3), ("next-span", 3),
-    ("deadline", 2), ("limit", 4), ("all", 8)])
-def test_window_scalar_run_stop_conditions(case, expected_n):
-    think = 1e-4
-    rows = _mixed_rows()
-    deadline, limit = float("inf"), 0
-    if case == "tenanted":       # a tag no registry names: served anyway
-        rows["tenant"][3] = 0
-    elif case == "background":
-        rows["origin"][3] = ORIGIN_GC
-    elif case == "deadline":     # row 2's issue time: it must not issue
-        deadline = _closed_loop(make_src(), rows, 3, think)[0][2]
-    elif case == "limit":
-        limit = 4
-    src, twin = make_src(), make_src()
-    if case == "next-span":
-        # submit_chunk bounds the run at the first conformant row past
-        # the short conformant prefix (row 3 opens the next window).
-        issue_t, done_t, n = src.submit_chunk(rows, 0.0, think, deadline,
-                                              limit)
-    else:
-        issue_t, done_t, n = src.window.scalar_run(rows, 8, 0.0, think,
-                                                   deadline, limit)
-    assert n == expected_n
-    want_issue, want_done = _closed_loop(twin, rows, n, think)
-    assert np.array_equal(issue_t, want_issue)
-    assert np.array_equal(done_t, want_done)
-    _assert_src_state_equal(src, twin)
 
 
 # ----------------------------------------------------------------------
