@@ -45,8 +45,7 @@ from repro.api import (CACHE_SPACE, DEFAULT_SCALE, EXPERIMENTS, GIB, KIB,
                        build_src, collect, events_to_csv,
                        export_synthetic_trace, flush, generate_report,
                        mb_per_sec, open_array, replay_group,
-                       result_violations, run_cluster, run_experiment,
-                       run_rebuild, to_json, use)
+                       result_violations, run_experiment, to_json, use)
 
 # Device-level classes below the stable facade, kept importable from
 # the package root for existing scripts and tests.

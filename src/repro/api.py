@@ -79,6 +79,8 @@ EXPERIMENTS: Dict[str, "tuple[str, str]"] = {
                 "tenant isolation: QoS shares vs a write whale"),
     "cluster": ("repro.harness.exp_cluster",
                 "sharded cluster: scaling, rebalance, blast radius"),
+    "rebuild": ("repro.harness.exp_rebuild",
+                "hot-spare rebuild rate sweep + scrub demo"),
 }
 
 
@@ -106,19 +108,6 @@ def run_experiment(exp_id: str, es: ExperimentScale = DEFAULT_SCALE,
 def result_violations(result: ExperimentResult) -> List[str]:
     """Acceptance failures (``violation:`` notes) recorded in a result."""
     return [n for n in result.notes if n.startswith("violation:")]
-
-
-def run_rebuild(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
-    """The hot-spare rebuild sweep + scrub demo (``repro rebuild``)."""
-    from repro.harness import exp_rebuild
-    return exp_rebuild.run(es)
-
-
-def run_cluster(es: ExperimentScale = DEFAULT_SCALE,
-                jobs: int = 1) -> ExperimentResult:
-    """The sharded-cluster acceptance suite (``repro cluster``)."""
-    from repro.harness import exp_cluster
-    return exp_cluster.run(es, jobs=jobs)
 
 
 def run_chaos(scenarios: Optional[List[str]] = None,
@@ -330,8 +319,6 @@ __all__ = [
     # experiments
     "EXPERIMENTS",
     "run_experiment",
-    "run_cluster",
-    "run_rebuild",
     "result_violations",
     "generate_report",
     "export_synthetic_trace",

@@ -6,14 +6,12 @@ experiments              list the reproducible tables/figures
 run <exp-id> [...]       run experiments; ``--format json`` adds telemetry,
                          ``--jobs N`` fans sweep points over N processes;
                          exits 1 if a result records acceptance
-                         ``violation:`` notes (e.g. ``run tenants``)
+                         ``violation:`` notes (``run tenants``, ``run
+                         cluster``, ``run rebuild``)
 trace <exp-id>           run one experiment and dump its event trace
 report [out.md]          run everything, write the experiments report
 replay <group>           replay a trace group against a chosen target
 export-trace <name> ...  materialise a synthetic trace as MSR CSV
-rebuild                  hot-spare rebuild sweep + scrub demo
-cluster                  sharded-cluster acceptance suite (scaling,
-                         rebalance under load, blast radius)
 chaos                    crash-point exploration (``--budget 0``: every
                          point), the broken-seal sensitivity proof and
                          the composed-fault scheduler; exits 1 on any
@@ -220,44 +218,6 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def cmd_rebuild(args) -> int:
-    from repro.api import run_rebuild
-    es = _scale_from(args)
-    if args.format == "json":
-        from repro.api import ObsRecorder, to_json, use
-        recorder = ObsRecorder(sample_interval=SAMPLE_INTERVAL)
-        with use(recorder):
-            result = run_rebuild(es)
-        print(to_json({
-            "id": "rebuild",
-            "results": [result.as_dict()],
-            "telemetry": recorder.telemetry(),
-        }))
-    else:
-        result = run_rebuild(es)
-        print(result.render())
-    return 1 if result_violations(result) else 0
-
-
-def cmd_cluster(args) -> int:
-    from repro.api import run_cluster
-    es = _scale_from(args)
-    if args.format == "json":
-        from repro.api import ObsRecorder, to_json, use
-        recorder = ObsRecorder(sample_interval=SAMPLE_INTERVAL)
-        with use(recorder):
-            result = run_cluster(es, jobs=args.jobs)
-        print(to_json({
-            "id": "cluster",
-            "results": [result.as_dict()],
-            "telemetry": recorder.telemetry(),
-        }))
-    else:
-        result = run_cluster(es, jobs=args.jobs)
-        print(result.render())
-    return 1 if result_violations(result) else 0
-
-
 def cmd_chaos(args) -> int:
     from repro.api import run_chaos, to_json
     budget = None if args.budget <= 0 else args.budget
@@ -315,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="table (default) or json with telemetry")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="processes for sweep experiments (fig2/fig4/"
-                          "fig5); results are identical to --jobs 1")
+                          "fig5/cluster); results are identical to "
+                          "--jobs 1")
     _add_scale_flags(run)
 
     trace = sub.add_parser(
@@ -339,23 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--format", choices=("table", "json"),
                         default="table")
     _add_scale_flags(replay)
-
-    rebuild = sub.add_parser(
-        "rebuild", help="hot-spare rebuild sweep + scrub demo")
-    rebuild.add_argument("--format", choices=("table", "json"),
-                         default="table",
-                         help="table (default) or json with telemetry")
-    _add_scale_flags(rebuild)
-
-    cluster = sub.add_parser(
-        "cluster", help="sharded-cluster acceptance suite")
-    cluster.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="processes for the shard-scaling sweep; "
-                              "results are identical to --jobs 1")
-    cluster.add_argument("--format", choices=("table", "json"),
-                         default="table",
-                         help="table (default) or json with telemetry")
-    _add_scale_flags(cluster)
 
     chaos = sub.add_parser(
         "chaos", help="chaos verification: crash-point exploration + "
@@ -398,8 +342,6 @@ def main(argv=None) -> int:
         "report": cmd_report,
         "replay": cmd_replay,
         "export-trace": cmd_export_trace,
-        "rebuild": cmd_rebuild,
-        "cluster": cmd_cluster,
         "chaos": cmd_chaos,
     }
     try:

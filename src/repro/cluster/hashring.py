@@ -25,7 +25,10 @@ import hashlib
 from bisect import bisect_left
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigError
+from repro.core.arrays import grow_to
 
 RING_BITS = 64
 
@@ -52,7 +55,7 @@ class HashRing:
         self.vnodes = vnodes
         self.seed = seed
         self._shards: Dict[int, List[int]] = {}
-        self._points: List[Tuple[int, int]] = []   # sorted (hash, slot)
+        self._rebuild()
 
     # ------------------------------------------------------------------
     def _hash(self, key: str) -> int:
@@ -69,9 +72,15 @@ class HashRing:
                 for v in range(self.vnodes)]
 
     def _rebuild(self) -> None:
-        self._points = sorted(
+        """Recompute the ring from ``_shards``: the one place points
+        change, so the one place the slab-owner array is dropped."""
+        self._points = sorted(   # (hash, slot)
             (h, slot) for slot, hashes in self._shards.items()
             for h in hashes)
+        # slab -> owning slot, filled lazily by owner() / owners() (the
+        # blake2b slab hash cannot vectorize, and per page it dominates
+        # the routing cost); -1 = not yet computed.
+        self._slab_owner = np.empty(0, dtype=np.int32)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -93,7 +102,26 @@ class HashRing:
         return self._points[index][1]
 
     def owner(self, slab: int) -> int:
-        return self.owner_of_hash(self.key_hash(slab))
+        """The slot owning routing slab ``slab``."""
+        owners = self._slab_owner
+        if slab >= owners.shape[0]:
+            owners = self._slab_owner = grow_to(owners, slab + 1, fill=-1)
+        slot = int(owners[slab])
+        if slot < 0:
+            slot = owners[slab] = self.owner_of_hash(self.key_hash(slab))
+        return slot
+
+    def owners(self, slabs: np.ndarray) -> np.ndarray:
+        """:meth:`owner` of every slab in a non-empty array: misses hash
+        once per distinct slab and stay until the ring next changes."""
+        owners = self._slab_owner = grow_to(
+            self._slab_owner, int(slabs.max()) + 1, fill=-1)
+        slots = owners[slabs]
+        if (slots < 0).any():
+            for slab in np.unique(slabs[slots < 0]).tolist():
+                owners[slab] = self.owner_of_hash(self.key_hash(slab))
+            slots = owners[slabs]
+        return slots
 
     def _predecessor(self, point: int) -> int:
         """The ring point strictly counter-clockwise of ``point``."""

@@ -47,7 +47,6 @@ from repro.common.errors import ConfigError, ReproError
 from repro.common.throttle import ForegroundGuard, TokenBucket
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import PAGE_SIZE
-from repro.core.arrays import grow_to
 from repro.obs.events import (MigrationProgress, RouterDegraded,
                               ShardHealthTransition)
 from repro.repair.health import DeviceHealth
@@ -132,11 +131,6 @@ class ShardRouter(BlockDevice):
         # Tenant volumes spanning the cluster (repro.cluster.volume).
         self.volumes: Dict[str, object] = {}
         self._alloc_cursor = 0
-        # slab -> owning slot, filled lazily by the batch path (the
-        # blake2b ring hash cannot vectorize, but ownership per slab is
-        # stable between topology changes).  -1 = not yet computed;
-        # dropped whole on any event that can move an arc.
-        self._owner_cache: Optional[np.ndarray] = None
 
     # ==================================================================
     # routing
@@ -149,34 +143,15 @@ class ShardRouter(BlockDevice):
 
         Pending (uncommitted) migration ranges still belong to their
         source — ownership flips per range at commit, never per block.
-        While no ranges are pending, lookups go through the slab owner
-        cache (a blake2b per page otherwise dominates the routing
-        cost); overrides bypass the cache entirely, and every event
-        that can move an arc drops it.
         """
         slab = block // self.config.slab_blocks
         if not self._overrides:
-            cache = self._owners_up_to(slab + 1)
-            slot = int(cache[slab])
-            if slot < 0:
-                slot = cache[slab] = self.ring.owner_of_hash(
-                    self.ring.key_hash(slab))
-            return slot
+            return self.ring.owner(slab)
         point = self.ring.key_hash(slab)
         for move in self._overrides:
             if move.contains(point):
                 return move.source
         return self.ring.owner_of_hash(point)
-
-    def _owners_up_to(self, top: int) -> np.ndarray:
-        """The slab -> slot cache, covering slabs ``[0, top)``."""
-        cache = self._owner_cache
-        if cache is None:
-            cache = self._owner_cache = np.full(max(top, 1024), -1,
-                                                dtype=np.int32)
-        elif top > cache.shape[0]:
-            cache = self._owner_cache = grow_to(cache, top, fill=-1)
-        return cache
 
     def _split_runs(self, req: Request) -> List:
         """Split a request into (slot, start_block, n_blocks) runs."""
@@ -232,25 +207,6 @@ class ShardRouter(BlockDevice):
     # ==================================================================
     # batched submission (repro.sim.engine batch mode)
     # ==================================================================
-    def _owners_of(self, slabs: np.ndarray) -> np.ndarray:
-        """Vector slab -> slot lookup through the lazy owner cache.
-
-        Only valid while no migration overrides are pending (the batch
-        gates guarantee that); misses run the scalar ring lookup once
-        per distinct slab and stay cached until the topology moves.
-        """
-        cache = self._owners_up_to(int(slabs.max()) + 1)
-        vals = cache[slabs]
-        if (vals < 0).any():
-            ring = self.ring
-            for slab in np.unique(slabs[vals < 0]).tolist():
-                cache[slab] = ring.owner_of_hash(ring.key_hash(slab))
-            vals = cache[slabs]
-        return vals
-
-    def _drop_owner_cache(self) -> None:
-        self._owner_cache = None
-
     def submit_chunk(self, rows: np.ndarray, start: float,
                      think_time: float, deadline: float,
                      limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -283,8 +239,10 @@ class ShardRouter(BlockDevice):
             n_conf = int(nonconf[0]) if nonconf.shape[0] else scan
             if n_conf == 0:
                 return DECLINED
-            owners = self._owners_of(offsets[:n_conf] // PAGE_SIZE
-                                     // slab_blocks)
+            # No override is pending (declined above), so the ring's
+            # owner is the slot that serves.
+            owners = self.ring.owners(offsets[:n_conf] // PAGE_SIZE
+                                      // slab_blocks)
             slot = int(owners[0])
             other = np.nonzero(owners != slot)[0]
             n_run = int(other[0]) if other.shape[0] else n_conf
@@ -392,7 +350,6 @@ class ShardRouter(BlockDevice):
             raise ConfigError("new shard must share the cluster origin")
         slot = self.health.add_slot()
         self.shards[slot] = shard
-        self._drop_owner_cache()
         moves = [RangeMove(lo, hi, source=old, target=slot)
                  for lo, hi, old in self.ring.add(slot)]
         self._start_migration("add", slot, moves, now)
@@ -413,7 +370,6 @@ class ShardRouter(BlockDevice):
             raise MigrationError("cannot remove the last shard")
         moves = [RangeMove(lo, hi, source=slot, target=new)
                  for lo, hi, new in self.ring.remove(slot)]
-        self._drop_owner_cache()
         self._start_migration("remove", slot, moves, now)
 
     def _start_migration(self, op: str, slot: int, moves: List[RangeMove],
@@ -423,7 +379,6 @@ class ShardRouter(BlockDevice):
 
     def _resume_migration(self, now: float, kind: str) -> None:
         """Build the job for the ledger's open intent (fresh or resumed)."""
-        self._drop_owner_cache()
         self._overrides = self.ledger.pending_moves()
         self._migration = MigrationJob(
             self, self._overrides, self.config, self._bucket, self._guard,
@@ -452,7 +407,6 @@ class ShardRouter(BlockDevice):
                 dirty_blocks=job.stats.dirty_blocks_copied))
 
     def _finish_migration(self, now: float) -> None:
-        self._drop_owner_cache()
         job = self._migration
         self._migration = None
         self._overrides = []

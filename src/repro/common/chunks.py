@@ -32,8 +32,23 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import (OP_FLUSH, OP_READ, OP_TRIM, OP_WRITE, OPS,
+                                ORIGIN_DESTAGE, ORIGIN_FG, ORIGIN_GC,
+                                ORIGIN_REBUILD, ORIGIN_SCRUB, ORIGINS,
+                                SCALAR_THRESHOLD, IoOrigin, Op, Request)
 from repro.common.units import PAGE_SIZE
+
+# The op / origin code tables and SCALAR_THRESHOLD are defined beside
+# Op and IoOrigin (repro.common.types, the leaf module IoStats lives
+# in) and re-exported here, where every chunk caller imports them from.
+__all__ = [
+    "CHUNK_DTYPE", "DECLINED", "DEFAULT_CHUNK_REQUESTS", "NO_TENANT",
+    "OP_CODE", "OP_FLUSH", "OP_READ", "OP_TRIM", "OP_WRITE", "ORIGIN_CODE",
+    "ORIGIN_DESTAGE", "ORIGIN_FG", "ORIGIN_GC", "ORIGIN_REBUILD",
+    "ORIGIN_SCRUB", "SCALAR_THRESHOLD", "conformant_mask", "empty_chunk",
+    "make_chunk", "op_of", "origin_of", "request_from_row",
+    "requests_from_chunk",
+]
 
 # One row per request.  int64 offsets/lengths cover any device size the
 # simulator models; uint8 codes keep a 4096-row chunk under 128 KiB.
@@ -46,27 +61,10 @@ CHUNK_DTYPE = np.dtype([
     ("tenant", np.int16),
 ])
 
-# Op codes (stable: differential artifacts and tests rely on them).
-OP_READ, OP_WRITE, OP_FLUSH, OP_TRIM = 0, 1, 2, 3
-_OPS: List[Op] = [Op.READ, Op.WRITE, Op.FLUSH, Op.TRIM]
-OP_CODE = {Op.READ: OP_READ, Op.WRITE: OP_WRITE,
-           Op.FLUSH: OP_FLUSH, Op.TRIM: OP_TRIM}
-
-# IoOrigin codes, in enum declaration order.
-ORIGIN_FG, ORIGIN_GC, ORIGIN_DESTAGE, ORIGIN_REBUILD, ORIGIN_SCRUB = range(5)
-_ORIGINS: List[IoOrigin] = [IoOrigin.FOREGROUND, IoOrigin.GC,
-                            IoOrigin.DESTAGE, IoOrigin.REBUILD,
-                            IoOrigin.SCRUB]
-ORIGIN_CODE = {o: i for i, o in enumerate(_ORIGINS)}
+OP_CODE = {op: code for code, op in enumerate(OPS)}
+ORIGIN_CODE = {origin: code for code, origin in enumerate(ORIGINS)}
 
 NO_TENANT = -1
-
-# Around this many rows (or FTL pages) a scalar loop stops beating
-# numpy dispatch overhead.  Measured on the FTL: a vector op's fixed
-# cost (array allocation, np.unique) is ~15-20 us against ~0.3 us per
-# page element-wise, so scalar wins until roughly 48-64; 32 keeps a
-# safety margin on slower interpreters (docs/performance.md).
-SCALAR_THRESHOLD = 32
 
 # What a ``submit_chunk`` returns when it serves no row: ``(issue_times,
 # done_times, n)`` with ``n == 0``.  Always legal, and it costs the
@@ -128,11 +126,11 @@ def conformant_mask(rows: np.ndarray, device_size: int,
 
 
 def op_of(code: int) -> Op:
-    return _OPS[code]
+    return OPS[code]
 
 
 def origin_of(code: int) -> IoOrigin:
-    return _ORIGINS[code]
+    return ORIGINS[code]
 
 
 def request_from_row(row, tenant_names: Optional[List[str]] = None) -> Request:
@@ -141,7 +139,7 @@ def request_from_row(row, tenant_names: Optional[List[str]] = None) -> Request:
     _, offset, length, op, origin, tenant_idx = row.item()
     tenant = (tenant_names[tenant_idx]
               if tenant_names is not None and tenant_idx >= 0 else None)
-    return Request(_OPS[op], offset, length, origin=_ORIGINS[origin],
+    return Request(OPS[op], offset, length, origin=ORIGINS[origin],
                    tenant=tenant)
 
 
@@ -168,5 +166,5 @@ def requests_from_chunk(chunk: np.ndarray,
         tenant_idx = tenants[i]
         tenant = (tenant_names[tenant_idx]
                   if tenant_names is not None and tenant_idx >= 0 else None)
-        yield Request(_OPS[ops[i]], offsets[i], lengths[i],
-                      origin=_ORIGINS[origins[i]], tenant=tenant)
+        yield Request(OPS[ops[i]], offsets[i], lengths[i],
+                      origin=ORIGINS[origins[i]], tenant=tenant)

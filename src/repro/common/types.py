@@ -13,21 +13,6 @@ import numpy as np
 
 from repro.common.units import PAGE_SIZE
 
-# Chunk-path op/origin codes, bound lazily on first use: chunks.py
-# imports this module, so the names cannot be imported at load time,
-# and re-importing them on every record_chunk call is measurable at
-# trace-replay call rates.
-_CHUNK_CODES = None
-
-
-def _chunk_codes():
-    global _CHUNK_CODES
-    if _CHUNK_CODES is None:
-        from repro.common.chunks import (OP_FLUSH, OP_READ, OP_TRIM,
-                                         OP_WRITE, origin_of)
-        _CHUNK_CODES = (OP_READ, OP_WRITE, OP_FLUSH, OP_TRIM, origin_of)
-    return _CHUNK_CODES
-
 
 class Op(enum.Enum):
     """Block-layer operation codes."""
@@ -54,6 +39,24 @@ class IoOrigin(enum.Enum):
     DESTAGE = "destage"
     REBUILD = "rebuild"
     SCRUB = "scrub"
+
+
+# Small-integer codes of the chunk columns ``op`` / ``origin``
+# (:mod:`repro.common.chunks`), in enum declaration order; defined in
+# this leaf module so :meth:`IoStats.record_chunk` and the chunk
+# helpers share one table.  Stable: differential artifacts and tests
+# rely on them.
+OPS = list(Op)
+OP_READ, OP_WRITE, OP_FLUSH, OP_TRIM = range(4)
+ORIGINS = list(IoOrigin)
+ORIGIN_FG, ORIGIN_GC, ORIGIN_DESTAGE, ORIGIN_REBUILD, ORIGIN_SCRUB = range(5)
+
+# Around this many rows (or FTL pages) a scalar loop stops beating
+# numpy dispatch overhead.  Measured on the FTL: a vector op's fixed
+# cost (array allocation, np.unique) is ~15-20 us against ~0.3 us per
+# page element-wise, so scalar wins until roughly 48-64; 32 keeps a
+# safety margin on slower interpreters (docs/performance.md).
+SCALAR_THRESHOLD = 32
 
 
 class Request:
@@ -202,10 +205,9 @@ class IoStats:
         updates are identical to calling :meth:`record` once per row —
         the differential tests hold the two paths to byte equality.
         """
-        OP_READ, OP_WRITE, OP_FLUSH, OP_TRIM, origin_of = _chunk_codes()
         ops = np.asarray(ops)
         lengths = np.asarray(lengths)
-        if ops.shape[0] < 32:
+        if ops.shape[0] < SCALAR_THRESHOLD:
             # Scalar loop under the vector crossover: a short chunk
             # (mixed-trace write runs are a handful of rows) costs more
             # in bincount setup than in plain integer adds.
@@ -227,7 +229,7 @@ class IoStats:
                     self.trim_ops += 1
                     self.trim_bytes += length
                     continue
-                key = origin_of(origin_list[i]).value
+                key = ORIGINS[origin_list[i]].value
                 by_origin[key] = by_origin.get(key, 0) + length
             return
         op_counts = np.bincount(ops, minlength=4)
@@ -247,7 +249,7 @@ class IoStats:
                                     weights=lengths[data])
             for code, total in enumerate(by_origin):
                 if total:
-                    key = origin_of(code).value
+                    key = ORIGINS[code].value
                     self.bytes_by_origin[key] = (
                         self.bytes_by_origin.get(key, 0) + int(total))
 

@@ -20,7 +20,7 @@ Arrival order is a flat int64 array, drained wholesale.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -55,20 +55,7 @@ class SegmentBuffer:
         self._code = code if code else (3 if dirty else 2)
         self._order = np.zeros(capacity_blocks, dtype=np.int64)
         self._n = 0
-        self.on_observer_change: Optional[Callable[[], None]] = None
         self.observer = None
-
-    @property
-    def observer(self):
-        """Membership observer; (re)assignment notifies cached gates."""
-        return self._observer
-
-    @observer.setter
-    def observer(self, value) -> None:
-        self._observer = value
-        callback = getattr(self, "on_observer_change", None)
-        if callback is not None:
-            callback()
 
     def __len__(self) -> int:
         return self._n

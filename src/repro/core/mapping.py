@@ -20,7 +20,7 @@ differential tests depend on that for byte-identical GC).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -73,22 +73,8 @@ class MappingTable:
         self._sg_valid = [0] * n_groups
         self._count = 0
         self.dirty_count = 0
-        self.on_observer_change: Optional[Callable[[], None]] = None
         self.observer = None
         self._state = state if state is not None else BlockState()
-
-    # ------------------------------------------------------------------
-    @property
-    def observer(self):
-        """Membership observer; (re)assignment notifies cached gates."""
-        return self._observer
-
-    @observer.setter
-    def observer(self, value) -> None:
-        self._observer = value
-        callback = getattr(self, "on_observer_change", None)
-        if callback is not None:
-            callback()
 
     # ------------------------------------------------------------------
     def _ensure(self, n: int) -> None:

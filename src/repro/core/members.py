@@ -10,7 +10,8 @@ to its SSDs.  It owns
   serve the cache degrades to origin bypass;
 * the lean twins the segment sealer uses while every side channel of
   ``submit`` is provably inert (:meth:`Members.write`,
-  :meth:`Members.flush`; the gate is ``cache.window.seal_fast_ok``);
+  :meth:`Members.flush`; to add a side channel to ``submit``, add its
+  liveness check to :meth:`Members.seal_fast_ok`);
 * :meth:`Members.read` — a cached block's read around a dead member,
   a not-yet-rebuilt unit or a checksum mismatch: reconstruct from the
   stripe when the segment carries parity, refetch clean data from the
@@ -19,7 +20,7 @@ to its SSDs.  It owns
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.common.errors import DeviceFailedError, RequestTimeoutError
 from repro.common.types import IoOrigin, Op, Request
@@ -29,6 +30,7 @@ from repro.faults.failslow import FailSlowDetector
 from repro.faults.policy import RetryPolicy, submit_with_retry
 from repro.obs.events import (BypassEntered, DegradedRead, DeviceLimping,
                               FlushBarrier)
+from repro.ssd.device import SSDDevice
 
 
 class Members:
@@ -103,19 +105,50 @@ class Members:
             self._convert_fail_stop(idx, end)
         return end
 
-    def write(self, idx: int, offset: int, length: int, now: float,
-              origin: IoOrigin) -> Optional[float]:
-        """One segment-unit WRITE to a live member (data or parity)."""
-        if self.cache.window.seal_fast_ok():
-            return self.cache.ssds[idx].submit_write_fast(offset, length,
-                                                          now, origin)
-        return self.submit(idx, Request(Op.WRITE, offset, length,
-                                        origin=origin), now)
+    def armed_fault(self) -> bool:
+        """True while any member (or the origin) has an armed plan."""
+        for device in (*self.cache.ssds, self.cache.origin):
+            if getattr(getattr(device, "plan", None), "armed", False):
+                return True
+        return False
+
+    def seal_fast_ok(self) -> bool:
+        """Whether :meth:`write` and :meth:`flush` may use the SSDs' lean
+        submission: only while every side channel of :meth:`submit` is
+        inert — no fail-slow detector sampling, no telemetry on SRC or a
+        member, every member a plain ``SSDDevice`` (an injector wrapper
+        or test double keeps the full path), no armed fault plan (retry
+        only acts on injected errors).  Read once per call: the lean
+        path runs none of those, so nothing in the loop can flip it."""
+        cache = self.cache
+        return (self.failslow is None and self.flush_failslow is None
+                and not cache.obs.enabled
+                and all(type(s) is SSDDevice and not s.obs.enabled
+                        for s in cache.ssds)
+                and not self.armed_fault())
+
+    def write(self, units: List[Tuple[int, int]], offset: int, now: float,
+              origin: IoOrigin) -> float:
+        """One segment's unit WRITEs — ``(member, length)``, data and
+        parity, all at ``offset`` — to the members alive at their turn."""
+        fast = self.seal_fast_ok()
+        end = now
+        for idx, length in units:
+            if self.alive(idx):
+                if fast:
+                    done = self.cache.ssds[idx].submit_write_fast(
+                        offset, length, now, origin)
+                else:
+                    done = self.submit(idx, Request(
+                        Op.WRITE, offset, length, origin=origin), now)
+                if done is not None:
+                    end = max(end, done)
+        return end
 
     def flush(self, now: float) -> float:
         """FLUSH every live member; returns when the last one drained."""
         cache = self.cache
-        fast = cache.window.seal_fast_ok()
+        fast = self.seal_fast_ok()
         end = now
         for idx in range(len(cache.ssds)):
             if self.alive(idx):
@@ -170,7 +203,6 @@ class Members:
         if cache.bypass:
             return
         cache.bypass = True
-        cache.window.invalidate()
         lost = cache.mapping.dirty_count + len(cache.dirty_buf)
         cache.srcstats.bypass_lost_dirty += lost
         cache.repair.enter_bypass(now)

@@ -300,14 +300,8 @@ class SegmentLog:
         if with_parity:
             units.append((self.layout.parity_ssd(sg, segment),
                           min(per_unit, n_blocks)))
-        base = self.layout.unit_offset(sg, segment)
         origin = (IoOrigin.GC if cache.reclaimer.running
                   else IoOrigin.FOREGROUND)
-        end = now
-        for idx, rows in units:
-            if rows > 0 and cache.members.alive(idx):
-                done = cache.members.write(
-                    idx, base, (rows + 2) * PAGE_SIZE, now, origin)
-                if done is not None:
-                    end = max(end, done)
-        return end
+        return cache.members.write(
+            [(idx, (rows + 2) * PAGE_SIZE) for idx, rows in units if rows > 0],
+            self.layout.unit_offset(sg, segment), now, origin)

@@ -126,9 +126,6 @@ class SrcCache(CacheTarget):
         if len(ssds) != config.n_ssds:
             raise ConfigError(
                 f"config expects {config.n_ssds} SSDs, got {len(ssds)}")
-        # Built first: BlockDevice.__init__ assigns ``obs``, and the
-        # ``obs`` setter below invalidates the window's gates.
-        self.window = WriteWindow(self)
         super().__init__(ssds[0], origin, "src")  # cache_dev unused directly
         self.ssds = ssds
         self.config = config
@@ -154,6 +151,7 @@ class SrcCache(CacheTarget):
         self.segments = SegmentLog(self)
         self.members = Members(self)
         self.reclaimer = Reclaimer(self)
+        self.window = WriteWindow(self)
         # Origin bypass: the array was lost, all I/O goes to the origin
         # (Members.enter_bypass; docs/fault_model.md).
         self.bypass = False
@@ -165,14 +163,6 @@ class SrcCache(CacheTarget):
         # installs itself here; None = single-tenant, zero overhead).
         self.tenants = None
         self._active_tenant: Optional[str] = None
-
-        # Everything that can flip a fast-path gate input notifies the
-        # window (core/window.py lists the sites).
-        self.mapping.on_observer_change = self.window.invalidate
-        self.dirty_buf.on_observer_change = self.window.invalidate
-        self.clean_buf.on_observer_change = self.window.invalidate
-        for device in (*self.ssds, origin):
-            self.window.watch_member_faults(device)
 
         if self.metadata.superblock is None:
             self.metadata.format(Superblock(
@@ -211,18 +201,6 @@ class SrcCache(CacheTarget):
     def spares(self) -> List[BlockDevice]:
         """Unattached hot spares (walked by the observability attach)."""
         return self.repair.spares
-
-    @property
-    def obs(self):
-        return self._obs
-
-    @obs.setter
-    def obs(self, recorder) -> None:
-        # Telemetry only changes by (re)assignment (obs.recorder.attach
-        # / detach walk the tree setting this attribute), so the setter
-        # is the single choke point the window's cached gates need.
-        self._obs = recorder
-        self.window.invalidate()
 
     def _service(self, req: Request, now: float) -> float:
         """Service with graceful degradation: an array-loss error flips

@@ -16,21 +16,18 @@ more, and the engine — the one loop that turns a chunk row into a
 :meth:`WriteWindow.paths` says how many rows the window served, and
 why a call was not taken.
 
-Two cached gates live here: the *chunk gate* (may the vector window run
-at all) and the *seal gate* (may segment seals use the SSDs' lean
-``submit_write_fast`` / ``submit_flush_fast``).  Each clause names a
-per-request side channel that must be inert, and every event that can
-flip one calls :meth:`WriteWindow.invalidate` — observer (re)assignment
-on the mapping and buffers, the ``SrcCache.obs`` setter, repair-job and
-spare mutations, bypass entry, an injector's plan-change hook — so a
-window pays one attribute load, not ten predicate checks.  To add a
-side channel to the per-request path, add its liveness check here.
+The *chunk gate* lives here: :meth:`WriteWindow.chunk_fast_ok` checks,
+clause by clause, that every per-request side channel the window cannot
+observe is inert.  It is a predicate evaluated where it is used — once
+per call, once per sub-run — so nothing has to keep it fresh.  To add a
+side channel to the per-request path, add its liveness check to
+:meth:`WriteWindow._closed_clause`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -40,26 +37,16 @@ from repro.common.units import PAGE_SIZE
 from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED, B_NONE, B_STAGING
 from repro.core.buffers import RAM_LATENCY
 from repro.obs.recorder import ObsRecorder
-from repro.ssd.device import SSDDevice
 
 
 class WriteWindow:
-    """Vectorized write service and fast-path gates of one ``SrcCache``."""
+    """Vectorized write service and chunk gate of one ``SrcCache``."""
 
     def __init__(self, cache) -> None:
         self.cache = cache
-        # Cached verdicts; None = recompute on next use.  The chunk
-        # gate caches the name of the clause that closes it ("" = open).
-        self._chunk_gate: Optional[str] = None
-        self._seal_gate: Optional[bool] = None
         # Behind paths().  Not in SrcStats / collect(): those must read
         # the same after a chunked and a per-request run; this cannot.
         self.ledger = Counter(vector_rows=0, boundary_rows=0)
-
-    def invalidate(self, _source=None) -> None:
-        """Drop both cached verdicts (plan-change hooks pass themselves)."""
-        self._chunk_gate = None
-        self._seal_gate = None
 
     def paths(self) -> dict:
         """Rows served by the vector window and as its boundary rows,
@@ -69,67 +56,42 @@ class WriteWindow:
         short and calls that ``dense_refusals`` ended early."""
         return dict(self.ledger)
 
-    def watch_member_faults(self, device) -> None:
-        """Subscribe to ``device``'s fault-plan changes (if injectable):
-        a :class:`~repro.faults.FaultInjector` fires ``on_plan_change``
-        on every plan (re)assignment, and an armed plan anywhere must
-        close the gates so faults fire on the path that observes them."""
-        if hasattr(device, "on_plan_change"):
-            device.on_plan_change = self.invalidate
+    def _closed_clause(self, think_time: float) -> str:
+        """The first chunk-gate clause that is closed ("" = all open).
 
-    def _armed_fault_live(self) -> bool:
-        """True while any member (or the origin) has an armed plan."""
-        cache = self.cache
-        return any(getattr(getattr(device, "plan", None), "armed", False)
-                   for device in (*cache.ssds, cache.origin))
-
-    def seal_fast_ok(self) -> bool:
-        """Whether segment seals may use the lean device submission.
-
-        True only while every side channel of ``Members.submit``
-        is provably inert: no fail-slow detectors sampling latencies, no
-        telemetry on SRC or any member, no armed fault plan anywhere
-        (the retry/backoff wrapper only acts on injected errors), and
-        every member is a plain :class:`~repro.ssd.device.SSDDevice`
-        (an injector wrapper or test double must keep the full path).
+        Each clause is a per-request side channel the vector window
+        cannot observe; while one is live, rows take ``cache.submit``.
         """
-        gate = self._seal_gate
-        if gate is None:
-            cache = self.cache
-            gate = self._seal_gate = (
-                cache.members.failslow is None
-                and cache.members.flush_failslow is None
-                and not cache.obs.enabled
-                and not self._armed_fault_live()
-                and all(type(s) is SSDDevice and not s.obs.enabled
-                        for s in cache.ssds))
-        return gate
+        cache = self.cache
+        if cache.bypass:
+            return "bypass"
+        # The registry's hooks have array twins; any other observer
+        # needs the per-block callbacks.
+        tenants = cache.tenants
+        for holder in (cache.mapping, cache.dirty_buf, cache.clean_buf):
+            observer = holder.observer
+            if observer is not None and observer is not tenants:
+                return "foreign_observer"
+        if cache.obs.enabled and type(cache.obs) is not ObsRecorder:
+            return "foreign_recorder"
+        if cache.repair.guard.enabled:
+            return "repair_guard"
+        if cache.repair.jobs:
+            return "repair_jobs"
+        if cache.config.repair.scrub_interval > 0:
+            return "scrub"
+        if cache.members.armed_fault():
+            return "armed_fault"
+        if think_time < 0.0:
+            return "negative_think"
+        return ""
 
     def chunk_fast_ok(self, think_time: float) -> bool:
         """Whether the vectorized write window may run right now (else
         ``submit_chunk`` declines and the engine serves rows one at a
         time).  Rechecked per sub-run: a boundary row's segment write
         failing attaches spares, starts rebuild jobs or enters bypass."""
-        gate = self._chunk_gate
-        if gate is None:
-            cache = self.cache
-            clauses = {
-                "bypass": cache.bypass,
-                # The registry's hooks have array twins; any other
-                # observer needs the per-block callbacks.
-                "foreign_observer": any(
-                    s.observer is not None and s.observer is not cache.tenants
-                    for s in (cache.mapping, cache.dirty_buf,
-                              cache.clean_buf)),
-                "foreign_recorder": (cache.obs.enabled
-                                     and type(cache.obs) is not ObsRecorder),
-                "repair_guard": cache.repair.guard.enabled,
-                "repair_jobs": bool(cache.repair.jobs),
-                "scrub": cache.config.repair.scrub_interval > 0,
-                "armed_fault": self._armed_fault_live()}
-            gate = self._chunk_gate = next(
-                (name for name, closed in clauses.items() if closed), "")
-        return not gate and think_time >= 0.0
+        return not self._closed_clause(think_time)
 
     def submit_chunk(self, rows: np.ndarray, start: float,
                      think_time: float, deadline: float,
@@ -151,8 +113,8 @@ class WriteWindow:
         n_total = rows.shape[0]
         if n_total == 0:
             return DECLINED
-        if not self.chunk_fast_ok(think_time):
-            reason = self._chunk_gate or "negative_think"
+        reason = self._closed_clause(think_time)
+        if reason:
             self.ledger["declined." + reason] += 1
             return DECLINED
         if deadline - start < SCALAR_THRESHOLD * (RAM_LATENCY + think_time):

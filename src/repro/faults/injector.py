@@ -13,7 +13,7 @@ introspection working through the wrapper.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Set
+from typing import Optional, Set
 
 from repro.block.device import BlockDevice
 from repro.common.errors import (DeviceFailedError, PowerCutError,
@@ -35,11 +35,10 @@ class FaultInjector(BlockDevice):
                  name: str = "", record_writes: bool = False):
         super().__init__(lower.size, name or f"faulty({lower.name})")
         self.lower = lower
-        # Fired on every plan (re)assignment: fast paths cache "no
-        # armed fault" predicates and must hear about arm/disarm.
-        # In-place mutation of an attached plan is invisible — arm a
-        # live injector by assigning ``injector.plan = new_plan``.
-        self.on_plan_change: Optional[Callable[["FaultInjector"], None]] = None
+        # A plain attribute: every reader (``_service``, the fast
+        # paths' "no armed fault" checks) loads it where it is used, so
+        # assigning a plan and arming the attached one in place through
+        # its chainable builders are seen alike.
         self.plan = plan if plan is not None else FaultPlan()
         self._rng = random.Random(self.plan.seed)
         self._failed = False
@@ -52,20 +51,6 @@ class FaultInjector(BlockDevice):
         for offset, length in self.plan.corruption:
             self.inject_corruption(offset, length)
             self.injected["corruption"] += 1
-
-    # ------------------------------------------------------------------
-    # plan attachment (assignment notifies cached fast-path gates)
-    # ------------------------------------------------------------------
-    @property
-    def plan(self) -> FaultPlan:
-        return self._plan
-
-    @plan.setter
-    def plan(self, value: FaultPlan) -> None:
-        self._plan = value
-        callback = getattr(self, "on_plan_change", None)
-        if callback is not None:
-            callback(self)
 
     # ------------------------------------------------------------------
     # fail-stop surface (mirrors SSDDevice so callers can't tell)

@@ -23,8 +23,8 @@ stacks built by :func:`~repro.harness.context.build_cluster`:
   pre-failure baseline — re-homing stampedes are designed out.
 
 Shortfalls are appended to the result notes as ``violation:`` lines,
-which ``python -m repro cluster`` (and ``repro run cluster``) turn
-into a nonzero exit status.
+which ``python -m repro run cluster`` turns into a nonzero exit
+status.
 """
 
 from __future__ import annotations

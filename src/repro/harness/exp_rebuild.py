@@ -18,7 +18,7 @@ pages and no origin bypass, and a seeded latent-corruption plan must
 be fully repaired by :meth:`~repro.repair.controller.RepairController.
 scrub_now` before any foreground read touches the corrupt blocks.
 Shortfalls are appended to the result notes as ``violation:`` lines,
-which ``python -m repro rebuild`` turns into a nonzero exit status.
+which ``python -m repro run rebuild`` turns into a nonzero exit status.
 """
 
 from __future__ import annotations

@@ -137,7 +137,6 @@ class RepairController:
         state = self.health.state(idx)
         if state.terminal:
             return
-        self.cache.window.invalidate()
         if state is DeviceHealth.REBUILDING:
             # The spare holding the slot died mid-rebuild.
             job = self._job_for(idx)
@@ -169,8 +168,6 @@ class RepairController:
             return False
         spare = self.spares.pop(0)
         self.cache.ssds[idx] = spare
-        self.cache.window.watch_member_faults(spare)
-        self.cache.window.invalidate()
         self._transition(idx, DeviceHealth.REBUILDING, now,
                          f"spare {spare.name} attached")
         stats = self.cache.srcstats
@@ -196,7 +193,6 @@ class RepairController:
         for job in self.jobs:
             job.cancelled = True
         self.jobs = []
-        self.cache.window.invalidate()
         self._scrub_pass = None
         for member in range(len(self.health)):
             if not self.health.state(member).terminal:
@@ -303,7 +299,6 @@ class RepairController:
     def _finish_job(self, job: RebuildJob, now: float) -> None:
         if job in self.jobs:
             self.jobs.remove(job)
-        self.cache.window.invalidate()
         done_at = max(now, job.last_io_end)
         self._transition(job.member, DeviceHealth.HEALTHY, done_at,
                          "rebuild complete")

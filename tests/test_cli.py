@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -159,7 +160,45 @@ def test_chaos_verb_json_payload(capsys, tmp_path):
 
 
 def test_faults_verb_is_gone(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["faults"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'faults'" in capsys.readouterr().err
+    # ``rebuild`` and ``cluster`` are experiment ids of ``run`` now.
+    for verb in ("faults", "rebuild", "cluster"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{verb}'" in capsys.readouterr().err
+
+
+def _documented_commands():
+    """``(where, argv)`` of every ``python -m repro ...`` line inside a
+    fenced block of README.md and docs/*.md."""
+    root = Path(__file__).resolve().parent.parent
+    for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        fenced = False
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            words = line.split("#")[0].split() if fenced else []
+            if words[:1] == ["PYTHONPATH=src"]:
+                del words[0]
+            if words[:3] == ["python", "-m", "repro"]:
+                yield f"{path.name}:{lineno}", words[3:]
+
+
+def test_documented_commands_parse_and_name_known_experiments():
+    parser = build_parser()
+    commands = list(_documented_commands())
+    assert len(commands) > 10          # the walk found the blocks
+    for where, argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{where}: 'python -m repro {' '.join(argv)}' "
+                        "does not parse")
+        ids = []
+        if args.command == "run":
+            ids = args.experiments
+        elif args.command == "trace":
+            ids = [args.experiment]
+        unknown = [e for e in ids if e not in EXPERIMENTS]
+        assert not unknown, f"{where}: unknown experiment(s) {unknown}"

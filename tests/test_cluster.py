@@ -2,6 +2,7 @@
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.cluster import (ClusterConfig, HashRing, MigrationError,
@@ -112,6 +113,43 @@ def test_remove_returns_arcs_to_successors():
             assert len(hit) == 1 and hit[0][2] == new
         else:
             assert new == old
+
+
+def test_slab_owner_array_follows_every_ring_change():
+    """``owner`` / ``owners`` answer from an array only the ring keeps:
+    a slot added or removed — directly, or by the router resuming an
+    interrupted add — leaves no stale entry and needs no call from
+    outside."""
+    from dataclasses import replace
+    slabs = np.arange(3000)
+
+    def check(ring):
+        truth = [ring.owner_of_hash(ring.key_hash(s)) for s in slabs.tolist()]
+        assert ring.owners(slabs).tolist() == truth
+        assert [ring.owner(s) for s in slabs[::7].tolist()] == truth[::7]
+        far = 10 * slabs.shape[0]          # past what owners() sized
+        assert ring.owner(far) == ring.owner_of_hash(ring.key_hash(far))
+
+    ring = HashRing(vnodes=8, seed=1)
+    for slot in range(3):
+        ring.add(slot)
+    check(ring)
+    ring.add(3)
+    check(ring)
+    ring.remove(1)
+    check(ring)
+
+    config = replace(CLUSTER, migration_rate=2 * MIB)
+    router, origin = make_cluster(config=config)
+    now = write_blocks(router, range(1500))
+    new = make_shard("shard2", origin)
+    router.add_shard(new, now)
+    rebuilt = ShardRouter([router.shards[0], router.shards[1]], origin,
+                          config, ledger=router.ledger)
+    check(rebuilt.ring)                # filled over the pre-add topology
+    rebuilt.recover_interrupted(now, new_shard=new)
+    check(rebuilt.ring)
+    assert 2 in set(rebuilt.ring.owners(slabs).tolist())
 
 
 def test_arc_contains_wrap_and_full_circle():

@@ -18,10 +18,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.chaos import IntegrityOracle
+from repro.chaos.rig import LBA_SPAN, build_origin, build_shard
 from repro.cluster import ClusterConfig, ShardRouter
 from repro.common.chunks import (DECLINED, DEFAULT_CHUNK_REQUESTS, OP_FLUSH,
                                  OP_READ, OP_TRIM, OP_WRITE, SCALAR_THRESHOLD,
-                                 make_chunk, requests_from_chunk)
+                                 make_chunk, request_from_row,
+                                 requests_from_chunk)
+from repro.common.errors import PowerCutError
 from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.arrays import B_NONE
@@ -941,8 +945,8 @@ def _make_injected_src(plans=None):
 
 
 def test_fault_plan_activation_flips_chunk_gate_mid_run():
-    """Arming a member's plan by assignment must invalidate the cached
-    fast-path verdict immediately — no request traffic in between."""
+    """Arming a member's plan by assignment closes the window at once —
+    no request traffic in between."""
     src = _make_injected_src()
     assert src.window.chunk_fast_ok(0.0)
     rows = make_chunk(np.arange(SCALAR_THRESHOLD) * PAGE_SIZE, PAGE_SIZE)
@@ -960,6 +964,51 @@ def test_fault_plan_activation_flips_chunk_gate_mid_run():
     assert src.window.chunk_fast_ok(0.0)
     _, _, n = src.submit_chunk(rows, 2.0, 0.0, float("inf"), 0)
     assert n == SCALAR_THRESHOLD
+
+
+def _closed_loop(shard, rows, t, chunked, oracle):
+    """Serve ``rows`` back to back from ``t``: through ``submit_chunk``
+    where it takes rows (``chunked``), else one ``submit`` a row; every
+    acknowledged row is reported to ``oracle``.  Returns the last ack."""
+    i = 0
+    while i < rows.shape[0]:
+        n = 0
+        if chunked:
+            _, done, n = shard.submit_chunk(rows[i:], t, 0.0, float("inf"), 0)
+            if n:
+                t = float(done[-1])
+        if not n:
+            n = 1
+            t = shard.submit(request_from_row(rows[i]), t)
+        oracle.note_chunk(rows[i:], n)
+        i += n
+    return t
+
+
+def test_plan_armed_in_place_closes_the_window_and_cuts_both_modes_alike():
+    """``FaultPlan``'s chainable builders arm the *attached* plan; the
+    window must decline from the next call on, so the cut lands on the
+    per-request path and both modes acknowledge the same rows."""
+    rows = make_chunk(np.random.default_rng(5).integers(0, LBA_SPAN, 900)
+                      * PAGE_SIZE, PAGE_SIZE)
+    acked = {}
+    for chunked in (True, False):
+        shard, _ = build_shard(build_origin())
+        oracle = IntegrityOracle()
+        t = _closed_loop(shard, rows[:300], 0.0, chunked, oracle)
+        member = shard.ssds[0]
+        member.plan.power_cut_on_write(member.writes_seen + 5)
+        if chunked:
+            assert shard.window.paths()["vector_rows"] > 0
+            assert shard.submit_chunk(rows[300:], t, 0.0, float("inf"),
+                                      0)[2] == 0
+            assert _declines(shard)["armed_fault"] == 1
+        with pytest.raises(PowerCutError):
+            _closed_loop(shard, rows[300:], t, chunked, oracle)
+        assert member.injected["power-cut"] == 1
+        acked[chunked] = (oracle.writes_seen, oracle.expected)
+    assert 300 < acked[True][0] < 900
+    assert acked[True] == acked[False]
 
 
 def _fault_differential(plan_factories, seed, max_requests=6000):

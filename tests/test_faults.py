@@ -3,6 +3,7 @@
 import pytest
 
 from repro.block.device import BlockDevice, NullDevice
+from repro.chaos.rig import build_origin, build_shard
 from repro.common.errors import (DeviceFailedError, PowerCutError,
                                  RequestTimeoutError, TransientIOError)
 from repro.common.types import Op, Request
@@ -184,14 +185,21 @@ def test_injector_reports_transient_observation_time():
     assert err.value.at == pytest.approx(0.5 + 2e-3 * 3.0)
 
 
-def test_injector_plan_assignment_fires_change_callback():
-    inj = FaultInjector(NullDevice(1 * MIB))
-    heard = []
-    inj.on_plan_change = heard.append
-    inj.plan = FaultPlan().limp_window(0.0, 1.0, 2.0)
-    inj.disarm()
-    assert heard == [inj, inj]
-    assert not inj.plan.armed
+def test_repair_disarms_in_place_and_reopens_the_window():
+    """``repair()`` clears ``plan.fail_at`` on the attached plan; the
+    vector window's "no armed fault" clause must see that, as it sees
+    ``disarm()`` replacing the plan."""
+    shard, members = build_shard(build_origin())
+    assert shard.window.chunk_fast_ok(0.0)
+    members[0].plan = FaultPlan().fail_stop(at=5.0)   # not yet reached
+    assert not shard.window.chunk_fast_ok(0.0)
+    members[0].repair()
+    assert not members[0].plan.armed
+    assert shard.window.chunk_fast_ok(0.0)
+    members[1].plan.limp_window(0.0, 1.0, 2.0)        # armed in place
+    assert not shard.window.chunk_fast_ok(0.0)
+    members[1].disarm()
+    assert shard.window.chunk_fast_ok(0.0)
 
 
 def test_injector_emits_fault_events():

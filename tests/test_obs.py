@@ -240,6 +240,23 @@ def test_attach_null_recorder_is_free():
     assert cache.ssds[0].obs is NULL_RECORDER
 
 
+def test_member_recorder_attached_after_a_seal_sees_every_request():
+    """A recorder put on one member mid-run — a plain attribute nobody
+    is told about — takes that member's unit writes off the lean path:
+    it records as many latencies as the member's ``IoStats`` counts."""
+    cache = _tiny_src(NULL_RECORDER)
+    _drive(cache, n=400)
+    assert cache.srcstats.segment_writes > 0
+    ssd = cache.ssds[0]
+    rec = obs.ObsRecorder()
+    obs.attach(ssd, rec)
+    before = ssd.stats.snapshot()
+    _drive(cache, seed=2, n=400)
+    served = ssd.stats.delta(before)
+    assert served.write_ops > 0
+    assert rec.device_latency(ssd.name).count == served.total_ops
+
+
 def test_src_emits_seals_and_gc_events():
     rec = obs.ObsRecorder()
     cache = _tiny_src(rec)
