@@ -35,20 +35,21 @@ advances and competes with the foreground like any background work.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.block.device import BlockDevice
-from repro.common.chunks import (DECLINED, SCALAR_THRESHOLD,
-                                 conformant_mask, request_from_row)
 from repro.common.errors import ConfigError, ReproError
 from repro.common.throttle import ForegroundGuard, TokenBucket
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import PAGE_SIZE
+from repro.core.window import Lane, serve_lanes
 from repro.obs.events import (MigrationProgress, RouterDegraded,
                               ShardHealthTransition)
+from repro.obs.recorder import ObsRecorder
 from repro.repair.health import DeviceHealth
 
 from .config import ClusterConfig
@@ -121,6 +122,8 @@ class ShardRouter(BlockDevice):
         self.health = ShardHealthTracker(len(shards), device=name)
         self.clusterstats = ClusterStats()
         self.ledger = ledger if ledger is not None else MigrationLedger()
+        # Behind paths(): why a chunk offer was declined at this level.
+        self.path_ledger: Counter = Counter()
         self._bucket = TokenBucket(
             config.migration_rate,
             burst_bytes=2 * config.migration_unit_blocks * PAGE_SIZE)
@@ -207,96 +210,55 @@ class ShardRouter(BlockDevice):
     # ==================================================================
     # batched submission (repro.sim.engine batch mode)
     # ==================================================================
+    def paths(self) -> dict:
+        """``declined.<reason>``: the chunk offers the router itself did
+        not take (rows served are in the shards' ``window.paths()``)."""
+        return dict(self.path_ledger)
+
+    def closed_clause(self, think_time: float) -> str:
+        """The first cluster-level side channel that is live ("" =
+        none): while one is, every row takes the per-request path."""
+        if self._migration is not None or self._overrides:
+            return "migration"        # override ranges re-route mid-chunk
+        if self._spare_ready:
+            return "spare_warming"    # completion is clocked by _tick
+        if not all(map(self.slot_serving, self.shards)):
+            return "degraded_slot"    # its rows write around
+        if self.obs.enabled and type(self.obs) is not ObsRecorder:
+            return "foreign_recorder"
+        for shard in self.shards.values():
+            reason = shard.window.closed_clause(think_time)
+            if reason:
+                return reason         # any lane's own gate
+        return ""
+
+    def lanes(self, blocks: np.ndarray) -> List[Lane]:
+        """Deal a slice's blocks to their owning shards' windows.  No
+        override is pending (gated), so the ring's owner serves."""
+        owners = self.ring.owners(blocks // self.config.slab_blocks)
+        dealt = [(shard, np.flatnonzero(owners == slot))
+                 for slot, shard in self.shards.items()]
+        return [Lane(shard.window, blocks[at], at)
+                for shard, at in dealt if at.shape[0]]
+
     def submit_chunk(self, rows: np.ndarray, start: float,
                      think_time: float, deadline: float,
                      limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Vectorized closed-loop prefix service (batch engine hook).
-
-        Delegates a same-owner run of conformant rows (single-page,
-        page-aligned, untenanted foreground writes) to the owning
-        shard's own ``submit_chunk``, replicating the router-level
-        accounting (device stats, routed counters, foreground-guard
-        observations) the scalar ``submit`` path performs per request.
-        Declines — leaving every row to the scalar oracle — whenever
-        any cluster-level side channel is live: a migration (override
-        ranges re-route mid-chunk), a warming spare (its completion is
-        clocked by ``_tick``), or an attached observer.
-        """
-        n_total = rows.shape[0]
-        if (n_total == 0 or self._migration is not None or self._overrides
-                or self._spare_ready or self.obs.enabled):
-            return DECLINED
-        offsets = rows["offset"]
-        # Bounded scan, widened geometrically only while the whole
-        # window is one conformant same-owner run: consistent hashing
-        # scatters consecutive slabs across shards, so most runs are a
-        # handful of rows and one 64-row pass decides them.
-        scan = 64 if n_total > 64 else n_total
-        slab_blocks = self.config.slab_blocks
-        while True:
-            nonconf = np.nonzero(
-                ~conformant_mask(rows[:scan], self.size))[0]
-            n_conf = int(nonconf[0]) if nonconf.shape[0] else scan
-            if n_conf == 0:
-                return DECLINED
-            # No override is pending (declined above), so the ring's
-            # owner is the slot that serves.
-            owners = self.ring.owners(offsets[:n_conf] // PAGE_SIZE
-                                      // slab_blocks)
-            slot = int(owners[0])
-            other = np.nonzero(owners != slot)[0]
-            n_run = int(other[0]) if other.shape[0] else n_conf
-            if n_run < scan or scan == n_total:
-                break
-            scan = min(scan * 8, n_total)
-        if n_run < SCALAR_THRESHOLD:
-            # Runs this short (consistent hashing scatters consecutive
-            # slabs) are not worth a vector delegation per owner; serve
-            # the scanned window scalar right here, crossing owner
-            # boundaries, with the exact per-request accounting the
-            # scalar submit path performs.
-            slot_serving = self.slot_serving
-            shards = self.shards
-            stats_record = self.stats.record
-            cs = self.clusterstats
-            guard = self._guard if self._guard.enabled else None
-            owners_list = owners.tolist()
-            lim = limit if limit else n_conf
-            issue_s = np.empty(n_conf, dtype=np.float64)
-            done_s = np.empty(n_conf, dtype=np.float64)
-            t = start
-            k = 0
-            while k < n_conf and k < lim and t < deadline:
-                slot_k = owners_list[k]
-                if not slot_serving(slot_k):
-                    break   # write-around row: engine fallback owns it
-                req = request_from_row(rows[k])
-                end = shards[slot_k].submit(req, t)
-                stats_record(req)
-                cs.routed_writes += 1
-                if guard is not None:
-                    guard.observe(end - t)
-                issue_s[k] = t
-                done_s[k] = end
-                t = end + think_time
-                k += 1
-            return issue_s[:k], done_s[:k], k
-        if not self.slot_serving(slot):
-            return DECLINED
-        shard_chunk = getattr(self.shards[slot], "submit_chunk", None)
-        if shard_chunk is None:
-            return DECLINED
-        issue_t, done_t, n = shard_chunk(rows[:n_run], start, think_time,
-                                         deadline, limit)
+        """Batch engine hook: :func:`~repro.core.window.serve_lanes`
+        with one lane per shard, then the router-level accounting
+        (device stats, routed counter, guard and recorder samples in
+        row order) that ``submit`` performs per request."""
+        issue_t, done_t, n = serve_lanes(self, rows, self.size, None, start,
+                                         think_time, deadline, limit)
         if n:
             served = rows[:n]
             self.stats.record_chunk(served["op"], served["length"],
                                     served["origin"])
             self.clusterstats.routed_writes += n
-            if self._guard.enabled:
-                observe = self._guard.observe
-                for latency in (done_t - issue_t).tolist():
-                    observe(latency)
+            latencies = done_t - issue_t
+            self._guard.observe_many(latencies)
+            if self.obs.enabled:
+                self.obs.observe_io_chunk(self, latencies)
         return issue_t, done_t, n
 
     def _broadcast(self, req: Request, now: float) -> float:

@@ -79,6 +79,11 @@ class ForegroundGuard:
         if self.enabled:
             self._samples.append(latency)
 
+    def observe_many(self, latencies) -> None:
+        """:meth:`observe` of every value of an array, in order."""
+        if self.enabled:
+            self._samples.extend(latencies[-self.window:].tolist())
+
     def p99(self) -> float:
         if len(self._samples) < self.min_samples:
             return 0.0

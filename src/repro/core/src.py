@@ -48,7 +48,7 @@ from repro.core.members import Members
 from repro.core.metadata import MetadataStore, Superblock, SRC_MAGIC
 from repro.core.reclaim import Reclaimer
 from repro.core.segments import SegmentLog
-from repro.core.window import WriteWindow
+from repro.core.window import WriteWindow, serve_lanes
 from repro.repair.controller import RepairController
 
 
@@ -234,8 +234,8 @@ class SrcCache(CacheTarget):
         driving the same rows through :meth:`submit` one at a time,
         which is what the differential suite asserts.
         """
-        return self.window.submit_chunk(rows, start, think_time, deadline,
-                                        limit)
+        return serve_lanes(self.window, rows, self.size, self.tenants, start,
+                           think_time, deadline, limit)
 
     # ==================================================================
     # application write path

@@ -1,33 +1,36 @@
-"""The vector write window: SRC's ``submit_chunk`` and its gates.
+"""The vector write window: one sub-run loop over N cache lanes.
 
-:class:`WriteWindow` (held as ``cache.window``) serves a closed-loop
-prefix of a chunk's rows for one :class:`~repro.core.src.SrcCache`.
-Long runs of conformant rows (:func:`~repro.common.chunks.conformant_mask`:
-single-page foreground writes, untagged or tagged with the address's
-owner) are classified against the residency array and served whole.
-The one row per sub-run that seals a segment, trips TWAIT or is refused
-admission goes through ``cache.submit`` — the per-request path stays
-the only place GC, backpressure, faults, bypass and write-around are
-handled.  Everything else the window *declines*: a call that would not
+:func:`serve_lanes` serves a closed-loop prefix of a chunk's rows for
+one :class:`~repro.core.src.SrcCache` (one lane) or for every shard of
+a :class:`~repro.cluster.router.ShardRouter` (a lane each).  SRC acks a
+write from its RAM segment buffer, so between seals a row costs
+``RAM_LATENCY`` on any cache and one issue / done time thread runs
+through all of them.  Long runs of conformant rows
+(:func:`~repro.common.chunks.conformant_mask`: single-page foreground
+writes, untagged or tagged with the address's owner) are classified by
+each :class:`Lane` against its own cache and served whole.  The one row
+per sub-run that seals a segment, trips TWAIT or is refused admission
+goes through its cache's ``submit`` — the per-request path stays the
+only place GC, backpressure, faults, bypass and write-around are
+handled.  Everything else the loop *declines*: a call that would not
 pay for its scan (a tiny horizon, a non-conformant head, refused
 admissions too dense for the sub-runs between them) serves nothing
 more, and the engine — the one loop that turns a chunk row into a
 ``Request`` — backs the stream off (:meth:`repro.sim.engine.Engine.run`).
-:meth:`WriteWindow.paths` says how many rows the window served, and
-why a call was not taken.
+``paths()`` of a window, or of a router, says how many rows it served
+and why a call was not taken.
 
-The *chunk gate* lives here: :meth:`WriteWindow.chunk_fast_ok` checks,
+The *chunk gate* lives here: :meth:`WriteWindow.closed_clause` checks,
 clause by clause, that every per-request side channel the window cannot
 observe is inert.  It is a predicate evaluated where it is used — once
 per call, once per sub-run — so nothing has to keep it fresh.  To add a
-side channel to the per-request path, add its liveness check to
-:meth:`WriteWindow._closed_clause`.
+side channel to the per-request path, add its liveness check there.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +43,13 @@ from repro.obs.recorder import ObsRecorder
 
 
 class WriteWindow:
-    """Vectorized write service and chunk gate of one ``SrcCache``."""
+    """Chunk gate, path ledger and lane of one ``SrcCache``."""
 
     def __init__(self, cache) -> None:
         self.cache = cache
         # Behind paths().  Not in SrcStats / collect(): those must read
         # the same after a chunked and a per-request run; this cannot.
-        self.ledger = Counter(vector_rows=0, boundary_rows=0)
+        self.path_ledger = Counter(vector_rows=0, boundary_rows=0)
 
     def paths(self) -> dict:
         """Rows served by the vector window and as its boundary rows,
@@ -54,13 +57,15 @@ class WriteWindow:
         closed chunk-gate clause, ``tiny_horizon``,
         ``nonconformant_head``), sub-runs an ``admission_bound`` cut
         short and calls that ``dense_refusals`` ended early."""
-        return dict(self.ledger)
+        return dict(self.path_ledger)
 
-    def _closed_clause(self, think_time: float) -> str:
+    def closed_clause(self, think_time: float) -> str:
         """The first chunk-gate clause that is closed ("" = all open).
 
         Each clause is a per-request side channel the vector window
         cannot observe; while one is live, rows take ``cache.submit``.
+        Re-read per sub-run: a boundary row's segment write failing
+        attaches spares, starts rebuild jobs or enters bypass.
         """
         cache = self.cache
         if cache.bypass:
@@ -86,215 +91,240 @@ class WriteWindow:
             return "negative_think"
         return ""
 
-    def chunk_fast_ok(self, think_time: float) -> bool:
-        """Whether the vectorized write window may run right now (else
-        ``submit_chunk`` declines and the engine serves rows one at a
-        time).  Rechecked per sub-run: a boundary row's segment write
-        failing attaches spares, starts rebuild jobs or enters bypass."""
-        return not self._closed_clause(think_time)
+    def lanes(self, blocks: np.ndarray) -> List["Lane"]:
+        """One lane: every row of a slice offered to the cache."""
+        return [Lane(self, blocks)]
 
-    def submit_chunk(self, rows: np.ndarray, start: float,
-                     think_time: float, deadline: float,
-                     limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """The window behind :meth:`SrcCache.submit_chunk` (contract there).
 
-        Only single-page foreground writes vectorize (the randwrite
-        saturation shape), tenanted or not.  Within a window, rows are
-        classified off a residency-code snapshot: rewrites of
-        dirty-buffered blocks are RAM-absorbed hits, first-occurrence
-        rows displace their old incarnation and append to the dirty
-        buffer.  A row that seals a segment (the buffer's ``space``-th
-        new block), trips TWAIT mid-window or is refused admission by
-        the tenant registry takes the full scalar path, because
-        everything — GC, backpressure, device faults, write-around —
-        can hang off that write.
-        """
+class Lane:
+    """One cache's rows of an offered slice: their ``blocks`` and the
+    positions ``at`` which they sit in it (``None``: the lane is the
+    whole slice and takes plain slices of it, no fancy indexing)."""
+
+    def __init__(self, window: WriteWindow, blocks: np.ndarray,
+                 at: Optional[np.ndarray] = None) -> None:
+        self.cache, self.ledger = window.cache, window.path_ledger
+        self.blocks, self.at = blocks, at
+        self.served = 0              # lane rows behind the cursor
+        # Admission goes by the address's owner (stall billing by the
+        # row's tag: the same tenant, or nobody).
+        tenants = self.cache.tenants
+        self.owners = (tenants.owner_index(blocks)
+                       if tenants is not None else None)
+
+    def space(self) -> int:
+        """New blocks the dirty buffer takes before the sealing one."""
+        return self.cache.dirty_buf.capacity - len(self.cache.dirty_buf)
+
+    def plan(self, cursor: int, w: int, issue: np.ndarray) -> int:
+        """Classify the lane's rows among the ``w`` rows at ``cursor``,
+        which issue at ``issue``, off a residency-code snapshot.
+        Returns the index among the ``w`` of the first row the lane
+        must bound (``w``: none): it seals a segment (the buffer's
+        ``space``-th new block), trips TWAIT or is refused admission.
+        -1: refusals too dense for a window."""
         cache = self.cache
-        n_total = rows.shape[0]
-        if n_total == 0:
-            return DECLINED
-        reason = self._closed_clause(think_time)
-        if reason:
-            self.ledger["declined." + reason] += 1
-            return DECLINED
-        if deadline - start < SCALAR_THRESHOLD * (RAM_LATENCY + think_time):
-            # Tiny horizon: with many closed-loop streams in lockstep
-            # (trace replay) the next stream's turn is a few service
-            # times away, so at most a handful of rows fit and the
-            # conformity scan would cost more than a window serves.
-            self.ledger["declined.tiny_horizon"] += 1
-            return DECLINED
-        tenants = cache.tenants
-        owner_index = tenants.owner_index if tenants is not None else None
-        # Conformity scan, bounded: scan a short prefix first and only
-        # widen to the full slice if every scanned row conforms — a
-        # trace with short write runs pays for 64 rows, a pure
-        # randwrite chunk pays one extra 64-row pass.
-        scan = min(n_total, 64)
-        conf = conformant_mask(rows[:scan], cache.size, owner_index)
-        if scan < n_total and conf.all():
-            scan = n_total
-            conf = conformant_mask(rows, cache.size, owner_index)
-        n_conf = scan if conf.all() else int(np.argmin(conf))
-        if n_conf < SCALAR_THRESHOLD:
-            # Short (or empty) conformant run: not worth a window.
-            self.ledger["declined.nonconformant_head"] += 1
-            return DECLINED
-        blocks = rows["offset"][:n_conf] // PAGE_SIZE
-        dirty_buf = cache.dirty_buf
+        lo = self.served
+        if self.at is None:
+            n, pos = w, slice(0, w)
+        else:
+            n = int(np.searchsorted(self.at[lo:], cursor + w))
+            pos = self.at[lo:lo + n] - cursor
+        self._plan = None
+        if n == 0:
+            return w
+        lb = self.blocks[lo:lo + n]
+        iss = issue[pos]
+        codes = cache._state.ensure(int(lb.max()) + 1)[lb]
+        first = np.zeros(n, dtype=bool)   # first occurrence of its block
+        first[np.unique(lb, return_index=True)[1]] = True
+        # A row absorbs in RAM iff its block is dirty-buffered at its
+        # turn: pre-snapshot B_DIRTY, or a duplicate of an earlier row
+        # of this sub-run.  Everything else displaces its old
+        # incarnation and appends to the dirty buffer.
+        adds = first & (codes != B_DIRTY)
+        add_pos = np.nonzero(adds)[0]
+        space = self.space()
+        bound = int(add_pos[space - 1]) if add_pos.shape[0] >= space else n
+        # TWAIT: absorbed rewrites and other lanes' rows don't refresh
+        # _last_dirty_write, so the buffer can age past t_wait at any
+        # row, the lane's first included (it is rarely the slice's
+        # head).  A firing row is bounded: cache.submit runs the flush.
+        last_add = np.maximum.accumulate(np.where(adds, iss, -np.inf))
+        prev = np.concatenate(([-np.inf], last_add[:-1]))
+        fire = ((not cache.dirty_buf.empty) | (prev > -np.inf)) & (
+            iss - np.maximum(cache._last_dirty_write, prev)
+            > cache.config.t_wait)
+        if fire.any():
+            bound = min(bound, int(np.argmax(fire)))
+        own = asks = None
+        if self.owners is not None:
+            # ... or the first miss the registry would refuse.  Only
+            # misses ask it, and within a sub-run occupancy only grows:
+            # by the admitted misses and by staged blocks, never
+            # counted before (a displaced mapped or clean block nets
+            # zero).
+            own = self.owners[lo:lo + bound]
+            asks = (adds & (codes == B_NONE))[:bound]
+            refused = cache.tenants.refusals(
+                own, asks, asks | (adds & (codes == B_STAGING))[:bound])
+            if refused.shape[0] * SCALAR_THRESHOLD > 2 * bound:
+                # An over-share tenant keeps missing.  Sub-runs of
+                # under ~16 rows cost more to classify than their rows
+                # take per request (docs/performance.md), so the call
+                # ends here, with the prefix it has served.
+                self.ledger["declined.dense_refusals"] += 1
+                return -1
+            if refused.shape[0]:
+                bound = int(refused[0])
+                self.ledger["declined.admission_bound"] += 1
+        self._plan = (pos, lb, codes, first, adds, add_pos, iss, own, asks)
+        if bound >= n:
+            return w
+        return bound if self.at is None else int(pos[bound])
+
+    def commit(self, k: int, done: np.ndarray) -> None:
+        """Serve the planned rows that sit before the sub-run's row
+        ``k`` (possibly none: cuts land mid-lane)."""
+        if self._plan is None:
+            return
+        pos, lb, codes, first, adds, add_pos, iss, own, asks = self._plan
+        m = k if self.at is None else int(np.searchsorted(pos, k))
+        if m == 0:
+            return
+        cache = self.cache
+        wl = lb[:m]
+        mcodes = codes[:m]
+        hit_lbas = wl[(mcodes != B_NONE) | ~first[:m]]
+        cache.cstats.write_hits += hit_lbas.shape[0]
+        cache.cstats.write_misses += m - hit_lbas.shape[0]
+        cache.hotness.touch_many(hit_lbas)
+        add_lbas = wl[adds[:m]]
+        if add_lbas.shape[0]:
+            if own is not None:
+                cache.tenants.count_admitted(own[:m][asks[:m]])
+            acodes = mcodes[adds[:m]]
+            cache.mapping.invalidate_many(add_lbas[acodes == B_MAPPED])
+            cache.clean_buf.remove_many(add_lbas[acodes == B_CLEAN])
+            for lba in add_lbas[acodes == B_STAGING].tolist():
+                cache.staging.pop(lba)
+            va = cache._versions.ensure(int(add_lbas.max()) + 1)
+            va[add_lbas] += 1
+            cache.dirty_buf.add_many(add_lbas)
+            # Absorbed rewrites don't refresh the TWAIT clock; the
+            # lane's last *added* row does (scalar line order).
+            cache._last_dirty_write = max(
+                cache._last_dirty_write,
+                float(iss[add_pos[add_lbas.shape[0] - 1]]))
         stats = cache.stats
-        ledger = self.ledger
         fg_key = IoOrigin.FOREGROUND.value
-        # Tag -> tenant name, in the registry's registration order; -1
-        # (untagged) lands on the trailing None.
-        names, tags = [None], rows["tenant"]
-        if tenants is not None:
-            # Admission goes by the address's owner, stall billing by
-            # the row's tag (the same tenant, or nobody).
-            owners = owner_index(blocks)
-            names = [*tenants.tenant_names(), None]
+        stats.write_ops += m
+        stats.write_bytes += m * PAGE_SIZE
+        stats.bytes_by_origin[fg_key] = (
+            stats.bytes_by_origin.get(fg_key, 0) + m * PAGE_SIZE)
+        if cache.obs.enabled:
+            # The per-row ``done - issued`` BlockDevice._lifecycle
+            # records, in row order: a bit-identical histogram.
+            cache.obs.observe_io_chunk(cache, done[pos][:m] - iss[:m])
+        self.served += m
+        self.ledger["vector_rows"] += m
 
-        n_max = min(limit, n_conf) if limit else n_conf
-        issue_t = np.empty(n_max, dtype=np.float64)
-        done_t = np.empty(n_max, dtype=np.float64)
-        t = start
-        done_rows = 0
-        while (done_rows < n_max and t < deadline
-               and self.chunk_fast_ok(think_time)):
-            # The head row's TWAIT check, exactly where the scalar path
-            # runs it (a flush's backpressure stall bills the head
-            # row's tenant); intermediate rows' checks are no-ops
-            # (proven by the fire mask below) and are skipped.
-            cache._active_tenant = names[tags[done_rows]]
-            cache._check_timeout(t)
 
-            # A sub-run can consume at most ``space`` new blocks before
-            # the segment-sealing boundary row, so scanning much past
-            # that wastes vector work on rows the next sub-run will
-            # re-classify against a fresh snapshot (consumed-row
-            # semantics only ever look *backwards*, so the cap cannot
-            # change results — it is pure lookahead sizing).
-            space = dirty_buf.capacity - len(dirty_buf)
-            w = min(n_max - done_rows, 4 * space + 64)
-            lb = blocks[done_rows:done_rows + w]
-            codes = cache._state.ensure(int(lb.max()) + 1)[lb]
-            first = np.zeros(w, dtype=bool)   # first occurrence of its block
-            first[np.unique(lb, return_index=True)[1]] = True
-            # A row absorbs in RAM iff its block is dirty-buffered at
-            # its turn: pre-snapshot B_DIRTY, or a duplicate of an
-            # earlier row in this window.  Everything else displaces
-            # its old incarnation and appends to the dirty buffer.
-            adds = first & (codes != B_DIRTY)
+def serve_lanes(front, rows: np.ndarray, size: int, tenants,
+                start: float, think_time: float, deadline: float,
+                limit: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Every ``submit_chunk`` over SRC caches (contract:
+    :meth:`SrcCache.submit_chunk`).  ``front`` stands for the device of
+    ``size`` bytes the slice was offered to — a cache's
+    :class:`WriteWindow`, with its ``tenants``, or a ``ShardRouter``,
+    where tagged rows do not conform: its ``closed_clause`` is the
+    gate, re-read per sub-run, its ``path_ledger`` books the declines
+    and its ``lanes(blocks)`` deals the conformant prefix to lanes."""
+    ledger = front.path_ledger
+    reason = front.closed_clause(think_time)
+    if reason:
+        ledger["declined." + reason] += 1
+        return DECLINED
+    if deadline - start < SCALAR_THRESHOLD * (RAM_LATENCY + think_time):
+        # Tiny horizon: with many closed-loop streams in lockstep
+        # (trace replay) the next stream's turn is a few service times
+        # away, and the conformity scan costs more than a window serves.
+        ledger["declined.tiny_horizon"] += 1
+        return DECLINED
+    # Tag -> tenant name, in the registry's registration order; -1
+    # (untagged) lands on the trailing None.
+    names, tags, owner_index = [None], rows["tenant"], None
+    if tenants is not None:
+        names = [*tenants.tenant_names(), None]
+        owner_index = tenants.owner_index
+    conf = conformant_mask(rows, size, owner_index)
+    n_conf = rows.shape[0] if conf.all() else int(np.argmin(conf))
+    if n_conf < SCALAR_THRESHOLD:
+        # Short (or empty) conformant run: not worth a window.
+        ledger["declined.nonconformant_head"] += 1
+        return DECLINED
+    blocks = rows["offset"][:n_conf] // PAGE_SIZE
+    lanes = front.lanes(blocks)
 
-            # Exact per-row times: accumulate adds floats in the same
-            # order the scalar loop's repeated additions do.
-            seq = np.empty(2 * w, dtype=np.float64)
-            seq[0] = t
-            seq[1::2] = RAM_LATENCY
-            seq[2::2] = think_time
-            seq = np.add.accumulate(seq)
-            issue = seq[0::2]
-            done = seq[1::2]
+    n_max = min(limit, n_conf) if limit else n_conf
+    issue_t = np.empty(n_max, dtype=np.float64)
+    done_t = np.empty(n_max, dtype=np.float64)
+    t = start
+    done_rows = 0
+    while (done_rows < n_max and t < deadline
+           and not front.closed_clause(think_time)):
+        # A lane takes at most ``space`` new blocks before its sealing
+        # row, and rows scanned much past that are classified again by
+        # the next sub-run (consumed-row semantics only ever look
+        # *backwards*: the cap is lookahead sizing, not a result).
+        w = min(n_max - done_rows,
+                4 * len(lanes) * min(lane.space() for lane in lanes) + 64)
+        # Exact per-row times: accumulate adds floats in the same
+        # order the scalar loop's repeated additions do.
+        seq = np.empty(2 * w, dtype=np.float64)
+        seq[0] = t
+        seq[1::2] = RAM_LATENCY
+        seq[2::2] = think_time
+        seq = np.add.accumulate(seq)
+        issue = seq[0::2]
+        done = seq[1::2]
+        # Rows issuing before the deadline; when it cuts the sub-run
+        # short, t lands on issue[k] >= deadline and the loop ends.
+        k = int(np.searchsorted(issue, deadline, side="left"))
+        bounding = None
+        for lane in lanes:
+            bound = lane.plan(done_rows, k, issue)
+            if bound < k:
+                k, bounding = bound, lane
+            if k <= 0:      # nothing ahead of it left to plan
+                break
+        if k < 0:           # dense refusals end the call
+            break
+        if k:
+            for lane in lanes:
+                lane.commit(k, done)
+            issue_t[done_rows:done_rows + k] = issue[:k]
+            done_t[done_rows:done_rows + k] = done[:k]
+            done_rows += k
+            t = float(done[k - 1]) + think_time
+        if bounding is not None:
+            # Boundary row: the full write path, and whatever hangs
+            # off this write (GC, backpressure, faults, write-around)
+            # billed to the row's tenant.  t == issue[k] by construction.
+            done_b = bounding.cache.submit(
+                Request(Op.WRITE, int(blocks[done_rows]) * PAGE_SIZE,
+                        PAGE_SIZE, tenant=names[tags[done_rows]]), t)
+            issue_t[done_rows] = t
+            done_t[done_rows] = done_b
+            done_rows += 1
+            bounding.served += 1
+            bounding.ledger["boundary_rows"] += 1
+            t = done_b + think_time
 
-            # Sub-run bound: the row that seals a segment (the buffer's
-            # space-th new block) or would trip TWAIT mid-window (only
-            # absorbed rewrites don't refresh _last_dirty_write, so a
-            # long absorb run can age the buffer past t_wait).  Either
-            # row runs the full scalar path below.
-            add_pos = np.nonzero(adds)[0]
-            bound = (int(add_pos[space - 1])
-                     if add_pos.shape[0] >= space else w)
-            last_add = np.maximum.accumulate(
-                np.where(adds, issue, -np.inf)[:-1])
-            nonempty = (not dirty_buf.empty) | (last_add > -np.inf)
-            fire = nonempty & (
-                issue[1:] - np.maximum(cache._last_dirty_write, last_add)
-                > cache.config.t_wait)
-            if fire.any():
-                bound = min(bound, int(np.argmax(fire)) + 1)
-            if tenants is not None:
-                # ... or the first miss the registry would refuse.
-                # Only misses ask it, and within a sub-run occupancy
-                # only grows: by the admitted misses and by staged
-                # blocks, never counted before (a displaced mapped or
-                # clean block nets zero).
-                own = owners[done_rows:done_rows + bound]
-                asks = (adds & (codes == B_NONE))[:bound]
-                refused = tenants.refusals(
-                    own, asks, asks | (adds & (codes == B_STAGING))[:bound])
-                if refused.shape[0] * SCALAR_THRESHOLD > 2 * bound:
-                    # An over-share tenant keeps missing.  Sub-runs of
-                    # under ~16 rows cost more to classify than their
-                    # rows take per request (docs/performance.md), so
-                    # the call ends here, with the prefix it has served.
-                    ledger["declined.dense_refusals"] += 1
-                    break
-                if refused.shape[0]:
-                    bound = int(refused[0])
-                    ledger["declined.admission_bound"] += 1
-            # Rows issuing before the deadline; when it cuts the sub-run
-            # short, t lands on issue[n_ok] >= deadline and the loop ends.
-            n_ok = int(np.searchsorted(issue, deadline, side="left"))
-            k = min(bound, n_ok)
-
-            if k:
-                wl = lb[:k]
-                kcodes = codes[:k]
-                hit_lbas = wl[(kcodes != B_NONE) | ~first[:k]]
-                cache.cstats.write_hits += hit_lbas.shape[0]
-                cache.cstats.write_misses += k - hit_lbas.shape[0]
-                cache.hotness.touch_many(hit_lbas)
-                add_lbas = wl[adds[:k]]
-                if add_lbas.shape[0]:
-                    if tenants is not None:
-                        tenants.count_admitted(own[:k][asks[:k]])
-                    acodes = kcodes[adds[:k]]
-                    cache.mapping.invalidate_many(
-                        add_lbas[acodes == B_MAPPED])
-                    cache.clean_buf.remove_many(add_lbas[acodes == B_CLEAN])
-                    for lba in add_lbas[acodes == B_STAGING].tolist():
-                        cache.staging.pop(lba)
-                    va = cache._versions.ensure(int(add_lbas.max()) + 1)
-                    va[add_lbas] += 1
-                    dirty_buf.add_many(add_lbas)
-                    # Absorbed rewrites don't refresh the TWAIT clock;
-                    # the last *added* row does (scalar line order).
-                    cache._last_dirty_write = max(
-                        cache._last_dirty_write,
-                        float(issue[add_pos[add_lbas.shape[0] - 1]]))
-                stats.write_ops += k
-                stats.write_bytes += k * PAGE_SIZE
-                stats.bytes_by_origin[fg_key] = (
-                    stats.bytes_by_origin.get(fg_key, 0) + k * PAGE_SIZE)
-                if cache.obs.enabled:
-                    # The scalar path records each row's latency from
-                    # BlockDevice._lifecycle; the bulk record replays
-                    # the same per-row ``done - issued`` values in row
-                    # order, so the histogram is bit-identical.
-                    cache.obs.observe_io_chunk(cache, done[:k] - issue[:k])
-                issue_t[done_rows:done_rows + k] = issue[:k]
-                done_t[done_rows:done_rows + k] = done[:k]
-                done_rows += k
-                ledger["vector_rows"] += k
-                t = float(done[k - 1]) + think_time
-
-            if bound < n_ok:
-                # Boundary row: the full write path — segment sealing
-                # (GC, backpressure, faults), a TWAIT flush or a
-                # write-around hangs off this write, billed to the
-                # row's tenant.  t == issue[bound] by construction.
-                offset = int(blocks[done_rows]) * PAGE_SIZE
-                done_b = cache.submit(
-                    Request(Op.WRITE, offset, PAGE_SIZE,
-                            tenant=names[tags[done_rows]]), t)
-                issue_t[done_rows] = t
-                done_t[done_rows] = done_b
-                done_rows += 1
-                ledger["boundary_rows"] += 1
-                t = done_b + think_time
-
-        if done_rows:
-            # Where the per-request path leaves it: the last row's.
-            cache._active_tenant = names[tags[done_rows - 1]]
-        return issue_t[:done_rows], done_t[:done_rows], done_rows
-
+    for lane in lanes:
+        if lane.served:
+            # Where the per-request path leaves it: the lane's last row's.
+            last = lane.served - 1
+            lane.cache._active_tenant = names[
+                tags[last if lane.at is None else lane.at[last]]]
+    return issue_t[:done_rows], done_t[:done_rows], done_rows

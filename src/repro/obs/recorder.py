@@ -66,8 +66,8 @@ class ObsRecorder:
             Sampler(sample_interval) if sample_interval > 0 else None)
         self._latency: dict = {}
         self._queues: dict = {}
-        # (device name, live WriteWindow ledger) per attached SrcCache,
-        # keyed by the ledger's identity.
+        # (device, live path ledger) per attached SrcCache window and
+        # shard router, keyed by the ledger's identity.
         self._windows: dict = {}
 
     def emit(self, event: Event) -> None:
@@ -115,11 +115,12 @@ class ObsRecorder:
         return self._latency.get(name)
 
     def paths(self) -> dict:
-        """``WriteWindow.paths`` summed per device name.  Kept out of
-        :meth:`telemetry`, which is identical between engine modes."""
+        """Window and router ``paths()`` summed per device name.  Kept
+        out of :meth:`telemetry`, which is identical between engine
+        modes."""
         out: dict = {}
-        for name, ledger in self._windows.values():
-            out.setdefault(name, Counter()).update(ledger)
+        for device, ledger in self._windows.values():
+            out.setdefault(device.name, Counter()).update(ledger)
         return {name: dict(total) for name, total in out.items()}
 
     def telemetry(self, include_events: bool = False) -> dict:
@@ -215,10 +216,11 @@ def attach(root, recorder=None):
     for device in iter_devices(root):
         if hasattr(device, "obs"):
             device.obs = recorder
-        window = getattr(device, "window", None)
-        if window is not None:      # once, however often it is walked
-            recorder._windows.setdefault(id(window.ledger),
-                                         (device.name, window.ledger))
+        # A cache's window and a shard router each keep a path ledger.
+        for holder in (device, getattr(device, "window", None)):
+            ledger = getattr(holder, "path_ledger", None)
+            if ledger is not None:  # once, however often it is walked
+                recorder._windows.setdefault(id(ledger), (device, ledger))
         ftl = getattr(device, "ftl", None)
         if ftl is not None and hasattr(ftl, "obs"):
             ftl.obs = recorder

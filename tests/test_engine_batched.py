@@ -75,7 +75,8 @@ def _assert_src_state_equal(a, b):
 
 
 def _differential(make_target, make_sources, check_state, **run_kwargs):
-    """Run scalar and batched over fresh targets; demand bit-equality."""
+    """Run scalar and batched over fresh targets; demand bit-equality.
+    Returns the batched side (whose ``paths()`` say what served it)."""
     results = {}
     targets = {}
     for batched in (False, True):
@@ -85,7 +86,7 @@ def _differential(make_target, make_sources, check_state, **run_kwargs):
         targets[batched] = target
     assert results[True].as_dict() == results[False].as_dict()
     check_state(targets[False], targets[True])
-    return results[False], targets[False]
+    return results[True], targets[True]
 
 
 # ----------------------------------------------------------------------
@@ -568,41 +569,152 @@ def test_registry_on_recovered_cache_driven_chunked():
 
 
 # ----------------------------------------------------------------------
-# cluster passthrough
+# cluster: one window, a lane per shard
 # ----------------------------------------------------------------------
-_CLUSTER = ClusterConfig(n_shards=2, vnodes=8, slab_blocks=16,
-                         migration_rate=0)
-
-
-def _make_cluster():
+def _make_cluster(n_shards=2):
+    # The foreground guard is on, so its samples are compared too.
+    config = ClusterConfig(n_shards=n_shards, vnodes=8, slab_blocks=16,
+                           migration_rate=0, migration_fg_p99=1.0)
     origin = PrimaryStorage(n_disks=4, disk_spec=TINY_DISK)
     shards = []
-    for i in range(_CLUSTER.n_shards):
+    for i in range(n_shards):
         ssds = [SSDDevice(TINY_SSD, name=f"s{i}t{j}")
                 for j in range(TINY_SRC.n_ssds)]
         shards.append(SrcCache(ssds, origin, TINY_SRC))
-    return ShardRouter(shards, origin, _CLUSTER)
+    return ShardRouter(shards, origin, config)
+
+
+def _assert_cluster_equal(a, b):
+    assert a.stats == b.stats
+    assert a.clusterstats.as_dict() == b.clusterstats.as_dict()
+    assert list(a._guard._samples) == list(b._guard._samples)
+    for slot in a.shards:
+        _assert_src_state_equal(a.shards[slot], b.shards[slot])
+        for attr in ("_active_tenant", "_last_dirty_write"):
+            assert (getattr(a.shards[slot], attr)
+                    == getattr(b.shards[slot], attr))
+
+
+def _cluster_differential(make_sources, make=_make_cluster, **run_kwargs):
+    """Chunked == forced scalar on results, ``clusterstats``, guard
+    samples and every shard's state.  Returns the chunked run's result
+    and router, and the share of its rows the lanes served as vector
+    rows (the forced-scalar side's is 0: nobody offered it chunks)."""
+    result, router = _differential(make, make_sources,
+                                   _assert_cluster_equal, **run_kwargs)
+    served = sum(shard.window.paths()["vector_rows"]
+                 for shard in router.shards.values())
+    return result, router, served / result.completed_ops
+
+
+def _cluster_span(n_shards=2, caches=4):
+    return min(_make_cluster(n_shards).size,
+               caches * TINY_SRC.cache_space * n_shards)
 
 
 def test_cluster_passthrough_bit_identical():
-    span = min(_make_cluster().size,
-               4 * TINY_SRC.cache_space * _CLUSTER.n_shards)
-
-    def check(a, b):
-        assert a.stats == b.stats
-        assert a.clusterstats.as_dict() == b.clusterstats.as_dict()
-        for slot in a.shards:
-            _assert_src_state_equal(a.shards[slot], b.shards[slot])
-
-    result, router = _differential(
-        _make_cluster,
-        lambda: [uniform_random_chunks(span, 4 * KIB, seed=27)],
-        check,
+    result, router, share = _cluster_differential(
+        lambda: [uniform_random_chunks(_cluster_span(), 4 * KIB, seed=27)],
         max_requests=8000)
     assert result.completed_ops == 8000
-    # Both shards must have seen traffic or the run-splitting was moot.
-    assert all(len(shard.mapping) > 0
+    # Both shards must have seen traffic or the lanes were moot, and
+    # the window, not the engine's per-request fallback, served it.
+    assert all(shard.srcstats.segment_writes > 0
                for shard in router.shards.values())
+    assert share > 0.9
+    assert router.paths() == {}
+
+
+@pytest.mark.parametrize("n_shards,max_requests", [(3, 8000), (4, 7777),
+                                                   (2, 777)])
+def test_cluster_lanes_bit_identical(n_shards, max_requests):
+    """More lanes; and ``max_requests`` ending inside a sub-run."""
+    result, router, share = _cluster_differential(
+        lambda: [uniform_random_chunks(_cluster_span(n_shards), 4 * KIB,
+                                       seed=40 + n_shards)],
+        make=lambda: _make_cluster(n_shards), max_requests=max_requests)
+    assert result.completed_ops == max_requests
+    assert all(len(shard.dirty_buf) + len(shard.mapping) > 0
+               for shard in router.shards.values())
+    assert share > 0.9
+
+
+def test_cluster_twait_fires_on_a_lane_that_is_not_the_head():
+    """With think time, a lane's buffer ages past TWAIT while the rows
+    go to the other lanes: its next row, mid-slice, is the bound."""
+    _, router, share = _cluster_differential(
+        lambda: [uniform_random_chunks(_cluster_span(3), 4 * KIB, seed=28)],
+        make=lambda: _make_cluster(3), think_time=0.001, max_requests=4000)
+    assert all(shard.srcstats.timeout_flushes > 0
+               for shard in router.shards.values())
+    assert share > 0.9
+
+
+def test_cluster_deadline_cuts_land_mid_lane():
+    """Three interleaved streams: a window runs while the other two
+    wait on a seal and ends at the first one's return, wherever that
+    falls in each lane (between stalls the horizons are tiny)."""
+    result, router, share = _cluster_differential(
+        lambda: [uniform_random_chunks(_cluster_span(), 4 * KIB,
+                                       seed=50 + i) for i in range(3)],
+        max_requests=12000)
+    assert result.completed_ops == 12000
+    assert share > 0
+    assert router.paths()["declined.tiny_horizon"] > 0
+
+
+def test_cluster_zipf_over_a_warm_cluster_bit_identical():
+    """Hot rewrites: absorbed in RAM, or displacing a mapped block."""
+    _, router, share = _cluster_differential(
+        lambda: [zipf_chunks(_cluster_span(caches=1) // 2, 4 * KIB,
+                             seed=29)],
+        max_requests=30000)
+    for shard in router.shards.values():
+        assert shard.cstats.write_hits > shard.cstats.write_misses > 0
+        assert shard.srcstats.segment_writes > 0
+    assert share > 0.9
+
+
+def test_cluster_refusal_on_one_lane_bounds_the_others():
+    """One shard carries a registry; the router's rows are untagged, so
+    admission goes by address alone and a refused miss on that lane is
+    the boundary row of every lane's sub-run."""
+    registries = {}
+
+    def make():
+        router = _make_cluster()
+        registry = registries[len(registries)] = TenantRegistry(
+            router.shards[0])
+        registry.create_volume("capped", 2 * MIB, QosSpec(max_share=_share(48)))
+        return router
+
+    _, router, share = _cluster_differential(
+        lambda: [uniform_random_chunks(64 * MIB, 4 * KIB, seed=31)],
+        make=make, max_requests=12000)
+    scalar, chunked = registries[0], registries[1]
+    chunked.check_invariants()
+    assert chunked.stats() == scalar.stats()
+    capped = chunked.stats()["capped"]
+    assert capped["rejected_blocks"] == capped["write_arounds"] > 0
+    assert _declines(router.shards[0])["admission_bound"] > 0
+    assert "admission_bound" not in _declines(router.shards[1])
+    assert share > 0.9
+
+
+def test_cluster_with_a_failed_slot_declines():
+    """A degraded slot's rows write around; the router declines and
+    says why, the engine's per-request body serves every row."""
+    def make():
+        router = _make_cluster()
+        router.fail_shard(1, 0.0)
+        return router
+
+    _, router, share = _cluster_differential(
+        lambda: [uniform_random_chunks(_cluster_span(), 4 * KIB, seed=33)],
+        make=make, max_requests=3000)
+    assert router.clusterstats.write_arounds > 0
+    assert router.paths()["declined.degraded_slot"] > 0
+    assert share == 0.0
 
 
 def _src_caches(target):
@@ -948,20 +1060,20 @@ def test_fault_plan_activation_flips_chunk_gate_mid_run():
     """Arming a member's plan by assignment closes the window at once —
     no request traffic in between."""
     src = _make_injected_src()
-    assert src.window.chunk_fast_ok(0.0)
+    assert not src.window.closed_clause(0.0)
     rows = make_chunk(np.arange(SCALAR_THRESHOLD) * PAGE_SIZE, PAGE_SIZE)
 
     _, _, n = src.submit_chunk(rows, 0.0, 0.0, float("inf"), 0)
     assert n == SCALAR_THRESHOLD
 
     src.ssds[0].plan = FaultPlan(seed=7).limp_window(0.0, 1e9, 4.0)
-    assert not src.window.chunk_fast_ok(0.0)
+    assert src.window.closed_clause(0.0)
     _, _, n = src.submit_chunk(rows, 1.0, 0.0, float("inf"), 0)
     assert n == 0                      # declined -> engine goes scalar
     assert _declines(src)["armed_fault"] == 1
 
     src.ssds[0].disarm()
-    assert src.window.chunk_fast_ok(0.0)
+    assert not src.window.closed_clause(0.0)
     _, _, n = src.submit_chunk(rows, 2.0, 0.0, float("inf"), 0)
     assert n == SCALAR_THRESHOLD
 
@@ -1088,4 +1200,4 @@ def test_mid_run_arming_switches_batched_to_scalar_fallback():
     assert results[True].as_dict() == results[False].as_dict()
     _assert_src_state_equal(targets[False], targets[True])
     assert targets[True].ssds[0].injected["limp"] > 0
-    assert not targets[True].window.chunk_fast_ok(0.0)
+    assert targets[True].window.closed_clause(0.0)

@@ -190,16 +190,16 @@ def test_repair_disarms_in_place_and_reopens_the_window():
     vector window's "no armed fault" clause must see that, as it sees
     ``disarm()`` replacing the plan."""
     shard, members = build_shard(build_origin())
-    assert shard.window.chunk_fast_ok(0.0)
+    assert not shard.window.closed_clause(0.0)
     members[0].plan = FaultPlan().fail_stop(at=5.0)   # not yet reached
-    assert not shard.window.chunk_fast_ok(0.0)
+    assert shard.window.closed_clause(0.0)
     members[0].repair()
     assert not members[0].plan.armed
-    assert shard.window.chunk_fast_ok(0.0)
+    assert not shard.window.closed_clause(0.0)
     members[1].plan.limp_window(0.0, 1.0, 2.0)        # armed in place
-    assert not shard.window.chunk_fast_ok(0.0)
+    assert shard.window.closed_clause(0.0)
     members[1].disarm()
-    assert shard.window.chunk_fast_ok(0.0)
+    assert not shard.window.closed_clause(0.0)
 
 
 def test_injector_emits_fault_events():

@@ -205,11 +205,56 @@ def test_attach_reaches_every_shard_of_a_cluster():
         assert shard.obs is rec
         assert all(ssd.obs is rec and ssd.ftl.obs is rec
                    for ssd in shard.ssds)
-    # A tree walked twice registers each cache's path ledger once.
+    # A tree walked twice registers each path ledger once: the caches'
+    # (summed under their shared name) and the router's own.
     rows = make_chunk(np.arange(64) * PAGE_SIZE, PAGE_SIZE)
     assert shards[0].submit_chunk(rows, 0.0, 0.0, float("inf"), 0)[2] == 64
     obs.attach(router, rec)
-    assert rec.paths() == {"src": {"vector_rows": 64, "boundary_rows": 0}}
+    assert rec.paths() == {"src": {"vector_rows": 64, "boundary_rows": 0},
+                           "cluster": {}}
+
+
+def test_observed_cluster_keeps_its_chunk_path_and_its_histograms():
+    """An ``ObsRecorder`` on every device — what ``repro run --format
+    json`` and ``repro trace`` install — leaves the router's chunk path
+    open: rows take the lanes, ``paths()`` says so under each device's
+    name, and the router's and every shard's latency histograms are
+    bit-identical to the per-request run's."""
+    from repro.cluster import ClusterConfig, ShardRouter
+    from repro.sim.engine import run_chunk_streams
+    from repro.workloads.fio import uniform_random_chunks
+    n, runs = 6000, {}
+    for batched in (False, True):
+        origin = PrimaryStorage(n_disks=4, disk_spec=TINY_DISK)
+        shards = [SrcCache([SSDDevice(TINY_SSD, name=f"s{i}t{j}")
+                            for j in range(4)], origin, TINY_SRC)
+                  for i in range(2)]
+        rec = obs.ObsRecorder()
+        router = obs.attach(ShardRouter(
+            shards, origin, ClusterConfig(n_shards=2, slab_blocks=16)), rec)
+        for i, shard in enumerate(shards):
+            # As build_cluster labels them: after a recorder is attached.
+            shard.name = f"shard{i}"
+        run_chunk_streams(
+            router.submit, [uniform_random_chunks(512 * MIB, 4 * KIB, seed=5)],
+            max_requests=n,
+            issue_chunk=router.submit_chunk if batched else None)
+        runs[batched] = rec
+    rec_s, rec_b = runs[False], runs[True]
+    assert (rec_b.telemetry(include_events=True)
+            == rec_s.telemetry(include_events=True))
+    for name in ("cluster", "shard0", "shard1"):
+        hist_s, hist_b = rec_s.device_latency(name), rec_b.device_latency(name)
+        assert hist_b.count == hist_s.count > 0
+        assert hist_b.total == hist_s.total      # np.add.accumulate order
+        assert (hist_b.min, hist_b.max) == (hist_s.min, hist_s.max)
+        assert hist_b._bins == hist_s._bins
+    assert rec_b.device_latency("cluster").count == n
+    paths = rec_b.paths()
+    assert paths["cluster"] == {}                # the router declined nothing
+    assert sum(paths[f"shard{i}"]["vector_rows"] for i in range(2)) > 0.9 * n
+    assert all(rec_s.paths()[f"shard{i}"]["vector_rows"] == 0
+               for i in range(2))
 
 
 def test_collect_and_attach_walk_the_same_tree():

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.common.types import Op, Request
@@ -132,6 +133,24 @@ def test_foreground_guard_windows_and_cooling():
     for _ in range(16):                        # window rolls over; cools
         g.observe(1e-5)
     assert not g.hot()
+
+
+@pytest.mark.parametrize("n", [5, 16, 40])
+def test_foreground_guard_observe_many_is_the_per_row_loop(n):
+    """Shorter than, equal to and longer than the window; and a no-op
+    on a disabled guard."""
+    latencies = np.random.default_rng(n).random(n)
+    bulk = ForegroundGuard(1e-3, window=16)
+    loop = ForegroundGuard(1e-3, window=16)
+    for guard in (bulk, loop):
+        guard.observe(7.0)                     # something to roll out
+    bulk.observe_many(latencies)
+    for latency in latencies.tolist():
+        loop.observe(latency)
+    assert list(bulk._samples) == list(loop._samples)
+    off = ForegroundGuard(0.0)
+    off.observe_many(latencies)
+    assert not off._samples
 
 
 def test_rebuild_job_queue_semantics():
