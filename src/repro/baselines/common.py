@@ -12,7 +12,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from repro.block.device import BlockDevice
+from repro.common.chunks import run_bounds
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.obs.events import Destage
@@ -115,20 +118,12 @@ class WritebackScheduler:
         """Issue every pending block, merging consecutive runs."""
         if not self._pending:
             return now
-        lbas = sorted(self._pending)
+        lbas = np.array(sorted(self._pending))
         self._pending.clear()
-        end = now
-        run_start = prev = lbas[0]
-        for lba in lbas[1:] + [None]:
-            if lba is not None and lba == prev + 1:
-                prev = lba
-                continue
-            length = (prev - run_start + 1) * PAGE_SIZE
-            end = max(end, self.origin.submit(
-                Request(Op.WRITE, run_start * PAGE_SIZE, length,
-                        origin=IoOrigin.DESTAGE), now))
-            if lba is not None:
-                run_start = prev = lba
+        starts, stops = run_bounds(np.diff(lbas) != 1).T
+        end = max(now, self.origin.submit_extents(
+            Op.WRITE, lbas[starts] * PAGE_SIZE, (stops - starts) * PAGE_SIZE,
+            now, IoOrigin.DESTAGE).max().item())
         self.destaged += len(lbas)
         if self.obs.enabled:
             self.obs.emit(Destage(t=end,

@@ -14,9 +14,11 @@ from __future__ import annotations
 import abc
 from typing import List
 
+import numpy as np
+
 from repro.block.lifecycle import Submission
 from repro.common.errors import AddressError
-from repro.common.types import IoStats, Op, Request
+from repro.common.types import IoOrigin, IoStats, Op, Request
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import NULL_RECORDER
 
@@ -77,6 +79,43 @@ class BlockDevice(abc.ABC):
         begin, done = self._lifecycle(req, now)
         return Submission(req=req, device=self.name, issue_t=now,
                           begin_t=begin, done_t=done, origin=req.origin)
+
+    def submit_extents(self, op: Op, offsets, lengths, nows,
+                       origin: IoOrigin, tenants=None) -> np.ndarray:
+        """Submit a batch of extents in order; the completion column.
+
+        Extent ``i`` is ``op`` on ``lengths[i]`` bytes at ``offsets[i]``,
+        tagged ``origin`` and ``tenants[i]`` (a list, or None), issued at
+        ``nows[i]`` or at a scalar ``now``.  This body, the loop over
+        :meth:`submit`, is the contract and the overrides' test oracle.
+        An override (the HDD stack, where destage has a batch) validates
+        every extent before anything mutates, then lands each side
+        effect as the loop would, reaching its children only through
+        their ``submit_extents``.
+        """
+        n = len(offsets)
+        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
+        return np.array([self.submit(
+            Request(op, int(offsets[i]), int(lengths[i]), origin=origin,
+                    tenant=tenants[i] if tenants else None), float(nows[i]))
+            for i in range(n)], dtype=np.float64)
+
+    def _account_writes(self, offsets: np.ndarray, lengths: np.ndarray,
+                        origin: IoOrigin) -> None:
+        """``submit``'s checks over a whole batch of (at least one)
+        WRITEs and, only if every extent passes, its accounting."""
+        if (offsets < 0).any() or (lengths < 0).any():
+            raise ValueError(f"{self.name}: negative offset/length in batch")
+        over = np.flatnonzero(offsets + lengths > self.size)
+        if over.shape[0]:
+            i = over[0]
+            raise AddressError(
+                f"{self.name}: request [{offsets[i]}, "
+                f"{offsets[i] + lengths[i]}) beyond device size {self.size}")
+        stats, nbytes, key = self.stats, int(lengths.sum()), origin.value
+        stats.write_ops += offsets.shape[0]
+        stats.write_bytes += nbytes
+        stats.bytes_by_origin[key] = stats.bytes_by_origin.get(key, 0) + nbytes
 
     # Convenience helpers used heavily by tests and examples.
     def read(self, offset: int, length: int, now: float) -> float:

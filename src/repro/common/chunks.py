@@ -47,7 +47,7 @@ __all__ = [
     "ORIGIN_DESTAGE", "ORIGIN_FG", "ORIGIN_GC", "ORIGIN_REBUILD",
     "ORIGIN_SCRUB", "SCALAR_THRESHOLD", "conformant_mask", "empty_chunk",
     "make_chunk", "op_of", "origin_of", "request_from_row",
-    "requests_from_chunk",
+    "requests_from_chunk", "run_bounds",
 ]
 
 # One row per request.  int64 offsets/lengths cover any device size the
@@ -123,6 +123,14 @@ def conformant_mask(rows: np.ndarray, device_size: int,
             & (offsets >= 0)
             & (offsets % PAGE_SIZE == 0)
             & (offsets + PAGE_SIZE <= device_size))
+
+
+def run_bounds(breaks: np.ndarray) -> np.ndarray:
+    """A ``[start, stop)`` row per run of a sequence one longer than
+    ``breaks``, where ``breaks[i]`` says element ``i + 1`` starts one."""
+    starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    return np.column_stack(
+        (starts, np.append(starts[1:], breaks.shape[0] + 1)))
 
 
 def op_of(code: int) -> Op:

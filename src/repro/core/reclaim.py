@@ -9,7 +9,8 @@ data.  The group is then TRIMmed and returned to the free list.
 
 There is one implementation, over arrays: a victim is its live LBAs in
 log order plus their dirty bits, classification is masks over them,
-and device traffic is one request per coalesced extent.  Tenant
+and device traffic is coalesced extents: one SSD READ per span, the
+write-back as one ``submit_extents`` batch.  Tenant
 reservations, fail-stopped members and rebuilding spares are masks
 too, and a victim of three blocks takes the same path as one of three
 thousand.  ``tests/test_reclaim_golden.py`` pins the simulated outcome.
@@ -17,23 +18,16 @@ thousand.  ``tests/test_reclaim_golden.py`` pins the simulated outcome.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
+from repro.common.chunks import run_bounds
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import B_MAPPED
 from repro.core.config import GcScheme, VictimPolicy
 from repro.obs.events import Destage, GcEnd, GcStart
-
-
-def _runs(breaks: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """``(start, stop)`` of each run in a sequence one longer than
-    ``breaks``, where ``breaks[i]`` says element ``i + 1`` starts one."""
-    starts = np.nonzero(np.concatenate(([True], breaks)))[0]
-    stops = np.concatenate((starts[1:], [breaks.shape[0] + 1]))
-    return zip(starts.tolist(), stops.tolist())
 
 
 class Reclaimer:
@@ -217,7 +211,7 @@ class Reclaimer:
         cache = self.cache
         if not lbas.shape[0]:
             return end
-        for pos, stop in _runs(dirty[1:] != dirty[:-1]):
+        for pos, stop in run_bounds(dirty[1:] != dirty[:-1]).tolist():
             to_dirty = bool(dirty[pos])
             buf = cache.dirty_buf if to_dirty else cache.clean_buf
             while pos < stop:
@@ -233,9 +227,9 @@ class Reclaimer:
         return end
 
     def destage(self, lbas: np.ndarray, now: float) -> float:
-        """Write sorted dirty ``lbas`` back to the origin, an extent per
-        request.  Extents also break where the owning tenant changes,
-        so each write carries one tenant tag and bills its owner."""
+        """Write sorted dirty ``lbas`` back to the origin, its extents
+        as one batch.  Extents also break where the owning tenant
+        changes, so each carries one tenant tag and bills its owner."""
         cache = self.cache
         n = lbas.shape[0]
         if not n:
@@ -249,14 +243,15 @@ class Reclaimer:
             owners = tenants.owner_index(lbas)      # -1: the last name
             names = [*tenants.tenant_names(), None]
             breaks |= np.diff(owners) != 0
-        for s, e in _runs(breaks):
-            tenant = names[owners[s]] if names else None
-            end = max(end, cache.origin.submit(
-                Request(Op.WRITE, int(lbas[s]) * PAGE_SIZE,
-                        (e - s) * PAGE_SIZE, origin=IoOrigin.DESTAGE,
-                        tenant=tenant), read_end))
+        starts, stops = run_bounds(breaks).T
+        counts = stops - starts
+        tags = [names[o] for o in owners[starts].tolist()] if names else None
+        end = max(end, cache.origin.submit_extents(
+            Op.WRITE, lbas[starts] * PAGE_SIZE, counts * PAGE_SIZE, read_end,
+            IoOrigin.DESTAGE, tags).max().item())
+        for tenant, count in zip(tags or (), counts.tolist()):
             if tenant is not None:
-                tenants.count_destaged(tenant, e - s)
+                tenants.count_destaged(tenant, count)
         cache.srcstats.gc_destaged_blocks += n
         cache.cstats.destaged_blocks += n
         if cache.obs.enabled:
@@ -288,7 +283,7 @@ class Reclaimer:
         _, first = np.unique(ssds, return_index=True)
         for idx in ssds[np.sort(first)].tolist():
             offs = np.sort(offsets[ssds == idx])
-            for s, e in _runs(np.diff(offs) != PAGE_SIZE):
+            for s, e in run_bounds(np.diff(offs) != PAGE_SIZE).tolist():
                 done = cache.members.submit(
                     idx, Request(Op.READ, int(offs[s]), (e - s) * PAGE_SIZE,
                                  origin=origin), now)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.block.device import BlockDevice
 from repro.common.errors import ConfigError
 from repro.common.types import Op, Request
@@ -65,6 +67,42 @@ class Raid10Array(BlockDevice):
                 end = max(end, mirror_b.submit(sub, now))
         return end
 
+    def submit_extents(self, op, offsets, lengths, nows, origin,
+                       tenants=None) -> np.ndarray:
+        """WRITE batches: :meth:`_split` as integer columns, each
+        mirror handed its pieces in extent order, ``2p`` before
+        ``2p + 1``; READs toggle mirrors per piece and take the loop."""
+        offsets, lengths = np.asarray(offsets), np.asarray(lengths)
+        n = offsets.shape[0]
+        if op is not Op.WRITE or not n:
+            return super().submit_extents(op, offsets, lengths, nows,
+                                          origin, tenants)
+        self._account_writes(offsets, lengths, origin)
+        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
+        cs, ends = self.chunk_size, offsets + lengths
+        first = offsets // cs
+        # A zero-length extent reaches no disk, wherever it starts.
+        pieces = np.where(lengths > 0, (ends - 1) // cs - first + 1, 0)
+        owner = np.repeat(np.arange(n), pieces)
+        chunk = (first[owner] + np.arange(owner.shape[0])
+                 - np.repeat(np.cumsum(pieces) - pieces, pieces))
+        start = np.maximum(offsets[owner], chunk * cs)
+        take = np.minimum(ends[owner], (chunk + 1) * cs) - start
+        pair = chunk % self.pairs
+        pair_offset = chunk // self.pairs * cs + start % cs
+        done = nows.copy()
+        for p in range(self.pairs):
+            sel = np.flatnonzero(pair == p)
+            rows = owner[sel]
+            tags = tenants and [tenants[i] for i in rows.tolist()]
+            for disk in self.disks[2 * p:2 * p + 2]:
+                np.maximum.at(done, rows, disk.submit_extents(
+                    op, pair_offset[sel], take[sel], nows[rows], origin,
+                    tags))
+        if self.obs.enabled:
+            self.obs.observe_io_chunk(self, done - nows)
+        return done
+
 
 class PrimaryStorage(BlockDevice):
     """The iSCSI-attached backend volume."""
@@ -96,3 +134,19 @@ class PrimaryStorage(BlockDevice):
             _, link_end = self.link.transfer(array_end, req.length)
             return link_end
         return self.array.submit(req, now)  # TRIM
+
+    def submit_extents(self, op, offsets, lengths, nows, origin,
+                       tenants=None) -> np.ndarray:
+        """WRITE batches issued at one ``now``: the serialized link as
+        a column, whose ends are the array's issue times."""
+        offsets, lengths = np.asarray(offsets), np.asarray(lengths)
+        if op is not Op.WRITE or np.ndim(nows) or not offsets.shape[0]:
+            return super().submit_extents(op, offsets, lengths, nows,
+                                          origin, tenants)
+        self._account_writes(offsets, lengths, origin)
+        done = self.array.submit_extents(
+            op, offsets, lengths, self.link.transfer_many(nows, lengths),
+            origin, tenants)
+        if self.obs.enabled:
+            self.obs.observe_io_chunk(self, done - nows)
+        return done

@@ -23,6 +23,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.block.device import BlockDevice
 from repro.block.lifecycle import QueuedDevice
 from repro.common.errors import ConfigError
@@ -74,7 +76,7 @@ class DiskDevice(QueuedDevice, BlockDevice):
 
     def _positioning(self, req: Request) -> float:
         near = any(abs(req.offset - pos) <= self.spec.sequential_window
-                   for pos in self._recent)
+                   for pos in reversed(self._recent))
         if near:
             return 0.0
         cost = self.spec.avg_seek + self.spec.avg_rotation
@@ -93,3 +95,40 @@ class DiskDevice(QueuedDevice, BlockDevice):
         self._recent.append(req.end)
         _, end = self.arm.acquire(now, duration)
         return end
+
+    def submit_extents(self, op, offsets, lengths, nows, origin,
+                       tenants=None) -> np.ndarray:
+        """WRITE batches: locality and durations as columns, then the
+        queue / arm recurrences of ``submit`` over plain floats in
+        extent order, so every float is the loop's."""
+        offsets, lengths = np.asarray(offsets), np.asarray(lengths)
+        n = offsets.shape[0]
+        if op is not Op.WRITE or not n:
+            return super().submit_extents(op, offsets, lengths, nows,
+                                          origin, tenants)
+        self._account_writes(offsets, lengths, origin)
+        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
+        spec, ends = self.spec, offsets + lengths
+        # Extent j sees the last ``depth`` of [deque ++ ends[:j]]; a pad
+        # near no offset stands in for a deque not yet full.
+        depth = spec.recent_positions
+        seen = np.concatenate((
+            np.array([-(1 << 62)] * depth + list(self._recent)), ends[:-1]))
+        before = np.lib.stride_tricks.sliding_window_view(
+            seen, depth)[len(self._recent):]
+        near = (abs(before - offsets[:, None])
+                <= spec.sequential_window).any(axis=1)
+        cost = ((spec.avg_seek + spec.avg_rotation)
+                * spec.write_positioning_factor)
+        durations = np.where(near, 0.0, cost) + lengths / spec.transfer_bw
+        self._recent.extend(ends.tolist())
+        done = []
+        for now, duration in zip(nows.tolist(), durations.tolist()):
+            begin = self._admit(None, now)      # the hooks read no request
+            _, end = self.arm.acquire(begin, duration)
+            self._retire(None, now, begin, end)
+            done.append(end)
+        done = np.array(done)
+        if self.obs.enabled:
+            self.obs.observe_io_chunk(self, done - nows)
+        return done

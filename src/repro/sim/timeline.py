@@ -16,6 +16,8 @@ from __future__ import annotations
 import heapq
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.common.errors import ConfigError, TimingError
 
 
@@ -91,6 +93,21 @@ class Link:
         duration = self.latency + nbytes / self.bandwidth
         self.bytes_moved += nbytes
         return self._timeline.acquire(start, duration)
+
+    def transfer_many(self, start: float, nbytes: np.ndarray) -> np.ndarray:
+        """The end times of one :meth:`transfer` per entry of ``nbytes``
+        (at least one), all requested at ``start``.  Each begins where
+        the one before it ends, so the ends (and ``busy_time``) are
+        running sums: the loop's float adds, in the loop's order."""
+        line = self._timeline
+        durations = self.latency + nbytes / self.bandwidth
+        ends = np.add.accumulate(np.concatenate(
+            ([max(start, line._free[0])], durations)))[1:]
+        self.bytes_moved += int(nbytes.sum())
+        line._free[0] = float(ends[-1])
+        line.busy_time = float(np.add.accumulate(np.concatenate(
+            ([line.busy_time], durations)))[-1])
+        return ends
 
     def drain_time(self) -> float:
         return self._timeline.drain_time()

@@ -118,3 +118,29 @@ def test_primary_storage_flush_propagates():
     storage = PrimaryStorage(n_disks=2)
     end = storage.write(0, 1 * MIB, 0.0)
     assert storage.flush(0.0) > 0.0
+
+
+def test_positioning_scans_newest_position_first():
+    """A sorted stream lands near the deque's newest entry: that hit
+    costs one comparison, and every verdict equals an oldest-first
+    scan's (``any`` does not care about order)."""
+    from repro.common.types import Op, Request
+
+    class Counted(int):
+        subtractions = 0
+
+        def __rsub__(self, other):
+            Counted.subtractions += 1
+            return int(other) - int(self)
+
+    disk = DiskDevice()
+    window = disk.spec.sequential_window
+    disk._recent.extend(Counted(i * 100 * MIB) for i in range(32))
+    newest = 31 * 100 * MIB
+    assert disk._positioning(Request(Op.WRITE, newest + 4096, 4096)) == 0.0
+    assert Counted.subtractions == 1
+    for offset in (0, window, window + 1, 50 * MIB, 1500 * MIB + window,
+                   newest - window - 1, newest + 2 * window):
+        near = any(abs(offset - int(pos)) <= window for pos in disk._recent)
+        cost = disk._positioning(Request(Op.READ, offset, 4096))
+        assert (cost == 0.0) == near
