@@ -88,10 +88,10 @@ class BlockDevice(abc.ABC):
         tagged ``origin`` and ``tenants[i]`` (a list, or None), issued at
         ``nows[i]`` or at a scalar ``now``.  This body, the loop over
         :meth:`submit`, is the contract and the overrides' test oracle.
-        An override (the HDD stack, where destage has a batch) validates
-        every extent before anything mutates, then lands each side
-        effect as the loop would, reaching its children only through
-        their ``submit_extents``.
+        An override (the HDD stack's destage WRITEs, the SSD's reclaim
+        READs) validates every extent before anything mutates, then
+        lands each side effect as the loop would, reaching its children
+        only through their ``submit_extents``.
         """
         n = len(offsets)
         nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
@@ -100,10 +100,9 @@ class BlockDevice(abc.ABC):
                     tenant=tenants[i] if tenants else None), float(nows[i]))
             for i in range(n)], dtype=np.float64)
 
-    def _account_writes(self, offsets: np.ndarray, lengths: np.ndarray,
-                        origin: IoOrigin) -> None:
-        """``submit``'s checks over a whole batch of (at least one)
-        WRITEs and, only if every extent passes, its accounting."""
+    def _check_extents(self, offsets: np.ndarray,
+                       lengths: np.ndarray) -> None:
+        """``submit``'s argument checks over a whole batch."""
         if (offsets < 0).any() or (lengths < 0).any():
             raise ValueError(f"{self.name}: negative offset/length in batch")
         over = np.flatnonzero(offsets + lengths > self.size)
@@ -112,6 +111,12 @@ class BlockDevice(abc.ABC):
             raise AddressError(
                 f"{self.name}: request [{offsets[i]}, "
                 f"{offsets[i] + lengths[i]}) beyond device size {self.size}")
+
+    def _account_writes(self, offsets: np.ndarray, lengths: np.ndarray,
+                        origin: IoOrigin) -> None:
+        """``submit``'s checks over a whole batch of (at least one)
+        WRITEs and, only if every extent passes, its accounting."""
+        self._check_extents(offsets, lengths)
         stats, nbytes, key = self.stats, int(lengths.sum()), origin.value
         stats.write_ops += offsets.shape[0]
         stats.write_bytes += nbytes

@@ -178,23 +178,22 @@ class MappingTable:
         if self.observer is not None:
             self.observer.blocks_cached(lbas)
 
-    def invalidate(self, lba: int) -> Optional[CacheEntry]:
-        """Drop the mapping for ``lba`` (returns the old entry if any)."""
+    def invalidate(self, lba: int) -> bool:
+        """Drop the mapping for ``lba``; whether there was one."""
         sg_arr = self._sg
         if lba >= sg_arr.shape[0] or sg_arr[lba] < 0:
-            return None
-        entry = self._entry_at(lba)
-        self._sg_valid[entry.location.sg] -= 1
+            return False
+        self._sg_valid[sg_arr[lba]] -= 1
         sg_arr[lba] = -1
         self._count -= 1
-        if entry.dirty:
+        if self._dirty[lba]:
             self.dirty_count -= 1
             self._dirty[lba] = False
         if self._state.a[lba] == B_MAPPED:
             self._state.a[lba] = B_NONE
         if self.observer is not None:
             self.observer.block_evicted(lba)
-        return entry
+        return True
 
     def invalidate_many(self, lbas: np.ndarray) -> None:
         """Vector :meth:`invalidate` of currently-mapped LBAs.

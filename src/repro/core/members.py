@@ -8,10 +8,11 @@ to its SSDs.  It owns
   erroring or limps is converted to fail-stop, a hot spare may take
   its slot (:mod:`repro.repair`), and when the array can no longer
   serve the cache degrades to origin bypass;
-* the lean twins the segment sealer uses while every side channel of
-  ``submit`` is provably inert (:meth:`Members.write`,
-  :meth:`Members.flush`; to add a side channel to ``submit``, add its
-  liveness check to :meth:`Members.seal_fast_ok`);
+* the lean twins the segment sealer and reclaim use while every side
+  channel of ``submit`` is provably inert (:meth:`Members.write`,
+  :meth:`Members.flush`, :meth:`Members.read_extents`; to add a side
+  channel to ``submit``, add its liveness check to
+  :meth:`Members.seal_fast_ok`);
 * :meth:`Members.read` — a cached block's read around a dead member,
   a not-yet-rebuilt unit or a checksum mismatch: reconstruct from the
   stripe when the segment carries parity, refetch clean data from the
@@ -113,13 +114,14 @@ class Members:
         return False
 
     def seal_fast_ok(self) -> bool:
-        """Whether :meth:`write` and :meth:`flush` may use the SSDs' lean
-        submission: only while every side channel of :meth:`submit` is
-        inert — no fail-slow detector sampling, no telemetry on SRC or a
-        member, every member a plain ``SSDDevice`` (an injector wrapper
-        or test double keeps the full path), no armed fault plan (retry
-        only acts on injected errors).  Read once per call: the lean
-        path runs none of those, so nothing in the loop can flip it."""
+        """Whether :meth:`write`, :meth:`flush` and :meth:`read_extents`
+        may use the SSDs' lean submission: only while every side channel
+        of :meth:`submit` is inert — no fail-slow detector sampling, no
+        telemetry on SRC or a member, every member a plain ``SSDDevice``
+        (an injector wrapper or test double keeps the full path), no
+        armed fault plan (retry only acts on injected errors).  Read
+        once per call: the lean path runs none of those, so nothing in
+        the loop can flip it."""
         cache = self.cache
         return (self.failslow is None and self.flush_failslow is None
                 and not cache.obs.enabled
@@ -162,6 +164,21 @@ class Members:
         if cache.obs.enabled:
             cache.obs.emit(FlushBarrier(t=now, device=cache.name))
         return end
+
+    def read_extents(self, idx: int, offsets, lengths, now: float,
+                     origin: IoOrigin) -> Optional[float]:
+        """One member's READ spans (reclaim's victim reads), all issued
+        at ``now``: when the last one completed, None if none did."""
+        if self.seal_fast_ok():
+            try:
+                return self.cache.ssds[idx].submit_extents(
+                    Op.READ, offsets, lengths, now, origin).max().item()
+            except DeviceFailedError:
+                self._convert_fail_stop(idx, now)
+                return None
+        dones = [self.submit(idx, Request(Op.READ, o, n, origin=origin), now)
+                 for o, n in zip(offsets.tolist(), lengths.tolist())]
+        return max((d for d in dones if d is not None), default=None)
 
     def _convert_fail_stop(self, idx: int, now: float) -> None:
         """Stop using a drive that keeps erroring or is limping."""

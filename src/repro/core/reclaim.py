@@ -9,11 +9,11 @@ data.  The group is then TRIMmed and returned to the free list.
 
 There is one implementation, over arrays: a victim is its live LBAs in
 log order plus their dirty bits, classification is masks over them,
-and device traffic is coalesced extents: one SSD READ per span, the
-write-back as one ``submit_extents`` batch.  Tenant
-reservations, fail-stopped members and rebuilding spares are masks
-too, and a victim of three blocks takes the same path as one of three
-thousand.  ``tests/test_reclaim_golden.py`` pins the simulated outcome.
+and device traffic is coalesced extents: a member's READ spans as one
+``read_extents`` batch, the write-back as one ``submit_extents`` batch.
+Tenant reservations, fail-stopped members and rebuilding spares are
+masks too, and a victim of three blocks takes the same path as one of
+three thousand.  ``tests/test_reclaim_golden.py`` pins the outcome.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ class Reclaimer:
         Blocks on a fail-stopped member, or in a unit a rebuilding
         spare has not reconstructed yet, are masked out before any I/O
         is issued.  Members are visited in first-block order and each
-        gets its spans at ``now``.
+        gets its spans as one batch at ``now``.
         """
         cache = self.cache
         if not lbas.shape[0]:
@@ -283,12 +283,11 @@ class Reclaimer:
         _, first = np.unique(ssds, return_index=True)
         for idx in ssds[np.sort(first)].tolist():
             offs = np.sort(offsets[ssds == idx])
-            for s, e in run_bounds(np.diff(offs) != PAGE_SIZE).tolist():
-                done = cache.members.submit(
-                    idx, Request(Op.READ, int(offs[s]), (e - s) * PAGE_SIZE,
-                                 origin=origin), now)
-                if done is not None:
-                    end = max(end, done)
+            starts, stops = run_bounds(np.diff(offs) != PAGE_SIZE).T
+            done = cache.members.read_extents(
+                idx, offs[starts], (stops - starts) * PAGE_SIZE, now, origin)
+            if done is not None:
+                end = max(end, done)
         return end
 
     def _trim_group(self, victim: int, now: float) -> float:

@@ -507,7 +507,7 @@ class SrcCache(CacheTarget):
         guarantees a durable copy exists at the block's new owner (or
         the block is clean and the origin still holds it).
         """
-        found = self.mapping.invalidate(block) is not None
+        found = self.mapping.invalidate(block)
         found = self.dirty_buf.remove(block) or found
         found = self.clean_buf.remove(block) or found
         found = self.staging.pop(block) is not None or found

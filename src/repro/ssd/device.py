@@ -87,6 +87,8 @@ class SSDDevice(QueuedDevice, BlockDevice):
 
     def corrupted_in(self, offset: int, length: int) -> Set[int]:
         """Corrupted logical page numbers inside a byte range."""
+        if not self._corrupted_pages:      # every read hit asks
+            return set()
         span = set(Request(Op.READ, offset, length).pages())
         return span & self._corrupted_pages
 
@@ -240,6 +242,46 @@ class SSDDevice(QueuedDevice, BlockDevice):
         done = self._flush(begin)
         self._retire(None, now, begin, done)
         return done
+
+    def submit_extents(self, op, offsets, lengths, nows, origin,
+                       tenants=None) -> np.ndarray:
+        """READ batches (reclaim's victim reads): checks, counters and
+        durations as columns, then ``submit``'s queue / NAND / link
+        recurrences over plain floats in extent order, so every float is
+        the loop's.  Telemetry and zero-length commands take the loop."""
+        offsets, lengths = np.asarray(offsets), np.asarray(lengths)
+        if (op is not Op.READ or self.obs.enabled or not offsets.shape[0]
+                or not lengths.all()):
+            return super().submit_extents(op, offsets, lengths, nows,
+                                          origin, tenants)
+        if self.failed:
+            raise DeviceFailedError(f"{self.name} has failed")
+        self._check_extents(offsets, lengths)
+        spec, n = self.spec, offsets.shape[0]
+        page = spec.page_size
+        first = offsets // page
+        npages = (offsets + lengths + page - 1) // page - first
+        self.ftl.read_extents(first, npages)
+        stats, nbytes, key = self.stats, int(lengths.sum()), origin.value
+        stats.read_ops += n
+        stats.read_bytes += nbytes
+        stats.bytes_by_origin[key] = stats.bytes_by_origin.get(key, 0) + nbytes
+        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
+        read_times = npages * page / spec.nand_read_bw
+        # As _read picks it: only foreground reads ride read priority.
+        pipeline = (self.nand_reads if origin is IoOrigin.FOREGROUND
+                    else self.nand)
+        first_page, out = spec.timing.t_read, self.read_link
+        done = []
+        for now, read_time, length in zip(nows.tolist(), read_times.tolist(),
+                                          lengths.tolist()):
+            begin = self._admit(None, now)      # the hooks read no request
+            nand_begin, nand_end = pipeline.acquire(begin, read_time)
+            _, out_end = out.transfer(nand_begin + first_page, length)
+            end = max(nand_end, out_end)
+            self._retire(None, now, begin, end)
+            done.append(end)
+        return np.array(done)
 
     def submit_chunk(self, rows, start: float, think_time: float,
                      deadline: float, limit: int):

@@ -47,13 +47,14 @@ def test_dirty_count_tracks_transitions():
     assert table.dirty_count == 0
 
 
-def test_invalidate_returns_old_entry():
+def test_invalidate_reports_a_dropped_mapping():
     table = MappingTable(4)
     table.insert(1, entry(dirty=True))
-    old = table.invalidate(1)
-    assert old.dirty
-    assert table.invalidate(1) is None
+    assert table.invalidate(1) is True
+    assert table.invalidate(1) is False
+    assert table.invalidate(10_000) is False     # beyond the arrays
     assert table.dirty_count == 0
+    assert table.lookup(1) is None
 
 
 def test_sg_blocks_enumerates_valid():

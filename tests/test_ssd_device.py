@@ -113,6 +113,23 @@ def test_corruption_injection_and_scrub():
     assert not ssd.corrupted_in(0, 16 * KIB)
 
 
+def test_corrupted_in_answers_by_range():
+    """Every read hit asks; a clean drive answers without looking."""
+    ssd = small_ssd()
+    assert ssd.corrupted_in(0, 16 * KIB) == set()
+    ssd.inject_corruption(4096, 8192)           # pages 1 and 2
+    assert ssd.corrupted_in(0, 16 * KIB) == {1, 2}
+    assert ssd.corrupted_in(0, 4096) == set()
+    assert ssd.corrupted_in(6000, 100) == {1}   # unaligned, inside page 1
+    assert ssd.corrupted_in(12 * KIB, 1 * MIB) == set()
+    ssd.corrupted_in(0, 16 * KIB).clear()       # the caller's own set
+    assert ssd.corrupted_in(0, 16 * KIB) == {1, 2}
+    ssd.clear_corruption(0, 16 * KIB)
+    mine = ssd.corrupted_in(0, 16 * KIB)
+    mine.add(7)
+    assert ssd.corrupted_in(0, 16 * KIB) == set()
+
+
 def test_trim_clears_corruption():
     ssd = small_ssd()
     ssd.write(0, 4096, 0.0)
