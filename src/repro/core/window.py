@@ -49,10 +49,13 @@ class WriteWindow:
         self.cache = cache
         # Behind paths().  Not in SrcStats / collect(): those must read
         # the same after a chunked and a per-request run; this cannot.
-        self.path_ledger = Counter(vector_rows=0, boundary_rows=0)
+        self.path_ledger = Counter(vector_rows=0, boundary_rows=0,
+                                   twait_scans=0, refusal_scans=0)
 
     def paths(self) -> dict:
-        """Rows served by the vector window and as its boundary rows,
+        """Rows served by the vector window and as its boundary rows;
+        sub-runs that built the TWAIT / admission column, their scalar
+        bound not ruling a hit out (``twait_scans``, ``refusal_scans``);
         plus ``declined.<reason>``: calls the window did not take (a
         closed chunk-gate clause, ``tiny_horizon``,
         ``nonconformant_head``), sub-runs an ``admission_bound`` cut
@@ -99,13 +102,22 @@ class WriteWindow:
 class Lane:
     """One cache's rows of an offered slice: their ``blocks`` and the
     positions ``at`` which they sit in it (``None``: the lane is the
-    whole slice and takes plain slices of it, no fancy indexing)."""
+    whole slice and takes plain slices of it, no fancy indexing).
+    What the rows alone decide (owners, previous rows) is derived once
+    per offer, here; per sub-run only what a seal can change."""
 
     def __init__(self, window: WriteWindow, blocks: np.ndarray,
                  at: Optional[np.ndarray] = None) -> None:
         self.cache, self.ledger = window.cache, window.path_ledger
         self.blocks, self.at = blocks, at
         self.served = 0              # lane rows behind the cursor
+        # Each row's previous row on the same block (-1: none): one
+        # stable sort puts a block's rows side by side, in order.
+        order = np.argsort(blocks, kind="stable")
+        self.prev = np.full(blocks.shape[0], -1)
+        again = np.flatnonzero(blocks[order[1:]] == blocks[order[:-1]])
+        self.prev[order[again + 1]] = order[again]
+        self.cache._state.ensure(int(blocks.max()) + 1)
         # Admission goes by the address's owner (stall billing by the
         # row's tag: the same tenant, or nobody).
         tenants = self.cache.tenants
@@ -135,9 +147,8 @@ class Lane:
             return w
         lb = self.blocks[lo:lo + n]
         iss = issue[pos]
-        codes = cache._state.ensure(int(lb.max()) + 1)[lb]
-        first = np.zeros(n, dtype=bool)   # first occurrence of its block
-        first[np.unique(lb, return_index=True)[1]] = True
+        codes = cache._state.a[lb]
+        first = self.prev[lo:lo + n] < lo   # first occurrence of its block
         # A row absorbs in RAM iff its block is dirty-buffered at its
         # turn: pre-snapshot B_DIRTY, or a duplicate of an earlier row
         # of this sub-run.  Everything else displaces its old
@@ -150,34 +161,40 @@ class Lane:
         # _last_dirty_write, so the buffer can age past t_wait at any
         # row, the lane's first included (it is rarely the slice's
         # head).  A firing row is bounded: cache.submit runs the flush.
-        last_add = np.maximum.accumulate(np.where(adds, iss, -np.inf))
-        prev = np.concatenate(([-np.inf], last_add[:-1]))
-        fire = ((not cache.dirty_buf.empty) | (prev > -np.inf)) & (
-            iss - np.maximum(cache._last_dirty_write, prev)
-            > cache.config.t_wait)
-        if fire.any():
-            bound = min(bound, int(np.argmax(fire)))
-        own = asks = None
+        # No row's clock is behind _last_dirty_write and issue times
+        # ascend: a bounding row inside t_wait of it proves all quiet.
+        t_wait, since = cache.config.t_wait, cache._last_dirty_write
+        if iss[min(bound, n - 1)] - since > t_wait:
+            self.ledger["twait_scans"] += 1
+            last_add = np.maximum.accumulate(np.where(adds, iss, -np.inf))
+            prev = np.concatenate(([-np.inf], last_add[:-1]))
+            fire = ((not cache.dirty_buf.empty) | (prev > -np.inf)) & (
+                iss - np.maximum(since, prev) > t_wait)
+            if fire.any():
+                bound = min(bound, int(np.argmax(fire)))
+        own, asks, refused = None, None, ()
         if self.owners is not None:
             # ... or the first miss the registry would refuse.  Only
             # misses ask it, and within a sub-run occupancy only grows:
             # by the admitted misses and by staged blocks, never
             # counted before (a displaced mapped or clean block nets
-            # zero).
+            # zero) — too few of them to reach any limit prove it outright.
             own = self.owners[lo:lo + bound]
             asks = (adds & (codes == B_NONE))[:bound]
-            refused = cache.tenants.refusals(
-                own, asks, asks | (adds & (codes == B_STAGING))[:bound])
-            if refused.shape[0] * SCALAR_THRESHOLD > 2 * bound:
-                # An over-share tenant keeps missing.  Sub-runs of
-                # under ~16 rows cost more to classify than their rows
-                # take per request (docs/performance.md), so the call
-                # ends here, with the prefix it has served.
-                self.ledger["declined.dense_refusals"] += 1
-                return -1
-            if refused.shape[0]:
-                bound = int(refused[0])
-                self.ledger["declined.admission_bound"] += 1
+            grows = asks | (adds & (codes == B_STAGING))[:bound]
+            if cache.tenants.can_refuse(int(np.count_nonzero(grows))):
+                self.ledger["refusal_scans"] += 1
+                refused = cache.tenants.refusals(own, asks, grows)
+        if len(refused) * SCALAR_THRESHOLD > 2 * bound:
+            # An over-share tenant keeps missing.  Sub-runs of under
+            # ~16 rows cost more to classify than their rows take per
+            # request (docs/performance.md), so the call ends here,
+            # with the prefix it has served.
+            self.ledger["declined.dense_refusals"] += 1
+            return -1
+        if len(refused):
+            bound = int(refused[0])
+            self.ledger["declined.admission_bound"] += 1
         self._plan = (pos, lb, codes, first, adds, add_pos, iss, own, asks)
         if bound >= n:
             return w
@@ -257,16 +274,18 @@ def serve_lanes(front, rows: np.ndarray, size: int, tenants,
     if tenants is not None:
         names = [*tenants.tenant_names(), None]
         owner_index = tenants.owner_index
+    # Rows the horizon can reach at best: per-offer columns stop there.
+    reach = (deadline - start) / (RAM_LATENCY + think_time) + 2
+    rows = rows[:int(min(rows.shape[0], reach))]
     conf = conformant_mask(rows, size, owner_index)
     n_conf = rows.shape[0] if conf.all() else int(np.argmin(conf))
     if n_conf < SCALAR_THRESHOLD:
         # Short (or empty) conformant run: not worth a window.
         ledger["declined.nonconformant_head"] += 1
         return DECLINED
-    blocks = rows["offset"][:n_conf] // PAGE_SIZE
-    lanes = front.lanes(blocks)
-
     n_max = min(limit, n_conf) if limit else n_conf
+    blocks = rows["offset"][:n_max] // PAGE_SIZE
+    lanes = front.lanes(blocks)
     issue_t = np.empty(n_max, dtype=np.float64)
     done_t = np.empty(n_max, dtype=np.float64)
     t = start

@@ -135,10 +135,14 @@ class TenantRegistry:
         self.capacity_blocks = cache.layout.cache_data_capacity_blocks()
         self._tenants: Dict[str, _Tenant] = {}
         # Volume map: parallel sorted arrays of [base_block, end_block)
-        # windows and the owning tenant, for bisect lookup.
+        # windows and the owning tenant, for bisect lookup — and as
+        # arrays for owner_index, rebuilt by create_volume alone (a block
+        # below every base indexes -1: the trailing (0, -1) sentinel).
         self._bases: List[int] = []
         self._ends: List[int] = []
         self._owners: List[_Tenant] = []
+        self._volume_map = (np.array([], dtype=int), np.array([0]),
+                            np.array([-1]))
         self._alloc_cursor = 0          # next free origin block
         self._total_unmet_reserve = 0   # Σ max(0, min_t - occ_t)
         # Adopt blocks already resident at attach time: a registry
@@ -207,6 +211,8 @@ class TenantRegistry:
         self._ends.append(base + blocks)
         self._owners.append(t)
         t.volumes.append(volume)
+        self._volume_map = (np.array(self._bases), np.array(self._ends + [0]),
+                            np.array([o.index for o in self._owners] + [-1]))
         resident = self._resident_in(base, base + blocks)
         if resident:
             # Post-recovery attach: blocks of this window already in
@@ -239,10 +245,8 @@ class TenantRegistry:
     def owner_index(self, blocks: np.ndarray) -> np.ndarray:
         """Vector :meth:`tenant_of`: the registration index
         (:meth:`tenant_names` order) of each block's owner, -1 = none."""
-        vol = np.searchsorted(self._bases, blocks, side="right") - 1
-        # A block below every base lands on -1: the (0, -1) sentinel.
-        ends = np.array(self._ends + [0])
-        owners = np.array([t.index for t in self._owners] + [-1])
+        bases, ends, owners = self._volume_map
+        vol = np.searchsorted(bases, blocks, side="right") - 1
         return np.where(blocks < ends[vol], owners[vol], -1)
 
     def qos_of(self, tenant: str) -> QosSpec:
@@ -316,6 +320,19 @@ class TenantRegistry:
             return self._reject(t, block, now, "no_free")
         t.stats.admitted_blocks += 1
         return True
+
+    def can_refuse(self, grown: int) -> bool:
+        """Could :meth:`admit` refuse a block while the cache grows by
+        ``grown`` blocks, whoever gets them?  ``False`` proves
+        :meth:`refusals` empty for a window that grows so many."""
+        if not self.enforce:
+            return False
+        tenants = self._tenants.values()
+        if not self.work_conserving:
+            return any(t.occupancy + grown >= t.min_blocks for t in tenants)
+        return (self.capacity_blocks - self._total_occupancy
+                - self._total_unmet_reserve - grown <= 0
+                or any(t.occupancy + grown >= t.max_blocks for t in tenants))
 
     def refusals(self, owner: np.ndarray, asks: np.ndarray,
                  grows: np.ndarray) -> np.ndarray:

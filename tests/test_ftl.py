@@ -62,6 +62,17 @@ def test_too_little_spare_rejected():
                       superblock_pages=128)
 
 
+def test_page_maps_are_int32_and_refuse_what_they_cannot_index():
+    """NO_PAGE = -1 and every page number fit 32 bits (a full-scale
+    ``SATA_MLC_128`` has 33.5 M pages): half the memory of ``int64``
+    maps.  A device past 2**31 pages fails before anything is allocated."""
+    ftl = make_ftl(logical=2048, spare_sbs=4)
+    assert ftl.l2p.dtype == ftl.p2l.dtype == np.int32
+    with pytest.raises(ConfigError, match="int32"):
+        PageMappedFtl(logical_pages=2 ** 31 - 4096, physical_pages=2 ** 31,
+                      superblock_pages=128)
+
+
 def test_sequential_fill_has_wa_one():
     ftl = make_ftl(logical=2048, spare_sbs=4)
     for lpn in range(0, 2048, 128):

@@ -210,7 +210,8 @@ def test_attach_reaches_every_shard_of_a_cluster():
     rows = make_chunk(np.arange(64) * PAGE_SIZE, PAGE_SIZE)
     assert shards[0].submit_chunk(rows, 0.0, 0.0, float("inf"), 0)[2] == 64
     obs.attach(router, rec)
-    assert rec.paths() == {"src": {"vector_rows": 64, "boundary_rows": 0},
+    assert rec.paths() == {"src": {"vector_rows": 64, "boundary_rows": 0,
+                                   "twait_scans": 0, "refusal_scans": 0},
                            "cluster": {}}
 
 

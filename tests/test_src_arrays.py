@@ -434,6 +434,7 @@ def test_src_submit_chunk_declines_while_observer_attached():
     assert n == 0
     assert src.window.paths() == {
         "vector_rows": 0, "boundary_rows": 0,
+        "twait_scans": 0, "refusal_scans": 0,
         "declined.foreign_observer": 1, "declined.negative_think": 1,
         "declined.tiny_horizon": 1}
 
