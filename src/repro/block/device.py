@@ -112,14 +112,16 @@ class BlockDevice(abc.ABC):
                 f"{self.name}: request [{offsets[i]}, "
                 f"{offsets[i] + lengths[i]}) beyond device size {self.size}")
 
-    def _account_writes(self, offsets: np.ndarray, lengths: np.ndarray,
-                        origin: IoOrigin) -> None:
-        """``submit``'s checks over a whole batch of (at least one)
-        WRITEs and, only if every extent passes, its accounting."""
-        self._check_extents(offsets, lengths)
+    def _count_extents(self, op: Op, lengths: np.ndarray,
+                       origin: IoOrigin) -> None:
+        """``IoStats.record`` over a whole batch of READs or WRITEs."""
         stats, nbytes, key = self.stats, int(lengths.sum()), origin.value
-        stats.write_ops += offsets.shape[0]
-        stats.write_bytes += nbytes
+        if op is Op.READ:
+            stats.read_ops += lengths.shape[0]
+            stats.read_bytes += nbytes
+        else:
+            stats.write_ops += lengths.shape[0]
+            stats.write_bytes += nbytes
         stats.bytes_by_origin[key] = stats.bytes_by_origin.get(key, 0) + nbytes
 
     # Convenience helpers used heavily by tests and examples.

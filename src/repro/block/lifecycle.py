@@ -27,6 +27,8 @@ from __future__ import annotations
 import heapq
 from typing import List
 
+import numpy as np
+
 from repro.common.errors import ConfigError
 from repro.common.types import IoOrigin, Request
 
@@ -175,6 +177,39 @@ class QueuedDevice:
             qs.queue_delay_total += begin - now
         if self.obs.enabled:
             self.obs.observe_queue(self, depth, begin - now)
+
+    def _serve_extents(self, nows, service) -> np.ndarray:
+        """A batch's queue lifecycle in extent order: the ``_admit`` /
+        ``_retire`` pair of each extent, inline, around ``service(i,
+        begin)`` (extent ``i``'s completion).  Heap, stats and telemetry
+        end as the per-extent loop leaves them; the completion column."""
+        depth, q, qs = self.queue_depth, self._inflight, self.qstats
+        if not depth:
+            return np.array([service(i, now) for i, now in enumerate(nows)])
+        observe = self.obs.observe_queue if self.obs.enabled else None
+        pop, push, replace = heapq.heappop, heapq.heappush, heapq.heapreplace
+        queued, delay, top, done = 0, qs.queue_delay_total, 0, []
+        for i, now in enumerate(nows):
+            while q and q[0] <= now:
+                pop(q)
+            full = len(q) >= depth      # never more: _retire keeps it so
+            begin = q[0] if full else now   # the earliest completion's slot
+            end = service(i, begin)
+            if full:
+                replace(q, end)
+                queued += 1
+                delay += begin - now
+            else:
+                push(q, end)
+                top = len(q) if len(q) > top else top
+            if observe is not None:
+                observe(self, len(q), begin - now)
+            done.append(end)
+        qs.submissions += len(done)
+        qs.queued_ops += queued
+        qs.queue_delay_total = delay
+        qs.max_outstanding = max(qs.max_outstanding, top)
+        return np.array(done)
 
     def outstanding(self, now: float) -> int:
         """Submissions still in flight at simulated time ``now``."""

@@ -138,21 +138,28 @@ class SegmentLayout:
 
     def slot_locations_array(self, sg: int, segment: int, n: int,
                              with_parity: bool):
-        """Vector :meth:`slot_location` for slots ``0..n-1``.
-
-        Returns ``(ssds, offsets)`` int arrays in slot order — the
-        segment writer installs a whole sealed segment's mappings in
-        one call instead of materializing n BlockLocation objects.
-        """
-        ssd_order = np.asarray(self.data_ssds(sg, segment, with_parity),
-                               dtype=np.int32)
+        """Vector :meth:`slot_location` for slots ``0..n-1`` of the
+        segments from ``segment`` on, each full but the last: ``(segments,
+        ssds, offsets)`` int columns in slot order (``segments`` the index
+        itself when the slots fit one), parity rotating per segment, so
+        the sealer installs a batch of segments in one call."""
         per_unit = self.data_blocks_per_unit
-        if n > ssd_order.shape[0] * per_unit:
-            raise ConfigError(f"slot {n - 1} beyond segment capacity")
+        order = self.data_ssds(sg, segment, with_parity)
+        span = len(order) * per_unit               # a segment's slots
+        last = segment + (n - 1) // span
         slots = np.arange(n)
-        base = self.unit_offset(sg, segment)
-        offsets = (base + (1 + slots % per_unit) * PAGE_SIZE).astype(np.int64)
-        return ssd_order[slots // per_unit], offsets
+        unit = slots // per_unit
+        offsets = ((slots % per_unit) * PAGE_SIZE
+                   + (self.unit_offset(sg, segment) + PAGE_SIZE))
+        if last == segment:
+            return segment, np.array(order, dtype=np.int32)[unit], offsets
+        self.unit_offset(sg, last)                   # range-checks the last
+        for s in range(segment + 1, last + 1):
+            order += self.data_ssds(sg, s, with_parity)
+        segments = slots // span
+        offsets += segments * self.config.segment_unit
+        return (segment + segments, np.array(order, dtype=np.int32)[unit],
+                offsets)
 
     def metadata_offsets(self, sg: int, segment: int) -> Tuple[int, int]:
         """(MS offset, ME offset) of this segment, on every SSD."""

@@ -21,7 +21,9 @@ to its SSDs.  It owns
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
+
+import numpy as np
 
 from repro.common.errors import DeviceFailedError, RequestTimeoutError
 from repro.common.types import IoOrigin, Op, Request
@@ -50,11 +52,9 @@ class Members:
                              min_samples=min(64, faults.failslow_window))
             if faults.failslow_p99 > 0 else None)
         # FLUSH latencies get their own detector: flushes are rare and
-        # orders of magnitude slower than reads/writes, so mixing them
-        # into the per-op window would drown both signals; a limping
-        # drive often shows in FLUSH first, the drain of a backed-up
-        # internal buffer magnifying a modest slowdown
-        # (docs/fault_model.md).
+        # orders of magnitude slower, so one window would drown both
+        # signals; a limping drive often shows in FLUSH first, a backed-up
+        # buffer's drain magnifying a slowdown (docs/fault_model.md).
         self.flush_failslow: Optional[FailSlowDetector] = (
             FailSlowDetector(faults.failslow_flush_p99,
                              window=32, min_samples=8)
@@ -129,35 +129,40 @@ class Members:
                         for s in cache.ssds)
                 and not self.armed_fault())
 
-    def write(self, units: List[Tuple[int, int]], offset: int, now: float,
-              origin: IoOrigin) -> float:
-        """One segment's unit WRITEs — ``(member, length)``, data and
-        parity, all at ``offset`` — to the members alive at their turn."""
-        fast = self.seal_fast_ok()
-        end = now
-        for idx, length in units:
-            if self.alive(idx):
-                if fast:
-                    done = self.cache.ssds[idx].submit_write_fast(
-                        offset, length, now, origin)
-                else:
-                    done = self.submit(idx, Request(
-                        Op.WRITE, offset, length, origin=origin), now)
-                if done is not None:
-                    end = max(end, done)
-        return end
+    def write(self, segments, origin: IoOrigin) -> List[float]:
+        """Each segment's ``(offset, now, [(member, length)])`` unit
+        WRITEs to the live members; each segment's end.  Lean: a member's
+        units of 2+ segments as one extent batch; else segment by segment."""
+        ends = [now for _, now, _ in segments]
+        lean, batch, ssds = self.seal_fast_ok(), {}, self.cache.ssds
+        many = lean and len(segments) > 1
+        for j, (offset, now, units) in enumerate(segments):
+            for idx, size in units:
+                if not self.alive(idx):
+                    continue
+                if many:
+                    batch.setdefault(idx, []).append((offset, size, now, j))
+                    continue
+                done = (ssds[idx].submit_write_fast(offset, size, now, origin)
+                        if lean else self.submit(idx, Request(
+                            Op.WRITE, offset, size, origin=origin), now))
+                if done is not None and done > ends[j]:
+                    ends[j] = done
+        for idx, rows in batch.items():
+            offsets, lengths, nows, js = zip(*rows)
+            for j, done in zip(js, ssds[idx].submit_extents(
+                    Op.WRITE, np.array(offsets), np.array(lengths),
+                    np.array(nows), origin).tolist()):
+                ends[j] = max(ends[j], done)
+        return ends
 
     def flush(self, now: float) -> float:
         """FLUSH every live member; returns when the last one drained."""
-        cache = self.cache
-        fast = self.seal_fast_ok()
-        end = now
+        cache, fast, end = self.cache, self.seal_fast_ok(), now
         for idx in range(len(cache.ssds)):
             if self.alive(idx):
-                if fast:
-                    done = cache.ssds[idx].submit_flush_fast(now)
-                else:
-                    done = self.submit(idx, Request(Op.FLUSH), now)
+                done = (cache.ssds[idx].submit_flush_fast(now) if fast
+                        else self.submit(idx, Request(Op.FLUSH), now))
                 if done is not None:
                     end = max(end, done)
         cache.srcstats.flush_commands += 1
@@ -190,11 +195,10 @@ class Members:
             else:
                 ssd.failed = True
             cache.srcstats.failstop_conversions += 1
-        # Repair before bypass: a hot spare may take the slot here, in
-        # which case the bypass check below no longer counts this drive
-        # against the tolerance.  Notified unconditionally — a drive
-        # that died on its own (fail-stop injection) reports ``failed``
-        # before we ever mark it, and needs the spare just as much.
+        # Repair before bypass: a hot spare may take the slot here, and
+        # then the bypass check below no longer counts this drive against
+        # the tolerance.  Notified unconditionally — a drive that died on
+        # its own reports ``failed`` before we mark it, and needs a spare.
         cache.repair.on_member_failed(idx, now)
         # Bypass is the last resort: a slot a hot spare has taken
         # counts only as REBUILDING (still one missing data copy per
@@ -205,9 +209,8 @@ class Members:
             missing = cache.repair.missing_members()
             tolerated = 1 if cache.config.raid_level in (4, 5) else 0
             if missing > tolerated:
-                self.enter_bypass(
-                    now,
-                    f"{missing} of {len(cache.ssds)} members unavailable")
+                self.enter_bypass(now, f"{missing} of {len(cache.ssds)} "
+                                  "members unavailable")
 
     def enter_bypass(self, now: float, reason: str) -> None:
         """Degrade to pass-through: all I/O goes straight to the origin.
@@ -252,7 +255,8 @@ class Members:
             return self._degraded_read(block, entry, now)
         corrupted = getattr(ssd, "corrupted_in", None)
         if corrupted is not None and corrupted(loc.offset, PAGE_SIZE):
-            return self._repair_corruption(block, entry, end)
+            end = self.repair_corruption(block, entry, end)
+            self._reinsert(block, entry, end)
         return end
 
     def stripe_read(self, entry: CacheEntry, now: float) -> float:
@@ -261,10 +265,10 @@ class Members:
         loc = entry.location
         end = now
         for idx in range(cache.config.n_ssds):
-            if idx == loc.ssd or not self.alive(idx):
+            # (A rebuilding spare's copy of the unit is not there yet.)
+            if (idx == loc.ssd or not self.alive(idx)
+                    or not cache.repair.unit_ready(idx, loc.sg, loc.segment)):
                 continue
-            if not cache.repair.unit_ready(idx, loc.sg, loc.segment):
-                continue   # rebuilding spare: its copy isn't there yet
             # Same row of every unit: the units share their offset.
             done = self.submit(idx, Request(Op.READ, loc.offset, PAGE_SIZE),
                                now)
@@ -315,12 +319,12 @@ class Members:
         cache._fill_clean(block, fetch_end)
         return fetch_end
 
-    def _repair_corruption(self, block: int, entry: CacheEntry,
-                           now: float) -> float:
-        """Checksum mismatch on read: recover via parity or re-fetch."""
+    def repair_corruption(self, block: int, entry: CacheEntry,
+                          now: float) -> float:
+        """Checksum mismatch on read: recover via parity or re-fetch, in
+        place (the caller moves the block, or re-logs it)."""
         cache = self.cache
         loc = entry.location
-        ssd = cache.ssds[loc.ssd]
         if self.can_reconstruct(entry):
             cache.srcstats.parity_reconstructions += 1
             end = self.stripe_read(entry, now)
@@ -329,9 +333,8 @@ class Members:
                 cache.srcstats.unrecoverable_errors += 1
             end = cache.origin_read(block, now)
         cache.srcstats.corruption_repairs += 1
-        if hasattr(ssd, "clear_corruption"):
-            ssd.clear_corruption(loc.offset, PAGE_SIZE)
-        self._reinsert(block, entry, end)
+        if hasattr(cache.ssds[loc.ssd], "clear_corruption"):
+            cache.ssds[loc.ssd].clear_corruption(loc.offset, PAGE_SIZE)
         return end
 
     def _reinsert(self, block: int, entry: CacheEntry, now: float) -> None:
@@ -339,10 +342,7 @@ class Members:
         cache = self.cache
         if cache.bypass:
             return
-        dirty = entry.dirty
         cache.mapping.invalidate(block)
-        buf = cache.dirty_buf if dirty else cache.clean_buf
-        if block not in buf:
-            full = buf.add(block)
-            if full:
-                cache.segments.seal(dirty=dirty, now=now)
+        buf = cache.dirty_buf if entry.dirty else cache.clean_buf
+        if block not in buf and buf.add(block):     # now full
+            cache.segments.seal(dirty=entry.dirty, now=now)

@@ -202,11 +202,11 @@ class Reclaimer:
                       avail: float, end: float) -> float:
         """Re-log ``lbas`` in order through the buffer ``dirty`` selects.
 
-        As many blocks as the buffer has room for leave the victim and
-        enter it; a full buffer seals at ``avail``, when the data is in
-        hand.  At every seal the mapping, buffers and tenant occupancy
-        are where a block-by-block loop would have them.  Returns
-        ``end`` advanced by the seals.
+        A run fills its buffer, which seals at ``avail`` (data in hand)
+        with the whole segments after it as one batch that never enters
+        the buffer; the remainder is buffered.  Mapping, buffers and
+        tenant occupancy end where a block-by-block loop leaves them.
+        Returns ``end`` advanced by the seals.
         """
         cache = self.cache
         if not lbas.shape[0]:
@@ -214,16 +214,18 @@ class Reclaimer:
         for pos, stop in run_bounds(dirty[1:] != dirty[:-1]).tolist():
             to_dirty = bool(dirty[pos])
             buf = cache.dirty_buf if to_dirty else cache.clean_buf
-            while pos < stop:
-                take = lbas[pos:min(stop, pos + buf.capacity - len(buf))]
-                # A mapped block is in no buffer, so every add is new.
-                assert (cache._state.a[take] == B_MAPPED).all()
-                cache.mapping.invalidate_many(take)
-                buf.add_many(take)
-                pos += take.shape[0]
-                if buf.full:
-                    end = max(end, cache.segments.seal(dirty=to_dirty,
-                                                       now=avail))
+            # A mapped block is in no buffer, so every add is new.
+            assert (cache._state.a[lbas[pos:stop]] == B_MAPPED).all()
+            room = buf.capacity - len(buf)
+            if stop - pos >= room:
+                full = stop - (stop - pos - room) % buf.capacity
+                cache.mapping.invalidate_many(lbas[pos:full])
+                buf.add_many(lbas[pos:pos + room])
+                end = max(end, cache.segments.seal(
+                    dirty=to_dirty, now=avail, more=lbas[pos + room:full]))
+                pos = full
+            cache.mapping.invalidate_many(lbas[pos:stop])
+            buf.add_many(lbas[pos:stop])
         return end
 
     def destage(self, lbas: np.ndarray, now: float) -> float:
@@ -265,7 +267,8 @@ class Reclaimer:
         Blocks on a fail-stopped member, or in a unit a rebuilding
         spare has not reconstructed yet, are masked out before any I/O
         is issued.  Members are visited in first-block order and each
-        gets its spans as one batch at ``now``.
+        gets its spans as one batch at ``now``; a block failing its
+        checksum is repaired in place then (the caller moves it).
         """
         cache = self.cache
         if not lbas.shape[0]:
@@ -278,7 +281,7 @@ class Reclaimer:
                                     return_inverse=True)
             ready = [cache.repair.unit_ready(*u) for u in units.T.tolist()]
             readable &= np.array(ready)[unit.ravel()]
-        ssds, offsets = ssds[readable], offsets[readable]
+        lbas, ssds, offsets = lbas[readable], ssds[readable], offsets[readable]
         end = now
         _, first = np.unique(ssds, return_index=True)
         for idx in ssds[np.sort(first)].tolist():
@@ -286,8 +289,18 @@ class Reclaimer:
             starts, stops = run_bounds(np.diff(offs) != PAGE_SIZE).T
             done = cache.members.read_extents(
                 idx, offs[starts], (stops - starts) * PAGE_SIZE, now, origin)
-            if done is not None:
-                end = max(end, done)
+            if done is None:
+                continue
+            end = max(end, done)
+            corrupted = getattr(cache.ssds[idx], "corrupted_in", None)
+            hits = corrupted and corrupted(int(offs[0]),
+                                           int(offs[-1] - offs[0]) + PAGE_SIZE)
+            if hits:
+                mine = (ssds == idx) & np.isin(offsets // PAGE_SIZE,
+                                               list(hits))
+                for lba in lbas[mine].tolist():
+                    end = max(end, cache.members.repair_corruption(
+                        lba, cache.mapping.lookup(lba), done))
         return end
 
     def _trim_group(self, victim: int, now: float) -> float:

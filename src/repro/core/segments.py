@@ -171,10 +171,11 @@ class SegmentLog:
     def install(self, sg: int, segment: int, lbas: np.ndarray,
                 versions: np.ndarray, dirty: bool, with_parity: bool,
                 stored: Optional[np.ndarray] = None) -> List[int]:
-        """Map slot ``i`` of a segment to ``lbas[i]`` at ``versions[i]``.
+        """Map slot ``i`` of the segments from ``segment`` on (each full
+        but the last) to ``lbas[i]`` at ``versions[i]``.
 
-        The sealer passes a drained buffer: unique blocks, none of them
-        mapped (entering a buffer invalidated them).  Recovery passes a
+        The sealer passes unique unmapped blocks (entering a buffer or
+        leaving a victim invalidated them).  Recovery passes a
         summary's columns plus the checksums it ``stored``: a slot whose
         checksum disagrees stays unmapped, and a block an earlier
         segment mapped moves here (later sequence wins).  Returns the
@@ -187,19 +188,21 @@ class SegmentLog:
         cache = self.cache
         mapping = cache.mapping
         n_blocks = lbas.shape[0]
-        if n_blocks >= SCALAR_THRESHOLD:
+        if (n_blocks >= SCALAR_THRESHOLD or n_blocks
+                > self.layout.segment_data_capacity(with_parity)):
             checksums = block_checksums_array(lbas, versions)
-            ssds, offsets = self.layout.slot_locations_array(
+            segments, ssds, offsets = self.layout.slot_locations_array(
                 sg, segment, n_blocks, with_parity)
             if stored is not None:
                 keep = checksums == stored
                 lbas, versions, checksums = (lbas[keep], versions[keep],
                                              checksums[keep])
+                # (A summary is one segment: ``segments`` is its index.)
                 ssds, offsets = ssds[keep], offsets[keep]
                 if lbas.shape[0]:
                     codes = cache._state.ensure(int(lbas.max()) + 1)[lbas]
                     mapping.invalidate_many(lbas[codes == B_MAPPED])
-            mapping.insert_batch(lbas, sg, segment, ssds, offsets, dirty,
+            mapping.insert_batch(lbas, sg, segments, ssds, offsets, dirty,
                                  checksums, versions)
             return checksums.tolist()
         installed = []
@@ -215,57 +218,76 @@ class SegmentLog:
             installed.append(checksum)
         return installed
 
-    def seal(self, dirty: bool, now: float) -> float:
-        """Write the dirty or clean segment buffer out as one segment."""
+    def seal(self, dirty: bool, now: float,
+             more: Optional[np.ndarray] = None) -> float:
+        """Write the dirty or clean segment buffer out as one segment,
+        then ``more`` (unmapped blocks, whole segments that never enter
+        the buffer) as the next ones, all at ``now``: a chunk at a time,
+        up to the group's end (one segment under ``PER_SEGMENT``), is
+        installed, summarized torn, written by one ``Members.write`` and
+        only then sealed; members flush where a group ends."""
         cache = self.cache
         buf = cache.dirty_buf if dirty else cache.clean_buf
-        lbas = buf.drain_array()
-        n_blocks = lbas.shape[0]
-        if not n_blocks:
+        size, lbas = buf.capacity, buf.drain_array()
+        if not lbas.shape[0]:
             return now
+        if more is not None:
+            lbas = np.concatenate((lbas, more))
         with_parity = self.parity_flag(dirty)
-        partial = n_blocks < self.layout.segment_data_capacity(with_parity)
-
-        sg, segment, start = self._alloc_segment(now)
-        group_done = self.groups[sg].next_segment >= \
-            self.layout.segments_per_group
-
-        versions = cache._versions.ensure(int(lbas.max()) + 1)[lbas]
-        checksums = self.install(sg, segment, lbas, versions, dirty,
-                                 with_parity)
-
-        # MS lands with the first pages of the unit writes; ME seals the
-        # segment only once they all complete.  A power cut in between
-        # durably leaves a torn summary for recovery to discard.
-        cache.metadata.write_summary(SegmentSummary(
-            sg=sg, segment=segment, sequence=cache.metadata.next_sequence(),
-            generation=self._sg_sequence * self.layout.segments_per_group
-            + segment + 1,
-            dirty=dirty, with_parity=with_parity,
-            lbas=lbas.tolist(), checksums=checksums,
-            versions=versions.tolist()), torn=True)
-        end = self._issue_unit_writes(sg, segment, n_blocks, with_parity,
-                                      start)
-        cache.metadata.seal_summary(sg, segment)
-
-        cache.srcstats.segment_writes += 1
-        if partial:
-            cache.srcstats.partial_segment_writes += 1
-        if cache.obs.enabled:
-            cache.obs.emit(SegmentSealed(
-                t=end, device=cache.name, sg=sg, segment=segment,
-                dirty=dirty, with_parity=with_parity,
-                blocks=n_blocks, partial=partial))
-
-        # Flush control (§4.1): per segment, or per SG boundary.  The
-        # internal durability flush drains the drives' buffered backlog
-        # — reclaim I/O included — behind the application ack: the
-        # drain still occupies the NAND timelines, so later I/O queues
-        # after it.  The application-initiated flush (handle_flush)
-        # blocks.
-        if (cache.config.flush_point is FlushPoint.PER_SEGMENT
-                or group_done):
-            cache.members.flush(end)
+        per_group = self.layout.segments_per_group
+        per_segment = cache.config.flush_point is FlushPoint.PER_SEGMENT
+        origin = (IoOrigin.GC if cache.reclaimer.running
+                  else IoOrigin.FOREGROUND)
+        end, pos, n_blocks = now, 0, lbas.shape[0]
+        while pos < n_blocks:
+            sg, first, start = self._alloc_segment(now)
+            k = 1 if per_segment else min(-(-(n_blocks - pos) // size),
+                                          per_group - first)
+            self.groups[sg].next_segment += k - 1
+            chunk = lbas[pos:pos + k * size]
+            pos += chunk.shape[0]
+            versions = cache._versions.ensure(int(chunk.max()) + 1)[chunk]
+            checksums = self.install(sg, first, chunk, versions, dirty,
+                                     with_parity)
+            # MS lands with the first pages of the unit writes; ME seals
+            # each segment once every unit of the chunk completed.  A
+            # power cut in between durably leaves torn summaries for
+            # recovery to discard.
+            segments, blocks = [], []
+            for j in range(k):
+                lo, hi = j * size, min((j + 1) * size, chunk.shape[0])
+                cache.metadata.write_summary(SegmentSummary(
+                    sg=sg, segment=first + j,
+                    sequence=cache.metadata.next_sequence(),
+                    generation=self._sg_sequence * per_group + first + j + 1,
+                    dirty=dirty, with_parity=with_parity,
+                    lbas=chunk[lo:hi].tolist(), checksums=checksums[lo:hi],
+                    versions=versions[lo:hi].tolist()), torn=True)
+                segments.append((self.layout.unit_offset(sg, first + j),
+                                 now if j else start,
+                                 self._units(sg, first + j, hi - lo,
+                                             with_parity)))
+                blocks.append(hi - lo)
+            ends = cache.members.write(segments, origin)
+            for j, done in enumerate(ends):
+                cache.metadata.seal_summary(sg, first + j)
+                cache.srcstats.segment_writes += 1
+                if blocks[j] < size:       # a buffer holds one segment
+                    cache.srcstats.partial_segment_writes += 1
+                if cache.obs.enabled:
+                    cache.obs.emit(SegmentSealed(
+                        t=done, device=cache.name, sg=sg, segment=first + j,
+                        dirty=dirty, with_parity=with_parity,
+                        blocks=blocks[j], partial=blocks[j] < size))
+                end = max(end, done)
+            # Flush control (§4.1): per segment, or per SG boundary.
+            # The internal durability flush drains the drives' buffered
+            # backlog — reclaim I/O included — behind the application
+            # ack: the drain still occupies the NAND timelines, so later
+            # I/O queues after it.  The application-initiated flush
+            # (handle_flush) blocks.
+            if per_segment or self.groups[sg].next_segment >= per_group:
+                cache.members.flush(ends[-1])
         # Watermark-driven reclaim.  Below the high watermark the
         # scheduler trickles: one victim group at a time, and only
         # once the previous reclaim's device I/O has finished (pacing
@@ -283,25 +305,22 @@ class SegmentLog:
             cache.reclaimer.reclaim_until(reclaim.gc_free_high, end)
         return end
 
-    def _issue_unit_writes(self, sg: int, segment: int, n_blocks: int,
-                           with_parity: bool, now: float) -> float:
-        """One write per member persists the whole segment.
+    def _units(self, sg: int, segment: int, n_blocks: int,
+               with_parity: bool) -> List[Tuple[int, int]]:
+        """A segment's unit writes, ``(member, length)``: one per member
+        persists the whole segment.
 
         Each unit is MS + its rows + ME, contiguous from the unit
         start (a full unit is exactly ``segment_unit`` bytes).  Blocks
         fill the data units in order; parity covers the written rows of
         the stripe, and the first unit holds the row high-watermark.
         """
-        cache = self.cache
         per_unit = self.layout.data_blocks_per_unit
-        units = [(idx, min(per_unit, n_blocks - k * per_unit))
-                 for k, idx in enumerate(
-                     self.layout.data_ssds(sg, segment, with_parity))]
+        units = [(idx, (min(per_unit, n_blocks - k) + 2) * PAGE_SIZE)
+                 for k, idx in zip(range(0, n_blocks, per_unit),
+                                   self.layout.data_ssds(sg, segment,
+                                                         with_parity))]
         if with_parity:
             units.append((self.layout.parity_ssd(sg, segment),
-                          min(per_unit, n_blocks)))
-        origin = (IoOrigin.GC if cache.reclaimer.running
-                  else IoOrigin.FOREGROUND)
-        return cache.members.write(
-            [(idx, (rows + 2) * PAGE_SIZE) for idx, rows in units if rows > 0],
-            self.layout.unit_offset(sg, segment), now, origin)
+                          (min(per_unit, n_blocks) + 2) * PAGE_SIZE))
+        return units

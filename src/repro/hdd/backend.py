@@ -77,7 +77,8 @@ class Raid10Array(BlockDevice):
         if op is not Op.WRITE or not n:
             return super().submit_extents(op, offsets, lengths, nows,
                                           origin, tenants)
-        self._account_writes(offsets, lengths, origin)
+        self._check_extents(offsets, lengths)
+        self._count_extents(op, lengths, origin)
         nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
         cs, ends = self.chunk_size, offsets + lengths
         first = offsets // cs
@@ -143,7 +144,8 @@ class PrimaryStorage(BlockDevice):
         if op is not Op.WRITE or np.ndim(nows) or not offsets.shape[0]:
             return super().submit_extents(op, offsets, lengths, nows,
                                           origin, tenants)
-        self._account_writes(offsets, lengths, origin)
+        self._check_extents(offsets, lengths)
+        self._count_extents(op, lengths, origin)
         done = self.array.submit_extents(
             op, offsets, lengths, self.link.transfer_many(nows, lengths),
             origin, tenants)

@@ -106,7 +106,8 @@ class DiskDevice(QueuedDevice, BlockDevice):
         if op is not Op.WRITE or not n:
             return super().submit_extents(op, offsets, lengths, nows,
                                           origin, tenants)
-        self._account_writes(offsets, lengths, origin)
+        self._check_extents(offsets, lengths)
+        self._count_extents(op, lengths, origin)
         nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
         spec, ends = self.spec, offsets + lengths
         # Extent j sees the last ``depth`` of [deque ++ ends[:j]]; a pad
@@ -120,15 +121,21 @@ class DiskDevice(QueuedDevice, BlockDevice):
                 <= spec.sequential_window).any(axis=1)
         cost = ((spec.avg_seek + spec.avg_rotation)
                 * spec.write_positioning_factor)
-        durations = np.where(near, 0.0, cost) + lengths / spec.transfer_bw
+        durations = (np.where(near, 0.0, cost)
+                     + lengths / spec.transfer_bw).tolist()
         self._recent.extend(ends.tolist())
-        done = []
-        for now, duration in zip(nows.tolist(), durations.tolist()):
-            begin = self._admit(None, now)      # the hooks read no request
-            _, end = self.arm.acquire(begin, duration)
-            self._retire(None, now, begin, end)
-            done.append(end)
-        done = np.array(done)
+        arm = self.arm
+        free, busy = arm._free[0], arm.busy_time
+
+        def service(i: int, begin: float) -> float:   # arm.acquire
+            nonlocal free, busy
+            duration = durations[i]
+            free = (begin if begin > free else free) + duration
+            busy += duration
+            return free
+
+        done = self._serve_extents(nows.tolist(), service)
+        arm._free[0], arm.busy_time = free, busy
         if self.obs.enabled:
             self.obs.observe_io_chunk(self, done - nows)
         return done

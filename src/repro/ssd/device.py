@@ -33,7 +33,7 @@ from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.obs.events import FlushBarrier
 from repro.sim.timeline import Link, Timeline
-from repro.ssd.ftl import FtlOpResult, PageMappedFtl
+from repro.ssd.ftl import PageMappedFtl
 from repro.ssd.spec import SsdSpec
 
 
@@ -140,7 +140,8 @@ class SSDDevice(QueuedDevice, BlockDevice):
         # Programming is pipelined with the host transfer: NAND work can
         # start as soon as the first pages stream into the DRAM buffer.
         xfer_begin, xfer_end = self.link.transfer(now, length)
-        nand_time = self._nand_cost(result)
+        nand_time = self._nand_cost(result.host_pages, result.gc_read_pages,
+                                    result.gc_prog_pages, result.erases)
         _, nand_end = self.nand.acquire(xfer_begin, nand_time)
         nand_end = max(nand_end, xfer_end)
         if fua:
@@ -149,13 +150,14 @@ class SSDDevice(QueuedDevice, BlockDevice):
         # Ack when the transfer is in and the backlog fits the buffer.
         return max(xfer_end, nand_end - self._buffer_slack)
 
-    def _nand_cost(self, result: FtlOpResult) -> float:
+    def _nand_cost(self, host_pages, gc_read_pages, gc_prog_pages, erases):
+        """NAND time of a write's flash work (counts, or count columns)."""
         spec = self.spec
         page = spec.page_size
-        cost = result.host_pages * page / spec.nand_prog_bw
-        cost += result.gc_read_pages * page / spec.nand_read_bw
-        cost += result.gc_prog_pages * page / spec.nand_prog_bw
-        cost += result.erases * spec.erase_latency
+        cost = host_pages * page / spec.nand_prog_bw
+        cost += gc_read_pages * page / spec.nand_read_bw
+        cost += gc_prog_pages * page / spec.nand_prog_bw
+        cost += erases * spec.erase_latency
         return cost
 
     def _read(self, req: Request, now: float) -> float:
@@ -245,43 +247,75 @@ class SSDDevice(QueuedDevice, BlockDevice):
 
     def submit_extents(self, op, offsets, lengths, nows, origin,
                        tenants=None) -> np.ndarray:
-        """READ batches (reclaim's victim reads): checks, counters and
-        durations as columns, then ``submit``'s queue / NAND / link
-        recurrences over plain floats in extent order, so every float is
-        the loop's.  Telemetry and zero-length commands take the loop."""
+        """READ batches (reclaim's victim reads) and WRITE batches
+        (copy-forward unit writes): checks, counters and durations as
+        columns, then ``submit``'s queue / NAND / link recurrences over
+        plain floats in extent order, so every float is the loop's.
+        Telemetry, other ops and zero-length commands take the loop."""
         offsets, lengths = np.asarray(offsets), np.asarray(lengths)
-        if (op is not Op.READ or self.obs.enabled or not offsets.shape[0]
-                or not lengths.all()):
+        if (op not in (Op.READ, Op.WRITE) or self.obs.enabled
+                or not offsets.shape[0] or not lengths.all()):
             return super().submit_extents(op, offsets, lengths, nows,
                                           origin, tenants)
         if self.failed:
             raise DeviceFailedError(f"{self.name} has failed")
         self._check_extents(offsets, lengths)
-        spec, n = self.spec, offsets.shape[0]
+        spec = self.spec
         page = spec.page_size
         first = offsets // page
         npages = (offsets + lengths + page - 1) // page - first
-        self.ftl.read_extents(first, npages)
-        stats, nbytes, key = self.stats, int(lengths.sum()), origin.value
-        stats.read_ops += n
-        stats.read_bytes += nbytes
-        stats.bytes_by_origin[key] = stats.bytes_by_origin.get(key, 0) + nbytes
-        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
-        read_times = npages * page / spec.nand_read_bw
-        # As _read picks it: only foreground reads ride read priority.
-        pipeline = (self.nand_reads if origin is IoOrigin.FOREGROUND
-                    else self.nand)
-        first_page, out = spec.timing.t_read, self.read_link
-        done = []
-        for now, read_time, length in zip(nows.tolist(), read_times.tolist(),
-                                          lengths.tolist()):
-            begin = self._admit(None, now)      # the hooks read no request
-            nand_begin, nand_end = pipeline.acquire(begin, read_time)
-            _, out_end = out.transfer(nand_begin + first_page, length)
-            end = max(nand_end, out_end)
-            self._retire(None, now, begin, end)
-            done.append(end)
-        return np.array(done)
+        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64),
+                               offsets.shape[0]).tolist()
+        if op is Op.READ:
+            self.ftl.read_extents(first, npages)
+            self._count_extents(op, lengths, origin)
+            # As _read: NAND first (only foreground reads ride read
+            # priority), the outbound transfer from its first page on.
+            link = self.read_link
+            link.bytes_moved += int(lengths.sum())
+            return self._pipeline(
+                nows, self.nand_reads if origin is IoOrigin.FOREGROUND
+                else self.nand, npages * page / spec.nand_read_bw,
+                link._timeline, link.latency + lengths / link.bandwidth,
+                spec.timing.t_read, 0.0)
+        costs = self.ftl.write_extents(first, npages)
+        self._count_extents(op, lengths, origin)
+        if self._corrupted_pages:          # overwrites scrub, as in _write
+            for offset, length in zip(offsets.tolist(), lengths.tolist()):
+                self.clear_corruption(offset, length)
+        # As _write without FUA: the transfer first, NAND from its begin,
+        # acked once the backlog fits the buffer.
+        link = self.link
+        link.bytes_moved += int(lengths.sum())
+        return self._pipeline(
+            nows, link._timeline, link.latency + lengths / link.bandwidth,
+            self.nand, self._nand_cost(npages, *costs), 0.0,
+            self._buffer_slack)
+
+    def _pipeline(self, nows, first, first_times, second, second_times,
+                  lag, slack) -> np.ndarray:
+        """Per extent, ``first`` held ``first_times[i]`` from its begin,
+        ``second`` ``second_times[i]`` from ``lag`` past that; done at
+        ``max(end1, max(end2, end1) - slack)``: acquire's floats inline."""
+        d1, d2 = first_times.tolist(), second_times.tolist()
+        free1, busy1 = first._free[0], first.busy_time
+        free2, busy2 = second._free[0], second.busy_time
+
+        def service(i: int, begin: float) -> float:
+            nonlocal free1, busy1, free2, busy2
+            begin1 = begin if begin > free1 else free1
+            free1 = begin1 + d1[i]
+            busy1 += d1[i]
+            start = begin1 + lag
+            free2 = (start if start > free2 else free2) + d2[i]
+            busy2 += d2[i]
+            end = (free2 if free2 > free1 else free1) - slack
+            return free1 if free1 > end else end
+
+        done = self._serve_extents(nows, service)
+        first._free[0], first.busy_time = free1, busy1
+        second._free[0], second.busy_time = free2, busy2
+        return done
 
     def submit_chunk(self, rows, start: float, think_time: float,
                      deadline: float, limit: int):
