@@ -8,7 +8,10 @@ too, so a drifting machine favours neither), and prints each side's
 median, quartiles and min .. max of ``host_req_per_s``, ``setup_s`` and
 ``peak_rss_mb`` with the number of pairs the change is ahead in (ties
 count for neither side).  Nothing is imported from either checkout:
-each side is the driver's own command, in its own process.
+each side is the driver's own command, in its own process.  The header
+names the interpreter (``sys.version``) and both checkouts' ``HEAD``:
+host numbers belong to one interpreter (docs/performance.md, "The
+per-request path").
 
 Exits 1 if any run reports ``correct`` false or a failed op, or if the
 two sides' ``sim_digest`` ever differ — a speed-up that moves simulated
@@ -100,6 +103,24 @@ def render(folded: dict) -> str:
     return "\n".join(lines)
 
 
+def head(checkout: Path) -> str:
+    """The checkout's ``HEAD`` commit, short, or ``?`` outside git."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short",
+                           "HEAD"], capture_output=True, text=True)
+    return done.stdout.strip() or "?"
+
+
+def header(workload: str, seed: int, seconds: float, pairs: int,
+           checkouts: Sequence[Path]) -> str:
+    """What is measured, and with what: the workload, both checkouts
+    at their ``HEAD``, the interpreter running both sides."""
+    parent, change = checkouts
+    return (f"{workload} --seed {seed} --seconds {seconds:g}: {pairs} "
+            f"alternating pairs, parent {parent} @ {head(parent)} / change "
+            f"{change} @ {head(change)}\n"
+            f"python {' '.join(sys.version.split())} ({sys.executable})")
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> str:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
@@ -122,6 +143,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=7)
     args = parser.parse_args(argv)
     checkouts = (args.parent_dir, args.change_dir)
+    print(header(args.workload, args.seed, args.seconds, args.pairs,
+                 checkouts), flush=True)
     pairs = []
     for i in range(args.pairs):
         outputs = ["", ""]
@@ -133,9 +156,6 @@ def main(argv=None) -> int:
             f"{parse_run(out).get('host_req_per_s', float('nan')):.0f}"
             for out in outputs), flush=True)
     folded = fold(pairs)
-    print(f"{args.workload} --seed {args.seed} --seconds {args.seconds:g}: "
-          f"{args.pairs} alternating pairs, parent {args.parent_dir} / "
-          f"change {args.change_dir}")
     print(render(folded))
     return 1 if folded["problems"] else 0
 

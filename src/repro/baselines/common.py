@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.block.device import BlockDevice
 from repro.common.chunks import run_bounds
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import (DESTAGE, FLUSH, READ, TRIM, WRITE,
+                                Request)
 from repro.common.units import PAGE_SIZE
 from repro.obs.events import Destage
 from repro.obs.recorder import NULL_RECORDER
@@ -122,8 +123,8 @@ class WritebackScheduler:
         self._pending.clear()
         starts, stops = run_bounds(np.diff(lbas) != 1).T
         end = max(now, self.origin.submit_extents(
-            Op.WRITE, lbas[starts] * PAGE_SIZE, (stops - starts) * PAGE_SIZE,
-            now, IoOrigin.DESTAGE).max().item())
+            WRITE, lbas[starts] * PAGE_SIZE, (stops - starts) * PAGE_SIZE,
+            now, DESTAGE).max().item())
         self.destaged += len(lbas)
         if self.obs.enabled:
             self.obs.emit(Destage(t=end,
@@ -181,11 +182,11 @@ class CacheTarget(BlockDevice):
 
     # ------------------------------------------------------------------
     def _service(self, req: Request, now: float) -> float:
-        if req.op is Op.FLUSH:
+        if req.op is FLUSH:
             return self.handle_flush(now)
-        if req.op is Op.TRIM:
+        if req.op is TRIM:
             return self.handle_trim(req, now)
-        if req.op is Op.READ:
+        if req.op is READ:
             return self.read_request(req, now)
         return self.write_request(req, now)
 
@@ -215,7 +216,7 @@ class CacheTarget(BlockDevice):
     def _fetch_run(self, blocks: list, now: float) -> float:
         """One origin read covering a run of consecutive missing blocks."""
         fetch_end = self.origin.submit(Request(
-            Op.READ, blocks[0] * PAGE_SIZE, len(blocks) * PAGE_SIZE), now)
+            READ, blocks[0] * PAGE_SIZE, len(blocks) * PAGE_SIZE), now)
         for block in blocks:
             self.install_fill(block, fetch_end)
         return fetch_end
@@ -223,18 +224,18 @@ class CacheTarget(BlockDevice):
     # Helpers shared by subclasses --------------------------------------
     def origin_write(self, block: int, now: float) -> float:
         return self.origin.submit(
-            Request(Op.WRITE, block * PAGE_SIZE, PAGE_SIZE), now)
+            Request(WRITE, block * PAGE_SIZE, PAGE_SIZE), now)
 
     def origin_read(self, block: int, now: float) -> float:
         return self.origin.submit(
-            Request(Op.READ, block * PAGE_SIZE, PAGE_SIZE), now)
+            Request(READ, block * PAGE_SIZE, PAGE_SIZE), now)
 
     def cache_write(self, slot_offset: int, now: float,
                     length: int = PAGE_SIZE) -> float:
         return self.cache_dev.submit(
-            Request(Op.WRITE, slot_offset, length), now)
+            Request(WRITE, slot_offset, length), now)
 
     def cache_read(self, slot_offset: int, now: float,
                    length: int = PAGE_SIZE) -> float:
         return self.cache_dev.submit(
-            Request(Op.READ, slot_offset, length), now)
+            Request(READ, slot_offset, length), now)

@@ -119,30 +119,19 @@ class SegmentLayout:
         parity = self.parity_ssd(sg, segment)
         return [i for i in range(self.config.n_ssds) if i != parity]
 
-    def slot_location(self, sg: int, segment: int, slot: int,
-                      with_parity: bool) -> BlockLocation:
-        """Physical location of the ``slot``-th data block of a segment.
-
-        Blocks fill SSD units one after another: slots 0..d-1 land on
-        the first data SSD, d..2d-1 on the second, and so on — so a
-        single 512 KB unit write per SSD persists them all.
-        """
-        ssds = self.data_ssds(sg, segment, with_parity)
-        per_unit = self.data_blocks_per_unit
-        unit_index = slot // per_unit
-        if unit_index >= len(ssds):
-            raise ConfigError(f"slot {slot} beyond segment capacity")
-        within = slot % per_unit
-        offset = self.unit_offset(sg, segment) + (1 + within) * PAGE_SIZE
-        return BlockLocation(sg, segment, ssds[unit_index], offset)
-
     def slot_locations_array(self, sg: int, segment: int, n: int,
                              with_parity: bool):
-        """Vector :meth:`slot_location` for slots ``0..n-1`` of the
-        segments from ``segment`` on, each full but the last: ``(segments,
-        ssds, offsets)`` int columns in slot order (``segments`` the index
-        itself when the slots fit one), parity rotating per segment, so
-        the sealer installs a batch of segments in one call."""
+        """Where slots ``0..n-1`` of the segments from ``segment`` on,
+        each full but the last, live: ``(segments, ssds, offsets)`` int
+        columns in slot order (``segments`` the index itself when the
+        slots fit one), parity rotating per segment, so the sealer
+        installs a batch of segments in one call.
+
+        Blocks fill a segment's data units one after another: slots
+        0..d-1 land on the first data SSD, d..2d-1 on the second, each
+        past its unit's MS block — so one unit write per SSD persists
+        them all.
+        """
         per_unit = self.data_blocks_per_unit
         order = self.data_ssds(sg, segment, with_parity)
         span = len(order) * per_unit               # a segment's slots

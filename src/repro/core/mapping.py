@@ -92,13 +92,13 @@ class MappingTable:
 
     def _entry_at(self, lba: int) -> CacheEntry:
         return CacheEntry(
-            location=BlockLocation(int(self._sg[lba]),
-                                   int(self._segment[lba]),
-                                   int(self._ssd[lba]),
-                                   int(self._offset[lba])),
-            dirty=bool(self._dirty[lba]),
-            checksum=int(self._checksum[lba]),
-            version=int(self._version[lba]))
+            location=BlockLocation(self._sg.item(lba),
+                                   self._segment.item(lba),
+                                   self._ssd.item(lba),
+                                   self._offset.item(lba)),
+            dirty=self._dirty.item(lba),
+            checksum=self._checksum.item(lba),
+            version=self._version.item(lba))
 
     def lookup(self, lba: int) -> Optional[CacheEntry]:
         sg = self._sg
@@ -124,19 +124,26 @@ class MappingTable:
 
     def insert(self, lba: int, entry: CacheEntry) -> None:
         """Install a mapping, invalidating any previous location."""
+        loc = entry.location
+        self.insert_row(lba, loc.sg, loc.segment, loc.ssd, loc.offset,
+                        entry.dirty, entry.checksum, entry.version)
+
+    def insert_row(self, lba: int, sg: int, segment: int, ssd: int,
+                   offset: int, dirty: bool, checksum: int,
+                   version: int) -> None:
+        """:meth:`insert` with the row as columns, no entry object."""
         self.invalidate(lba)
         self._ensure(lba + 1)
-        loc = entry.location
-        self._sg[lba] = loc.sg
-        self._segment[lba] = loc.segment
-        self._ssd[lba] = loc.ssd
-        self._offset[lba] = loc.offset
-        self._dirty[lba] = entry.dirty
-        self._checksum[lba] = entry.checksum
-        self._version[lba] = entry.version
-        self._log_append(loc.sg, lba)
+        self._sg[lba] = sg
+        self._segment[lba] = segment
+        self._ssd[lba] = ssd
+        self._offset[lba] = offset
+        self._dirty[lba] = dirty
+        self._checksum[lba] = checksum
+        self._version[lba] = version
+        self._log_append(sg, lba)
         self._count += 1
-        if entry.dirty:
+        if dirty:
             self.dirty_count += 1
         self._state.a[lba] = B_MAPPED
         if self.observer is not None:

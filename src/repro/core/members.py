@@ -26,7 +26,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro.common.errors import DeviceFailedError, RequestTimeoutError
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import (FLUSH, READ, TRIM, WRITE, IoOrigin,
+                                Request)
 from repro.common.units import PAGE_SIZE
 from repro.core.mapping import CacheEntry
 from repro.faults.failslow import FailSlowDetector
@@ -63,6 +64,9 @@ class Members:
     def alive(self, idx: int) -> bool:
         return not getattr(self.cache.ssds[idx], "failed", False)
 
+    def _count_retry(self, _attempt: int) -> None:
+        self.cache.srcstats.retries += 1
+
     # ==================================================================
     # resilient submission (retry/backoff, fail-slow, bypass)
     # ==================================================================
@@ -78,14 +82,10 @@ class Members:
         """
         cache = self.cache
         stats = cache.srcstats
-
-        def count_retry(_attempt: int) -> None:
-            stats.retries += 1
-
         ssd = cache.ssds[idx]
         try:
             end = submit_with_retry(ssd, req, now, self.retry_policy,
-                                    obs=cache.obs, on_retry=count_retry)
+                                    obs=cache.obs, on_retry=self._count_retry)
         except RequestTimeoutError:
             stats.retry_give_ups += 1
             self._convert_fail_stop(idx, now)
@@ -93,10 +93,10 @@ class Members:
         except DeviceFailedError:
             self._convert_fail_stop(idx, now)
             return None
-        if req.op is Op.FLUSH:
+        if req.op is FLUSH:
             detector = self.flush_failslow
         else:
-            detector = self.failslow if req.op is not Op.TRIM else None
+            detector = self.failslow if req.op is not TRIM else None
         if detector is not None and detector.observe(idx, end - now):
             stats.limping_detected += 1
             if cache.obs.enabled:
@@ -145,13 +145,13 @@ class Members:
                     continue
                 done = (ssds[idx].submit_write_fast(offset, size, now, origin)
                         if lean else self.submit(idx, Request(
-                            Op.WRITE, offset, size, origin=origin), now))
+                            WRITE, offset, size, origin=origin), now))
                 if done is not None and done > ends[j]:
                     ends[j] = done
         for idx, rows in batch.items():
             offsets, lengths, nows, js = zip(*rows)
             for j, done in zip(js, ssds[idx].submit_extents(
-                    Op.WRITE, np.array(offsets), np.array(lengths),
+                    WRITE, np.array(offsets), np.array(lengths),
                     np.array(nows), origin).tolist()):
                 ends[j] = max(ends[j], done)
         return ends
@@ -162,7 +162,7 @@ class Members:
         for idx in range(len(cache.ssds)):
             if self.alive(idx):
                 done = (cache.ssds[idx].submit_flush_fast(now) if fast
-                        else self.submit(idx, Request(Op.FLUSH), now))
+                        else self.submit(idx, Request(FLUSH), now))
                 if done is not None:
                     end = max(end, done)
         cache.srcstats.flush_commands += 1
@@ -177,11 +177,11 @@ class Members:
         if self.seal_fast_ok():
             try:
                 return self.cache.ssds[idx].submit_extents(
-                    Op.READ, offsets, lengths, now, origin).max().item()
+                    READ, offsets, lengths, now, origin).max().item()
             except DeviceFailedError:
                 self._convert_fail_stop(idx, now)
                 return None
-        dones = [self.submit(idx, Request(Op.READ, o, n, origin=origin), now)
+        dones = [self.submit(idx, Request(READ, o, n, origin=origin), now)
                  for o, n in zip(offsets.tolist(), lengths.tolist())]
         return max((d for d in dones if d is not None), default=None)
 
@@ -246,7 +246,7 @@ class Members:
             # the front of the rebuild queue.
             cache.repair.promote(loc.ssd, loc.sg, loc.segment)
             return self._degraded_read(block, entry, now)
-        end = self.submit(loc.ssd, Request(Op.READ, loc.offset, PAGE_SIZE),
+        end = self.submit(loc.ssd, Request(READ, loc.offset, PAGE_SIZE),
                           now)
         if end is None:   # the home drive just died under this read
             if cache.bypass:
@@ -270,7 +270,7 @@ class Members:
                     or not cache.repair.unit_ready(idx, loc.sg, loc.segment)):
                 continue
             # Same row of every unit: the units share their offset.
-            done = self.submit(idx, Request(Op.READ, loc.offset, PAGE_SIZE),
+            done = self.submit(idx, Request(READ, loc.offset, PAGE_SIZE),
                                now)
             if done is not None:
                 end = max(end, done)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.common.chunks import run_bounds
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import DESTAGE, GC, TRIM, WRITE, IoOrigin, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import B_MAPPED
 from repro.core.config import GcScheme, VictimPolicy
@@ -153,7 +153,7 @@ class Reclaimer:
             cache.srcstats.gc_dropped_clean += dropped
             lbas, dirty = lbas[keep], dirty[keep]
         # Only the blocks being kept need to be read off the victim.
-        read_end = self.victim_read(lbas, now, IoOrigin.GC)
+        read_end = self.victim_read(lbas, now, GC)
         if cfg.separate_hot_clean:
             order = np.argsort(dirty, kind="stable")
             lbas, dirty = lbas[order], dirty[order]
@@ -189,7 +189,7 @@ class Reclaimer:
         cache.hotness.evict_many(dropped)
         if keep.any():
             keep_clean = lbas[keep & ~dirty]   # must be read off the victim
-            read_end = self.victim_read(keep_clean, now, IoOrigin.GC)
+            read_end = self.victim_read(keep_clean, now, GC)
             kept = np.concatenate((keep_clean, lbas[keep & dirty]))
             cache.srcstats.gc_copied_blocks += kept.shape[0]
             cache.srcstats.gc_reserved_copies += kept.shape[0]
@@ -236,7 +236,7 @@ class Reclaimer:
         n = lbas.shape[0]
         if not n:
             return now
-        read_end = self.victim_read(lbas, now, IoOrigin.DESTAGE)
+        read_end = self.victim_read(lbas, now, DESTAGE)
         end = read_end
         breaks = np.diff(lbas) != 1
         tenants = cache.tenants
@@ -249,8 +249,8 @@ class Reclaimer:
         counts = stops - starts
         tags = [names[o] for o in owners[starts].tolist()] if names else None
         end = max(end, cache.origin.submit_extents(
-            Op.WRITE, lbas[starts] * PAGE_SIZE, counts * PAGE_SIZE, read_end,
-            IoOrigin.DESTAGE, tags).max().item())
+            WRITE, lbas[starts] * PAGE_SIZE, counts * PAGE_SIZE, read_end,
+            DESTAGE, tags).max().item())
         for tenant, count in zip(tags or (), counts.tolist()):
             if tenant is not None:
                 tenants.count_destaged(tenant, count)
@@ -311,7 +311,7 @@ class Reclaimer:
         for idx in range(len(cache.ssds)):
             if cache.members.alive(idx):
                 done = cache.members.submit(idx, Request(
-                    Op.TRIM, base, cache.config.erase_group_size), now)
+                    TRIM, base, cache.config.erase_group_size), now)
                 if done is not None:
                     end = max(end, done)
         return end

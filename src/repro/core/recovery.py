@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.block.device import BlockDevice
 from repro.common.errors import RecoveryError
-from repro.common.types import Op, Request
+from repro.common.types import READ, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.config import SrcConfig
 from repro.core.metadata import MetadataStore
@@ -74,9 +74,9 @@ def recover(ssds: List[BlockDevice], origin: BlockDevice,
             if getattr(ssd, "failed", False):
                 continue
             end = max(end, ssd.submit(
-                Request(Op.READ, ms_off, PAGE_SIZE), now))
+                Request(READ, ms_off, PAGE_SIZE), now))
             end = max(end, ssd.submit(
-                Request(Op.READ, me_off, PAGE_SIZE), now))
+                Request(READ, me_off, PAGE_SIZE), now))
 
     # Replay pass: later sequence numbers win.
     discarded = []

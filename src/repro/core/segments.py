@@ -29,11 +29,10 @@ import numpy as np
 from repro.common.checksum import block_checksum, block_checksums_array
 from repro.common.chunks import SCALAR_THRESHOLD
 from repro.common.errors import ConfigError
-from repro.common.types import IoOrigin
+from repro.common.types import FOREGROUND, GC
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import B_MAPPED
 from repro.core.config import CleanRedundancy, FlushPoint
-from repro.core.mapping import CacheEntry
 from repro.core.metadata import SegmentSummary
 from repro.obs.events import BackpressureStall, SegmentSealed
 
@@ -205,16 +204,21 @@ class SegmentLog:
             mapping.insert_batch(lbas, sg, segments, ssds, offsets, dirty,
                                  checksums, versions)
             return checksums.tolist()
-        installed = []
+        # One segment: slot s is row s % per_unit (past MS) of the unit
+        # on data SSD s // per_unit, as in ``slot_locations_array``.
+        layout, installed = self.layout, []
+        per_unit = layout.data_blocks_per_unit
+        order = layout.data_ssds(sg, segment, with_parity)
+        base = layout.unit_offset(sg, segment) + PAGE_SIZE
+        insert_row = mapping.insert_row
         for slot, (lba, version) in enumerate(zip(lbas.tolist(),
                                                   versions.tolist())):
             checksum = block_checksum(lba, version)
             if stored is not None and stored[slot] != checksum:
                 continue
-            mapping.insert(lba, CacheEntry(
-                location=self.layout.slot_location(sg, segment, slot,
-                                                   with_parity),
-                dirty=dirty, checksum=checksum, version=version))
+            unit, row = divmod(slot, per_unit)
+            insert_row(lba, sg, segment, order[unit], base + row * PAGE_SIZE,
+                       dirty, checksum, version)
             installed.append(checksum)
         return installed
 
@@ -236,8 +240,7 @@ class SegmentLog:
         with_parity = self.parity_flag(dirty)
         per_group = self.layout.segments_per_group
         per_segment = cache.config.flush_point is FlushPoint.PER_SEGMENT
-        origin = (IoOrigin.GC if cache.reclaimer.running
-                  else IoOrigin.FOREGROUND)
+        origin = GC if cache.reclaimer.running else FOREGROUND
         end, pos, n_blocks = now, 0, lbas.shape[0]
         while pos < n_blocks:
             sg, first, start = self._alloc_segment(now)

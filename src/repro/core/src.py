@@ -36,7 +36,7 @@ from repro.baselines.common import CacheTarget
 from repro.block.device import BlockDevice
 from repro.common.errors import (ConfigError, DeviceFailedError,
                                  RaidDegradedError)
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import FLUSH, FOREGROUND, Request
 from repro.core.arrays import (B_CLEAN, B_DIRTY, B_MAPPED, B_NONE,
                                B_STAGING, BlockState, VersionArray)
 from repro.core.buffers import RAM_LATENCY, SegmentBuffer, StagingBuffer
@@ -216,7 +216,7 @@ class SrcCache(CacheTarget):
                 raise
             self.members.enter_bypass(now, f"{type(exc).__name__}: {exc}")
             return super()._service(req, now)
-        if req.origin is IoOrigin.FOREGROUND:
+        if req.origin is FOREGROUND:
             # Rebuild back-off watches the foreground's rolling p99.
             self.repair.observe_foreground(end - now)
         return end
@@ -339,9 +339,8 @@ class SrcCache(CacheTarget):
 
     def _fill_clean(self, block: int, now: float) -> None:
         self.staging.pop(block)
-        if block in self.dirty_buf or block in self.clean_buf:
-            return
-        if self.mapping.lookup(block) is not None:
+        if (block in self.dirty_buf or block in self.clean_buf
+                or block in self.mapping):
             return
         full = self.clean_buf.add(block)
         self.cstats.fills += 1
@@ -378,7 +377,7 @@ class SrcCache(CacheTarget):
         which is the durability contract (§2.2, Qin et al. comparison).
         """
         if self.bypass:
-            return self.origin.submit(Request(Op.FLUSH), now)
+            return self.origin.submit(Request(FLUSH), now)
         end = now
         if not self.dirty_buf.empty:
             end = self.segments.seal(dirty=True, now=now)

@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.common.chunks import DECLINED, SCALAR_THRESHOLD, conformant_mask
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import FOREGROUND, WRITE, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED, B_NONE, B_STAGING
 from repro.core.buffers import RAM_LATENCY
@@ -234,14 +234,14 @@ class Lane:
                 cache._last_dirty_write,
                 float(iss[add_pos[add_lbas.shape[0] - 1]]))
         stats = cache.stats
-        fg_key = IoOrigin.FOREGROUND.value
+        fg_key = FOREGROUND._value_
         stats.write_ops += m
         stats.write_bytes += m * PAGE_SIZE
         stats.bytes_by_origin[fg_key] = (
             stats.bytes_by_origin.get(fg_key, 0) + m * PAGE_SIZE)
         if cache.obs.enabled:
-            # The per-row ``done - issued`` BlockDevice._lifecycle
-            # records, in row order: a bit-identical histogram.
+            # The per-row ``done - issued`` BlockDevice.submit records,
+            # in row order: a bit-identical histogram.
             cache.obs.observe_io_chunk(cache, done[pos][:m] - iss[:m])
         self.served += m
         self.ledger["vector_rows"] += m
@@ -331,7 +331,7 @@ def serve_lanes(front, rows: np.ndarray, size: int, tenants,
             # off this write (GC, backpressure, faults, write-around)
             # billed to the row's tenant.  t == issue[k] by construction.
             done_b = bounding.cache.submit(
-                Request(Op.WRITE, int(blocks[done_rows]) * PAGE_SIZE,
+                Request(WRITE, int(blocks[done_rows]) * PAGE_SIZE,
                         PAGE_SIZE, tenant=names[tags[done_rows]]), t)
             issue_t[done_rows] = t
             done_t[done_rows] = done_b

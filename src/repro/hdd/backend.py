@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.block.device import BlockDevice
 from repro.common.errors import ConfigError
-from repro.common.types import Op, Request
+from repro.common.types import FLUSH, READ, WRITE, Request
 from repro.hdd.disk import DiskDevice, DiskSpec
 from repro.obs.events import FlushBarrier
 from repro.sim.timeline import Link
@@ -50,15 +50,15 @@ class Raid10Array(BlockDevice):
             remaining -= take
 
     def _service(self, req: Request, now: float) -> float:
-        if req.op is Op.FLUSH:
-            return max(d.submit(Request(Op.FLUSH), now) for d in self.disks)
+        if req.op is FLUSH:
+            return max(d.submit(Request(FLUSH), now) for d in self.disks)
         end = now
         for pair, pair_offset, length in self._split(req):
             mirror_a = self.disks[2 * pair]
             mirror_b = self.disks[2 * pair + 1]
             sub = Request(req.op, pair_offset, length, fua=req.fua,
                           origin=req.origin, tenant=req.tenant)
-            if req.op is Op.READ:
+            if req.op is READ:
                 self._read_toggle ^= 1
                 disk = mirror_a if self._read_toggle else mirror_b
                 end = max(end, disk.submit(sub, now))
@@ -74,7 +74,7 @@ class Raid10Array(BlockDevice):
         ``2p + 1``; READs toggle mirrors per piece and take the loop."""
         offsets, lengths = np.asarray(offsets), np.asarray(lengths)
         n = offsets.shape[0]
-        if op is not Op.WRITE or not n:
+        if op is not WRITE or not n:
             return super().submit_extents(op, offsets, lengths, nows,
                                           origin, tenants)
         self._check_extents(offsets, lengths)
@@ -122,15 +122,16 @@ class PrimaryStorage(BlockDevice):
         return self.array.disks
 
     def _service(self, req: Request, now: float) -> float:
-        if req.op is Op.FLUSH:
+        op = req.op
+        if op is FLUSH:
             if self.obs.enabled:
                 self.obs.emit(FlushBarrier(t=now, device=self.name))
             _, link_end = self.link.transfer(now, 64)  # command frame
             return self.array.submit(req, link_end)
-        if req.op is Op.WRITE:
+        if op is WRITE:
             _, link_end = self.link.transfer(now, req.length)
             return self.array.submit(req, link_end)
-        if req.op is Op.READ:
+        if op is READ:
             array_end = self.array.submit(req, now)
             _, link_end = self.link.transfer(array_end, req.length)
             return link_end
@@ -141,7 +142,7 @@ class PrimaryStorage(BlockDevice):
         """WRITE batches issued at one ``now``: the serialized link as
         a column, whose ends are the array's issue times."""
         offsets, lengths = np.asarray(offsets), np.asarray(lengths)
-        if op is not Op.WRITE or np.ndim(nows) or not offsets.shape[0]:
+        if op is not WRITE or np.ndim(nows) or not offsets.shape[0]:
             return super().submit_extents(op, offsets, lengths, nows,
                                           origin, tenants)
         self._check_extents(offsets, lengths)

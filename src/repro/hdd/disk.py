@@ -20,6 +20,7 @@ Parameters default to the 2 TB 7.2K RPM drives of the paper's backend
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from repro.block.device import BlockDevice
 from repro.block.lifecycle import QueuedDevice
 from repro.common.errors import ConfigError
-from repro.common.types import Op, Request
+from repro.common.types import FLUSH, TRIM, WRITE, Request
 from repro.sim.timeline import Timeline
 from repro.common.units import MB, MIB, MSEC, TIB
 
@@ -73,26 +74,35 @@ class DiskDevice(QueuedDevice, BlockDevice):
         self.spec = spec
         self.arm = Timeline(1)
         self._recent: deque = deque(maxlen=spec.recent_positions)
+        # The same positions in sorted order: the locality verdict is
+        # one bisect instead of a scan.
+        self._recent_sorted: list = []
 
     def _positioning(self, req: Request) -> float:
-        near = any(abs(req.offset - pos) <= self.spec.sequential_window
-                   for pos in reversed(self._recent))
-        if near:
+        # Near iff some position lies in [offset - window, offset + window].
+        window, view = self.spec.sequential_window, self._recent_sorted
+        i = bisect_left(view, req.offset - window)
+        if i < len(view) and view[i] <= req.offset + window:
             return 0.0
         cost = self.spec.avg_seek + self.spec.avg_rotation
-        if req.op is Op.WRITE:
+        if req.op is WRITE:
             return cost * self.spec.write_positioning_factor
         return cost * self.spec.read_positioning_factor
 
     def _service(self, req: Request, now: float) -> float:
-        if req.op is Op.FLUSH:
+        op = req.op
+        if op is FLUSH:
             # Drain the on-disk write cache: wait for the arm to go idle.
             _, end = self.arm.acquire(max(now, self.arm.drain_time()), 0.0)
             return end
-        if req.op is Op.TRIM:
+        if op is TRIM:
             return now  # no-op on spinning media
         duration = self._positioning(req) + req.length / self.spec.transfer_bw
-        self._recent.append(req.end)
+        recent, view, pos = self._recent, self._recent_sorted, req.end
+        if len(recent) == recent.maxlen:      # the oldest leaves both
+            del view[bisect_left(view, recent[0])]
+        recent.append(pos)
+        insort(view, pos)
         _, end = self.arm.acquire(now, duration)
         return end
 
@@ -103,7 +113,7 @@ class DiskDevice(QueuedDevice, BlockDevice):
         extent order, so every float is the loop's."""
         offsets, lengths = np.asarray(offsets), np.asarray(lengths)
         n = offsets.shape[0]
-        if op is not Op.WRITE or not n:
+        if op is not WRITE or not n:
             return super().submit_extents(op, offsets, lengths, nows,
                                           origin, tenants)
         self._check_extents(offsets, lengths)
@@ -124,6 +134,7 @@ class DiskDevice(QueuedDevice, BlockDevice):
         durations = (np.where(near, 0.0, cost)
                      + lengths / spec.transfer_bw).tolist()
         self._recent.extend(ends.tolist())
+        self._recent_sorted = sorted(self._recent)
         arm = self.arm
         free, busy = arm._free[0], arm.busy_time
 

@@ -25,7 +25,7 @@ from typing import Iterator, List, Tuple
 from repro.block.device import BlockDevice
 from repro.common.errors import (ConfigError, DeviceFailedError,
                                  RaidDegradedError, RequestTimeoutError)
-from repro.common.types import Op, Request
+from repro.common.types import FLUSH, READ, TRIM, WRITE, Request
 from repro.common.units import KIB
 from repro.faults.policy import DEFAULT_RETRY, RetryPolicy
 from repro.faults.policy import submit_with_retry
@@ -141,7 +141,7 @@ class _RaidBase(BlockDevice):
             if getattr(m, "failed", False):
                 continue
             try:
-                end = max(end, self._member_submit(i, Request(Op.FLUSH), now))
+                end = max(end, self._member_submit(i, Request(FLUSH), now))
             except DeviceFailedError:
                 continue   # a flush can't lose data we still hold
         return end
@@ -157,7 +157,7 @@ class Raid0Device(_RaidBase):
         super().__init__(members, len(members), chunk_size, name)
 
     def _service(self, req: Request, now: float) -> float:
-        if req.op is Op.FLUSH:
+        if req.op is FLUSH:
             return self._flush_all(now)
         end = now
         for ext in self._extents(req):
@@ -183,7 +183,7 @@ class Raid1Device(_RaidBase):
         return self._alive(member ^ 1)   # the other half of the pair
 
     def _service(self, req: Request, now: float) -> float:
-        if req.op is Op.FLUSH:
+        if req.op is FLUSH:
             return self._flush_all(now)
         end = now
         for ext in self._extents(req):
@@ -191,7 +191,7 @@ class Raid1Device(_RaidBase):
             sub = Request(req.op, off, ext.length, fua=req.fua,
                           origin=req.origin, tenant=req.tenant)
             pair = (2 * ext.chunk, 2 * ext.chunk + 1)
-            if req.op is Op.READ:
+            if req.op is READ:
                 alive = [i for i in pair if self._alive(i)]
                 if not alive:
                     raise RaidDegradedError(
@@ -220,7 +220,7 @@ class Raid1Device(_RaidBase):
                         wrote = True
                     except DeviceFailedError:
                         continue
-                if not wrote and req.op is Op.WRITE:
+                if not wrote and req.op is WRITE:
                     raise RaidDegradedError(
                         f"{self.name}: both mirrors of chunk dead")
         return end
@@ -255,11 +255,11 @@ class _ParityRaid(_RaidBase):
 
     # ------------------------------------------------------------------
     def _service(self, req: Request, now: float) -> float:
-        if req.op is Op.FLUSH:
+        if req.op is FLUSH:
             return self._flush_all(now)
-        if req.op is Op.READ:
+        if req.op is READ:
             return self._read(req, now)
-        if req.op is Op.TRIM:
+        if req.op is TRIM:
             return self._trim(req, now)
         return self._write(req, now)
 
@@ -272,7 +272,7 @@ class _ParityRaid(_RaidBase):
             member_idx = self._data_member(ext.stripe, ext.chunk)
             off = ext.stripe * self.chunk_size + ext.offset
             if self._alive(member_idx):
-                sub = Request(Op.READ, off, ext.length,
+                sub = Request(READ, off, ext.length,
                               origin=req.origin)
                 try:
                     end = max(end, self._member_submit(member_idx, sub, now))
@@ -295,7 +295,7 @@ class _ParityRaid(_RaidBase):
                 self.obs.emit(DegradedRead(
                     t=now, device=self.name,
                     lba=(ext.stripe * self.data_members + ext.chunk)))
-            sub = Request(Op.READ, ext.stripe * self.chunk_size,
+            sub = Request(READ, ext.stripe * self.chunk_size,
                           self.chunk_size, origin=req.origin)
             for i in sources:
                 try:
@@ -349,7 +349,7 @@ class _ParityRaid(_RaidBase):
                                 if c not in full_chunks]
             for idx in read_targets:
                 if self._alive(idx):
-                    sub = Request(Op.READ, stripe_off, self.chunk_size,
+                    sub = Request(READ, stripe_off, self.chunk_size,
                                   origin=req.origin)
                     end = max(end, self._degradable_submit(idx, sub, now))
                     self.rmw_reads += 1
@@ -358,14 +358,14 @@ class _ParityRaid(_RaidBase):
         for ext in extents:
             idx = self._data_member(stripe, ext.chunk)
             if self._alive(idx):
-                sub = Request(Op.WRITE, stripe_off + ext.offset, ext.length,
+                sub = Request(WRITE, stripe_off + ext.offset, ext.length,
                               fua=req.fua, origin=req.origin)
                 end = max(end, self._degradable_submit(idx, sub, write_start))
         if self._alive(parity_idx):
             # Parity is rewritten for the stripe span that changed.
             span = max(ext.offset + ext.length for ext in extents)
             base = min(ext.offset for ext in extents)
-            sub = Request(Op.WRITE, stripe_off + base, span - base,
+            sub = Request(WRITE, stripe_off + base, span - base,
                           fua=req.fua, origin=req.origin)
             end = max(end,
                       self._degradable_submit(parity_idx, sub, write_start))
@@ -396,7 +396,7 @@ class _ParityRaid(_RaidBase):
                 off = ext.stripe * self.chunk_size + ext.offset
                 try:
                     end = max(end, self._member_submit(
-                        idx, Request(Op.TRIM, off, ext.length,
+                        idx, Request(TRIM, off, ext.length,
                                      origin=req.origin), now))
                 except DeviceFailedError:
                     continue   # TRIM to a dying member loses nothing

@@ -21,7 +21,8 @@ from repro.block.lifecycle import Submission
 from repro.common.chunks import (DEFAULT_CHUNK_REQUESTS, SCALAR_THRESHOLD,
                                  request_from_row)
 from repro.common.errors import ConfigError
-from repro.common.types import IoOrigin, IoStats, LatencyStats, Request
+from repro.common.types import (FOREGROUND, IoStats, LatencyStats,
+                                Request)
 from repro.common.units import mb_per_sec
 
 # A workload source yields Requests forever (or until exhausted).
@@ -266,7 +267,6 @@ class Engine:
         totals_record = totals.record
         latencies_record = latencies.record
         queue_delays_record = queue_delays.record
-        foreground = IoOrigin.FOREGROUND
 
         while heap:
             issue_time, index, stream = heappop(heap)
@@ -308,7 +308,7 @@ class Engine:
                 request = stream.next_request()
                 if request is None:
                     continue
-                is_fg = request.origin is foreground
+                is_fg = request.origin is FOREGROUND
                 result = issue(request, issue_time)
                 if isinstance(result, Submission):
                     done = result.done_t

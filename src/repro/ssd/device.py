@@ -29,7 +29,8 @@ from repro.block.device import BlockDevice
 from repro.block.lifecycle import QueuedDevice
 from repro.common.chunks import DECLINED, conformant_mask
 from repro.common.errors import DeviceFailedError
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import (FLUSH, FOREGROUND, READ, TRIM, WRITE,
+                                IoOrigin, Request)
 from repro.common.units import PAGE_SIZE
 from repro.obs.events import FlushBarrier
 from repro.sim.timeline import Link, Timeline
@@ -83,17 +84,17 @@ class SSDDevice(QueuedDevice, BlockDevice):
 
     def inject_corruption(self, offset: int, length: int) -> None:
         """Silently corrupt the stored data in a logical byte range."""
-        self._corrupted_pages.update(Request(Op.READ, offset, length).pages())
+        self._corrupted_pages.update(Request(READ, offset, length).pages())
 
     def corrupted_in(self, offset: int, length: int) -> Set[int]:
         """Corrupted logical page numbers inside a byte range."""
         if not self._corrupted_pages:      # every read hit asks
             return set()
-        span = set(Request(Op.READ, offset, length).pages())
+        span = set(Request(READ, offset, length).pages())
         return span & self._corrupted_pages
 
     def clear_corruption(self, offset: int, length: int) -> None:
-        self._corrupted_pages -= set(Request(Op.READ, offset, length).pages())
+        self._corrupted_pages -= set(Request(READ, offset, length).pages())
 
     # ------------------------------------------------------------------
     # metrics
@@ -116,11 +117,12 @@ class SSDDevice(QueuedDevice, BlockDevice):
     def _service(self, req: Request, now: float) -> float:
         if self.failed:
             raise DeviceFailedError(f"{self.name} has failed")
-        if req.op is Op.FLUSH:
+        op = req.op
+        if op is FLUSH:
             return self._flush(now)
-        if req.op is Op.TRIM:
+        if op is TRIM:
             return self._trim(req, now)
-        if req.op is Op.READ:
+        if op is READ:
             return self._read(req, now)
         return self._write(req.offset, req.length, req.fua, now)
 
@@ -172,7 +174,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
         # internal moves — GC copies, destage reads, rebuild scans —
         # interleave with the program backlog so they never starve the
         # latency-sensitive path.
-        pipeline = (self.nand_reads if req.origin is IoOrigin.FOREGROUND
+        pipeline = (self.nand_reads if req.origin is FOREGROUND
                     else self.nand)
         nand_begin, nand_end = pipeline.acquire(now, read_time)
         # The outbound transfer streams behind the NAND reads: it starts
@@ -227,7 +229,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
         stats.write_ops += 1
         stats.write_bytes += length
         by_origin = stats.bytes_by_origin
-        key = origin.value
+        key = origin._value_
         by_origin[key] = by_origin.get(key, 0) + length
         begin = self._admit(None, now)
         done = self._write(offset, length, False, begin)
@@ -253,7 +255,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
         plain floats in extent order, so every float is the loop's.
         Telemetry, other ops and zero-length commands take the loop."""
         offsets, lengths = np.asarray(offsets), np.asarray(lengths)
-        if (op not in (Op.READ, Op.WRITE) or self.obs.enabled
+        if (op not in (READ, WRITE) or self.obs.enabled
                 or not offsets.shape[0] or not lengths.all()):
             return super().submit_extents(op, offsets, lengths, nows,
                                           origin, tenants)
@@ -266,7 +268,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
         npages = (offsets + lengths + page - 1) // page - first
         nows = np.broadcast_to(np.asarray(nows, dtype=np.float64),
                                offsets.shape[0]).tolist()
-        if op is Op.READ:
+        if op is READ:
             self.ftl.read_extents(first, npages)
             self._count_extents(op, lengths, origin)
             # As _read: NAND first (only foreground reads ride read
@@ -274,7 +276,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
             link = self.read_link
             link.bytes_moved += int(lengths.sum())
             return self._pipeline(
-                nows, self.nand_reads if origin is IoOrigin.FOREGROUND
+                nows, self.nand_reads if origin is FOREGROUND
                 else self.nand, npages * page / spec.nand_read_bw,
                 link._timeline, link.latency + lengths / link.bandwidth,
                 spec.timing.t_read, 0.0)

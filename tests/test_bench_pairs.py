@@ -4,6 +4,8 @@ only spawns the driver)."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -61,3 +63,21 @@ def test_fold_fails_a_moved_digest_a_failed_op_and_a_failed_check():
     assert folded["problems"][1].startswith("pair 2 change")
     assert folded["problems"][2].startswith("pair 3 parent")
     assert bench_pairs.render(folded).count("PROBLEM") == 3
+
+
+def test_header_names_the_interpreter_and_both_heads(tmp_path):
+    repo, plain = tmp_path / "repo", tmp_path / "plain"
+    repo.mkdir()
+    plain.mkdir()
+    git = ["git", "-C", str(repo)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["-c", "user.name=t", "-c", "user.email=t@t",
+                          "commit", "-q", "--allow-empty", "-m", "c"],
+                   check=True)
+    sha = subprocess.run(git + ["rev-parse", "--short", "HEAD"],
+                         capture_output=True, text=True).stdout.strip()
+    first, second = bench_pairs.header("src-mix-zipf", 2, 7.0, 3,
+                                       (plain, repo)).splitlines()
+    assert first == (f"src-mix-zipf --seed 2 --seconds 7: 3 alternating "
+                     f"pairs, parent {plain} @ ? / change {repo} @ {sha}")
+    assert second.startswith(f"python {sys.version.split()[0]} (")

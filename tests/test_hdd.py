@@ -1,9 +1,13 @@
 """Mechanical disk and RAID-10 backend."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.units import KIB, MIB, mb_per_sec
+from repro.common.types import IoOrigin, Op, Request
+from repro.common.units import GIB, KIB, MIB, mb_per_sec
 from repro.hdd.backend import PrimaryStorage, Raid10Array
 from repro.hdd.disk import DiskDevice, DiskSpec
 
@@ -120,27 +124,61 @@ def test_primary_storage_flush_propagates():
     assert storage.flush(0.0) > 0.0
 
 
-def test_positioning_scans_newest_position_first():
-    """A sorted stream lands near the deque's newest entry: that hit
-    costs one comparison, and every verdict equals an oldest-first
-    scan's (``any`` does not care about order)."""
-    from repro.common.types import Op, Request
+def near_oracle(disk: DiskDevice, offset: int) -> bool:
+    """The locality verdict by definition: a recent head position
+    within the sequential window of the offset."""
+    window = disk.spec.sequential_window
+    return any(abs(offset - pos) <= window for pos in disk._recent)
 
-    class Counted(int):
-        subtractions = 0
 
-        def __rsub__(self, other):
-            Counted.subtractions += 1
-            return int(other) - int(self)
-
+def test_positioning_matches_the_scan_oracle():
+    """The bisect over the sorted view answers as a scan of the deque:
+    seeded positions probed at exactly the window's edges and one past
+    them, through hundreds of evictions, per-request and batched
+    writes alike."""
+    rng = random.Random(26)
     disk = DiskDevice()
     window = disk.spec.sequential_window
-    disk._recent.extend(Counted(i * 100 * MIB) for i in range(32))
-    newest = 31 * 100 * MIB
-    assert disk._positioning(Request(Op.WRITE, newest + 4096, 4096)) == 0.0
-    assert Counted.subtractions == 1
-    for offset in (0, window, window + 1, 50 * MIB, 1500 * MIB + window,
-                   newest - window - 1, newest + 2 * window):
-        near = any(abs(offset - int(pos)) <= window for pos in disk._recent)
-        cost = disk._positioning(Request(Op.READ, offset, 4096))
-        assert (cost == 0.0) == near
+    space = 256 * window                  # sparse: edges decide alone
+    verdicts, now = {True: 0, False: 0}, 0.0
+    for step in range(400):
+        if disk._recent:
+            pos = rng.choice(list(disk._recent))
+            for offset in (pos - window - 1, pos - window, pos + window,
+                           pos + window + 1, rng.randrange(space)):
+                if offset < 0:
+                    continue
+                near = near_oracle(disk, offset)
+                verdicts[near] += 1
+                cost = disk._positioning(Request(Op.READ, offset, 4096))
+                assert (cost == 0.0) == near, (step, offset)
+        if step % 16 == 15:
+            offs = np.array([rng.randrange(space) for _ in range(20)])
+            lens = np.array([rng.choice([512, 4096, 64 * KIB])
+                             for _ in range(20)])
+            now = float(disk.submit_extents(Op.WRITE, offs, lens, now,
+                                            IoOrigin.DESTAGE).max())
+        else:
+            now = disk.write(rng.randrange(space), rng.choice([512, 4096]),
+                             now)
+        assert disk._recent_sorted == sorted(disk._recent)
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def test_an_evicted_duplicate_leaves_its_twin_near():
+    """Two writes ending at one position, the older evicted: the
+    younger still counts as near until it is evicted too."""
+    disk = DiskDevice()
+    window, depth = disk.spec.sequential_window, disk.spec.recent_positions
+    twin = 10 * GIB
+    far = [(i + 1) * 50 * GIB for i in range(depth)]
+    disk.write(twin - 4096, 4096, 0.0)
+    disk.write(twin - 4096, 4096, 0.0)
+    for offset in far[:depth - 1]:        # evicts the first twin only
+        disk.write(offset, 4096, 0.0)
+    assert list(disk._recent).count(twin) == 1
+    probe = Request(Op.READ, twin + window, 4096)
+    assert disk._positioning(probe) == 0.0
+    disk.write(far[-1], 4096, 0.0)        # and now the second
+    assert twin not in disk._recent_sorted
+    assert disk._positioning(probe) > 0.0

@@ -52,7 +52,9 @@ def device_state(dev) -> dict:
 def disk_state(disk: DiskDevice) -> dict:
     return {**device_state(disk), "queue": disk.qstats.as_dict(),
             "arm_free": list(disk.arm._free), "arm_busy": disk.arm.busy_time,
-            "recent": list(disk._recent), "inflight": sorted(disk._inflight)}
+            "recent": list(disk._recent),
+            "recent_sorted": list(disk._recent_sorted),
+            "inflight": sorted(disk._inflight)}
 
 
 def state(origin: PrimaryStorage) -> dict:

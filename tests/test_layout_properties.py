@@ -19,12 +19,9 @@ def test_slot_locations_unique_within_segment(sg, segment, with_parity):
     """No two slots of one segment may share a physical page."""
     layout = layout_for()
     capacity = layout.segment_data_capacity(with_parity)
-    seen = set()
-    for slot in range(capacity):
-        loc = layout.slot_location(sg, segment, slot, with_parity)
-        key = (loc.ssd, loc.offset)
-        assert key not in seen, f"slot {slot} collides"
-        seen.add(key)
+    _, ssds, offsets = layout.slot_locations_array(sg, segment, capacity,
+                                                   with_parity)
+    assert len(set(zip(ssds.tolist(), offsets.tolist()))) == capacity
 
 
 @given(st.integers(1, 15), st.integers(0, 15), st.booleans())
@@ -34,10 +31,10 @@ def test_slots_stay_inside_their_unit(sg, segment, with_parity):
     layout = layout_for()
     base = layout.unit_offset(sg, segment)
     unit = layout.config.segment_unit
-    for slot in range(layout.segment_data_capacity(with_parity)):
-        loc = layout.slot_location(sg, segment, slot, with_parity)
-        within = loc.offset - base
-        assert PAGE_SIZE <= within < unit - PAGE_SIZE
+    _, _, offsets = layout.slot_locations_array(
+        sg, segment, layout.segment_data_capacity(with_parity), with_parity)
+    within = offsets - base
+    assert (PAGE_SIZE <= within).all() and (within < unit - PAGE_SIZE).all()
 
 
 @given(st.integers(1, 15), st.integers(0, 15))
@@ -45,9 +42,9 @@ def test_slots_stay_inside_their_unit(sg, segment, with_parity):
 def test_parity_never_holds_data(sg, segment):
     layout = layout_for()
     parity = layout.parity_ssd(sg, segment)
-    for slot in range(layout.dirty_segment_capacity()):
-        loc = layout.slot_location(sg, segment, slot, True)
-        assert loc.ssd != parity
+    _, ssds, _ = layout.slot_locations_array(
+        sg, segment, layout.dirty_segment_capacity(), True)
+    assert parity not in ssds.tolist()
 
 
 @given(st.integers(3, 8))

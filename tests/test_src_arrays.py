@@ -6,6 +6,7 @@ oracle, so a vector helper is correct exactly when a run built with it
 is indistinguishable from one built one element at a time.
 """
 
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,16 +15,17 @@ from repro.common.checksum import block_checksum, block_checksums_array
 from repro.common.chunks import (OP_READ, ORIGIN_GC, conformant_mask,
                                  make_chunk, requests_from_chunk)
 from repro.common.types import IoStats, LatencyStats, Op, Request
-from repro.common.units import PAGE_SIZE
+from repro.common.units import KIB, PAGE_SIZE
 from repro.core.arrays import (B_DIRTY, B_NONE, BlockState, VersionArray,
                                grow_to)
+from repro.core import segments as segments_module
 from repro.core.buffers import SegmentBuffer
 from repro.core.hotness import HotnessBitmap
 from repro.core.layout import BlockLocation
 from repro.core.mapping import CacheEntry, MappingTable
 from repro.obs.recorder import ObsRecorder, attach
 
-from _stacks import make_src
+from _stacks import TINY_SRC, make_src
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +215,82 @@ def test_mapping_invalidate_many_with_observer_preserves_order():
         scalar.invalidate(lba)
     batched.invalidate_many(victims)     # one blocks_evicted(victims) call
     assert obs_batched.events == obs_scalar.events
+
+
+# ----------------------------------------------------------------------
+# SegmentLog.install: the per-slot loop vs insert_batch
+# ----------------------------------------------------------------------
+# 64 KiB units hold 14 data blocks, so partial segments of every shape
+# around a unit boundary stay under the loop's 32-block threshold.
+SMALL_UNITS = dataclasses.replace(TINY_SRC, segment_unit=64 * KIB)
+
+
+def _install(config, vector, monkeypatch, sg, segment, lbas, versions,
+             dirty, with_parity, stored=None, premapped=None):
+    """A fresh cache's install of one segment, per-slot loop or (with
+    the threshold at 0) ``insert_batch``; the cache and the checksums."""
+    cache = make_src(config)
+    if premapped is not None:     # an earlier segment holds these
+        cache.segments.install(3, 1, premapped, np.ones_like(premapped),
+                               True, with_parity)
+    with monkeypatch.context() as m:
+        if vector:
+            m.setattr(segments_module, "SCALAR_THRESHOLD", 0)
+        checksums = cache.segments.install(sg, segment, lbas, versions,
+                                           dirty, with_parity, stored)
+    return cache, checksums
+
+
+def _columns(mapping, lbas):
+    return ([c.tolist() for c in mapping.locations_arrays(lbas)]
+            + [mapping._checksum[lbas].tolist(),
+               mapping._version[lbas].tolist(), mapping._dirty[lbas].tolist(),
+               [mapping._sg_live_lbas(sg).tolist()
+                for sg in range(len(mapping._log))],
+               len(mapping), mapping.dirty_count])
+
+
+@pytest.mark.parametrize("raid_level, dirty", [(5, True), (5, False),
+                                               (4, True), (0, True)])
+@pytest.mark.parametrize("n", [1, 13, 14, 15, 31])
+def test_install_loop_matches_insert_batch(raid_level, dirty, n, monkeypatch):
+    """RAID-5 parity rotating with the segment, RAID-4 and RAID-0, NPC
+    clean segments (RAID-5, clean: no parity unit)."""
+    config = dataclasses.replace(SMALL_UNITS, raid_level=raid_level)
+    rng = np.random.default_rng(n)
+    for sg, segment in ((1, 0), (2, 1), (2, 2), (5, 3), (1, 7)):
+        lbas = rng.choice(50_000, size=n, replace=False).astype(np.int64)
+        versions = rng.integers(1, 9, size=n).astype(np.int64)
+        with_parity = dirty and raid_level != 0     # NPC: clean has none
+        loop, loop_sums = _install(config, False, monkeypatch, sg, segment,
+                                   lbas, versions, dirty, with_parity)
+        batch, batch_sums = _install(config, True, monkeypatch, sg, segment,
+                                     lbas, versions, dirty, with_parity)
+        assert loop_sums == batch_sums
+        assert _columns(loop.mapping, lbas) == _columns(batch.mapping, lbas)
+        loop.mapping.check_invariants()
+
+
+def test_install_skips_exactly_the_slots_whose_checksum_mismatches(
+        monkeypatch):
+    """Recovery's ``stored`` column: a mismatching slot stays unmapped
+    (or where an earlier segment put it); every other slot moves here."""
+    rng = np.random.default_rng(3)
+    lbas = rng.choice(50_000, size=20, replace=False).astype(np.int64)
+    versions = rng.integers(1, 9, size=20).astype(np.int64)
+    stored = block_checksums_array(lbas, versions)
+    bad = [0, 6, 13, 14, 19]
+    stored[bad] += 1
+    premapped = lbas[::4].copy()             # slots 0, 4, 8, 12, 16
+    runs = [_install(SMALL_UNITS, vector, monkeypatch, 2, 5, lbas, versions,
+                     True, True, stored, premapped) for vector in (False, True)]
+    (loop, loop_sums), (batch, batch_sums) = runs
+    keep = [i for i in range(20) if i not in bad]
+    assert loop_sums == batch_sums == stored[keep].tolist()
+    assert _columns(loop.mapping, lbas) == _columns(batch.mapping, lbas)
+    sgs = loop.mapping.locations_arrays(lbas)[0].tolist()
+    assert [i for i in range(20) if sgs[i] != 2] == bad
+    assert sgs[0] == 3 and sgs[6] == -1 and sgs[4] == 2
 
 
 # ----------------------------------------------------------------------

@@ -102,23 +102,31 @@ def test_raid0_has_no_parity():
 def test_slot_location_skips_parity_ssd():
     layout = make_layout()
     parity = layout.parity_ssd(1, 0)
-    ssds_used = {layout.slot_location(1, 0, slot, True).ssd
-                 for slot in range(layout.dirty_segment_capacity())}
-    assert parity not in ssds_used
-    assert len(ssds_used) == 3
+    _, ssds, _ = layout.slot_locations_array(
+        1, 0, layout.dirty_segment_capacity(), True)
+    used = set(ssds.tolist())
+    assert parity not in used
+    assert len(used) == 3
 
 
 def test_slot_location_offsets_within_unit():
     layout = make_layout()
-    loc = layout.slot_location(1, 0, 0, True)
+    _, _, offsets = layout.slot_locations_array(1, 0, 1, True)
     base = layout.unit_offset(1, 0)
-    assert loc.offset == base + PAGE_SIZE   # after MS
+    assert offsets[0] == base + PAGE_SIZE   # after MS
 
 
 def test_slot_location_beyond_capacity_rejected():
+    """Slots spill into the next segment, and past the group's last one
+    are rejected."""
     layout = make_layout()
+    last = layout.segments_per_group - 1
+    segments, _, _ = layout.slot_locations_array(
+        1, last - 1, layout.dirty_segment_capacity() + 1, True)
+    assert segments[-1] == last
     with pytest.raises(ConfigError):
-        layout.slot_location(1, 0, layout.dirty_segment_capacity(), True)
+        layout.slot_locations_array(1, last,
+                                    layout.dirty_segment_capacity() + 1, True)
 
 
 def test_metadata_offsets_bracket_unit():
@@ -132,7 +140,6 @@ def test_metadata_offsets_bracket_unit():
 def test_slots_fill_units_in_order():
     layout = make_layout()
     per_unit = layout.data_blocks_per_unit
-    first_unit_ssd = layout.slot_location(1, 0, 0, True).ssd
-    assert layout.slot_location(1, 0, per_unit - 1, True).ssd == \
-        first_unit_ssd
-    assert layout.slot_location(1, 0, per_unit, True).ssd != first_unit_ssd
+    _, ssds, _ = layout.slot_locations_array(1, 0, per_unit + 1, True)
+    assert ssds[per_unit - 1] == ssds[0]
+    assert ssds[per_unit] != ssds[0]
