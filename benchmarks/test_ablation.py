@@ -1,6 +1,6 @@
 """Bench: design-choice ablations (hotness bitmap, hot/clean split)."""
 
-from repro.harness import exp_ablation
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
@@ -11,7 +11,7 @@ def parse(cell):
 
 
 def test_ablations(benchmark, es):
-    result = run_once(benchmark, exp_ablation.run, es)
+    result = run_once(benchmark, REGISTRY["ablation"].sweep.run, es)
     emit(result)
     for row in result.rows:
         group = row[0]

@@ -1,12 +1,12 @@
 """Bench: Figure 1 — Bcache/Flashcache over RAID-0/1/4/5."""
 
-from repro.harness import exp_fig1
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
 
 def test_fig1_raid_levels(benchmark, es):
-    result = run_once(benchmark, exp_fig1.run, es)
+    result = run_once(benchmark, REGISTRY["fig1"].sweep.run, es)
     emit(result)
     for cache in ("Bcache", "Flashcache"):
         raid0 = result.cell(cache, "RAID-0")

@@ -1,14 +1,14 @@
 """Bench: Figure 2 — erase group size emerges from the FTL model."""
 
-from repro.harness import exp_fig2
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
 
 def test_fig2_erase_group_size(benchmark, es):
-    result = run_once(benchmark, exp_fig2.run, es,
-                      ops_levels=(0.0, 0.2, 0.5),
-                      sizes=(32, 128, 256, 512))
+    fig2 = REGISTRY["fig2"].sweep.only(
+        rows=(0.0, 0.2, 0.5), columns=("32MB", "128MB", "256MB", "512MB"))
+    result = run_once(benchmark, fig2.run, es)
     emit(result)
     # Throughput grows with write-unit size at every OPS level.
     for row in result.rows:

@@ -1,6 +1,6 @@
 """Bench: Figure 4 — SRC throughput/amplification vs erase group size."""
 
-from repro.harness import exp_fig4
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
@@ -15,7 +15,8 @@ def test_fig4_src_erase_group(benchmark, es):
     # scaled-down cache holds too few segment groups for GC to breathe
     # (18 GB / 1 GB = 18 groups in the paper; 4 at quick scale), which
     # is a scale artifact rather than the paper's regime.
-    result = run_once(benchmark, exp_fig4.run, es, sizes=(32, 128, 256))
+    fig4 = REGISTRY["fig4"].sweep.only(columns=("32MB", "128MB", "256MB"))
+    result = run_once(benchmark, fig4.run, es)
     emit(result)
     for row in result.rows:
         small_tput, small_amp = parse(row[1])

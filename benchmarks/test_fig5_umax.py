@@ -1,6 +1,6 @@
 """Bench: Figure 5 — the UMAX threshold sweep for Sel-GC."""
 
-from repro.harness import exp_fig5
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
@@ -11,8 +11,8 @@ def parse(cell):
 
 
 def test_fig5_umax_sweep(benchmark, es):
-    levels = (0.30, 0.70, 0.90)
-    result = run_once(benchmark, exp_fig5.run, es, levels=levels)
+    fig5 = REGISTRY["fig5"].sweep.only(columns=("30%", "70%", "90%"))
+    result = run_once(benchmark, fig5.run, es)
     emit(result)
     for row in result.rows:
         group = row[0]

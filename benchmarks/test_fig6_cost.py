@@ -1,6 +1,6 @@
 """Bench: Figure 6 — cost-effectiveness of SATA RAID-5 vs single NVMe."""
 
-from repro.harness import exp_fig6
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
@@ -11,7 +11,7 @@ def parse(cell):
 
 
 def test_fig6_cost_effectiveness(benchmark, es):
-    result = run_once(benchmark, exp_fig6.run, es)
+    result = run_once(benchmark, REGISTRY["fig6"].sweep.run, es)
     emit(result)
     groups = ["write", "mixed", "read"]
     for gi, group in enumerate(groups, start=1):

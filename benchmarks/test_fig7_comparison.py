@@ -4,7 +4,7 @@ The headline result: "SRC performs at least 2 times better in terms of
 throughput than existing open source solutions."
 """
 
-from repro.harness import exp_fig7
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
@@ -15,7 +15,7 @@ def parse(cell):
 
 
 def test_fig7_src_vs_existing(benchmark, es):
-    result = run_once(benchmark, exp_fig7.run, es)
+    result = run_once(benchmark, REGISTRY["fig7"].sweep.run, es)
     emit(result)
     for i, group in enumerate(("write", "mixed", "read"), start=1):
         src_tput, src_amp, src_hit = parse(result.cell("SRC", group))

@@ -1,6 +1,6 @@
 """Bench: Table 10 — SRC cache RAID level 0/4/5."""
 
-from repro.harness import exp_table10
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
@@ -11,7 +11,7 @@ def parse(cell):
 
 
 def test_table10_raid_levels(benchmark, es):
-    result = run_once(benchmark, exp_table10.run, es)
+    result = run_once(benchmark, REGISTRY["table10"].sweep.run, es)
     emit(result)
     for row in result.rows:
         group = row[0]

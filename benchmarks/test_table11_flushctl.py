@@ -1,6 +1,6 @@
 """Bench: Table 11 — flush per segment vs per segment group."""
 
-from repro.harness import exp_table11
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
@@ -11,7 +11,7 @@ def parse(cell):
 
 
 def test_table11_flush_control(benchmark, es):
-    result = run_once(benchmark, exp_table11.run, es)
+    result = run_once(benchmark, REGISTRY["table11"].sweep.run, es)
     emit(result)
     for row in result.rows:
         group = row[0]

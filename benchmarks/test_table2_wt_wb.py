@@ -1,12 +1,12 @@
 """Bench: Table 2 — write-through vs write-back on a single SSD."""
 
-from repro.harness import exp_table2
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
 
 def test_table2_wt_vs_wb(benchmark, es):
-    result = run_once(benchmark, exp_table2.run, es)
+    result = run_once(benchmark, REGISTRY["table2"].sweep.run, es)
     emit(result)
     for cache in ("Bcache", "Flashcache"):
         wt = result.cell(cache, "WT")

@@ -1,12 +1,12 @@
 """Bench: Table 3 — flush command impact on a raw SSD."""
 
-from repro.harness import exp_table3
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
 
 def test_table3_flush_impact(benchmark, es):
-    result = run_once(benchmark, exp_table3.run, es)
+    result = run_once(benchmark, REGISTRY["table3"].sweep.run, es)
     emit(result)
     for pattern in ("Sequential", "Random"):
         free = result.cell(pattern, "No flush")

@@ -1,6 +1,6 @@
 """Bench: Table 8 — S2D vs Sel-GC x FIFO/Greedy victim selection."""
 
-from repro.harness import exp_table8
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
@@ -11,7 +11,7 @@ def parse(cell):
 
 
 def test_table8_free_space_management(benchmark, es):
-    result = run_once(benchmark, exp_table8.run, es)
+    result = run_once(benchmark, REGISTRY["table8"].sweep.run, es)
     emit(result)
     for row in result.rows:
         group = row[0]

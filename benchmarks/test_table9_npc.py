@@ -1,6 +1,6 @@
 """Bench: Table 9 — Parity-for-Clean vs No-Parity-for-Clean."""
 
-from repro.harness import exp_table9
+from repro.harness.experiments import REGISTRY
 
 from _bench_utils import emit, run_once
 
@@ -11,7 +11,7 @@ def parse(cell):
 
 
 def test_table9_pc_vs_npc(benchmark, es):
-    result = run_once(benchmark, exp_table9.run, es)
+    result = run_once(benchmark, REGISTRY["table9"].sweep.run, es)
     emit(result)
     for row in result.rows:
         group = row[0]

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.harness import exp_table6, exp_tables4_12
+from repro.harness.experiments import table4, table6, table12
 
 from _bench_utils import emit, run_once
 
 
 def test_table4_and_12_product_sheets(benchmark):
     def build():
-        return exp_tables4_12.run_table4(), exp_tables4_12.run_table12()
+        return table4(), table12()
 
     t4, t12 = benchmark.pedantic(build, rounds=1, iterations=1)
     emit(t4)
@@ -20,7 +20,7 @@ def test_table4_and_12_product_sheets(benchmark):
 
 
 def test_table6_trace_characteristics(benchmark, es):
-    result = run_once(benchmark, exp_table6.run, es, sample=2000)
+    result = run_once(benchmark, table6, es, sample=2000)
     emit(result)
     for row in result.rows:
         name, group, spec_kb, meas_kb, spec_r, meas_r = row

@@ -13,7 +13,7 @@ import sys
 
 from repro.cost.products import PRODUCT_ORDER, PRODUCTS
 from repro.harness.context import ExperimentScale
-from repro.harness.exp_fig6 import measure
+from repro.harness.runner import measure_cost
 
 ES = ExperimentScale(scale=1 / 64, warmup=20.0, duration=6.0)
 
@@ -24,7 +24,7 @@ def main() -> None:
     rows = []
     for key in PRODUCT_ORDER:
         product = PRODUCTS[key]
-        ce = measure(product, group, ES)
+        ce = measure_cost(product, group, ES)
         rows.append(ce)
         print(f"measured {key:<14} {ce.throughput_mb_s:7.1f} MB/s, "
               f"lifetime {ce.lifetime_days:6.0f} days "

@@ -21,7 +21,7 @@ Highlights:
   multi-tenant volumes with per-tenant shares over one array.
 - :class:`repro.core.config.SrcConfig` — the Table 7 design space
   (nested ``reclaim``/``faults``/``repair``/``qos`` groups).
-- :mod:`repro.harness` — one module per reproduced table/figure;
+- :mod:`repro.harness` — one registry of reproduced tables/figures;
   :data:`repro.api.EXPERIMENTS` lists them.
 
 See README.md for a quickstart and DESIGN.md for the system inventory.

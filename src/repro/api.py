@@ -11,7 +11,7 @@ lives here under one import path::
     done = vol.submit(Request(Op.WRITE, 0, 4096), now=0.0)
     print(array.stats()["tenants"])
 
-Internal module paths (``repro.core.*``, ``repro.harness.exp_*``) may
+Internal module paths (``repro.core.*``, ``repro.harness.*``) may
 move between releases; names exported here will not.  The facade
 groups four things:
 
@@ -27,8 +27,6 @@ groups four things:
 
 from __future__ import annotations
 
-import importlib
-import inspect
 from typing import Dict, List, Optional
 
 from repro.baselines.common import WritePolicy
@@ -46,6 +44,7 @@ from repro.harness.context import (CACHE_SPACE, DEFAULT_SCALE, QUICK_SCALE,
                                    ExperimentScale, build_bcache,
                                    build_cluster, build_flashcache,
                                    build_shard, build_src)
+from repro.harness.experiments import REGISTRY
 from repro.harness.results import ExperimentResult
 from repro.obs import ObsRecorder, attach, collect, events_to_csv, to_json, use
 from repro.ssd.spec import NVME_MLC_400, SATA_MLC_128, SATA_TLC_128, SsdSpec
@@ -55,54 +54,23 @@ from repro.workloads.replay import replay_group
 # ----------------------------------------------------------------------
 # experiment registry (the CLI renders this; CI drives it)
 # ----------------------------------------------------------------------
+# id -> (module holding the code it runs, one-line blurb), in CLI order.
 EXPERIMENTS: Dict[str, "tuple[str, str]"] = {
-    "table2": ("repro.harness.exp_table2", "WT vs WB, single SSD"),
-    "table3": ("repro.harness.exp_table3", "flush command impact"),
-    "fig1": ("repro.harness.exp_fig1", "caches over RAID levels"),
-    "fig2": ("repro.harness.exp_fig2", "erase group size"),
-    "fig4": ("repro.harness.exp_fig4", "SRC vs erase group size"),
-    "table8": ("repro.harness.exp_table8", "free space management"),
-    "fig5": ("repro.harness.exp_fig5", "UMAX sweep"),
-    "table9": ("repro.harness.exp_table9", "PC vs NPC"),
-    "table10": ("repro.harness.exp_table10", "SRC RAID level"),
-    "table11": ("repro.harness.exp_table11", "flush control"),
-    "fig6": ("repro.harness.exp_fig6", "cost-effectiveness"),
-    "fig7": ("repro.harness.exp_fig7", "SRC vs existing solutions"),
-    "table6": ("repro.harness.exp_table6", "trace characteristics"),
-    "tables4-12": ("repro.harness.exp_tables4_12", "product sheets"),
-    "ablation": ("repro.harness.exp_ablation", "design ablations"),
-    "writeboost": ("repro.harness.exp_writeboost",
-                   "supplementary: SRC vs DM-Writeboost lineage"),
-    "latency": ("repro.harness.exp_latency",
-                "supplementary: latency percentiles per scheme"),
-    "tenants": ("repro.harness.exp_tenants",
-                "tenant isolation: QoS shares vs a write whale"),
-    "cluster": ("repro.harness.exp_cluster",
-                "sharded cluster: scaling, rebalance, blast radius"),
-    "rebuild": ("repro.harness.exp_rebuild",
-                "hot-spare rebuild rate sweep + scrub demo"),
-}
+    exp_id: (entry.module, entry.blurb) for exp_id, entry in REGISTRY.items()}
 
 
 def run_experiment(exp_id: str, es: ExperimentScale = DEFAULT_SCALE,
                    jobs: int = 1) -> List[ExperimentResult]:
     """Run one experiment id, returning its ExperimentResult(s).
 
-    ``jobs`` fans independent sweep points over a process pool for the
-    experiments whose ``run`` accepts it; others run serially
-    regardless — results are identical either way.
+    ``jobs`` fans the experiment's independent cells over a process
+    pool; results are identical to ``jobs=1``.
     """
-    if exp_id not in EXPERIMENTS:
+    if exp_id not in REGISTRY:
         raise ConfigError(
             f"unknown experiment {exp_id!r}; known: "
-            f"{', '.join(sorted(EXPERIMENTS))}")
-    module_name, _ = EXPERIMENTS[exp_id]
-    module = importlib.import_module(module_name)
-    if exp_id == "tables4-12":
-        return [module.run_table4(), module.run_table12()]
-    if jobs != 1 and "jobs" in inspect.signature(module.run).parameters:
-        return [module.run(es, jobs=jobs)]
-    return [module.run(es)]
+            f"{', '.join(sorted(REGISTRY))}")
+    return REGISTRY[exp_id].run(es, jobs)
 
 
 def result_violations(result: ExperimentResult) -> List[str]:

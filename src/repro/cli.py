@@ -4,7 +4,8 @@ Commands
 --------
 experiments              list the reproducible tables/figures
 run <exp-id> [...]       run experiments; ``--format json`` adds telemetry,
-                         ``--jobs N`` fans sweep points over N processes;
+                         ``--jobs N`` fans any experiment's cells over N
+                         processes;
                          exits 1 if a result records acceptance
                          ``violation:`` notes (``run tenants``, ``run
                          cluster``, ``run rebuild``)
@@ -274,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="table",
                      help="table (default) or json with telemetry")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="processes for sweep experiments (fig2/fig4/"
-                          "fig5/cluster); results are identical to "
-                          "--jobs 1")
+                     help="processes to fan every experiment's cells "
+                          "over; results are identical to --jobs 1")
     _add_scale_flags(run)
 
     trace = sub.add_parser(

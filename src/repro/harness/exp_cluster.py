@@ -398,14 +398,3 @@ def run(es: ExperimentScale = DEFAULT_SCALE, jobs: int = 1
         f"write_arounds={blast['write_arounds']} (failed ranges served "
         "from origin, not re-homed)")
     return result
-
-
-def violations(result: ExperimentResult) -> List[str]:
-    """The acceptance failures recorded in a result's notes."""
-    return [n for n in result.notes if n.startswith("violation:")]
-
-
-if __name__ == "__main__":
-    from repro.harness.context import QUICK_SCALE
-    out = run(QUICK_SCALE)
-    print(out.render())

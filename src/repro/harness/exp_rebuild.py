@@ -24,6 +24,7 @@ which ``python -m repro run rebuild`` turns into a nonzero exit status.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import List, Optional
 
 from repro.common.types import Op, Request
@@ -33,6 +34,7 @@ from repro.core.src import SrcCache
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.context import (CACHE_SPACE, DEFAULT_SCALE,
                                    ExperimentScale, build_src, build_ssds)
+from repro.harness.parallel import parallel_map
 from repro.harness.results import ExperimentResult, ratio
 from repro.workloads.replay import replay_group
 
@@ -154,8 +156,9 @@ def _scrub_demo(es: ExperimentScale, notes: List[str]) -> None:
             f"violation: {leftover} seeded blocks still corrupt on media")
 
 
-def run(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
-    """The rebuild-rate sweep plus the scrub acceptance demo."""
+def run(es: ExperimentScale = DEFAULT_SCALE,
+        jobs: int = 1) -> ExperimentResult:
+    """The rebuild-rate sweep (fanned over ``jobs``), then the scrub demo."""
     result = ExperimentResult(
         experiment="Rebuild",
         title="Hot-spare rebuild: write-group replay, ssd0 fail-stop at "
@@ -164,8 +167,9 @@ def run(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
                  "MTTR (s)", "Degraded (s)", "Units", "Lost dirty"],
     )
     base_p99 = 0.0
-    for label, rate in SWEEP:
-        row = _run_row(es, rate)
+    rows = parallel_map(partial(_run_row, es), [r for _, r in SWEEP],
+                        jobs=jobs)
+    for (label, rate), row in zip(SWEEP, rows):
         if rate is None:
             base_p99 = row["p99"]
         result.add_row(label, row["throughput"], row["p99"] * 1e3,
@@ -195,14 +199,3 @@ def run(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
                 "(unreconstructable NPC segments refetch on demand)")
     _scrub_demo(es, result.notes)
     return result
-
-
-def violations(result: ExperimentResult) -> List[str]:
-    """The acceptance failures recorded in a result's notes."""
-    return [n for n in result.notes if n.startswith("violation:")]
-
-
-if __name__ == "__main__":
-    from repro.harness.context import QUICK_SCALE
-    out = run(QUICK_SCALE)
-    print(out.render())

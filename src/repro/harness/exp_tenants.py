@@ -27,12 +27,14 @@ nonzero on them.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from functools import partial
+from typing import Dict, List, Tuple
 
 from repro.common.units import PAGE_SIZE
 from repro.core.config import QosConfig, SrcConfig
 from repro.harness.context import (CACHE_SPACE, DEFAULT_SCALE,
                                    ExperimentScale, build_src)
+from repro.harness.parallel import parallel_map
 from repro.harness.results import ExperimentResult, ratio
 from repro.sim.engine import Engine, JobStream
 from repro.tenancy import QosSpec, TenantRegistry
@@ -107,9 +109,9 @@ def _population(es: ExperimentScale, capacity_bytes: int,
     return ([whale] + smalls) if with_whale else smalls
 
 
-def _run_mode(es: ExperimentScale, with_whale: bool,
-              enforce: bool) -> dict:
+def _run_mode(es: ExperimentScale, mode: Tuple[str, bool, bool]) -> dict:
     """One run: build a fresh array, populate it, storm it, measure."""
+    _, with_whale, enforce = mode
     config = SrcConfig(cache_space=CACHE_SPACE,
                        qos=QosConfig(enforce_shares=enforce))
     cache = build_src(es.scale, config)
@@ -159,8 +161,9 @@ MODES = (
 )
 
 
-def run(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
-    """The three-mode isolation comparison."""
+def run(es: ExperimentScale = DEFAULT_SCALE,
+        jobs: int = 1) -> ExperimentResult:
+    """The three-mode isolation comparison (modes fan over ``jobs``)."""
     result = ExperimentResult(
         experiment="Tenants",
         title="Tenant isolation: 5 small tenants vs 1 write whale, "
@@ -171,8 +174,8 @@ def run(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
     )
     alone_p99 = 0.0
     rows: Dict[str, dict] = {}
-    for label, with_whale, enforce in MODES:
-        row = _run_mode(es, with_whale, enforce)
+    runs = parallel_map(partial(_run_mode, es), MODES, jobs=jobs)
+    for (label, _, _), row in zip(MODES, runs):
         rows[label] = row
         if label == "alone":
             alone_p99 = row["small_p99"]
@@ -219,14 +222,3 @@ def run(es: ExperimentScale = DEFAULT_SCALE) -> ExperimentResult:
         f"{enforced['small_hit_occ']}, unenforced "
         f"{unenforced['small_hit_occ']}")
     return result
-
-
-def violations(result: ExperimentResult) -> List[str]:
-    """The acceptance failures recorded in a result's notes."""
-    return [n for n in result.notes if n.startswith("violation:")]
-
-
-if __name__ == "__main__":
-    from repro.harness.context import QUICK_SCALE
-    out = run(QUICK_SCALE)
-    print(out.render())

@@ -29,7 +29,8 @@ this with ``scripts/check_parallel_identity.py``.
 from __future__ import annotations
 
 import multiprocessing as mp
-from typing import Callable, Iterable, List, Sequence, TypeVar
+from functools import partial
+from typing import Any, Callable, Iterable, List, Sequence, Tuple, TypeVar
 
 from repro.common.errors import ConfigError
 
@@ -97,10 +98,35 @@ def grid(*axes: Sequence) -> List[tuple]:
     """Row-major cartesian product of sweep axes.
 
     ``grid(rows, cols)`` yields ``(row, col)`` points in the same order
-    the serial nested-for loops iterate them, which is what lets a
-    sweep module reshape the flat result list back into table rows.
+    the serial nested-for loops iterate them, which is what lets
+    :func:`sweep` reshape the flat result list back into table rows.
     """
     points: List[tuple] = [()]
     for axis in axes:
         points = [p + (v,) for p in points for v in axis]
     return points
+
+
+def _visit(point: tuple, cell: Callable, es: Any) -> Any:
+    row, build = point
+    return cell(row, build, es)
+
+
+def sweep(rows: Sequence, columns: Sequence[Tuple[str, Any]],
+          cell: Callable[[Any, Any, Any], R], es: Any,
+          jobs: int = 1) -> List[List[R]]:
+    """``cell(row, build, es)`` at every grid point, one list per row.
+
+    ``columns`` are ``(label, build)`` pairs; only the builds reach the
+    cells.  Points are visited row-major — each row's columns in order
+    before the next row — which is the order the experiments' nested
+    loops ran in, so a serial sweep builds and replays its stacks in
+    exactly that sequence.  ``jobs > 1`` fans the points over
+    :func:`parallel_map`: ``cell`` and every build must then be
+    picklable, and whatever a cell returns crosses the pool.
+    """
+    builds = [build for _, build in columns]
+    flat = parallel_map(partial(_visit, cell=cell, es=es),
+                        grid(rows, builds), jobs=jobs)
+    width = len(builds)
+    return [flat[i:i + width] for i in range(0, len(flat), width)]

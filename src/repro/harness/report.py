@@ -1,83 +1,21 @@
 """Full-reproduction report: run every experiment, write EXPERIMENTS.md.
 
-``python -m repro.harness.report [out.md] [--quick]`` regenerates every
-table and figure of the paper, renders the measured rows next to the
-paper's reference values, and records the shape verdicts.  This is the
-script that produced the repository's EXPERIMENTS.md.
+``python -m repro report [out.md] [--quick]`` regenerates every table
+and figure of the paper and renders the measured rows next to the
+paper's reference values.
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from typing import Callable, List, Tuple
 
-from repro.harness import (exp_ablation, exp_fig1, exp_fig2, exp_fig4,
-                           exp_fig5, exp_fig6, exp_fig7, exp_table2,
-                           exp_table3, exp_table6, exp_table8, exp_table9,
-                           exp_table10, exp_table11, exp_tables4_12,
-                           exp_writeboost)
-from repro.harness.context import DEFAULT_SCALE, QUICK_SCALE, ExperimentScale
+from repro.harness.context import ExperimentScale
+from repro.harness.experiments import REGISTRY
 from repro.harness.results import ExperimentResult
-
-# The paper's published rows, quoted for side-by-side comparison.
-PAPER_REFERENCE = {
-    "Table 2": "Bcache WT 15.3 / WB 65.9 (4.3x); "
-               "Flashcache WT 5.7 / WB 100.3 (17.5x)",
-    "Table 3": "sequential 402 -> 96 MB/s (4.1x); "
-               "random 249 -> 30 MB/s (8.3x)",
-    "Figure 1": "RAID-0 best for both; RAID-1 ~half; parity RAID hurts "
-                "Flashcache (in-place) more than Bcache (log)",
-    "Figure 2": "converges to ~400 MB/s at a 256 MB write unit "
-                "independent of OPS; small units degrade, worst at 0% OPS",
-    "Figure 4": "throughput rises with erase group size (W/M/R all); "
-                "I/O amplification minimized at 2 MB",
-    "Table 8": "S2D FIFO/Greedy 301/312, 491/466, 480/596; Sel-GC "
-               "FIFO/Greedy 522/507, 581/547, 619/725 MB/s (W/M/R)",
-    "Figure 5": "Sel-GC throughput peaks at UMAX=90%, drops at 95%; "
-                "amplification grows with UMAX",
-    "Table 9": "PC 431/521/670 vs NPC 508/547/726 MB/s (W/M/R); "
-               "largest gain on Write (~18%)",
-    "Table 10": "RAID-0 650/686/791; RAID-4 482/521/699; "
-                "RAID-5 508/547/726 MB/s (W/M/R)",
-    "Table 11": "per-segment 463/481/418 vs per-SG 508/547/726 MB/s; "
-                "Read group suffers >40% under per-segment flushes",
-    "Figure 6": "MLC > TLC raw; TLC better MB/s/$; MLC better "
-                "lifetime/$; NVMe fastest but fail-stop, worst "
-                "lifetime/$ (A-MLC Write ~2140 days)",
-    "Figure 7": "SRC over Bcache5: 2.83/2.92/3.09x; over Flashcache5: "
-                "2.50/2.75/2.34x (W/M/R); SRC amp 1.65/1.53/1.21; "
-                "Sel-GC raises amp and hit ratio vs S2D",
-    "Table 4": "verbatim data (vendor specs)",
-    "Table 6": "verbatim data (trace characteristics)",
-    "Tables 4+12": "verbatim data; GB/$ 1.22/1.76/1.36/2.27/0.85",
-    "Ablation": "(not in the paper; DESIGN.md design-choice ablations)",
-    "Supplementary": "(not in the paper; §5.1 notes SRC was built by "
-                     "modifying DM-Writeboost)",
-}
-
-Runner = Tuple[str, Callable[[ExperimentScale], ExperimentResult]]
-
-RUNNERS: List[Runner] = [
-    ("Table 2 — write-through vs write-back", exp_table2.run),
-    ("Table 3 — flush command impact", exp_table3.run),
-    ("Figure 1 — caches over RAID levels", exp_fig1.run),
-    ("Figure 2 — erase group size", exp_fig2.run),
-    ("Figure 4 — SRC vs erase group size", exp_fig4.run),
-    ("Table 8 — free space management", exp_table8.run),
-    ("Figure 5 — UMAX sweep", exp_fig5.run),
-    ("Table 9 — PC vs NPC", exp_table9.run),
-    ("Table 10 — SRC RAID level", exp_table10.run),
-    ("Table 11 — flush control", exp_table11.run),
-    ("Figure 6 — cost-effectiveness", exp_fig6.run),
-    ("Figure 7 — SRC vs existing solutions", exp_fig7.run),
-    ("Ablations — design choices", exp_ablation.run),
-    ("Supplementary — SRC vs DM-Writeboost", exp_writeboost.run),
-]
 
 HEADER = """# EXPERIMENTS — paper vs measured
 
-Generated by ``python -m repro.harness.report``{mode}. Absolute numbers
+Generated by ``python -m repro report``{mode}. Absolute numbers
 come from the calibrated simulator at scale {scale} (capacities and
 footprints scaled down, bandwidths and latencies real); the paper's
 numbers come from hardware. Shape — orderings, rough factors,
@@ -102,47 +40,33 @@ Known fidelity gaps (expected for a trace-driven reproduction):
 
 def generate(es: ExperimentScale, path: str,
              quick_label: str = "") -> None:
+    """Run every registry entry that quotes the paper, in registry order.
+
+    The acceptance suites (tenants, cluster, rebuild) quote nothing and
+    are left to ``repro run``.
+    """
     parts = [HEADER.format(scale=f"1/{round(1 / es.scale)}",
                            mode=quick_label)]
-    # Static tables first.
-    t4 = exp_tables4_12.run_table4()
-    t12 = exp_tables4_12.run_table12()
-    t6 = exp_table6.run(es)
-    for result in (t4, t12, t6):
-        parts.append(_section(result))
-    for title, runner in RUNNERS:
+    for entry in REGISTRY.values():
+        if not entry.paper:
+            continue
         started = time.time()
-        print(f"running {title} ...", flush=True)
-        result = runner(es)
+        print(f"running {entry.id} ({entry.blurb}) ...", flush=True)
+        for result in entry.run(es):
+            parts.append(_section(result, entry.paper))
         print(f"  done in {time.time() - started:.0f}s", flush=True)
-        parts.append(_section(result))
     with open(path, "w", encoding="utf-8") as sink:
         sink.write("\n".join(parts))
     print(f"wrote {path}")
 
 
-def _section(result: ExperimentResult) -> str:
-    reference = PAPER_REFERENCE.get(result.experiment, "")
+def _section(result: ExperimentResult, paper: str) -> str:
     lines = [f"## {result.experiment}: {result.title}", ""]
-    if reference:
-        lines.append(f"**Paper:** {reference}")
+    if paper:
+        lines.append(f"**Paper:** {paper}")
         lines.append("")
     lines.append("```")
     lines.append(result.render())
     lines.append("```")
     lines.append("")
     return "\n".join(lines)
-
-
-def main() -> None:
-    args = [a for a in sys.argv[1:]]
-    quick = "--quick" in args
-    args = [a for a in args if a != "--quick"]
-    path = args[0] if args else "EXPERIMENTS.md"
-    es = QUICK_SCALE if quick else DEFAULT_SCALE
-    label = " (--quick preset)" if quick else ""
-    generate(es, path, quick_label=label)
-
-
-if __name__ == "__main__":
-    main()

@@ -94,30 +94,31 @@ def test_experiment_scale_quickened():
 # tiny experiment smoke runs (full runs live in benchmarks/)
 # ------------------------------------------------------------------
 def test_exp_tables4_12_static():
-    from repro.harness import exp_tables4_12
-    t4 = exp_tables4_12.run_table4()
-    t12 = exp_tables4_12.run_table12()
+    from repro.api import run_experiment
+    t4, t12 = run_experiment("tables4-12", TINY)
     assert len(t4.rows) == 7
     assert len(t12.rows) == 5
 
 
 def test_exp_table6_characteristics():
-    from repro.harness import exp_table6
-    result = exp_table6.run(TINY, sample=500)
+    from repro.harness.experiments import table6
+    result = table6(TINY, sample=500)
     assert len(result.rows) == 22
 
 
 def test_exp_table2_tiny_run():
-    from repro.harness import exp_table2
-    result = exp_table2.run(TINY)
+    from repro.harness.experiments import REGISTRY
+    result = REGISTRY["table2"].sweep.run(TINY)
     assert len(result.rows) == 2
     for row in result.rows:
         assert row[2] > 0   # WB throughput positive
 
 
 def test_exp_fig2_tiny_run():
-    from repro.harness import exp_fig2
-    result = exp_fig2.run(TINY, ops_levels=(0.0, 0.5), sizes=(32, 256))
+    from repro.harness.experiments import REGISTRY
+    fig2 = REGISTRY["fig2"].sweep.only(rows=(0.0, 0.5),
+                                       columns=("32MB", "256MB"))
+    result = fig2.run(TINY)
     assert len(result.rows) == 2
     small_0 = float(result.rows[0][1])
     big_0 = float(result.rows[0][2])

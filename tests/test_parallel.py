@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.harness import exp_fig2
 from repro.harness.context import ExperimentScale
+from repro.harness.experiments import REGISTRY
 from repro.harness.parallel import grid, parallel_map
 
 
@@ -53,12 +53,14 @@ def test_grid_is_row_major():
 
 
 def test_fig2_parallel_identical_to_serial():
-    # The real acceptance property at test scale: a fig2 sweep fanned
-    # over processes serializes to exactly the serial result.
+    # The real acceptance property at test scale: the registry's fig2
+    # sweep fanned over processes serializes to exactly the serial one.
     es = ExperimentScale(scale=1 / 128, warmup=1.0, duration=1.0, seed=11)
-    kwargs = dict(ops_levels=(0.0, 0.3), sizes=(32, 128))
-    serial = exp_fig2.run(es, jobs=1, **kwargs)
-    parallel = exp_fig2.run(es, jobs=2, **kwargs)
+    fig2 = REGISTRY["fig2"].sweep.only(rows=(0.0, 0.3),
+                                       columns=("32MB", "128MB"))
+    serial = fig2.run(es, jobs=1)
+    parallel = fig2.run(es, jobs=2)
+    assert len(serial.rows) == 2 and len(serial.columns) == 3
     assert (json.dumps(serial.as_dict(), sort_keys=True)
             == json.dumps(parallel.as_dict(), sort_keys=True))
 

@@ -1,29 +1,26 @@
 """Report generator wiring (no full experiment runs here)."""
 
 from repro.harness import report
+from repro.harness.experiments import REGISTRY
 from repro.harness.results import ExperimentResult
 
 
 def test_every_runner_is_callable():
-    for title, runner in report.RUNNERS:
-        assert callable(runner), title
+    for exp_id, entry in REGISTRY.items():
+        assert callable(entry.run), exp_id
 
 
 def test_paper_reference_covers_all_experiments():
-    """Each experiment id the runners emit must have a paper quote."""
-    ids = {
-        "Table 2", "Table 3", "Figure 1", "Figure 2", "Figure 4",
-        "Table 8", "Figure 5", "Table 9", "Table 10", "Table 11",
-        "Figure 6", "Figure 7", "Ablation", "Table 4", "Table 6",
-        "Tables 4+12", "Supplementary",
-    }
-    missing = ids - set(report.PAPER_REFERENCE)
-    assert not missing, f"missing paper references: {missing}"
+    """Every registry entry the report runs quotes the paper."""
+    suites = {"tenants", "cluster", "rebuild"}
+    quoted = {exp_id for exp_id, entry in REGISTRY.items() if entry.paper}
+    assert quoted == set(REGISTRY) - suites, \
+        f"missing paper references: {set(REGISTRY) - suites - quoted}"
 
 
 def test_section_renders_reference_and_table():
     result = ExperimentResult("Table 2", "demo", ["a"], rows=[["x"]])
-    section = report._section(result)
+    section = report._section(result, REGISTRY["table2"].paper)
     assert "## Table 2" in section
     assert "**Paper:**" in section
     assert "```" in section

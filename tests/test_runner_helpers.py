@@ -1,11 +1,12 @@
-"""Harness runner helpers (FIO drivers, group orchestration)."""
+"""Harness runner helpers (FIO drivers, the sweep over cells)."""
 
 import pytest
 
 from repro.block.device import NullDevice
 from repro.common.units import KIB, MIB
 from repro.harness.context import ExperimentScale
-from repro.harness.runner import (run_all_groups, run_fio_random_write,
+from repro.harness.parallel import sweep
+from repro.harness.runner import (run_fio_random_write,
                                   run_fio_sequential_write,
                                   run_trace_group, TRACE_GROUPS)
 
@@ -50,14 +51,27 @@ def test_run_trace_group_aliases_replay():
     assert result.throughput_mb_s > 0
 
 
-def test_run_all_groups_builds_fresh_targets():
+def test_sweep_builds_fresh_targets_row_major():
     from _stacks import make_src
-    built = []
+    visits, targets = [], []
 
-    def factory():
-        built.append(1)
-        return make_src()
+    def build(tag):
+        def make(es):
+            target = make_src()
+            targets.append(target)
+            return tag, target
+        return make
 
-    results = run_all_groups(factory, TINY_ES)
-    assert set(results) == set(TRACE_GROUPS)
-    assert len(built) == len(TRACE_GROUPS)
+    def cell(group, build, es):
+        tag, _ = build(es)
+        visits.append((group, tag))
+        return group, tag
+
+    columns = (("first", build("a")), ("second", build("b")))
+    cells = sweep(TRACE_GROUPS, columns, cell, TINY_ES)
+    # Every row's columns in order before the next row: the order the
+    # experiments' nested loops ran their stacks in.
+    assert visits == [(g, t) for g in TRACE_GROUPS for t in ("a", "b")]
+    assert cells == [[(g, "a"), (g, "b")] for g in TRACE_GROUPS]
+    # One fresh target per cell, never a reused one.
+    assert len({id(t) for t in targets}) == len(TRACE_GROUPS) * 2
