@@ -36,9 +36,6 @@ class _Bucket:
     valid: List[bool] = field(default_factory=list)
     gen: int = 0
 
-    def live_count(self) -> int:
-        return sum(self.valid)
-
 
 class BcacheDevice(CacheTarget):
     """Bucket-log SSD cache in the style of Bcache."""

@@ -123,17 +123,6 @@ class IntegrityOracle:
             self.forgiven.add(lba)
 
     # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def expected_checksum(self, lba: int) -> int:
-        """The checksum the newest acknowledged content must carry."""
-        return block_checksum(lba, self.expected.get(lba, 0))
-
-    @property
-    def durable_lbas(self) -> List[int]:
-        return sorted(self.durable)
-
-    # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
     def verify_entry(self, lba: int, entry,
@@ -213,24 +202,3 @@ class IntegrityOracle:
                 f"lba {lba}: read would serve version {entry.version} "
                 f"below the durable floor {self.durable.get(lba, 0)}")
         return problems
-
-    def resync(self, caches) -> None:
-        """Adopt a post-recovery population as the new baseline.
-
-        Recovery legitimately rolls RAM-only writes back; after the
-        durability audit has passed, the shadow map must follow the
-        surviving state so a continued workload verifies cleanly.
-        """
-        self._ram_acked.clear()
-        survivors: Dict[int, int] = {}
-        for cache in caches:
-            for lba, entry in cache.mapping.items():
-                survivors[lba] = max(survivors.get(lba, 0), entry.version)
-        for lba in list(self.expected):
-            self.expected[lba] = survivors.get(lba, 0)
-        for lba, version in survivors.items():
-            self.expected[lba] = max(self.expected.get(lba, 0), version)
-        self.durable = {lba: v for lba, v in self.durable.items()
-                        if lba in survivors and lba not in self.forgiven
-                        and survivors[lba] >= v}
-        self.forgiven.clear()

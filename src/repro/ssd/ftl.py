@@ -13,22 +13,22 @@ so GC finds empty victims and write amplification stays at 1 regardless
 of over-provisioning; smaller writes mix lifetimes within superblocks
 and amplification grows as spare space shrinks.
 
-The bulk paths (large sequential writes, GC relocation) are vectorised
-with numpy: the L2P and P2L tables are int32 arrays, per-superblock
-validity counters are updated with ``np.subtract.at``.  Small requests
-— the 1–8 page ops that dominate 4 KiB random workloads — take a
-*scalar* fast path instead: per-request ``np.arange``/``np.unique``
-allocations cost more than the whole operation at those sizes, so
-up to :data:`~repro.common.chunks.SCALAR_THRESHOLD` pages the tables
-are updated element by element with plain integer arithmetic.  Both
-paths produce bit-identical state (see
-``tests/test_ftl_differential.py``).
+Host pages reach the log through one loop, ``_write_pages``: the pages
+between two superblock rolls are applied as numpy array updates on the
+int32 L2P / P2L tables.  Small requests — the 1–8 page ops that
+dominate 4 KiB random workloads — and short runs are applied element by
+element instead: per-request ``np.arange``/``np.unique`` allocations
+cost more than the whole operation at those sizes.  Up to
+:data:`~repro.common.chunks.SCALAR_THRESHOLD` pages take that scalar
+form; both forms produce bit-identical state (``tests/test_ftl.py``
+patches the constant to pin it).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -43,32 +43,20 @@ NO_PAGE = -1
 class FtlOpResult:
     """Flash work generated by one host operation (page counts)."""
 
-    __slots__ = ("host_pages", "gc_read_pages", "gc_prog_pages",
-                 "erases", "mapped_pages")
+    __slots__ = ("host_pages", "gc_read_pages", "gc_prog_pages", "erases")
 
     def __init__(self, host_pages: int = 0, gc_read_pages: int = 0,
-                 gc_prog_pages: int = 0, erases: int = 0,
-                 mapped_pages: int = 0):
+                 gc_prog_pages: int = 0, erases: int = 0):
         self.host_pages = host_pages      # pages programmed for the host
         self.gc_read_pages = gc_read_pages  # valid pages read during GC
         self.gc_prog_pages = gc_prog_pages  # valid pages re-programmed
         self.erases = erases              # superblocks erased
-        self.mapped_pages = mapped_pages  # for reads: pages with a mapping
 
     def __repr__(self) -> str:
         return (f"FtlOpResult(host_pages={self.host_pages}, "
                 f"gc_read_pages={self.gc_read_pages}, "
                 f"gc_prog_pages={self.gc_prog_pages}, "
-                f"erases={self.erases}, mapped_pages={self.mapped_pages})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FtlOpResult):
-            return NotImplemented
-        return (self.host_pages == other.host_pages
-                and self.gc_read_pages == other.gc_read_pages
-                and self.gc_prog_pages == other.gc_prog_pages
-                and self.erases == other.erases
-                and self.mapped_pages == other.mapped_pages)
+                f"erases={self.erases})")
 
 
 @dataclass
@@ -97,8 +85,7 @@ class PageMappedFtl:
 
     def __init__(self, logical_pages: int, physical_pages: int,
                  superblock_pages: int, gc_reserve: int = 1,
-                 wear_level_threshold: int = 0,
-                 scalar_threshold: int = SCALAR_THRESHOLD):
+                 wear_level_threshold: int = 0):
         if logical_pages <= 0 or physical_pages <= 0:
             raise ConfigError("page counts must be positive")
         if superblock_pages <= 0:
@@ -132,7 +119,6 @@ class PageMappedFtl:
         self._open_sb = 0
         self._wp = 0  # write pointer within the open superblock
         self._mapped = 0  # O(1) mirror of count_nonzero(l2p != NO_PAGE)
-        self.scalar_threshold = scalar_threshold
         self.counters = FtlCounters()
         # Observability: the owning device names this FTL and advances
         # ``clock`` (simulated time) before each host op so the emitted
@@ -180,191 +166,96 @@ class PageMappedFtl:
         """Host write of ``npages`` starting at logical page ``lpn``."""
         self._check_range(lpn, npages)
         result = FtlOpResult(host_pages=npages)
-        if npages <= self.scalar_threshold:
+        if npages <= SCALAR_THRESHOLD:
             self._write_scalar(lpn, npages, result)
         else:
-            live = self._invalidate_range(lpn, npages)
-            self._append(np.arange(lpn, lpn + npages, dtype=np.int64),
-                         result)
-            self._mapped += npages - live
-        self.counters.host_pages_written += npages
+            self._write_pages(np.arange(lpn, lpn + npages), (npages,),
+                              {0: result})
         return result
 
-    def write_batch(self, lpns: np.ndarray):
-        """Batch of single-page host writes, one per element of ``lpns``.
-
-        Bit-identical to issuing ``write(int(lp), 1)`` for each element
-        in order (see ``tests/test_ftl_differential.py``): runs of
-        appends between superblock rolls are applied as array updates
-        with explicit first/last-occurrence handling for duplicate
-        LPNs, and the op that rolls a superblock is the scalar write
-        itself — it invalidates its old mapping *before* GC picks a
-        victim, so victim selection sees the same ``valid_count``.
-
-        Returns per-op flash-cost arrays ``(gc_read_pages,
-        gc_prog_pages, erases)`` (``host_pages`` is 1 per op by
-        contract); GC costs land on the op that triggered the roll, as
-        in the scalar path.  The whole range is validated up front.
-        Callers that need timestamped GC events must advance ``clock``
-        themselves.
-        """
-        n = int(lpns.size)
-        gc_read = np.zeros(n, dtype=np.int64)
-        gc_prog = np.zeros(n, dtype=np.int64)
-        erases = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return gc_read, gc_prog, erases
-        if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
-            raise AddressError(
-                f"batched pages outside logical space {self.logical_pages}")
-        l2p = self.l2p
-        p2l = self.p2l
-        sbp = self.superblock_pages
-        result = FtlOpResult()
-        pos = 0
-        while pos < n:
-            r = min(sbp - self._wp, n - pos)
-            if r <= self.scalar_threshold:
-                # Short runs are cheaper element-wise than np.unique,
-                # and r == 0 is the op that rolls the superblock: each
-                # is the scalar single-page write.  GC work always ends
-                # in an erase, so ``erases`` says whether it ran.
-                stop = pos + max(r, 1)
-                for k in range(pos, stop):
-                    self._write_scalar(int(lpns[k]), 1, result)
-                    if result.erases:
-                        gc_read[k] = result.gc_read_pages
-                        gc_prog[k] = result.gc_prog_pages
-                        erases[k] = result.erases
-                        result = FtlOpResult()
-                pos = stop
-                continue
-            run = lpns[pos:pos + r]
-            base = self._open_sb * sbp + self._wp
-            ppns = np.arange(base, base + r, dtype=np.int64)
-            uniq, first_idx = np.unique(run, return_index=True)
-            # Pre-existing mappings die once, at the first occurrence.
-            old = l2p[uniq]
-            dead_old = old[old != NO_PAGE]
-            if dead_old.size:
-                p2l[dead_old] = NO_PAGE
-                counts = np.bincount(dead_old // sbp,
-                                     minlength=self.n_superblocks)
-                self.valid_count -= counts
-            if uniq.size == r:
-                l2p[run] = ppns
-                p2l[ppns] = run
-            else:
-                # Duplicates within the run: the last write wins the
-                # mapping; earlier copies are programmed then dead.
-                last_idx = (r - 1) - np.unique(run[::-1],
-                                               return_index=True)[1]
-                l2p[uniq] = ppns[last_idx]
-                p2l[ppns] = run
-                dead_mask = np.ones(r, dtype=bool)
-                dead_mask[last_idx] = False
-                p2l[ppns[dead_mask]] = NO_PAGE
-            self.valid_count[self._open_sb] += int(uniq.size)
-            self._wp += r
-            self._mapped += int(uniq.size) - int(dead_old.size)
-            pos += r
-        self.counters.host_pages_written += n
-        return gc_read, gc_prog, erases
-
-    def write_extents(self, lpns: np.ndarray, npages: np.ndarray):
+    def write_extents(self, lpns: np.ndarray, npages: np.ndarray) -> tuple:
         """:meth:`write` per extent (``npages[i]`` pages at ``lpns[i]``)
         after a range check of the whole batch; the cost columns
-        ``(gc_read_pages, gc_prog_pages, erases)``.  Extents ascending
-        onto unmapped pages (units into a TRIMmed group) invalidate
-        nothing: one append, each roll's GC charged to the extent owning
-        the page that rolled it, as :meth:`write` charges it."""
-        costs = np.zeros((3, lpns.shape[0]), dtype=np.int64)
+        ``(gc_read_pages, gc_prog_pages, erases)``.  Extents may overlap,
+        repeat or land on mapped pages."""
         if (npages <= 0).any():
             raise AddressError(f"non-positive page count in {npages}")
+        n, total = lpns.shape[0], int(npages.sum())
         low = int(lpns.min())
-        self._check_range(low, int((lpns + npages).max()) - low)
-        ends = np.cumsum(npages)
-        pages = np.arange(int(ends[-1])) + np.repeat(lpns - ends + npages,
-                                                     npages)
-        if ((lpns[1:] < lpns[:-1] + npages[:-1]).any()
-                or (self.l2p[pages] != NO_PAGE).any()):
-            for i, (lpn, count) in enumerate(zip(lpns.tolist(),
-                                                 npages.tolist())):
-                result = self.write(lpn, count)
-                costs[:, i] = (result.gc_read_pages, result.gc_prog_pages,
-                               result.erases)
-            return costs
-        pos, total = 0, pages.shape[0]
-        while pos < total:
-            room = self.superblock_pages - self._wp
-            if room:
-                self._append(pages[pos:pos + room], None)   # fits: no roll
-                pos += room
-                continue
-            result = FtlOpResult()
-            self._roll_superblock(result)
-            costs[:, np.searchsorted(ends, pos, side="right")] += (
-                result.gc_read_pages, result.gc_prog_pages, result.erases)
-        self._mapped += total
-        self.counters.host_pages_written += total
-        return costs
-
-    def read(self, lpn: int, npages: int) -> FtlOpResult:
-        """Host read; reports how many pages were actually mapped."""
-        self._check_range(lpn, npages)
-        if npages <= self.scalar_threshold:
-            l2p = self.l2p
-            mapped = 0
-            for lp in range(lpn, lpn + npages):
-                if l2p[lp] != NO_PAGE:
-                    mapped += 1
+        high = (int(lpns.max()) + 1 if total == n
+                else int((lpns + npages).max()))
+        self._check_range(low, high - low)
+        if total == n:                  # a page each: the pages are lpns
+            pages, ends = lpns, range(1, n + 1)
         else:
-            mapped = int(np.count_nonzero(
-                self.l2p[lpn:lpn + npages] != NO_PAGE))
+            ends = np.cumsum(npages)
+            pages = np.arange(total) + np.repeat(lpns - ends + npages, npages)
+        gc = {}
+        self._write_pages(pages, ends, gc)
+        # Three columns, each written only where GC ran: NumPy backs a
+        # (3, n) array of 4 MiB or more with huge pages, which a few
+        # scattered writes make resident whole.
+        gc_read, gc_prog, erases = (np.zeros(n, dtype=np.int64)
+                                    for _ in range(3))
+        for k, result in gc.items():
+            if result.erases:           # GC work always ends in an erase
+                gc_read[k] = result.gc_read_pages
+                gc_prog[k] = result.gc_prog_pages
+                erases[k] = result.erases
+        return gc_read, gc_prog, erases
+
+    def write_batch(self, lpns: np.ndarray) -> tuple:
+        """:meth:`write_extents` of one page at each of ``lpns``."""
+        return self.write_extents(lpns, np.broadcast_to(1, lpns.shape))
+
+    def read(self, lpn: int, npages: int) -> None:
+        """Host read: the range check, then the counter."""
+        self._check_range(lpn, npages)
         self.counters.host_pages_read += npages
-        return FtlOpResult(mapped_pages=mapped)
 
     def read_extents(self, lpns: np.ndarray, npages: np.ndarray) -> None:
         """:meth:`read` over a batch, ``npages[i]`` (at least one) pages
         at ``lpns[i]``: the range check on the lowest and highest page,
-        then the counter.  No mapped count: the device discards it."""
+        then the counter."""
         low = int(lpns.min())
         self._check_range(low, int((lpns + npages).max()) - low)
         self.counters.host_pages_read += int(npages.sum())
 
-    def trim(self, lpn: int, npages: int) -> FtlOpResult:
+    def trim(self, lpn: int, npages: int) -> None:
         """Discard the mapping for a logical range (no flash work)."""
         self._check_range(lpn, npages)
-        if npages <= self.scalar_threshold:
+        self._unmap(lpn, npages)
+        self.counters.trimmed_pages += npages
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _unmap(self, lpn: int, npages: int) -> None:
+        """Drop the mappings of a contiguous logical range."""
+        if npages <= SCALAR_THRESHOLD:
             self._mapped -= self._invalidate_scalar(lpn, npages)
             l2p = self.l2p
             for lp in range(lpn, lpn + npages):
                 l2p[lp] = NO_PAGE
         else:
-            self._mapped -= self._invalidate_range(lpn, npages)
+            self._mapped -= self._invalidate(self.l2p[lpn:lpn + npages])
             self.l2p[lpn:lpn + npages] = NO_PAGE
-        self.counters.trimmed_pages += npages
-        return FtlOpResult()
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _invalidate_range(self, lpn: int, npages: int) -> int:
-        """Drop the current mappings of a contiguous logical range;
-        returns how many were live."""
-        old = self.l2p[lpn:lpn + npages]
+    def _invalidate(self, old: np.ndarray) -> int:
+        """Kill the physical pages ``old`` maps to (``NO_PAGE`` entries
+        skipped); returns how many were live."""
         live = old[old != NO_PAGE]
         if live.size:
             self.p2l[live] = NO_PAGE
             # One bincount and one subtraction: the same integer
             # decrements a per-page loop makes, without a sort.
-            counts = np.bincount(live // self.superblock_pages,
-                                 minlength=self.n_superblocks)
-            self.valid_count -= counts
-        return int(live.size)
+            self.valid_count -= np.bincount(live // self.superblock_pages,
+                                            minlength=self.n_superblocks)
+        return live.size
 
     def _invalidate_scalar(self, lpn: int, npages: int) -> int:
-        """Element-wise :meth:`_invalidate_range`; returns live count."""
+        """Element-wise :meth:`_invalidate` of a logical range's
+        mappings (``l2p`` kept); returns how many were live."""
         l2p = self.l2p
         p2l = self.p2l
         vc = self.valid_count
@@ -380,8 +271,9 @@ class PageMappedFtl:
 
     def _write_scalar(self, lpn: int, npages: int,
                       result: FtlOpResult) -> None:
-        """Scalar invalidate + append: same state transitions as the
-        vector path, without per-request array allocations."""
+        """:meth:`write` of a short range, element by element: the same
+        state transitions as :meth:`_write_pages`, without per-request
+        array allocations."""
         live = self._invalidate_scalar(lpn, npages)
         l2p = self.l2p
         p2l = self.p2l
@@ -402,6 +294,71 @@ class PageMappedFtl:
             self._wp += n
             lp += n
         self._mapped += npages - live
+        self.counters.host_pages_written += npages
+
+    def _write_pages(self, pages: np.ndarray, ends, gc: dict) -> None:
+        """Append host ``pages`` in order; extent ``i`` is the contiguous
+        ``pages[ends[i - 1]:ends[i]]``.  The GC work of the rolls extent
+        ``i`` triggers accumulates in ``gc[i]`` (an :class:`FtlOpResult`).
+
+        The same state and costs as :meth:`write` per extent.  The pages
+        between two superblock rolls are one run: a page's mapping from
+        before the run dies once and its last write in the run wins.
+        ``write`` invalidates its whole range before it appends, so
+        before each roll the rest of the extent that owns the rolling
+        page is unmapped — GC picks its victim from the same
+        ``valid_count`` — and the roll's cost is that extent's.
+        """
+        l2p, p2l, vc = self.l2p, self.p2l, self.valid_count
+        sbp = self.superblock_pages
+        pos, total = 0, pages.shape[0]
+        while True:
+            r = min(sbp - self._wp, total - pos)
+            base = self._open_sb * sbp + self._wp
+            if r > SCALAR_THRESHOLD:
+                run = pages[pos:pos + r]
+                p2l[base:base + r] = run
+                ppns = np.arange(base, base + r)
+                if ends[bisect_right(ends, pos)] >= pos + r:
+                    lo = int(run[0])            # inside one extent: a range
+                    at, to = slice(lo, lo + r), ppns
+                elif (run[1:] > run[:-1]).all():
+                    at, to = run, ppns          # no page repeats
+                else:
+                    # A page may repeat: its last write wins the mapping,
+                    # the earlier copies are programmed and dead.
+                    at, last = np.unique(run[::-1], return_index=True)
+                    last = (r - 1) - last
+                    to = ppns[last]
+                    dead = np.ones(r, dtype=bool)
+                    dead[last] = False
+                    p2l[ppns[dead]] = NO_PAGE
+                live = self._invalidate(l2p[at])
+                l2p[at] = to
+                vc[self._open_sb] += to.size
+                self._mapped += to.size - live
+            elif r:
+                mapped = self._mapped
+                for lp in pages[pos:pos + r].tolist():
+                    old = l2p[lp]
+                    if old == NO_PAGE:
+                        mapped += 1
+                    else:
+                        p2l[old] = NO_PAGE
+                        vc[old // sbp] -= 1
+                    l2p[lp] = base
+                    p2l[base] = lp
+                    base += 1
+                vc[self._open_sb] += r
+                self._mapped = mapped
+            self._wp += r
+            pos += r
+            if pos == total:
+                break
+            k = bisect_right(ends, pos)
+            self._unmap(int(pages[pos]), int(ends[k]) - pos)
+            self._roll_superblock(gc.setdefault(k, FtlOpResult()))
+        self.counters.host_pages_written += total
 
     def _roll_superblock(self, result: FtlOpResult) -> None:
         """Close the open superblock and open a fresh one, GCing first.
@@ -472,7 +429,7 @@ class PageMappedFtl:
             self.p2l[start:start + self.superblock_pages] = NO_PAGE
             self.valid_count[victim] = 0
             self.is_closed[victim] = False  # not a GC candidate while empty
-            self._append(live_lpns.copy(), None)
+            self._append(live_lpns.copy())
             result.gc_read_pages += nlive
             result.gc_prog_pages += nlive
             self.counters.gc_pages_copied += nlive
@@ -490,24 +447,16 @@ class PageMappedFtl:
             self.obs.emit(GcEnd(t=self.clock, device=self.owner,
                                 victim=victim, moved_pages=nlive))
 
-    def _append(self, lpns: np.ndarray,
-                result: Optional[FtlOpResult]) -> None:
-        """Append pages at the log head, superblock by superblock.
-
-        A host write passes its ``result`` and rolls through GC when
-        the open superblock fills.  GC relocation passes ``None``: it
-        must not recurse into GC, so it opens the next free superblock
-        directly.
-        """
+    def _append(self, lpns: np.ndarray) -> None:
+        """GC relocation: append ``lpns`` at the log head, superblock by
+        superblock.  It must not recurse into GC, so a full superblock
+        closes and the next free one opens directly."""
         sbp = self.superblock_pages
         while lpns.size:
             room = sbp - self._wp
             if room == 0:
-                if result is None:
-                    self.is_closed[self._open_sb] = True
-                    self._open_fresh()
-                else:
-                    self._roll_superblock(result)
+                self.is_closed[self._open_sb] = True
+                self._open_fresh()
                 continue
             chunk = lpns[:room]
             n = chunk.size

@@ -117,12 +117,6 @@ def tenant_stream(spec: TenantSpec, stream: int = 0) -> Iterator[Request]:
         yield Request(op, offset, spec.request_size, tenant=spec.name)
 
 
-def population_streams(specs: List[TenantSpec]) -> List[Iterator[Request]]:
-    """All streams for a population (``spec.streams`` each)."""
-    return [tenant_stream(spec, stream)
-            for spec in specs for stream in range(spec.streams)]
-
-
 def volume_router(volumes: Dict[str, "object"]):
     """Engine issue function dispatching tagged requests to volumes.
 

@@ -1,29 +1,38 @@
-"""Page-mapped FTL: mapping correctness, GC behaviour, invariants."""
+"""Page-mapped FTL: mapping correctness, GC behaviour, invariants, and
+the scalar / vector contract: the element-wise form below
+``SCALAR_THRESHOLD`` pages is an implementation detail, never a
+behaviour change."""
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.ssd.ftl as ftl_module
+from repro.common.chunks import SCALAR_THRESHOLD
 from repro.common.errors import AddressError, ConfigError
 from repro.ssd.ftl import NO_PAGE, PageMappedFtl
 
 
-def make_ftl(logical=1024, spare_sbs=4, sb_pages=128):
+def make_ftl(logical=1024, spare_sbs=4, sb_pages=128, **kwargs):
     return PageMappedFtl(logical_pages=logical,
                          physical_pages=logical + spare_sbs * sb_pages,
-                         superblock_pages=sb_pages)
+                         superblock_pages=sb_pages, **kwargs)
 
 
 def test_write_then_read_mapped():
     ftl = make_ftl()
     ftl.write(0, 10)
-    result = ftl.read(0, 10)
-    assert result.mapped_pages == 10
+    ftl.read(0, 10)
+    assert (ftl.l2p[:10] != NO_PAGE).all()
+    assert ftl.counters.host_pages_read == 10
 
 
 def test_unwritten_read_unmapped():
     ftl = make_ftl()
-    assert ftl.read(0, 10).mapped_pages == 0
+    ftl.read(0, 10)
+    assert ftl.mapped_page_count == 0
 
 
 def test_overwrite_invalidates_old_location():
@@ -40,7 +49,7 @@ def test_trim_unmaps():
     ftl = make_ftl()
     ftl.write(0, 8)
     ftl.trim(0, 8)
-    assert ftl.read(0, 8).mapped_pages == 0
+    assert ftl.mapped_page_count == 0
     assert ftl.counters.trimmed_pages == 8
 
 
@@ -113,7 +122,7 @@ def test_write_larger_than_superblock():
     ftl = make_ftl(logical=1024, sb_pages=128)
     result = ftl.write(0, 512)
     assert result.host_pages == 512
-    assert ftl.read(0, 512).mapped_pages == 512
+    assert ftl.mapped_page_count == 512
     ftl.check_invariants()
 
 
@@ -162,3 +171,84 @@ def test_ftl_matches_reference_model(seed):
             reference.difference_update(range(lpn, lpn + npages))
     mapped = set(int(x) for x in np.where(ftl.l2p != NO_PAGE)[0])
     assert mapped == reference
+
+
+# ----------------------------------------------------------------------
+# SCALAR_THRESHOLD: element-wise and array updates agree bit for bit
+# ----------------------------------------------------------------------
+# Every page as arrays, the default, every page element by element.
+THRESHOLDS = (0, SCALAR_THRESHOLD, 10 ** 9)
+
+
+def ftl_state(ftl: PageMappedFtl) -> tuple:
+    return (ftl.l2p.tobytes(), ftl.p2l.tobytes(), ftl.valid_count.tobytes(),
+            ftl.is_closed.tobytes(), ftl.erase_count.tobytes(),
+            tuple(ftl._free), ftl._open_sb, ftl._wp, ftl._mapped,
+            astuple(ftl.counters), ftl.wear_level_moves)
+
+
+def replay(ops, threshold: int, **kwargs):
+    """Each op's result and the FTL's state after it, under
+    ``threshold``; the FTL at the end."""
+    ftl = make_ftl(logical=2048, spare_sbs=8, **kwargs)
+    trace = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ftl_module, "SCALAR_THRESHOLD", threshold)
+        for kind, lpn, npages in ops:
+            result = getattr(ftl, kind)(lpn, npages)
+            trace.append((repr(result), hash(ftl_state(ftl))))
+    ftl.check_invariants()
+    return trace, ftl
+
+
+def assert_thresholds_agree(ops, **kwargs):
+    traces = [replay(ops, t, **kwargs) for t in THRESHOLDS]
+    assert traces[0][0] == traces[1][0] == traces[2][0]
+    return traces[0][1]
+
+
+def random_ops(seed: int, count: int):
+    """Writes, trims and reads of 1–8 pages and of up to two
+    superblocks, most of them on a hot quarter, so lifetimes mix and GC
+    collects partly valid victims."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(count):
+        kind = rng.choice(["write", "write", "write", "trim", "read"])
+        if rng.random() < 0.7:
+            npages = int(rng.integers(1, 9))
+        else:
+            npages = int(rng.integers(9, 256))
+        span = 512 if rng.random() < 0.6 else 2048
+        ops.append((str(kind), int(rng.integers(0, span - npages)), npages))
+    return ops
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scalar_and_vector_paths_identical(seed):
+    assert_thresholds_agree(random_ops(seed, 400))
+
+
+def test_gc_heavy_fill_identical():
+    rng = np.random.default_rng(99)
+    ops = [("write", 0, 2048)]
+    for _ in range(600):
+        npages = int(rng.integers(1, 17))
+        ops.append(("write", int(rng.integers(0, 256 - npages)), npages))
+    assert assert_thresholds_agree(ops).counters.superblock_erases > 0
+
+
+def test_trim_then_rewrite_identical():
+    assert_thresholds_agree([("write", 0, 512), ("trim", 100, 5),
+                             ("trim", 200, 200), ("write", 100, 5),
+                             ("write", 150, 300)])
+
+
+def test_wear_leveling_identical():
+    rng = np.random.default_rng(5)
+    ops = [("write", 0, 2048)]
+    for _ in range(800):
+        npages = int(rng.integers(1, 9))
+        ops.append(("write", int(rng.integers(0, 128 - npages)), npages))
+    ftl = assert_thresholds_agree(ops, wear_level_threshold=2)
+    assert ftl.wear_level_moves > 0

@@ -1,16 +1,20 @@
-"""Timed SSD device: calibration envelopes, flush, TRIM, failures."""
+"""Timed SSD device: calibration envelopes, flush, TRIM, failures, and
+``submit_chunk`` against a per-request ``submit`` loop."""
 
 import numpy as np
 import pytest
 
+from repro.common.chunks import make_chunk
 from repro.common.errors import AddressError, DeviceFailedError
 from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, mb_per_sec
 from repro.raid.array import Raid0Device
 from repro.ssd.device import SSDDevice, precondition
+from repro.ssd.ftl import NO_PAGE
 from repro.ssd.spec import SATA_MLC_128, SATA_TLC_128, NVME_MLC_400
 
 from _stacks import TINY_SSD
+from test_write_extents import ftl_state
 
 
 def small_ssd(scale=1 / 256):
@@ -100,7 +104,7 @@ def test_repair_wipes_by_default():
     ssd.write(0, 4096, 0.0)
     ssd.fail()
     ssd.repair()
-    assert ssd.ftl.read(0, 1).mapped_pages == 0
+    assert ssd.ftl.mapped_page_count == 0
 
 
 def test_corruption_injection_and_scrub():
@@ -147,7 +151,7 @@ def test_trim_unmaps_only_whole_pages():
     assert ssd.ftl.mapped_page_count == 3
     assert ssd.corrupted_in(0, 4096)            # page 0 is untouched
     ssd.trim(2048, 8192, 2.0)                   # [2 KiB, 10 KiB): page 1
-    assert [ssd.ftl.read(p, 1).mapped_pages for p in range(3)] == [1, 0, 1]
+    assert (ssd.ftl.l2p[:3] != NO_PAGE).tolist() == [True, False, True]
     assert ssd.stats.trim_ops == 2
 
 
@@ -214,3 +218,192 @@ def test_precondition_fills_requested_fraction():
     precondition(ssd, fill_fraction=0.5)
     assert ssd.ftl.mapped_page_count == pytest.approx(
         ssd.spec.logical_pages * 0.5, rel=0.02)
+
+
+# ----------------------------------------------------------------------
+# SSDDevice.submit_chunk vs per-request submit (timed device layer)
+# ----------------------------------------------------------------------
+def _make_ssd(fill: float = 0.9) -> SSDDevice:
+    ssd = SSDDevice(TINY_SSD)
+    precondition(ssd, fill_fraction=fill)
+    return ssd
+
+
+def _drive_scalar(ssd: SSDDevice, offsets, start=0.0, think=0.0,
+                  deadline=float("inf")):
+    page = ssd.spec.page_size
+    t, issues, dones = start, [], []
+    for off in offsets.tolist():
+        if t >= deadline:
+            break
+        done = ssd.submit(Request(Op.WRITE, off, page), t)
+        issues.append(t)
+        dones.append(done)
+        t = done + think
+    return np.array(issues), np.array(dones)
+
+
+def _drive_batched(ssd: SSDDevice, offsets, start=0.0, think=0.0,
+                   deadline=float("inf")):
+    page = ssd.spec.page_size
+    rows = make_chunk(offsets, page)
+    issues, dones = [], []
+    t, pos, n = start, 0, rows.shape[0]
+    while pos < n and t < deadline:
+        i, d, k = ssd.submit_chunk(rows[pos:], t, think, deadline, 0)
+        if k:
+            issues.append(i)
+            dones.append(d)
+            pos += k
+            t = float(d[-1]) + think
+        else:          # declined: the scalar oracle serves the head row
+            off = int(rows[pos]["offset"])
+            done = ssd.submit(Request(Op.WRITE, off, page), t)
+            issues.append(np.array([t]))
+            dones.append(np.array([done]))
+            pos += 1
+            t = done + think
+    if not issues:
+        return np.array([]), np.array([])
+    return np.concatenate(issues), np.concatenate(dones)
+
+
+def _assert_ssd_state_equal(a: SSDDevice, b: SSDDevice):
+    assert ftl_state(a.ftl) == ftl_state(b.ftl)
+    assert a.stats == b.stats
+    assert a.link.bytes_moved == b.link.bytes_moved
+    assert a.link._timeline._free == b.link._timeline._free
+    assert a.link._timeline.busy_time == b.link._timeline.busy_time
+    assert a.nand._free == b.nand._free
+    assert a.nand.busy_time == b.nand.busy_time
+    assert a.qstats.submissions == b.qstats.submissions
+
+
+def _random_page_offsets(ssd: SSDDevice, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    page = ssd.spec.page_size
+    slots = int(ssd.size * 0.9) // page
+    return rng.integers(0, slots, size=n) * page
+
+
+def test_ssd_submit_chunk_bit_identical_through_gc_storm():
+    """Preconditioned drive + uniform overwrites: every batched window
+    crosses superblock rolls, so victim picks, relocation costs and the
+    link/NAND recurrence must all replay the scalar path exactly."""
+    scalar, batched = _make_ssd(), _make_ssd()
+    offsets = _random_page_offsets(scalar, 20000, seed=51)
+    i_s, d_s = _drive_scalar(scalar, offsets)
+    i_b, d_b = _drive_batched(batched, offsets)
+    assert np.array_equal(i_s, i_b)
+    assert np.array_equal(d_s, d_b)
+    assert scalar.ftl.counters.superblock_erases > 0, "GC never ran"
+    _assert_ssd_state_equal(scalar, batched)
+    scalar.ftl.check_invariants()
+    batched.ftl.check_invariants()
+
+
+def test_ssd_submit_chunk_bit_identical_with_wear_leveling():
+    scalar, batched = _make_ssd(), _make_ssd()
+    for ssd in (scalar, batched):
+        ssd.ftl.wear_level_threshold = 4
+    rng = np.random.default_rng(52)
+    page = scalar.spec.page_size
+    offsets = rng.integers(0, 256, size=16000) * page   # tight hot range
+    i_s, d_s = _drive_scalar(scalar, offsets)
+    i_b, d_b = _drive_batched(batched, offsets)
+    assert np.array_equal(i_s, i_b)
+    assert np.array_equal(d_s, d_b)
+    _assert_ssd_state_equal(scalar, batched)
+    assert scalar.ftl.wear_level_moves == batched.ftl.wear_level_moves
+    assert scalar.ftl.wear_level_moves > 0
+
+
+def test_ssd_submit_chunk_finite_deadline_identical():
+    """A deadline that cuts windows mid-prefix drives the row-by-row FTL
+    branch; the served prefix must still match the scalar loop."""
+    scalar, batched = _make_ssd(), _make_ssd()
+    offsets = _random_page_offsets(scalar, 4000, seed=53)
+    page_cost = scalar.spec.page_size / scalar.spec.nand_prog_bw
+    deadline = 700 * page_cost      # lands mid-run, mid-superblock
+    i_s, d_s = _drive_scalar(scalar, offsets, deadline=deadline)
+    i_b, d_b = _drive_batched(batched, offsets, deadline=deadline)
+    assert 0 < i_s.size < offsets.size, "deadline never cut the run"
+    assert np.array_equal(i_s, i_b)
+    assert np.array_equal(d_s, d_b)
+    _assert_ssd_state_equal(scalar, batched)
+
+
+def test_ssd_submit_chunk_mid_run_fail_stop_identical():
+    """Fault injected mid-run: both paths serve the same prefix, raise
+    the same error on the faulted op, and resume identically after
+    repair (no wipe, so the mapping survives)."""
+    scalar, batched = _make_ssd(), _make_ssd()
+    offsets = _random_page_offsets(scalar, 6000, seed=54)
+    head, tail = offsets[:3000], offsets[3000:]
+    i_s, d_s = _drive_scalar(scalar, head)
+    i_b, d_b = _drive_batched(batched, head)
+    assert np.array_equal(d_s, d_b)
+    for ssd in (scalar, batched):
+        ssd.fail()
+    # The batched window declines on a failed drive; the scalar oracle
+    # it falls back to raises — exactly what per-request submission does.
+    _, _, n = batched.submit_chunk(make_chunk(tail[:8],
+                                              batched.spec.page_size),
+                                   1.0, 0.0, float("inf"), 0)
+    assert n == 0
+    page = scalar.spec.page_size
+    for ssd in (scalar, batched):
+        with pytest.raises(DeviceFailedError):
+            ssd.submit(Request(Op.WRITE, int(tail[0]), page), 1.0)
+    for ssd in (scalar, batched):
+        ssd.repair(wipe=False)
+    t0 = float(d_s[-1])
+    i_s2, d_s2 = _drive_scalar(scalar, tail, start=t0)
+    i_b2, d_b2 = _drive_batched(batched, tail, start=t0)
+    assert np.array_equal(i_s2, i_b2)
+    assert np.array_equal(d_s2, d_b2)
+    _assert_ssd_state_equal(scalar, batched)
+
+
+def test_ssd_submit_chunk_scrubs_armed_corruption():
+    """A chunk over latent-corrupted pages is per-request submission:
+    every row is served and each overwrite scrubs its page."""
+    scalar, batched = _make_ssd(), _make_ssd()
+    page = scalar.spec.page_size
+    offsets = _random_page_offsets(scalar, 2000, seed=55)
+    for ssd in (scalar, batched):
+        for off in offsets[::7].tolist():
+            ssd.inject_corruption(off, page)
+    i_s, d_s = _drive_scalar(scalar, offsets)
+    i_b, d_b, n = batched.submit_chunk(make_chunk(offsets, page), 0.0, 0.0,
+                                       float("inf"), 0)
+    assert n == offsets.size
+    assert np.array_equal(i_s, i_b)
+    assert np.array_equal(d_s, d_b)
+    _assert_ssd_state_equal(scalar, batched)
+    assert not batched.corrupted_in(0, batched.size)
+
+
+def test_ssd_submit_chunk_inflight_queue_at_window_start_identical():
+    """A burst still outstanding when the window opens fills the
+    command queue, so admission delays rows mid-window; the chunk
+    serves them all and queues exactly as per-request submission."""
+    scalar, batched = _make_ssd(), _make_ssd()
+    page = scalar.spec.page_size
+    offsets = _random_page_offsets(scalar, 3000, seed=56)
+    depth = scalar.queue_depth
+    burst, rest = offsets[:2 * depth], offsets[2 * depth:]
+    for ssd in (scalar, batched):
+        for off in burst.tolist():
+            ssd.submit(Request(Op.WRITE, off, page), 0.0)
+        assert ssd.outstanding(0.0) == depth
+    i_s, d_s = _drive_scalar(scalar, rest)
+    i_b, d_b, n = batched.submit_chunk(make_chunk(rest, page), 0.0, 0.0,
+                                       float("inf"), 0)
+    assert n == rest.size
+    assert np.array_equal(i_s, i_b)
+    assert np.array_equal(d_s, d_b)
+    _assert_ssd_state_equal(scalar, batched)
+    assert scalar.qstats.as_dict() == batched.qstats.as_dict()
+    assert batched.qstats.queued_ops > depth, "no window row waited"
+    assert scalar._inflight == batched._inflight

@@ -50,4 +50,4 @@ def test_mapping_correct_after_forced_moves():
     ftl = make_ftl(2)
     skewed_workload(ftl, rounds=400, seed=5)
     # Every logical page is still mapped and readable.
-    assert ftl.read(0, 2048).mapped_pages == 2048
+    assert ftl.mapped_page_count == 2048

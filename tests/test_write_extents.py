@@ -1,11 +1,13 @@
 """WRITE batches: ``PageMappedFtl.write_extents`` and the SSD's
 ``submit_extents(Op.WRITE, ...)`` against the loops they replace.
 
-``write`` per extent is the FTL's oracle and ``BlockDevice.submit_extents``
-(the loop over ``submit``) the device's.  Twins take the same batches,
-one through the batch and one through the loop, and must agree on every
-cost, completion time and piece of state — the maps included, since a
-write moves them.
+``write`` per extent is the FTL's oracle, run element by element (a
+``SCALAR_THRESHOLD`` no range reaches) so it shares no code with the
+batch's page loop, and ``BlockDevice.submit_extents`` (the loop over
+``submit``) is the device's.  Twins take the same batches, one through
+the batch and one through the loop, and must agree on every cost,
+completion time and piece of state — the maps included, since a write
+moves them.
 """
 
 from dataclasses import asdict, replace
@@ -14,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.ssd.ftl as ftl_module
 from repro.block.device import BlockDevice
+from repro.common.chunks import SCALAR_THRESHOLD
 from repro.common.errors import AddressError, DeviceFailedError
 from repro.common.types import IoOrigin, Op
 from repro.common.units import KIB, MIB, PAGE_SIZE
@@ -30,11 +34,11 @@ UNIT = 256 * KIB
 # ----------------------------------------------------------------------
 # PageMappedFtl.write_extents
 # ----------------------------------------------------------------------
-def aged_ftl(seed: int = 0) -> PageMappedFtl:
+def aged_ftl(seed: int = 0, wear: int = 0) -> PageMappedFtl:
     """Every logical page written once, then churned by small random
     writes, so each roll collects a partly valid victim."""
     ftl = PageMappedFtl(logical_pages=2048, physical_pages=2560,
-                        superblock_pages=SBP)
+                        superblock_pages=SBP, wear_level_threshold=wear)
     for lpn in range(0, 2048, 128):
         ftl.write(lpn, 128)
     rng = np.random.default_rng(seed)
@@ -53,8 +57,11 @@ def ftl_state(ftl: PageMappedFtl) -> dict:
 
 
 def per_extent(ftl: PageMappedFtl, lpns, npages) -> list:
-    """The oracle: ``write`` per extent, its costs as columns."""
-    costs = [ftl.write(int(lpn), int(n)) for lpn, n in zip(lpns, npages)]
+    """The oracle: ``write`` per extent, element by element, its costs
+    as columns."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ftl_module, "SCALAR_THRESHOLD", 10 ** 9)
+        costs = [ftl.write(int(lpn), int(n)) for lpn, n in zip(lpns, npages)]
     return [[c.gc_read_pages for c in costs], [c.gc_prog_pages for c in costs],
             [c.erases for c in costs]]
 
@@ -66,7 +73,7 @@ def twins(lpns, npages, trim=None, seed=0):
     for ftl in (fast, loop):
         if trim is not None:
             ftl.trim(*trim)
-    got = fast.write_extents(lpns, npages)
+    got = np.array(fast.write_extents(lpns, npages))
     want = per_extent(loop, lpns, npages)
     assert got.tolist() == want
     assert ftl_state(fast) == ftl_state(loop)
@@ -90,24 +97,66 @@ def units(first: int, sizes, gaps=None) -> tuple:
        first=st.integers(0, 600), trimmed=st.booleans())
 def test_write_extents_matches_write_per_extent(seed, sizes, gaps, first,
                                                 trimmed):
-    """Trimmed first: one append; otherwise the per-extent loop."""
+    """Ascending extents, onto a TRIMmed range or onto mapped pages."""
     lpns, npages = units(first, sizes, gaps)
     span = int(lpns[-1] + npages[-1] - first)
     twins(lpns, npages, trim=(first, span) if trimmed else None, seed=seed)
 
 
+def random_extents(rng, n: int) -> tuple:
+    """``n`` extents of 1 page (half), 2–16 or 17–130 pages (longer than
+    a superblock), most on a hot head, some exact repeats: they overlap,
+    repeat and land on mapped pages."""
+    npages = np.where(rng.random(n) < 0.5, 1,
+                      np.where(rng.random(n) < 0.7, rng.integers(2, 17, n),
+                               rng.integers(17, 131, n)))
+    span = np.where(rng.random(n) < 0.6, 256, 2048)
+    lpns = (rng.random(n) * (span - npages)).astype(np.int64)
+    again = np.flatnonzero(rng.random(n) < 0.1)
+    again = again[again > 0]
+    lpns[again], npages[again] = lpns[again - 1], npages[again - 1]
+    return lpns, npages
+
+
+@pytest.mark.parametrize("wear", [0, 2])
+@pytest.mark.parametrize("threshold", [0, SCALAR_THRESHOLD, 10 ** 9])
+def test_write_extents_matches_a_write_loop(threshold, wear):
+    """Seeded batches through rolls, GC and wear levelling, with the
+    batch's runs as arrays, by the default or element by element."""
+    rng = np.random.default_rng([threshold, wear])
+    fast, loop = aged_ftl(wear=wear), aged_ftl(wear=wear)
+    for _ in range(12):
+        lpns, npages = random_extents(rng, 60)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ftl_module, "SCALAR_THRESHOLD", threshold)
+            got = np.array(fast.write_extents(lpns, npages))
+        assert got.tolist() == per_extent(loop, lpns, npages)
+        assert ftl_state(fast) == ftl_state(loop)
+    fast.check_invariants()
+    assert loop.counters.gc_pages_copied > 0
+    assert (loop.wear_level_moves > 0) == bool(wear)
+
+
+def test_write_batch_is_write_extents_of_ones():
+    lpns = np.random.default_rng(7).integers(0, 300, size=500)
+    batch, extents = aged_ftl(), aged_ftl()
+    assert np.array_equal(batch.write_batch(lpns), extents.write_extents(
+        lpns, np.ones_like(lpns)))
+    assert ftl_state(batch) == ftl_state(extents)
+    for bad in ([1, 2, 2048 + 5, 3], [-1, 0]):     # checked before a write
+        with pytest.raises(AddressError):
+            batch.write_batch(np.asarray(bad))
+    assert ftl_state(batch) == ftl_state(extents)
+
+
 def test_an_unmapped_batch_is_one_append():
-    """SRC's unit writes into a TRIMmed group: no ``write`` call, many
-    rolls (each running GC), the whole range mapped in order."""
+    """SRC's unit writes into a TRIMmed group: many rolls (each running
+    GC), the whole range mapped, as the loop maps it."""
     lpns, npages = units(256, [62] * 12)
-    fast = aged_ftl()
-    fast.trim(256, 62 * 12)
-    fast.write = None                 # the loop would call it
-    costs = fast.write_extents(np.asarray(lpns), np.asarray(npages))
-    assert costs[2].sum() >= 10       # a roll, with an erase, per SBP pages
+    got, fast = twins(lpns, npages, trim=(256, 62 * 12))
+    assert got[2].sum() >= 10         # a roll, with an erase, per SBP pages
     assert np.array_equal(fast.p2l[fast.l2p[256:256 + 62 * 12]],
                           np.arange(256, 256 + 62 * 12))
-    twins(lpns, npages, trim=(256, 62 * 12))
 
 
 def head_room() -> int:
@@ -131,7 +180,7 @@ def test_a_roll_mid_extent_is_that_extents():
     assert got[2, 0] > 0 == got[2, 1]
 
 
-def test_mapped_targets_take_the_loop():
+def test_mapped_targets_die_at_their_extents_turn():
     """Rewriting mapped pages across rolls: each extent's old copies die
     only at its turn, so an earlier roll's GC still relocates them."""
     lpns, npages = units(0, [48] * 8)
@@ -142,14 +191,15 @@ def test_mapped_targets_take_the_loop():
     twins(lpns, npages, trim=(700, 80))
 
 
-def test_overlapping_and_descending_extents_take_the_loop():
+def test_overlapping_and_descending_extents_match_the_loop():
+    """Pages written twice in one batch: the loop's maps, where each
+    page's last copy is live and the earlier ones are dead."""
     twins([500, 520, 510], [30, 4, 30], trim=(500, 60))
     twins([900, 800, 700], [20, 20, 20], trim=(700, 220))
 
 
 def test_a_partial_unit():
-    """A unit under ``SCALAR_THRESHOLD`` pages — ``write``'s scalar
-    path — beside full ones."""
+    """A unit under ``SCALAR_THRESHOLD`` pages beside full ones."""
     room = head_room()
     lpns, npages = units(1000, [room - 3, 3, 5, 64])
     twins(lpns, npages, trim=(1000, room + 72))
