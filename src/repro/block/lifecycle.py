@@ -14,7 +14,7 @@ giving up the call-tree's cheapness:
   (SATA NCQ's 32 slots, an HBA's configured depth): once
   ``queue_depth`` submissions are outstanding, a new request's service
   *begin* is pushed to the earliest outstanding completion — explicit
-  queueing delay, accounted per device.
+  queueing delay per device; ``_serve_extents`` / ``_queue_scan`` batch it.
 
 Devices that do not mix in :class:`QueuedDevice` keep the synchronous
 fast path: :meth:`~repro.block.device.BlockDevice._admit` returns
@@ -104,12 +104,11 @@ class QueueStats:
     __slots__ = ("submissions", "queued_ops", "queue_delay_total",
                  "max_outstanding")
 
-    def __init__(self, submissions: int = 0, queued_ops: int = 0,
-                 queue_delay_total: float = 0.0, max_outstanding: int = 0):
-        self.submissions = submissions
-        self.queued_ops = queued_ops          # waited for a slot
-        self.queue_delay_total = queue_delay_total
-        self.max_outstanding = max_outstanding
+    def __init__(self) -> None:
+        self.submissions = 0
+        self.queued_ops = 0          # waited for a slot
+        self.queue_delay_total = 0.0
+        self.max_outstanding = 0
 
     @property
     def mean_queue_delay(self) -> float:
@@ -181,12 +180,12 @@ class QueuedDevice:
     def _serve_extents(self, nows, service) -> np.ndarray:
         """A batch's queue lifecycle in extent order: the ``_admit`` /
         ``_retire`` pair of each extent, inline, around ``service(i,
-        begin)`` (extent ``i``'s completion).  Heap, stats and telemetry
-        end as the per-extent loop leaves them; the completion column."""
+        begin)`` (extent ``i``'s completion), telemetry off.  Heap and
+        stats end as the per-extent loop leaves them; the completion
+        column."""
         depth, q, qs = self.queue_depth, self._inflight, self.qstats
         if not depth:
             return np.array([service(i, now) for i, now in enumerate(nows)])
-        observe = self.obs.observe_queue if self.obs.enabled else None
         pop, push, replace = heapq.heappop, heapq.heappush, heapq.heapreplace
         queued, delay, top, done = 0, qs.queue_delay_total, 0, []
         for i, now in enumerate(nows):
@@ -202,14 +201,36 @@ class QueuedDevice:
             else:
                 push(q, end)
                 top = len(q) if len(q) > top else top
-            if observe is not None:
-                observe(self, len(q), begin - now)
             done.append(end)
         qs.submissions += len(done)
         qs.queued_ops += queued
         qs.queue_delay_total = delay
         qs.max_outstanding = max(qs.max_outstanding, top)
         return np.array(done)
+
+    def _queue_scan(self, nows: np.ndarray, done: np.ndarray) -> None:
+        """:meth:`_serve_extents`'s queue when ``done`` ascends from every
+        in-flight completion, as one server's ends do: a full queue's slot
+        frees by the server's free time, moving no completion.  With ``m``
+        in flight and ``S = sorted(heap) ++ done``, the heap before extent
+        ``i`` is ``S[lo:m + i]``; full, it waits for ``S[m + i - depth]``."""
+        depth, qs = self.queue_depth, self.qstats
+        if not depth:
+            return
+        S = np.concatenate((np.sort(self._inflight), done))
+        hi = len(self._inflight) + np.arange(done.shape[0])
+        ss = np.minimum(np.searchsorted(S, nows, "right"), hi)
+        lo = np.maximum.accumulate(np.maximum(ss, hi - depth + 1))
+        left = np.maximum(np.concatenate(([0], lo[:-1])), ss)
+        full = hi - left >= depth
+        waits = S[hi[full] - depth] - nows[full]
+        qs.submissions += done.shape[0]
+        qs.queued_ops += waits.shape[0]
+        qs.queue_delay_total = float(np.add.accumulate(np.concatenate(
+            ([qs.queue_delay_total], waits)))[-1])
+        qs.max_outstanding = max(qs.max_outstanding, int(np.max(
+            (hi + 1 - left)[~full], initial=0)))
+        self._inflight = S[lo[-1]:].tolist()
 
     def outstanding(self, now: float) -> int:
         """Submissions still in flight at simulated time ``now``."""

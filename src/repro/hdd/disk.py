@@ -54,6 +54,8 @@ class DiskSpec:
             raise ConfigError("disk parameters must be positive")
         if self.queue_depth < 0:
             raise ConfigError("queue_depth must be >= 0 (0 = unbounded)")
+        if self.recent_positions < 1:
+            raise ConfigError("recent_positions must be >= 1")
         if not 0 < self.read_positioning_factor <= 1:
             raise ConfigError("read_positioning_factor must be in (0,1]")
         if not 0 < self.write_positioning_factor <= 1:
@@ -108,45 +110,38 @@ class DiskDevice(QueuedDevice, BlockDevice):
 
     def submit_extents(self, op, offsets, lengths, nows, origin,
                        tenants=None) -> np.ndarray:
-        """WRITE batches: locality and durations as columns, then the
-        queue / arm recurrences of ``submit`` over plain floats in
-        extent order, so every float is the loop's."""
+        """WRITE batches: locality and durations as columns, the arm as
+        one :meth:`Timeline.acquire_many` from the issue times, the
+        queue as :meth:`_queue_scan`, so every float is the loop's.
+        Telemetry, or an in-flight completion past the arm's free time
+        (a TRIM's), takes the loop once the batch has checked out."""
         offsets, lengths = np.asarray(offsets), np.asarray(lengths)
         n = offsets.shape[0]
-        if op is not WRITE or not n:
+        if op is WRITE and n:
+            self._check_extents(offsets, lengths)
+        if (op is not WRITE or not n or self.obs.enabled or (
+                self._inflight and max(self._inflight) > self.arm._free[0])):
             return super().submit_extents(op, offsets, lengths, nows,
                                           origin, tenants)
-        self._check_extents(offsets, lengths)
         self._count_extents(op, lengths, origin)
         nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
         spec, ends = self.spec, offsets + lengths
-        # Extent j sees the last ``depth`` of [deque ++ ends[:j]]; a pad
-        # near no offset stands in for a deque not yet full.
-        depth = spec.recent_positions
+        # Extent j sees the last ``depth`` of [deque ++ ends[:j]], newest
+        # first; a pad near no offset stands in for a deque not yet full.
+        depth, window = spec.recent_positions, spec.sequential_window
         seen = np.concatenate((
             np.array([-(1 << 62)] * depth + list(self._recent)), ends[:-1]))
         before = np.lib.stride_tricks.sliding_window_view(
             seen, depth)[len(self._recent):]
-        near = (abs(before - offsets[:, None])
-                <= spec.sequential_window).any(axis=1)
-        cost = ((spec.avg_seek + spec.avg_rotation)
-                * spec.write_positioning_factor)
-        durations = (np.where(near, 0.0, cost)
-                     + lengths / spec.transfer_bw).tolist()
-        self._recent.extend(ends.tolist())
+        near = abs(before[:, -1] - offsets) <= window
+        far = np.flatnonzero(~near)
+        near[far] = (abs(before[far] - offsets[far, None])
+                     <= window).any(axis=1)
+        cost = spec.avg_seek + spec.avg_rotation
+        self._recent.extend(ends[-depth:].tolist())
         self._recent_sorted = sorted(self._recent)
-        arm = self.arm
-        free, busy = arm._free[0], arm.busy_time
-
-        def service(i: int, begin: float) -> float:   # arm.acquire
-            nonlocal free, busy
-            duration = durations[i]
-            free = (begin if begin > free else free) + duration
-            busy += duration
-            return free
-
-        done = self._serve_extents(nows.tolist(), service)
-        arm._free[0], arm.busy_time = free, busy
-        if self.obs.enabled:
-            self.obs.observe_io_chunk(self, done - nows)
+        done = self.arm.acquire_many(nows, np.where(
+            near, 0.0, cost * spec.write_positioning_factor)
+            + lengths / spec.transfer_bw)
+        self._queue_scan(nows, done)
         return done

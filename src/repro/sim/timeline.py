@@ -28,8 +28,7 @@ class Timeline:
         if servers < 1:
             raise ConfigError(f"a Timeline needs >=1 server, got {servers}")
         self.servers = servers
-        self._free: List[float] = [0.0] * servers
-        heapq.heapify(self._free)
+        self._free: List[float] = [0.0] * servers   # a heap: all equal
         self.busy_time = 0.0
 
     def acquire(self, start: float, duration: float) -> Tuple[float, float]:
@@ -59,6 +58,40 @@ class Timeline:
         self.busy_time += duration
         return begin, end
 
+    def acquire_many(self, starts, durations) -> np.ndarray:
+        """The ends of one :meth:`acquire` per duration from ``starts``
+        (a column or a scalar), single server: the loop's floats, free
+        time and ``busy_time``.  A round recomputes each end from its
+        predecessor, settling all up to its first changed end; after
+        eight rounds a backlog run is one running sum."""
+        if self.servers != 1:
+            raise ConfigError("acquire_many needs a single-server Timeline")
+        durations = np.asarray(durations, dtype=np.float64)
+        if (durations < 0).any():
+            raise TimingError("negative duration in batch")
+        n = durations.shape[0]
+        starts = np.broadcast_to(np.asarray(starts, dtype=np.float64), n)
+        ends = np.empty(n + 1)          # ends[i]: the end before piece i
+        ends[0], ends[1:] = self._free[0], starts + durations
+        lo = rounds = 0
+        while lo < n:
+            if rounds >= 8:     # one running sum, to the run's first idle
+                run = np.add.accumulate(np.concatenate(
+                    ([max(starts[lo], ends[lo])], durations[lo:])))
+                idle = np.flatnonzero(starts[lo + 1:] > run[1:-1])
+                stop = lo + 1 + int(idle[0]) if idle.shape[0] else n
+                ends[lo + 1:stop + 1] = run[1:stop - lo + 1]
+                lo = stop
+            rounds += 1
+            new = np.maximum(starts[lo:], ends[lo:n]) + durations[lo:]
+            moved = np.flatnonzero(new != ends[lo + 1:])
+            ends[lo + 1:] = new
+            lo = lo + 1 + int(moved[0]) if moved.shape[0] else n
+        self._free[0] = float(ends[n])
+        self.busy_time = float(np.add.accumulate(np.concatenate(
+            ([self.busy_time], durations)))[-1])
+        return ends[1:]
+
     def next_free(self) -> float:
         """Earliest time any server is available."""
         return self._free[0]
@@ -69,7 +102,6 @@ class Timeline:
 
     def reset(self) -> None:
         self._free = [0.0] * self.servers
-        heapq.heapify(self._free)
         self.busy_time = 0.0
 
 
@@ -95,19 +127,11 @@ class Link:
         return self._timeline.acquire(start, duration)
 
     def transfer_many(self, start: float, nbytes: np.ndarray) -> np.ndarray:
-        """The end times of one :meth:`transfer` per entry of ``nbytes``
-        (at least one), all requested at ``start``.  Each begins where
-        the one before it ends, so the ends (and ``busy_time``) are
-        running sums: the loop's float adds, in the loop's order."""
-        line = self._timeline
-        durations = self.latency + nbytes / self.bandwidth
-        ends = np.add.accumulate(np.concatenate(
-            ([max(start, line._free[0])], durations)))[1:]
+        """The end times of one :meth:`transfer` per entry of ``nbytes``,
+        all requested at ``start``: one :meth:`Timeline.acquire_many`."""
         self.bytes_moved += int(nbytes.sum())
-        line._free[0] = float(ends[-1])
-        line.busy_time = float(np.add.accumulate(np.concatenate(
-            ([line.busy_time], durations)))[-1])
-        return ends
+        return self._timeline.acquire_many(
+            start, self.latency + nbytes / self.bandwidth)
 
     def drain_time(self) -> float:
         return self._timeline.drain_time()

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.block.device import BlockDevice, StatsDevice
-from repro.common.errors import AddressError, PowerCutError
+from repro.common.errors import AddressError, ConfigError, PowerCutError
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import GIB, KIB, MIB, PAGE_SIZE
 from repro.faults.injector import FaultInjector
@@ -276,3 +276,132 @@ def test_destage_enters_the_origin_once_per_victim():
     assert len(batches) == cache.srcstats.s2d_collections
     assert origin.stats.write_ops == sum(batches)
     assert cache.srcstats.gc_destaged_blocks >= sum(batches)
+
+
+# -- one disk: the arm scan and queue columns against the loop ---------
+
+ORACLE = BlockDevice.submit_extents     # before any test patches it
+
+
+def primed_disk(spec: DiskSpec = DISK) -> DiskDevice:
+    """A disk whose queue is full at 0.0 and whose recent positions
+    are half filled, so the batch starts from a state the loop left."""
+    disk = DiskDevice(spec, name="d")
+    for i in range(40):
+        disk.write((i % 16) * 97 * MIB, PAGE_SIZE, 0.0)
+    return disk
+
+
+def scan_shapes():
+    far = np.arange(2000, dtype=np.int64) * 3 * MIB
+    near = far[:200] // 3 // MIB * 8 * KIB          # 8 KiB apart
+    blocks = np.repeat(np.arange(20) * 0.5, 50)      # 50 at each now
+    return {
+        # 2,000 far pieces at one now: the arm never idles.
+        "never-idle": (far, np.full(2000, PAGE_SIZE), 0.0),
+        # Each piece issued after the one before it completes.
+        "always-idle": (far[:300], np.full(300, CHUNK),
+                        0.1 + np.arange(300) * 0.01),
+        # Backlogged blocks of 50 far pieces, the arm idle between.
+        "blocks": (far[:1000], np.full(1000, PAGE_SIZE), blocks),
+        # Zero-length pieces, near and far, among 4 KiB ones.
+        "zero-length": (np.concatenate((near, far[:200])),
+                        np.tile([0, PAGE_SIZE, 0, 0], 100),
+                        np.linspace(0.0, 0.3, 400)),
+        # Near zero-length pieces on an idle arm: each completes at its
+        # issue time, the time the next one pops it.
+        "zero-time": (near[:100] + PAGE_SIZE, np.zeros(100, np.int64), 1.0),
+    }
+
+
+def run_twins(fast: DiskDevice, loop: DiskDevice, offs, lens, nows):
+    got = fast.submit_extents(Op.WRITE, offs, lens, nows, IoOrigin.DESTAGE)
+    want = ORACLE(loop, Op.WRITE, offs, lens, nows, IoOrigin.DESTAGE)
+    assert got.tobytes() == want.tobytes()
+    assert disk_state(fast) == disk_state(loop)
+
+
+def refuse_the_loop(monkeypatch):
+    def loop(*args, **kwargs):
+        raise AssertionError("took the per-extent loop")
+    monkeypatch.setattr(BlockDevice, "submit_extents", loop)
+
+
+@pytest.mark.parametrize("shape", sorted(scan_shapes()))
+@pytest.mark.parametrize("depth", [32, 0])
+def test_disk_batches_take_the_scan(shape, depth, monkeypatch):
+    offs, lens, nows = scan_shapes()[shape]
+    spec = DiskSpec(capacity=8 * GIB, queue_depth=depth)
+    fast, loop = primed_disk(spec), primed_disk(spec)
+    refuse_the_loop(monkeypatch)
+    run_twins(fast, loop, offs, lens, nows)
+    if depth and shape == "never-idle":
+        assert fast.qstats.queued_ops >= 1900
+
+
+def test_an_issue_time_tied_to_a_completion_frees_its_slot(monkeypatch):
+    """A piece issued exactly when an in-flight one completes takes
+    its slot without waiting, as ``_admit`` pops ``<= now``."""
+    fast, loop = primed_disk(), primed_disk()
+    nows = np.array(sorted(fast._inflight))
+    offs = np.arange(nows.shape[0], dtype=np.int64) * 3 * MIB
+    refuse_the_loop(monkeypatch)
+    run_twins(fast, loop, offs, np.full(nows.shape[0], PAGE_SIZE), nows)
+
+
+def counting_loop(monkeypatch) -> list:
+    calls = []
+
+    def loop(self, *args, **kwargs):
+        calls.append(self.name)
+        return ORACLE(self, *args, **kwargs)
+    monkeypatch.setattr(BlockDevice, "submit_extents", loop)
+    return calls
+
+
+def test_a_trim_in_flight_past_the_arm_takes_the_loop(monkeypatch):
+    fast, loop = primed_disk(), primed_disk()
+    for disk in (fast, loop):
+        disk.trim(0, PAGE_SIZE, 5.0)
+    assert max(fast._inflight) > fast.arm._free[0]
+    offs, lens, nows = scan_shapes()["blocks"]
+    calls = counting_loop(monkeypatch)
+    run_twins(fast, loop, offs, lens, nows)
+    assert calls == ["d"]
+
+
+def test_telemetry_takes_the_loop(monkeypatch):
+    fast, loop = primed_disk(), primed_disk()
+    recorders = [obs.ObsRecorder(), obs.ObsRecorder()]
+    for disk, recorder in zip((fast, loop), recorders):
+        obs.attach(disk, recorder)
+    offs, lens, nows = scan_shapes()["zero-length"]
+    calls = counting_loop(monkeypatch)
+    run_twins(fast, loop, offs, lens, nows)
+    assert calls == ["d"]
+    assert recorders[0].telemetry() == recorders[1].telemetry()
+    assert histograms(recorders[0]) == histograms(recorders[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(extents=st.lists(st.tuples(offsets, lengths), min_size=1,
+                        max_size=80).map(lambda rows: [
+                            (o % (DISK.capacity - 4 * MIB), n)
+                            for o, n in rows]),
+       spacing=st.sampled_from([0.0, 1e-4, 3e-3, 0.02]),
+       shuffled=st.booleans(), depth=st.sampled_from([0, 1, 3, 32]))
+def test_disk_scan_matches_the_loop(extents, spacing, shuffled, depth):
+    """Any batch a disk can take by the scan: column ``nows`` ascending
+    or not, queues from unbounded to one slot."""
+    offs, lens = columns(extents)
+    nows = 0.001 + np.arange(len(extents)) * spacing
+    if shuffled:
+        nows = np.random.default_rng(len(extents)).permutation(nows)
+    spec = DiskSpec(capacity=8 * GIB, queue_depth=depth)
+    run_twins(primed_disk(spec), primed_disk(spec), offs, lens, nows)
+
+
+def test_recent_positions_below_one_is_refused():
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match="recent_positions"):
+            DiskSpec(recent_positions=bad)
