@@ -92,13 +92,36 @@ class BlockDevice(abc.ABC):
 
         Extent ``i`` is ``op`` on ``lengths[i]`` bytes at ``offsets[i]``,
         tagged ``origin`` and ``tenants[i]`` (a list, or None), issued at
-        ``nows[i]`` or at a scalar ``now``.  This body, the loop over
-        :meth:`submit`, is the contract and the overrides' test oracle.
-        An override (the HDD stack's destage WRITEs, the SSD's reclaim
-        READs) validates every extent before anything mutates, then
-        lands each side effect as the loop would, reaching its children
-        only through their ``submit_extents``.
+        ``nows[i]`` or at a scalar ``now``.  The whole batch is checked
+        before anything mutates; then the device's :meth:`_batch` body
+        serves it, or declines to :meth:`_submit_each`, the loop over
+        :meth:`submit` that is the contract and every body's test
+        oracle.  A served batch is counted and observed here, once.
         """
+        offsets, lengths = np.asarray(offsets), np.asarray(lengths)
+        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64),
+                               offsets.shape[0])
+        self._check_extents(offsets, lengths)
+        done = (self._batch(op, offsets, lengths, nows, origin, tenants)
+                if offsets.shape[0] else None)
+        if done is None:
+            return self._submit_each(op, offsets, lengths, nows, origin,
+                                     tenants)
+        self._count_extents(op, lengths, origin)
+        if self.obs.enabled:
+            self.obs.observe_io_chunk(self, done - nows)
+        return done
+
+    def _batch(self, op: Op, offsets: np.ndarray, lengths: np.ndarray,
+               nows: np.ndarray, origin: IoOrigin, tenants):
+        """A device's body for a checked, non-empty batch: its completion
+        column, every float the loop's, or None — before mutating
+        anything — to decline to the loop.  Only READs and WRITEs serve."""
+        return None
+
+    def _submit_each(self, op: Op, offsets, lengths, nows,
+                     origin: IoOrigin, tenants=None) -> np.ndarray:
+        """The loop over :meth:`submit`, one extent at a time."""
         n = len(offsets)
         nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
         return np.array([self.submit(

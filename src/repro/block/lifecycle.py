@@ -14,7 +14,9 @@ giving up the call-tree's cheapness:
   (SATA NCQ's 32 slots, an HBA's configured depth): once
   ``queue_depth`` submissions are outstanding, a new request's service
   *begin* is pushed to the earliest outstanding completion — explicit
-  queueing delay per device; ``_serve_extents`` / ``_queue_scan`` batch it.
+  queueing delay per device.  A batch body keeps the same queue: the
+  disk's as columns (``_queue_scan``), the SSD's in its own pipeline
+  loop (``SSDDevice._pipeline``).
 
 Devices that do not mix in :class:`QueuedDevice` keep the synchronous
 fast path: :meth:`~repro.block.device.BlockDevice._admit` returns
@@ -177,43 +179,13 @@ class QueuedDevice:
         if self.obs.enabled:
             self.obs.observe_queue(self, depth, begin - now)
 
-    def _serve_extents(self, nows, service) -> np.ndarray:
-        """A batch's queue lifecycle in extent order: the ``_admit`` /
-        ``_retire`` pair of each extent, inline, around ``service(i,
-        begin)`` (extent ``i``'s completion), telemetry off.  Heap and
-        stats end as the per-extent loop leaves them; the completion
-        column."""
-        depth, q, qs = self.queue_depth, self._inflight, self.qstats
-        if not depth:
-            return np.array([service(i, now) for i, now in enumerate(nows)])
-        pop, push, replace = heapq.heappop, heapq.heappush, heapq.heapreplace
-        queued, delay, top, done = 0, qs.queue_delay_total, 0, []
-        for i, now in enumerate(nows):
-            while q and q[0] <= now:
-                pop(q)
-            full = len(q) >= depth      # never more: _retire keeps it so
-            begin = q[0] if full else now   # the earliest completion's slot
-            end = service(i, begin)
-            if full:
-                replace(q, end)
-                queued += 1
-                delay += begin - now
-            else:
-                push(q, end)
-                top = len(q) if len(q) > top else top
-            done.append(end)
-        qs.submissions += len(done)
-        qs.queued_ops += queued
-        qs.queue_delay_total = delay
-        qs.max_outstanding = max(qs.max_outstanding, top)
-        return np.array(done)
-
     def _queue_scan(self, nows: np.ndarray, done: np.ndarray) -> None:
-        """:meth:`_serve_extents`'s queue when ``done`` ascends from every
-        in-flight completion, as one server's ends do: a full queue's slot
-        frees by the server's free time, moving no completion.  With ``m``
-        in flight and ``S = sorted(heap) ++ done``, the heap before extent
-        ``i`` is ``S[lo:m + i]``; full, it waits for ``S[m + i - depth]``."""
+        """A batch's ``_admit`` / ``_retire`` pairs as columns, when
+        ``done`` ascends from every in-flight completion, as one server's
+        ends do: a full queue's slot frees by the server's free time,
+        moving no completion.  With ``m`` in flight and ``S = sorted(heap)
+        ++ done``, the heap before extent ``i`` is ``S[lo:m + i]``; full,
+        it waits for ``S[m + i - depth]``."""
         depth, qs = self.queue_depth, self.qstats
         if not depth:
             return

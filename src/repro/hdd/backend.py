@@ -67,19 +67,13 @@ class Raid10Array(BlockDevice):
                 end = max(end, mirror_b.submit(sub, now))
         return end
 
-    def submit_extents(self, op, offsets, lengths, nows, origin,
-                       tenants=None) -> np.ndarray:
+    def _batch(self, op, offsets, lengths, nows, origin, tenants):
         """WRITE batches: :meth:`_split` as integer columns, each
         mirror handed its pieces in extent order, ``2p`` before
         ``2p + 1``; READs toggle mirrors per piece and take the loop."""
-        offsets, lengths = np.asarray(offsets), np.asarray(lengths)
+        if op is not WRITE:
+            return None
         n = offsets.shape[0]
-        if op is not WRITE or not n:
-            return super().submit_extents(op, offsets, lengths, nows,
-                                          origin, tenants)
-        self._check_extents(offsets, lengths)
-        self._count_extents(op, lengths, origin)
-        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
         cs, ends = self.chunk_size, offsets + lengths
         first = offsets // cs
         # A zero-length extent reaches no disk, wherever it starts.
@@ -100,8 +94,6 @@ class Raid10Array(BlockDevice):
                 np.maximum.at(done, rows, disk.submit_extents(
                     op, pair_offset[sel], take[sel], nows[rows], origin,
                     tags))
-        if self.obs.enabled:
-            self.obs.observe_io_chunk(self, done - nows)
         return done
 
 
@@ -137,19 +129,11 @@ class PrimaryStorage(BlockDevice):
             return link_end
         return self.array.submit(req, now)  # TRIM
 
-    def submit_extents(self, op, offsets, lengths, nows, origin,
-                       tenants=None) -> np.ndarray:
-        """WRITE batches issued at one ``now``: the serialized link as
-        a column, whose ends are the array's issue times."""
-        offsets, lengths = np.asarray(offsets), np.asarray(lengths)
-        if op is not WRITE or np.ndim(nows) or not offsets.shape[0]:
-            return super().submit_extents(op, offsets, lengths, nows,
-                                          origin, tenants)
-        self._check_extents(offsets, lengths)
-        self._count_extents(op, lengths, origin)
-        done = self.array.submit_extents(
+    def _batch(self, op, offsets, lengths, nows, origin, tenants):
+        """WRITE batches: the serialized link as a column, whose ends
+        are the array's issue times."""
+        if op is not WRITE:
+            return None
+        return self.array.submit_extents(
             op, offsets, lengths, self.link.transfer_many(nows, lengths),
             origin, tenants)
-        if self.obs.enabled:
-            self.obs.observe_io_chunk(self, done - nows)
-        return done

@@ -108,23 +108,15 @@ class DiskDevice(QueuedDevice, BlockDevice):
         _, end = self.arm.acquire(now, duration)
         return end
 
-    def submit_extents(self, op, offsets, lengths, nows, origin,
-                       tenants=None) -> np.ndarray:
+    def _batch(self, op, offsets, lengths, nows, origin, tenants):
         """WRITE batches: locality and durations as columns, the arm as
         one :meth:`Timeline.acquire_many` from the issue times, the
         queue as :meth:`_queue_scan`, so every float is the loop's.
         Telemetry, or an in-flight completion past the arm's free time
-        (a TRIM's), takes the loop once the batch has checked out."""
-        offsets, lengths = np.asarray(offsets), np.asarray(lengths)
-        n = offsets.shape[0]
-        if op is WRITE and n:
-            self._check_extents(offsets, lengths)
-        if (op is not WRITE or not n or self.obs.enabled or (
+        (a TRIM's), takes the loop."""
+        if (op is not WRITE or self.obs.enabled or (
                 self._inflight and max(self._inflight) > self.arm._free[0])):
-            return super().submit_extents(op, offsets, lengths, nows,
-                                          origin, tenants)
-        self._count_extents(op, lengths, origin)
-        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
+            return None
         spec, ends = self.spec, offsets + lengths
         # Extent j sees the last ``depth`` of [deque ++ ends[:j]], newest
         # first; a pad near no offset stands in for a deque not yet full.

@@ -126,12 +126,12 @@ class Link:
         self.bytes_moved += nbytes
         return self._timeline.acquire(start, duration)
 
-    def transfer_many(self, start: float, nbytes: np.ndarray) -> np.ndarray:
-        """The end times of one :meth:`transfer` per entry of ``nbytes``,
-        all requested at ``start``: one :meth:`Timeline.acquire_many`."""
+    def transfer_many(self, starts, nbytes: np.ndarray) -> np.ndarray:
+        """One :meth:`transfer` per entry of ``nbytes`` from ``starts`` (a
+        column or a scalar): the ends, as :meth:`Timeline.acquire_many`."""
         self.bytes_moved += int(nbytes.sum())
         return self._timeline.acquire_many(
-            start, self.latency + nbytes / self.bandwidth)
+            starts, self.latency + nbytes / self.bandwidth)
 
     def drain_time(self) -> float:
         return self._timeline.drain_time()

@@ -21,6 +21,7 @@ flush-cost findings of Table 3.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional, Set
 
 import numpy as np
@@ -253,30 +254,23 @@ class SSDDevice(QueuedDevice, BlockDevice):
         self._retire(None, now, begin, done)
         return done
 
-    def submit_extents(self, op, offsets, lengths, nows, origin,
-                       tenants=None) -> np.ndarray:
+    def _batch(self, op, offsets, lengths, nows, origin, tenants):
         """READ batches (reclaim's victim reads) and WRITE batches
-        (copy-forward unit writes): checks, counters and durations as
-        columns, then ``submit``'s queue / NAND / link recurrences over
-        plain floats in extent order, so every float is the loop's.
+        (copy-forward unit writes): the FTL and durations as columns,
+        then ``submit``'s queue / NAND / link recurrences over plain
+        floats in extent order, so every float is the loop's.
         Telemetry, other ops and zero-length commands take the loop."""
-        offsets, lengths = np.asarray(offsets), np.asarray(lengths)
         if (op not in (READ, WRITE) or self.obs.enabled
-                or not offsets.shape[0] or not lengths.all()):
-            return super().submit_extents(op, offsets, lengths, nows,
-                                          origin, tenants)
+                or not lengths.all()):
+            return None
         if self.failed:
             raise DeviceFailedError(f"{self.name} has failed")
-        self._check_extents(offsets, lengths)
         spec = self.spec
         page = spec.page_size
         first = offsets // page
         npages = (offsets + lengths + page - 1) // page - first
-        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64),
-                               offsets.shape[0]).tolist()
         if op is READ:
             self.ftl.read_extents(first, npages)
-            self._count_extents(op, lengths, origin)
             # As _read: NAND first (only foreground reads ride read
             # priority), the outbound transfer from its first page on.
             link = self.read_link
@@ -287,7 +281,6 @@ class SSDDevice(QueuedDevice, BlockDevice):
                 link._timeline, link.latency + lengths / link.bandwidth,
                 spec.timing.t_read, 0.0)
         costs = self.ftl.write_extents(first, npages)
-        self._count_extents(op, lengths, origin)
         if self._corrupted_pages:          # overwrites scrub, as in _write
             for offset, length in zip(offsets.tolist(), lengths.tolist()):
                 self.clear_corruption(offset, length)
@@ -302,28 +295,49 @@ class SSDDevice(QueuedDevice, BlockDevice):
 
     def _pipeline(self, nows, first, first_times, second, second_times,
                   lag, slack) -> np.ndarray:
-        """Per extent, ``first`` held ``first_times[i]`` from its begin,
+        """Per extent in order: a command slot as ``_admit`` / ``_retire``
+        give it, ``first`` held ``first_times[i]`` from the slot's begin,
         ``second`` ``second_times[i]`` from ``lag`` past that; done at
-        ``max(end1, max(end2, end1) - slack)``: acquire's floats inline."""
-        d1, d2 = first_times.tolist(), second_times.tolist()
+        ``max(end1, max(end2, end1) - slack)``.  The heap's and
+        acquire's floats inline, telemetry off; the completion column."""
         free1, busy1 = first._free[0], first.busy_time
         free2, busy2 = second._free[0], second.busy_time
-
-        def service(i: int, begin: float) -> float:
-            nonlocal free1, busy1, free2, busy2
+        depth, qs = self.queue_depth, self.qstats
+        # No depth limit: a throwaway heap that never fills stands in.
+        q = self._inflight if depth else []
+        depth = depth or len(nows) + 1
+        pop, push, replace = heapq.heappop, heapq.heappush, heapq.heapreplace
+        queued, delay, top, done = 0, qs.queue_delay_total, 0, []
+        for now, d1, d2 in zip(nows.tolist(), first_times.tolist(),
+                               second_times.tolist()):
+            while q and q[0] <= now:
+                pop(q)
+            full = len(q) >= depth      # never more: _retire keeps it so
+            begin = q[0] if full else now   # the earliest completion's slot
             begin1 = begin if begin > free1 else free1
-            free1 = begin1 + d1[i]
-            busy1 += d1[i]
+            free1 = begin1 + d1
+            busy1 += d1
             start = begin1 + lag
-            free2 = (start if start > free2 else free2) + d2[i]
-            busy2 += d2[i]
+            free2 = (start if start > free2 else free2) + d2
+            busy2 += d2
             end = (free2 if free2 > free1 else free1) - slack
-            return free1 if free1 > end else end
-
-        done = self._serve_extents(nows, service)
+            end = free1 if free1 > end else end
+            if full:
+                replace(q, end)
+                queued += 1
+                delay += begin - now
+            else:
+                push(q, end)
+                top = len(q) if len(q) > top else top
+            done.append(end)
         first._free[0], first.busy_time = free1, busy1
         second._free[0], second.busy_time = free2, busy2
-        return done
+        if self.queue_depth:
+            qs.submissions += len(done)
+            qs.queued_ops += queued
+            qs.queue_delay_total = delay
+            qs.max_outstanding = max(qs.max_outstanding, top)
+        return np.array(done)
 
     def submit_chunk(self, rows, start: float, think_time: float,
                      deadline: float, limit: int):

@@ -29,21 +29,13 @@ from repro.common.types import Op, Request
 from repro.common.units import KIB, PAGE_SIZE
 
 
-def _with_flushes(chunk: np.ndarray, data_issued: int,
-                  flush_every: int) -> np.ndarray:
-    """Insert a FLUSH row after every ``flush_every``-th data row.
-
-    ``data_issued`` is the data-request count before this chunk, so the
-    cadence carries across chunk boundaries exactly like the scalar
-    generator's running counter.
-    """
-    n = len(chunk)
-    seq = np.arange(1, n + 1) + data_issued
-    after = (seq % flush_every == 0)
+def _with_flushes(chunk: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Insert a FLUSH row after every data row flagged in ``after``."""
     n_flush = int(np.count_nonzero(after))
     if n_flush == 0:
         return chunk
     # Destination of data row i shifts right by the flushes before it.
+    n = len(chunk)
     shift = np.zeros(n, dtype=np.int64)
     np.cumsum(after[:-1], out=shift[1:])
     dest = np.arange(n) + shift
@@ -78,7 +70,10 @@ def uniform_random_chunks(span: int, request_size: int = 4 * KIB,
         offsets = rng.integers(0, slots, size=chunk_requests) * align
         chunk = make_chunk(offsets, request_size, op_code)
         if flush_every:
-            chunk = _with_flushes(chunk, issued, flush_every)
+            # ``issued`` carries the cadence across chunk boundaries
+            # exactly like the scalar generator's running counter.
+            seq = np.arange(issued + 1, issued + chunk_requests + 1)
+            chunk = _with_flushes(chunk, seq % flush_every == 0)
             issued += chunk_requests
         yield chunk
 
@@ -126,23 +121,8 @@ def sequential_chunks(span: int, request_size: int = 128 * KIB,
             if flush_every_bytes and since_flush >= flush_every_bytes:
                 since_flush = 0
                 flush_after[i] = True
-        chunk = make_chunk(offsets, request_size, op_code)
-        n_flush = int(np.count_nonzero(flush_after))
-        if n_flush:
-            shift = np.zeros(chunk_requests, dtype=np.int64)
-            np.cumsum(flush_after[:-1], out=shift[1:])
-            dest = np.arange(chunk_requests) + shift
-            out = empty_chunk(chunk_requests + n_flush)
-            out[dest] = chunk
-            flush_dest = dest[flush_after] + 1
-            out["time"][flush_dest] = 0.0
-            out["offset"][flush_dest] = 0
-            out["length"][flush_dest] = 0
-            out["op"][flush_dest] = OP_FLUSH
-            out["origin"][flush_dest] = chunk["origin"][0]
-            out["tenant"][flush_dest] = chunk["tenant"][0]
-            chunk = out
-        yield chunk
+        yield _with_flushes(make_chunk(offsets, request_size, op_code),
+                            flush_after)
 
 
 def sequential(span: int, request_size: int = 128 * KIB,

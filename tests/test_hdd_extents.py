@@ -1,8 +1,8 @@
-"""``submit_extents``: the HDD stack's batch overrides against the loop.
+"""``submit_extents``: the HDD stack's batch bodies against the loop.
 
-``BlockDevice.submit_extents`` (the loop over ``submit``) is the
+``BlockDevice._submit_each`` (the loop over ``submit``) is the
 oracle.  Twin ``PrimaryStorage`` stacks take the same batches, one
-through the overrides and one through the loop called unbound, and
+through the bodies and one through the loop called unbound, and
 must agree on every completion time and every piece of device state.
 """
 
@@ -108,8 +108,8 @@ def test_overrides_match_the_loop(steps, observed, tagged):
                    if tagged else None)
         got = fast.submit_extents(Op.WRITE, offs, lens, now,
                                   IoOrigin.DESTAGE, tenants)
-        want = BlockDevice.submit_extents(loop, Op.WRITE, offs, lens, now,
-                                          IoOrigin.DESTAGE, tenants)
+        want = BlockDevice._submit_each(loop, Op.WRITE, offs, lens, now,
+                                        IoOrigin.DESTAGE, tenants)
         assert got.tolist() == want.tolist()
         assert state(fast) == state(loop)
         for offset, length in reads:        # the mirrors' deques diverge
@@ -130,8 +130,8 @@ def test_split_edge_shapes():
     loop, _ = build()
     offs, lens = columns(extents)
     got = fast.submit_extents(Op.WRITE, offs, lens, 0.01, IoOrigin.DESTAGE)
-    want = BlockDevice.submit_extents(loop, Op.WRITE, offs, lens, 0.01,
-                                      IoOrigin.DESTAGE)
+    want = BlockDevice._submit_each(loop, Op.WRITE, offs, lens, 0.01,
+                                    IoOrigin.DESTAGE)
     assert got.tolist() == want.tolist()
     assert state(fast) == state(loop)
     # The zero-length extents reached no disk: 1 + 4 + 2 pieces, twice.
@@ -162,8 +162,8 @@ def test_column_nows_reach_the_array_and_disks():
     for level in (lambda o: o, lambda o: o.array, lambda o: o.disks[1]):
         got = level(fast).submit_extents(Op.WRITE, offs, lens, nows,
                                          IoOrigin.DESTAGE)
-        want = BlockDevice.submit_extents(level(loop), Op.WRITE, offs, lens,
-                                          nows, IoOrigin.DESTAGE)
+        want = BlockDevice._submit_each(level(loop), Op.WRITE, offs, lens,
+                                        nows, IoOrigin.DESTAGE)
         assert got.tolist() == want.tolist()
         assert state(fast) == state(loop)
 
@@ -188,7 +188,7 @@ def test_wrapped_disks_take_the_loop_by_dispatch():
                           (2 * CHUNK + 512, 3 * CHUNK), (9 * CHUNK, CHUNK)])
     tenants, nows = ["a", "b", None, "a"], np.array([0.0, 0.1, 0.1, 0.3])
     logs, dones = [], []
-    for submit in (Raid10Array.submit_extents, BlockDevice.submit_extents):
+    for submit in (Raid10Array.submit_extents, BlockDevice._submit_each):
         log = []
         array = Raid10Array([Tap(DiskDevice(DISK, name=f"d{i}"), log)
                              for i in range(4)])
@@ -280,7 +280,7 @@ def test_destage_enters_the_origin_once_per_victim():
 
 # -- one disk: the arm scan and queue columns against the loop ---------
 
-ORACLE = BlockDevice.submit_extents     # before any test patches it
+ORACLE = BlockDevice._submit_each     # before any test patches it
 
 
 def primed_disk(spec: DiskSpec = DISK) -> DiskDevice:
@@ -324,7 +324,7 @@ def run_twins(fast: DiskDevice, loop: DiskDevice, offs, lens, nows):
 def refuse_the_loop(monkeypatch):
     def loop(*args, **kwargs):
         raise AssertionError("took the per-extent loop")
-    monkeypatch.setattr(BlockDevice, "submit_extents", loop)
+    monkeypatch.setattr(BlockDevice, "_submit_each", loop)
 
 
 @pytest.mark.parametrize("shape", sorted(scan_shapes()))
@@ -355,7 +355,7 @@ def counting_loop(monkeypatch) -> list:
     def loop(self, *args, **kwargs):
         calls.append(self.name)
         return ORACLE(self, *args, **kwargs)
-    monkeypatch.setattr(BlockDevice, "submit_extents", loop)
+    monkeypatch.setattr(BlockDevice, "_submit_each", loop)
     return calls
 
 

@@ -1,9 +1,9 @@
 """``submit_extents``: the SSD's READ batch against the loop, and
 ``Members.read_extents`` / ``Reclaimer.victim_read`` on top of it.
 
-``BlockDevice.submit_extents`` (the loop over ``submit``) is the
+``BlockDevice._submit_each`` (the loop over ``submit``) is the
 oracle.  Twin aged ``SSDDevice``s take the same batches, one through
-the override and one through the loop called unbound, and must agree
+the body and one through the loop called unbound, and must agree
 on every completion time and every piece of device state.  One level
 up the oracle is the per-span loop over ``Members.submit`` that
 ``victim_read`` ran before it had a batch to call.
@@ -98,8 +98,8 @@ def test_override_matches_the_loop(steps, observed):
         nows = (now + np.linspace(0.0, 2e-3, len(extents)) if as_column
                 else now)
         got = fast.submit_extents(Op.READ, offs, lens, nows, origin)
-        want = BlockDevice.submit_extents(loop, Op.READ, offs, lens, nows,
-                                          origin)
+        want = BlockDevice._submit_each(loop, Op.READ, offs, lens, nows,
+                                        origin)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
         assert state(fast) == state(loop)
         # Ordinary traffic between batches sees the same device.
@@ -123,8 +123,8 @@ def test_a_victims_worth_of_spans(origin):
     loop, _ = build()
     before = fast.qstats.queued_ops
     got = fast.submit_extents(Op.READ, offs, lens, 0.04, origin)
-    want = BlockDevice.submit_extents(loop, Op.READ, offs, lens, 0.04,
-                                      origin)
+    want = BlockDevice._submit_each(loop, Op.READ, offs, lens, 0.04,
+                                    origin)
     assert got.tolist() == want.tolist()
     assert state(fast) == state(loop)
     assert fast.qstats.queued_ops - before > 200

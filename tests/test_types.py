@@ -80,3 +80,29 @@ def test_latency_stats():
 
 def test_latency_stats_empty_mean():
     assert LatencyStats().mean == 0.0
+
+
+def test_percentiles_ordered():
+    lat = LatencyStats()
+    for i in range(1000):
+        lat.record(i / 1000.0)
+    assert lat.p50 == pytest.approx(0.5, abs=0.05)
+    assert lat.p99 == pytest.approx(0.99, abs=0.02)
+    assert lat.p50 <= lat.p99 <= lat.max
+
+
+def test_percentile_empty_is_zero():
+    assert LatencyStats().p99 == 0.0
+
+
+def test_percentile_validates_range():
+    with pytest.raises(ValueError):
+        LatencyStats().percentile(1.5)
+
+
+def test_reservoir_bounded():
+    lat = LatencyStats()
+    for i in range(10_000):
+        lat.record(float(i))
+    assert len(lat._reservoir) <= lat._reservoir_size
+    assert lat.count == 10_000

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.chunks import requests_from_chunk
 from repro.common.errors import ConfigError
 from repro.common.types import Op
 from repro.common.units import GB, KB, KIB, MIB, PAGE_SIZE
@@ -55,6 +56,25 @@ def test_sequential_flush_every_bytes():
                                flush_every_bytes=256 * KIB), 9)
     flushes = [i for i, r in enumerate(reqs) if r.op is Op.FLUSH]
     assert flushes == [2, 5, 8]
+
+
+@pytest.mark.parametrize("chunks,scalar", [
+    (lambda k: fio.uniform_random_chunks(1 * MIB, seed=3, flush_every=3,
+                                         chunk_requests=k),
+     lambda: fio.uniform_random(1 * MIB, seed=3, flush_every=3)),
+    (lambda k: fio.sequential_chunks(1 * MIB, flush_every_bytes=384 * KIB,
+                                     chunk_requests=k),
+     lambda: fio.sequential(1 * MIB, flush_every_bytes=384 * KIB)),
+], ids=["uniform_random", "sequential"])
+def test_flush_rows_carry_across_chunk_boundaries(chunks, scalar):
+    """Five-row chunks put FLUSH rows after a chunk's last row and at
+    the next one's head; flattened, they are the per-request stream."""
+    small = [(r.op, r.offset, r.length) for chunk in take(chunks(5), 8)
+             for r in requests_from_chunk(chunk)]
+    want = [(r.op, r.offset, r.length) for r in take(scalar(), len(small))]
+    assert small == want
+    flushes = [i for i, (op, _, _) in enumerate(small) if op is Op.FLUSH]
+    assert flushes == list(range(3, len(small), 4)) and len(flushes) == 13
 
 
 def test_mixed_ratio():

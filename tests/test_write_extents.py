@@ -3,7 +3,7 @@
 
 ``write`` per extent is the FTL's oracle, run element by element (a
 ``SCALAR_THRESHOLD`` no range reaches) so it shares no code with the
-batch's page loop, and ``BlockDevice.submit_extents`` (the loop over
+batch's page loop, and ``BlockDevice._submit_each`` (the loop over
 ``submit``) is the device's.  Twins take the same batches, one through
 the batch and one through the loop, and must agree on every cost,
 completion time and piece of state — the maps included, since a write
@@ -286,8 +286,8 @@ def test_the_write_override_matches_the_loop(steps):
         nows = (now + np.linspace(0.0, 2e-3, len(extents)) if as_column
                 else now)
         got = fast.submit_extents(Op.WRITE, offs, lens, nows, origin)
-        want = BlockDevice.submit_extents(loop, Op.WRITE, offs, lens, nows,
-                                          origin)
+        want = BlockDevice._submit_each(loop, Op.WRITE, offs, lens, nows,
+                                        origin)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
         assert ssd_state(fast) == ssd_state(loop)
         assert fast.write(UNIT, PAGE_SIZE, now) == loop.write(
@@ -306,8 +306,8 @@ def test_a_members_units_at_one_now():
         ssd.trim(base, 30 * UNIT, 0.0)
     before = fast.qstats.queued_ops
     got = fast.submit_extents(Op.WRITE, offs, lens, 1e-3, IoOrigin.GC)
-    want = BlockDevice.submit_extents(loop, Op.WRITE, offs, lens, 1e-3,
-                                      IoOrigin.GC)
+    want = BlockDevice._submit_each(loop, Op.WRITE, offs, lens, 1e-3,
+                                    IoOrigin.GC)
     assert got.tolist() == want.tolist()
     assert ssd_state(fast) == ssd_state(loop)
     assert fast.qstats.queued_ops - before == 30
