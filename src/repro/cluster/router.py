@@ -516,9 +516,11 @@ class ShardRouter(BlockDevice):
         """
         if tenant in self.volumes:
             raise ConfigError(f"volume for tenant {tenant!r} exists")
-        blocks = (size + PAGE_SIZE - 1) // PAGE_SIZE
-        if blocks < 1:
-            raise ConfigError("volume size must be at least one block")
+        if size <= 0 or size % PAGE_SIZE:
+            raise ConfigError(
+                f"volume size must be a positive multiple of {PAGE_SIZE}, "
+                f"got {size}")
+        blocks = size // PAGE_SIZE
         if (self._alloc_cursor + blocks) * PAGE_SIZE > self.size:
             raise ConfigError(
                 f"volume {tenant!r} ({blocks} blocks) does not fit; "

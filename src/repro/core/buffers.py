@@ -163,14 +163,6 @@ class SegmentBuffer:
     def peek(self) -> List[int]:
         return self._order[:self._n].tolist()
 
-    def resize(self, capacity_blocks: int) -> None:
-        """Adjust capacity (used when the active segment type changes)."""
-        if capacity_blocks < self._n:
-            raise ConfigError("cannot shrink below current occupancy")
-        self.capacity = capacity_blocks
-        if capacity_blocks > self._order.shape[0]:
-            self._order = grow_to(self._order, capacity_blocks)
-
 
 class StagingBuffer:
     """Transient holding area for read-miss fetches (paper §4.1).

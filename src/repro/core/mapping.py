@@ -221,14 +221,6 @@ class MappingTable:
         if self.observer is not None:
             self.observer.blocks_evicted(lbas)
 
-    def mark_clean(self, lba: int) -> None:
-        """Transition a dirty block to clean after destaging."""
-        if lba >= self._sg.shape[0] or self._sg[lba] < 0:
-            raise KeyError(lba)
-        if self._dirty[lba]:
-            self._dirty[lba] = False
-            self.dirty_count -= 1
-
     # ------------------------------------------------------------------
     # per-SG views (GC)
     # ------------------------------------------------------------------

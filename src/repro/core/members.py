@@ -8,11 +8,9 @@ to its SSDs.  It owns
   erroring or limps is converted to fail-stop, a hot spare may take
   its slot (:mod:`repro.repair`), and when the array can no longer
   serve the cache degrades to origin bypass;
-* the lean twins the segment sealer and reclaim use while every side
-  channel of ``submit`` is provably inert (:meth:`Members.write`,
-  :meth:`Members.flush`, :meth:`Members.read_extents`; to add a side
-  channel to ``submit``, add its liveness check to
-  :meth:`Members.seal_fast_ok`);
+* :meth:`Members.issue` — every other member command: a member's
+  commands as one lean batch while every side channel of ``submit`` is
+  inert (:meth:`Members.seal_fast_ok`), else one ``submit`` each;
 * :meth:`Members.read` — a cached block's read around a dead member,
   a not-yet-rebuilt unit or a checksum mismatch: reconstruct from the
   stripe when the segment carries parity, refetch clean data from the
@@ -21,13 +19,14 @@ to its SSDs.  It owns
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List, Optional
 
 import numpy as np
 
 from repro.common.errors import DeviceFailedError, RequestTimeoutError
-from repro.common.types import (FLUSH, READ, TRIM, WRITE, IoOrigin,
-                                Request)
+from repro.common.types import (FLUSH, FOREGROUND, READ, TRIM, WRITE,
+                                IoOrigin, Op, Request)
 from repro.common.units import PAGE_SIZE
 from repro.core.mapping import CacheEntry
 from repro.faults.failslow import FailSlowDetector
@@ -114,14 +113,13 @@ class Members:
         return False
 
     def seal_fast_ok(self) -> bool:
-        """Whether :meth:`write`, :meth:`flush` and :meth:`read_extents`
-        may use the SSDs' lean submission: only while every side channel
-        of :meth:`submit` is inert — no fail-slow detector sampling, no
-        telemetry on SRC or a member, every member a plain ``SSDDevice``
-        (an injector wrapper or test double keeps the full path), no
-        armed fault plan (retry only acts on injected errors).  Read
-        once per call: the lean path runs none of those, so nothing in
-        the loop can flip it."""
+        """Whether :meth:`issue` may use the SSDs' lean submission: only
+        while every side channel of :meth:`submit` is inert — no
+        fail-slow detector sampling, no telemetry on SRC or a member,
+        every member a plain ``SSDDevice`` (an injector wrapper or test
+        double keeps the full path), no armed fault plan (retry only
+        acts on injected errors).  Read once per call: the lean path
+        runs none of those, so nothing in the call can flip it."""
         cache = self.cache
         return (self.failslow is None and self.flush_failslow is None
                 and not cache.obs.enabled
@@ -129,61 +127,79 @@ class Members:
                         for s in cache.ssds)
                 and not self.armed_fault())
 
+    def issue(self, op: Op, commands,
+              origin: IoOrigin) -> List[Optional[float]]:
+        """``op`` on each ``(member, offset, length, now)`` command: when
+        it completed, None where the member is dead or died.  A READ may
+        carry columns of offsets and lengths: a run from one ``now``, its
+        member's only command, done with its last extent.  Lean: each
+        member's commands as one ``submit_extents`` batch, but a lone
+        WRITE by ``submit_write_fast`` and a FLUSH by ``submit_flush_fast``
+        (the measured forks), a member raising ``DeviceFailedError``
+        converted to fail-stop.  Otherwise, and for TRIMs (no SSD batches
+        them), a :meth:`submit` per extent in order: a fault mid-call, or
+        a lazy ``commands``' filter, sees every earlier extent's effect."""
+        if op is TRIM or not self.seal_fast_ok():
+            done = []
+            for idx, offsets, lengths, now in commands:
+                spans = (zip(offsets.tolist(), lengths.tolist())
+                         if isinstance(offsets, np.ndarray)
+                         else [(offsets, lengths)])
+                done.append(latest(None, [
+                    self.submit(idx, Request(op, offset, length,
+                                             origin=origin), now)
+                    for offset, length in spans if self.alive(idx)]))
+            return done
+        commands = list(commands)
+        done: List[Optional[float]] = [None] * len(commands)
+        rows: dict = {}
+        for i, command in enumerate(commands):
+            rows.setdefault(command[0], []).append(i)
+        for idx, mine in rows.items():
+            if not self.alive(idx):
+                continue
+            ssd = self.cache.ssds[idx]
+            _, offsets, lengths, nows = (
+                commands[mine[0]] if len(mine) == 1
+                else zip(*map(commands.__getitem__, mine)))
+            try:
+                if len(mine) == 1 and op is not READ:       # the forks
+                    ends = [ssd.submit_flush_fast(nows) if op is FLUSH
+                            else ssd.submit_write_fast(offsets, lengths,
+                                                       nows, origin)]
+                else:
+                    ends = ssd.submit_extents(
+                        op, np.atleast_1d(offsets), np.atleast_1d(lengths),
+                        nows, origin)
+                    ends = (ends.tolist() if len(mine) > 1
+                            else [ends.max().item()])
+            except DeviceFailedError:
+                self._convert_fail_stop(idx, commands[mine[0]][3])
+                continue
+            for i, end in zip(mine, ends):
+                done[i] = end
+        return done
+
     def write(self, segments, origin: IoOrigin) -> List[float]:
         """Each segment's ``(offset, now, [(member, length)])`` unit
-        WRITEs to the live members; each segment's end.  Lean: a member's
-        units of 2+ segments as one extent batch; else segment by segment."""
-        ends = [now for _, now, _ in segments]
-        lean, batch, ssds = self.seal_fast_ok(), {}, self.cache.ssds
-        many = lean and len(segments) > 1
-        for j, (offset, now, units) in enumerate(segments):
-            for idx, size in units:
-                if not self.alive(idx):
-                    continue
-                if many:
-                    batch.setdefault(idx, []).append((offset, size, now, j))
-                    continue
-                done = (ssds[idx].submit_write_fast(offset, size, now, origin)
-                        if lean else self.submit(idx, Request(
-                            WRITE, offset, size, origin=origin), now))
-                if done is not None and done > ends[j]:
-                    ends[j] = done
-        for idx, rows in batch.items():
-            offsets, lengths, nows, js = zip(*rows)
-            for j, done in zip(js, ssds[idx].submit_extents(
-                    WRITE, np.array(offsets), np.array(lengths),
-                    np.array(nows), origin).tolist()):
-                ends[j] = max(ends[j], done)
-        return ends
+        WRITEs, segment-major; each segment's end."""
+        dones = iter(self.issue(WRITE, [
+            (idx, offset, size, now)
+            for offset, now, units in segments for idx, size in units],
+            origin))
+        return [latest(now, islice(dones, len(units)))
+                for _, now, units in segments]
 
     def flush(self, now: float) -> float:
         """FLUSH every live member; returns when the last one drained."""
-        cache, fast, end = self.cache, self.seal_fast_ok(), now
-        for idx in range(len(cache.ssds)):
-            if self.alive(idx):
-                done = (cache.ssds[idx].submit_flush_fast(now) if fast
-                        else self.submit(idx, Request(FLUSH), now))
-                if done is not None:
-                    end = max(end, done)
+        cache = self.cache
+        end = latest(now, self.issue(
+            FLUSH, [(idx, 0, 0, now) for idx in range(len(cache.ssds))],
+            FOREGROUND))
         cache.srcstats.flush_commands += 1
         if cache.obs.enabled:
             cache.obs.emit(FlushBarrier(t=now, device=cache.name))
         return end
-
-    def read_extents(self, idx: int, offsets, lengths, now: float,
-                     origin: IoOrigin) -> Optional[float]:
-        """One member's READ spans (reclaim's victim reads), all issued
-        at ``now``: when the last one completed, None if none did."""
-        if self.seal_fast_ok():
-            try:
-                return self.cache.ssds[idx].submit_extents(
-                    READ, offsets, lengths, now, origin).max().item()
-            except DeviceFailedError:
-                self._convert_fail_stop(idx, now)
-                return None
-        dones = [self.submit(idx, Request(READ, o, n, origin=origin), now)
-                 for o, n in zip(offsets.tolist(), lengths.tolist())]
-        return max((d for d in dones if d is not None), default=None)
 
     def _convert_fail_stop(self, idx: int, now: float) -> None:
         """Stop using a drive that keeps erroring or is limping."""
@@ -261,39 +277,30 @@ class Members:
 
     def stripe_read(self, entry: CacheEntry, now: float) -> float:
         """Read the same-row blocks from every other SSD (reconstruct)."""
-        cache = self.cache
-        loc = entry.location
-        end = now
-        for idx in range(cache.config.n_ssds):
-            # (A rebuilding spare's copy of the unit is not there yet.)
-            if (idx == loc.ssd or not self.alive(idx)
-                    or not cache.repair.unit_ready(idx, loc.sg, loc.segment)):
-                continue
-            # Same row of every unit: the units share their offset.
-            done = self.submit(idx, Request(READ, loc.offset, PAGE_SIZE),
-                               now)
-            if done is not None:
-                end = max(end, done)
-        return end
+        loc, repair = entry.location, self.cache.repair
+        # Same row of every unit: the units share their offset.  (A
+        # rebuilding spare's copy of the unit is not there yet.)
+        return latest(now, self.issue(READ, (
+            (idx, loc.offset, PAGE_SIZE, now)
+            for idx in range(self.cache.config.n_ssds)
+            if idx != loc.ssd and repair.unit_ready(idx, loc.sg, loc.segment)),
+            FOREGROUND))
 
-    def can_reconstruct(self, entry: CacheEntry) -> bool:
-        """Whether parity reconstruction has all its source copies.
-
-        Requires the segment to carry parity AND every member of the
-        stripe other than the entry's home to be alive with its unit
-        readable (a second failure or a still-rebuilding spare among
-        the sources makes the stripe unreconstructable).
-        """
+    def can_reconstruct(self, home: int, sg: int, segment: int,
+                        dirty: bool) -> bool:
+        """Whether parity can rebuild ``home``'s unit of a segment: the
+        segment carries parity (by ``dirty`` while its summary is not
+        written) and every other member is alive with its unit readable
+        (a second failure or a still-rebuilding spare among the sources
+        makes the stripe unreconstructable)."""
         cache = self.cache
-        loc = entry.location
-        summary = cache.metadata.read_summary(loc.sg, loc.segment)
+        summary = cache.metadata.read_summary(sg, segment)
         with_parity = (summary.with_parity if summary is not None
-                       else cache.segments.parity_flag(entry.dirty))
+                       else cache.segments.parity_flag(dirty))
         # A parity segment spans every member: data units plus parity.
         return with_parity and all(
-            self.alive(idx)
-            and cache.repair.unit_ready(idx, loc.sg, loc.segment)
-            for idx in range(cache.config.n_ssds) if idx != loc.ssd)
+            self.alive(idx) and cache.repair.unit_ready(idx, sg, segment)
+            for idx in range(cache.config.n_ssds) if idx != home)
 
     def _degraded_read(self, block: int, entry: CacheEntry,
                        now: float) -> float:
@@ -302,7 +309,8 @@ class Members:
         cache.srcstats.degraded_reads += 1
         if cache.obs.enabled:
             cache.obs.emit(DegradedRead(t=now, device=cache.name, lba=block))
-        if self.can_reconstruct(entry):
+        loc = entry.location
+        if self.can_reconstruct(loc.ssd, loc.sg, loc.segment, entry.dirty):
             cache.srcstats.parity_reconstructions += 1
             end = self.stripe_read(entry, now)
             # Reconstructed data is re-cached through the proper buffer
@@ -325,7 +333,7 @@ class Members:
         place (the caller moves the block, or re-logs it)."""
         cache = self.cache
         loc = entry.location
-        if self.can_reconstruct(entry):
+        if self.can_reconstruct(loc.ssd, loc.sg, loc.segment, entry.dirty):
             cache.srcstats.parity_reconstructions += 1
             end = self.stripe_read(entry, now)
         else:
@@ -346,3 +354,10 @@ class Members:
         buf = cache.dirty_buf if entry.dirty else cache.clean_buf
         if block not in buf and buf.add(block):     # now full
             cache.segments.seal(dirty=entry.dirty, now=now)
+
+
+def latest(start: Optional[float], ends) -> Optional[float]:
+    """The last of ``start`` and the completions in ``ends`` (None where
+    nothing completed); None if there is none."""
+    return max((end for end in (start, *ends) if end is not None),
+               default=None)

@@ -10,7 +10,7 @@ data.  The group is then TRIMmed and returned to the free list.
 There is one implementation, over arrays: a victim is its live LBAs in
 log order plus their dirty bits, classification is masks over them,
 and device traffic is coalesced extents: a member's READ spans as one
-``read_extents`` batch, the write-back as one ``submit_extents`` batch.
+``Members.issue`` call, the write-back as one ``submit_extents`` batch.
 Tenant reservations, fail-stopped members and rebuilding spares are
 masks too, and a victim of three blocks takes the same path as one of
 three thousand.  ``tests/test_reclaim_golden.py`` pins the outcome.
@@ -23,10 +23,12 @@ from typing import Optional
 import numpy as np
 
 from repro.common.chunks import run_bounds
-from repro.common.types import DESTAGE, GC, TRIM, WRITE, IoOrigin, Request
+from repro.common.types import (DESTAGE, FOREGROUND, GC, READ, TRIM, WRITE,
+                                IoOrigin)
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import B_MAPPED
 from repro.core.config import GcScheme, VictimPolicy
+from repro.core.members import latest
 from repro.obs.events import Destage, GcEnd, GcStart
 
 
@@ -264,31 +266,31 @@ class Reclaimer:
                     origin: IoOrigin = IoOrigin.GC) -> float:
         """Read mapped ``lbas`` off the SSDs, one READ per contiguous span.
 
-        Blocks on a fail-stopped member, or in a unit a rebuilding
-        spare has not reconstructed yet, are masked out before any I/O
-        is issued.  Members are visited in first-block order and each
-        gets its spans as one batch at ``now``; a block failing its
-        checksum is repaired in place then (the caller moves it).
+        Blocks in a unit a rebuilding spare has not reconstructed yet
+        are masked out before any I/O is issued.  Members are visited in
+        first-block order and each gets its spans as one run at ``now``
+        (``Members.issue``, which skips a fail-stopped member); a block
+        failing its checksum is repaired in place then (the caller
+        moves it).
         """
         cache = self.cache
         if not lbas.shape[0]:
             return now
         sgs, segments, ssds, offsets = cache.mapping.locations_arrays(lbas)
-        readable = np.array([cache.members.alive(i)
-                             for i in range(len(cache.ssds))])[ssds]
         if cache.repair.jobs:
             units, unit = np.unique(np.stack((ssds, sgs, segments)), axis=1,
                                     return_inverse=True)
             ready = [cache.repair.unit_ready(*u) for u in units.T.tolist()]
-            readable &= np.array(ready)[unit.ravel()]
-        lbas, ssds, offsets = lbas[readable], ssds[readable], offsets[readable]
+            keep = np.array(ready)[unit.ravel()]
+            lbas, ssds, offsets = lbas[keep], ssds[keep], offsets[keep]
         end = now
         _, first = np.unique(ssds, return_index=True)
         for idx in ssds[np.sort(first)].tolist():
             offs = np.sort(offsets[ssds == idx])
             starts, stops = run_bounds(np.diff(offs) != PAGE_SIZE).T
-            done = cache.members.read_extents(
-                idx, offs[starts], (stops - starts) * PAGE_SIZE, now, origin)
+            done, = cache.members.issue(READ, [
+                (idx, offs[starts], (stops - starts) * PAGE_SIZE, now)],
+                origin)
             if done is None:
                 continue
             end = max(end, done)
@@ -307,11 +309,6 @@ class Reclaimer:
         """TRIM the reclaimed SG so the FTLs know the space is dead."""
         cache = self.cache
         base = cache.layout.unit_offset(victim, 0)
-        end = now
-        for idx in range(len(cache.ssds)):
-            if cache.members.alive(idx):
-                done = cache.members.submit(idx, Request(
-                    TRIM, base, cache.config.erase_group_size), now)
-                if done is not None:
-                    end = max(end, done)
-        return end
+        return latest(now, cache.members.issue(TRIM, [
+            (idx, base, cache.config.erase_group_size, now)
+            for idx in range(len(cache.ssds))], FOREGROUND))

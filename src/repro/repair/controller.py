@@ -29,8 +29,9 @@ from typing import List, Optional, Tuple
 
 from repro.block.device import BlockDevice
 from repro.common.checksum import checksum_matches
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import READ, REBUILD, SCRUB, WRITE
 from repro.common.units import PAGE_SIZE
+from repro.core.members import latest
 from repro.obs.events import (CorruptionDetected, CorruptionRepaired,
                               HealthTransition, RebuildCompleted,
                               RebuildProgress, RebuildStarted, ScrubProgress,
@@ -255,30 +256,22 @@ class RepairController:
         summary = cache.metadata.read_summary(sg, segment)
         if summary is None:
             return now   # the group was reclaimed since the snapshot
-        member = job.member
+        member, members = job.member, cache.members
         base = cache.layout.unit_offset(sg, segment)
-        length = cache.layout.unit_blocks * PAGE_SIZE
-        involved = self._involved(sg, segment, summary.with_parity)
-        sources = [other for other in involved if other != member]
-        can_reconstruct = summary.with_parity and all(
-            cache.members.alive(other) and self.unit_ready(other, sg, segment)
-            for other in sources)
-        if can_reconstruct:
-            step = now
-            for other in sources:
-                got = cache.members.submit(
-                    other, Request(Op.READ, base, length,
-                                   origin=IoOrigin.REBUILD), now)
-                if got is None:
-                    can_reconstruct = False
+        if members.can_reconstruct(member, sg, segment, summary.dirty):
+            step = got = now
+            for other in [o for o in self._involved(sg, segment, True)
+                          if o != member]:
+                got, = members.issue(
+                    READ, [(other, base, self.unit_bytes, now)], REBUILD)
+                if got is None:     # a source died: give the unit up
                     break
                 step = max(step, got)
             if job.cancelled:
                 return now
-            if can_reconstruct:
-                wrote = cache.members.submit(
-                    member, Request(Op.WRITE, base, length,
-                                    origin=IoOrigin.REBUILD), step)
+            if got is not None:
+                wrote, = members.issue(
+                    WRITE, [(member, base, self.unit_bytes, step)], REBUILD)
                 if wrote is not None:
                     cache.srcstats.rebuild_units += 1
                     return wrote
@@ -378,15 +371,10 @@ class RepairController:
         if summary is None:
             return now
         base = cache.layout.unit_offset(sg, segment)
-        length = cache.layout.unit_blocks * PAGE_SIZE
-        end = now
-        for idx in self._involved(sg, segment, summary.with_parity):
-            if cache.members.alive(idx) and self.unit_ready(idx, sg, segment):
-                got = cache.members.submit(
-                    idx, Request(Op.READ, base, length,
-                                 origin=IoOrigin.SCRUB), now)
-                if got is not None:
-                    end = max(end, got)
+        end = latest(now, cache.members.issue(READ, (
+            (idx, base, self.unit_bytes, now)
+            for idx in self._involved(sg, segment, summary.with_parity)
+            if self.unit_ready(idx, sg, segment)), SCRUB))
         for lba in summary.lbas:
             entry = cache.mapping.lookup(lba)
             if (entry is None or entry.location.sg != sg
@@ -413,7 +401,8 @@ class RepairController:
         loc = entry.location
         member = loc.ssd
         ssd = cache.ssds[member]
-        if cache.members.can_reconstruct(entry):
+        if cache.members.can_reconstruct(member, loc.sg, loc.segment,
+                                         entry.dirty):
             end = cache.members.stripe_read(entry, now)
             source = "parity"
         elif not entry.dirty:
@@ -431,14 +420,12 @@ class RepairController:
             if hasattr(ssd, "clear_corruption"):
                 ssd.clear_corruption(loc.offset, PAGE_SIZE)
             return now
-        wrote = cache.members.submit(
-            member, Request(Op.WRITE, loc.offset, PAGE_SIZE,
-                            origin=IoOrigin.SCRUB), end)
+        wrote = latest(end, cache.members.issue(
+            WRITE, [(member, loc.offset, PAGE_SIZE, end)], SCRUB))
         if hasattr(ssd, "clear_corruption"):
             ssd.clear_corruption(loc.offset, PAGE_SIZE)
         stats.scrub_repairs += 1
         self._scrub_repaired_pass += 1
-        self._emit(CorruptionRepaired(t=wrote if wrote is not None else end,
-                                      device=cache.name, lba=lba,
+        self._emit(CorruptionRepaired(t=wrote, device=cache.name, lba=lba,
                                       member=member, source=source))
-        return wrote if wrote is not None else end
+        return wrote

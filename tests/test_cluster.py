@@ -429,6 +429,17 @@ def test_volume_allocation_checks():
         router.create_volume("huge", router.size * 2)
 
 
+@pytest.mark.parametrize("size", [1, PAGE_SIZE + 1, 0, -PAGE_SIZE])
+def test_volume_size_must_be_whole_pages(size):
+    """As ``TenantRegistry.create_volume``: no silent round-up, and the
+    refused size carves nothing."""
+    router, _ = make_cluster()
+    with pytest.raises(ConfigError, match="positive multiple"):
+        router.create_volume("t", size)
+    assert router.volumes == {}
+    assert router.create_volume("t", PAGE_SIZE).blocks == 1
+
+
 # ======================================================================
 # config and construction
 # ======================================================================

@@ -43,7 +43,10 @@ def test_dirty_count_tracks_transitions():
     table.insert(1, entry(dirty=True))
     table.insert(2, entry(dirty=False, offset=8192))
     assert table.dirty_count == 1
-    table.mark_clean(1)
+    table.insert(1, entry(dirty=False))     # re-logged clean
+    table.insert(2, entry(dirty=True, offset=8192))
+    assert table.dirty_count == 1
+    table.invalidate(2)
     assert table.dirty_count == 0
 
 
@@ -128,16 +131,6 @@ def test_buffer_remove():
     assert buf.remove(1)
     assert not buf.remove(1)
     assert buf.empty
-
-
-def test_buffer_resize_guard():
-    buf = SegmentBuffer(4, dirty=False, name="c")
-    buf.add(1)
-    buf.add(2)
-    with pytest.raises(ConfigError):
-        buf.resize(1)
-    buf.resize(8)
-    assert buf.capacity == 8
 
 
 def test_staging_buffer_roundtrip():

@@ -1,12 +1,12 @@
 """``submit_extents``: the SSD's READ batch against the loop, and
-``Members.read_extents`` / ``Reclaimer.victim_read`` on top of it.
+``Members.issue`` / ``Reclaimer.victim_read`` on top of it.
 
 ``BlockDevice._submit_each`` (the loop over ``submit``) is the
 oracle.  Twin aged ``SSDDevice``s take the same batches, one through
 the body and one through the loop called unbound, and must agree
 on every completion time and every piece of device state.  One level
-up the oracle is the per-span loop over ``Members.submit`` that
-``victim_read`` ran before it had a batch to call.
+up the oracle is the same stack with ``Members``' lean gate forced
+closed: one ``Members.submit`` per span.
 """
 
 from dataclasses import asdict, replace
@@ -174,17 +174,12 @@ def test_a_failed_device_raises_and_is_left_untouched():
 
 
 # ----------------------------------------------------------------------
-# Members.read_extents / Reclaimer.victim_read
+# Members.issue / Reclaimer.victim_read
 # ----------------------------------------------------------------------
-def per_span(members):
-    """``read_extents`` as the per-span loop ``victim_read`` used to
-    be: one ``Members.submit`` per extent, whatever the members are."""
-    def read_extents(idx, offsets, lengths, now, origin):
-        dones = [members.submit(idx, Request(Op.READ, int(o), int(n),
-                                             origin=origin), now)
-                 for o, n in zip(offsets, lengths)]
-        return max((d for d in dones if d is not None), default=None)
-    return read_extents
+def close_gate(cache) -> None:
+    """``Members.issue``'s resilient branch whatever the members are:
+    one ``Members.submit`` per extent."""
+    cache.members.seal_fast_ok = lambda: False
 
 
 def drive(cache, blocks=20_000, span=12_000, seed=5) -> float:
@@ -216,8 +211,8 @@ def test_collections_match_the_per_span_loop(observed):
         if observed:
             obs.attach(cache, recorder)
         if oracle:
-            cache.members.read_extents = per_span(cache.members)
-        assert cache.members.seal_fast_ok() is not observed
+            close_gate(cache)
+        assert cache.members.seal_fast_ok() is not (observed or oracle)
         ends.append(drive(cache))
         twins.append(cache)
         recorders.append(recorder)
@@ -239,7 +234,7 @@ def faulty_stack(oracle: bool):
     cache = SrcCache(ssds, PrimaryStorage(n_disks=4, disk_spec=TINY_DISK),
                      TINY_SRC)
     if oracle:
-        cache.members.read_extents = per_span(cache.members)
+        close_gate(cache)
     assert drive(cache, blocks=4_000) < 5.0
     return cache
 
@@ -266,18 +261,28 @@ def test_a_wrapped_member_takes_reclaim_reads_per_span():
 
 
 def test_a_member_dying_under_the_batch_is_converted():
-    """``alive`` masks a dead member out before any I/O, so the batch
-    meets one only if the flag flips in between; then it is fail-stop
-    conversion and None, as ``submit`` does it."""
+    """A member raising ``DeviceFailedError`` under its lean batch is
+    converted to fail-stop and its commands complete as None, as
+    ``submit`` does it; a member already dead is skipped, no I/O."""
     cache = make_src()
     drive(cache, blocks=4_000)
-    members = cache.members
-    cache.ssds[2].failed = True
-    offs, lens = columns([(0, PAGE_SIZE), (UNIT, PAGE_SIZE)])
-    assert members.read_extents(2, offs, lens, 1.0, IoOrigin.GC) is None
-    assert cache.srcstats.failstop_conversions == 0    # already failed
+    members, ssd = cache.members, cache.ssds[2]
+
+    def dies(*_args):
+        raise DeviceFailedError(ssd.name)
+
+    def reads(idx):
+        return [(idx, offset, PAGE_SIZE, 1.0) for offset in (0, UNIT)]
+
+    ssd.submit_extents = dies
+    assert members.seal_fast_ok()
+    assert members.issue(Op.READ, reads(2), IoOrigin.GC) == [None, None]
+    assert ssd.failed and cache.srcstats.failstop_conversions == 1
     assert cache.repair.missing_members() == 1
-    assert members.read_extents(0, offs, lens, 1.0, IoOrigin.GC) > 1.0
+    ssd.submit_extents = None                   # skipped: never called
+    assert members.issue(Op.READ, reads(2), IoOrigin.GC) == [None, None]
+    assert cache.srcstats.failstop_conversions == 1
+    assert min(members.issue(Op.READ, reads(0), IoOrigin.GC)) > 1.0
 
 
 def test_victim_reads_enter_each_ssd_as_a_batch():
