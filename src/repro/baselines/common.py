@@ -10,14 +10,14 @@ RAID) arise from the model rather than being asserted.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.block.device import BlockDevice
 from repro.common.chunks import run_bounds
 from repro.common.types import (DESTAGE, FLUSH, READ, TRIM, WRITE,
-                                Request)
+                                Counters, Request)
 from repro.common.units import PAGE_SIZE
 from repro.obs.events import Destage
 from repro.obs.recorder import NULL_RECORDER
@@ -29,7 +29,7 @@ class WritePolicy(enum.Enum):
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss and traffic counters every cache target maintains."""
 
     read_hits: int = 0
@@ -45,11 +45,6 @@ class CacheStats:
         data["hit_ratio"] = self.hit_ratio
         data["read_hit_ratio"] = self.read_hit_ratio
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheStats":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
 
     @property
     def lookups(self) -> int:
@@ -70,16 +65,7 @@ class CacheStats:
         return self.read_hits / reads if reads else 0.0
 
     def copy(self) -> "CacheStats":
-        return CacheStats(**self.__dict__)
-
-    def snapshot(self) -> "CacheStats":
-        """Point-in-time copy (the unified stats-protocol spelling)."""
-        return self.copy()
-
-    def delta(self, earlier: "CacheStats") -> "CacheStats":
-        """Counters accumulated since ``earlier`` was snapshotted."""
-        return CacheStats(**{k: v - getattr(earlier, k)
-                             for k, v in self.__dict__.items()})
+        return self.snapshot()
 
     def window_hit_ratio(self, earlier: "CacheStats") -> float:
         """Hit ratio accumulated since ``earlier`` was copied."""

@@ -36,7 +36,7 @@ advances and competes with the foreground like any background work.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,7 +44,7 @@ import numpy as np
 from repro.block.device import BlockDevice
 from repro.common.errors import ConfigError, ReproError
 from repro.common.throttle import ForegroundGuard, TokenBucket
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import Counters, IoOrigin, Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.window import Lane, serve_lanes
 from repro.obs.events import (MigrationProgress, RouterDegraded,
@@ -65,7 +65,7 @@ _SERVING = (DeviceHealth.HEALTHY, DeviceHealth.REBUILDING)
 
 
 @dataclass
-class ClusterStats:
+class ClusterStats(Counters):
     """Router-level counters (shard stats live on the shards)."""
 
     routed_reads: int = 0
@@ -85,14 +85,6 @@ class ClusterStats:
     migration_guard_defers: int = 0
     migration_catchup_passes: int = 0
     migration_forced_finals: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterStats":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
 
 
 class ShardRouter(BlockDevice):

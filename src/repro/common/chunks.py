@@ -35,7 +35,7 @@ import numpy as np
 from repro.common.types import (OP_FLUSH, OP_READ, OP_TRIM, OP_WRITE, OPS,
                                 ORIGIN_DESTAGE, ORIGIN_FG, ORIGIN_GC,
                                 ORIGIN_REBUILD, ORIGIN_SCRUB, ORIGINS,
-                                SCALAR_THRESHOLD, IoOrigin, Op, Request)
+                                SCALAR_THRESHOLD, Request)
 from repro.common.units import PAGE_SIZE
 
 # The op / origin code tables and SCALAR_THRESHOLD are defined beside
@@ -43,11 +43,10 @@ from repro.common.units import PAGE_SIZE
 # in) and re-exported here, where every chunk caller imports them from.
 __all__ = [
     "CHUNK_DTYPE", "DECLINED", "DEFAULT_CHUNK_REQUESTS", "NO_TENANT",
-    "OP_CODE", "OP_FLUSH", "OP_READ", "OP_TRIM", "OP_WRITE", "ORIGIN_CODE",
+    "OP_CODE", "OP_FLUSH", "OP_READ", "OP_TRIM", "OP_WRITE",
     "ORIGIN_DESTAGE", "ORIGIN_FG", "ORIGIN_GC", "ORIGIN_REBUILD",
     "ORIGIN_SCRUB", "SCALAR_THRESHOLD", "conformant_mask", "empty_chunk",
-    "make_chunk", "op_of", "origin_of", "request_from_row",
-    "requests_from_chunk", "run_bounds",
+    "make_chunk", "requests_from_chunk", "run_bounds",
 ]
 
 # One row per request.  int64 offsets/lengths cover any device size the
@@ -62,7 +61,6 @@ CHUNK_DTYPE = np.dtype([
 ])
 
 OP_CODE = {op: code for code, op in enumerate(OPS)}
-ORIGIN_CODE = {origin: code for code, origin in enumerate(ORIGINS)}
 
 NO_TENANT = -1
 
@@ -108,8 +106,8 @@ def conformant_mask(rows: np.ndarray, device_size: int,
     index, -1 = unowned) — tagged with the address's owner.  Every
     ``submit_chunk`` classifies its slice here, so anything else — a
     negative offset, a mis-owned tag, any tag on a target without a
-    registry — reaches :func:`request_from_row` and is served, or
-    fails, exactly as on the per-request path.
+    registry — reaches the per-request path and is served, or fails,
+    exactly as there.
     """
     offsets = rows["offset"]
     tags = rows["tenant"]
@@ -131,24 +129,6 @@ def run_bounds(breaks: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(np.concatenate(([True], breaks)))
     return np.column_stack(
         (starts, np.append(starts[1:], breaks.shape[0] + 1)))
-
-
-def op_of(code: int) -> Op:
-    return OPS[code]
-
-
-def origin_of(code: int) -> IoOrigin:
-    return ORIGINS[code]
-
-
-def request_from_row(row, tenant_names: Optional[List[str]] = None) -> Request:
-    """Materialize one chunk row as a :class:`Request` (scalar oracle)."""
-    # One item() call, not a numpy scalar per field: 3.4 -> 1.5 us a row.
-    _, offset, length, op, origin, tenant_idx = row.item()
-    tenant = (tenant_names[tenant_idx]
-              if tenant_names is not None and tenant_idx >= 0 else None)
-    return Request(OPS[op], offset, length, origin=ORIGINS[origin],
-                   tenant=tenant)
 
 
 def requests_from_chunk(chunk: np.ndarray,

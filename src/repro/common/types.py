@@ -8,6 +8,7 @@ Simulated devices consume a request and return the completion time.
 from __future__ import annotations
 
 import enum
+from dataclasses import fields
 
 import numpy as np
 
@@ -147,6 +148,28 @@ def flush() -> Request:
 
 def trim(offset: int, length: int) -> Request:
     return Request(TRIM, offset, length)
+
+
+class Counters:
+    """The stats protocol of a flat counter dataclass (``SrcStats``,
+    ``CacheStats``, ``ClusterStats``): a dict round trip, a point-in-time
+    copy and the counts since one."""
+
+    def as_dict(self) -> dict:
+        return dict(self.__dict__)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items() if k in names})
+
+    def snapshot(self):
+        return type(self)(**self.__dict__)
+
+    def delta(self, earlier):
+        """Counters accumulated since ``earlier`` was snapshotted."""
+        return type(self)(**{k: v - getattr(earlier, k)
+                             for k, v in self.__dict__.items()})
 
 
 _IOSTATS_FIELDS = ("read_bytes", "write_bytes", "read_ops", "write_ops",

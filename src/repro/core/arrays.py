@@ -74,14 +74,10 @@ class BlockState:
     def get(self, lba: int) -> int:
         """Residency code of ``lba`` (B_NONE past the touched span)."""
         a = self.a
-        if lba < a.shape[0]:
-            return a[lba]
-        return B_NONE
+        return a.item(lba) if lba < a.shape[0] else B_NONE
 
     def set(self, lba: int, code: int) -> None:
-        if lba >= self.a.shape[0]:
-            self.a = grow_to(self.a, lba + 1)
-        self.a[lba] = code
+        self.ensure(lba + 1)[lba] = code
 
     def clear(self, lba: int) -> None:
         a = self.a
@@ -111,21 +107,17 @@ class VersionArray:
 
     def __getitem__(self, lba: int) -> int:
         a = self.a
-        if lba < a.shape[0]:
-            return int(a[lba])
-        return 0
+        return a.item(lba) if lba < a.shape[0] else 0
 
     def __setitem__(self, lba: int, version: int) -> None:
-        if lba >= self.a.shape[0]:
-            self.a = grow_to(self.a, lba + 1)
-        self.a[lba] = version
+        self.ensure(lba + 1)[lba] = version
 
     def get(self, lba: int, default: int = 0):
-        value = self.__getitem__(lba)
-        return value if value else default
+        return self[lba] or default
 
     def bump(self, lba: int) -> int:
         if lba >= self.a.shape[0]:
             self.a = grow_to(self.a, lba + 1)
-        self.a[lba] += 1
-        return int(self.a[lba])
+        version = self.a.item(lba) + 1   # a Python int: no numpy scalar
+        self.a[lba] = version
+        return version

@@ -62,7 +62,7 @@ class SegmentBuffer:
 
     def __contains__(self, lba: int) -> bool:
         a = self._state.a
-        return lba < a.shape[0] and a[lba] == self._code
+        return lba < a.shape[0] and a.item(lba) == self._code
 
     @property
     def full(self) -> bool:
@@ -82,7 +82,7 @@ class SegmentBuffer:
         state = self._state
         if lba >= state.a.shape[0]:
             state.ensure(lba + 1)
-        if state.a[lba] == self._code:
+        if state.a.item(lba) == self._code:
             return self.full
         if self._n >= self.capacity:
             raise ConfigError(f"{self.name} buffer overfull")

@@ -33,7 +33,7 @@ class HotnessBitmap:
         hot = self._hot
         if lba >= hot.shape[0]:
             self._hot = hot = grow_to(hot, lba + 1, fill=False)
-        if not hot[lba]:
+        if not hot[lba]:        # bool scalars are cached: no .item()
             hot[lba] = True
             if self._count is not None:
                 self._count += 1
@@ -67,13 +67,16 @@ class HotnessBitmap:
         out[inside] = hot[lbas[inside]]
         return out
 
-    def clear(self, lba: int) -> None:
-        """Consume the block's second chance (on GC consideration)."""
-        self._discard(lba)
-
     def evict(self, lba: int) -> None:
         """Forget a block that left the cache."""
-        self._discard(lba)
+        hot = self._hot
+        if lba < hot.shape[0] and hot[lba]:
+            hot[lba] = False
+            if self._count is not None:
+                self._count -= 1
+
+    # Consuming a block's second chance (on GC consideration) is the same.
+    clear = evict
 
     def evict_many(self, lbas: np.ndarray) -> None:
         if lbas.shape[0] == 0:
@@ -84,13 +87,6 @@ class HotnessBitmap:
         if stale.shape[0]:
             hot[stale] = False
             self._count = None
-
-    def _discard(self, lba: int) -> None:
-        hot = self._hot
-        if lba < hot.shape[0] and hot[lba]:
-            hot[lba] = False
-            if self._count is not None:
-                self._count -= 1
 
     @property
     def hot_count(self) -> int:

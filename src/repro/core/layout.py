@@ -12,8 +12,7 @@ Segment group 0 holds the superblock and is read-only (§4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -22,9 +21,10 @@ from repro.common.units import PAGE_SIZE
 from repro.core.config import CleanRedundancy, SrcConfig
 
 
-@dataclass(frozen=True)
-class BlockLocation:
-    """Physical position of one cached 4 KiB block."""
+class BlockLocation(NamedTuple):
+    """Physical position of one cached 4 KiB block (a tuple: every
+    read hit's lookup builds one, at a quarter of a frozen dataclass's
+    cost)."""
 
     sg: int          # segment group index
     segment: int     # segment index within the SG

@@ -102,7 +102,7 @@ class MappingTable:
 
     def lookup(self, lba: int) -> Optional[CacheEntry]:
         sg = self._sg
-        if lba >= sg.shape[0] or sg[lba] < 0:
+        if lba >= sg.shape[0] or sg.item(lba) < 0:
             return None
         return self._entry_at(lba)
 
@@ -111,7 +111,7 @@ class MappingTable:
 
     def __contains__(self, lba: int) -> bool:
         sg = self._sg
-        return lba < sg.shape[0] and sg[lba] >= 0
+        return lba < sg.shape[0] and sg.item(lba) >= 0
 
     def _log_append(self, sg: int, lba: int) -> None:
         log, n = self._log[sg], self._log_n[sg]
@@ -187,15 +187,16 @@ class MappingTable:
     def invalidate(self, lba: int) -> bool:
         """Drop the mapping for ``lba``; whether there was one."""
         sg_arr = self._sg
-        if lba >= sg_arr.shape[0] or sg_arr[lba] < 0:
+        sg = sg_arr.item(lba) if lba < sg_arr.shape[0] else -1
+        if sg < 0:
             return False
-        self._sg_valid[sg_arr[lba]] -= 1
+        self._sg_valid[sg] -= 1
         sg_arr[lba] = -1
         self._count -= 1
         if self._dirty[lba]:
             self.dirty_count -= 1
             self._dirty[lba] = False
-        if self._state.a[lba] == B_MAPPED:
+        if self._state.a.item(lba) == B_MAPPED:
             self._state.a[lba] = B_NONE
         if self.observer is not None:
             self.observer.block_evicted(lba)

@@ -17,7 +17,7 @@ the devices).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.checksum import metadata_checksum
 
@@ -82,12 +82,14 @@ class MetadataStore:
     def __init__(self) -> None:
         self.superblock: Optional[Superblock] = None
         self._summaries: Dict[Tuple[int, int], SegmentSummary] = {}
+        self._by_group: Dict[int, Set[int]] = {}
         self._sequence = 0
 
     # ------------------------------------------------------------------
     def format(self, superblock: Superblock) -> None:
         self.superblock = superblock
         self._summaries.clear()
+        self._by_group.clear()
         self._sequence = 0
 
     def next_sequence(self) -> int:
@@ -101,6 +103,7 @@ class MetadataStore:
         if torn:
             summary.me_generation = summary.generation - 1
         self._summaries[(summary.sg, summary.segment)] = summary
+        self._by_group.setdefault(summary.sg, set()).add(summary.segment)
 
     def seal_summary(self, sg: int, segment: int) -> None:
         """Persist the trailing ME block: MS and ME now agree.
@@ -120,11 +123,12 @@ class MetadataStore:
     def discard_summary(self, sg: int, segment: int) -> None:
         """Drop one segment's summary (recovery discards torn segments)."""
         self._summaries.pop((sg, segment), None)
+        self._by_group.get(sg, set()).discard(segment)
 
     def drop_group(self, sg: int) -> None:
         """Reclaiming an SG invalidates its summaries (log trim)."""
-        for key in [k for k in self._summaries if k[0] == sg]:
-            del self._summaries[key]
+        for segment in self._by_group.pop(sg, ()):
+            del self._summaries[(sg, segment)]
 
     def all_summaries(self) -> List[SegmentSummary]:
         """Summaries in log order — what a recovery scan discovers."""

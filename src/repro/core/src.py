@@ -27,7 +27,7 @@ write / fill paths, TWAIT, flush and TRIM, the cluster migration hooks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.baselines.common import CacheTarget
 from repro.block.device import BlockDevice
 from repro.common.errors import (ConfigError, DeviceFailedError,
                                  RaidDegradedError)
-from repro.common.types import FLUSH, FOREGROUND, Request
+from repro.common.types import FLUSH, FOREGROUND, Counters, Request
 from repro.core.arrays import (B_CLEAN, B_DIRTY, B_MAPPED, B_NONE,
                                B_STAGING, BlockState, VersionArray)
 from repro.core.buffers import RAM_LATENCY, SegmentBuffer, StagingBuffer
@@ -53,7 +53,7 @@ from repro.repair.controller import RepairController
 
 
 @dataclass
-class SrcStats:
+class SrcStats(Counters):
     """SRC-specific counters on top of the shared cache stats."""
 
     segment_writes: int = 0
@@ -97,22 +97,6 @@ class SrcStats:
     # Cluster shard migration (repro.cluster).
     migrated_in_blocks: int = 0
     migrated_out_blocks: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SrcStats":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
-
-    def snapshot(self) -> "SrcStats":
-        return SrcStats(**self.__dict__)
-
-    def delta(self, earlier: "SrcStats") -> "SrcStats":
-        """Counters accumulated since ``earlier`` was snapshotted."""
-        return SrcStats(**{k: v - getattr(earlier, k)
-                           for k, v in self.__dict__.items()})
 
 
 class SrcCache(CacheTarget):
@@ -240,32 +224,39 @@ class SrcCache(CacheTarget):
     # ==================================================================
     # application write path
     # ==================================================================
-    def write_block(self, block: int, now: float) -> float:
-        if self.bypass:
-            self.srcstats.bypass_writes += 1
-            return self.origin_write(block, now)
-        self._check_timeout(now)
-        # One load of the shared residency array replaces the four
-        # membership probes (dirty buf, clean buf, staging, mapping).
-        code = self._state.get(block)
-        if code != B_NONE:
-            self.cstats.write_hits += 1
-            self.hotness.touch(block)
-        else:
-            self.cstats.write_misses += 1
-            if self.tenants is not None and \
-                    not self.tenants.admit(block, now):
-                # Over-share tenant: serve the write around the cache so
-                # the array footprint stays bounded without stalling it.
-                self.tenants.count_write_around(block)
-                return self.origin_write(block, now)
-        if code == B_DIRTY:
-            return now + RAM_LATENCY  # absorbed rewrite
-        return self._buffer_dirty(block, code, now)
+    def write_request(self, req: Request, now: float) -> float:
+        """A write's pages in order, each issued at ``now``; done with
+        the latest.  One residency load stands for the four membership
+        probes; an over-share tenant's miss goes round the cache, so
+        the array footprint stays bounded without stalling it."""
+        end, absorbed = now, now + RAM_LATENCY
+        state, cstats, tenants = self._state, self.cstats, self.tenants
+        for block in req.pages():
+            if self.bypass:
+                self.srcstats.bypass_writes += 1
+                done = self.origin_write(block, now)
+            else:
+                self._check_timeout(now)
+                code = state.get(block)
+                if code != B_NONE:
+                    cstats.write_hits += 1
+                    self.hotness.touch(block)
+                    done = (absorbed if code == B_DIRTY
+                            else self._buffer_dirty(block, code, now))
+                else:
+                    cstats.write_misses += 1
+                    if tenants is not None and not tenants.admit(block, now):
+                        tenants.count_write_around(block)
+                        done = self.origin_write(block, now)
+                    else:
+                        done = self._buffer_dirty(block, code, now)
+            if done > end:
+                end = done
+        return end
 
     def _buffer_dirty(self, block: int, code: int, now: float) -> float:
         """Land a block not yet dirty-buffered (residency ``code``) in
-        the dirty buffer: the tail :meth:`write_block` and
+        the dirty buffer: the tail :meth:`write_request` and
         :meth:`admit_block` share."""
         # The block's previous incarnation is superseded (a block lives
         # in at most one structure, so only its holder needs the drop).
@@ -277,16 +268,18 @@ class SrcCache(CacheTarget):
             self.staging.pop(block)
         self._versions.bump(block)
         full = self.dirty_buf.add(block)
-        # max(): an in-flight segment write's ack may already extend the
+        # An in-flight segment write's ack may already extend the
         # activity horizon past this issue time (streams interleave).
-        self._last_dirty_write = max(self._last_dirty_write, now)
+        if now > self._last_dirty_write:
+            self._last_dirty_write = now
         if full:
             end = self.segments.seal(dirty=True, now=now)
             # Dirty-write activity lasts until the segment write is
             # acknowledged: a long ack (a backpressure stall) is device
             # busy time, not TWAIT idleness, and must not trip the
             # timeout into flushing partial segments.
-            self._last_dirty_write = max(self._last_dirty_write, end)
+            if end > self._last_dirty_write:
+                self._last_dirty_write = end
             return end
         return now + RAM_LATENCY
 
@@ -475,7 +468,7 @@ class SrcCache(CacheTarget):
     def admit_block(self, block: int, dirty: bool, now: float) -> float:
         """Install a migrated block, preserving its dirty state.
 
-        :meth:`write_block` / :meth:`_fill_clean` without the
+        :meth:`write_request` / :meth:`_fill_clean` without the
         application-facing accounting: supersede prior incarnations,
         land in the matching segment buffer, seal a segment when one
         fills.  No admission control — ownership already moved, the

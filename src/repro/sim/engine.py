@@ -18,12 +18,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.block.lifecycle import Submission
-from repro.common.chunks import (DEFAULT_CHUNK_REQUESTS, SCALAR_THRESHOLD,
-                                 request_from_row)
+from repro.common.chunks import DEFAULT_CHUNK_REQUESTS, SCALAR_THRESHOLD
 from repro.common.errors import ConfigError
-from repro.common.types import (FOREGROUND, IoStats, LatencyStats,
-                                Request)
+from repro.common.types import (FOREGROUND, OPS, ORIGINS, IoStats,
+                                LatencyStats, Request)
 from repro.common.units import mb_per_sec
+
+# Rows a ChunkStream's scalar path converts to tuples at once: one
+# ``tolist``, bounded so a short hold converts no whole chunk (at 64,
+# 40 replay streams' held rows raised peak RSS by 0.5 MB).
+ROW_BLOCK = 8
 
 # A workload source yields Requests forever (or until exhausted).
 RequestSource = Iterator[Request]
@@ -113,7 +117,7 @@ class ChunkStream:
     iodepth = 1   # chunked batching models the classic qd1 closed loop
 
     __slots__ = ("source", "think_time", "name", "tenant_names", "_chunk",
-                 "_pos", "hold", "backoff")
+                 "_pos", "_block", "_base", "hold", "backoff")
 
     def __init__(self, source: ChunkSource, think_time: float = 0.0,
                  name: str = "", tenant_names: Optional[List[str]] = None):
@@ -122,7 +126,8 @@ class ChunkStream:
         self.name = name
         self.tenant_names = tenant_names
         self._chunk = None
-        self._pos = 0
+        self._pos = self._base = 0
+        self._block: list = []   # rows from _base on, as tuples
         # Engine.run's back-off: rows left to hold, the hold's length.
         self.hold = self.backoff = 0
 
@@ -136,7 +141,8 @@ class ChunkStream:
             self._chunk = next(self.source, None)
             if self._chunk is None:
                 return None
-            self._pos = 0
+            self._pos = self._base = 0
+            self._block = []
         return self._chunk[self._pos:]
 
     def advance(self, n: int) -> None:
@@ -144,11 +150,19 @@ class ChunkStream:
 
     # -- scalar-oracle protocol ----------------------------------------
     def next_request(self) -> Optional[Request]:
-        rows = self.next_rows()
-        if rows is None:
-            return None
+        i = self._pos - self._base
+        if i >= len(self._block):
+            rows = self.next_rows()
+            if rows is None:
+                return None
+            self._base, i = self._pos, 0
+            self._block = rows[:ROW_BLOCK].tolist()
         self._pos += 1
-        return request_from_row(rows[0], self.tenant_names)
+        _, offset, length, op, origin, tenant = self._block[i]
+        names = self.tenant_names
+        return Request(OPS[op], offset, length, origin=ORIGINS[origin],
+                       tenant=(names[tenant] if names is not None
+                               and tenant >= 0 else None))
 
     def slot_free_after(self, issue_time: float, done: float) -> float:
         return done + self.think_time

@@ -195,7 +195,8 @@ class SSDDevice(QueuedDevice, BlockDevice):
         pages = req.whole_pages(page)
         if pages:
             self.ftl.trim(pages.start, len(pages))
-            self.clear_corruption(pages.start * page, len(pages) * page)
+            if self._corrupted_pages:
+                self.clear_corruption(pages.start * page, len(pages) * page)
         return self._command_only(now)
 
     def _command_only(self, now: float) -> float:
@@ -374,18 +375,13 @@ class SSDDevice(QueuedDevice, BlockDevice):
                 len(issue_times))
 
 
-def precondition(ssd: SSDDevice, fill_fraction: float = 1.0,
-                 chunk: int = 0) -> None:
-    """Sequentially fill an SSD so later writes hit steady-state GC.
+def precondition(ssd: SSDDevice, fill_fraction: float = 1.0) -> None:
+    """Sequentially fill a blank SSD so later writes hit steady-state
+    GC (:meth:`PageMappedFtl.fill`, no simulated time).
 
     Mirrors the paper's preconditioning (§5.1): drives are TRIMmed, then
     sequentially filled with dummy data before measurement.
     """
-    page = ssd.spec.page_size
     total_pages = int(ssd.spec.logical_pages * fill_fraction)
-    step = (chunk // page) if chunk else ssd.spec.superblock_pages
-    lpn = 0
-    while lpn < total_pages:
-        n = min(step, total_pages - lpn)
-        ssd.ftl.write(lpn, n)
-        lpn += n
+    if total_pages:
+        ssd.ftl.fill(total_pages)

@@ -213,6 +213,27 @@ class PageMappedFtl:
         """:meth:`write_extents` of one page at each of ``lpns``."""
         return self.write_extents(lpns, np.broadcast_to(1, lpns.shape))
 
+    def fill(self, npages: int) -> None:
+        """:meth:`write` of pages ``[0, npages)`` one superblock at a time
+        on a blank FTL, as array fills: identity maps, whole superblocks
+        closed in free-list order, the last one open.  No GC: the spare
+        space keeps more than ``gc_reserve`` superblocks free."""
+        if self.counters.total_pages_programmed:
+            raise ConfigError("fill() needs a blank FTL")
+        self._check_range(0, npages)
+        sbp = self.superblock_pages
+        last = (npages - 1) // sbp          # the superblock left open
+        # A superblock at a time: larger temporaries raised peak RSS.
+        for lo in range(0, npages, sbp):
+            hi = min(lo + sbp, npages)
+            self.l2p[lo:hi] = self.p2l[lo:hi] = np.arange(lo, hi)
+        self.valid_count[:last] = sbp
+        self._wp = self.valid_count[last] = npages - last * sbp
+        self.is_closed[:last] = True
+        del self._free[len(self._free) - last:]
+        self._open_sb, self._mapped = last, npages
+        self.counters.host_pages_written += npages
+
     def read(self, lpn: int, npages: int) -> None:
         """Host read: the range check, then the counter."""
         self._check_range(lpn, npages)

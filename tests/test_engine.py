@@ -1,13 +1,15 @@
 """Closed-loop workload engine."""
 
+import numpy as np
 import pytest
 
 from repro.block.lifecycle import Submission
-from repro.common.chunks import empty_chunk, make_chunk
+from repro.common.chunks import (OP_FLUSH, OP_WRITE, empty_chunk, make_chunk,
+                                 requests_from_chunk)
 from repro.common.errors import ConfigError
-from repro.common.types import read, write
-from repro.sim.engine import (Engine, JobStream, run_chunk_streams,
-                              run_streams)
+from repro.common.types import ORIGINS, read, write
+from repro.sim.engine import (ROW_BLOCK, ChunkStream, Engine, JobStream,
+                              run_chunk_streams, run_streams)
 from repro.sim.timeline import Timeline
 
 
@@ -295,3 +297,56 @@ def test_background_origin_latency_not_recorded():
     assert result.completed_ops == 10
     assert result.latency.count == 0
     assert result.queue_delay.count == 0
+
+
+def tenanted_chunks(sizes, seed=0):
+    """Chunks of mixed ops, origins and tenant tags (-1 untagged)."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        chunk = make_chunk(rng.integers(0, 1 << 20, n) * 4096,
+                           rng.integers(1, 9, n) * 4096,
+                           tenant=rng.integers(-1, 3, n))
+        chunk["op"] = rng.integers(0, 4, n)
+        chunk["op"][chunk["op"] == OP_FLUSH] = OP_WRITE   # FLUSH: length 0
+        chunk["origin"] = rng.integers(0, len(ORIGINS), n)
+        chunk["time"] = rng.random(n)
+        yield chunk
+
+
+B = ROW_BLOCK
+
+
+@pytest.mark.parametrize("steps", [
+    [1] * 300,                                  # across block, chunk ends
+    [("jump", B - 1), 1, 1, ("jump", 2), 1],    # a block from mid-chunk
+    [1, 1, ("jump", B - 3), 1, 1, 1],           # the block's last row
+    [1] * (B + 6) + [("jump", B + 30)] + [1] * 50,   # past the block
+    [("jump", 129)] + [1] * 40,                 # to the chunk's end
+    # A declined offer (no advance) that fetches the next chunk, after
+    # the block reached the chunk's end and after a jump to it.
+    [("jump", 129), 1, ("jump", 0)] + [1] * 5,
+    [1, ("jump", 129), ("jump", 0), 1, ("jump", 0), 1, ("jump", 0), 1],
+])
+def test_chunk_stream_requests_are_the_chunks_requests(steps):
+    """``next_request`` reads rows a block at a time; whatever mix of
+    single requests and ``advance`` jumps the engine makes, each request
+    is exactly the one ``requests_from_chunk`` makes for that row."""
+    sizes, names = [130, 0, 1, 64, 65, 200], ["alice", "bob", "carol"]
+    expected = [req for chunk in tenanted_chunks(sizes)
+                for req in requests_from_chunk(chunk, names)]
+    stream = ChunkStream(tenanted_chunks(sizes), tenant_names=names)
+    pos = 0
+    for step in steps:
+        if isinstance(step, tuple):
+            rows = stream.next_rows()
+            n = min(step[1], rows.shape[0])
+            stream.advance(n)
+            pos += n
+        else:
+            assert stream.next_request() == expected[pos]
+            pos += 1
+    while pos < len(expected):
+        assert stream.next_request() == expected[pos]
+        pos += 1
+    assert stream.next_request() is None
+    assert {req.tenant for req in expected} == {None, *names}

@@ -23,8 +23,7 @@ from repro.chaos.rig import LBA_SPAN, build_origin, build_shard
 from repro.cluster import ClusterConfig, ShardRouter
 from repro.common.chunks import (DECLINED, DEFAULT_CHUNK_REQUESTS, OP_FLUSH,
                                  OP_READ, OP_TRIM, OP_WRITE, SCALAR_THRESHOLD,
-                                 make_chunk, request_from_row,
-                                 requests_from_chunk)
+                                 make_chunk, requests_from_chunk)
 from repro.common.errors import PowerCutError
 from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, PAGE_SIZE
@@ -1091,7 +1090,7 @@ def _closed_loop(shard, rows, t, chunked, oracle):
                 t = float(done[-1])
         if not n:
             n = 1
-            t = shard.submit(request_from_row(rows[i]), t)
+            t = shard.submit(next(requests_from_chunk(rows[i:i + 1])), t)
         oracle.note_chunk(rows[i:], n)
         i += n
     return t

@@ -252,3 +252,48 @@ def test_wear_leveling_identical():
         ops.append(("write", int(rng.integers(0, 128 - npages)), npages))
     ftl = assert_thresholds_agree(ops, wear_level_threshold=2)
     assert ftl.wear_level_moves > 0
+
+
+# ----------------------------------------------------------------------
+# fill: the preconditioning loop as array fills
+# ----------------------------------------------------------------------
+def superblock_loop(ftl: PageMappedFtl, npages: int) -> None:
+    """What ``precondition`` did before ``fill``: one ``write`` per
+    superblock from page 0."""
+    for lpn in range(0, npages, ftl.superblock_pages):
+        ftl.write(lpn, min(ftl.superblock_pages, npages - lpn))
+
+
+@pytest.mark.parametrize("fraction", [None, 3, 0.5, 0.985, 1.0])
+@pytest.mark.parametrize("logical,sb_pages", [(2048, 128), (1000, 64),
+                                              (4096, 20)])
+def test_fill_leaves_the_superblock_loops_state(fraction, logical, sb_pages):
+    """1 page, exactly 3 superblocks, and fractions of the logical
+    pages: the same maps, counts, free list, log head and counters."""
+    npages = (1 if fraction is None
+              else fraction * sb_pages if isinstance(fraction, int)
+              else int(logical * fraction))
+    loop, fill = (make_ftl(logical=logical, sb_pages=sb_pages)
+                  for _ in range(2))
+    superblock_loop(loop, npages)
+    fill.fill(npages)
+    fill.check_invariants()
+    assert ftl_state(fill) == ftl_state(loop)
+    # And the two go on alike: overwrites, a GC-heavy churn, TRIMs.
+    rng = np.random.default_rng(npages)
+    for lpn in rng.integers(0, logical - 8, 3 * logical).tolist():
+        loop.write(lpn, 8)
+        fill.write(lpn, 8)
+    loop.trim(0, logical // 2)
+    fill.trim(0, logical // 2)
+    assert ftl_state(fill) == ftl_state(loop)
+    assert fill.counters.superblock_erases > 0
+
+
+def test_fill_refuses_a_written_ftl():
+    ftl = make_ftl()
+    ftl.write(5, 1)
+    with pytest.raises(ConfigError, match="blank"):
+        ftl.fill(10)
+    with pytest.raises(AddressError):
+        make_ftl(logical=1024).fill(1025)
