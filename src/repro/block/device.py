@@ -12,7 +12,7 @@ and forwards (possibly transformed) requests downward.
 from __future__ import annotations
 
 import abc
-from typing import List
+from typing import List, Set
 
 import numpy as np
 
@@ -36,7 +36,14 @@ class BlockDevice(abc.ABC):
     queue bookkeeping.  ``submit`` returns the completion time;
     ``submit_request`` returns the full
     :class:`~repro.block.lifecycle.Submission`.
+
+    Every device answers the fault surface SRC and the RAID layer ask
+    of a member (:attr:`failed`, :meth:`fail`, :meth:`corrupted_in`,
+    :meth:`clear_corruption`): by default it holds no latent corruption
+    and, once failed, is skipped by its callers (an SSD refuses I/O).
     """
+
+    failed = False
 
     def __init__(self, size: int, name: str = ""):
         self.size = size
@@ -152,6 +159,18 @@ class BlockDevice(abc.ABC):
             stats.write_ops += lengths.shape[0]
             stats.write_bytes += nbytes
         stats.bytes_by_origin[key] = stats.bytes_by_origin.get(key, 0) + nbytes
+
+    # -- the fault surface -------------------------------------------
+    def fail(self) -> None:
+        """Fail-stop the device."""
+        self.failed = True
+
+    def corrupted_in(self, offset: int, length: int) -> Set[int]:
+        """Latently corrupted page numbers inside a byte range."""
+        return set()
+
+    def clear_corruption(self, offset: int, length: int) -> None:
+        """Forget latent corruption in a byte range (it was rewritten)."""
 
     # Convenience helpers used heavily by tests and examples.
     def read(self, offset: int, length: int, now: float) -> float:

@@ -1,9 +1,9 @@
 """Cluster-layer configuration (:mod:`repro.cluster`).
 
 One frozen dataclass in the same idiom as the :class:`SrcConfig`
-policy groups: validated in ``__post_init__``, ``as_dict`` /
-``from_dict`` for telemetry round-trips.  The knobs split into three
-concerns:
+policy groups: validated in ``__post_init__``, and ``as_dict`` /
+``from_dict`` (which refuses unknown keys) for telemetry round-trips.
+The knobs split into three concerns:
 
 * **routing geometry** — ``n_shards``, ``vnodes`` (ring points per
   shard), ``slab_blocks`` (the consistent-hash granularity: requests
@@ -19,14 +19,15 @@ concerns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 from repro.common.units import MIB
+from repro.core.config import _Document
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(_Document):
     """Policy for a :class:`~repro.cluster.router.ShardRouter`."""
 
     n_shards: int = 4                   # initial shard slots
@@ -61,11 +62,3 @@ class ClusterConfig:
             raise ConfigError("migration_unit_blocks must be >= 1")
         if self.max_catchup_passes < 0:
             raise ConfigError("max_catchup_passes must be >= 0")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})

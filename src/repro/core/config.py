@@ -74,15 +74,14 @@ class _Document:
         """Rebuild a config from :meth:`as_dict` output.
 
         Unknown keys are refused: dropping them silently would load a
-        misspelt knob — or a whole pre-split flat document — with the
+        misspelt knob — or a whole pre-split flat document, whose policy
+        knobs live in nested groups now (docs/extending.md) — with the
         defaults instead.
         """
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
-            raise ConfigError(
-                f"{cls.__name__} document has unknown key(s) "
-                f"{', '.join(unknown)}; policy knobs live in the nested "
-                "reclaim/faults/repair/qos groups (docs/extending.md)")
+            raise ConfigError(f"{cls.__name__} document has unknown "
+                              f"key(s) {', '.join(unknown)}")
         kwargs = dict(data)
         for f in fields(cls):
             value = kwargs.get(f.name)

@@ -1,13 +1,12 @@
-"""Member-device I/O and failure handling (paper §4.1, §4.3).
+"""Member-device I/O and the reads around a lost block (paper §4.1, §4.3).
 
 :class:`Members` (held as ``cache.members``) is the one path from SRC
 to its SSDs.  It owns
 
 * :meth:`Members.submit` — every request to a member runs under the
   retry policy and feeds the fail-slow detectors; a drive that keeps
-  erroring or limps is converted to fail-stop, a hot spare may take
-  its slot (:mod:`repro.repair`), and when the array can no longer
-  serve the cache degrades to origin bypass;
+  erroring or limps is converted to fail-stop and the cache decides
+  what the loss means (:meth:`~repro.core.src.SrcCache.member_failed`);
 * :meth:`Members.issue` — every other member command: a member's
   commands as one lean batch while every side channel of ``submit`` is
   inert (:meth:`Members.seal_fast_ok`), else one ``submit`` each;
@@ -31,8 +30,7 @@ from repro.common.units import PAGE_SIZE
 from repro.core.mapping import CacheEntry
 from repro.faults.failslow import FailSlowDetector
 from repro.faults.policy import RetryPolicy, submit_with_retry
-from repro.obs.events import (BypassEntered, DegradedRead, DeviceLimping,
-                              FlushBarrier)
+from repro.obs.events import DegradedRead, DeviceLimping, FlushBarrier
 from repro.ssd.device import SSDDevice
 
 
@@ -61,13 +59,13 @@ class Members:
             if faults.failslow_flush_p99 > 0 else None)
 
     def alive(self, idx: int) -> bool:
-        return not getattr(self.cache.ssds[idx], "failed", False)
+        return not self.cache.ssds[idx].failed
 
     def _count_retry(self, _attempt: int) -> None:
         self.cache.srcstats.retries += 1
 
     # ==================================================================
-    # resilient submission (retry/backoff, fail-slow, bypass)
+    # resilient submission (retry/backoff, fail-slow)
     # ==================================================================
     def submit(self, idx: int, req: Request, now: float) -> Optional[float]:
         """Submit to one SSD under the retry policy; None if it died.
@@ -85,17 +83,13 @@ class Members:
         try:
             end = submit_with_retry(ssd, req, now, self.retry_policy,
                                     obs=cache.obs, on_retry=self._count_retry)
-        except RequestTimeoutError:
-            stats.retry_give_ups += 1
+        except (RequestTimeoutError, DeviceFailedError) as exc:
+            if isinstance(exc, RequestTimeoutError):
+                stats.retry_give_ups += 1
             self._convert_fail_stop(idx, now)
             return None
-        except DeviceFailedError:
-            self._convert_fail_stop(idx, now)
-            return None
-        if req.op is FLUSH:
-            detector = self.flush_failslow
-        else:
-            detector = self.failslow if req.op is not TRIM else None
+        detector = (self.flush_failslow if req.op is FLUSH
+                    else None if req.op is TRIM else self.failslow)
         if detector is not None and detector.observe(idx, end - now):
             stats.limping_detected += 1
             if cache.obs.enabled:
@@ -202,49 +196,13 @@ class Members:
         return end
 
     def _convert_fail_stop(self, idx: int, now: float) -> None:
-        """Stop using a drive that keeps erroring or is limping."""
+        """Stop using a drive that keeps erroring or is limping; tell the
+        cache even if the drive died on its own (it needs a spare)."""
         cache = self.cache
-        ssd = cache.ssds[idx]
-        if not getattr(ssd, "failed", False):
-            if hasattr(ssd, "fail"):
-                ssd.fail()
-            else:
-                ssd.failed = True
+        if not cache.ssds[idx].failed:
+            cache.ssds[idx].fail()
             cache.srcstats.failstop_conversions += 1
-        # Repair before bypass: a hot spare may take the slot here, and
-        # then the bypass check below no longer counts this drive against
-        # the tolerance.  Notified unconditionally — a drive that died on
-        # its own reports ``failed`` before we mark it, and needs a spare.
-        cache.repair.on_member_failed(idx, now)
-        # Bypass is the last resort: a slot a hot spare has taken
-        # counts only as REBUILDING (still one missing data copy per
-        # stripe until its job completes), so with one spare attached a
-        # parity array keeps serving instead of declaring the cache
-        # lost.
-        if not cache.bypass and cache.config.faults.bypass_on_failure:
-            missing = cache.repair.missing_members()
-            tolerated = 1 if cache.config.raid_level in (4, 5) else 0
-            if missing > tolerated:
-                self.enter_bypass(now, f"{missing} of {len(cache.ssds)} "
-                                  "members unavailable")
-
-    def enter_bypass(self, now: float, reason: str) -> None:
-        """Degrade to pass-through: all I/O goes straight to the origin.
-
-        Dirty blocks that were only in the cache become unreachable;
-        they are counted explicitly (the cost of graceful degradation —
-        Table 5's loss column, not silent corruption).
-        """
-        cache = self.cache
-        if cache.bypass:
-            return
-        cache.bypass = True
-        lost = cache.mapping.dirty_count + len(cache.dirty_buf)
-        cache.srcstats.bypass_lost_dirty += lost
-        cache.repair.enter_bypass(now)
-        if cache.obs.enabled:
-            cache.obs.emit(BypassEntered(t=now, device=cache.name,
-                                         reason=reason, lost_dirty=lost))
+        cache.member_failed(idx, now)
 
     # ==================================================================
     # reads with integrity / failure handling (§4.1)
@@ -257,9 +215,8 @@ class Members:
         if not self.alive(loc.ssd):
             return self._degraded_read(block, entry, now)
         if not cache.repair.unit_ready(loc.ssd, loc.sg, loc.segment):
-            # A rebuilding spare holds the slot but this unit is not
-            # reconstructed yet; serve degraded and pull the unit to
-            # the front of the rebuild queue.
+            # A rebuilding spare holds the slot but not yet this unit:
+            # serve degraded and pull the unit to the rebuild queue's front.
             cache.repair.promote(loc.ssd, loc.sg, loc.segment)
             return self._degraded_read(block, entry, now)
         end = self.submit(loc.ssd, Request(READ, loc.offset, PAGE_SIZE),
@@ -269,30 +226,27 @@ class Members:
                 cache.srcstats.bypass_reads += 1
                 return cache.origin_read(block, now)
             return self._degraded_read(block, entry, now)
-        corrupted = getattr(ssd, "corrupted_in", None)
-        if corrupted is not None and corrupted(loc.offset, PAGE_SIZE):
+        if ssd.corrupted_in(loc.offset, PAGE_SIZE):
             end = self.repair_corruption(block, entry, end)
             self._reinsert(block, entry, end)
         return end
 
-    def stripe_read(self, entry: CacheEntry, now: float) -> float:
-        """Read the same-row blocks from every other SSD (reconstruct)."""
-        loc, repair = entry.location, self.cache.repair
-        # Same row of every unit: the units share their offset.  (A
-        # rebuilding spare's copy of the unit is not there yet.)
-        return latest(now, self.issue(READ, (
-            (idx, loc.offset, PAGE_SIZE, now)
-            for idx in range(self.cache.config.n_ssds)
-            if idx != loc.ssd and repair.unit_ready(idx, loc.sg, loc.segment)),
-            FOREGROUND))
+    def stripe_read(self, home: int, offset: int, length: int, now: float,
+                    origin: IoOrigin) -> float:
+        """The same range of every member but ``home`` (a stripe's units
+        share their offsets) as one :meth:`issue`; when the last read
+        completed.  Callers ask :meth:`can_reconstruct` first."""
+        return latest(now, self.issue(READ, [
+            (idx, offset, length, now)
+            for idx in range(self.cache.config.n_ssds) if idx != home],
+            origin))
 
     def can_reconstruct(self, home: int, sg: int, segment: int,
                         dirty: bool) -> bool:
         """Whether parity can rebuild ``home``'s unit of a segment: the
         segment carries parity (by ``dirty`` while its summary is not
         written) and every other member is alive with its unit readable
-        (a second failure or a still-rebuilding spare among the sources
-        makes the stripe unreconstructable)."""
+        (not a still-rebuilding spare's)."""
         cache = self.cache
         summary = cache.metadata.read_summary(sg, segment)
         with_parity = (summary.with_parity if summary is not None
@@ -302,6 +256,18 @@ class Members:
             self.alive(idx) and cache.repair.unit_ready(idx, sg, segment)
             for idx in range(cache.config.n_ssds) if idx != home)
 
+    def _parity_read(self, entry: CacheEntry, now: float) -> Optional[float]:
+        """A block rebuilt from its stripe; None (a dirty one lost) if not."""
+        stats, loc = self.cache.srcstats, entry.location
+        if not self.can_reconstruct(loc.ssd, loc.sg, loc.segment,
+                                    entry.dirty):
+            if entry.dirty:
+                stats.unrecoverable_errors += 1
+            return None
+        stats.parity_reconstructions += 1
+        return self.stripe_read(loc.ssd, loc.offset, PAGE_SIZE, now,
+                                FOREGROUND)
+
     def _degraded_read(self, block: int, entry: CacheEntry,
                        now: float) -> float:
         """Serve a read whose home SSD has failed."""
@@ -309,17 +275,13 @@ class Members:
         cache.srcstats.degraded_reads += 1
         if cache.obs.enabled:
             cache.obs.emit(DegradedRead(t=now, device=cache.name, lba=block))
-        loc = entry.location
-        if self.can_reconstruct(loc.ssd, loc.sg, loc.segment, entry.dirty):
-            cache.srcstats.parity_reconstructions += 1
-            end = self.stripe_read(entry, now)
+        end = self._parity_read(entry, now)
+        if end is not None:
             # Reconstructed data is re-cached through the proper buffer
             # so it lands on healthy drives.
             self._reinsert(block, entry, end)
             return end
         # No parity: clean data can be re-fetched; dirty data is lost.
-        if entry.dirty:
-            cache.srcstats.unrecoverable_errors += 1
         cache.mapping.invalidate(block)
         cache.hotness.evict(block)
         fetch_end = cache.origin_read(block, now)
@@ -332,17 +294,12 @@ class Members:
         """Checksum mismatch on read: recover via parity or re-fetch, in
         place (the caller moves the block, or re-logs it)."""
         cache = self.cache
-        loc = entry.location
-        if self.can_reconstruct(loc.ssd, loc.sg, loc.segment, entry.dirty):
-            cache.srcstats.parity_reconstructions += 1
-            end = self.stripe_read(entry, now)
-        else:
-            if entry.dirty:
-                cache.srcstats.unrecoverable_errors += 1
+        end = self._parity_read(entry, now)
+        if end is None:
             end = cache.origin_read(block, now)
         cache.srcstats.corruption_repairs += 1
-        if hasattr(cache.ssds[loc.ssd], "clear_corruption"):
-            cache.ssds[loc.ssd].clear_corruption(loc.offset, PAGE_SIZE)
+        cache.ssds[entry.location.ssd].clear_corruption(
+            entry.location.offset, PAGE_SIZE)
         return end
 
     def _reinsert(self, block: int, entry: CacheEntry, now: float) -> None:

@@ -294,9 +294,8 @@ class Reclaimer:
             if done is None:
                 continue
             end = max(end, done)
-            corrupted = getattr(cache.ssds[idx], "corrupted_in", None)
-            hits = corrupted and corrupted(int(offs[0]),
-                                           int(offs[-1] - offs[0]) + PAGE_SIZE)
+            hits = cache.ssds[idx].corrupted_in(
+                int(offs[0]), int(offs[-1] - offs[0]) + PAGE_SIZE)
             if hits:
                 mine = (ssds == idx) & np.isin(offsets // PAGE_SIZE,
                                                list(hits))

@@ -18,9 +18,10 @@ import numpy as np
 
 from repro.block.device import BlockDevice
 from repro.common.errors import RecoveryError
-from repro.common.types import READ, Request
+from repro.common.types import FOREGROUND, READ
 from repro.common.units import PAGE_SIZE
 from repro.core.config import SrcConfig
+from repro.core.members import latest
 from repro.core.metadata import MetadataStore
 from repro.core.segments import GroupState
 from repro.core.src import SrcCache
@@ -54,7 +55,8 @@ def recover(ssds: List[BlockDevice], origin: BlockDevice,
         raise RecoveryError("no superblock: device was never formatted")
 
     cache = SrcCache(ssds, origin, config, metadata=metadata)
-    report = RecoveryReport()
+    summaries = metadata.all_summaries()
+    report = RecoveryReport(segments_scanned=len(summaries))
 
     # Hand the constructor-allocated active SG back; the replay decides
     # which groups are occupied before a fresh active SG is chosen.
@@ -63,20 +65,14 @@ def recover(ssds: List[BlockDevice], origin: BlockDevice,
     log.groups[recycled].state = GroupState.FREE
     log._free.append(recycled)
 
-    # Scan pass: MS/ME reads for every summary, charged to the SSDs.
-    end = now
-    summaries = metadata.all_summaries()
-    for summary in summaries:
-        report.segments_scanned += 1
-        ms_off, me_off = cache.layout.metadata_offsets(summary.sg,
-                                                       summary.segment)
-        for ssd in ssds:
-            if getattr(ssd, "failed", False):
-                continue
-            end = max(end, ssd.submit(
-                Request(READ, ms_off, PAGE_SIZE), now))
-            end = max(end, ssd.submit(
-                Request(READ, me_off, PAGE_SIZE), now))
+    # Scan pass: every summary's MS and ME block on every live member,
+    # read at ``now`` through the member door.
+    end = latest(now, cache.members.issue(READ, [
+        (idx, offset, PAGE_SIZE, now) for summary in summaries
+        for idx in range(len(ssds))
+        for offset in cache.layout.metadata_offsets(summary.sg,
+                                                    summary.segment)],
+        FOREGROUND))
 
     # Replay pass: later sequence numbers win.
     discarded = []

@@ -4,7 +4,8 @@
 write / fill paths, TWAIT, flush and TRIM, the cluster migration hooks
 — and the wiring of its four components: ``segments``
 (:mod:`repro.core.segments`, the segment log), ``members``
-(:mod:`repro.core.members`, member I/O and failure handling),
+(:mod:`repro.core.members`, member I/O and reads around a lost
+block),
 ``reclaimer`` (:mod:`repro.core.reclaim`) and ``window``
 (:mod:`repro.core.window`, the vector write window).  Together:
 
@@ -49,6 +50,7 @@ from repro.core.metadata import MetadataStore, Superblock, SRC_MAGIC
 from repro.core.reclaim import Reclaimer
 from repro.core.segments import SegmentLog
 from repro.core.window import WriteWindow, serve_lanes
+from repro.obs.events import BypassEntered
 from repro.repair.controller import RepairController
 
 
@@ -137,7 +139,7 @@ class SrcCache(CacheTarget):
         self.reclaimer = Reclaimer(self)
         self.window = WriteWindow(self)
         # Origin bypass: the array was lost, all I/O goes to the origin
-        # (Members.enter_bypass; docs/fault_model.md).
+        # (enter_bypass; docs/fault_model.md).
         self.bypass = False
         # Online repair: health state machine, hot spares, rebuild and
         # scrub scheduling (repro.repair; docs/fault_model.md).
@@ -198,12 +200,45 @@ class SrcCache(CacheTarget):
         except (DeviceFailedError, RaidDegradedError) as exc:
             if not self.config.faults.bypass_on_failure:
                 raise
-            self.members.enter_bypass(now, f"{type(exc).__name__}: {exc}")
+            self.enter_bypass(now, f"{type(exc).__name__}: {exc}")
             return super()._service(req, now)
         if req.origin is FOREGROUND:
             # Rebuild back-off watches the foreground's rolling p99.
             self.repair.observe_foreground(end - now)
         return end
+
+    # ==================================================================
+    # losing members (§4.3)
+    # ==================================================================
+    def member_failed(self, idx: int, now: float) -> None:
+        """Member ``idx`` was converted to fail-stop.  Repair first: a hot
+        spare may take the slot, which then counts as REBUILDING (one
+        missing copy per stripe until its job completes), so a parity
+        array with a spare keeps serving.  Bypass is the last resort."""
+        self.repair.on_member_failed(idx, now)
+        if not self.bypass and self.config.faults.bypass_on_failure:
+            missing = self.repair.missing_members()
+            tolerated = 1 if self.config.raid_level in (4, 5) else 0
+            if missing > tolerated:
+                self.enter_bypass(now, f"{missing} of {len(self.ssds)} "
+                                  "members unavailable")
+
+    def enter_bypass(self, now: float, reason: str) -> None:
+        """Degrade to pass-through: all I/O goes straight to the origin.
+
+        Dirty blocks that were only in the cache become unreachable;
+        they are counted explicitly (the cost of graceful degradation —
+        Table 5's loss column, not silent corruption).
+        """
+        if self.bypass:
+            return
+        self.bypass = True
+        lost = self.mapping.dirty_count + len(self.dirty_buf)
+        self.srcstats.bypass_lost_dirty += lost
+        self.repair.enter_bypass(now)
+        if self.obs.enabled:
+            self.obs.emit(BypassEntered(t=now, device=self.name,
+                                        reason=reason, lost_dirty=lost))
 
     def submit_chunk(self, rows: np.ndarray, start: float,
                      think_time: float, deadline: float,

@@ -4,10 +4,10 @@
 BlockDevice` that executes a :class:`~repro.faults.plan.FaultPlan`
 against the requests flowing into a lower device.  It composes exactly
 like :class:`~repro.block.device.StatsDevice`: wrap any SSD, RAID
-array or backend and hand the wrapper to the layer above — the
-``failed`` property and the corruption hooks keep SRC's and the RAID
-layer's existing ``getattr(dev, "failed"/"corrupted_in", ...)``
-introspection working through the wrapper.
+array or backend and hand the wrapper to the layer above.  It answers
+:class:`~repro.block.device.BlockDevice`'s fault surface (``failed``,
+``fail``, ``corrupted_in``, ``clear_corruption``) for itself and the
+device below, so SRC and the RAID layer cannot tell it from the drive.
 """
 
 from __future__ import annotations
@@ -53,16 +53,15 @@ class FaultInjector(BlockDevice):
             self.injected["corruption"] += 1
 
     # ------------------------------------------------------------------
-    # fail-stop surface (mirrors SSDDevice so callers can't tell)
+    # the fault surface, forwarded to the device below
     # ------------------------------------------------------------------
     @property
     def failed(self) -> bool:
-        return self._failed or getattr(self.lower, "failed", False)
+        return self._failed or self.lower.failed
 
     def fail(self) -> None:
         self._failed = True
-        if hasattr(self.lower, "fail"):
-            self.lower.fail()
+        self.lower.fail()
 
     def repair(self, wipe: bool = True) -> None:
         self._failed = False
@@ -74,21 +73,16 @@ class FaultInjector(BlockDevice):
         """Clear every armed fault (post-crash: let recovery run clean)."""
         self.plan = FaultPlan(seed=self.plan.seed)
 
-    # ------------------------------------------------------------------
-    # corruption delegation (latent sector errors live in the lower dev)
-    # ------------------------------------------------------------------
+    # Latent sector errors live in the lower device.
     def inject_corruption(self, offset: int, length: int) -> None:
         if hasattr(self.lower, "inject_corruption"):
             self.lower.inject_corruption(offset, length)
 
-    def corrupted_in(self, offset: int, length: int):
-        if hasattr(self.lower, "corrupted_in"):
-            return self.lower.corrupted_in(offset, length)
-        return set()
+    def corrupted_in(self, offset: int, length: int) -> Set[int]:
+        return self.lower.corrupted_in(offset, length)
 
     def clear_corruption(self, offset: int, length: int) -> None:
-        if hasattr(self.lower, "clear_corruption"):
-            self.lower.clear_corruption(offset, length)
+        self.lower.clear_corruption(offset, length)
 
     # ------------------------------------------------------------------
     def _emit(self, kind: str, now: float, op: str = "") -> None:

@@ -1,1 +1,1 @@
-"""NAND flash substrate: geometry, timings, chip-level model."""
+"""NAND flash substrate: program / erase / read timings and endurance."""

@@ -73,7 +73,7 @@ class _RaidBase(BlockDevice):
                 old=record.old.value, new=record.new.value, reason=reason))
 
     def _alive(self, index: int) -> bool:
-        return not getattr(self.members[index], "failed", False)
+        return not self.members[index].failed
 
     def _member_submit(self, index: int, req: Request, now: float) -> float:
         """Submit to one member with bounded retry and backoff.
@@ -94,10 +94,7 @@ class _RaidBase(BlockDevice):
                                      obs=self.obs, on_retry=count_retry)
         except RequestTimeoutError as exc:
             self.member_failstops += 1
-            if hasattr(member, "fail"):
-                member.fail()
-            else:
-                member.failed = True
+            member.fail()
             self._on_member_failed(index, now)
             raise DeviceFailedError(
                 f"{member.name}: retry budget exhausted "
@@ -138,7 +135,7 @@ class _RaidBase(BlockDevice):
     def _flush_all(self, now: float) -> float:
         end = now
         for i, m in enumerate(self.members):
-            if getattr(m, "failed", False):
+            if m.failed:
                 continue
             try:
                 end = max(end, self._member_submit(i, Request(FLUSH), now))
@@ -213,7 +210,7 @@ class Raid1Device(_RaidBase):
             else:
                 wrote = False
                 for i in pair:
-                    if getattr(self.members[i], "failed", False):
+                    if not self._alive(i):
                         continue
                     try:
                         end = max(end, self._member_submit(i, sub, now))

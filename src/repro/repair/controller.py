@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 from repro.block.device import BlockDevice
 from repro.common.checksum import checksum_matches
-from repro.common.types import READ, REBUILD, SCRUB, WRITE
+from repro.common.types import FOREGROUND, READ, REBUILD, SCRUB, WRITE
 from repro.common.units import PAGE_SIZE
 from repro.core.members import latest
 from repro.obs.events import (CorruptionDetected, CorruptionRepaired,
@@ -105,8 +105,7 @@ class RepairController:
         must reconstruct around, so it consumes the same redundancy a
         dead drive does until its job completes.
         """
-        dead = sum(1 for i in range(len(self.cache.ssds))
-                   if not self.cache.members.alive(i))
+        dead = sum(ssd.failed for ssd in self.cache.ssds)
         rebuilding = self.health.count(DeviceHealth.REBUILDING)
         return dead + rebuilding
 
@@ -259,17 +258,12 @@ class RepairController:
         member, members = job.member, cache.members
         base = cache.layout.unit_offset(sg, segment)
         if members.can_reconstruct(member, sg, segment, summary.dirty):
-            step = got = now
-            for other in [o for o in self._involved(sg, segment, True)
-                          if o != member]:
-                got, = members.issue(
-                    READ, [(other, base, self.unit_bytes, now)], REBUILD)
-                if got is None:     # a source died: give the unit up
-                    break
-                step = max(step, got)
+            step = members.stripe_read(member, base, self.unit_bytes, now,
+                                       REBUILD)
             if job.cancelled:
                 return now
-            if got is not None:
+            # Still reconstructable unless a source died under the read.
+            if members.can_reconstruct(member, sg, segment, summary.dirty):
                 wrote, = members.issue(
                     WRITE, [(member, base, self.unit_bytes, step)], REBUILD)
                 if wrote is not None:
@@ -382,11 +376,9 @@ class RepairController:
                 continue   # superseded since sealing — not live data
             cache.srcstats.scrub_checked_blocks += 1
             loc = entry.location
-            ssd = cache.ssds[loc.ssd]
-            corrupted = getattr(ssd, "corrupted_in", None)
-            bad = (corrupted is not None
-                   and corrupted(loc.offset, PAGE_SIZE)) or \
-                not checksum_matches(lba, entry.version, entry.checksum)
+            bad = (cache.ssds[loc.ssd].corrupted_in(loc.offset, PAGE_SIZE)
+                   or not checksum_matches(lba, entry.version,
+                                           entry.checksum))
             if not bad:
                 continue
             self._emit(CorruptionDetected(t=end, device=cache.name,
@@ -403,7 +395,8 @@ class RepairController:
         ssd = cache.ssds[member]
         if cache.members.can_reconstruct(member, loc.sg, loc.segment,
                                          entry.dirty):
-            end = cache.members.stripe_read(entry, now)
+            end = cache.members.stripe_read(member, loc.offset, PAGE_SIZE,
+                                            now, FOREGROUND)
             source = "parity"
         elif not entry.dirty:
             end = cache.origin_read(lba, now)
@@ -417,13 +410,11 @@ class RepairController:
                                          lba=lba, member=member))
             cache.mapping.invalidate(lba)
             cache.hotness.evict(lba)
-            if hasattr(ssd, "clear_corruption"):
-                ssd.clear_corruption(loc.offset, PAGE_SIZE)
+            ssd.clear_corruption(loc.offset, PAGE_SIZE)
             return now
         wrote = latest(end, cache.members.issue(
             WRITE, [(member, loc.offset, PAGE_SIZE, end)], SCRUB))
-        if hasattr(ssd, "clear_corruption"):
-            ssd.clear_corruption(loc.offset, PAGE_SIZE)
+        ssd.clear_corruption(loc.offset, PAGE_SIZE)
         stats.scrub_repairs += 1
         self._scrub_repaired_pass += 1
         self._emit(CorruptionRepaired(t=wrote, device=cache.name, lba=lba,

@@ -59,17 +59,13 @@ class SSDDevice(QueuedDevice, BlockDevice):
         # or interleave programs so reads do not queue behind the whole
         # buffered-write backlog.  Separate timeline = full priority.
         self.nand_reads = Timeline(1)
-        self.failed = False
+        self.failed = False     # per request: faster than the class default
         self._buffer_slack = spec.buffer_size / spec.nand_prog_bw
         self._corrupted_pages: Set[int] = set()
 
     # ------------------------------------------------------------------
-    # failure / corruption injection (consumed by RAID and SRC recovery)
+    # the fault surface (BlockDevice's; a failed drive raises on I/O)
     # ------------------------------------------------------------------
-    def fail(self) -> None:
-        """Fail-stop the drive: every later request raises."""
-        self.failed = True
-
     def repair(self, wipe: bool = True) -> None:
         """Bring a replacement drive online (optionally blank)."""
         self.failed = False

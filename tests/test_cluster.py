@@ -456,6 +456,15 @@ def test_cluster_config_validation():
     assert round_trip == CLUSTER
 
 
+def test_cluster_config_document_refuses_unknown_keys():
+    """A misspelt knob must not load the default silently."""
+    doc = CLUSTER.as_dict()
+    assert ClusterConfig.from_dict(doc) == CLUSTER
+    doc["migration_rat"] = doc.pop("migration_rate")
+    with pytest.raises(ConfigError, match="migration_rat"):
+        ClusterConfig.from_dict(doc)
+
+
 def test_router_rejects_mismatched_origin():
     origin_a = PrimaryStorage(n_disks=4, disk_spec=TINY_DISK)
     origin_b = PrimaryStorage(n_disks=4, disk_spec=TINY_DISK)

@@ -1,51 +1,11 @@
-"""NAND geometry and chip-level constraint tests."""
+"""NAND timing preset tests."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.common.errors import AddressError, ConfigError
-from repro.flash.chip import NandChip, PageState, ProgramError
-from repro.flash.geometry import NandGeometry
+from repro.common.errors import ConfigError
 from repro.flash.timing import MLC_TIMING, NandTiming, TLC_TIMING
 
 
-def small_chip():
-    geometry = NandGeometry(page_size=4096, pages_per_block=8,
-                            blocks_per_plane=4, planes_per_die=1,
-                            dies_per_chip=1, chips_per_channel=1,
-                            channels=1)
-    return NandChip(geometry, MLC_TIMING)
-
-
-# ------------------------------------------------------------------
-# geometry
-# ------------------------------------------------------------------
-def test_geometry_derived_sizes():
-    g = NandGeometry()
-    assert g.block_size == g.page_size * g.pages_per_block
-    assert g.plane_size == g.block_size * g.blocks_per_plane
-    assert g.raw_capacity == g.chip_size * g.total_chips
-
-
-def test_geometry_parallel_units():
-    g = NandGeometry(channels=8, chips_per_channel=2, dies_per_chip=2,
-                     planes_per_die=2)
-    assert g.parallel_units == 64
-
-
-def test_erase_stripe_is_block_times_parallelism():
-    g = NandGeometry()
-    assert g.erase_stripe_size == g.block_size * g.parallel_units
-
-
-def test_geometry_rejects_nonpositive():
-    with pytest.raises(ConfigError):
-        NandGeometry(channels=0)
-
-
-# ------------------------------------------------------------------
-# timing
-# ------------------------------------------------------------------
 def test_timing_presets_sensible():
     assert TLC_TIMING.t_prog > MLC_TIMING.t_prog
     assert TLC_TIMING.endurance < MLC_TIMING.endurance
@@ -55,85 +15,3 @@ def test_timing_rejects_nonpositive():
     with pytest.raises(ConfigError):
         NandTiming(t_read=0, t_prog=1, t_erase=1, t_xfer_per_byte=1,
                    endurance=100)
-
-
-# ------------------------------------------------------------------
-# chip constraints
-# ------------------------------------------------------------------
-def test_program_in_order_then_read():
-    chip = small_chip()
-    chip.program(0, 0, payload="a")
-    chip.program(0, 1, payload="b")
-    data, latency = chip.read(0, 1)
-    assert data == "b"
-    assert latency == MLC_TIMING.t_read
-
-
-def test_out_of_order_program_rejected():
-    chip = small_chip()
-    with pytest.raises(ProgramError):
-        chip.program(0, 3)
-
-
-def test_reprogram_without_erase_rejected():
-    chip = small_chip()
-    chip.program(0, 0)
-    with pytest.raises(ProgramError):
-        chip.program(0, 0)
-
-
-def test_program_full_block_rejected():
-    chip = small_chip()
-    for page in range(8):
-        chip.program(0, page)
-    with pytest.raises(ProgramError):
-        chip.program(0, 8)
-
-
-def test_read_erased_page_rejected():
-    chip = small_chip()
-    with pytest.raises(ProgramError):
-        chip.read(0, 0)
-
-
-def test_erase_resets_block_and_counts_wear():
-    chip = small_chip()
-    chip.program(0, 0)
-    chip.erase(0)
-    assert chip.blocks[0].state(0) is PageState.ERASED
-    assert chip.wear(0) == 1
-    chip.program(0, 0)   # programmable again
-
-
-def test_bad_block_address_rejected():
-    chip = small_chip()
-    with pytest.raises(AddressError):
-        chip.program(999, 0)
-
-
-def test_worn_out_detection():
-    chip = small_chip()
-    chip.blocks[0].erase_count = MLC_TIMING.endurance
-    assert chip.worn_out(0)
-    assert not chip.worn_out(1)
-
-
-def test_counters():
-    chip = small_chip()
-    chip.program(0, 0)
-    chip.read(0, 0)
-    chip.erase(0)
-    assert (chip.programs, chip.reads, chip.erases) == (1, 1, 1)
-
-
-@given(st.lists(st.integers(0, 7), min_size=1, max_size=40))
-def test_chip_program_erase_cycles_property(pages):
-    """Erase-then-program-in-order always succeeds; wear only grows."""
-    chip = small_chip()
-    wear_before = chip.max_wear()
-    for _ in pages:
-        block = 1
-        if chip.blocks[block].full:
-            chip.erase(block)
-        chip.program(block, chip.blocks[block].next_page)
-    assert chip.max_wear() >= wear_before

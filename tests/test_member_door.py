@@ -8,10 +8,18 @@ seals, S2S victim reads and group TRIMs, an application flush, a
 scrub that repairs a corrupt block, a hot-spare rebuild — once down
 each branch, and every completion time and counter must match.
 
+Recovery's MS/ME scan goes through the door too, and agrees down
+both branches.
+
 Then the door holds: outside ``core/members.py`` no module submits to
 a member through ``members.submit`` or the SSD's lean forks, except
-the staged unit write of ``SegmentLog._stage``, and reclaim and repair
-build no ``Request``.
+the staged unit write of ``SegmentLog._stage``; reclaim and repair
+build no ``Request``, and recovery calls no ``submit``.
+
+Last, the fault surface is said once, on ``BlockDevice``: every device
+answers ``failed`` / ``fail`` / ``corrupted_in`` / ``clear_corruption``,
+so nothing in the package probes for them, and the bypass decision is
+the cache's, not the door's.
 """
 
 from __future__ import annotations
@@ -22,11 +30,18 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.block.device import LinearDevice, NullDevice, StatsDevice
 from repro.common.types import Op, Request
-from repro.common.units import PAGE_SIZE
+from repro.common.units import MIB, PAGE_SIZE
 from repro.core.config import RepairConfig, SrcConfig
 from repro.core.members import Members
+from repro.core.recovery import recover
+from repro.faults import FaultInjector
 from repro.harness.context import CACHE_SPACE, build_src
+from repro.raid.array import Raid5Device
+from repro.ssd.device import SSDDevice
+
+from _stacks import TINY_SSD
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 CONFIG = SrcConfig(cache_space=CACHE_SPACE,
@@ -36,6 +51,17 @@ CONFIG = SrcConfig(cache_space=CACHE_SPACE,
 # ----------------------------------------------------------------------
 # the two branches agree
 # ----------------------------------------------------------------------
+def record_batches(devices) -> list:
+    """``(op, extents)`` of every device batch the ``devices`` serve."""
+    batches = []
+    for ssd in devices:
+        def submit_extents(op, offsets, *args, inner=ssd.submit_extents):
+            batches.append((op, len(offsets)))
+            return inner(op, offsets, *args)
+        ssd.submit_extents = submit_extents
+    return batches
+
+
 def run(lean: bool):
     """Every ``Members.issue`` caller on one stack at scale 1/1024 (4
     groups of 4 segments of 186 blocks): the completion times, the
@@ -44,12 +70,7 @@ def run(lean: bool):
     if not lean:
         cache.members.seal_fast_ok = lambda: False
     devices = [*cache.ssds, *cache.repair.spares]
-    batches = []
-    for ssd in devices:
-        def submit_extents(op, offsets, *args, inner=ssd.submit_extents):
-            batches.append((op, len(offsets)))
-            return inner(op, offsets, *args)
-        ssd.submit_extents = submit_extents
+    batches = record_batches(devices)
     assert cache.members.seal_fast_ok() is lean
     ends, now = [], 0.0
     rng = np.random.default_rng(3)
@@ -96,6 +117,42 @@ def test_the_lean_and_resilient_branches_agree():
     assert max(n for op, n in batches if op is Op.WRITE) > 1
     assert any(op is Op.READ for op, _ in batches)
     assert none == []
+
+
+def recovered(lean: bool, monkeypatch):
+    """A churned stack with member 2 dead, cut and recovered: the
+    report, the members' I/O and queue books, and the batches seen."""
+    cache = build_src(1 / 1024, config=CONFIG)
+    now = 0.0
+    rng = np.random.default_rng(5)
+    for lba in rng.integers(0, 2_764, size=3_000).tolist():
+        now = cache.submit(Request(Op.WRITE, lba * PAGE_SIZE, PAGE_SIZE), now)
+    cache.ssds[2].fail()
+    before = [ssd.stats.read_ops for ssd in cache.ssds]
+    batches = record_batches(cache.ssds)
+    with monkeypatch.context() as patch:
+        if not lean:
+            patch.setattr(Members, "seal_fast_ok", lambda self: False)
+        _, report = recover(cache.ssds, cache.origin, cache.config,
+                            cache.metadata, now + 1.0)
+    state = {"report": asdict(report),
+             "scan_reads": [ssd.stats.read_ops - n
+                            for ssd, n in zip(cache.ssds, before)],
+             "io": [ssd.stats.as_dict() for ssd in cache.ssds],
+             "queue": [ssd.qstats.as_dict() for ssd in cache.ssds]}
+    return state, batches
+
+
+def test_recovery_scans_through_the_door_down_both_branches(monkeypatch):
+    (lean, batches), (closed, none) = (recovered(True, monkeypatch),
+                                       recovered(False, monkeypatch))
+    assert lean == closed
+    scanned = lean["report"]["segments_scanned"]
+    assert scanned > 0 and lean["report"]["elapsed"] > 0
+    # Each live member's whole scan, MS and ME of every summary, is one
+    # batch; the dead member is read nothing.
+    assert batches == [(Op.READ, 2 * scanned)] * 3 and none == []
+    assert lean["scan_reads"] == [2 * scanned, 2 * scanned, 0, 2 * scanned]
 
 
 # ----------------------------------------------------------------------
@@ -159,3 +216,67 @@ def test_reclaim_and_repair_build_no_request():
     for module in ("core/reclaim.py", "repair/controller.py"):
         assert door_calls((SRC / module).read_text()) == [], module
     assert not hasattr(Members, "read_extents")
+
+
+def test_recovery_submits_nothing_itself():
+    calls = [node.func.attr for node in ast.walk(
+        ast.parse((SRC / "core/recovery.py").read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert "issue" in calls and "submit" not in calls
+
+
+# ----------------------------------------------------------------------
+# one fault surface
+# ----------------------------------------------------------------------
+SURFACE = {"failed", "fail", "corrupted_in", "clear_corruption"}
+
+
+def fault_probes(source: str):
+    """``getattr`` / ``hasattr`` calls that ask for a fault-surface name."""
+    return [(node.func.id, node.args[1].value)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in SURFACE]
+
+
+def test_the_probe_check_sees_a_probe():
+    source = ("if getattr(ssd, 'failed', False) and hasattr(ssd, 'fail'):\n"
+              "    getattr(ssd, 'plan', None)\n")
+    assert fault_probes(source) == [("getattr", "failed"), ("hasattr", "fail")]
+
+
+def test_nothing_probes_for_the_fault_surface():
+    probes = {path.relative_to(SRC).as_posix(): fault_probes(path.read_text())
+              for path in sorted(SRC.rglob("*.py"))}
+    assert {module: found for module, found in probes.items() if found} == {}
+
+
+def test_every_device_answers_the_fault_surface():
+    devices = [StatsDevice(NullDevice(MIB)),
+               LinearDevice(NullDevice(2 * MIB), MIB, MIB),
+               Raid5Device([NullDevice(MIB, name=f"m{i}") for i in range(4)]),
+               NullDevice(MIB)]
+    for device in devices:
+        assert device.failed is False
+        assert device.corrupted_in(0, 4 * PAGE_SIZE) == set()
+        device.clear_corruption(0, 4 * PAGE_SIZE)
+        device.fail()
+        assert device.failed is True
+
+
+def test_the_injector_forwards_the_fault_surface():
+    ssd = SSDDevice(TINY_SSD)
+    injector = FaultInjector(ssd)
+    ssd.inject_corruption(PAGE_SIZE, PAGE_SIZE)
+    assert injector.corrupted_in(0, 4 * PAGE_SIZE) == {1}
+    injector.clear_corruption(PAGE_SIZE, PAGE_SIZE)
+    assert ssd.corrupted_in(0, 4 * PAGE_SIZE) == set()
+    assert not injector.failed
+    injector.fail()
+    assert injector.failed and ssd.failed
+
+
+def test_bypass_is_the_caches_decision():
+    assert not hasattr(Members, "enter_bypass")

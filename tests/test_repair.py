@@ -262,6 +262,35 @@ def test_foreground_guard_defers_rebuild_io():
     assert cache.srcstats.rebuild_units == 0
 
 
+def test_a_source_dying_under_a_rebuild_read_drops_the_unit():
+    """The rebuild reads a unit as one stripe read; a source that
+    fail-stops under it leaves the stripe unreconstructable, so the
+    spare is written nothing and the slot's blocks in the unit are
+    dropped (dirty ones counted lost), with bypass off."""
+    config = replace(TINY_SRC, faults=FaultConfig(bypass_on_failure=False),
+                     repair=RepairConfig(rebuild_rate=0.0))
+    cache = make_repair_src({3: FaultPlan().fail_stop(at=1.0)},
+                            config=config)
+    now = fill_segments(cache, n=2)
+    assert now < 1.0
+    cache.ssds[1].fail()
+    assert cache.members.submit(1, Request(Op.READ, 0, PAGE_SIZE),
+                                now) is None
+    spare, job = cache.ssds[1], cache.repair.active_job
+    sg, segment = job.next_unit()
+    lost = [lba for lba, entry in cache.mapping.sg_blocks(sg)
+            if entry.location.segment == segment and entry.location.ssd == 1]
+    assert lost and all(cache.mapping.lookup(lba).dirty for lba in lost)
+
+    cache.repair.pump(1.0)      # member 3 dies on its read of the unit
+    assert cache.ssds[3].failed and not cache.bypass
+    assert spare.stats.write_ops == 0
+    assert cache.srcstats.rebuild_units == 0
+    assert all(cache.mapping.lookup(lba) is None for lba in lost)
+    assert cache.srcstats.rebuild_dropped_blocks >= len(lost)
+    assert cache.srcstats.unrecoverable_errors >= len(lost)
+
+
 # ------------------------------------------------------------------
 # bypass is the last resort
 # ------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_twait_flushes_at_the_first_page():
 def test_bypass_writes_go_to_the_origin():
     def setup(cache):
         write(cache, 0, 3, 0.0)
-        cache.members.enter_bypass(0.0, "test")
+        cache.enter_bypass(0.0, "test")
     cache = assert_pages_alike(setup, 1, 4, 0.001)
     assert cache.srcstats.bypass_writes == 4
 
