@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Alternating parent / change pairs of one benchmark workload.
+"""Alternating parent / change pairs of benchmark workloads.
 
 The measurement behind every pair table in docs/performance.md, as one
-command: runs ``bench/run.py --workload W --seed S --seconds T --trace
-0`` alternately in two checkouts (the side that goes first alternates
-too, so a drifting machine favours neither), and prints each side's
-median, quartiles and min .. max of ``host_req_per_s``, ``setup_s`` and
+command: for each ``--workload`` in turn, runs ``bench/run.py --workload
+W --seed S --seconds T --trace 0`` alternately in two checkouts (the
+side that goes first alternates too, so a drifting machine favours
+neither), and prints one block per workload: each side's median,
+quartiles and min .. max of ``host_req_per_s``, ``setup_s`` and
 ``peak_rss_mb`` with the number of pairs the change is ahead in (ties
 count for neither side).  Nothing is imported from either checkout:
 each side is the driver's own command, in its own process.  The header
@@ -13,16 +14,16 @@ names the interpreter (``sys.version``) and both checkouts' ``HEAD``:
 host numbers belong to one interpreter (docs/performance.md, "The
 per-request path").
 
-Exits 1 if any run reports ``correct`` false or a failed op, or if the
-two sides' ``sim_digest`` ever differ — a speed-up that moves simulated
-output is not one.
+Exits 1 if any run of any workload reports ``correct`` false or a
+failed op, or if the two sides' ``sim_digest`` ever differ — a speed-up
+that moves simulated output is not one.
 
-Usage::
+Usage (``--workload`` may repeat: a no-regression sweep is one command)::
 
-    git clone -q . /root/scratch/parent
-    git -C /root/scratch/parent checkout -q HEAD~1
-    python scripts/bench_pairs.py /root/scratch/parent . \
-        --workload tenants-write-hot --pairs 10
+    git clone -q . ../parent
+    git -C ../parent checkout -q HEAD~1
+    python scripts/bench_pairs.py ../parent . \
+        --workload tenants-write-hot --workload src-mix-zipf --pairs 10
 """
 
 from __future__ import annotations
@@ -133,31 +134,40 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> str:
     return done.stdout
 
 
+def measure(checkouts: Sequence[Path], workload: str, pairs: int,
+            seed: int, seconds: float) -> dict:
+    """``pairs`` alternating pairs of one workload, printed as they come
+    and then as one summary block; the folded table."""
+    print(header(workload, seed, seconds, pairs, checkouts), flush=True)
+    outputs_by_pair = []
+    for i in range(pairs):
+        outputs = ["", ""]
+        for side in (i % 2, 1 - i % 2):
+            outputs[side] = run_side(checkouts[side], workload, seed, seconds)
+        outputs_by_pair.append(tuple(outputs))
+        print(f"pair {i + 1}/{pairs}: " + "  ".join(
+            f"{parse_run(out).get('host_req_per_s', float('nan')):.0f}"
+            for out in outputs), flush=True)
+    folded = fold(outputs_by_pair)
+    print(render(folded), flush=True)
+    return folded
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir", type=Path)
     parser.add_argument("change_dir", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="repeat to measure several, one after another")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=7)
     args = parser.parse_args(argv)
     checkouts = (args.parent_dir, args.change_dir)
-    print(header(args.workload, args.seed, args.seconds, args.pairs,
-                 checkouts), flush=True)
-    pairs = []
-    for i in range(args.pairs):
-        outputs = ["", ""]
-        for side in (i % 2, 1 - i % 2):
-            outputs[side] = run_side(checkouts[side], args.workload,
-                                     args.seed, args.seconds)
-        pairs.append(tuple(outputs))
-        print(f"pair {i + 1}/{args.pairs}: " + "  ".join(
-            f"{parse_run(out).get('host_req_per_s', float('nan')):.0f}"
-            for out in outputs), flush=True)
-    folded = fold(pairs)
-    print(render(folded))
-    return 1 if folded["problems"] else 0
+    problems = [measure(checkouts, workload, args.pairs, args.seed,
+                        args.seconds)["problems"]
+                for workload in args.workload]
+    return 1 if any(problems) else 0
 
 
 if __name__ == "__main__":

@@ -124,8 +124,10 @@ class CacheTarget(BlockDevice):
 
     Exposes the origin volume's address space; holds a cache device and
     the origin (primary storage).  Subclasses implement the block-level
-    read/write paths; this class splits byte requests into aligned
-    4 KiB cache blocks, the granularity all three systems manage.
+    read/write paths as the hooks below; this class splits byte requests
+    into aligned 4 KiB cache blocks, the granularity all three systems
+    manage.  SRC serves whole requests instead (its own
+    ``read_request`` / ``write_request``) and implements no block hook.
     """
 
     def __init__(self, cache_dev: BlockDevice, origin: BlockDevice,
@@ -138,9 +140,7 @@ class CacheTarget(BlockDevice):
     # Subclass interface ------------------------------------------------
     def read_block(self, block: int, now: float) -> float:
         """Serve a read hit.  Cached blocks only: :meth:`read_request`
-        sends misses through :meth:`_fetch_run` — as does a target
-        whose fills can evict, for a block the run fetched just before
-        this call pushed out (``_fetch_run([block], now)``)."""
+        sends misses through :meth:`_fetch_run`."""
         raise NotImplementedError
 
     def write_block(self, block: int, now: float) -> float:

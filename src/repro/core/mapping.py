@@ -106,6 +106,10 @@ class MappingTable:
             return None
         return self._entry_at(lba)
 
+    def home(self, lba: int) -> Tuple[int, int]:
+        """A mapped block's member and byte offset on it, entry-free."""
+        return self._ssd.item(lba), self._offset.item(lba)
+
     def __len__(self) -> int:
         return self._count
 

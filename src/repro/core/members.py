@@ -1,19 +1,16 @@
 """Member-device I/O and the reads around a lost block (paper §4.1, §4.3).
 
 :class:`Members` (held as ``cache.members``) is the one path from SRC
-to its SSDs.  It owns
-
-* :meth:`Members.submit` — every request to a member runs under the
-  retry policy and feeds the fail-slow detectors; a drive that keeps
-  erroring or limps is converted to fail-stop and the cache decides
-  what the loss means (:meth:`~repro.core.src.SrcCache.member_failed`);
-* :meth:`Members.issue` — every other member command: a member's
-  commands as one lean batch while every side channel of ``submit`` is
-  inert (:meth:`Members.seal_fast_ok`), else one ``submit`` each;
-* :meth:`Members.read` — a cached block's read around a dead member,
-  a not-yet-rebuilt unit or a checksum mismatch: reconstruct from the
-  stripe when the segment carries parity, refetch clean data from the
-  origin otherwise, and re-log what was recovered on healthy drives.
+to its SSDs.  :meth:`Members.submit` runs a request under the retry
+policy and the fail-slow detectors; a drive that keeps erroring or
+limps is converted to fail-stop and the cache decides what the loss
+means (:meth:`~repro.core.src.SrcCache.member_failed`).  Where those
+side channels are inert (:meth:`Members.lean`) the SSD's own lean
+entries stand in: :meth:`Members.issue` batches every other member
+command, :meth:`Members.read` reads a cached block.  A read around a
+dead member, a not-yet-rebuilt unit or a checksum mismatch rebuilds the
+block from its stripe when the segment carries parity, refetches clean
+data from the origin otherwise, and re-logs it on healthy drives.
 """
 
 from __future__ import annotations
@@ -42,17 +39,16 @@ class Members:
         faults = cache.config.faults
         self.retry_policy = RetryPolicy(
             max_attempts=faults.retry_attempts,
-            backoff=faults.retry_backoff,
-            timeout=faults.retry_timeout)
+            backoff=faults.retry_backoff, timeout=faults.retry_timeout)
         self.failslow: Optional[FailSlowDetector] = (
             FailSlowDetector(faults.failslow_p99,
                              window=faults.failslow_window,
                              min_samples=min(64, faults.failslow_window))
             if faults.failslow_p99 > 0 else None)
-        # FLUSH latencies get their own detector: flushes are rare and
-        # orders of magnitude slower, so one window would drown both
-        # signals; a limping drive often shows in FLUSH first, a backed-up
-        # buffer's drain magnifying a slowdown (docs/fault_model.md).
+        # FLUSH latencies get their own detector: flushes are rare and far
+        # slower, so one window would drown both signals; a limping drive
+        # often shows in FLUSH first, a backed-up buffer's drain
+        # magnifying a slowdown (docs/fault_model.md).
         self.flush_failslow: Optional[FailSlowDetector] = (
             FailSlowDetector(faults.failslow_flush_p99,
                              window=32, min_samples=8)
@@ -70,13 +66,10 @@ class Members:
     def submit(self, idx: int, req: Request, now: float) -> Optional[float]:
         """Submit to one SSD under the retry policy; None if it died.
 
-        Transient errors are retried with exponential backoff inside
-        the configured timeout budget; exhaustion (or a fail-stop error
-        from the device) converts the drive to fail-stop and returns
-        None so callers skip or reconstruct around it.  Completion
-        latencies feed the fail-slow detectors: a drive whose rolling
-        p99 crosses the threshold is likewise converted to fail-stop.
-        """
+        Transient errors are retried with backoff inside the timeout
+        budget; exhaustion or a fail-stop error converts the drive to
+        fail-stop, and so does a rolling p99 over the fail-slow
+        detector's threshold."""
         cache = self.cache
         stats = cache.srcstats
         ssd = cache.ssds[idx]
@@ -106,33 +99,32 @@ class Members:
                 return True
         return False
 
+    def lean(self, ssd) -> bool:
+        """Whether :meth:`submit` to ``ssd`` reduces to its lean entries:
+        a plain ``SSDDevice`` (not an injector or test double) raises
+        nothing to retry, its telemetry is off, no detector samples."""
+        return (type(ssd) is SSDDevice and not ssd.obs.enabled
+                and self.failslow is None)
+
     def seal_fast_ok(self) -> bool:
-        """Whether :meth:`issue` may use the SSDs' lean submission: only
-        while every side channel of :meth:`submit` is inert — no
-        fail-slow detector sampling, no telemetry on SRC or a member,
-        every member a plain ``SSDDevice`` (an injector wrapper or test
-        double keeps the full path), no armed fault plan (retry only
-        acts on injected errors).  Read once per call: the lean path
-        runs none of those, so nothing in the call can flip it."""
+        """Whether :meth:`issue` may go lean: every member :meth:`lean`, no
+        FLUSH detector, SRC telemetry or armed fault plan.  Read once per
+        call: the lean path runs none of those, so none can flip it."""
         cache = self.cache
-        return (self.failslow is None and self.flush_failslow is None
-                and not cache.obs.enabled
-                and all(type(s) is SSDDevice and not s.obs.enabled
-                        for s in cache.ssds)
+        return (self.flush_failslow is None and not cache.obs.enabled
+                and all(map(self.lean, cache.ssds))
                 and not self.armed_fault())
 
     def issue(self, op: Op, commands,
               origin: IoOrigin) -> List[Optional[float]]:
         """``op`` on each ``(member, offset, length, now)`` command: when
         it completed, None where the member is dead or died.  A READ may
-        carry columns of offsets and lengths: a run from one ``now``, its
-        member's only command, done with its last extent.  Lean: each
-        member's commands as one ``submit_extents`` batch, but a lone
-        WRITE by ``submit_write_fast`` and a FLUSH by ``submit_flush_fast``
-        (the measured forks), a member raising ``DeviceFailedError``
-        converted to fail-stop.  Otherwise, and for TRIMs (no SSD batches
-        them), a :meth:`submit` per extent in order: a fault mid-call, or
-        a lazy ``commands``' filter, sees every earlier extent's effect."""
+        carry columns of offsets and lengths (a run from one ``now``, its
+        member's only command).  Lean: a member's commands as one
+        ``submit_extents`` batch, a lone WRITE or FLUSH by its ``_fast``
+        fork, ``DeviceFailedError`` a fail-stop.  Else, and for TRIMs, a
+        :meth:`submit` per extent in order: a fault mid-call, or a lazy
+        ``commands``, sees every earlier extent's effect."""
         if op is TRIM or not self.seal_fast_ok():
             done = []
             for idx, offsets, lengths, now in commands:
@@ -196,8 +188,8 @@ class Members:
         return end
 
     def _convert_fail_stop(self, idx: int, now: float) -> None:
-        """Stop using a drive that keeps erroring or is limping; tell the
-        cache even if the drive died on its own (it needs a spare)."""
+        """Stop using an erroring or limping drive; tell the cache even
+        if the drive died on its own (it needs a spare)."""
         cache = self.cache
         if not cache.ssds[idx].failed:
             cache.ssds[idx].fail()
@@ -207,35 +199,45 @@ class Members:
     # ==================================================================
     # reads with integrity / failure handling (§4.1)
     # ==================================================================
-    def read(self, block: int, entry: CacheEntry, now: float) -> float:
-        """Read one mapped block from its home member, or around it."""
+    def read(self, block: int, now: float) -> float:
+        """Read one mapped block from its home member, or around it.  The
+        mapping entry is built only off the plain path."""
         cache = self.cache
-        loc = entry.location
-        ssd = cache.ssds[loc.ssd]
-        if not self.alive(loc.ssd):
-            return self._degraded_read(block, entry, now)
-        if not cache.repair.unit_ready(loc.ssd, loc.sg, loc.segment):
-            # A rebuilding spare holds the slot but not yet this unit:
-            # serve degraded and pull the unit to the rebuild queue's front.
-            cache.repair.promote(loc.ssd, loc.sg, loc.segment)
-            return self._degraded_read(block, entry, now)
-        end = self.submit(loc.ssd, Request(READ, loc.offset, PAGE_SIZE),
-                          now)
+        idx, offset = cache.mapping.home(block)
+        ssd = cache.ssds[idx]
+        if ssd.failed:
+            return self._degraded_read(block, now)
+        if cache.repair.jobs:
+            loc = cache.mapping.lookup(block).location
+            if not cache.repair.unit_ready(idx, loc.sg, loc.segment):
+                # A rebuilding spare holds the slot but not yet this unit:
+                # serve degraded, pull the unit to the rebuild queue's front.
+                cache.repair.promote(idx, loc.sg, loc.segment)
+                return self._degraded_read(block, now)
+        if self.lean(ssd):
+            try:
+                end = ssd.submit_read_fast(offset, PAGE_SIZE, now)
+            except DeviceFailedError:
+                self._convert_fail_stop(idx, now)
+                end = None
+        else:
+            end = self.submit(idx, Request(READ, offset, PAGE_SIZE), now)
         if end is None:   # the home drive just died under this read
             if cache.bypass:
                 cache.srcstats.bypass_reads += 1
                 return cache.origin_read(block, now)
-            return self._degraded_read(block, entry, now)
-        if ssd.corrupted_in(loc.offset, PAGE_SIZE):
+            return self._degraded_read(block, now)
+        if ssd.corrupted_in(offset, PAGE_SIZE):
+            entry = cache.mapping.lookup(block)
             end = self.repair_corruption(block, entry, end)
             self._reinsert(block, entry, end)
         return end
 
     def stripe_read(self, home: int, offset: int, length: int, now: float,
                     origin: IoOrigin) -> float:
-        """The same range of every member but ``home`` (a stripe's units
-        share their offsets) as one :meth:`issue`; when the last read
-        completed.  Callers ask :meth:`can_reconstruct` first."""
+        """The range on every member but ``home`` (a stripe's units share
+        offsets) as one :meth:`issue`; its last end.  Callers ask
+        :meth:`can_reconstruct` first."""
         return latest(now, self.issue(READ, [
             (idx, offset, length, now)
             for idx in range(self.cache.config.n_ssds) if idx != home],
@@ -243,10 +245,9 @@ class Members:
 
     def can_reconstruct(self, home: int, sg: int, segment: int,
                         dirty: bool) -> bool:
-        """Whether parity can rebuild ``home``'s unit of a segment: the
-        segment carries parity (by ``dirty`` while its summary is not
-        written) and every other member is alive with its unit readable
-        (not a still-rebuilding spare's)."""
+        """Whether parity can rebuild ``home``'s unit of a segment: it
+        carries parity (by ``dirty`` while its summary is unwritten) and
+        every other member is alive with its unit readable."""
         cache = self.cache
         summary = cache.metadata.read_summary(sg, segment)
         with_parity = (summary.with_parity if summary is not None
@@ -268,10 +269,10 @@ class Members:
         return self.stripe_read(loc.ssd, loc.offset, PAGE_SIZE, now,
                                 FOREGROUND)
 
-    def _degraded_read(self, block: int, entry: CacheEntry,
-                       now: float) -> float:
+    def _degraded_read(self, block: int, now: float) -> float:
         """Serve a read whose home SSD has failed."""
         cache = self.cache
+        entry = cache.mapping.lookup(block)
         cache.srcstats.degraded_reads += 1
         if cache.obs.enabled:
             cache.obs.emit(DegradedRead(t=now, device=cache.name, lba=block))
@@ -285,8 +286,7 @@ class Members:
         cache.mapping.invalidate(block)
         cache.hotness.evict(block)
         fetch_end = cache.origin_read(block, now)
-        cache.staging.put(block, fetch_end)
-        cache._fill_clean(block, fetch_end)
+        cache._fill(block, fetch_end)
         return fetch_end
 
     def repair_corruption(self, block: int, entry: CacheEntry,

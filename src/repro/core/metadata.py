@@ -69,12 +69,6 @@ class SegmentSummary:
         """MS and ME agree -> the whole segment write completed."""
         return self.ms_generation == self.me_generation
 
-    def summary_checksum(self) -> int:
-        return metadata_checksum(
-            (self.sg, self.segment, self.sequence, self.generation,
-             int(self.dirty), int(self.with_parity), len(self.lbas))
-            + tuple(self.lbas) + tuple(self.checksums))
-
 
 class MetadataStore:
     """The durable on-SSD metadata as a queryable model."""

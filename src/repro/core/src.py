@@ -37,7 +37,8 @@ from repro.baselines.common import CacheTarget
 from repro.block.device import BlockDevice
 from repro.common.errors import (ConfigError, DeviceFailedError,
                                  RaidDegradedError)
-from repro.common.types import FLUSH, FOREGROUND, Counters, Request
+from repro.common.types import FLUSH, FOREGROUND, READ, Counters, Request
+from repro.common.units import PAGE_SIZE
 from repro.core.arrays import (B_CLEAN, B_DIRTY, B_MAPPED, B_NONE,
                                B_STAGING, BlockState, VersionArray)
 from repro.core.buffers import RAM_LATENCY, SegmentBuffer, StagingBuffer
@@ -196,7 +197,8 @@ class SrcCache(CacheTarget):
         # to the tenant that submitted it (None in single-tenant mode).
         self._active_tenant = req.tenant
         try:
-            end = super()._service(req, now)
+            end = (self.read_request(req, now) if req.op is READ
+                   else super()._service(req, now))
         except (DeviceFailedError, RaidDegradedError) as exc:
             if not self.config.faults.bypass_on_failure:
                 raise
@@ -321,54 +323,64 @@ class SrcCache(CacheTarget):
     # ==================================================================
     # application read path
     # ==================================================================
-    def read_block(self, block: int, now: float) -> float:
-        if self.bypass:
-            self.srcstats.bypass_reads += 1
-            return self.origin_read(block, now)
-        self._check_timeout(now)
-        code = self._state.get(block)
-        if code != B_NONE and code != B_MAPPED:
-            # RAM-resident: dirty buffer, clean buffer, or staging.
-            self.cstats.read_hits += 1
-            self.hotness.touch(block)
-            return now + RAM_LATENCY
-        if code == B_MAPPED:
-            entry = self.mapping.lookup(block)
-            self.cstats.read_hits += 1
-            self.hotness.touch(block)
-            return self.members.read(block, entry, now)
-        # Only reached when the repair pump in _check_timeout unmapped
-        # the block after read_request saw it cached: an ordinary miss.
-        return self._fetch_run([block], now)
-
-    def block_cached(self, block: int) -> bool:
-        if self.bypass:
-            return False
-        return self._state.get(block) != B_NONE
-
-    def install_fill(self, block: int, now: float) -> None:
-        if self.bypass:
-            self.srcstats.bypass_reads += 1
-            return
-        self.cstats.read_misses += 1
-        if self.tenants is not None and not self.tenants.admit(block, now):
-            # The read is already served from the origin; an over-share
-            # tenant just does not get the block cached behind it.
-            self.tenants.count_read_around(block)
-            return
-        # Stage it, then move it to the clean segment buffer; the host
-        # is acked at fetch completion (§4.1).
-        self.staging.put(block, now)
-        self._fill_clean(block, now)
-
     def read_request(self, req: Request, now: float) -> float:
+        """A read's pages in order, each issued at ``now``; done with the
+        latest.  TWAIT and the repair pump run once per request and again
+        before each cached page, whose residency is loaded again only if
+        they, or the fill run before it, may have moved it."""
         self._check_timeout(now)
-        return super().read_request(req, now)
+        end, run = now, []
+        state, cstats = self._state, self.cstats
+        for block in req.pages():
+            code = B_NONE if self.bypass else state.get(block)
+            if code == B_NONE:
+                run.append(block)
+                continue
+            moved = bool(run)
+            if moved:   # a fill may seal, reclaim and evict this page
+                end = max(end, self._fetch_run(run, now))
+                run = []
+            if self.bypass:
+                self.srcstats.bypass_reads += 1
+                done = self.origin_read(block, now)
+            else:
+                if self._check_timeout(now) or moved:
+                    code = state.get(block)
+                if code != B_NONE:
+                    cstats.read_hits += 1
+                    self.hotness.touch(block)
+                    done = (self.members.read(block, now) if code == B_MAPPED
+                            else now + RAM_LATENCY)
+                else:
+                    done = self._fetch_run([block], now)
+            if done > end:
+                end = done
+        if run:
+            end = max(end, self._fetch_run(run, now))
+        return end
 
-    def _fill_clean(self, block: int, now: float) -> None:
-        self.staging.pop(block)
-        if (block in self.dirty_buf or block in self.clean_buf
-                or block in self.mapping):
+    def _fetch_run(self, blocks: list, now: float) -> float:
+        """One origin read for a run of consecutive missing blocks, the
+        host acked at fetch completion (§4.1); each block a miss, cached
+        clean unless its over-share tenant reads around the cache."""
+        fetch_end = self.origin.submit(Request(
+            READ, blocks[0] * PAGE_SIZE, len(blocks) * PAGE_SIZE), now)
+        cstats, tenants = self.cstats, self.tenants
+        for block in blocks:
+            if self.bypass:
+                self.srcstats.bypass_reads += 1
+                continue
+            cstats.read_misses += 1
+            if tenants is not None and not tenants.admit(block, fetch_end):
+                tenants.count_read_around(block)
+            else:
+                self._fill(block, fetch_end)
+        return fetch_end
+
+    def _fill(self, block: int, now: float) -> None:
+        """Land a block fetched from the origin in the clean segment
+        buffer unless it is cached already; seal the buffer when full."""
+        if self._state.get(block) != B_NONE:
             return
         full = self.clean_buf.add(block)
         self.cstats.fills += 1
@@ -378,17 +390,20 @@ class SrcCache(CacheTarget):
     # ==================================================================
     # partial segments and flush handling (§4.1)
     # ==================================================================
-    def _check_timeout(self, now: float) -> None:
-        """TWAIT expiry: persist a partial dirty segment."""
+    def _check_timeout(self, now: float) -> bool:
+        """TWAIT expiry: persist a partial dirty segment.  True if this
+        or the repair pump did work, which may have moved any block."""
         if self.bypass:
-            return
+            return False
         # Background repair advances from foreground entry points: its
         # I/O is issued here, at simulated `now`, and competes with the
         # request being served — the contention the throttle bounds.
-        self.repair.pump(now)
+        pumped = self.repair.pump(now)
         if (not self.dirty_buf.empty
                 and now - self._last_dirty_write > self.config.t_wait):
             self._last_dirty_write = max(now, self.flush_partial(now))
+            return True
+        return pumped
 
     def flush_partial(self, now: float) -> float:
         """Force out a partial dirty segment (timeout path, tests)."""
@@ -490,20 +505,16 @@ class SrcCache(CacheTarget):
         hit/miss counters or hotness — the block is leaving, not being
         referenced.
         """
-        if self.bypass:
+        code = B_NONE if self.bypass else self._state.get(block)
+        if code == B_NONE:
             return None
-        if (block in self.dirty_buf or block in self.clean_buf
-                or block in self.staging):
-            return now + RAM_LATENCY
-        entry = self.mapping.lookup(block)
-        if entry is None:
-            return None
-        return self.members.read(block, entry, now)
+        return (self.members.read(block, now) if code == B_MAPPED
+                else now + RAM_LATENCY)
 
     def admit_block(self, block: int, dirty: bool, now: float) -> float:
         """Install a migrated block, preserving its dirty state.
 
-        :meth:`write_request` / :meth:`_fill_clean` without the
+        :meth:`write_request` / :meth:`_fill` without the
         application-facing accounting: supersede prior incarnations,
         land in the matching segment buffer, seal a segment when one
         fills.  No admission control — ownership already moved, the

@@ -202,8 +202,9 @@ class RepairController:
     # ------------------------------------------------------------------
     # the pump: advance background repair work
     # ------------------------------------------------------------------
-    def pump(self, now: float) -> None:
-        """Advance rebuild and scrub as far as their budgets allow.
+    def pump(self, now: float) -> bool:
+        """Advance rebuild and scrub as far as their budgets allow; False
+        if there was nothing to advance.
 
         Called from foreground entry points; cheap when idle.  Repair
         I/O is issued at ``now`` and occupies the device timelines, so
@@ -211,15 +212,16 @@ class RepairController:
         contention the throttle exists to bound.
         """
         if self._pumping or self.cache.bypass:
-            return
+            return False
         if not self.jobs and self.cache.config.repair.scrub_interval <= 0:
-            return
+            return False
         self._pumping = True
         try:
             self._advance_rebuild(now)
             self._advance_scrub(now)
         finally:
             self._pumping = False
+        return True
 
     def _advance_rebuild(self, now: float) -> None:
         job = self.active_job

@@ -184,14 +184,6 @@ class RunResult:
     def throughput_mb_s(self) -> float:
         return mb_per_sec(self.stats.total_bytes, self.elapsed)
 
-    @property
-    def read_mb_s(self) -> float:
-        return mb_per_sec(self.stats.read_bytes, self.elapsed)
-
-    @property
-    def write_mb_s(self) -> float:
-        return mb_per_sec(self.stats.write_bytes, self.elapsed)
-
     def as_dict(self) -> dict:
         return {
             "elapsed": self.elapsed,

@@ -120,7 +120,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
         if op is TRIM:
             return self._trim(req, now)
         if op is READ:
-            return self._read(req, now)
+            return self._read(req.offset, req.length, req.origin, now)
         return self._write(req.offset, req.length, req.fua, now)
 
     def _write(self, offset: int, length: int, fua: bool, now: float,
@@ -160,27 +160,26 @@ class SSDDevice(QueuedDevice, BlockDevice):
         cost += erases * spec.erase_latency
         return cost
 
-    def _read(self, req: Request, now: float) -> float:
-        if not req.length:
+    def _read(self, offset: int, length: int, origin: IoOrigin,
+              now: float) -> float:
+        if not length:
             return self._command_only(now)
         page = self.spec.page_size
-        first = req.offset // page
-        npages = (req.end + page - 1) // page - first
+        first = offset // page
+        npages = (offset + length + page - 1) // page - first
         self.ftl.read(first, npages)
         read_time = npages * page / self.spec.nand_read_bw
         # Only host (foreground) reads ride the read-priority pipeline;
         # internal moves — GC copies, destage reads, rebuild scans —
         # interleave with the program backlog so they never starve the
         # latency-sensitive path.
-        pipeline = (self.nand_reads if req.origin is FOREGROUND
-                    else self.nand)
+        pipeline = self.nand_reads if origin is FOREGROUND else self.nand
         nand_begin, nand_end = pipeline.acquire(now, read_time)
         # The outbound transfer streams behind the NAND reads: it starts
         # once the first page is in the buffer and cannot finish before
         # the last page has been read.
         first_page = self.spec.timing.t_read
-        _, out_end = self.read_link.transfer(nand_begin + first_page,
-                                             req.length)
+        _, out_end = self.read_link.transfer(nand_begin + first_page, length)
         return max(nand_end, out_end)
 
     def _trim(self, req: Request, now: float) -> float:
@@ -237,6 +236,26 @@ class SSDDevice(QueuedDevice, BlockDevice):
         begin = self._admit(None, now)
         done = self._write(offset, length, False, begin,
                            None if staged is None else FtlOpResult(staged))
+        self._retire(None, now, begin, done)
+        return done
+
+    def submit_read_fast(self, offset: int, length: int,
+                         now: float) -> float:
+        """Lean foreground READ submission, bit-identical to ``submit``
+        (a failed drive too: counted and admitted, then it raises).  The
+        read twin of :meth:`submit_write_fast`: the caller (a cached
+        block's read) guarantees obs is off and the range is inside the
+        device."""
+        stats = self.stats
+        stats.read_ops += 1
+        stats.read_bytes += length
+        by_origin = stats.bytes_by_origin
+        key = FOREGROUND._value_
+        by_origin[key] = by_origin.get(key, 0) + length
+        begin = self._admit(None, now)
+        if self.failed:
+            raise DeviceFailedError(f"{self.name} has failed")
+        done = self._read(offset, length, FOREGROUND, begin)
         self._retire(None, now, begin, done)
         return done
 

@@ -194,14 +194,3 @@ def fio_job_streams(span: int, request_size: int = 4 * KIB,
         uniform_random(span, request_size, op, seed=seed * 1000 + i)
         for i in range(iodepth * threads)
     ]
-
-
-def fio_job_chunk_streams(span: int, request_size: int = 4 * KIB,
-                          op: Op = Op.WRITE, iodepth: int = 32,
-                          threads: int = 4, seed: int = 0
-                          ) -> List[Iterator[np.ndarray]]:
-    """Chunked :func:`fio_job_streams` — same seeds, same sequences."""
-    return [
-        uniform_random_chunks(span, request_size, op, seed=seed * 1000 + i)
-        for i in range(iodepth * threads)
-    ]

@@ -117,17 +117,6 @@ def _ws_factor(group: str) -> float:
     return min(1.0, GROUP_WORKING_SET_GB / total_gb)
 
 
-def group_footprint(group: str, scale: float = 1.0,
-                    footprint_cap_gb: float = 0.0) -> int:
-    """Total bytes of working-set space the group's traces access."""
-    factor = _ws_factor(group)
-    total = 0
-    for spec in group_specs(group):
-        fp = _scaled_footprint(spec, scale * factor, footprint_cap_gb)
-        total += fp
-    return total
-
-
 def _scaled_footprint(spec: TraceSpec, scale: float,
                       footprint_cap_gb: float) -> int:
     fp = spec.footprint_bytes

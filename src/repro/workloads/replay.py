@@ -44,14 +44,6 @@ class ReplayResult:
     def throughput_mb_s(self) -> float:
         return mb_per_sec(self.app_bytes, self.elapsed)
 
-    @property
-    def read_mb_s(self) -> float:
-        return mb_per_sec(self.read_bytes, self.elapsed)
-
-    @property
-    def write_mb_s(self) -> float:
-        return mb_per_sec(self.write_bytes, self.elapsed)
-
     def as_dict(self) -> dict:
         return {
             "group": self.group,

@@ -58,15 +58,6 @@ class ZipfSampler:
             return self._perm[ranks]
         return ranks
 
-    def hot_fraction(self, top: float = 0.1) -> float:
-        """Probability mass of the top ``top`` fraction of items.
-
-        Useful to sanity-check skew: theta=0.99 puts ~63% of accesses
-        on the hottest 10% of blocks for n ~ 1e5.
-        """
-        cutoff = max(1, int(self.n * top))
-        return float(self._cdf[cutoff - 1])
-
 
 def zipf_chunks(span: int, request_size: int = 4 * KIB,
                 theta: float = 0.99, op: Op = Op.WRITE, seed: int = 0,

@@ -81,3 +81,32 @@ def test_header_names_the_interpreter_and_both_heads(tmp_path):
     assert first == (f"src-mix-zipf --seed 2 --seconds 7: 3 alternating "
                      f"pairs, parent {plain} @ ? / change {repo} @ {sha}")
     assert second.startswith(f"python {sys.version.split()[0]} (")
+
+
+def test_workloads_repeat_each_in_its_own_block(monkeypatch, capsys,
+                                                tmp_path):
+    """``--workload`` twice: each workload's pairs alternate in turn,
+    each prints its own summary block, and a moved digest in either one
+    makes the exit code 1."""
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((workload, checkout.name))
+        moved = workload == "b" and checkout.name == "change"
+        return _stdout(400e3 if checkout.name == "change" else 300e3,
+                       digest="deadbeef" if moved else "9d8b90dc")
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    argv = [str(parent), str(change), "--pairs", "2", "--workload", "a"]
+    assert bench_pairs.main(argv) == 0
+    assert bench_pairs.main(argv + ["--workload", "b"]) == 1
+    out = capsys.readouterr().out
+    assert calls[:4] == [("a", "parent"), ("a", "change"),
+                         ("a", "change"), ("a", "parent")]
+    assert [w for w, _ in calls[4:]] == ["a"] * 4 + ["b"] * 4
+    assert out.count("a --seed 1 --seconds 7: 2 alternating pairs") == 2
+    assert out.count("b --seed 1 --seconds 7: 2 alternating pairs") == 1
+    assert out.count("change ahead 2 / 2 (1.333x by medians)") == 3
+    assert out.count("PROBLEM") == 2

@@ -36,9 +36,9 @@ from repro.obs.events import AdmissionRejected
 from repro.sim.engine import run_chunk_streams
 from repro.ssd.device import SSDDevice
 from repro.tenancy import QosSpec, TenantRegistry
-from repro.workloads.fio import (fio_job_chunk_streams, fio_job_streams,
-                                 mixed_chunks, sequential, sequential_chunks,
-                                 uniform_random, uniform_random_chunks)
+from repro.workloads.fio import (fio_job_streams, mixed_chunks, sequential,
+                                 sequential_chunks, uniform_random,
+                                 uniform_random_chunks)
 from repro.workloads.msr import (MAX_REQUEST, TRACES, SyntheticTrace,
                                  build_group, build_group_chunks)
 from repro.workloads.zipf import ZipfSampler, zipf_chunks, zipf_requests
@@ -977,17 +977,6 @@ def test_build_group_chunks_matches_build_group():
             assert req.offset == int(rows["offset"][i])
             assert req.length == int(rows["length"][i])
             assert (req.op is Op.READ) == (int(rows["op"][i]) == OP_READ)
-
-
-def test_fio_job_chunk_streams_same_seeds():
-    span = 16 * MIB
-    scalar = fio_job_streams(span, iodepth=2, threads=2, seed=3)
-    chunked = fio_job_chunk_streams(span, iodepth=2, threads=2, seed=3)
-    assert len(scalar) == len(chunked)
-    for stream, chunk_stream in zip(scalar, chunked):
-        rows = next(chunk_stream)
-        for i in range(64):
-            assert next(stream).offset == int(rows["offset"][i])
 
 
 # ----------------------------------------------------------------------

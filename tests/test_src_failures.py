@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from repro.common.types import Op, Request
 from repro.common.units import PAGE_SIZE
+from repro.core.arrays import B_MAPPED
 from repro.core.config import CleanRedundancy, RepairConfig
 from repro.core.src import SrcCache
 from repro.hdd.backend import PrimaryStorage
@@ -115,20 +116,20 @@ def test_writes_continue_degraded():
     assert cache.ssds[2].stats.write_ops == 0
 
 
-def test_read_block_after_scrub_unmap_is_an_ordinary_miss():
-    # read_request saw the block cached; the repair pump at the top of
-    # read_block then scrubs it — corrupt, dirty, no redundancy: a
-    # double fault, dropped from the mapping — so the read finds
-    # nothing and must take the one miss path: fetch, count, fill.
+def test_a_page_the_pump_scrubs_away_is_an_ordinary_miss():
+    # The block is mapped; the repair pump at the top of the read then
+    # scrubs it — corrupt, dirty, no redundancy: a double fault,
+    # dropped from the mapping — so the read finds nothing and must
+    # take the one miss path: fetch, count, fill.
     cache = make_src(replace(TINY_SRC, raid_level=0,
                              repair=RepairConfig(scrub_interval=1.0)))
     now, cap = fill_one_dirty_segment(cache)
     entry = cache.mapping.lookup(0)
     cache.ssds[entry.location.ssd].inject_corruption(entry.location.offset,
                                                      PAGE_SIZE)
-    assert now < 1.0 and cache.block_cached(0)
+    assert now < 1.0 and cache._state.get(0) == B_MAPPED
     origin_reads = cache.origin.stats.read_ops
-    end = cache.read_block(0, 2.0)
+    end = cache.read(0, PAGE_SIZE, 2.0)
     assert cache.srcstats.scrub_unrepairable == 1
     assert cache.cstats.read_misses == 1 and cache.cstats.read_hits == 0
     assert cache.origin.stats.read_ops == origin_reads + 1

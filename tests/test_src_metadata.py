@@ -77,12 +77,6 @@ def test_rewrite_same_segment_replaces():
     assert len(store) == 1
 
 
-def test_summary_checksum_covers_lbas():
-    a = summary(lbas=(1, 2, 3))
-    b = summary(lbas=(1, 2, 4))
-    assert a.summary_checksum() != b.summary_checksum()
-
-
 def test_format_clears_existing_state():
     store = MetadataStore()
     store.format(superblock())

@@ -161,7 +161,10 @@ def test_array_loss_enters_origin_bypass_with_loss_accounting():
     assert cache.srcstats.bypass_reads == 1
     assert cache.origin.stats.write_ops > origin_writes
     assert cache.origin.stats.read_ops > origin_reads
-    assert not cache.block_cached(0)
+    # Nothing counts as cached any more: a re-read goes round again.
+    cache.read(0, PAGE_SIZE, 2.2)
+    assert cache.srcstats.bypass_reads == 2
+    assert cache.cstats.read_hits == 0
 
 
 def test_bypass_disabled_keeps_strict_semantics():
@@ -177,7 +180,8 @@ def test_bypass_disabled_keeps_strict_semantics():
     # The cache keeps serving (degraded), it just never degrades to
     # pass-through on its own.
     cache.write(5000 * PAGE_SIZE, PAGE_SIZE, 2.0)
-    assert cache.block_cached(5000)
+    cache.read(5000 * PAGE_SIZE, PAGE_SIZE, 2.1)
+    assert cache.cstats.read_hits == 1 and cache.srcstats.bypass_reads == 0
     assert cache.srcstats.bypass_writes == 0
 
 

@@ -407,3 +407,72 @@ def test_ssd_submit_chunk_inflight_queue_at_window_start_identical():
     assert scalar.qstats.as_dict() == batched.qstats.as_dict()
     assert batched.qstats.queued_ops > depth, "no window row waited"
     assert scalar._inflight == batched._inflight
+
+
+# ----------------------------------------------------------------------
+# submit_read_fast: the lean READ entry against submit(Request(READ))
+# ----------------------------------------------------------------------
+def _read_state(ssd) -> dict:
+    """Everything a READ touches, as plain values."""
+    return {"stats": ssd.stats.as_dict(), "qstats": ssd.qstats.as_dict(),
+            "inflight": sorted(ssd._inflight),
+            "ftl": ftl_state(ssd.ftl)["counters"],
+            "nand_reads": (ssd.nand_reads._free, ssd.nand_reads.busy_time),
+            "nand": (ssd.nand._free, ssd.nand.busy_time),
+            "read_link": (ssd.read_link._timeline._free,
+                          ssd.read_link._timeline.busy_time,
+                          ssd.read_link.bytes_moved)}
+
+
+def _read_twins():
+    """Two identical drives holding the same data, writes still draining
+    (the program backlog shares nothing with host reads but the queue)."""
+    twins = SSDDevice(TINY_SSD), SSDDevice(TINY_SSD)
+    for ssd in twins:
+        for block in range(256):
+            ssd.submit_write_fast(block * 4 * KIB, 4 * KIB, block * 1e-6)
+    return twins
+
+
+def test_submit_read_fast_is_submit():
+    """Reads of every size, aligned or not, at rising times, as one
+    ``submit`` each and as ``submit_read_fast``: the same done times,
+    counters, queue and pipelines."""
+    generic, lean = _read_twins()
+    rng = np.random.default_rng(7)
+    now = 0.0
+    for _ in range(500):
+        offset = int(rng.integers(0, 1 * MIB))
+        length = int(rng.choice([0, 512, 4 * KIB, 4 * KIB, 16 * KIB,
+                                 9000, 128 * KIB]))
+        done = generic.submit(Request(Op.READ, offset, length), now)
+        assert lean.submit_read_fast(offset, length, now) == done
+        now += float(rng.exponential(20e-6))
+    assert _read_state(lean) == _read_state(generic)
+    assert lean.stats.read_ops == 500
+
+
+def test_submit_read_fast_queues_as_submit():
+    """A burst past the queue depth at one instant: admission waits for
+    the earliest completion, exactly as ``submit`` queues."""
+    generic, lean = _read_twins()
+    depth, queued = generic.queue_depth, generic.qstats.queued_ops
+    for i in range(3 * depth):
+        offset = (i * 37 % 256) * 4 * KIB
+        done = generic.submit(Request(Op.READ, offset, 4 * KIB), 1e-3)
+        assert lean.submit_read_fast(offset, 4 * KIB, 1e-3) == done
+        assert lean.outstanding(1e-3) == generic.outstanding(1e-3)
+    assert _read_state(lean) == _read_state(generic)
+    assert lean.qstats.queued_ops - queued >= 2 * depth
+
+
+def test_submit_read_fast_on_a_failed_drive_is_submit():
+    """A failed drive counts and admits the read, then raises."""
+    generic, lean = _read_twins()
+    for ssd in (generic, lean):
+        ssd.fail()
+    with pytest.raises(DeviceFailedError):
+        generic.submit(Request(Op.READ, 0, 4 * KIB), 1e-3)
+    with pytest.raises(DeviceFailedError):
+        lean.submit_read_fast(0, 4 * KIB, 1e-3)
+    assert _read_state(lean) == _read_state(generic)
