@@ -373,7 +373,7 @@ class LatencyStats:
 
     Percentiles come from a fixed reservoir sample (size 4096) so
     memory stays bounded over arbitrarily long runs.  ``__slots__``:
-    one ``record`` per completion on the engine hot path.
+    one ``record`` per completion on the tenant and replay hot paths.
     """
 
     __slots__ = ("count", "total", "max", "_reservoir", "_reservoir_size")
@@ -414,17 +414,17 @@ class LatencyStats:
         ``hash((count, round(latency * 1e9)))``.  Replacements apply in
         row order so duplicate slots keep last-writer-wins.
         """
-        lats = np.asarray(latencies, dtype=np.float64)
-        n = lats.shape[0]
-        if n == 0:
-            return
-        if n < 32:
+        if len(latencies) < 32:
             # Below the vector crossover the per-call numpy overhead
-            # (rint, hashing, accumulate) exceeds n scalar records.
+            # (rint, hashing, accumulate) exceeds n scalar records; a
+            # list (the engine's per-request block) needs no conversion.
             record = self.record
-            for latency in lats.tolist():
+            for latency in (latencies.tolist() if isinstance(
+                    latencies, np.ndarray) else latencies):
                 record(latency)
             return
+        lats = np.asarray(latencies, dtype=np.float64)
+        n = lats.shape[0]
         count0 = self.count
         seq = np.empty(n + 1, dtype=np.float64)
         seq[0] = self.total

@@ -28,6 +28,8 @@ from repro.common.units import mb_per_sec
 # ``tolist``, bounded so a short hold converts no whole chunk (at 64,
 # 40 replay streams' held rows raised peak RSS by 0.5 MB).
 ROW_BLOCK = 8
+# Per-request latencies Engine.run keeps before one ``record_many``.
+LATENCY_BLOCK = 4096
 
 # A workload source yields Requests forever (or until exhausted).
 RequestSource = Iterator[Request]
@@ -271,8 +273,18 @@ class Engine:
         heappop = heapq.heappop
         heappush = heapq.heappush
         totals_record = totals.record
-        latencies_record = latencies.record
-        queue_delays_record = queue_delays.record
+        # Per-request latencies and queue delays wait in lists and enter
+        # their stats a block at a time, before any chunk's column and at
+        # run end, so in issue order: ``record_many`` equals ``record``
+        # per sample (count, total, max and reservoir).
+        lat_block: List[float] = []
+        delay_block: List[float] = []
+        lat_append, delay_append = lat_block.append, delay_block.append
+
+        def flush() -> None:
+            latencies.record_many(lat_block)
+            queue_delays.record_many(delay_block)
+            del lat_block[:], delay_block[:]
 
         while heap:
             issue_time, index, stream = heappop(heap)
@@ -308,6 +320,8 @@ class Engine:
                 # Chunk-conformant rows are foreground by construction:
                 # each feeds the latency reservoir.
                 is_fg = True
+                if lat_block:
+                    flush()
                 latencies.record_many(done_t - issue_t)
                 done = float(done_t[-1])   # done times are monotone
             else:
@@ -319,7 +333,7 @@ class Engine:
                 if isinstance(result, Submission):
                     done = result.done_t
                     if is_fg:
-                        queue_delays_record(result.begin_t - result.issue_t)
+                        delay_append(result.begin_t - result.issue_t)
                 else:
                     done = result
                 if done < issue_time:
@@ -327,7 +341,9 @@ class Engine:
                         f"completion {done} precedes issue {issue_time}")
                 totals_record(request)
                 if is_fg:
-                    latencies_record(done - issue_time)
+                    lat_append(done - issue_time)
+                    if len(lat_block) >= LATENCY_BLOCK:
+                        flush()
                 n = 1
             issued += n
             # Completions can land past the run window (the last
@@ -349,6 +365,7 @@ class Engine:
                 heappush(heap, (issue_time + stream.think_time,
                                 index, stream))
 
+        flush()
         elapsed = duration if duration != float("inf") else end_time
         # If every source dried up before `duration`, report actual span.
         if duration != float("inf") and end_time < duration and not heap:

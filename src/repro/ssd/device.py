@@ -127,26 +127,40 @@ class SSDDevice(QueuedDevice, BlockDevice):
                result: Optional[FtlOpResult] = None) -> float:
         if not length:
             return self._command_only(now)
+        spec = self.spec
         if result is None:      # else the caller writes the FTL later
-            page = self.spec.page_size
+            page = spec.page_size
             first = offset // page
-            last = (offset + length + page - 1) // page
             if self.obs.enabled:
                 self.ftl.clock = now
-            result = self.ftl.write(first, last - first)
+            result = self.ftl.write(
+                first, (offset + length + page - 1) // page - first)
         # Overwrites scrub any injected corruption for the range.
         if self._corrupted_pages:
             self.clear_corruption(offset, length)
         # Programming is pipelined with the host transfer: NAND work can
         # start as soon as the first pages stream into the DRAM buffer.
-        xfer_begin, xfer_end = self.link.transfer(now, length)
-        nand_time = self._nand_cost(result.host_pages, result.gc_read_pages,
-                                    result.gc_prog_pages, result.erases)
-        _, nand_end = self.nand.acquire(xfer_begin, nand_time)
-        nand_end = max(nand_end, xfer_end)
+        # Link.transfer and Timeline.acquire on single servers, inline as
+        # in _pipeline; GC work always ends in an erase, and without one
+        # _nand_cost's other terms would add +0.0.
+        link, xfer, nand = self.link, self.link._timeline, self.nand
+        link.bytes_moved += length
+        duration = link.latency + length / link.bandwidth
+        free = xfer._free[0]
+        xfer_begin = now if now > free else free
+        xfer_end = xfer._free[0] = xfer_begin + duration
+        xfer.busy_time += duration
+        nand_time = (self._nand_cost(result.host_pages, result.gc_read_pages,
+                                     result.gc_prog_pages, result.erases)
+                     if result.erases else
+                     result.host_pages * spec.page_size / spec.nand_prog_bw)
+        free = nand._free[0]
+        nand_end = nand._free[0] = (xfer_begin if xfer_begin > free
+                                    else free) + nand_time
+        nand.busy_time += nand_time
+        nand_end = nand_end if nand_end >= xfer_end else xfer_end
         if fua:
-            _, fua_end = self.nand.acquire(nand_end, self.spec.flush_latency)
-            return fua_end
+            return nand.acquire(nand_end, spec.flush_latency)[1]
         # Ack when the transfer is in and the backlog fits the buffer.
         return max(xfer_end, nand_end - self._buffer_slack)
 
@@ -224,9 +238,8 @@ class SSDDevice(QueuedDevice, BlockDevice):
         With ``staged`` pages the FTL write is the caller's, who found
         room for them (``ftl.fits``) and programs them later
         (``ftl.write_extents``): every time is still ``submit``'s.
+        A failed drive counts and admits the write, then raises.
         """
-        if self.failed:
-            raise DeviceFailedError(f"{self.name} has failed")
         stats = self.stats
         stats.write_ops += 1
         stats.write_bytes += length
@@ -234,6 +247,8 @@ class SSDDevice(QueuedDevice, BlockDevice):
         key = origin._value_
         by_origin[key] = by_origin.get(key, 0) + length
         begin = self._admit(None, now)
+        if self.failed:
+            raise DeviceFailedError(f"{self.name} has failed")
         done = self._write(offset, length, False, begin,
                            None if staged is None else FtlOpResult(staged))
         self._retire(None, now, begin, done)
@@ -262,10 +277,10 @@ class SSDDevice(QueuedDevice, BlockDevice):
     def submit_flush_fast(self, now: float) -> float:
         """Lean FLUSH submission; the barrier twin of
         :meth:`submit_write_fast` (obs off, guaranteed by the caller)."""
-        if self.failed:
-            raise DeviceFailedError(f"{self.name} has failed")
         self.stats.flush_ops += 1
         begin = self._admit(None, now)
+        if self.failed:
+            raise DeviceFailedError(f"{self.name} has failed")
         done = self._flush(begin)
         self._retire(None, now, begin, done)
         return done

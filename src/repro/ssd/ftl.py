@@ -13,15 +13,17 @@ so GC finds empty victims and write amplification stays at 1 regardless
 of over-provisioning; smaller writes mix lifetimes within superblocks
 and amplification grows as spare space shrinks.
 
-Host pages reach the log through one loop, ``_write_pages``: the pages
-between two superblock rolls are applied as numpy array updates on the
-int32 L2P / P2L tables.  Small requests — the 1–8 page ops that
-dominate 4 KiB random workloads — and short runs are applied element by
-element instead: per-request ``np.arange``/``np.unique`` allocations
-cost more than the whole operation at those sizes.  Up to
-:data:`~repro.common.chunks.SCALAR_THRESHOLD` pages take that scalar
-form; both forms produce bit-identical state (``tests/test_ftl.py``
-patches the constant to pin it).
+Host pages reach the log through one loop, ``_write_pages``, for
+``write`` and ``write_extents`` alike: the pages between two superblock
+rolls are applied as numpy array updates on the int32 L2P / P2L tables.
+Runs of up to :data:`~repro.common.chunks.SCALAR_THRESHOLD` pages — the
+1–8 page ops that dominate 4 KiB random workloads among them — are
+applied element by element on Python ints instead (``write`` hands the
+loop a ``range``, with no array at all): per-request
+``np.arange``/``np.unique`` allocations and numpy-scalar reads cost
+more than the whole operation at those sizes.  Both forms produce
+bit-identical state (``tests/test_ftl.py`` patches the constant to pin
+it).
 """
 
 from __future__ import annotations
@@ -169,13 +171,13 @@ class PageMappedFtl:
 
     def write(self, lpn: int, npages: int) -> FtlOpResult:
         """Host write of ``npages`` starting at logical page ``lpn``."""
-        self._check_range(lpn, npages)
+        if npages <= 0 or lpn < 0 or lpn + npages > self.logical_pages:
+            self._check_range(lpn, npages)
         result = FtlOpResult(host_pages=npages)
-        if npages <= SCALAR_THRESHOLD:
-            self._write_scalar(lpn, npages, result)
-        else:
-            self._write_pages(np.arange(lpn, lpn + npages), (npages,),
-                              {0: result})
+        self._write_pages(range(lpn, lpn + npages) if
+                          npages <= SCALAR_THRESHOLD else
+                          np.arange(lpn, lpn + npages), (npages,),
+                          {0: result})
         return result
 
     def write_extents(self, lpns: np.ndarray, npages: np.ndarray) -> tuple:
@@ -257,15 +259,19 @@ class PageMappedFtl:
     # internals
     # ------------------------------------------------------------------
     def _unmap(self, lpn: int, npages: int) -> None:
-        """Drop the mappings of a contiguous logical range."""
-        if npages <= SCALAR_THRESHOLD:
-            self._mapped -= self._invalidate_scalar(lpn, npages)
-            l2p = self.l2p
-            for lp in range(lpn, lpn + npages):
-                l2p[lp] = NO_PAGE
+        """Drop the mappings of a contiguous logical range: up to
+        ``SCALAR_THRESHOLD`` pages element by element, as a write's."""
+        old = self.l2p[lpn:lpn + npages]
+        if npages > SCALAR_THRESHOLD:
+            self._mapped -= self._invalidate(old)
         else:
-            self._mapped -= self._invalidate(self.l2p[lpn:lpn + npages])
-            self.l2p[lpn:lpn + npages] = NO_PAGE
+            p2l, vc, sbp = self.p2l, self.valid_count, self.superblock_pages
+            for ppn in old.tolist():
+                if ppn != NO_PAGE:
+                    self._mapped -= 1
+                    p2l[ppn] = NO_PAGE
+                    vc[ppn // sbp] -= 1
+        old[:] = NO_PAGE
 
     def _invalidate(self, old: np.ndarray) -> int:
         """Kill the physical pages ``old`` maps to (``NO_PAGE`` entries
@@ -279,51 +285,9 @@ class PageMappedFtl:
                                             minlength=self.n_superblocks)
         return live.size
 
-    def _invalidate_scalar(self, lpn: int, npages: int) -> int:
-        """Element-wise :meth:`_invalidate` of a logical range's
-        mappings (``l2p`` kept); returns how many were live."""
-        l2p = self.l2p
-        p2l = self.p2l
-        vc = self.valid_count
-        sbp = self.superblock_pages
-        live = 0
-        for lp in range(lpn, lpn + npages):
-            old = l2p[lp]
-            if old != NO_PAGE:
-                live += 1
-                p2l[old] = NO_PAGE
-                vc[old // sbp] -= 1
-        return live
-
-    def _write_scalar(self, lpn: int, npages: int,
-                      result: FtlOpResult) -> None:
-        """:meth:`write` of a short range, element by element: the same
-        state transitions as :meth:`_write_pages`, without per-request
-        array allocations."""
-        live = self._invalidate_scalar(lpn, npages)
-        l2p = self.l2p
-        p2l = self.p2l
-        sbp = self.superblock_pages
-        lp = lpn
-        end = lpn + npages
-        while lp < end:
-            room = sbp - self._wp
-            if room == 0:
-                self._roll_superblock(result)
-                continue
-            n = min(room, end - lp)
-            base = self._open_sb * sbp + self._wp
-            for k in range(n):
-                l2p[lp + k] = base + k
-                p2l[base + k] = lp + k
-            self.valid_count[self._open_sb] += n
-            self._wp += n
-            lp += n
-        self._mapped += npages - live
-        self.counters.host_pages_written += npages
-
-    def _write_pages(self, pages: np.ndarray, ends, gc: dict) -> None:
-        """Append host ``pages`` in order; extent ``i`` is the contiguous
+    def _write_pages(self, pages, ends, gc: dict) -> None:
+        """Append host ``pages`` (an array, or a ``range`` of at most
+        ``SCALAR_THRESHOLD``) in order; extent ``i`` is the contiguous
         ``pages[ends[i - 1]:ends[i]]``.  The GC work of the rolls extent
         ``i`` triggers accumulates in ``gc[i]`` (an :class:`FtlOpResult`).
 
@@ -337,7 +301,7 @@ class PageMappedFtl:
         """
         l2p, p2l, vc = self.l2p, self.p2l, self.valid_count
         sbp = self.superblock_pages
-        pos, total = 0, pages.shape[0]
+        pos, total = 0, len(pages)
         while True:
             r = min(sbp - self._wp, total - pos)
             base = self._open_sb * sbp + self._wp
@@ -365,8 +329,9 @@ class PageMappedFtl:
                 self._mapped += to.size - live
             elif r:
                 mapped = self._mapped
-                for lp in pages[pos:pos + r].tolist():
-                    old = l2p[lp]
+                run = pages[pos:pos + r]
+                for lp in run if type(run) is range else run.tolist():
+                    old = l2p.item(lp)
                     if old == NO_PAGE:
                         mapped += 1
                     else:

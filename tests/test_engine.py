@@ -1,5 +1,7 @@
 """Closed-loop workload engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,15 @@ from repro.block.lifecycle import Submission
 from repro.common.chunks import (OP_FLUSH, OP_WRITE, empty_chunk, make_chunk,
                                  requests_from_chunk)
 from repro.common.errors import ConfigError
-from repro.common.types import ORIGINS, read, write
+from repro.common.types import FOREGROUND, ORIGINS, LatencyStats, read, write
+from repro.common.units import MIB
 from repro.sim.engine import (ROW_BLOCK, ChunkStream, Engine, JobStream,
                               run_chunk_streams, run_streams)
 from repro.sim.timeline import Timeline
+from repro.ssd.device import SSDDevice, precondition
+from repro.workloads.fio import mixed_chunks, uniform_random
+
+from _stacks import TINY_SSD
 
 
 def fixed_latency_issue(latency):
@@ -350,3 +357,70 @@ def test_chunk_stream_requests_are_the_chunks_requests(steps):
         pos += 1
     assert stream.next_request() is None
     assert {req.tenant for req in expected} == {None, *names}
+
+
+# ---------------------------------------------------------------------------
+# RunResult.latency / queue_delay against one record per sample
+# ---------------------------------------------------------------------------
+class RecordingTarget:
+    """Issue functions that record every served request's latency and
+    queue delay with one ``LatencyStats.record`` each, in the order the
+    engine receives them: the per-request reference for ``RunResult``."""
+
+    def __init__(self, issue, issue_chunk=None):
+        self._issue, self._issue_chunk = issue, issue_chunk
+        self.latency, self.queue_delay = LatencyStats(), LatencyStats()
+        self.windows = self.scalar_rows = 0
+
+    def issue(self, req, now):
+        result = self._issue(req, now)
+        self.scalar_rows += 1
+        if req.origin is FOREGROUND:
+            done = result
+            if isinstance(result, Submission):
+                done = result.done_t
+                self.queue_delay.record(result.begin_t - result.issue_t)
+            self.latency.record(done - now)
+        return result
+
+    def issue_chunk(self, *args):
+        issue_t, done_t, n = self._issue_chunk(*args)
+        if n:
+            self.windows += 1
+            for latency in (done_t - issue_t).tolist():
+                self.latency.record(latency)
+        return issue_t, done_t, n
+
+
+def _stats(stats: LatencyStats) -> tuple:
+    return stats.count, stats.total, stats.max, stats._reservoir
+
+
+def test_split_phase_latencies_equal_per_request_records():
+    """A split-phase SSD whose command queue is shallower than the
+    streams' iodepth, so requests wait for a slot."""
+    ssd = SSDDevice(replace(TINY_SSD, queue_depth=8))
+    precondition(ssd, 0.5)
+    target = RecordingTarget(ssd.submit_request)
+    result = run_streams(target.issue, [uniform_random(32 * MIB, seed=s)
+                                        for s in (1, 2)],
+                         max_requests=9000, iodepth=32)
+    assert _stats(result.latency) == _stats(target.latency)
+    assert _stats(result.queue_delay) == _stats(target.queue_delay)
+    assert result.queue_delay.count == 9000
+    assert result.queue_delay.total > 0.0
+
+
+def test_chunked_latencies_equal_per_request_records():
+    """Window rows and per-request rows interleave: the reads decline
+    the SSD's window, so the engine serves them and the rows its back-off
+    holds one at a time between windows."""
+    ssd = SSDDevice(TINY_SSD)
+    target = RecordingTarget(ssd.submit, ssd.submit_chunk)
+    result = run_chunk_streams(
+        target.issue, [mixed_chunks(32 * MIB, 0.02, seed=s) for s in (1, 2)],
+        max_requests=20000, issue_chunk=target.issue_chunk)
+    assert _stats(result.latency) == _stats(target.latency)
+    assert result.latency.count == 20000
+    assert target.windows > 100 and target.scalar_rows > 4096
+    assert result.queue_delay.count == 0

@@ -476,3 +476,92 @@ def test_submit_read_fast_on_a_failed_drive_is_submit():
     with pytest.raises(DeviceFailedError):
         lean.submit_read_fast(0, 4 * KIB, 1e-3)
     assert _read_state(lean) == _read_state(generic)
+
+
+def test_submit_write_fast_on_a_failed_drive_is_submit():
+    """A failed drive counts and admits the write, then raises."""
+    generic, lean = _read_twins()
+    for ssd in (generic, lean):
+        ssd.fail()
+    with pytest.raises(DeviceFailedError):
+        generic.submit(Request(Op.WRITE, 0, 4 * KIB), 1e-3)
+    with pytest.raises(DeviceFailedError):
+        lean.submit_write_fast(0, 4 * KIB, 1e-3)
+    assert _read_state(lean) == _read_state(generic)
+    assert lean.stats.write_ops == 257
+
+
+def test_submit_flush_fast_on_a_failed_drive_is_submit():
+    """A failed drive counts and admits the FLUSH, then raises."""
+    generic, lean = _read_twins()
+    for ssd in (generic, lean):
+        ssd.fail()
+    with pytest.raises(DeviceFailedError):
+        generic.submit(Request(Op.FLUSH, 0, 0), 1e-3)
+    with pytest.raises(DeviceFailedError):
+        lean.submit_flush_fast(1e-3)
+    assert _read_state(lean) == _read_state(generic)
+    assert lean.stats.flush_ops == 1
+
+
+# ----------------------------------------------------------------------
+# _write's inline link and NAND timing against the Timeline calls
+# ----------------------------------------------------------------------
+def _write_by_acquire(ssd, offset, length, fua, now):
+    """``SSDDevice._write`` through ``Link.transfer`` and
+    ``Timeline.acquire``, with ``_nand_cost`` for every write."""
+    if not length:
+        return ssd._command_only(now)
+    page = ssd.spec.page_size
+    first = offset // page
+    result = ssd.ftl.write(first,
+                           (offset + length + page - 1) // page - first)
+    if ssd._corrupted_pages:
+        ssd.clear_corruption(offset, length)
+    xfer_begin, xfer_end = ssd.link.transfer(now, length)
+    _, nand_end = ssd.nand.acquire(xfer_begin, ssd._nand_cost(
+        result.host_pages, result.gc_read_pages, result.gc_prog_pages,
+        result.erases))
+    nand_end = max(nand_end, xfer_end)
+    if fua:
+        return ssd.nand.acquire(nand_end, ssd.spec.flush_latency)[1]
+    return max(xfer_end, nand_end - ssd._buffer_slack)
+
+
+def _timing_state(ssd) -> dict:
+    return {"link": (ssd.link._timeline._free, ssd.link._timeline.busy_time,
+                     ssd.link.bytes_moved),
+            "nand": (ssd.nand._free, ssd.nand.busy_time),
+            "ftl": ftl_state(ssd.ftl),
+            "corrupted": sorted(ssd._corrupted_pages)}
+
+
+def test_write_timing_is_link_transfer_and_nand_acquire():
+    """Writes of every size, FUA and zero-length ones among them, over a
+    preconditioned drive until GC rolls superblocks, onto injected
+    corruption: the same done times, timelines and bytes as the calls."""
+    inline, reference = SSDDevice(TINY_SSD), SSDDevice(TINY_SSD)
+    for ssd in (inline, reference):
+        precondition(ssd)
+        ssd.inject_corruption(8 * KIB, 64 * KIB)
+    rng = np.random.default_rng(11)
+    now, fua_writes, empty = 0.0, 0, 0
+    for i in range(3000):
+        length = int(rng.choice([0, 512, 4 * KIB, 4 * KIB, 9000, 64 * KIB,
+                                 rng.integers(1, 64 * KIB)]))
+        offset = int(rng.integers(0, inline.size - 64 * KIB))
+        if i == 0:                      # onto the corrupted range
+            offset, length = 4 * KIB, 32 * KIB
+        fua = rng.random() < 0.05
+        fua_writes += fua and length > 0
+        empty += not length
+        done = inline._write(offset, length, fua, now)
+        assert _write_by_acquire(reference, offset, length, fua, now) == done
+        if i == 0:                      # pages 2-8 scrubbed, 9-17 kept
+            assert inline._corrupted_pages == set(range(9, 18))
+        # Mostly a backlog; now and then the NAND idles, so the link's
+        # begin decides when programming starts.
+        now += float(rng.exponential(30e-6 if i % 8 else 3e-3))
+    assert _timing_state(inline) == _timing_state(reference)
+    assert inline.ftl.counters.gc_pages_copied > 0, "no GC roll"
+    assert fua_writes and empty
