@@ -18,12 +18,15 @@ Exits 1 if any run of any workload reports ``correct`` false or a
 failed op, or if the two sides' ``sim_digest`` ever differ — a speed-up
 that moves simulated output is not one.
 
-Usage (``--workload`` may repeat: a no-regression sweep is one command)::
+Usage (``--workload`` may repeat, and ``--workload all`` is every
+workload ``BENCHMARK.json`` declares, in its order: a no-regression
+sweep is one command)::
 
     git clone -q . ../parent
     git -C ../parent checkout -q HEAD~1
     python scripts/bench_pairs.py ../parent . \
         --workload tenants-write-hot --workload src-mix-zipf --pairs 10
+    python scripts/bench_pairs.py ../parent . --workload all --pairs 3
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import numpy as np
 
 # metric -> +1 if higher is better, -1 if lower (BENCHMARK.json).
 METRICS = {"host_req_per_s": 1, "setup_s": -1, "peak_rss_mb": -1}
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 _DIGEST = re.compile(r"sim_digest ([0-9a-f]+)")
 
 
@@ -153,12 +157,22 @@ def measure(checkouts: Sequence[Path], workload: str, pairs: int,
     return folded
 
 
+def workloads(names: Sequence[str]) -> List[str]:
+    """``names`` with each ``all`` expanded to BENCHMARK.json's
+    workloads."""
+    declared = [w["name"] for w in
+                json.loads(BENCHMARK.read_text())["workloads"]]
+    return [w for name in names
+            for w in (declared if name == "all" else [name])]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_dir", type=Path)
     parser.add_argument("change_dir", type=Path)
     parser.add_argument("--workload", action="append", required=True,
-                        help="repeat to measure several, one after another")
+                        help="repeat to measure several, one after "
+                        "another; 'all' is every BENCHMARK.json workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=7)
@@ -166,7 +180,7 @@ def main(argv=None) -> int:
     checkouts = (args.parent_dir, args.change_dir)
     problems = [measure(checkouts, workload, args.pairs, args.seed,
                         args.seconds)["problems"]
-                for workload in args.workload]
+                for workload in workloads(args.workload)]
     return 1 if any(problems) else 0
 
 

@@ -90,8 +90,7 @@ class BlockDevice(abc.ABC):
     def submit_request(self, req: Request, now: float) -> Submission:
         """Like :meth:`submit`, but return the full lifecycle record."""
         done = self._lifecycle(req, now)
-        return Submission(req=req, device=self.name, issue_t=now,
-                          begin_t=self._begin, done_t=done, origin=req.origin)
+        return Submission(req, self.name, now, self._begin, done, req.origin)
 
     def submit_extents(self, op: Op, offsets, lengths, nows,
                        origin: IoOrigin, tenants=None) -> np.ndarray:
@@ -132,8 +131,8 @@ class BlockDevice(abc.ABC):
         n = len(offsets)
         nows = np.broadcast_to(np.asarray(nows, dtype=np.float64), n)
         return np.array([self.submit(
-            Request(op, int(offsets[i]), int(lengths[i]), origin=origin,
-                    tenant=tenants[i] if tenants else None), float(nows[i]))
+            Request(op, int(offsets[i]), int(lengths[i]), False, origin,
+                    tenants[i] if tenants else None), float(nows[i]))
             for i in range(n)], dtype=np.float64)
 
     def _check_extents(self, offsets: np.ndarray,
@@ -178,7 +177,7 @@ class BlockDevice(abc.ABC):
 
     def write(self, offset: int, length: int, now: float,
               fua: bool = False) -> float:
-        return self.submit(Request(WRITE, offset, length, fua=fua), now)
+        return self.submit(Request(WRITE, offset, length, fua), now)
 
     def flush(self, now: float) -> float:
         return self.submit(Request(FLUSH), now)
@@ -218,7 +217,7 @@ class LinearDevice(BlockDevice):
         if req.op is FLUSH:
             return self.lower.submit(req, now)
         shifted = Request(req.op, req.offset + self.start, req.length,
-                          fua=req.fua, origin=req.origin, tenant=req.tenant)
+                          req.fua, req.origin, req.tenant)
         return self.lower.submit(shifted, now)
 
 

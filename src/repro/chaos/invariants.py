@@ -13,7 +13,7 @@ Monitored invariants:
   group or the superblock group;
 * **mapping / buffer / residency consistency** — the shared residency
   array's per-code populations equal the structures they index
-  (mapping valid count, dirty/clean buffer lengths, staging size),
+  (mapping valid count, dirty/clean buffer lengths),
   plus the mapping table's own internal invariants;
 * **tenant accounting** — delegated to
   :meth:`repro.tenancy.registry.TenantRegistry.check_invariants`
@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.common.errors import ReproError
-from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED, B_STAGING
+from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED
 from repro.core.segments import GroupState
 from repro.repair.health import DeviceHealth
 
@@ -90,7 +90,7 @@ def check_group_accounting(cache) -> List[str]:
 
 
 def check_residency(cache) -> List[str]:
-    """Mapping/buffer/staging populations match the residency array."""
+    """Mapping and buffer populations match the residency array."""
     problems: List[str] = []
     codes = cache._state.a
     counts = {
@@ -100,7 +100,6 @@ def check_residency(cache) -> List[str]:
                            len(cache.dirty_buf)),
         "clean-buffered": (int((codes == B_CLEAN).sum()),
                            len(cache.clean_buf)),
-        "staging": (int((codes == B_STAGING).sum()), len(cache.staging)),
     }
     for label, (array_count, struct_count) in counts.items():
         if array_count != struct_count:

@@ -190,8 +190,7 @@ class IntegrityOracle:
         """Audit what a read of ``lba`` on ``cache`` would serve."""
         problems: List[str] = []
         self.blocks_audited += 1
-        if lba in cache.dirty_buf or lba in cache.clean_buf \
-                or lba in cache.staging:
+        if lba in cache.dirty_buf or lba in cache.clean_buf:
             return problems   # RAM copy is by construction the newest
         entry = cache.mapping.lookup(lba)
         if entry is None:

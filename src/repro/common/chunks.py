@@ -154,5 +154,5 @@ def requests_from_chunk(chunk: np.ndarray,
         tenant_idx = tenants[i]
         tenant = (tenant_names[tenant_idx]
                   if tenant_names is not None and tenant_idx >= 0 else None)
-        yield Request(OPS[ops[i]], offsets[i], lengths[i],
-                      origin=ORIGINS[origins[i]], tenant=tenant)
+        yield Request(OPS[ops[i]], offsets[i], lengths[i], False,
+                      ORIGINS[origins[i]], tenant)

@@ -139,7 +139,7 @@ def read(offset: int, length: int) -> Request:
 
 
 def write(offset: int, length: int, fua: bool = False) -> Request:
-    return Request(WRITE, offset, length, fua=fua)
+    return Request(WRITE, offset, length, fua)
 
 
 def flush() -> Request:
@@ -170,6 +170,35 @@ class Counters:
         """Counters accumulated since ``earlier`` was snapshotted."""
         return type(self)(**{k: v - getattr(earlier, k)
                              for k, v in self.__dict__.items()})
+
+
+class ElementViews:
+    """Base of a holder of NumPy tables that per-request code indexes
+    one element at a time: table ``name`` in ``_VIEWS`` has a
+    ``memoryview`` of its buffer at ``name_v``, which loads and stores
+    Python ints and bools (only: it refuses a float) at about half
+    NumPy's element cost (docs/performance.md).  A holder that replaces
+    a table calls :meth:`_view` there.  Views neither pickle nor copy:
+    the state drops them, ``__setstate__`` builds them again."""
+
+    __slots__ = ()
+    _VIEWS: tuple = ()
+
+    def _view(self) -> None:
+        for name in self._VIEWS:
+            setattr(self, name + "_v", memoryview(getattr(self, name)))
+
+    def __getstate__(self) -> dict:
+        state = (dict(vars(self)) if hasattr(self, "__dict__") else
+                 {name: getattr(self, name) for name in self.__slots__})
+        for name in self._VIEWS:
+            del state[name + "_v"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._view()
 
 
 _IOSTATS_FIELDS = ("read_bytes", "write_bytes", "read_ops", "write_ops",

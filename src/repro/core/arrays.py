@@ -4,8 +4,9 @@ The per-request hot path historically kept cache state in Python dicts
 and sets keyed by LBA.  The batched request engine moves that state
 into flat numpy arrays indexed by LBA so membership tests, version
 bumps and hotness touches vectorize over whole chunks; the scalar path
-reads the same arrays element-wise, so the two stay identical by
-construction (the ``SCALAR_THRESHOLD`` discipline
+reads and writes the same buffers element-wise through a ``memoryview``
+of each array (:class:`~repro.common.types.ElementViews`), so the two
+stay identical by construction (the ``SCALAR_THRESHOLD`` discipline
 :mod:`repro.ssd.ftl` established).
 
 Arrays grow geometrically on first touch of a new high LBA, so memory
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.types import ElementViews
+
 # Block-residency codes (at most one structure holds a block at a time;
 # the SRC write/read paths maintain this invariant).
 B_NONE = 0       # not cached
-B_STAGING = 1    # staging buffer (read-miss fetch in flight)
 B_CLEAN = 2      # clean segment buffer (RAM)
 B_DIRTY = 3      # dirty segment buffer (RAM)
 B_MAPPED = 4     # persisted in a segment (mapping table)
@@ -50,42 +52,45 @@ def grow_to(arr: np.ndarray, n: int, fill=0) -> np.ndarray:
     return grown
 
 
-class BlockState:
+class BlockState(ElementViews):
     """Shared LBA -> residency-code array (one ``B_*`` code per block).
 
-    One instance is shared by the mapping table, the segment buffers
-    and the staging buffer of a cache; each updates its blocks' codes
-    on membership change, which turns ``block_cached`` (four dict
-    probes) into a single array load and gives the batch path its
-    vectorized membership masks.
+    One instance is shared by the mapping table and the segment buffers
+    of a cache; each updates its blocks' codes on membership change,
+    which turns ``block_cached`` (four dict probes) into a single array
+    load and gives the batch path its vectorized membership masks.
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "a_v")
+    _VIEWS = ("a",)
 
     def __init__(self, initial: int = _INITIAL):
         self.a = np.zeros(max(1, initial), dtype=np.uint8)
+        self._view()
 
     def ensure(self, n: int) -> np.ndarray:
         """Grow to cover LBAs < ``n``; returns the (possibly new) array."""
         if n > self.a.shape[0]:
             self.a = grow_to(self.a, n)
+            self._view()
         return self.a
 
     def get(self, lba: int) -> int:
         """Residency code of ``lba`` (B_NONE past the touched span)."""
-        a = self.a
-        return a.item(lba) if lba < a.shape[0] else B_NONE
+        v = self.a_v
+        return v[lba] if lba < len(v) else B_NONE
 
     def set(self, lba: int, code: int) -> None:
-        self.ensure(lba + 1)[lba] = code
+        self.ensure(lba + 1)
+        self.a_v[lba] = code
 
     def clear(self, lba: int) -> None:
-        a = self.a
-        if lba < a.shape[0]:
-            a[lba] = B_NONE
+        v = self.a_v
+        if lba < len(v):
+            v[lba] = B_NONE
 
 
-class VersionArray:
+class VersionArray(ElementViews):
     """LBA -> write-version counter, dict-compatible surface.
 
     Replaces the SRC core's ``Dict[int, int]``.  Version 0 doubles as
@@ -95,29 +100,34 @@ class VersionArray:
     necessarily >= 1), so collapsing the two is behavior-preserving.
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "a_v")
+    _VIEWS = ("a",)
 
     def __init__(self, initial: int = _INITIAL):
         self.a = np.zeros(max(1, initial), dtype=np.int64)
+        self._view()
 
     def ensure(self, n: int) -> np.ndarray:
         if n > self.a.shape[0]:
             self.a = grow_to(self.a, n)
+            self._view()
         return self.a
 
     def __getitem__(self, lba: int) -> int:
-        a = self.a
-        return a.item(lba) if lba < a.shape[0] else 0
+        v = self.a_v
+        return v[lba] if lba < len(v) else 0
 
     def __setitem__(self, lba: int, version: int) -> None:
-        self.ensure(lba + 1)[lba] = version
+        self.ensure(lba + 1)
+        self.a_v[lba] = version
 
     def get(self, lba: int, default: int = 0):
         return self[lba] or default
 
     def bump(self, lba: int) -> int:
-        if lba >= self.a.shape[0]:
-            self.a = grow_to(self.a, lba + 1)
-        version = self.a.item(lba) + 1   # a Python int: no numpy scalar
-        self.a[lba] = version
+        if lba >= len(self.a_v):
+            self.ensure(lba + 1)
+        v = self.a_v
+        version = v[lba] + 1
+        v[lba] = version
         return version

@@ -1,10 +1,13 @@
 """Segment buffers (paper §4.1).
 
 SRC maintains two in-memory segment buffers — one for dirty data (host
-writes) and one for clean data (read-miss fills) — plus a temporary
-staging buffer for data fetched from primary storage.  A buffer gathers
+writes) and one for clean data (read-miss fills).  A buffer gathers
 4 KiB blocks until it holds a full segment's worth, at which point the
-whole segment is written to the active Segment Group.
+whole segment is written to the active Segment Group.  The paper's
+staging buffer for data fetched from primary storage is not a structure
+here: a read miss is acked at fetch completion and its blocks go
+straight to the clean buffer (``SrcCache._fill``), which is where the
+staging buffer would move them.
 
 Clean and dirty data are kept apart because a clean block can be lost
 without consequence (it has a copy on primary storage), which is what
@@ -12,25 +15,26 @@ enables the NPC stripe mode and timeout-free clean buffering: only the
 dirty buffer needs the TWAIT partial-segment timeout.
 
 Buffer membership lives in a :class:`~repro.core.arrays.BlockState`
-residency array (shared with the mapping table and staging buffer when
-the cache wires one in), so ``block in buffer`` is one array load and
-the batch path can test a whole chunk against it in a single mask.
-Arrival order is a flat int64 array, drained wholesale.
+residency array (shared with the mapping table when the cache wires
+one in), so ``block in buffer`` is one array load and the batch path
+can test a whole chunk against it in a single mask.  Arrival order is
+a flat int64 array of the buffer's capacity, drained wholesale.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.core.arrays import B_NONE, B_STAGING, BlockState, grow_to
+from repro.common.types import ElementViews
+from repro.core.arrays import B_NONE, BlockState
 
 RAM_LATENCY = 2e-6  # buffer hit / insert latency
 
 
-class SegmentBuffer:
+class SegmentBuffer(ElementViews):
     """An in-RAM accumulation buffer for one class of data.
 
     ``observer`` (optional; duck-typed with ``block_cached(lba)`` /
@@ -41,6 +45,8 @@ class SegmentBuffer:
     whose own ``blocks_cached`` nets the count back out — so an
     observer tracking (mapping ∪ buffers) membership stays exact.
     """
+
+    _VIEWS = ("_order",)
 
     def __init__(self, capacity_blocks: int, dirty: bool, name: str,
                  state: Optional[BlockState] = None, code: int = 0):
@@ -54,6 +60,7 @@ class SegmentBuffer:
         self._state = state if state is not None else BlockState()
         self._code = code if code else (3 if dirty else 2)
         self._order = np.zeros(capacity_blocks, dtype=np.int64)
+        self._view()
         self._n = 0
         self.observer = None
 
@@ -61,8 +68,8 @@ class SegmentBuffer:
         return self._n
 
     def __contains__(self, lba: int) -> bool:
-        a = self._state.a
-        return lba < a.shape[0] and a.item(lba) == self._code
+        v = self._state.a_v
+        return lba < len(v) and v[lba] == self._code
 
     @property
     def full(self) -> bool:
@@ -80,17 +87,16 @@ class SegmentBuffer:
         additional slot.
         """
         state = self._state
-        if lba >= state.a.shape[0]:
+        if lba >= len(state.a_v):
             state.ensure(lba + 1)
-        if state.a.item(lba) == self._code:
+        v = state.a_v
+        if v[lba] == self._code:
             return self.full
         if self._n >= self.capacity:
             raise ConfigError(f"{self.name} buffer overfull")
-        if self._n >= self._order.shape[0]:
-            self._order = grow_to(self._order, self._n + 1)
-        self._order[self._n] = lba
+        self._order_v[self._n] = lba
         self._n += 1
-        state.a[lba] = self._code
+        v[lba] = self._code
         if self.observer is not None:
             self.observer.block_cached(lba)
         return self._n >= self.capacity
@@ -106,8 +112,6 @@ class SegmentBuffer:
             return
         if self._n + k > self.capacity:
             raise ConfigError(f"{self.name} buffer overfull")
-        if self._n + k > self._order.shape[0]:
-            self._order = grow_to(self._order, self._n + k)
         self._order[self._n:self._n + k] = lbas
         self._n += k
         state = self._state
@@ -118,14 +122,14 @@ class SegmentBuffer:
 
     def remove(self, lba: int) -> bool:
         """Drop a buffered block (e.g. invalidated by a newer write)."""
-        state = self._state
-        if lba >= state.a.shape[0] or state.a[lba] != self._code:
+        v = self._state.a_v
+        if lba >= len(v) or v[lba] != self._code:
             return False
         order = self._order[:self._n]
         pos = int(np.nonzero(order == lba)[0][0])
         self._order[pos:self._n - 1] = self._order[pos + 1:self._n]
         self._n -= 1
-        state.a[lba] = B_NONE
+        v[lba] = B_NONE
         if self.observer is not None:
             self.observer.block_evicted(lba)
         return True
@@ -162,47 +166,3 @@ class SegmentBuffer:
 
     def peek(self) -> List[int]:
         return self._order[:self._n].tolist()
-
-
-class StagingBuffer:
-    """Transient holding area for read-miss fetches (paper §4.1).
-
-    Data lands here on arrival from primary storage so the application
-    read can be acknowledged immediately; blocks move to the clean
-    segment buffer asynchronously.  We track membership so a re-read
-    while staged is a RAM hit.
-    """
-
-    def __init__(self, state: Optional[BlockState] = None) -> None:
-        self._staged: Dict[int, float] = {}   # lba -> arrival time
-        self._state = state if state is not None else BlockState()
-
-    def __contains__(self, lba: int) -> bool:
-        return lba in self._staged
-
-    def __len__(self) -> int:
-        return len(self._staged)
-
-    def put(self, lba: int, now: float) -> None:
-        self._staged[lba] = now
-        self._state.set(lba, B_STAGING)
-
-    def pop(self, lba: int) -> Optional[float]:
-        arrival = self._staged.pop(lba, None)
-        if arrival is not None and self._state.a[lba] == B_STAGING:
-            self._state.a[lba] = B_NONE
-        return arrival
-
-    def drain(self) -> List[int]:
-        blocks = list(self._staged)
-        self._staged.clear()
-        if blocks:
-            a = self._state.a
-            for lba in blocks:
-                if a[lba] == B_STAGING:
-                    a[lba] = B_NONE
-        return blocks
-
-    def peek(self) -> List[int]:
-        """Staged LBAs without draining (cluster migration snapshots)."""
-        return list(self._staged)

@@ -8,32 +8,37 @@ single bitmap degenerate form of LRU provides).
 
 The bitmap is a flat numpy bool array indexed by LBA (grow-on-demand),
 so the batch path can touch or evict a whole chunk's blocks in one
-vector op while the scalar path reads the same bits element-wise.
+vector op while the scalar path reads the same bits element-wise,
+through a ``memoryview`` of the array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.common.types import ElementViews
 from repro.core.arrays import grow_to
 
 
-class HotnessBitmap:
+class HotnessBitmap(ElementViews):
     """Second-chance hotness bits over origin logical blocks."""
 
-    __slots__ = ("_hot", "_count", "references")
+    __slots__ = ("_hot", "_hot_v", "_count", "references")
+    _VIEWS = ("_hot",)
 
     def __init__(self) -> None:
         self._hot = np.zeros(1024, dtype=bool)
+        self._view()
         self._count = 0          # None = recount lazily (batch updates)
         self.references = 0
 
     def touch(self, lba: int) -> None:
         """Record a reference (read hit or rewrite)."""
-        hot = self._hot
-        if lba >= hot.shape[0]:
-            self._hot = hot = grow_to(hot, lba + 1, fill=False)
-        if not hot[lba]:        # bool scalars are cached: no .item()
+        if lba >= len(self._hot_v):
+            self._hot = grow_to(self._hot, lba + 1, fill=False)
+            self._view()
+        hot = self._hot_v
+        if not hot[lba]:
             hot[lba] = True
             if self._count is not None:
                 self._count += 1
@@ -47,6 +52,7 @@ class HotnessBitmap:
         top = int(lbas.max()) + 1
         if top > hot.shape[0]:
             self._hot = hot = grow_to(hot, top, fill=False)
+            self._view()
         cold = lbas[~hot[lbas]]
         if cold.shape[0]:
             # Duplicate rows scatter the same True; the bit count is
@@ -56,8 +62,8 @@ class HotnessBitmap:
         self.references += lbas.shape[0]
 
     def is_hot(self, lba: int) -> bool:
-        hot = self._hot
-        return bool(hot[lba]) if lba < hot.shape[0] else False
+        hot = self._hot_v
+        return hot[lba] if lba < len(hot) else False
 
     def is_hot_many(self, lbas: np.ndarray) -> np.ndarray:
         """Vector :meth:`is_hot` — bounds-checked bit gather."""
@@ -69,8 +75,8 @@ class HotnessBitmap:
 
     def evict(self, lba: int) -> None:
         """Forget a block that left the cache."""
-        hot = self._hot
-        if lba < hot.shape[0] and hot[lba]:
+        hot = self._hot_v
+        if lba < len(hot) and hot[lba]:
             hot[lba] = False
             if self._count is not None:
                 self._count -= 1

@@ -8,12 +8,13 @@ blocks it currently holds so victims can be enumerated in O(valid).
 State lives in flat LBA-indexed numpy arrays (location columns, dirty
 bit, checksum, version) rather than a dict of row objects, so the
 batched request path tests and installs whole chunks with vector ops;
-:class:`CacheEntry` is materialized on demand for the scalar API, which
-is unchanged.  The per-SG reverse index is an append-only log of LBAs
-with tombstone validity (a log slot is live iff the block still maps
-into this SG *from* that slot), reset wholesale by ``drop_sg`` — the
-log length is bounded by the SG's block capacity between reclaims, and
-enumeration order matches the old dict's insertion order exactly (the
+the scalar API reads and writes one block through a ``memoryview`` of
+each column, and materializes :class:`CacheEntry` on demand.  The
+per-SG reverse index is an append-only log of LBAs with tombstone
+validity (a log slot is live iff the block still maps into this SG
+*from* that slot), reset wholesale by ``drop_sg`` — the log length is
+bounded by the SG's block capacity between reclaims, and enumeration
+order matches the old dict's insertion order exactly (the
 differential tests depend on that for byte-identical GC).
 """
 
@@ -24,6 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.types import ElementViews
 from repro.core.arrays import B_MAPPED, B_NONE, BlockState, grow_to
 from repro.core.layout import BlockLocation
 
@@ -41,7 +43,7 @@ class CacheEntry:
 _INITIAL = 1024
 
 
-class MappingTable:
+class MappingTable(ElementViews):
     """LBA -> cache-location map plus per-SG reverse indexes.
 
     ``observer`` (optional; duck-typed with ``block_cached(lba)`` /
@@ -54,6 +56,9 @@ class MappingTable:
     The tenancy layer uses this for exact per-tenant occupancy.
     """
 
+    _VIEWS = ("_sg", "_segment", "_ssd", "_offset", "_dirty", "_checksum",
+              "_version", "_pos")
+
     def __init__(self, n_groups: int,
                  state: Optional[BlockState] = None):
         n = _INITIAL
@@ -65,6 +70,7 @@ class MappingTable:
         self._checksum = np.zeros(n, dtype=np.int64)
         self._version = np.zeros(n, dtype=np.int64)
         self._pos = np.zeros(n, dtype=np.int64)
+        self._view()
         # Per-SG append-only logs: LBA per insert, tombstoned by _pos.
         self._log: List[np.ndarray] = [
             np.zeros(64, dtype=np.int64) for _ in range(n_groups)
@@ -88,41 +94,38 @@ class MappingTable:
         self._checksum = grow_to(self._checksum, n)
         self._version = grow_to(self._version, n)
         self._pos = grow_to(self._pos, n)
+        self._view()
         self._state.ensure(n)
 
     def _entry_at(self, lba: int) -> CacheEntry:
-        return CacheEntry(
-            location=BlockLocation(self._sg.item(lba),
-                                   self._segment.item(lba),
-                                   self._ssd.item(lba),
-                                   self._offset.item(lba)),
-            dirty=self._dirty.item(lba),
-            checksum=self._checksum.item(lba),
-            version=self._version.item(lba))
+        return CacheEntry(BlockLocation(self._sg_v[lba], self._segment_v[lba],
+                                        self._ssd_v[lba], self._offset_v[lba]),
+                          self._dirty_v[lba], self._checksum_v[lba],
+                          self._version_v[lba])
 
     def lookup(self, lba: int) -> Optional[CacheEntry]:
-        sg = self._sg
-        if lba >= sg.shape[0] or sg.item(lba) < 0:
+        sg = self._sg_v
+        if lba >= len(sg) or sg[lba] < 0:
             return None
         return self._entry_at(lba)
 
     def home(self, lba: int) -> Tuple[int, int]:
         """A mapped block's member and byte offset on it, entry-free."""
-        return self._ssd.item(lba), self._offset.item(lba)
+        return self._ssd_v[lba], self._offset_v[lba]
 
     def __len__(self) -> int:
         return self._count
 
     def __contains__(self, lba: int) -> bool:
-        sg = self._sg
-        return lba < sg.shape[0] and sg.item(lba) >= 0
+        sg = self._sg_v
+        return lba < len(sg) and sg[lba] >= 0
 
     def _log_append(self, sg: int, lba: int) -> None:
         log, n = self._log[sg], self._log_n[sg]
         if n >= log.shape[0]:
             self._log[sg] = log = grow_to(log, n + 1)
         log[n] = lba
-        self._pos[lba] = n
+        self._pos_v[lba] = n
         self._log_n[sg] = n + 1
         self._sg_valid[sg] += 1
 
@@ -138,18 +141,18 @@ class MappingTable:
         """:meth:`insert` with the row as columns, no entry object."""
         self.invalidate(lba)
         self._ensure(lba + 1)
-        self._sg[lba] = sg
-        self._segment[lba] = segment
-        self._ssd[lba] = ssd
-        self._offset[lba] = offset
-        self._dirty[lba] = dirty
-        self._checksum[lba] = checksum
-        self._version[lba] = version
+        self._sg_v[lba] = sg
+        self._segment_v[lba] = segment
+        self._ssd_v[lba] = ssd
+        self._offset_v[lba] = offset
+        self._dirty_v[lba] = dirty
+        self._checksum_v[lba] = checksum
+        self._version_v[lba] = version
         self._log_append(sg, lba)
         self._count += 1
         if dirty:
             self.dirty_count += 1
-        self._state.a[lba] = B_MAPPED
+        self._state.a_v[lba] = B_MAPPED
         if self.observer is not None:
             self.observer.block_cached(lba)
 
@@ -190,18 +193,20 @@ class MappingTable:
 
     def invalidate(self, lba: int) -> bool:
         """Drop the mapping for ``lba``; whether there was one."""
-        sg_arr = self._sg
-        sg = sg_arr.item(lba) if lba < sg_arr.shape[0] else -1
+        sg_v = self._sg_v
+        sg = sg_v[lba] if lba < len(sg_v) else -1
         if sg < 0:
             return False
         self._sg_valid[sg] -= 1
-        sg_arr[lba] = -1
+        sg_v[lba] = -1
         self._count -= 1
-        if self._dirty[lba]:
+        dirty = self._dirty_v
+        if dirty[lba]:
             self.dirty_count -= 1
-            self._dirty[lba] = False
-        if self._state.a.item(lba) == B_MAPPED:
-            self._state.a[lba] = B_NONE
+            dirty[lba] = False
+        state = self._state.a_v
+        if state[lba] == B_MAPPED:
+            state[lba] = B_NONE
         if self.observer is not None:
             self.observer.block_evicted(lba)
         return True

@@ -132,8 +132,8 @@ class Members:
                          if isinstance(offsets, np.ndarray)
                          else [(offsets, lengths)])
                 done.append(latest(None, [
-                    self.submit(idx, Request(op, offset, length,
-                                             origin=origin), now)
+                    self.submit(idx, Request(op, offset, length, False,
+                                             origin), now)
                     for offset, length in spans if self.alive(idx)]))
             return done
         commands = list(commands)

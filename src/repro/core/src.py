@@ -11,8 +11,9 @@ block),
 
 * log-structured writes into Segment Groups aligned to the SSDs' erase
   group size, with one active SG at a time (§4.1);
-* separate in-RAM segment buffers for clean and dirty data, a staging
-  buffer for read misses, and a TWAIT partial-segment timeout;
+* separate in-RAM segment buffers for clean and dirty data (a read miss
+  is acked at fetch completion and filled straight into the clean one)
+  and a TWAIT partial-segment timeout;
 * per-segment metadata blocks (MS/ME) bundling LBAs and checksums with
   the data, so both clean and dirty contents survive crashes;
 * cache-level RAID-0/4/5 stripes assembled inside segments, with the
@@ -40,8 +41,8 @@ from repro.common.errors import (ConfigError, DeviceFailedError,
 from repro.common.types import FLUSH, FOREGROUND, READ, Counters, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import (B_CLEAN, B_DIRTY, B_MAPPED, B_NONE,
-                               B_STAGING, BlockState, VersionArray)
-from repro.core.buffers import RAM_LATENCY, SegmentBuffer, StagingBuffer
+                               BlockState, VersionArray)
+from repro.core.buffers import RAM_LATENCY, SegmentBuffer
 from repro.core.config import SrcConfig
 from repro.core.hotness import HotnessBitmap
 from repro.core.layout import SegmentLayout
@@ -117,7 +118,7 @@ class SrcCache(CacheTarget):
         self.ssds = ssds
         self.config = config
         self.layout = SegmentLayout(config, min(s.size for s in ssds))
-        # One residency array shared by mapping, buffers and staging:
+        # One residency array shared by mapping and buffers:
         # a block's cache location is a single uint8 load, and the
         # batch path masks whole chunks against it.
         self._state = BlockState()
@@ -129,7 +130,6 @@ class SrcCache(CacheTarget):
         self.clean_buf = SegmentBuffer(
             self.layout.clean_segment_capacity(), dirty=False, name="clean",
             state=self._state, code=B_CLEAN)
-        self.staging = StagingBuffer(state=self._state)
         self.metadata = metadata if metadata is not None else MetadataStore()
         self.srcstats = SrcStats()
 
@@ -301,8 +301,6 @@ class SrcCache(CacheTarget):
             self.mapping.invalidate(block)
         elif code == B_CLEAN:
             self.clean_buf.remove(block)
-        elif code == B_STAGING:
-            self.staging.pop(block)
         self._versions.bump(block)
         full = self.dirty_buf.add(block)
         # An in-flight segment write's ack may already extend the
@@ -441,8 +439,6 @@ class SrcCache(CacheTarget):
         self.mapping.invalidate_many(lbas[codes == B_MAPPED])
         self.dirty_buf.remove_many(lbas[codes == B_DIRTY])
         self.clean_buf.remove_many(lbas[codes == B_CLEAN])
-        for lba in lbas[codes == B_STAGING].tolist():
-            self.staging.pop(lba)
         self.hotness.evict_many(lbas)
         return now
 
@@ -460,15 +456,13 @@ class SrcCache(CacheTarget):
     def cached_blocks(self) -> List[Tuple[int, bool]]:
         """Snapshot of every cached block as ``(lba, dirty)`` pairs.
 
-        Covers the RAM segment buffers, the staging buffer, and the
-        on-flash mapping.  A snapshot copy: migration mutates the cache
-        while walking the result.
+        Covers the RAM segment buffers and the on-flash mapping.  A
+        snapshot copy: migration mutates the cache while walking the
+        result.
         """
         found: Dict[int, bool] = {}
         for lba, entry in self.mapping.items():
             found[lba] = entry.dirty
-        for lba in self.staging.peek():
-            found.setdefault(lba, False)
         for lba in self.clean_buf.peek():
             found[lba] = False
         for lba in self.dirty_buf.peek():
@@ -523,15 +517,11 @@ class SrcCache(CacheTarget):
         if self.bypass:
             return now   # bypass shard caches nothing; owner is origin
         self.srcstats.migrated_in_blocks += 1
-        if dirty:
-            code = self._state.get(block)
-            if code == B_DIRTY:
-                return now + RAM_LATENCY
+        code = self._state.get(block)
+        if dirty and code != B_DIRTY:
             return self._buffer_dirty(block, code, now)
-        if (block in self.dirty_buf or block in self.clean_buf
-                or block in self.mapping):
+        if code != B_NONE:
             return now + RAM_LATENCY   # already here; dirty supersedes
-        self.staging.pop(block)
         full = self.clean_buf.add(block)
         if full:
             return self.segments.seal(dirty=False, now=now)
@@ -548,7 +538,6 @@ class SrcCache(CacheTarget):
         found = self.mapping.invalidate(block)
         found = self.dirty_buf.remove(block) or found
         found = self.clean_buf.remove(block) or found
-        found = self.staging.pop(block) is not None or found
         self.hotness.evict(block)
         if found:
             self.srcstats.migrated_out_blocks += 1

@@ -37,7 +37,7 @@ import numpy as np
 from repro.common.chunks import DECLINED, SCALAR_THRESHOLD, conformant_mask
 from repro.common.types import FOREGROUND, WRITE, Request
 from repro.common.units import PAGE_SIZE
-from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED, B_NONE, B_STAGING
+from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED, B_NONE
 from repro.core.buffers import RAM_LATENCY
 from repro.obs.recorder import ObsRecorder
 
@@ -175,16 +175,15 @@ class Lane:
         own, asks, refused = None, None, ()
         if self.owners is not None:
             # ... or the first miss the registry would refuse.  Only
-            # misses ask it, and within a sub-run occupancy only grows:
-            # by the admitted misses and by staged blocks, never
-            # counted before (a displaced mapped or clean block nets
-            # zero) — too few of them to reach any limit prove it outright.
+            # misses ask it, and within a sub-run occupancy only grows,
+            # by the admitted misses (a displaced mapped or clean block
+            # nets zero) — too few of them to reach any limit prove it
+            # outright.
             own = self.owners[lo:lo + bound]
             asks = (adds & (codes == B_NONE))[:bound]
-            grows = asks | (adds & (codes == B_STAGING))[:bound]
-            if cache.tenants.can_refuse(int(np.count_nonzero(grows))):
+            if cache.tenants.can_refuse(int(np.count_nonzero(asks))):
                 self.ledger["refusal_scans"] += 1
-                refused = cache.tenants.refusals(own, asks, grows)
+                refused = cache.tenants.refusals(own, asks, asks)
         if len(refused) * SCALAR_THRESHOLD > 2 * bound:
             # An over-share tenant keeps missing.  Sub-runs of under
             # ~16 rows cost more to classify than their rows take per
@@ -223,8 +222,6 @@ class Lane:
             acodes = mcodes[adds[:m]]
             cache.mapping.invalidate_many(add_lbas[acodes == B_MAPPED])
             cache.clean_buf.remove_many(add_lbas[acodes == B_CLEAN])
-            for lba in add_lbas[acodes == B_STAGING].tolist():
-                cache.staging.pop(lba)
             va = cache._versions.ensure(int(add_lbas.max()) + 1)
             va[add_lbas] += 1
             cache.dirty_buf.add_many(add_lbas)
@@ -335,7 +332,8 @@ def serve_lanes(front, rows: np.ndarray, size: int, tenants,
                 # billed to the row's tenant.  t == issue[k] by construction.
                 done_b = bounding.cache.submit(
                     Request(WRITE, int(blocks[done_rows]) * PAGE_SIZE,
-                            PAGE_SIZE, tenant=names[tags[done_rows]]), t)
+                            PAGE_SIZE, False, FOREGROUND,
+                            names[tags[done_rows]]), t)
                 issue_t[done_rows] = t
                 done_t[done_rows] = done_b
                 done_rows += 1

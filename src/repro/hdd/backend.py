@@ -56,8 +56,8 @@ class Raid10Array(BlockDevice):
         for pair, pair_offset, length in self._split(req):
             mirror_a = self.disks[2 * pair]
             mirror_b = self.disks[2 * pair + 1]
-            sub = Request(req.op, pair_offset, length, fua=req.fua,
-                          origin=req.origin, tenant=req.tenant)
+            sub = Request(req.op, pair_offset, length, req.fua, req.origin,
+                          req.tenant)
             if req.op is READ:
                 self._read_toggle ^= 1
                 disk = mirror_a if self._read_toggle else mirror_b

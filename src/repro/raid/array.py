@@ -159,8 +159,8 @@ class Raid0Device(_RaidBase):
         end = now
         for ext in self._extents(req):
             off = ext.stripe * self.chunk_size + ext.offset
-            sub = Request(req.op, off, ext.length, fua=req.fua,
-                          origin=req.origin, tenant=req.tenant)
+            sub = Request(req.op, off, ext.length, req.fua, req.origin,
+                          req.tenant)
             # No redundancy: a member lost after retries is fatal.
             end = max(end, self._member_submit(ext.chunk, sub, now))
         return end
@@ -185,8 +185,8 @@ class Raid1Device(_RaidBase):
         end = now
         for ext in self._extents(req):
             off = ext.stripe * self.chunk_size + ext.offset
-            sub = Request(req.op, off, ext.length, fua=req.fua,
-                          origin=req.origin, tenant=req.tenant)
+            sub = Request(req.op, off, ext.length, req.fua, req.origin,
+                          req.tenant)
             pair = (2 * ext.chunk, 2 * ext.chunk + 1)
             if req.op is READ:
                 alive = [i for i in pair if self._alive(i)]
@@ -269,8 +269,7 @@ class _ParityRaid(_RaidBase):
             member_idx = self._data_member(ext.stripe, ext.chunk)
             off = ext.stripe * self.chunk_size + ext.offset
             if self._alive(member_idx):
-                sub = Request(READ, off, ext.length,
-                              origin=req.origin)
+                sub = Request(READ, off, ext.length, False, req.origin)
                 try:
                     end = max(end, self._member_submit(member_idx, sub, now))
                     continue
@@ -293,7 +292,7 @@ class _ParityRaid(_RaidBase):
                     t=now, device=self.name,
                     lba=(ext.stripe * self.data_members + ext.chunk)))
             sub = Request(READ, ext.stripe * self.chunk_size,
-                          self.chunk_size, origin=req.origin)
+                          self.chunk_size, False, req.origin)
             for i in sources:
                 try:
                     end = max(end, self._member_submit(i, sub, now))
@@ -346,8 +345,8 @@ class _ParityRaid(_RaidBase):
                                 if c not in full_chunks]
             for idx in read_targets:
                 if self._alive(idx):
-                    sub = Request(READ, stripe_off, self.chunk_size,
-                                  origin=req.origin)
+                    sub = Request(READ, stripe_off, self.chunk_size, False,
+                                  req.origin)
                     end = max(end, self._degradable_submit(idx, sub, now))
                     self.rmw_reads += 1
         write_start = end if not full_stripe else now
@@ -356,14 +355,14 @@ class _ParityRaid(_RaidBase):
             idx = self._data_member(stripe, ext.chunk)
             if self._alive(idx):
                 sub = Request(WRITE, stripe_off + ext.offset, ext.length,
-                              fua=req.fua, origin=req.origin)
+                              req.fua, req.origin)
                 end = max(end, self._degradable_submit(idx, sub, write_start))
         if self._alive(parity_idx):
             # Parity is rewritten for the stripe span that changed.
             span = max(ext.offset + ext.length for ext in extents)
             base = min(ext.offset for ext in extents)
-            sub = Request(WRITE, stripe_off + base, span - base,
-                          fua=req.fua, origin=req.origin)
+            sub = Request(WRITE, stripe_off + base, span - base, req.fua,
+                          req.origin)
             end = max(end,
                       self._degradable_submit(parity_idx, sub, write_start))
             self.parity_writes += 1
@@ -393,8 +392,8 @@ class _ParityRaid(_RaidBase):
                 off = ext.stripe * self.chunk_size + ext.offset
                 try:
                     end = max(end, self._member_submit(
-                        idx, Request(TRIM, off, ext.length,
-                                     origin=req.origin), now))
+                        idx, Request(TRIM, off, ext.length, False,
+                                     req.origin), now))
                 except DeviceFailedError:
                     continue   # TRIM to a dying member loses nothing
         return end

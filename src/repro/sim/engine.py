@@ -162,9 +162,9 @@ class ChunkStream:
         self._pos += 1
         _, offset, length, op, origin, tenant = self._block[i]
         names = self.tenant_names
-        return Request(OPS[op], offset, length, origin=ORIGINS[origin],
-                       tenant=(names[tenant] if names is not None
-                               and tenant >= 0 else None))
+        return Request(OPS[op], offset, length, False, ORIGINS[origin],
+                       names[tenant] if names is not None and tenant >= 0
+                       else None)
 
     def slot_free_after(self, issue_time: float, done: float) -> float:
         return done + self.think_time

@@ -18,12 +18,12 @@ Host pages reach the log through one loop, ``_write_pages``, for
 rolls are applied as numpy array updates on the int32 L2P / P2L tables.
 Runs of up to :data:`~repro.common.chunks.SCALAR_THRESHOLD` pages — the
 1–8 page ops that dominate 4 KiB random workloads among them — are
-applied element by element on Python ints instead (``write`` hands the
-loop a ``range``, with no array at all): per-request
-``np.arange``/``np.unique`` allocations and numpy-scalar reads cost
-more than the whole operation at those sizes.  Both forms produce
-bit-identical state (``tests/test_ftl.py`` patches the constant to pin
-it).
+applied element by element on Python ints instead, through a
+``memoryview`` of each table (``write`` hands the loop a ``range``,
+with no array at all): per-request ``np.arange``/``np.unique``
+allocations and NumPy element access cost more than the whole
+operation at those sizes.  Both forms produce bit-identical state
+(``tests/test_ftl.py`` patches the constant to pin it).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.common.chunks import SCALAR_THRESHOLD
 from repro.common.errors import AddressError, ConfigError
+from repro.common.types import ElementViews
 from repro.obs.events import Erase, GcEnd, GcStart
 from repro.obs.recorder import NULL_RECORDER
 
@@ -82,8 +83,10 @@ class FtlCounters:
         return self.total_pages_programmed / self.host_pages_written
 
 
-class PageMappedFtl:
+class PageMappedFtl(ElementViews):
     """Log-structured page-mapped FTL over superblocks."""
+
+    _VIEWS = ("l2p", "p2l", "valid_count")
 
     def __init__(self, logical_pages: int, physical_pages: int,
                  superblock_pages: int, gc_reserve: int = 1,
@@ -116,6 +119,7 @@ class PageMappedFtl:
         self.valid_count = np.zeros(self.n_superblocks, dtype=np.int64)
         self.is_closed = np.zeros(self.n_superblocks, dtype=bool)
         self.erase_count = np.zeros(self.n_superblocks, dtype=np.int64)
+        self._view()              # the tables never grow: views built once
 
         self._free: List[int] = list(range(self.n_superblocks - 1, 0, -1))
         self._open_sb = 0
@@ -173,7 +177,7 @@ class PageMappedFtl:
         """Host write of ``npages`` starting at logical page ``lpn``."""
         if npages <= 0 or lpn < 0 or lpn + npages > self.logical_pages:
             self._check_range(lpn, npages)
-        result = FtlOpResult(host_pages=npages)
+        result = FtlOpResult(npages)
         self._write_pages(range(lpn, lpn + npages) if
                           npages <= SCALAR_THRESHOLD else
                           np.arange(lpn, lpn + npages), (npages,),
@@ -261,17 +265,20 @@ class PageMappedFtl:
     def _unmap(self, lpn: int, npages: int) -> None:
         """Drop the mappings of a contiguous logical range: up to
         ``SCALAR_THRESHOLD`` pages element by element, as a write's."""
-        old = self.l2p[lpn:lpn + npages]
         if npages > SCALAR_THRESHOLD:
+            old = self.l2p[lpn:lpn + npages]
             self._mapped -= self._invalidate(old)
-        else:
-            p2l, vc, sbp = self.p2l, self.valid_count, self.superblock_pages
-            for ppn in old.tolist():
-                if ppn != NO_PAGE:
-                    self._mapped -= 1
-                    p2l[ppn] = NO_PAGE
-                    vc[ppn // sbp] -= 1
-        old[:] = NO_PAGE
+            old[:] = NO_PAGE
+            return
+        l2p, p2l, vc = self.l2p_v, self.p2l_v, self.valid_count_v
+        sbp = self.superblock_pages
+        for lp in range(lpn, lpn + npages):
+            ppn = l2p[lp]
+            if ppn != NO_PAGE:
+                self._mapped -= 1
+                p2l[ppn] = NO_PAGE
+                vc[ppn // sbp] -= 1
+                l2p[lp] = NO_PAGE
 
     def _invalidate(self, old: np.ndarray) -> int:
         """Kill the physical pages ``old`` maps to (``NO_PAGE`` entries
@@ -299,7 +306,7 @@ class PageMappedFtl:
         page is unmapped — GC picks its victim from the same
         ``valid_count`` — and the roll's cost is that extent's.
         """
-        l2p, p2l, vc = self.l2p, self.p2l, self.valid_count
+        l2p, p2l, vc = self.l2p_v, self.p2l_v, self.valid_count_v
         sbp = self.superblock_pages
         pos, total = 0, len(pages)
         while True:
@@ -307,7 +314,7 @@ class PageMappedFtl:
             base = self._open_sb * sbp + self._wp
             if r > SCALAR_THRESHOLD:
                 run = pages[pos:pos + r]
-                p2l[base:base + r] = run
+                self.p2l[base:base + r] = run
                 ppns = np.arange(base, base + r)
                 if ends[bisect_right(ends, pos)] >= pos + r:
                     lo = int(run[0])            # inside one extent: a range
@@ -322,16 +329,16 @@ class PageMappedFtl:
                     to = ppns[last]
                     dead = np.ones(r, dtype=bool)
                     dead[last] = False
-                    p2l[ppns[dead]] = NO_PAGE
-                live = self._invalidate(l2p[at])
-                l2p[at] = to
+                    self.p2l[ppns[dead]] = NO_PAGE
+                live = self._invalidate(self.l2p[at])
+                self.l2p[at] = to
                 vc[self._open_sb] += to.size
                 self._mapped += to.size - live
             elif r:
                 mapped = self._mapped
                 run = pages[pos:pos + r]
                 for lp in run if type(run) is range else run.tolist():
-                    old = l2p.item(lp)
+                    old = l2p[lp]
                     if old == NO_PAGE:
                         mapped += 1
                     else:

@@ -39,7 +39,6 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.types import IoOrigin, IoStats, LatencyStats, Op, Request
 from repro.common.units import PAGE_SIZE
-from repro.core.arrays import B_CLEAN, B_DIRTY, B_MAPPED
 from repro.obs.events import AdmissionRejected
 from repro.tenancy.qos import QosSpec
 from repro.tenancy.volume import Volume
@@ -213,23 +212,15 @@ class TenantRegistry:
         t.volumes.append(volume)
         self._volume_map = (np.array(self._bases), np.array(self._ends + [0]),
                             np.array([o.index for o in self._owners] + [-1]))
-        resident = self._resident_in(base, base + blocks)
+        # Post-recovery attach: blocks of this window already in the
+        # cache (any residency code but B_NONE, 0) belong to the tenant
+        # from block one.
+        codes = self.cache._state.a[base:base + blocks]
+        resident = int(np.count_nonzero(codes))
         if resident:
-            # Post-recovery attach: blocks of this window already in
-            # the cache belong to the tenant from block one.
             t.occupancy += resident
             self._total_unmet_reserve = self._unmet_reserve()
         return volume
-
-    def _resident_in(self, lo: int, hi: int) -> int:
-        """Blocks of ``[lo, hi)`` currently cached (one residency scan)."""
-        codes = self.cache._state.a
-        hi = min(hi, codes.shape[0])
-        if lo >= hi:
-            return 0
-        window = codes[lo:hi]
-        return int(((window == B_MAPPED) | (window == B_DIRTY)
-                    | (window == B_CLEAN)).sum())
 
     def tenant_of(self, block: int) -> Optional[str]:
         """Owning tenant of an origin block, or None if unallocated."""

@@ -110,3 +110,25 @@ def test_workloads_repeat_each_in_its_own_block(monkeypatch, capsys,
     assert out.count("b --seed 1 --seconds 7: 2 alternating pairs") == 1
     assert out.count("change ahead 2 / 2 (1.333x by medians)") == 3
     assert out.count("PROBLEM") == 2
+
+
+def test_all_is_every_benchmark_workload_in_order(monkeypatch, capsys,
+                                                  tmp_path):
+    """``--workload all`` runs BENCHMARK.json's workloads, each in its
+    own block, in the file's order; a name beside it runs too."""
+    declared = [w["name"] for w in
+                json.loads(bench_pairs.BENCHMARK.read_text())["workloads"]]
+    assert len(declared) == 7
+    assert bench_pairs.workloads(["all", "x"]) == declared + ["x"]
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append(workload)
+        return _stdout(300e3)
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--pairs", "1",
+                             "--workload", "all"]) == 0
+    assert calls == [w for w in declared for _ in range(2)]
+    out = capsys.readouterr().out
+    assert all(out.count(f"{w} --seed 1 --seconds 7: 1 alternating") == 1
+               for w in declared)

@@ -352,37 +352,32 @@ def test_tenant_whale_rejections_bit_identical(registry_kwargs, whale_qos,
         assert "admission_bound" not in _declines(cache)
 
 
-def _edge_rows(vol, occupied, staged, fresh, hot):
+def _edge_rows(vol, occupied, fresh, hot):
     """The main window of the residency-edge scenarios: one write each
-    onto a mapped, a clean-buffered and (``staged`` of them) staged
-    block, then ``fresh`` never-seen blocks, every row followed by
-    ``hot`` rewrites of the first block (dirty by then: absorbed)."""
+    onto a mapped and a clean-buffered block, then ``fresh`` never-seen
+    blocks, every row followed by ``hot`` rewrites of the first block
+    (dirty by then: absorbed)."""
     base = vol.base_block
     blocks = [base + 5, base + occupied - 3]           # mapped, clean
-    blocks += [base + 2000 + i for i in range(staged)]
     blocks += [base + 3000 + i for i in range(fresh)]
     rows = np.full((len(blocks), 1 + hot), base + 5, dtype=np.int64)
     rows[:, 0] = blocks
     return rows.ravel()
 
 
-@pytest.mark.parametrize("occupied,qos,idle_free,staged,admitted", [
+@pytest.mark.parametrize("occupied,qos,idle_free,admitted", [
     # Exactly at min_blocks: borrowing until the unreserved capacity
-    # (40 blocks, one of them taken by the staged block) runs out.
-    (96, QosSpec(min_share=_share(96), max_share=1.0), 40, 1, 39),
-    # At max_blocks - 1: one more miss fits ...
-    (96, QosSpec(min_share=_share(16), max_share=_share(97)), 4000, 0, 1),
-    # ... unless a staged block, which never asks, takes the slot.
-    (96, QosSpec(min_share=_share(16), max_share=_share(97)), 4000, 1, 0),
-    # Already over the cap through staged blocks: every miss bounces.
-    (96, QosSpec(min_share=_share(16), max_share=_share(97)), 4000, 3, 0),
-], ids=["at-min", "at-max-1", "at-max-1-staged", "past-max-staged"])
+    # (40 blocks) runs out.
+    (96, QosSpec(min_share=_share(96), max_share=1.0), 40, 40),
+    # At max_blocks - 1: one more miss fits.
+    (96, QosSpec(min_share=_share(16), max_share=_share(97)), 4000, 1),
+], ids=["at-min", "at-max-1"])
 def test_tenant_residency_edges_bit_identical(occupied, qos, idle_free,
-                                              staged, admitted):
-    """(d) Writes onto B_MAPPED / B_CLEAN / B_STAGING blocks of a tenant
-    sitting exactly on an admission threshold: displacements net zero,
-    a staged block grows the occupancy unasked, and the first miss past
-    the threshold is refused at the same row in both modes."""
+                                              admitted):
+    """(d) Writes onto B_MAPPED / B_CLEAN blocks of a tenant sitting
+    exactly on an admission threshold: displacements net zero, and the
+    first miss past the threshold is refused at the same row in both
+    modes."""
     names = ["idle", "edge"]
     fresh, hot = 60, 24
     idle_qos = QosSpec(min_share=_share(_CAPACITY - occupied - idle_free))
@@ -400,11 +395,8 @@ def test_tenant_residency_edges_bit_identical(occupied, qos, idle_free,
                            PAGE_SIZE, op=OP_READ, tenant=1)
         yield np.concatenate((rows, flush, reads))
         seen["before"] = registry.stats()["edge"]
-        for i in range(staged):        # fetched, not yet in a buffer
-            cache.staging.put(vol.base_block + 2000 + i, 0.0)
-        yield make_chunk(
-            _edge_rows(vol, occupied, staged, fresh, hot) * PAGE_SIZE,
-            PAGE_SIZE, tenant=1)
+        yield make_chunk(_edge_rows(vol, occupied, fresh, hot) * PAGE_SIZE,
+                         PAGE_SIZE, tenant=1)
 
     cache, registry, share = _tenant_differential(
         _tenant_stack([("idle", 4, idle_qos), ("edge", 32, qos)]),
@@ -413,7 +405,7 @@ def test_tenant_residency_edges_bit_identical(occupied, qos, idle_free,
     assert before["cached_blocks"] == occupied
     assert edge["admitted_blocks"] - before["admitted_blocks"] == admitted
     assert edge["rejected_blocks"] == fresh - admitted
-    assert edge["cached_blocks"] == occupied + staged + admitted
+    assert edge["cached_blocks"] == occupied + admitted
     assert share > 0.9
 
 

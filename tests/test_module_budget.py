@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LIMIT = 600
-PACKAGE_LIMIT = 18122
+PACKAGE_LIMIT = 18113
 MEMBERS_LIMIT = 320
 
 

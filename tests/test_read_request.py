@@ -103,14 +103,13 @@ def mapped(cache, first, npages, now=0.0):
     cache.flush_partial(now)
 
 
-def test_the_three_ram_residencies():
+def test_the_two_ram_residencies():
     def setup(cache):
         write(cache, 0, 2, 0.0)                 # 0, 1 dirty
         read(cache, 2, 2, 0.0)                  # 2, 3 clean
-        cache.staging.put(4, 0.0)               # 4 staged
-    cache, before, done = assert_twins(setup, 0, 5, 0.001)
+    cache, before, done = assert_twins(setup, 0, 4, 0.001)
     assert done == 0.001 + RAM_LATENCY
-    assert delta(cache, before, "cstats", "read_hits") == 5
+    assert delta(cache, before, "cstats", "read_hits") == 4
     assert ssd_reads(cache) == 0
     assert cache.origin.stats.read_ops == before["origin"]["read_ops"]
 

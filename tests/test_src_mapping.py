@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
-from repro.core.buffers import SegmentBuffer, StagingBuffer
+from repro.core.buffers import SegmentBuffer
 from repro.core.hotness import HotnessBitmap
 from repro.core.layout import BlockLocation
 from repro.core.mapping import CacheEntry, MappingTable
@@ -131,22 +131,6 @@ def test_buffer_remove():
     assert buf.remove(1)
     assert not buf.remove(1)
     assert buf.empty
-
-
-def test_staging_buffer_roundtrip():
-    staging = StagingBuffer()
-    staging.put(5, 1.0)
-    assert 5 in staging
-    assert staging.pop(5) == 1.0
-    assert staging.pop(5) is None
-
-
-def test_staging_drain():
-    staging = StagingBuffer()
-    staging.put(1, 0.0)
-    staging.put(2, 0.0)
-    assert sorted(staging.drain()) == [1, 2]
-    assert len(staging) == 0
 
 
 # ------------------------------------------------------------------

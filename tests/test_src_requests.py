@@ -53,7 +53,7 @@ def test_flush_via_submit():
 
 def test_reads_of_staged_blocks_hit():
     cache = make_src()
-    cache.read(0, PAGE_SIZE, 0.0)      # miss, staged + clean buffer
+    cache.read(0, PAGE_SIZE, 0.0)      # miss, filled into the clean buffer
     cache.read(0, PAGE_SIZE, 0.1)      # must hit RAM now
     assert cache.cstats.read_hits == 1
 
@@ -89,8 +89,7 @@ def test_src_matches_reference_cache_semantics(seed):
             assert entry.dirty == dirty, f"block {block} dirtiness"
         else:
             in_dirty = block in cache.dirty_buf
-            in_clean = (block in cache.clean_buf
-                        or block in cache.staging)
+            in_clean = block in cache.clean_buf
             assert in_dirty or in_clean, f"block {block} lost"
             assert in_dirty == dirty, f"block {block} wrong buffer"
     cache.mapping.check_invariants()

@@ -31,7 +31,6 @@ def state(cache) -> dict:
                            e.version) for lba, e in cache.mapping.items()),
         "residency": [(lba, codes.item(lba)) for lba in touched],
         "dirty": cache.dirty_buf.peek(), "clean": cache.clean_buf.peek(),
-        "staging": sorted(cache.staging.peek()),
         "versions": np.trim_zeros(cache._versions.a, "b").tolist(),
         "hot": (np.flatnonzero(cache.hotness._hot).tolist(),
                 cache.hotness.hot_count, cache.hotness.references),
@@ -68,19 +67,17 @@ def assert_pages_alike(setup, first: int, npages: int, now: float,
 
 
 def test_every_residency_in_one_request():
-    """Mapped, clean, staged, dirty and absent pages, hit and miss."""
+    """Mapped, clean, dirty and absent pages, hit and miss."""
     def setup(cache):
         write(cache, 0, 4, 0.0)
         cache.flush_partial(0.0)                # 0..3 mapped
         cache.read_request(Request(0, 4 * PAGE_SIZE, 2 * PAGE_SIZE), 0.0)
-        cache.staging.put(6, 0.0)               # 4, 5 clean; 6 staged
-        write(cache, 7, 2, 0.001)               # 7, 8 dirty
+        write(cache, 7, 2, 0.001)               # 4, 5 clean; 7, 8 dirty
     cache = assert_pages_alike(setup, 0, 12, 0.002)
-    assert cache.cstats.write_hits == 9                  # 0..8
-    assert cache.cstats.write_misses == 6 + 3            # setup + 9..11
+    assert cache.cstats.write_hits == 8                  # 0..5, 7, 8
+    assert cache.cstats.write_misses == 6 + 4            # setup + 6, 9..11
     assert cache.dirty_buf.peek() == [7, 8, 0, 1, 2, 3, 4, 5, 6, 9, 10, 11]
-    assert not (len(cache.mapping) or cache.clean_buf.peek()
-                or cache.staging.peek())
+    assert not (len(cache.mapping) or cache.clean_buf.peek())
     assert cache._versions.a[:12].tolist() == [2] * 4 + [1] * 8   # 7, 8 absorbed
 
 
