@@ -11,12 +11,16 @@ or lost the side data it hands its notes, and fails the job.
 The default ids are ``fig2`` (a reduced grid of SSD-only cells) and
 ``table8`` at a tiny preset: a trace-group sweep whose cells return
 each stack's whole-run SSD-tap amplification alongside the cell text,
-which crosses the pool and ends up in a note.
+which crosses the pool and ends up in a note.  The acceptance suites
+(``tenants``, ``rebuild``, ``cluster``) fan unlike runs whose results
+feed each other's rows and checks; CI names them too.
 
 Usage::
 
     PYTHONPATH=src python scripts/check_parallel_identity.py --jobs 4
     PYTHONPATH=src python scripts/check_parallel_identity.py fig7 --jobs 2
+    PYTHONPATH=src python scripts/check_parallel_identity.py \
+        tenants rebuild cluster --jobs 4
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ from repro.harness.experiments import REGISTRY            # noqa: E402
 # A reduced fig2 grid keeps the check under a minute while still
 # spanning multiple rows and columns (so result reshaping is exercised).
 FIG2_GRID = dict(rows=(0.0, 0.2, 0.4), columns=("32MB", "128MB", "512MB"))
+TINY = dict(scale=1 / 512, warmup=0.2, duration=0.2)
+# A 1/512 shard holds too few segment groups to build (ConfigError).
+PRESETS = {"cluster": dict(scale=1 / 128, warmup=0.5, duration=0.5)}
 
 
 def results(exp_id: str, seed: int, jobs: int) -> list:
@@ -44,8 +51,7 @@ def results(exp_id: str, seed: int, jobs: int) -> list:
                              seed=seed)
         out = [REGISTRY["fig2"].sweep.only(**FIG2_GRID).run(es, jobs)]
     else:
-        es = ExperimentScale(scale=1 / 512, warmup=0.2, duration=0.2,
-                             seed=seed)
+        es = ExperimentScale(seed=seed, **PRESETS.get(exp_id, TINY))
         out = run_experiment(exp_id, es, jobs)
     return [result.as_dict() for result in out]
 

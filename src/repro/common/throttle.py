@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
+from repro.common.types import quantile
+
 
 class TokenBucket:
     """Byte-rate token bucket over simulated time.
@@ -87,9 +89,7 @@ class ForegroundGuard:
     def p99(self) -> float:
         if len(self._samples) < self.min_samples:
             return 0.0
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(0.99 * len(ordered)))
-        return ordered[index]
+        return quantile(self._samples, 0.99)
 
     def hot(self) -> bool:
         """True while the rolling foreground p99 exceeds the limit."""

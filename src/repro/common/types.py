@@ -397,6 +397,15 @@ def _tuple2_hash_array(a, b):
     return acc.view(np.int64)
 
 
+def quantile(samples, q: float) -> float:
+    """The q-quantile of ``samples``: element ``int(q * n)`` of their
+    sorted copy (capped at the last), 0.0 when there are none."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
 class LatencyStats:
     """Streaming latency accumulator with approximate percentiles.
 
@@ -491,11 +500,7 @@ class LatencyStats:
         """Approximate q-quantile (q in [0, 1]) from the reservoir."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0,1], got {q}")
-        if not self._reservoir:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+        return quantile(self._reservoir, q)
 
     @property
     def p50(self) -> float:

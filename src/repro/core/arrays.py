@@ -80,15 +80,6 @@ class BlockState(ElementViews):
         v = self.a_v
         return v[lba] if lba < len(v) else B_NONE
 
-    def set(self, lba: int, code: int) -> None:
-        self.ensure(lba + 1)
-        self.a_v[lba] = code
-
-    def clear(self, lba: int) -> None:
-        v = self.a_v
-        if lba < len(v):
-            v[lba] = B_NONE
-
 
 class VersionArray(ElementViews):
     """LBA -> write-version counter, dict-compatible surface.

@@ -183,7 +183,7 @@ class Lane:
             asks = (adds & (codes == B_NONE))[:bound]
             if cache.tenants.can_refuse(int(np.count_nonzero(asks))):
                 self.ledger["refusal_scans"] += 1
-                refused = cache.tenants.refusals(own, asks, asks)
+                refused = cache.tenants.refusals(own, asks)
         if len(refused) * SCALAR_THRESHOLD > 2 * bound:
             # An over-share tenant keeps missing.  Sub-runs of under
             # ~16 rows cost more to classify than their rows take per

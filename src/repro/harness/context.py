@@ -12,7 +12,7 @@ finish in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.baselines.bcache import BcacheDevice
@@ -58,10 +58,13 @@ QUICK_SCALE = DEFAULT_SCALE.quickened()
 
 def build_ssds(scale: float, n: int = 4,
                spec: SsdSpec = SATA_MLC_128,
-               fill: float = PRECONDITION_FILL) -> List[SSDDevice]:
-    """n preconditioned, scaled SSDs (paper Table 1 cache devices)."""
+               fill: float = PRECONDITION_FILL,
+               prefix: str = "") -> List[SSDDevice]:
+    """n preconditioned, scaled SSDs (paper Table 1 cache devices),
+    named ``{prefix}{spec name}-{i}``."""
     scaled = spec.scaled(scale)
-    ssds = [SSDDevice(scaled, name=f"{scaled.name}-{i}") for i in range(n)]
+    ssds = [SSDDevice(scaled, name=f"{prefix}{scaled.name}-{i}")
+            for i in range(n)]
     for ssd in ssds:
         precondition(ssd, fill_fraction=fill)
         obs_attach(ssd)
@@ -80,7 +83,6 @@ def build_src(scale: float, config: Optional[SrcConfig] = None,
     """An SRC stack at the given scale (defaults per Table 7)."""
     config = config or SrcConfig(cache_space=CACHE_SPACE)
     if config.cache_space == 0:
-        from dataclasses import replace
         config = replace(config, cache_space=CACHE_SPACE)
     scaled_config = config.scaled(scale)
     ssds = ssds or build_ssds(scale, n=config.n_ssds, spec=spec)
@@ -90,10 +92,8 @@ def build_src(scale: float, config: Optional[SrcConfig] = None,
         # Hot spares ship fresh from the box: no preconditioning, so a
         # rebuild lands on an empty FTL exactly like a drive swap would.
         scaled = spec.scaled(scale)
-        spares = [SSDDevice(scaled, name=f"{scaled.name}-spare{i}")
+        spares = [obs_attach(SSDDevice(scaled, name=f"{scaled.name}-spare{i}"))
                   for i in range(scaled_config.repair.hot_spares)]
-        for spare in spares:
-            obs_attach(spare)
     return obs_attach(SrcCache(ssds, origin, scaled_config, spares=spares))
 
 
@@ -103,12 +103,7 @@ def build_shard(scale: float, config: Optional[SrcConfig] = None,
                 label: str = "shard0") -> SrcCache:
     """One SRC shard stack for a cluster (named SSDs, shared origin)."""
     config = config or SrcConfig(cache_space=CACHE_SPACE)
-    scaled = spec.scaled(scale)
-    ssds = [SSDDevice(scaled, name=f"{label}-{scaled.name}-{i}")
-            for i in range(config.n_ssds)]
-    for ssd in ssds:
-        precondition(ssd, fill_fraction=PRECONDITION_FILL)
-        obs_attach(ssd)
+    ssds = build_ssds(scale, n=config.n_ssds, spec=spec, prefix=f"{label}-")
     shard = build_src(scale, config=config, ssds=ssds, origin=origin,
                       spec=spec)
     shard.name = label
@@ -130,7 +125,6 @@ def build_cluster(scale: float, n_shards: int = 4,
     from repro.cluster import ClusterConfig, ShardRouter
     cluster_config = cluster_config or ClusterConfig(n_shards=n_shards)
     if cluster_config.n_shards != n_shards:
-        from dataclasses import replace
         cluster_config = replace(cluster_config, n_shards=n_shards)
     origin = origin or build_origin()
     config = config or SrcConfig(cache_space=CACHE_SPACE // n_shards)

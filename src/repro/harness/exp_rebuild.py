@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import List, Optional
+from typing import Optional
 
 from repro.common.types import Op, Request
 from repro.common.units import MIB, PAGE_SIZE
@@ -34,9 +34,9 @@ from repro.core.src import SrcCache
 from repro.faults import FaultInjector, FaultPlan
 from repro.harness.context import (CACHE_SPACE, DEFAULT_SCALE,
                                    ExperimentScale, build_src, build_ssds)
-from repro.harness.parallel import parallel_map
+from repro.harness.parallel import call, parallel_map
 from repro.harness.results import ExperimentResult, ratio
-from repro.workloads.replay import replay_group
+from repro.harness.runner import run_trace_group
 
 # The sweep: paper-style sensitivity from gentle to unbounded, plus a
 # no-failure baseline every other row is normalised against.
@@ -56,7 +56,7 @@ P99_INFLATION_BOUND = 10.0
 
 
 def _drain_rebuild(cache: SrcCache, now: float,
-                   max_steps: int = 200_000) -> float:
+                   max_steps: int = 200_000) -> None:
     """Pump the repair controller until the rebuild job is done.
 
     The replay window may end mid-rebuild; repair work is caller-driven
@@ -70,7 +70,6 @@ def _drain_rebuild(cache: SrcCache, now: float,
         ready = repair.rebuild_bucket.ready_time(repair.unit_bytes, now)
         now = max(now + 1e-6, ready)
         repair.pump(now)
-    return now
 
 
 def _run_row(es: ExperimentScale, rate: Optional[float]) -> dict:
@@ -79,16 +78,14 @@ def _run_row(es: ExperimentScale, rate: Optional[float]) -> dict:
     config = SrcConfig(cache_space=CACHE_SPACE, repair=RepairConfig(
         hot_spares=1 if fail else 0,
         rebuild_rate=rate if fail else 64 * MIB))
-    ssds: List = build_ssds(es.scale, n=config.n_ssds)
+    ssds = build_ssds(es.scale, n=config.n_ssds)
     if fail:
         fail_at = es.warmup + 0.3 * es.duration
         ssds[0] = FaultInjector(ssds[0], FaultPlan().fail_stop(at=fail_at),
                                 name="fault0")
     cache = build_src(es.scale, config, ssds=ssds)
-    result = replay_group(cache, "write", scale=es.scale,
-                          duration=es.duration, warmup=es.warmup,
-                          seed=es.seed)
-    end = _drain_rebuild(cache, es.warmup + es.duration)
+    result = run_trace_group(cache, "write", es)
+    _drain_rebuild(cache, es.warmup + es.duration)
     stats = cache.srcstats
     return {
         "throughput": result.throughput_mb_s,
@@ -100,15 +97,13 @@ def _run_row(es: ExperimentScale, rate: Optional[float]) -> dict:
         "lost_dirty": stats.bypass_lost_dirty + stats.unrecoverable_errors,
         "completed": stats.rebuilds_completed,
         "bypass": cache.bypass,
-        "drained_to": end,
     }
 
 
-def _scrub_demo(es: ExperimentScale, notes: List[str]) -> None:
-    """Seed latent corruption, scrub, then prove foreground never saw it."""
+def _scrub_run(es: ExperimentScale) -> dict:
+    """Seed latent corruption, scrub, then read every seeded block."""
     cache = build_src(es.scale, SrcConfig(cache_space=CACHE_SPACE))
-    replay_group(cache, "write", scale=es.scale, duration=es.duration,
-                 warmup=es.warmup, seed=es.seed)
+    run_trace_group(cache, "write", es)
     now = es.warmup + es.duration
 
     # Corrupt a seeded sample of live, sealed blocks on their devices.
@@ -135,30 +130,19 @@ def _scrub_demo(es: ExperimentScale, notes: List[str]) -> None:
         end = cache.submit(
             Request(Op.READ, lba * PAGE_SIZE, PAGE_SIZE), now)
         now = max(now, end) + 1e-6
-    leftover = sum(
-        1 for lba in lbas
-        if cache.ssds[live[lba].location.ssd].corrupted_in(
-            live[lba].location.offset, PAGE_SIZE))
-    notes.append(
-        f"scrub demo: seeded {len(lbas)} corrupt blocks, scrub repaired "
-        f"{report.repaired} ({report.unrepairable} unrepairable), "
-        f"foreground corruption repairs {cache.srcstats.corruption_repairs}")
-    if report.repaired < len(lbas) or report.unrepairable:
-        notes.append(
-            f"violation: scrub repaired {report.repaired}/{len(lbas)} "
-            f"seeded blocks ({report.unrepairable} unrepairable)")
-    if cache.srcstats.corruption_repairs:
-        notes.append(
-            "violation: foreground read hit corruption scrub should "
-            "have repaired first")
-    if leftover:
-        notes.append(
-            f"violation: {leftover} seeded blocks still corrupt on media")
+    return {
+        "seeded": len(lbas), "repaired": report.repaired,
+        "unrepairable": report.unrepairable,
+        "fg_repairs": cache.srcstats.corruption_repairs,
+        "leftover": sum(1 for lba in lbas
+                        if cache.ssds[live[lba].location.ssd].corrupted_in(
+                            live[lba].location.offset, PAGE_SIZE)),
+    }
 
 
 def run(es: ExperimentScale = DEFAULT_SCALE,
         jobs: int = 1) -> ExperimentResult:
-    """The rebuild-rate sweep (fanned over ``jobs``), then the scrub demo."""
+    """The rebuild-rate sweep and the scrub demo, fanned over ``jobs``."""
     result = ExperimentResult(
         experiment="Rebuild",
         title="Hot-spare rebuild: write-group replay, ssd0 fail-stop at "
@@ -166,12 +150,11 @@ def run(es: ExperimentScale = DEFAULT_SCALE,
         columns=["Rebuild rate", "MB/s", "p99 (ms)", "p99 x base",
                  "MTTR (s)", "Degraded (s)", "Units", "Lost dirty"],
     )
-    base_p99 = 0.0
-    rows = parallel_map(partial(_run_row, es), [r for _, r in SWEEP],
-                        jobs=jobs)
+    runs = [partial(_run_row, es, rate) for _, rate in SWEEP]
+    *rows, scrub = parallel_map(call, runs + [partial(_scrub_run, es)],
+                                jobs=jobs)
+    base_p99 = rows[0]["p99"]           # SWEEP opens with the baseline
     for (label, rate), row in zip(SWEEP, rows):
-        if rate is None:
-            base_p99 = row["p99"]
         result.add_row(label, row["throughput"], row["p99"] * 1e3,
                        ratio(row["p99"], base_p99), row["mttr"],
                        row["degraded"], row["units"], row["lost_dirty"])
@@ -197,5 +180,21 @@ def run(es: ExperimentScale = DEFAULT_SCALE,
             result.notes.append(
                 f"{label}: {row['dropped']} clean blocks dropped "
                 "(unreconstructable NPC segments refetch on demand)")
-    _scrub_demo(es, result.notes)
+    seeded, repaired = scrub["seeded"], scrub["repaired"]
+    result.notes.append(
+        f"scrub demo: seeded {seeded} corrupt blocks, scrub repaired "
+        f"{repaired} ({scrub['unrepairable']} unrepairable), "
+        f"foreground corruption repairs {scrub['fg_repairs']}")
+    if repaired < seeded or scrub["unrepairable"]:
+        result.notes.append(
+            f"violation: scrub repaired {repaired}/{seeded} "
+            f"seeded blocks ({scrub['unrepairable']} unrepairable)")
+    if scrub["fg_repairs"]:
+        result.notes.append(
+            "violation: foreground read hit corruption scrub should "
+            "have repaired first")
+    if scrub["leftover"]:
+        result.notes.append(
+            f"violation: {scrub['leftover']} seeded blocks still corrupt "
+            "on media")
     return result

@@ -136,13 +136,11 @@ def _run_mode(es: ExperimentScale, mode: Tuple[str, bool, bool]) -> dict:
     stats = registry.stats()
     small = {n: s for n, s in stats.items() if not n.startswith("whale")}
     whale = stats.get("whale0")
-    worst_name, worst = max(small.items(),
-                            key=lambda kv: kv[1]["latency"]["p99"])
+    worst = max(small.values(), key=lambda s: s["latency"]["p99"])
     measured_bytes = run.stats.total_bytes - cut.cut_bytes
     return {
         "throughput": measured_bytes / 2**20 / es.duration,
         "small_p99": worst["latency"]["p99"],
-        "small_name": worst_name,
         "small_hit_occ": sum(s["cached_blocks"] for s in small.values()),
         "whale_p99": whale["latency"]["p99"] if whale else 0.0,
         "whale_share": whale["share"] if whale else 0.0,
@@ -172,20 +170,15 @@ def run(es: ExperimentScale = DEFAULT_SCALE,
                  "whale p99 (ms)", "whale share", "rejected",
                  "write-around"],
     )
-    alone_p99 = 0.0
-    rows: Dict[str, dict] = {}
     runs = parallel_map(partial(_run_mode, es), MODES, jobs=jobs)
+    alone, unenforced, enforced = runs
+    alone_p99 = alone["small_p99"]
     for (label, _, _), row in zip(MODES, runs):
-        rows[label] = row
-        if label == "alone":
-            alone_p99 = row["small_p99"]
         result.add_row(label, row["throughput"], row["small_p99"] * 1e3,
                        ratio(row["small_p99"], alone_p99),
                        row["whale_p99"] * 1e3, row["whale_share"],
                        row["rejected"], row["write_arounds"])
 
-    enforced = rows["shared (enforced)"]
-    unenforced = rows["shared (unenforced)"]
     if alone_p99 > 0 and enforced["small_p99"] > ISOLATION_BOUND * alone_p99:
         result.notes.append(
             f"violation: enforced shares let small-tenant p99 reach "
@@ -218,7 +211,7 @@ def run(es: ExperimentScale = DEFAULT_SCALE,
         f"{enforced['stall_s'] * 1e3:.1f} ms total backpressure")
     result.notes.append(
         f"small-tenant cached blocks: alone "
-        f"{rows['alone']['small_hit_occ']}, enforced "
+        f"{alone['small_hit_occ']}, enforced "
         f"{enforced['small_hit_occ']}, unenforced "
         f"{unenforced['small_hit_occ']}")
     return result

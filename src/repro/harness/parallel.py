@@ -94,6 +94,12 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T],
     return results
 
 
+def call(run: Callable[[], R]) -> R:
+    """``run()``: ``parallel_map(call, runs)`` fans a list of unlike
+    runs, each a ``functools.partial`` of a module-level function."""
+    return run()
+
+
 def grid(*axes: Sequence) -> List[tuple]:
     """Row-major cartesian product of sweep axes.
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.baselines.common import CacheTarget, WritePolicy
 from repro.block.device import BlockDevice
-from repro.common.types import Op, Request
+from repro.common.types import Op
 from repro.common.units import KIB, MIB, PAGE_SIZE, mb_per_sec
 from repro.core.config import SrcConfig
 from repro.cost.lifetime import (CostEffectiveness, PAPER_DAILY_WRITES,
@@ -61,21 +61,12 @@ def run_fio_random_write(device: BlockDevice, es: ExperimentScale,
     iodepth = iodepth or es.fio_iodepth
     threads = threads or es.fio_threads
     span = span or device.size
-    streams = fio.fio_job_streams(span, request_size, Op.WRITE,
-                                  iodepth=iodepth, threads=threads,
-                                  seed=es.seed)
-    if flush_every:
-        streams = [
-            fio.uniform_random(span, request_size, Op.WRITE,
-                               seed=es.seed * 1000 + i,
-                               flush_every=flush_every)
-            for i in range(iodepth * threads)
-        ]
-
-    def issue(req: Request, now: float) -> float:
-        return device.submit(req, now)
-
-    run = run_streams(issue, streams, duration=es.warmup + es.duration,
+    streams = [fio.uniform_random(span, request_size, Op.WRITE,
+                                  seed=es.seed * 1000 + i,
+                                  flush_every=flush_every)
+               for i in range(iodepth * threads)]
+    run = run_streams(device.submit, streams,
+                      duration=es.warmup + es.duration,
                       sampler=_sampler_for(device))
     return mb_per_sec(run.stats.write_bytes, run.elapsed)
 
@@ -88,11 +79,8 @@ def run_fio_sequential_write(device: BlockDevice, es: ExperimentScale,
     span = span or device.size
     stream = fio.sequential(span, request_size, Op.WRITE,
                             flush_every_bytes=flush_every_bytes)
-
-    def issue(req: Request, now: float) -> float:
-        return device.submit(req, now)
-
-    run = run_streams(issue, [stream], duration=es.duration + es.warmup,
+    run = run_streams(device.submit, [stream],
+                      duration=es.duration + es.warmup,
                       sampler=_sampler_for(device))
     return mb_per_sec(run.stats.write_bytes, run.elapsed)
 

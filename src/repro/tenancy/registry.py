@@ -325,16 +325,16 @@ class TenantRegistry:
                 - self._total_unmet_reserve - grown <= 0
                 or any(t.occupancy + grown >= t.max_blocks for t in tenants))
 
-    def refusals(self, owner: np.ndarray, asks: np.ndarray,
-                 grows: np.ndarray) -> np.ndarray:
+    def refusals(self, owner: np.ndarray, asks: np.ndarray) -> np.ndarray:
         """Rows of a write window :meth:`admit` would refuse.
 
         Row ``i`` writes a block of tenant ``owner[i]``; ``asks`` marks
-        the rows the per-request path puts to :meth:`admit`, ``grows``
-        those that add a block.  Within a window occupancy only grows,
-        so ``admit`` sees at row ``i`` the state now plus counts over
-        the rows before it: exact up to the first refusal, an estimate
-        (as if that block were cached) of their density after it.
+        the rows the per-request path puts to :meth:`admit`, each of
+        which adds a block once admitted.  Within a window occupancy
+        only grows, so ``admit`` sees at row ``i`` the state now plus
+        counts over the rows before it: exact up to the first refusal,
+        an estimate (as if that block were cached) of their density
+        after it.
         """
         if not self.enforce:
             return np.empty(0, dtype=np.int64)
@@ -342,12 +342,12 @@ class TenantRegistry:
         occ, low, cap = np.array(
             [(t.occupancy, t.min_blocks, t.max_blocks)
              for t in self._tenants.values()] + [(0, 0, 0)])[owner].T
-        occ = occ + _rank_in_group(owner, grows)
+        occ = occ + _rank_in_group(owner, asks)
         over = True
         if self.work_conserving:
             # Each grown block leaves ``free_unreserved``, unless it
             # fills part of its owner's (already set aside) reservation.
-            taken = (grows & ~(owned & (occ < low))).astype(np.int64)
+            taken = (asks & ~(owned & (occ < low))).astype(np.int64)
             over = (occ >= cap) | (
                 self.capacity_blocks - self._total_occupancy
                 - self._total_unmet_reserve - np.cumsum(taken) + taken <= 0)

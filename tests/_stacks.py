@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.units import GIB, KIB, MIB
@@ -27,6 +29,9 @@ TINY_SSD = SsdSpec(
     flush_latency=3.5e-3,
     buffer_size=4 * MIB,
 )
+# TINY_SSD half a page over: its last 2 KiB are addressable but past
+# the FTL's last whole page.
+ODD_SSD = replace(TINY_SSD, capacity=64 * MIB + 2 * KIB)
 
 # SRC geometry to match: 4 MiB erase groups, 256 KiB units -> segments
 # of 1 MiB holding 4x62 data blocks.

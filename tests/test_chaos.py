@@ -14,6 +14,7 @@ from repro.common.checksum import block_checksum
 from repro.common.errors import ConfigError
 from repro.common.types import Op, Request
 from repro.common.units import PAGE_SIZE
+from repro.core.arrays import B_NONE
 from repro.core.mapping import CacheEntry
 from repro.core.src import SrcCache
 from repro.hdd.backend import PrimaryStorage
@@ -161,7 +162,7 @@ def test_residency_monitor_catches_stray_code():
     _drive(cache)
     assert check_residency(cache) == []
     lba = next(b for b in range(256) if b in cache.dirty_buf)
-    cache._state.clear(lba)       # residency array lies now
+    cache._state.a[lba] = B_NONE  # residency array lies now
     assert any("dirty-buffered" in p for p in check_residency(cache))
 
 

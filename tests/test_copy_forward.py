@@ -34,7 +34,7 @@ from repro.ssd.device import SSDDevice
 from repro.tenancy import QosSpec, TenantRegistry
 
 from _stacks import TINY_SRC, TINY_SSD, make_src
-from test_write_extents import ssd_state
+from test_ssd_extents import ssd_state
 
 
 def per_segment(cache):

@@ -22,8 +22,7 @@ FAR = 50_000        # past every holder's initial span
 
 def block_state():
     state = BlockState()
-    for lba in (1, 2, 900):
-        state.set(lba, B_CLEAN)
+    state.ensure(901)[[1, 2, 900]] = B_CLEAN
     return state
 
 
@@ -69,7 +68,6 @@ def ftl():
 # The FTL's tables have a fixed size: its case is ordinary traffic.
 CASES = {
     "BlockState.ensure": (block_state, lambda h: h.ensure(FAR)),
-    "BlockState.set": (block_state, lambda h: h.set(FAR, B_DIRTY)),
     "VersionArray.ensure": (versions, lambda h: h.ensure(FAR)),
     "VersionArray.bump": (versions, lambda h: h.bump(FAR)),
     "VersionArray.__setitem__": (versions, lambda h: h.__setitem__(FAR, 9)),

@@ -59,6 +59,8 @@ def test_build_ssds_preconditioned():
     ssds = build_ssds(1 / 512, n=2)
     assert len(ssds) == 2
     assert all(s.ftl.utilization() > 0.8 for s in ssds)
+    shard = build_ssds(1 / 512, n=2, prefix="shard3-")    # a shard's names
+    assert [s.name for s in shard] == [f"shard3-{s.name}" for s in ssds]
 
 
 def test_build_src_default_geometry():

@@ -54,11 +54,12 @@ def test_grow_to_zero_fill_and_noop():
 def test_block_state_get_set_clear_past_span():
     state = BlockState(initial=4)
     assert state.get(10_000) == B_NONE     # untouched span reads B_NONE
-    state.set(10_000, B_DIRTY)
+    state.ensure(10_001)[10_000] = B_DIRTY
     assert state.get(10_000) == B_DIRTY
-    state.clear(10_000)
+    state.a[10_000] = B_NONE
     assert state.get(10_000) == B_NONE
-    state.clear(20_000_000)                # past span: silent no-op
+    assert state.get(20_000_000) == B_NONE     # past span: no growth
+    assert state.a.shape[0] < 20_000_000
 
 
 def test_version_array_dict_compatible_surface():

@@ -1,15 +1,16 @@
-"""``submit_extents``: the SSD's READ batch against the loop, and
-``Members.issue`` / ``Reclaimer.victim_read`` on top of it.
+"""``submit_extents``: the SSD's READ and WRITE batches against the
+loop, and ``Members.issue`` / ``Reclaimer.victim_read`` on top of it.
 
 ``BlockDevice._submit_each`` (the loop over ``submit``) is the
 oracle.  Twin aged ``SSDDevice``s take the same batches, one through
 the body and one through the loop called unbound, and must agree
-on every completion time and every piece of device state.  One level
-up the oracle is the same stack with ``Members``' lean gate forced
-closed: one ``Members.submit`` per span.
+on every completion time and every piece of device state — the FTL's
+maps included, since a write moves them.  One level up the oracle is
+the same stack with ``Members``' lean gate forced closed: one
+``Members.submit`` per span.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,15 +26,18 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.hdd.backend import PrimaryStorage
 from repro.ssd.device import SSDDevice
 
-from _stacks import TINY_DISK, TINY_SRC, TINY_SSD, make_src
+from _stacks import ODD_SSD, TINY_DISK, TINY_SRC, TINY_SSD, make_src
+from test_write_extents import ftl_state
 
 UNIT = 256 * KIB
+OPS = [Op.READ, Op.WRITE]
 
 
 def build(spec=TINY_SSD, observed: bool = False):
     """An SSD in a state no fresh drive has: a 10 MiB burst of writes
-    backed up behind the 4 MiB buffer, all 32 command slots taken, and
-    the outbound link busy with foreground reads."""
+    backed up behind the 4 MiB buffer, all 32 command slots taken, the
+    outbound link busy with foreground reads, and corruption seeded in
+    written and unwritten pages."""
     ssd = SSDDevice(spec)
     recorder = obs.ObsRecorder() if observed else None
     if observed:
@@ -42,6 +46,8 @@ def build(spec=TINY_SSD, observed: bool = False):
         ssd.write(i * UNIT, UNIT, 0.0)
     for i in range(40):
         ssd.read(i * 2 * PAGE_SIZE, PAGE_SIZE, 0.0)
+    ssd.inject_corruption(3 * UNIT + 5 * PAGE_SIZE, 3 * PAGE_SIZE)
+    ssd.inject_corruption(50 * UNIT, PAGE_SIZE)
     assert ssd.outstanding(1e-3) == spec.queue_depth == 32
     assert ssd.nand.drain_time() > 0.02
     assert ssd.read_link.drain_time() > 1e-3
@@ -52,7 +58,7 @@ def timeline_state(line) -> tuple:
     return list(line._free), line.busy_time
 
 
-def state(ssd: SSDDevice) -> dict:
+def ssd_state(ssd: SSDDevice) -> dict:
     return {"stats": ssd.stats.as_dict(), "queue": ssd.qstats.as_dict(),
             "inflight": sorted(ssd._inflight),
             "nand": timeline_state(ssd.nand),
@@ -61,7 +67,8 @@ def state(ssd: SSDDevice) -> dict:
                           timeline_state(ssd.read_link._timeline)),
             "link": (ssd.link.bytes_moved,
                      timeline_state(ssd.link._timeline)),
-            "ftl": asdict(ssd.ftl.counters)}
+            "corrupted": sorted(ssd._corrupted_pages),
+            "ftl": ftl_state(ssd.ftl)}
 
 
 def columns(extents):
@@ -70,43 +77,64 @@ def columns(extents):
     return offs, lens
 
 
-# Single pages, multi-page spans, unaligned sectors and the zero-length
-# command; batches long enough to run past the 32 slots.
 offsets = st.integers(0, (TINY_SSD.capacity - UNIT) // 512).map(
     lambda s: s * 512)
-lengths = st.one_of(
+# READ: single pages, multi-page spans, unaligned sectors and the
+# zero-length command; batches long enough to run past the 32 slots.
+read_extent = st.tuples(offsets, st.one_of(
     st.sampled_from([PAGE_SIZE, PAGE_SIZE, 2 * PAGE_SIZE, 16 * PAGE_SIZE,
                      UNIT, 512, 0]),
-    st.integers(1, 8 * PAGE_SIZE))
-extent = st.tuples(offsets, lengths)
-batch = st.one_of(st.lists(extent, max_size=6),
-                  st.lists(st.tuples(offsets, st.just(PAGE_SIZE)),
-                           min_size=30, max_size=90),
-                  st.lists(extent, max_size=90))
-origins = st.sampled_from([IoOrigin.GC, IoOrigin.DESTAGE,
-                           IoOrigin.FOREGROUND])
-step = st.tuples(batch, st.floats(0.0, 0.05), st.booleans(), origins)
+    st.integers(1, 8 * PAGE_SIZE)))
+read_batch = st.one_of(st.lists(read_extent, max_size=6),
+                       st.lists(st.tuples(offsets, st.just(PAGE_SIZE)),
+                                min_size=30, max_size=90),
+                       st.lists(read_extent, max_size=90))
+# WRITE: scattered extents, or unit-shaped ones — ascending, back to
+# back, over a range TRIMmed first.
+scattered = st.lists(st.tuples(offsets, st.one_of(
+    st.sampled_from([PAGE_SIZE, UNIT, 3 * PAGE_SIZE, 512]),
+    st.integers(1, 16 * PAGE_SIZE))), min_size=1, max_size=40)
+contiguous = st.tuples(st.integers(0, 200).map(lambda u: u * UNIT),
+                       st.lists(st.sampled_from([UNIT, UNIT, 3 * PAGE_SIZE]),
+                                min_size=2, max_size=40))
+STEPS = {
+    Op.READ: st.lists(st.tuples(
+        read_batch, st.floats(0.0, 0.05), st.booleans(),
+        st.sampled_from([IoOrigin.GC, IoOrigin.DESTAGE,
+                         IoOrigin.FOREGROUND])), min_size=1, max_size=4),
+    Op.WRITE: st.lists(st.tuples(
+        st.one_of(scattered, contiguous), st.floats(0.0, 0.05),
+        st.booleans(), st.sampled_from([IoOrigin.GC, IoOrigin.FOREGROUND])),
+        min_size=1, max_size=3),
+}
 
 
+@pytest.mark.parametrize("op", OPS)
 @settings(max_examples=100, deadline=None)
-@given(steps=st.lists(step, min_size=1, max_size=4), observed=st.booleans())
-def test_override_matches_the_loop(steps, observed):
+@given(data=st.data(), observed=st.booleans())
+def test_override_matches_the_loop(op, data, observed):
     fast, fast_rec = build(observed=observed)
     loop, loop_rec = build(observed=observed)
-    for extents, now, as_column, origin in steps:
+    for shape, now, as_column, origin in data.draw(STEPS[op]):
+        if isinstance(shape, tuple):            # unit-shaped
+            base, sizes = shape
+            extents = list(zip(base + np.cumsum([0] + sizes[:-1]), sizes))
+            for ssd in (fast, loop):
+                ssd.trim(base, sum(sizes), now)
+        else:
+            extents = shape
         offs, lens = columns(extents)
         nows = (now + np.linspace(0.0, 2e-3, len(extents)) if as_column
                 else now)
-        got = fast.submit_extents(Op.READ, offs, lens, nows, origin)
-        want = BlockDevice._submit_each(loop, Op.READ, offs, lens, nows,
-                                        origin)
+        got = fast.submit_extents(op, offs, lens, nows, origin)
+        want = BlockDevice._submit_each(loop, op, offs, lens, nows, origin)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert state(fast) == state(loop)
+        assert ssd_state(fast) == ssd_state(loop)
         # Ordinary traffic between batches sees the same device.
         assert fast.write(UNIT, PAGE_SIZE, now) == loop.write(
             UNIT, PAGE_SIZE, now)
         assert fast.read(0, PAGE_SIZE, now) == loop.read(0, PAGE_SIZE, now)
-    assert state(fast) == state(loop)
+    assert ssd_state(fast) == ssd_state(loop)
     if observed:
         assert fast_rec.telemetry() == loop_rec.telemetry()
 
@@ -126,9 +154,31 @@ def test_a_victims_worth_of_spans(origin):
     want = BlockDevice._submit_each(loop, Op.READ, offs, lens, 0.04,
                                     origin)
     assert got.tolist() == want.tolist()
-    assert state(fast) == state(loop)
+    assert ssd_state(fast) == ssd_state(loop)
     assert fast.qstats.queued_ops - before > 200
     assert fast.stats.bytes_by_origin[origin.value] >= int(lens.sum())
+
+
+def test_a_members_units_at_one_now():
+    """The shape copy-forward sends: ~30 full units back to back into a
+    TRIMmed group, all issued at one ``now`` — queue-full admission
+    from the first, the buffer's backlog holding every ack back, and
+    the corruption seeded in the range scrubbed by the overwrites."""
+    fast, _ = build()
+    loop, _ = build()
+    base = 48 * UNIT
+    offs = base + np.arange(30) * UNIT
+    lens = np.full(30, UNIT)
+    for ssd in (fast, loop):
+        ssd.trim(base, 30 * UNIT, 0.0)
+    before = fast.qstats.queued_ops
+    got = fast.submit_extents(Op.WRITE, offs, lens, 1e-3, IoOrigin.GC)
+    want = BlockDevice._submit_each(loop, Op.WRITE, offs, lens, 1e-3,
+                                    IoOrigin.GC)
+    assert got.tolist() == want.tolist()
+    assert ssd_state(fast) == ssd_state(loop)
+    assert fast.qstats.queued_ops - before == 30
+    assert not fast._corrupted_pages & set(range(48 * 64, 78 * 64))
 
 
 @pytest.mark.parametrize("op", [Op.WRITE, Op.TRIM])
@@ -140,10 +190,7 @@ def test_other_ops_take_the_loop(op):
     want = [loop.submit(Request(op, int(o), int(n), origin=IoOrigin.GC), 0.2)
             for o, n in zip(offs, lens)]
     assert got.tolist() == want
-    assert state(fast) == state(loop)
-
-
-ODD_SSD = replace(TINY_SSD, capacity=64 * MIB + 2 * KIB)   # half a page over
+    assert ssd_state(fast) == ssd_state(loop)
 
 
 @pytest.mark.parametrize("spec,last,error,match", [
@@ -155,22 +202,29 @@ ODD_SSD = replace(TINY_SSD, capacity=64 * MIB + 2 * KIB)   # half a page over
 ])
 def test_a_bad_last_extent_leaves_the_device_untouched(spec, last, error,
                                                        match):
+    bad_last_extent(Op.READ, spec, last, error, match)
+
+
+def bad_last_extent(op, spec, last, error, match) -> None:
+    """A batch whose last extent is bad raises before the first extent
+    touches the device (the WRITE case is in test_write_extents.py)."""
     ssd, _ = build(spec)
-    before = state(ssd)
+    before = ssd_state(ssd)
     offs, lens = columns([(0, PAGE_SIZE), (5 * UNIT, 3 * PAGE_SIZE), last])
     with pytest.raises(error, match=match):
-        ssd.submit_extents(Op.READ, offs, lens, 0.5, IoOrigin.GC)
-    assert state(ssd) == before
+        ssd.submit_extents(op, offs, lens, 0.5, IoOrigin.GC)
+    assert ssd_state(ssd) == before
 
 
-def test_a_failed_device_raises_and_is_left_untouched():
+@pytest.mark.parametrize("op", OPS)
+def test_a_failed_device_raises_and_is_left_untouched(op):
     ssd, _ = build()
     ssd.fail()
-    before = state(ssd)
+    before = ssd_state(ssd)
     offs, lens = columns([(0, PAGE_SIZE), (5 * UNIT, 3 * PAGE_SIZE)])
     with pytest.raises(DeviceFailedError, match=ssd.name):
-        ssd.submit_extents(Op.READ, offs, lens, 0.5, IoOrigin.GC)
-    assert state(ssd) == before
+        ssd.submit_extents(op, offs, lens, 0.5, IoOrigin.GC)
+    assert ssd_state(ssd) == before
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +248,7 @@ def drive(cache, blocks=20_000, span=12_000, seed=5) -> float:
 def stack_state(cache) -> dict:
     return {"src": asdict(cache.srcstats), "cache": asdict(cache.cstats),
             "failed": [bool(getattr(s, "failed", False)) for s in cache.ssds],
-            "ssds": [state(getattr(s, "lower", s)) for s in cache.ssds],
+            "ssds": [ssd_state(getattr(s, "lower", s)) for s in cache.ssds],
             "origin": cache.origin.stats.as_dict()}
 
 

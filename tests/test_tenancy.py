@@ -317,19 +317,18 @@ def test_refusals_matches_sequential_admit(qos_kwargs):
         lbas = rng.choice(np.setdiff1d(np.arange(600), warm), size=64,
                           replace=False)
         asks = rng.random(64) < 0.7
-        grows = asks | (rng.random(64) < 0.1)       # staged blocks
         want = 64
         for i, lba in enumerate(lbas.tolist()):
             if asks[i] and not scalar.admit(lba):
                 want = i
                 break
-            if grows[i]:
+            if asks[i]:
                 scalar.block_cached(lba)
         owner = batch.owner_index(lbas)
-        refused = batch.refusals(owner, asks, grows)
+        refused = batch.refusals(owner, asks)
         assert (int(refused[0]) if refused.shape[0] else 64) == want
         batch.count_admitted(owner[:want][asks[:want]])
-        batch.blocks_cached(lbas[:want][grows[:want]])
+        batch.blocks_cached(lbas[:want][asks[:want]])
         for name in ("a", "b"):
             assert (batch.stats()[name]["admitted_blocks"]
                     == scalar.stats()[name]["admitted_blocks"])

@@ -1,9 +1,12 @@
 """Request and statistics types."""
 
+from collections import deque
+
 import pytest
 
+from repro.common.throttle import ForegroundGuard
 from repro.common.types import (IoStats, LatencyStats, Op, Request, flush,
-                                read, trim, write)
+                                quantile, read, trim, write)
 from repro.common.units import PAGE_SIZE
 
 
@@ -98,6 +101,25 @@ def test_percentile_empty_is_zero():
 def test_percentile_validates_range():
     with pytest.raises(ValueError):
         LatencyStats().percentile(1.5)
+
+
+def test_quantile_is_the_one_percentile_rule():
+    """Element ``int(q * n)`` of the sorted samples, capped at the last:
+    what ``LatencyStats`` and ``ForegroundGuard`` (past its floor) read."""
+    samples = [5.0, 1.0, 4.0, 2.0, 3.0]
+    assert [quantile(samples, q) for q in (0.0, 0.5, 0.99, 1.0)] == [
+        1.0, 3.0, 5.0, 5.0]
+    assert quantile(deque(samples), 0.2) == 2.0
+    assert quantile([], 0.99) == 0.0
+    lat = LatencyStats()
+    guard = ForegroundGuard(p99_limit=1.0, min_samples=6)
+    for v in samples:
+        lat.record(v)
+        guard.observe(v)
+    assert lat.p99 == quantile(samples, 0.99)
+    assert guard.p99() == 0.0                   # under min_samples
+    guard.observe(0.5)
+    assert guard.p99() == quantile(samples + [0.5], 0.99) == 5.0
 
 
 def test_reservoir_bounded():

@@ -211,8 +211,8 @@ def test_limit_reached_exactly_at_the_last_row(registry_kwargs, qos,
 @pytest.mark.parametrize("work_conserving", [True, False])
 def test_can_refuse_is_false_only_where_refusals_is_empty(work_conserving):
     """Random windows against a registry near its limits, and the one
-    the ``>=`` is for: an asking row that does not grow, behind grown
-    blocks that bring its tenant exactly to its bar."""
+    the ``>=`` is for: an asking row behind admitted blocks that bring
+    its tenant exactly to its bar."""
     cache, registry = _tenant_stack(
         [("a", 4, QosSpec(min_share=_share(30), max_share=_share(50))),
          ("b", 4, QosSpec(min_share=_share(20), max_share=_share(35)))],
@@ -227,18 +227,18 @@ def test_can_refuse_is_false_only_where_refusals_is_empty(work_conserving):
         registry._total_unmet_reserve = registry._unmet_reserve()
 
     def asker_behind(grown):
-        """``grown`` growing rows of a's, then one that only asks."""
-        asks = np.arange(grown + 1) == grown
-        return np.zeros(grown + 1, dtype=np.int64), asks, ~asks
+        """``grown + 1`` asking rows of a's."""
+        return (np.zeros(grown + 1, dtype=np.int64),
+                np.ones(grown + 1, dtype=bool))
 
     for occupancy in (0, 10, bar - 5, bar - 1):
         occupy(occupancy)
         for _ in range(60):
             n = int(rng.integers(1, 40))
             owner = rng.integers(-1, 2, size=n)
-            asks, grows = rng.random((2, n)) < rng.random()
-            refused = registry.refusals(owner, asks, grows)
-            if not registry.can_refuse(int(np.count_nonzero(grows))):
+            asks = rng.random(n) < rng.random()
+            refused = registry.refusals(owner, asks)
+            if not registry.can_refuse(int(np.count_nonzero(asks))):
                 proved_empty += 1
                 assert refused.shape[0] == 0
         grown = bar - occupancy

@@ -1,34 +1,30 @@
-"""WRITE batches: ``PageMappedFtl.write_extents`` and the SSD's
-``submit_extents(Op.WRITE, ...)`` against the loops they replace.
+"""WRITE batches in the FTL: ``PageMappedFtl.write_extents`` against
+``write`` per extent, the loop it replaces.
 
-``write`` per extent is the FTL's oracle, run element by element (a
-``SCALAR_THRESHOLD`` no range reaches) so it shares no code with the
-batch's page loop, and ``BlockDevice._submit_each`` (the loop over
-``submit``) is the device's.  Twins take the same batches, one through
-the batch and one through the loop, and must agree on every cost,
-completion time and piece of state — the maps included, since a write
-moves them.
+The oracle runs element by element (a ``SCALAR_THRESHOLD`` no range
+reaches) so it shares no code with the batch's page loop.  Twins take
+the same batches, one through the batch and one through the loop, and
+must agree on every cost and piece of state — the maps included, since
+a write moves them.  The SSD's WRITE batch is in test_ssd_extents.py,
+all but its bad-last-extent case.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.ssd.ftl as ftl_module
-from repro.block.device import BlockDevice
 from repro.common.chunks import SCALAR_THRESHOLD
-from repro.common.errors import AddressError, DeviceFailedError
-from repro.common.types import IoOrigin, Op
+from repro.common.errors import AddressError
+from repro.common.types import Op
 from repro.common.units import KIB, MIB, PAGE_SIZE
-from repro.ssd.device import SSDDevice
 from repro.ssd.ftl import PageMappedFtl
 
-from _stacks import TINY_SSD
+from _stacks import ODD_SSD, TINY_SSD
 
 SBP = 64                       # pages per superblock
-UNIT = 256 * KIB
 
 
 # ----------------------------------------------------------------------
@@ -216,107 +212,8 @@ def test_a_bad_batch_leaves_the_ftl_untouched():
 
 
 # ----------------------------------------------------------------------
-# SSDDevice.submit_extents(Op.WRITE, ...)
+# SSDDevice.submit_extents(WRITE)
 # ----------------------------------------------------------------------
-def build(spec=TINY_SSD) -> SSDDevice:
-    """An SSD with a 10 MiB burst backed up behind its 4 MiB buffer,
-    all 32 command slots taken and corruption seeded in written and
-    unwritten pages."""
-    ssd = SSDDevice(spec)
-    for i in range(40):
-        ssd.write(i * UNIT, UNIT, 0.0)
-    for i in range(40):
-        ssd.read(i * 2 * PAGE_SIZE, PAGE_SIZE, 0.0)
-    ssd.inject_corruption(3 * UNIT + 5 * PAGE_SIZE, 3 * PAGE_SIZE)
-    ssd.inject_corruption(50 * UNIT, PAGE_SIZE)
-    assert ssd.outstanding(1e-3) == spec.queue_depth == 32
-    return ssd
-
-
-def timeline_state(line) -> tuple:
-    return list(line._free), line.busy_time
-
-
-def ssd_state(ssd: SSDDevice) -> dict:
-    return {"stats": ssd.stats.as_dict(), "queue": ssd.qstats.as_dict(),
-            "inflight": sorted(ssd._inflight),
-            "nand": timeline_state(ssd.nand),
-            "nand_reads": timeline_state(ssd.nand_reads),
-            "link": (ssd.link.bytes_moved,
-                     timeline_state(ssd.link._timeline)),
-            "read_link": (ssd.read_link.bytes_moved,
-                          timeline_state(ssd.read_link._timeline)),
-            "corrupted": sorted(ssd._corrupted_pages),
-            "ftl": ftl_state(ssd.ftl)}
-
-
-def columns(extents):
-    offs = np.array([o for o, _ in extents], dtype=np.int64)
-    lens = np.array([n for _, n in extents], dtype=np.int64)
-    return offs, lens
-
-
-offsets = st.integers(0, (TINY_SSD.capacity - UNIT) // 512).map(
-    lambda s: s * 512)
-lengths = st.one_of(st.sampled_from([PAGE_SIZE, UNIT, 3 * PAGE_SIZE, 512]),
-                    st.integers(1, 16 * PAGE_SIZE))
-scattered = st.lists(st.tuples(offsets, lengths), min_size=1, max_size=40)
-# Unit-shaped: ascending, back to back, over a range TRIMmed first.
-contiguous = st.tuples(st.integers(0, 200).map(lambda u: u * UNIT),
-                       st.lists(st.sampled_from([UNIT, UNIT, 3 * PAGE_SIZE]),
-                                min_size=2, max_size=40))
-origins = st.sampled_from([IoOrigin.GC, IoOrigin.FOREGROUND])
-
-
-@settings(max_examples=80, deadline=None)
-@given(steps=st.lists(st.tuples(st.one_of(scattered, contiguous),
-                                st.floats(0.0, 0.05), st.booleans(),
-                                origins), min_size=1, max_size=3))
-def test_the_write_override_matches_the_loop(steps):
-    fast, loop = build(), build()
-    for shape, now, as_column, origin in steps:
-        if isinstance(shape, tuple):
-            base, sizes = shape
-            extents = list(zip(base + np.cumsum([0] + sizes[:-1]), sizes))
-            for ssd in (fast, loop):
-                ssd.trim(base, sum(sizes), now)
-        else:
-            extents = shape
-        offs, lens = columns(extents)
-        nows = (now + np.linspace(0.0, 2e-3, len(extents)) if as_column
-                else now)
-        got = fast.submit_extents(Op.WRITE, offs, lens, nows, origin)
-        want = BlockDevice._submit_each(loop, Op.WRITE, offs, lens, nows,
-                                        origin)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        assert ssd_state(fast) == ssd_state(loop)
-        assert fast.write(UNIT, PAGE_SIZE, now) == loop.write(
-            UNIT, PAGE_SIZE, now)
-
-
-def test_a_members_units_at_one_now():
-    """The shape copy-forward sends: ~30 full units back to back into a
-    TRIMmed group, all issued at one ``now`` — queue-full admission
-    from the first, the buffer's backlog holding every ack back."""
-    fast, loop = build(), build()
-    base = 48 * UNIT
-    offs = base + np.arange(30) * UNIT
-    lens = np.full(30, UNIT)
-    for ssd in (fast, loop):
-        ssd.trim(base, 30 * UNIT, 0.0)
-    before = fast.qstats.queued_ops
-    got = fast.submit_extents(Op.WRITE, offs, lens, 1e-3, IoOrigin.GC)
-    want = BlockDevice._submit_each(loop, Op.WRITE, offs, lens, 1e-3,
-                                    IoOrigin.GC)
-    assert got.tolist() == want.tolist()
-    assert ssd_state(fast) == ssd_state(loop)
-    assert fast.qstats.queued_ops - before == 30
-    assert not fast._corrupted_pages & set(range(48 * 64, 78 * 64))
-
-
-ODD_SSD = replace(TINY_SSD, capacity=64 * MIB + 2 * KIB)   # half a page over
-
-
 @pytest.mark.parametrize("spec,last,error,match", [
     (TINY_SSD, (TINY_SSD.capacity - PAGE_SIZE, 2 * PAGE_SIZE),
      AddressError, "beyond device size"),
@@ -325,19 +222,6 @@ ODD_SSD = replace(TINY_SSD, capacity=64 * MIB + 2 * KIB)   # half a page over
 ])
 def test_a_bad_last_write_extent_leaves_the_device_untouched(spec, last,
                                                              error, match):
-    ssd = build(spec)
-    before = ssd_state(ssd)
-    offs, lens = columns([(0, PAGE_SIZE), (5 * UNIT, 3 * PAGE_SIZE), last])
-    with pytest.raises(error, match=match):
-        ssd.submit_extents(Op.WRITE, offs, lens, 0.5, IoOrigin.GC)
-    assert ssd_state(ssd) == before
-
-
-def test_a_failed_device_refuses_the_batch_untouched():
-    ssd = build()
-    ssd.fail()
-    before = ssd_state(ssd)
-    offs, lens = columns([(0, PAGE_SIZE), (5 * UNIT, 3 * PAGE_SIZE)])
-    with pytest.raises(DeviceFailedError, match=ssd.name):
-        ssd.submit_extents(Op.WRITE, offs, lens, 0.5, IoOrigin.GC)
-    assert ssd_state(ssd) == before
+    # Imported here: test_ssd_extents imports this module at its top.
+    from test_ssd_extents import bad_last_extent
+    bad_last_extent(Op.WRITE, spec, last, error, match)
