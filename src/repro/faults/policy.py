@@ -73,10 +73,8 @@ def submit_with_retry(device: BlockDevice, req: Request, now: float,
     give-up decision and the ``TimeoutExpired`` event's cumulative
     ``waited`` both reflect real elapsed simulated time.
     """
-    deadline = now + policy.timeout
-    delay = policy.backoff
-    issue_at = now
-    for attempt in range(1, policy.max_attempts + 1):
+    issue_at, delay, attempt = now, policy.backoff, 1
+    while True:
         try:
             return device.submit(req, issue_at)
         except TransientIOError as exc:
@@ -88,7 +86,8 @@ def submit_with_retry(device: BlockDevice, req: Request, now: float,
             failed_at = (issue_at if observed_at is None
                          else max(issue_at, observed_at))
             next_issue = failed_at + delay
-            if attempt >= policy.max_attempts or next_issue > deadline:
+            if (attempt >= policy.max_attempts
+                    or next_issue > now + policy.timeout):
                 if obs.enabled:
                     obs.emit(TimeoutExpired(
                         t=failed_at, device=device.name, attempts=attempt,
@@ -103,4 +102,4 @@ def submit_with_retry(device: BlockDevice, req: Request, now: float,
                                       delay=delay))
             issue_at = next_issue
             delay *= policy.backoff_multiplier
-    raise AssertionError("unreachable")  # loop always returns or raises
+            attempt += 1

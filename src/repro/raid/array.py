@@ -2,9 +2,11 @@
 
 Implements the RAID levels the paper evaluates beneath Bcache and
 Flashcache (Figure 1, Figure 7) and inside SRC comparisons: RAID-0
-striping, RAID-1 striped mirrors, and parity RAID-4/-5 with the classic
-small-write problem — partial-stripe writes pay read-modify-write or
-reconstruct-write, whichever touches fewer members (§2.2, §3.2).
+striping, RAID-1 striped mirrors (also the backend's RAID-10 in
+:class:`~repro.hdd.backend.PrimaryStorage`), and parity RAID-4/-5 with
+the classic small-write problem — partial-stripe writes pay
+read-modify-write or reconstruct-write, whichever touches fewer members
+(§2.2, §3.2).
 
 Redundant arrays survive a single member failure per redundancy group:
 reads of the lost member are reconstructed from the survivors (parity)
@@ -19,8 +21,9 @@ is no rebuild here; online repair is SRC's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Tuple
+
+import numpy as np
 
 from repro.block.device import BlockDevice
 from repro.common.errors import (ConfigError, DeviceFailedError,
@@ -32,15 +35,7 @@ from repro.faults.policy import submit_with_retry
 from repro.obs.events import DegradedRead, HealthTransition
 from repro.repair.health import DeviceHealth, HealthTracker
 
-
-@dataclass(frozen=True)
-class _Extent:
-    """A chunk-aligned piece of a request mapped onto one stripe."""
-
-    stripe: int       # stripe row index
-    chunk: int        # logical data-chunk index within the stripe
-    offset: int       # byte offset within the chunk
-    length: int
+Extent = Tuple[int, int, int, int]
 
 
 class _RaidBase(BlockDevice):
@@ -85,13 +80,9 @@ class _RaidBase(BlockDevice):
         DEGRADED, or FAILED when nothing covers it any more.
         """
         member = self.members[index]
-
-        def count_retry(_attempt: int) -> None:
-            self.member_retries += 1
-
         try:
             return submit_with_retry(member, req, now, self.retry_policy,
-                                     obs=self.obs, on_retry=count_retry)
+                                     self.obs, self._count_retry)
         except RequestTimeoutError as exc:
             self.member_failstops += 1
             member.fail()
@@ -102,6 +93,9 @@ class _RaidBase(BlockDevice):
         except DeviceFailedError:
             self._on_member_failed(index, now)
             raise
+
+    def _count_retry(self, _attempt: int) -> None:
+        self.member_retries += 1
 
     # -- failure handling ---------------------------------------------
     def _covers(self, member: int) -> bool:
@@ -117,18 +111,16 @@ class _RaidBase(BlockDevice):
             self._transition(index, DeviceHealth.FAILED, now,
                              "no surviving copy")
 
-    def _extents(self, req: Request) -> Iterator[_Extent]:
+    def _extents(self, req: Request) -> Iterator[Extent]:
+        """``(stripe, chunk, within, length)`` per chunk-aligned piece
+        of ``req``: its stripe row, its data chunk in the row, its byte
+        offset in the chunk and its length."""
+        cs, width = self.chunk_size, self.data_members
         offset, remaining = req.offset, req.length
         while remaining > 0:
-            logical_chunk = offset // self.chunk_size
-            within = offset % self.chunk_size
-            take = min(self.chunk_size - within, remaining)
-            yield _Extent(
-                stripe=logical_chunk // self.data_members,
-                chunk=logical_chunk % self.data_members,
-                offset=within,
-                length=take,
-            )
+            logical, within = offset // cs, offset % cs
+            take = cs - within if cs - within < remaining else remaining
+            yield logical // width, logical % width, within, take
             offset += take
             remaining -= take
 
@@ -156,18 +148,19 @@ class Raid0Device(_RaidBase):
     def _service(self, req: Request, now: float) -> float:
         if req.op is FLUSH:
             return self._flush_all(now)
-        end = now
-        for ext in self._extents(req):
-            off = ext.stripe * self.chunk_size + ext.offset
-            sub = Request(req.op, off, ext.length, req.fua, req.origin,
-                          req.tenant)
+        cs, end = self.chunk_size, now
+        for stripe, member, within, length in self._extents(req):
+            sub = Request(req.op, stripe * cs + within, length, req.fua,
+                          req.origin, req.tenant)
             # No redundancy: a member lost after retries is fatal.
-            end = max(end, self._member_submit(ext.chunk, sub, now))
+            end = max(end, self._member_submit(member, sub, now))
         return end
 
 
 class Raid1Device(_RaidBase):
-    """Striped mirrors (the paper's 4-SSD RAID-1: capacity = N/2)."""
+    """Striped mirrors: members pair up ``(2p, 2p + 1)`` and the pairs
+    are striped by chunk.  The paper's 4-SSD RAID-1 (capacity N/2) and
+    its backend's 8-disk RAID-10 (Table 1) are both this array."""
 
     def __init__(self, members: List[BlockDevice], chunk_size: int = 4 * KIB,
                  name: str = "raid1"):
@@ -180,47 +173,75 @@ class Raid1Device(_RaidBase):
         return self._alive(member ^ 1)   # the other half of the pair
 
     def _service(self, req: Request, now: float) -> float:
-        if req.op is FLUSH:
+        op = req.op
+        if op is FLUSH:
             return self._flush_all(now)
-        end = now
-        for ext in self._extents(req):
-            off = ext.stripe * self.chunk_size + ext.offset
-            sub = Request(req.op, off, ext.length, req.fua, req.origin,
-                          req.tenant)
-            pair = (2 * ext.chunk, 2 * ext.chunk + 1)
-            if req.op is READ:
-                alive = [i for i in pair if self._alive(i)]
-                if not alive:
-                    raise RaidDegradedError(
-                        f"{self.name}: both mirrors of chunk dead")
+        members, cs, end = self.members, self.chunk_size, now
+        member_submit = self._member_submit
+        for stripe, pair, within, length in self._extents(req):
+            sub = Request(op, stripe * cs + within, length, req.fua,
+                          req.origin, req.tenant)
+            even = 2 * pair
+            if op is READ:
+                # Reads alternate halves, the first of a run the even one;
+                # the other half is the fallback.
                 self._read_toggle ^= 1
-                ordered = (alive[self._read_toggle % len(alive):]
-                           + alive[:self._read_toggle % len(alive)])
-                served = False
-                for i in ordered:
-                    try:
-                        end = max(end, self._member_submit(i, sub, now))
-                        served = True
-                        break
-                    except DeviceFailedError:
-                        continue   # fall back to the other mirror
-                if not served:
-                    raise RaidDegradedError(
-                        f"{self.name}: both mirrors of chunk dead")
-            else:
-                wrote = False
-                for i in pair:
-                    if not self._alive(i):
-                        continue
-                    try:
-                        end = max(end, self._member_submit(i, sub, now))
-                        wrote = True
-                    except DeviceFailedError:
-                        continue
-                if not wrote and req.op is WRITE:
-                    raise RaidDegradedError(
-                        f"{self.name}: both mirrors of chunk dead")
+                order = ((even, even + 1) if self._read_toggle
+                         else (even + 1, even))
+            else:   # WRITE and TRIM go to both halves
+                order = (even, even + 1)
+            served = False
+            for i in order:
+                if members[i].failed:
+                    continue
+                try:
+                    done = member_submit(i, sub, now)
+                except DeviceFailedError:
+                    continue
+                end = done if done > end else end
+                served = True
+                if op is READ:
+                    break
+            if not served and op is not TRIM:
+                raise RaidDegradedError(
+                    f"{self.name}: both mirrors of chunk dead")
         return end
+
+    def _batch(self, op, offsets, lengths, nows, origin, tenants):
+        """WRITE batches while every member is alive and has a batch
+        body of its own: :meth:`_extents` as integer columns, each
+        member handed its pieces in extent order, ``2p`` before
+        ``2p + 1``.  READs (which toggle halves per piece), a dead
+        member and one without a body (whose loop may need the array's
+        retries) take the loop."""
+        members = self.members
+        if op is not WRITE or any(
+                m.failed or type(m)._batch is BlockDevice._batch
+                for m in members):
+            return None
+        n = offsets.shape[0]
+        cs, ends = self.chunk_size, offsets + lengths
+        first = offsets // cs
+        # A zero-length extent reaches no member, wherever it starts.
+        pieces = np.where(lengths > 0, (ends - 1) // cs - first + 1, 0)
+        owner = np.repeat(np.arange(n), pieces)
+        chunk = (first[owner] + np.arange(owner.shape[0])
+                 - np.repeat(np.cumsum(pieces) - pieces, pieces))
+        start = np.maximum(offsets[owner], chunk * cs)
+        take = np.minimum(ends[owner], (chunk + 1) * cs) - start
+        pairs = self.data_members
+        pair = chunk % pairs
+        pair_offset = chunk // pairs * cs + start % cs
+        done = nows.copy()
+        for p in range(pairs):
+            sel = np.flatnonzero(pair == p)
+            rows = owner[sel]
+            tags = tenants and [tenants[i] for i in rows.tolist()]
+            for member in members[2 * p:2 * p + 2]:
+                np.maximum.at(done, rows, member.submit_extents(
+                    op, pair_offset[sel], take[sel], nows[rows], origin,
+                    tags))
+        return done
 
 
 class _ParityRaid(_RaidBase):
@@ -265,11 +286,11 @@ class _ParityRaid(_RaidBase):
         if len(failed) > 1:
             raise RaidDegradedError(f"{self.name}: {len(failed)} members down")
         end = now
-        for ext in self._extents(req):
-            member_idx = self._data_member(ext.stripe, ext.chunk)
-            off = ext.stripe * self.chunk_size + ext.offset
+        for stripe, chunk, within, length in self._extents(req):
+            member_idx = self._data_member(stripe, chunk)
             if self._alive(member_idx):
-                sub = Request(READ, off, ext.length, False, req.origin)
+                sub = Request(READ, stripe * self.chunk_size + within,
+                              length, False, req.origin)
                 try:
                     end = max(end, self._member_submit(member_idx, sub, now))
                     continue
@@ -285,13 +306,13 @@ class _ParityRaid(_RaidBase):
                        if i != member_idx]
             if not self._covers(member_idx):
                 raise RaidDegradedError(
-                    f"{self.name}: stripe {ext.stripe} is not "
+                    f"{self.name}: stripe {stripe} is not "
                     "reconstructable")
             if self.obs.enabled:
                 self.obs.emit(DegradedRead(
                     t=now, device=self.name,
-                    lba=(ext.stripe * self.data_members + ext.chunk)))
-            sub = Request(READ, ext.stripe * self.chunk_size,
+                    lba=(stripe * self.data_members + chunk)))
+            sub = Request(READ, stripe * self.chunk_size,
                           self.chunk_size, False, req.origin)
             for i in sources:
                 try:
@@ -312,20 +333,20 @@ class _ParityRaid(_RaidBase):
         return end
 
     def _group_by_stripe(self, req: Request):
-        grouped: List[Tuple[int, List[_Extent]]] = []
+        grouped: List[Tuple[int, List[Extent]]] = []
         for ext in self._extents(req):
-            if grouped and grouped[-1][0] == ext.stripe:
+            if grouped and grouped[-1][0] == ext[0]:
                 grouped[-1][1].append(ext)
             else:
-                grouped.append((ext.stripe, [ext]))
+                grouped.append((ext[0], [ext]))
         return grouped
 
-    def _write_stripe(self, stripe: int, extents: List[_Extent],
+    def _write_stripe(self, stripe: int, extents: List[Extent],
                       req: Request, now: float) -> float:
         """Write one stripe's worth of data plus parity maintenance."""
-        touched = {ext.chunk for ext in extents}
-        full_chunks = {ext.chunk for ext in extents
-                       if ext.offset == 0 and ext.length == self.chunk_size}
+        touched = {chunk for _, chunk, _, _ in extents}
+        full_chunks = {chunk for _, chunk, within, length in extents
+                       if within == 0 and length == self.chunk_size}
         full_stripe = (len(full_chunks) == self.data_members)
         stripe_off = stripe * self.chunk_size
         parity_idx = self._parity_member(stripe)
@@ -351,16 +372,16 @@ class _ParityRaid(_RaidBase):
                     self.rmw_reads += 1
         write_start = end if not full_stripe else now
 
-        for ext in extents:
-            idx = self._data_member(stripe, ext.chunk)
+        for _, chunk, within, length in extents:
+            idx = self._data_member(stripe, chunk)
             if self._alive(idx):
-                sub = Request(WRITE, stripe_off + ext.offset, ext.length,
+                sub = Request(WRITE, stripe_off + within, length,
                               req.fua, req.origin)
                 end = max(end, self._degradable_submit(idx, sub, write_start))
         if self._alive(parity_idx):
             # Parity is rewritten for the stripe span that changed.
-            span = max(ext.offset + ext.length for ext in extents)
-            base = min(ext.offset for ext in extents)
+            span = max(within + length for _, _, within, length in extents)
+            base = min(within for _, _, within, _ in extents)
             sub = Request(WRITE, stripe_off + base, span - base, req.fua,
                           req.origin)
             end = max(end,
@@ -386,13 +407,13 @@ class _ParityRaid(_RaidBase):
 
     def _trim(self, req: Request, now: float) -> float:
         end = now
-        for ext in self._extents(req):
-            idx = self._data_member(ext.stripe, ext.chunk)
+        for stripe, chunk, within, length in self._extents(req):
+            idx = self._data_member(stripe, chunk)
             if self._alive(idx):
-                off = ext.stripe * self.chunk_size + ext.offset
+                off = stripe * self.chunk_size + within
                 try:
                     end = max(end, self._member_submit(
-                        idx, Request(TRIM, off, ext.length, False,
+                        idx, Request(TRIM, off, length, False,
                                      req.origin), now))
                 except DeviceFailedError:
                     continue   # TRIM to a dying member loses nothing

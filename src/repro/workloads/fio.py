@@ -17,7 +17,7 @@ iterators, never materializing the full workload.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
 import numpy as np
 
@@ -180,17 +180,3 @@ def mixed_chunks(span: int, read_fraction: float,
         chunk = make_chunk(offsets, request_size, OP_WRITE)
         chunk["op"][reads] = OP_READ
         yield chunk
-
-
-def fio_job_streams(span: int, request_size: int = 4 * KIB,
-                    op: Op = Op.WRITE, iodepth: int = 32,
-                    threads: int = 4, seed: int = 0) -> List[Iterator[Request]]:
-    """The paper's FIO setting: ``threads`` jobs at ``iodepth`` each.
-
-    Returns iodepth x threads independent request streams; run them
-    with :func:`repro.sim.engine.run_streams` for closed-loop replay.
-    """
-    return [
-        uniform_random(span, request_size, op, seed=seed * 1000 + i)
-        for i in range(iodepth * threads)
-    ]

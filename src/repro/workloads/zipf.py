@@ -14,10 +14,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.common.chunks import (DEFAULT_CHUNK_REQUESTS, OP_CODE, make_chunk,
-                                 requests_from_chunk)
+from repro.common.chunks import DEFAULT_CHUNK_REQUESTS, OP_CODE, make_chunk
 from repro.common.errors import ConfigError
-from repro.common.types import Op, Request
+from repro.common.types import Op
 from repro.common.units import KIB, PAGE_SIZE
 
 
@@ -68,8 +67,7 @@ def zipf_chunks(span: int, request_size: int = 4 * KIB,
     Offsets are page-aligned with Zipf(``theta``) popularity; the
     vector draw (:meth:`ZipfSampler.sample_many`) consumes the RNG
     bitstream exactly as repeated scalar :meth:`ZipfSampler.sample`
-    calls do, so :func:`zipf_requests` (the flattened form) is
-    bit-identical row for row.
+    calls do.
     """
     if request_size <= 0 or span < request_size:
         raise ConfigError("span must cover at least one request")
@@ -82,12 +80,3 @@ def zipf_chunks(span: int, request_size: int = 4 * KIB,
         offsets = (sampler.sample_many(chunk_requests).astype(np.int64)
                    * PAGE_SIZE)
         yield make_chunk(offsets, request_size, op_code)
-
-
-def zipf_requests(span: int, request_size: int = 4 * KIB,
-                  theta: float = 0.99, op: Op = Op.WRITE, seed: int = 0
-                  ) -> Iterator[Request]:
-    """Scalar form of :func:`zipf_chunks` — same rows, Request objects."""
-    for chunk in zipf_chunks(span, request_size, theta, op, seed):
-        for request in requests_from_chunk(chunk):
-            yield request

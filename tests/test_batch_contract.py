@@ -1,6 +1,6 @@
 """The batch entry's contract: ``BlockDevice.submit_extents`` checks the
 whole batch before anything mutates, over every device kind — the
-bodies (SSD, disk, RAID-10, primary storage) and the loop over
+bodies (SSD, disk, RAID-1 over disks, primary storage) and the loop over
 ``submit`` every other device takes — and it is the one definition
 of the batch entry in the package.
 """
@@ -21,9 +21,9 @@ from repro.common.errors import AddressError
 from repro.common.types import IoOrigin, Op
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.faults import FaultInjector, FaultPlan
-from repro.hdd.backend import PrimaryStorage, Raid10Array
+from repro.hdd.backend import PrimaryStorage
 from repro.hdd.disk import DiskDevice
-from repro.raid.array import Raid5Device
+from repro.raid.array import Raid1Device, Raid5Device
 from repro.ssd.device import SSDDevice
 
 from _stacks import TINY_DISK, TINY_SSD
@@ -34,8 +34,9 @@ DEVICES = {
     # The bodies.
     "ssd": lambda: SSDDevice(TINY_SSD),
     "disk": lambda: DiskDevice(TINY_DISK),
-    "raid10": lambda: Raid10Array([DiskDevice(TINY_DISK, name=f"d{i}")
-                                   for i in range(4)]),
+    # RAID-1 over disks: the origin's RAID-10.
+    "raid10": lambda: Raid1Device([DiskDevice(TINY_DISK, name=f"d{i}")
+                                   for i in range(4)], chunk_size=64 * KIB),
     "primary": lambda: PrimaryStorage(n_disks=4, disk_spec=TINY_DISK),
     # The loop.
     "faulty-ssd": lambda: FaultInjector(SSDDevice(TINY_SSD), FaultPlan()),

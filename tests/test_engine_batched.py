@@ -36,12 +36,11 @@ from repro.obs.events import AdmissionRejected
 from repro.sim.engine import run_chunk_streams
 from repro.ssd.device import SSDDevice
 from repro.tenancy import QosSpec, TenantRegistry
-from repro.workloads.fio import (fio_job_streams, mixed_chunks, sequential,
-                                 sequential_chunks, uniform_random,
-                                 uniform_random_chunks)
+from repro.workloads.fio import (mixed_chunks, sequential, sequential_chunks,
+                                 uniform_random, uniform_random_chunks)
 from repro.workloads.msr import (MAX_REQUEST, TRACES, SyntheticTrace,
                                  build_group, build_group_chunks)
-from repro.workloads.zipf import ZipfSampler, zipf_chunks, zipf_requests
+from repro.workloads.zipf import ZipfSampler, zipf_chunks
 
 from _stacks import TINY_DISK, TINY_SRC, TINY_SSD, make_src
 
@@ -879,17 +878,6 @@ def test_zipf_sample_many_matches_repeated_sample():
     assert np.array_equal(scalar, b.sample_many(4096))
 
 
-def test_zipf_chunks_rows_match_zipf_requests():
-    span = 16 * MIB
-    chunks = zipf_chunks(span, seed=7)
-    requests = zipf_requests(span, seed=7)
-    rows = next(chunks)
-    for i in range(len(rows)):
-        req = next(requests)
-        assert req.offset == int(rows["offset"][i])
-        assert req.length == int(rows["length"][i])
-
-
 def test_uniform_vector_rng_matches_scalar_draws():
     # The chunked generators' correctness rests on vector integer draws
     # consuming the PCG64 bitstream exactly like repeated scalar draws.
@@ -988,7 +976,7 @@ def test_workload_sources_are_lazy_iterators():
         uniform_random(span), uniform_random_chunks(span),
         sequential(span), sequential_chunks(span),
         mixed_chunks(span, 0.5),
-        zipf_requests(span), zipf_chunks(span),
+        zipf_chunks(span),
         trace.requests(), trace.chunks(),
     ]
     for source in singles:
@@ -996,7 +984,7 @@ def test_workload_sources_are_lazy_iterators():
     streams, _ = build_group("read", scale=0.001, threads_per_trace=1)
     chunk_streams, _ = build_group_chunks("read", scale=0.001,
                                           threads_per_trace=1)
-    for source in streams + chunk_streams + fio_job_streams(span):
+    for source in streams + chunk_streams:
         _assert_lazy(source)
 
 

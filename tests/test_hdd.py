@@ -1,15 +1,20 @@
-"""Mechanical disk and RAID-10 backend."""
+"""Mechanical disk and the RAID-10 backend."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError
+from repro import obs
+from repro.common.errors import ConfigError, RaidDegradedError
 from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import GIB, KIB, MIB, mb_per_sec
-from repro.hdd.backend import PrimaryStorage, Raid10Array
+from repro.faults import FaultInjector, FaultPlan
+from repro.hdd.backend import PrimaryStorage
 from repro.hdd.disk import DiskDevice, DiskSpec
+from repro.obs.events import HealthTransition
+from repro.raid.array import Raid1Device
+from repro.repair import DeviceHealth
 
 
 def test_random_read_pays_positioning():
@@ -61,44 +66,28 @@ def test_rotation_latency():
 
 
 # ------------------------------------------------------------------
-# RAID-10
+# RAID-10: the md striped mirror over disks (capacity, both halves
+# written, one half read and odd counts are tests/test_raid.py's)
 # ------------------------------------------------------------------
 def make_array(n=4):
     disks = [DiskDevice(DiskSpec(capacity=1024 * MIB)) for _ in range(n)]
-    return Raid10Array(disks, chunk_size=64 * KIB), disks
-
-
-def test_raid10_capacity_is_half():
-    array, disks = make_array(4)
-    assert array.size == 2 * disks[0].size
-
-
-def test_raid10_write_hits_both_mirrors():
-    array, disks = make_array(2)
-    array.write(0, 64 * KIB, 0.0)
-    assert disks[0].stats.write_bytes == 64 * KIB
-    assert disks[1].stats.write_bytes == 64 * KIB
+    return Raid1Device(disks, chunk_size=64 * KIB), disks
 
 
 def test_raid10_reads_balance_between_mirrors():
+    """Reads alternate halves, the first of a run the even one."""
     array, disks = make_array(2)
-    for i in range(10):
+    array.read(0, 64 * KIB, 0.0)
+    assert (disks[0].stats.read_ops, disks[1].stats.read_ops) == (1, 0)
+    for i in range(1, 10):
         array.read(0, 64 * KIB, float(i))
-    assert disks[0].stats.read_ops > 0
-    assert disks[1].stats.read_ops > 0
+    assert disks[0].stats.read_ops == disks[1].stats.read_ops == 5
 
 
 def test_raid10_stripes_across_pairs():
     array, disks = make_array(4)
     array.write(0, 128 * KIB, 0.0)   # two chunks -> two pairs
-    assert disks[0].stats.write_ops == 1
-    assert disks[2].stats.write_ops == 1
-
-
-def test_raid10_odd_disk_count_rejected():
-    disks = [DiskDevice() for _ in range(3)]
-    with pytest.raises(ConfigError):
-        Raid10Array(disks)
+    assert [d.stats.write_ops for d in disks] == [1, 1, 1, 1]
 
 
 def test_primary_storage_link_serializes():
@@ -122,6 +111,45 @@ def test_primary_storage_flush_propagates():
     storage = PrimaryStorage(n_disks=2)
     end = storage.write(0, 1 * MIB, 0.0)
     assert storage.flush(0.0) > 0.0
+
+
+# ------------------------------------------------------------------
+# the origin's degraded mode: one disk per pair may go
+# ------------------------------------------------------------------
+def fail_stop(origin: PrimaryStorage, index: int) -> None:
+    """The array finds the disk dead on its next I/O to it."""
+    members = origin.array.members
+    members[index] = FaultInjector(members[index],
+                                   FaultPlan().fail_stop(at=0.0))
+
+
+def test_origin_serves_from_the_surviving_half():
+    origin = PrimaryStorage(n_disks=4)
+    recorder = obs.ObsRecorder()
+    obs.attach(origin, recorder)
+    fail_stop(origin, 0)
+    survivor = origin.disks[1]
+    end = origin.write(0, 64 * KIB, 0.0)          # chunk 0: pair 0
+    assert survivor.stats.write_ops == 1
+    assert origin.array.health.state(0) is DeviceHealth.DEGRADED
+    for i in range(4):          # the even half would take reads 1 and 3
+        origin.read(0, 4 * KIB, end + i)
+    assert survivor.stats.read_ops == 4
+    assert [(e.device, e.member, e.old, e.new) for e in recorder.trace
+            if isinstance(e, HealthTransition)] == [
+        ("primary-raid10", 0, "healthy", "degraded")]
+
+
+def test_origin_losing_both_halves_of_a_pair_raises():
+    origin = PrimaryStorage(n_disks=4)
+    fail_stop(origin, 0)
+    fail_stop(origin, 1)
+    origin.write(64 * KIB, 4 * KIB, 0.0)          # pair 1 still serves
+    with pytest.raises(RaidDegradedError):
+        origin.write(0, 4 * KIB, 0.0)
+    with pytest.raises(RaidDegradedError):
+        origin.read(0, 4 * KIB, 1.0)
+    assert origin.array.health.state(1) is DeviceHealth.FAILED
 
 
 def near_oracle(disk: DiskDevice, offset: int) -> bool:

@@ -17,8 +17,9 @@ from repro.common.types import IoOrigin, Op, Request
 from repro.common.units import GIB, KIB, MIB, PAGE_SIZE
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.hdd.backend import PrimaryStorage, Raid10Array
+from repro.hdd.backend import PrimaryStorage
 from repro.hdd.disk import DiskDevice, DiskSpec
+from repro.raid.array import Raid1Device
 
 DISK = DiskSpec(capacity=8 * GIB)
 CHUNK = 64 * KIB
@@ -181,24 +182,71 @@ class Tap(StatsDevice):
         return super()._service(req, now)
 
 
-def test_wrapped_disks_take_the_loop_by_dispatch():
-    """Each tapped mirror sees, through its inherited loop, exactly the
-    tagged sub-requests the scalar array sends it, in the same order."""
+def test_wrapped_disks_take_the_loop_by_dispatch(monkeypatch):
+    """Members with no batch body of their own send the array to its
+    loop: each tapped mirror sees exactly the tagged sub-requests the
+    scalar array sends it, in the same order."""
     offs, lens = columns([(CHUNK - 512, PAGE_SIZE), (7 * CHUNK, 0),
                           (2 * CHUNK + 512, 3 * CHUNK), (9 * CHUNK, CHUNK)])
     tenants, nows = ["a", "b", None, "a"], np.array([0.0, 0.1, 0.1, 0.3])
     logs, dones = [], []
-    for submit in (Raid10Array.submit_extents, BlockDevice._submit_each):
+    calls = counting_loop(monkeypatch)
+    for submit in (Raid1Device.submit_extents, ORACLE):
         log = []
-        array = Raid10Array([Tap(DiskDevice(DISK, name=f"d{i}"), log)
-                             for i in range(4)])
+        array = Raid1Device([Tap(DiskDevice(DISK, name=f"d{i}"), log)
+                             for i in range(4)], CHUNK)
         dones.append(submit(array, Op.WRITE, offs, lens, nows,
                             IoOrigin.DESTAGE, tenants).tolist())
         logs.append([[row for row in log if row[0] == f"d{i}"]
                      for i in range(4)])
+    assert calls == ["raid1"]
     assert dones[0] == dones[1]
     assert logs[0] == logs[1]
     assert all(logs[0])
+
+
+def test_a_degraded_origin_declines_to_the_loop(monkeypatch):
+    """One disk down: a destage batch takes the array's loop, which
+    writes the surviving half of pair 0, and lands every float and
+    every piece of state the loop does."""
+    fast, _ = build()
+    loop, _ = build()
+    for origin in (fast, loop):
+        origin.disks[0].fail()
+    untouched = disk_state(fast.disks[0])
+    offs, lens = columns([(i * 5 * CHUNK + 512, (1 + i % 3) * PAGE_SIZE)
+                          for i in range(24)])
+    calls = counting_loop(monkeypatch)
+    got = fast.submit_extents(Op.WRITE, offs, lens, 0.1, IoOrigin.DESTAGE)
+    want = ORACLE(loop, Op.WRITE, offs, lens, 0.1, IoOrigin.DESTAGE)
+    assert calls == [fast.array.name]
+    assert got.tolist() == want.tolist()
+    assert state(fast) == state(loop)
+    assert disk_state(fast.disks[0]) == untouched
+
+
+def test_a_faulty_member_takes_the_loop_and_its_retries(monkeypatch):
+    """A disk behind a fault injector has no batch body: the array
+    declines, and its loop retries the injector's transient errors as
+    the per-request path does."""
+    def faulty(origin):
+        origin.array.members[2] = FaultInjector(
+            origin.disks[2], FaultPlan(seed=3).transient_window(
+                0.0, 1.0, 0.3), name="f2")
+        return origin
+    fast, loop = faulty(build()[0]), faulty(build()[0])
+    offs, lens = columns([(i * CHUNK, PAGE_SIZE) for i in range(40)])
+    calls = counting_loop(monkeypatch)
+    got = fast.submit_extents(Op.WRITE, offs, lens, 0.1, IoOrigin.DESTAGE)
+    want = [loop.submit(Request(Op.WRITE, int(o), int(n),
+                                origin=IoOrigin.DESTAGE), 0.1)
+            for o, n in zip(offs, lens)]
+    assert calls == [fast.array.name]
+    assert got.tolist() == want
+    assert fast.array.member_retries == loop.array.member_retries > 0
+    for a, b in zip(fast.disks, loop.disks):
+        a, b = getattr(a, "lower", a), getattr(b, "lower", b)
+        assert disk_state(a) == disk_state(b)
 
 
 @pytest.mark.parametrize("level", ["origin", "array", "disk"])

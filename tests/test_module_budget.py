@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LIMIT = 600
-PACKAGE_LIMIT = 18057
+PACKAGE_LIMIT = 17976
 MEMBERS_LIMIT = 320
 
 

@@ -90,21 +90,24 @@ read_batch = st.one_of(st.lists(read_extent, max_size=6),
                                 min_size=30, max_size=90),
                        st.lists(read_extent, max_size=90))
 # WRITE: scattered extents, or unit-shaped ones — ascending, back to
-# back, over a range TRIMmed first.
+# back, over a range TRIMmed first.  Either op is issued at one now, as
+# a rising column, or "tied": each extent exactly at a queued
+# completion time, whose slot it takes without waiting.
 scattered = st.lists(st.tuples(offsets, st.one_of(
     st.sampled_from([PAGE_SIZE, UNIT, 3 * PAGE_SIZE, 512]),
     st.integers(1, 16 * PAGE_SIZE))), min_size=1, max_size=40)
 contiguous = st.tuples(st.integers(0, 200).map(lambda u: u * UNIT),
                        st.lists(st.sampled_from([UNIT, UNIT, 3 * PAGE_SIZE]),
                                 min_size=2, max_size=40))
+TIMINGS = st.sampled_from(["now", "column", "tied"])
 STEPS = {
     Op.READ: st.lists(st.tuples(
-        read_batch, st.floats(0.0, 0.05), st.booleans(),
+        read_batch, st.floats(0.0, 0.05), TIMINGS,
         st.sampled_from([IoOrigin.GC, IoOrigin.DESTAGE,
                          IoOrigin.FOREGROUND])), min_size=1, max_size=4),
     Op.WRITE: st.lists(st.tuples(
         st.one_of(scattered, contiguous), st.floats(0.0, 0.05),
-        st.booleans(), st.sampled_from([IoOrigin.GC, IoOrigin.FOREGROUND])),
+        TIMINGS, st.sampled_from([IoOrigin.GC, IoOrigin.FOREGROUND])),
         min_size=1, max_size=3),
 }
 
@@ -115,7 +118,7 @@ STEPS = {
 def test_override_matches_the_loop(op, data, observed):
     fast, fast_rec = build(observed=observed)
     loop, loop_rec = build(observed=observed)
-    for shape, now, as_column, origin in data.draw(STEPS[op]):
+    for shape, now, timing, origin in data.draw(STEPS[op]):
         if isinstance(shape, tuple):            # unit-shaped
             base, sizes = shape
             extents = list(zip(base + np.cumsum([0] + sizes[:-1]), sizes))
@@ -124,8 +127,12 @@ def test_override_matches_the_loop(op, data, observed):
         else:
             extents = shape
         offs, lens = columns(extents)
-        nows = (now + np.linspace(0.0, 2e-3, len(extents)) if as_column
-                else now)
+        if timing == "tied":
+            nows = np.resize(sorted(fast._inflight) or [now], len(extents))
+        elif timing == "column":
+            nows = now + np.linspace(0.0, 2e-3, len(extents))
+        else:
+            nows = now
         got = fast.submit_extents(op, offs, lens, nows, origin)
         want = BlockDevice._submit_each(loop, op, offs, lens, nows, origin)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()

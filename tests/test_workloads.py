@@ -83,11 +83,6 @@ def test_mixed_ratio():
     assert read_frac == pytest.approx(0.7, abs=0.05)
 
 
-def test_fio_job_streams_count():
-    streams = fio.fio_job_streams(1 * MIB, iodepth=8, threads=2)
-    assert len(streams) == 16
-
-
 # ------------------------------------------------------------------
 # Zipf sampler
 # ------------------------------------------------------------------
