@@ -26,6 +26,9 @@ from repro.block.device import BlockDevice
 from repro.common.errors import ConfigError
 from repro.common.units import MIB, PAGE_SIZE
 
+# Dirty blocks one destage pass writes back before it yields.
+DESTAGE_BATCH = 64
+
 
 @dataclass
 class _Slot:
@@ -41,14 +44,13 @@ class FlashcacheDevice(CacheTarget):
                  set_size: int = 2 * MIB,
                  policy: WritePolicy = WritePolicy.WRITE_BACK,
                  dirty_thresh_pct: float = 0.20,
-                 destage_batch: int = 64,
                  name: str = "flashcache"):
         super().__init__(cache_dev, origin, name)
         if set_size % PAGE_SIZE:
             raise ConfigError("set_size must be 4 KiB aligned")
         self.policy = policy
         self.dirty_thresh_pct = dirty_thresh_pct
-        self.destage_batch = destage_batch
+        self.destage_batch = DESTAGE_BATCH
 
         # Layout: a metadata partition up front, then data sets.
         self.blocks_per_set = set_size // PAGE_SIZE

@@ -6,8 +6,9 @@ completes the lineage and gives a useful reference point between the
 block-mapped baselines and SRC:
 
 * writes are gathered in a RAM buffer and persisted as sequential
-  512 KB segments (data + metadata header), like SRC but on one SSD
-  and without parity, clean segments, or S2S GC;
+  512 KB segments (data + metadata header), each followed by a FLUSH,
+  like SRC but on one SSD and without parity, clean segments, or S2S
+  GC;
 * reads check the cache but misses do NOT populate it (write cache);
 * reclamation is migrate-only: the oldest segment's live dirty blocks
   are written back to the origin and the segment is reused.
@@ -38,7 +39,6 @@ class WriteboostDevice(CacheTarget):
     def __init__(self, cache_dev: BlockDevice, origin: BlockDevice,
                  segment_size: int = 512 * KIB,
                  migrate_threshold: float = 0.7,
-                 flush_per_segment: bool = True,
                  name: str = "writeboost"):
         super().__init__(cache_dev, origin, name)
         if segment_size % PAGE_SIZE or segment_size < 3 * PAGE_SIZE:
@@ -50,7 +50,6 @@ class WriteboostDevice(CacheTarget):
         if self.n_segments < 4:
             raise ConfigError("cache device too small for four segments")
         self.migrate_threshold = migrate_threshold
-        self.flush_per_segment = flush_per_segment
 
         self.segments: List[_Segment] = [
             _Segment(i) for i in range(self.n_segments)]
@@ -93,8 +92,7 @@ class WriteboostDevice(CacheTarget):
         length = (len(self.ram_buffer) + 1) * PAGE_SIZE   # + header
         end = self.cache_write(self._segment_offset(segment.index), now,
                                length)
-        if self.flush_per_segment:
-            end = self.cache_dev.submit(Request(Op.FLUSH), end)
+        end = self.cache_dev.submit(Request(Op.FLUSH), end)
         self.ram_buffer = []
         self.segment_writes += 1
         self._advance_segment(now)

@@ -46,8 +46,8 @@ class Submission:
 
     One Submission is allocated per request on the split-phase path,
     so this is a ``__slots__`` class; treat instances as immutable.
-    ``tenant`` carries the request's tenant tag (``None`` when the
-    stack is single-tenant), defaulting to ``req.tenant``.
+    ``tenant`` is the request's tenant tag, ``req.tenant`` (``None``
+    when the stack is single-tenant).
     """
 
     __slots__ = ("req", "device", "issue_t", "begin_t", "done_t", "origin",
@@ -55,15 +55,14 @@ class Submission:
 
     def __init__(self, req: Request, device: str, issue_t: float,
                  begin_t: float, done_t: float,
-                 origin: IoOrigin = IoOrigin.FOREGROUND,
-                 tenant: "str | None" = None):
+                 origin: IoOrigin = IoOrigin.FOREGROUND):
         self.req = req
         self.device = device
         self.issue_t = issue_t
         self.begin_t = begin_t
         self.done_t = done_t
         self.origin = origin
-        self.tenant = tenant if tenant is not None else req.tenant
+        self.tenant = req.tenant
 
     def __repr__(self) -> str:
         return (f"Submission(req={self.req!r}, device={self.device!r}, "

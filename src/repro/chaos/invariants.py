@@ -210,15 +210,13 @@ def check_cluster_ownership(router) -> List[str]:
 class InvariantSuite:
     """Compose every monitor that applies to a stack; count the runs."""
 
-    def __init__(self, caches=None, router=None, ledger=None):
+    def __init__(self, caches=None, router=None):
         self.caches = list(caches) if caches is not None else []
         self.router = router
-        self.ledger = ledger
+        self.ledger = router.ledger if router is not None else None
         if router is not None:
             self.caches.extend(
                 s for s in router.shards.values() if s not in self.caches)
-            if self.ledger is None:
-                self.ledger = router.ledger
         self.checks_run = 0
         self.violations: List[str] = []
 

@@ -69,7 +69,7 @@ LBA_SPAN = 1024          # pages of origin address space the workload hits
 # Fine-grained slabs and few vnodes keep the ring small enough that
 # every arc sees traffic within one case's operations.
 TORTURE_CLUSTER = ClusterConfig(
-    n_shards=2, vnodes=8, slab_blocks=16, hash_seed=1,
+    n_shards=2, vnodes=8, slab_blocks=16,
     migration_rate=8 * MIB, migration_unit_blocks=16)
 
 # Simulated time at which a recovered cluster resumes: past anything a

@@ -92,12 +92,13 @@ class ChaosScheduler:
     FAULTS = ("fail-slow", "transient", "rebalance", "gc-storm",
               "power-cut")
 
+    CHUNK_ROWS = 256        # rows per workload chunk
+
     def __init__(self, seed: int = 0, ops: int = 4000,
-                 check_every: int = 256, chunk_rows: int = 256) -> None:
+                 check_every: int = 256) -> None:
         self.seed = seed
         self.ops = ops
         self.check_every = check_every
-        self.chunk_rows = chunk_rows
         # Operation-count schedule: identical in both paths.
         self.limp_at = ops // 8
         self.transient_at = ops // 6
@@ -112,7 +113,7 @@ class ChaosScheduler:
         chunks = []
         produced = 0
         while produced < self.ops:
-            n = min(self.chunk_rows, self.ops - produced)
+            n = min(self.CHUNK_ROWS, self.ops - produced)
             offsets = rng.integers(0, LBA_SPAN, size=n) * PAGE_SIZE
             rows = make_chunk(offsets, PAGE_SIZE)
             rows["op"][rng.random(n) >= 0.70] = OP_READ

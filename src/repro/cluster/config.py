@@ -11,8 +11,8 @@ The knobs split into three concerns:
   requests rarely straddle shards and sequential locality survives
   sharding);
 * **migration** — the token-bucket byte rate, the foreground-p99
-  guard, the per-pump copy batch, and the catch-up bound that keeps a
-  rebalance from chasing a hot writer forever;
+  guard and the per-pump copy batch (the catch-up bound is
+  :data:`repro.cluster.migration.MAX_CATCHUP_PASSES`);
 * **failover** — how long an attached spare stays REBUILDING before
   the router calls its slot HEALTHY again.
 """
@@ -33,16 +33,11 @@ class ClusterConfig(_Document):
     n_shards: int = 4                   # initial shard slots
     vnodes: int = 32                    # ring points per shard
     slab_blocks: int = 256              # routing granularity (1 MiB slabs)
-    hash_seed: int = 1                  # ring placement seed
 
     migration_rate: float = 64 * MIB    # copy bytes/s budget; 0 = unlimited
     migration_fg_p99: float = 0.0       # pause migration while foreground
                                         # rolling p99 exceeds this (s); 0 off
     migration_unit_blocks: int = 64     # blocks copied per pump step
-    migrate_clean: bool = True          # copy clean blocks too (False drops
-                                        # them; the origin re-fills on miss)
-    max_catchup_passes: int = 8         # re-walks chasing concurrent writes
-                                        # before the final forced copy
     spare_warm_s: float = 0.0           # REBUILDING -> HEALTHY delay after
                                         # a spare shard is attached
 
@@ -60,5 +55,3 @@ class ClusterConfig(_Document):
                               ">= 0 (0 disables)")
         if self.migration_unit_blocks < 1:
             raise ConfigError("migration_unit_blocks must be >= 1")
-        if self.max_catchup_passes < 0:
-            raise ConfigError("max_catchup_passes must be >= 0")

@@ -22,7 +22,7 @@ pacing, foreground-p99 back-off, caller-driven pump):
    foreground guard reports hot.
 3. **Catch-up** — re-walk the range; any block whose write-version
    changed (or appeared) since its copy is copied again.  Bounded by
-   ``max_catchup_passes``; the final pass copies the remainder inside
+   :data:`MAX_CATCHUP_PASSES`; the final pass copies the remainder inside
    one pump step, which the single-threaded simulation cannot
    interleave writes into.
 4. **Seal & flip** — ``target.handle_flush`` makes the copies durable,
@@ -49,6 +49,11 @@ from repro.common.units import PAGE_SIZE
 
 from .config import ClusterConfig
 from .hashring import arc_contains
+
+
+# Re-walks chasing concurrent writes before the final forced copy: the
+# bound that keeps a rebalance from chasing a hot writer forever.
+MAX_CATCHUP_PASSES = 8
 
 
 class MigrationError(ReproError):
@@ -143,7 +148,6 @@ class MigrationStats:
     forced_finals: int = 0
     throttle_defers: int = 0
     guard_defers: int = 0
-    skipped_clean: int = 0
     frozen_skips: int = 0
 
 
@@ -176,31 +180,18 @@ class MigrationJob:
         return not self.moves
 
     # ------------------------------------------------------------------
-    def _range_blocks(self, move: RangeMove, source,
-                      for_copy: bool = False) -> List[Tuple[int, bool]]:
-        """Source's cached blocks whose slab hashes into the move's arc.
-
-        With ``for_copy`` and ``migrate_clean=False``, clean blocks are
-        skipped (the origin re-fills them on miss at the target) — but
-        the eviction walk at hand-off must NOT skip them, or the source
-        would keep serving a range it no longer owns.
-        """
+    def _range_blocks(self, move: RangeMove,
+                      source) -> List[Tuple[int, bool]]:
+        """Source's cached blocks whose slab hashes into the move's arc."""
         ring = self.router.ring
         slab = self.config.slab_blocks
-        out = []
-        for lba, dirty in source.cached_blocks():
-            if move.contains(ring.key_hash(lba // slab)):
-                if for_copy and not dirty and not self.config.migrate_clean:
-                    self.stats.skipped_clean += 1
-                    continue
-                out.append((lba, dirty))
-        return out
+        return [(lba, dirty) for lba, dirty in source.cached_blocks()
+                if move.contains(ring.key_hash(lba // slab))]
 
     def _stale(self, move: RangeMove, source) -> List[Tuple[int, bool]]:
         """Blocks written (or newly admitted) since their last copy."""
         return [(lba, dirty)
-                for lba, dirty in self._range_blocks(move, source,
-                                                     for_copy=True)
+                for lba, dirty in self._range_blocks(move, source)
                 if self._copied.get(lba) != source.block_version(lba)]
 
     def _copy_one(self, lba: int, source, target, now: float) -> float:
@@ -248,8 +239,7 @@ class MigrationJob:
             return
 
         if self._work is None:
-            self._work = deque(self._range_blocks(move, source,
-                                                  for_copy=True))
+            self._work = deque(self._range_blocks(move, source))
             self._copied = {}
             self._passes = 0
 
@@ -268,7 +258,7 @@ class MigrationJob:
 
         # Work list drained: catch up with writes that raced the copy.
         stale = self._stale(move, source)
-        if stale and self._passes < self.config.max_catchup_passes:
+        if stale and self._passes < MAX_CATCHUP_PASSES:
             self._passes += 1
             self.stats.catchup_passes += 1
             self._work = deque(stale)

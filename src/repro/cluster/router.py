@@ -108,7 +108,7 @@ class ShardRouter(BlockDevice):
         self.config = config
         self.origin = origin
         self.shards: Dict[int, object] = dict(enumerate(shards))
-        self.ring = HashRing(vnodes=config.vnodes, seed=config.hash_seed)
+        self.ring = HashRing(vnodes=config.vnodes)
         for slot in self.shards:
             self.ring.add(slot)   # initial population: nothing to move
         self.health = ShardHealthTracker(len(shards), device=name)

@@ -10,14 +10,18 @@ The configuration is split into policy groups, each a frozen dataclass:
   (``n_ssds``, ``erase_group_size``, ``segment_unit``, ``raid_level``,
   ``clean_redundancy``, ``flush_point``, ``t_wait``, ``cache_space``);
 * :class:`ReclaimConfig` — free-space reclamation (§4.2);
-* :class:`FaultConfig` — retry/fail-slow/bypass resilience policies;
+* :class:`FaultConfig` — fail-slow and bypass resilience policies
+  (retries follow :data:`repro.faults.policy.DEFAULT_RETRY`, the one
+  policy SRC and the RAID layer share);
 * :class:`RepairConfig` — hot spares, rebuild and scrub scheduling;
 * :class:`QosConfig` — multi-tenant share enforcement
   (:mod:`repro.tenancy`).
 
-Policy knobs are only reachable through their group: the pre-split
-flat spellings (``SrcConfig(u_max=0.85)``, ``config.u_max``, flat
-``from_dict`` documents) are gone and fail loudly — see
+Every field is a knob some experiment, scenario or test sets; a value
+nothing sets is a constant where it is used instead.  Policy knobs are
+only reachable through their group: the pre-split flat spellings
+(``SrcConfig(u_max=0.85)``, ``config.u_max``, flat ``from_dict``
+documents) and the removed fields are gone and fail loudly — see
 ``docs/extending.md`` for the migration table.
 """
 
@@ -115,11 +119,9 @@ class ReclaimConfig(_Document):
 @dataclass(frozen=True)
 class FaultConfig(_Document):
     """Resilience policies (§4.1 failure handling, extended by the
-    repro.faults subsystem; see docs/fault_model.md)."""
+    repro.faults subsystem; see docs/fault_model.md).  Retries are not
+    a knob: every SSD request runs under ``DEFAULT_RETRY``."""
 
-    retry_attempts: int = 4             # total tries per SSD request
-    retry_backoff: float = 200e-6       # first-retry delay, doubled after
-    retry_timeout: float = 50e-3        # per-request retry budget (s)
     failslow_p99: float = 0.0           # rolling-p99 limit (s); 0 disables
     failslow_window: int = 256          # samples per detection window
     failslow_flush_p99: float = 0.0     # FLUSH-latency p99 limit (s);
@@ -128,11 +130,6 @@ class FaultConfig(_Document):
     bypass_on_failure: bool = True      # origin-bypass when array is lost
 
     def __post_init__(self) -> None:
-        if self.retry_attempts < 1:
-            raise ConfigError("retry_attempts must be >= 1")
-        if self.retry_backoff < 0 or self.retry_timeout <= 0:
-            raise ConfigError("retry_backoff must be >= 0 and "
-                              "retry_timeout > 0")
         if self.failslow_p99 < 0:
             raise ConfigError("failslow_p99 must be >= 0 (0 disables)")
         if self.failslow_window < 2:
@@ -150,14 +147,12 @@ class RepairConfig(_Document):
     rebuild_fg_p99: float = 0.0         # pause rebuild while the foreground
                                         # rolling p99 exceeds this (s); 0 off
     scrub_interval: float = 0.0         # seconds between scrub passes; 0 off
-    scrub_rate: float = 0.0             # scrub bytes/s budget; 0 = unlimited
 
     def __post_init__(self) -> None:
         if self.hot_spares < 0:
             raise ConfigError("hot_spares must be >= 0")
-        if self.rebuild_rate < 0 or self.scrub_rate < 0:
-            raise ConfigError("rebuild_rate and scrub_rate must be >= 0 "
-                              "(0 = unlimited)")
+        if self.rebuild_rate < 0:
+            raise ConfigError("rebuild_rate must be >= 0 (0 = unlimited)")
         if self.rebuild_fg_p99 < 0 or self.scrub_interval < 0:
             raise ConfigError("rebuild_fg_p99 and scrub_interval must be "
                               ">= 0 (0 disables)")
@@ -172,22 +167,12 @@ class QosConfig(_Document):
     ``max_share`` is a hard cap.  Between the two, admission depends on
     ``work_conserving``: when True a tenant may borrow capacity that no
     reservation is waiting on; when False tenants are strictly
-    partitioned at their reservations.
+    partitioned at their reservations.  A tenant registered without a
+    spec gets ``QosSpec()``: no reservation, the whole cache as its cap.
     """
 
     enforce_shares: bool = True         # partition min/max occupancy shares
     work_conserving: bool = True        # borrow idle unreserved capacity
-    default_min_share: float = 0.0      # reservation for unspecced tenants
-    default_max_share: float = 1.0      # cap for unspecced tenants
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.default_min_share <= 1.0:
-            raise ConfigError("default_min_share must be in [0,1]")
-        if not 0.0 <= self.default_max_share <= 1.0:
-            raise ConfigError("default_max_share must be in [0,1]")
-        if self.default_min_share > self.default_max_share:
-            raise ConfigError("default_min_share must be <= "
-                              "default_max_share")
 
 
 @dataclass(frozen=True)

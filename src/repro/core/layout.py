@@ -35,14 +35,11 @@ class BlockLocation(NamedTuple):
 class SegmentLayout:
     """Geometry calculator for one SRC instance."""
 
-    def __init__(self, config: SrcConfig, ssd_capacity: int,
-                 region_start: int = 0):
+    def __init__(self, config: SrcConfig, ssd_capacity: int):
         self.config = config
-        self.region_start = region_start
-        usable = ssd_capacity - region_start
+        usable = ssd_capacity
         if config.cache_space:
-            per_ssd_space = config.cache_space // config.n_ssds
-            usable = min(usable, per_ssd_space)
+            usable = min(usable, config.cache_space // config.n_ssds)
         self.groups = usable // config.erase_group_size
         if self.groups < 4:
             raise ConfigError(
@@ -97,7 +94,7 @@ class SegmentLayout:
             raise ConfigError(f"segment group {sg} out of range")
         if not 0 <= segment < self.segments_per_group:
             raise ConfigError(f"segment {segment} out of range")
-        return (self.region_start + sg * self.config.erase_group_size
+        return (sg * self.config.erase_group_size
                 + segment * self.config.segment_unit)
 
     def parity_ssd(self, sg: int, segment: int) -> int:

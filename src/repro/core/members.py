@@ -26,7 +26,7 @@ from repro.common.types import (FLUSH, FOREGROUND, READ, TRIM, WRITE,
 from repro.common.units import PAGE_SIZE
 from repro.core.mapping import CacheEntry
 from repro.faults.failslow import FailSlowDetector
-from repro.faults.policy import RetryPolicy, submit_with_retry
+from repro.faults.policy import submit_with_retry
 from repro.obs.events import DegradedRead, DeviceLimping, FlushBarrier
 from repro.ssd.device import SSDDevice
 
@@ -37,9 +37,6 @@ class Members:
     def __init__(self, cache) -> None:
         self.cache = cache
         faults = cache.config.faults
-        self.retry_policy = RetryPolicy(
-            max_attempts=faults.retry_attempts,
-            backoff=faults.retry_backoff, timeout=faults.retry_timeout)
         self.failslow: Optional[FailSlowDetector] = (
             FailSlowDetector(faults.failslow_p99,
                              window=faults.failslow_window,
@@ -74,8 +71,8 @@ class Members:
         stats = cache.srcstats
         ssd = cache.ssds[idx]
         try:
-            end = submit_with_retry(ssd, req, now, self.retry_policy,
-                                    obs=cache.obs, on_retry=self._count_retry)
+            end = submit_with_retry(ssd, req, now, obs=cache.obs,
+                                    on_retry=self._count_retry)
         except (RequestTimeoutError, DeviceFailedError) as exc:
             if isinstance(exc, RequestTimeoutError):
                 stats.retry_give_ups += 1

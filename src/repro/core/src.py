@@ -109,7 +109,6 @@ class SrcCache(CacheTarget):
     def __init__(self, ssds: List[BlockDevice], origin: BlockDevice,
                  config: SrcConfig = SrcConfig(),
                  metadata: Optional[MetadataStore] = None,
-                 create_time: float = 0.0,
                  spares: Optional[List[BlockDevice]] = None):
         if len(ssds) != config.n_ssds:
             raise ConfigError(
@@ -153,7 +152,7 @@ class SrcCache(CacheTarget):
 
         if self.metadata.superblock is None:
             self.metadata.format(Superblock(
-                magic=SRC_MAGIC, create_time=create_time,
+                magic=SRC_MAGIC, create_time=0.0,
                 device_size=origin.size, n_ssds=config.n_ssds,
                 erase_group_size=config.erase_group_size,
                 segment_unit=config.segment_unit))

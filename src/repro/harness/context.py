@@ -58,7 +58,6 @@ QUICK_SCALE = DEFAULT_SCALE.quickened()
 
 def build_ssds(scale: float, n: int = 4,
                spec: SsdSpec = SATA_MLC_128,
-               fill: float = PRECONDITION_FILL,
                prefix: str = "") -> List[SSDDevice]:
     """n preconditioned, scaled SSDs (paper Table 1 cache devices),
     named ``{prefix}{spec name}-{i}``."""
@@ -66,7 +65,7 @@ def build_ssds(scale: float, n: int = 4,
     ssds = [SSDDevice(scaled, name=f"{prefix}{scaled.name}-{i}")
             for i in range(n)]
     for ssd in ssds:
-        precondition(ssd, fill_fraction=fill)
+        precondition(ssd, fill_fraction=PRECONDITION_FILL)
         obs_attach(ssd)
     return ssds
 
@@ -99,22 +98,18 @@ def build_src(scale: float, config: Optional[SrcConfig] = None,
 
 def build_shard(scale: float, config: Optional[SrcConfig] = None,
                 origin: Optional[BlockDevice] = None,
-                spec: SsdSpec = SATA_MLC_128,
                 label: str = "shard0") -> SrcCache:
     """One SRC shard stack for a cluster (named SSDs, shared origin)."""
     config = config or SrcConfig(cache_space=CACHE_SPACE)
-    ssds = build_ssds(scale, n=config.n_ssds, spec=spec, prefix=f"{label}-")
-    shard = build_src(scale, config=config, ssds=ssds, origin=origin,
-                      spec=spec)
+    ssds = build_ssds(scale, n=config.n_ssds, prefix=f"{label}-")
+    shard = build_src(scale, config=config, ssds=ssds, origin=origin)
     shard.name = label
     return shard
 
 
 def build_cluster(scale: float, n_shards: int = 4,
-                  config: Optional[SrcConfig] = None,
-                  cluster_config: Optional["ClusterConfig"] = None,
-                  origin: Optional[BlockDevice] = None,
-                  spec: SsdSpec = SATA_MLC_128) -> "ShardRouter":
+                  cluster_config: Optional["ClusterConfig"] = None
+                  ) -> "ShardRouter":
     """A sharded SRC cluster: N independent stacks, one shared origin.
 
     Every shard fronts the *same* origin device — the cluster multiplexes
@@ -123,33 +118,29 @@ def build_cluster(scale: float, n_shards: int = 4,
     scale-equivalent to a single ``build_src`` stack.
     """
     from repro.cluster import ClusterConfig, ShardRouter
-    cluster_config = cluster_config or ClusterConfig(n_shards=n_shards)
-    if cluster_config.n_shards != n_shards:
-        cluster_config = replace(cluster_config, n_shards=n_shards)
-    origin = origin or build_origin()
-    config = config or SrcConfig(cache_space=CACHE_SPACE // n_shards)
-    shards = [build_shard(scale, config=config, origin=origin, spec=spec,
+    cluster_config = replace(cluster_config or ClusterConfig(),
+                             n_shards=n_shards)
+    origin = build_origin()
+    config = SrcConfig(cache_space=CACHE_SPACE // n_shards)
+    shards = [build_shard(scale, config=config, origin=origin,
                           label=f"shard{i}")
               for i in range(n_shards)]
     return obs_attach(ShardRouter(shards, origin, cluster_config))
 
 
-def build_cache_window(scale: float, raid_level: int,
-                       chunk_size: int = 4 * KIB,
-                       n: int = 4,
-                       spec: SsdSpec = SATA_MLC_128,
-                       ssds: Optional[List[SSDDevice]] = None
+def build_cache_window(scale: float, raid_level: int
                        ) -> "tuple[BlockDevice, List[SSDDevice]]":
-    """A RAID-over-SSDs cache device limited to the 18 GB window.
+    """A RAID-over-SSDs cache device (4 KiB chunks, per §5.4) limited
+    to the 18 GB window.
 
     This is the substrate the paper puts beneath Bcache and Flashcache
     for the Figure 1 / Figure 7 experiments.
     """
-    ssds = ssds or build_ssds(scale, n=n, spec=spec)
+    ssds = build_ssds(scale)
     if raid_level < 0:   # single-device cache (Tables 2/3 setups)
         dev: BlockDevice = ssds[0]
     else:
-        dev = make_raid(raid_level, list(ssds), chunk_size)
+        dev = make_raid(raid_level, list(ssds), 4 * KIB)
     window = min(dev.size, int(CACHE_SPACE * scale))
     linear = LinearDevice(dev, 0, window, name=f"cache-window-r{raid_level}")
     return obs_attach(linear), ssds
@@ -157,25 +148,21 @@ def build_cache_window(scale: float, raid_level: int,
 
 def build_bcache(scale: float, raid_level: int = 5,
                  policy: WritePolicy = WritePolicy.WRITE_BACK,
-                 writeback_percent: float = 0.90,
-                 origin: Optional[BlockDevice] = None,
-                 n: int = 4) -> BcacheDevice:
+                 writeback_percent: float = 0.90) -> BcacheDevice:
     """Bcache5-style stack (bucket 2 MB, RAID chunk 4 KB, per §5.4)."""
-    window, _ = build_cache_window(scale, raid_level, n=n)
-    origin = origin or build_origin()
-    return obs_attach(BcacheDevice(window, origin, bucket_size=2 * MIB,
+    window, _ = build_cache_window(scale, raid_level)
+    return obs_attach(BcacheDevice(window, build_origin(),
+                                   bucket_size=2 * MIB,
                                    policy=policy,
                                    writeback_percent=writeback_percent))
 
 
 def build_flashcache(scale: float, raid_level: int = 5,
                      policy: WritePolicy = WritePolicy.WRITE_BACK,
-                     dirty_thresh_pct: float = 0.90,
-                     origin: Optional[BlockDevice] = None,
-                     n: int = 4) -> FlashcacheDevice:
+                     dirty_thresh_pct: float = 0.90) -> FlashcacheDevice:
     """Flashcache5-style stack (set 2 MB, RAID chunk 4 KB, per §5.4)."""
-    window, _ = build_cache_window(scale, raid_level, n=n)
-    origin = origin or build_origin()
-    return obs_attach(FlashcacheDevice(window, origin, set_size=2 * MIB,
+    window, _ = build_cache_window(scale, raid_level)
+    return obs_attach(FlashcacheDevice(window, build_origin(),
+                                       set_size=2 * MIB,
                                        policy=policy,
                                        dirty_thresh_pct=dirty_thresh_pct))

@@ -50,21 +50,18 @@ def run_trace_group(target: CacheTarget, group: str,
 
 def run_fio_random_write(device: BlockDevice, es: ExperimentScale,
                          span: Optional[int] = None,
-                         request_size: int = 4 * KIB,
-                         iodepth: int = 0, threads: int = 0,
                          flush_every: int = 0) -> float:
     """The paper's FIO setting; returns write MB/s.
 
-    4 KiB uniform-random writes, iodepth 32, 4 threads (§3.1) unless
-    the scale preset narrows them.
+    4 KiB uniform-random writes from ``es.fio_iodepth`` x
+    ``es.fio_threads`` streams: iodepth 32, 4 threads (§3.1) at the
+    default preset, fewer at the quick one.
     """
-    iodepth = iodepth or es.fio_iodepth
-    threads = threads or es.fio_threads
     span = span or device.size
-    streams = [fio.uniform_random(span, request_size, Op.WRITE,
+    streams = [fio.uniform_random(span, 4 * KIB, Op.WRITE,
                                   seed=es.seed * 1000 + i,
                                   flush_every=flush_every)
-               for i in range(iodepth * threads)]
+               for i in range(es.fio_iodepth * es.fio_threads)]
     run = run_streams(device.submit, streams,
                       duration=es.warmup + es.duration,
                       sampler=_sampler_for(device))
@@ -72,12 +69,11 @@ def run_fio_random_write(device: BlockDevice, es: ExperimentScale,
 
 
 def run_fio_sequential_write(device: BlockDevice, es: ExperimentScale,
-                             span: Optional[int] = None,
                              request_size: int = 128 * KIB,
                              flush_every_bytes: int = 0) -> float:
-    """Single sequential writer; returns write MB/s."""
-    span = span or device.size
-    stream = fio.sequential(span, request_size, Op.WRITE,
+    """Single sequential writer over the whole device; returns write
+    MB/s."""
+    stream = fio.sequential(device.size, request_size, Op.WRITE,
                             flush_every_bytes=flush_every_bytes)
     run = run_streams(device.submit, [stream],
                       duration=es.duration + es.warmup,

@@ -20,18 +20,22 @@ from repro.raid.array import Raid1Device
 from repro.sim.timeline import Link
 from repro.common.units import KIB, USEC
 
+# Table 1: 1 Gbps iSCSI, 200 us round trip; RAID-10 in 64 KiB chunks.
+NETWORK_BW = 125e6
+NETWORK_LATENCY = 200 * USEC
+CHUNK_SIZE = 64 * KIB
+
 
 class PrimaryStorage(BlockDevice):
     """The iSCSI-attached backend volume."""
 
     def __init__(self, n_disks: int = 8, disk_spec: DiskSpec = DiskSpec(),
-                 network_bw: float = 125e6, network_latency: float = 200 * USEC,
-                 chunk_size: int = 64 * KIB, name: str = "primary"):
+                 name: str = "primary"):
         disks = [DiskDevice(disk_spec, name=f"{name}-disk{i}")
                  for i in range(n_disks)]
-        self.array = Raid1Device(disks, chunk_size, name=f"{name}-raid10")
+        self.array = Raid1Device(disks, CHUNK_SIZE, name=f"{name}-raid10")
         super().__init__(self.array.size, name)
-        self.link = Link(network_bw, network_latency)
+        self.link = Link(NETWORK_BW, NETWORK_LATENCY)
 
     @property
     def disks(self) -> List[DiskDevice]:

@@ -58,10 +58,9 @@ class ObsRecorder:
 
     enabled = True
 
-    def __init__(self, sample_interval: float = 0.0,
-                 max_events: int = 200_000):
+    def __init__(self, sample_interval: float = 0.0):
         self.registry = MetricRegistry()
-        self.trace = EventTrace(max_events=max_events)
+        self.trace = EventTrace()
         self.sampler: Optional[Sampler] = (
             Sampler(sample_interval) if sample_interval > 0 else None)
         self._latency: dict = {}

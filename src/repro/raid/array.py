@@ -14,7 +14,9 @@ or served by the mirror (RAID-1), and writes proceed degraded.  Each
 member slot tracks ``HEALTHY → DEGRADED → FAILED`` health in the shared
 :class:`~repro.repair.health.HealthTracker`: a fail-stop (or an
 exhausted retry budget) degrades the slot, and losing the copy that
-covered it fails it.  The paper never resilvers an md array, so there
+covered it fails it.  A member failed outside an I/O to the array
+(``BlockDevice.fail()``) is recorded the same way by the first I/O
+that meets it.  The paper never resilvers an md array, so there
 is no rebuild here; online repair is SRC's
 (:class:`~repro.repair.controller.RepairController`, §4.3).
 """
@@ -102,6 +104,12 @@ class _RaidBase(BlockDevice):
         """Whether the level still holds a copy of ``member``'s data."""
         return False   # RAID-0: no redundancy
 
+    def _note_failed(self, index: int, now: float) -> None:
+        """Record a member met already failed, once: its slot moves as
+        a fail-stop during the I/O would have moved it."""
+        if self.health.state(index) is DeviceHealth.HEALTHY:
+            self._on_member_failed(index, now)
+
     def _on_member_failed(self, index: int, now: float) -> None:
         state = self.health.state(index)
         if state is DeviceHealth.HEALTHY:
@@ -128,6 +136,7 @@ class _RaidBase(BlockDevice):
         end = now
         for i, m in enumerate(self.members):
             if m.failed:
+                self._note_failed(i, now)
                 continue
             try:
                 end = max(end, self._member_submit(i, Request(FLUSH), now))
@@ -193,6 +202,7 @@ class Raid1Device(_RaidBase):
             served = False
             for i in order:
                 if members[i].failed:
+                    self._note_failed(i, now)
                     continue
                 try:
                     done = member_submit(i, sub, now)
@@ -281,10 +291,18 @@ class _ParityRaid(_RaidBase):
             return self._trim(req, now)
         return self._write(req, now)
 
-    def _read(self, req: Request, now: float) -> float:
+    def _check_failed(self, now: float) -> None:
+        """Record every dead member; raise if more than one is down."""
         failed = self._failed_members()
-        if len(failed) > 1:
-            raise RaidDegradedError(f"{self.name}: {len(failed)} members down")
+        if failed:
+            for i in failed:
+                self._note_failed(i, now)
+            if len(failed) > 1:
+                raise RaidDegradedError(
+                    f"{self.name}: {len(failed)} members down")
+
+    def _read(self, req: Request, now: float) -> float:
+        self._check_failed(now)
         end = now
         for stripe, chunk, within, length in self._extents(req):
             member_idx = self._data_member(stripe, chunk)
@@ -324,9 +342,7 @@ class _ParityRaid(_RaidBase):
         return end
 
     def _write(self, req: Request, now: float) -> float:
-        failed = self._failed_members()
-        if len(failed) > 1:
-            raise RaidDegradedError(f"{self.name}: {len(failed)} members down")
+        self._check_failed(now)
         end = now
         for stripe, extents in self._group_by_stripe(req):
             end = max(end, self._write_stripe(stripe, extents, req, now))
@@ -409,14 +425,15 @@ class _ParityRaid(_RaidBase):
         end = now
         for stripe, chunk, within, length in self._extents(req):
             idx = self._data_member(stripe, chunk)
-            if self._alive(idx):
-                off = stripe * self.chunk_size + within
-                try:
-                    end = max(end, self._member_submit(
-                        idx, Request(TRIM, off, length, False,
-                                     req.origin), now))
-                except DeviceFailedError:
-                    continue   # TRIM to a dying member loses nothing
+            if not self._alive(idx):
+                self._note_failed(idx, now)
+                continue
+            off = stripe * self.chunk_size + within
+            try:
+                end = max(end, self._member_submit(
+                    idx, Request(TRIM, off, length, False, req.origin), now))
+            except DeviceFailedError:
+                continue   # TRIM to a dying member loses nothing
         return end
 
 

@@ -57,8 +57,6 @@ class RepairController:
         self.rebuild_bucket = TokenBucket(cfg.repair.rebuild_rate,
                                           2 * self.unit_bytes)
         self.guard = ForegroundGuard(cfg.repair.rebuild_fg_p99)
-        self.scrub_bucket = TokenBucket(
-            cfg.repair.scrub_rate, 2 * cfg.n_ssds * self.unit_bytes)
         self._scrub_pass: Optional[List[Unit]] = None
         self._scrub_i = 0
         self._scrub_repaired_pass = 0
@@ -324,13 +322,9 @@ class RepairController:
                 for s in self.cache.metadata.all_summaries()]
             self._scrub_i = 0
             self._scrub_repaired_pass = 0
-        unit_cost = cfg.n_ssds * self.unit_bytes
         total = len(self._scrub_pass)
         progress_every = max(1, total // 8)
         while self._scrub_i < total:
-            if self.scrub_bucket.ready_time(unit_cost, now) > now:
-                return
-            self.scrub_bucket.consume(unit_cost, now)
             self._scrub_unit(self._scrub_pass[self._scrub_i], now)
             self._scrub_i += 1
             if self._scrub_i % progress_every == 0:

@@ -41,6 +41,7 @@ from repro.obs.events import Erase, GcEnd, GcStart
 from repro.obs.recorder import NULL_RECORDER
 
 NO_PAGE = -1
+GC_RESERVE = 1    # GC runs while at most this many superblocks are free
 
 
 class FtlOpResult:
@@ -89,8 +90,7 @@ class PageMappedFtl(ElementViews):
     _VIEWS = ("l2p", "p2l", "valid_count")
 
     def __init__(self, logical_pages: int, physical_pages: int,
-                 superblock_pages: int, gc_reserve: int = 1,
-                 wear_level_threshold: int = 0):
+                 superblock_pages: int, wear_level_threshold: int = 0):
         if logical_pages <= 0 or physical_pages <= 0:
             raise ConfigError("page counts must be positive")
         if superblock_pages <= 0:
@@ -104,7 +104,7 @@ class PageMappedFtl(ElementViews):
             raise ConfigError(
                 f"need >=3 superblocks, got {self.n_superblocks} "
                 f"({physical_pages} phys pages / {superblock_pages})")
-        min_spare = (gc_reserve + 2) * superblock_pages
+        min_spare = (GC_RESERVE + 2) * superblock_pages
         if physical_pages < logical_pages + min_spare:
             raise ConfigError(
                 f"physical space {physical_pages} pages cannot host "
@@ -112,7 +112,7 @@ class PageMappedFtl(ElementViews):
         self.logical_pages = logical_pages
         self.physical_pages = physical_pages
         self.superblock_pages = superblock_pages
-        self.gc_reserve = gc_reserve
+        self.gc_reserve = GC_RESERVE
 
         self.l2p = np.full(logical_pages, NO_PAGE, dtype=np.int32)
         self.p2l = np.full(physical_pages, NO_PAGE, dtype=np.int32)

@@ -117,20 +117,18 @@ class TenantRegistry:
     plus membership observers); tear-down is not supported — build a
     fresh stack per experiment, as the harness does.
 
-    ``enforce`` / ``work_conserving`` default to the array's
-    :class:`~repro.core.config.QosConfig`.
+    Share enforcement and borrowing are the array's
+    :class:`~repro.core.config.QosConfig` (``enforce_shares``,
+    ``work_conserving``); a volume created without a spec gets
+    ``QosSpec()``.
     """
 
-    def __init__(self, cache, enforce: Optional[bool] = None,
-                 work_conserving: Optional[bool] = None):
+    def __init__(self, cache):
         qos_cfg = cache.config.qos
         self.cache = cache
-        self.enforce = qos_cfg.enforce_shares if enforce is None else enforce
-        self.work_conserving = (qos_cfg.work_conserving
-                                if work_conserving is None
-                                else work_conserving)
-        self.default_qos = QosSpec(min_share=qos_cfg.default_min_share,
-                                   max_share=qos_cfg.default_max_share)
+        self.enforce = qos_cfg.enforce_shares
+        self.work_conserving = qos_cfg.work_conserving
+        self.default_qos = QosSpec()
         self.capacity_blocks = cache.layout.cache_data_capacity_blocks()
         self._tenants: Dict[str, _Tenant] = {}
         # Volume map: parallel sorted arrays of [base_block, end_block)

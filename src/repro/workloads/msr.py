@@ -117,12 +117,8 @@ def _ws_factor(group: str) -> float:
     return min(1.0, GROUP_WORKING_SET_GB / total_gb)
 
 
-def _scaled_footprint(spec: TraceSpec, scale: float,
-                      footprint_cap_gb: float) -> int:
-    fp = spec.footprint_bytes
-    if footprint_cap_gb:
-        fp = min(fp, int(footprint_cap_gb * GB))
-    fp = max(PAGE_SIZE * 64, int(fp * scale))
+def _scaled_footprint(spec: TraceSpec, scale: float) -> int:
+    fp = max(PAGE_SIZE * 64, int(spec.footprint_bytes * scale))
     return fp - fp % PAGE_SIZE
 
 
@@ -137,11 +133,10 @@ class SyntheticTrace:
     """
 
     def __init__(self, spec: TraceSpec, region_start: int = 0,
-                 scale: float = 1.0, seed: int = 0,
-                 footprint_cap_gb: float = 0.0):
+                 scale: float = 1.0, seed: int = 0):
         self.spec = spec
         self.region_start = region_start
-        self.footprint = _scaled_footprint(spec, scale, footprint_cap_gb)
+        self.footprint = _scaled_footprint(spec, scale)
         self.n_blocks = self.footprint // PAGE_SIZE
         self._rng = np.random.default_rng(seed)
         self._zipf = ZipfSampler(self.n_blocks, spec.skew_theta,
@@ -222,27 +217,24 @@ class SyntheticTrace:
 
 
 def _group_traces(group: str, scale: float, seed: int,
-                  threads_per_trace: int, footprint_cap_gb: float
+                  threads_per_trace: int
                   ) -> Tuple[List[SyntheticTrace], int]:
     traces: List[SyntheticTrace] = []
     region = 0
     effective_scale = scale * _ws_factor(group)
     for t_index, spec in enumerate(group_specs(group)):
         trace_seed = seed * 10_000 + t_index * 100
-        footprint = _scaled_footprint(spec, effective_scale,
-                                      footprint_cap_gb)
+        footprint = _scaled_footprint(spec, effective_scale)
         for thread in range(threads_per_trace):
             traces.append(SyntheticTrace(spec, region_start=region,
                                          scale=effective_scale,
-                                         seed=trace_seed + thread,
-                                         footprint_cap_gb=footprint_cap_gb))
+                                         seed=trace_seed + thread))
         region += footprint
     return traces, region
 
 
 def build_group(group: str, scale: float = 1.0, seed: int = 0,
-                threads_per_trace: int = 4,
-                footprint_cap_gb: float = 0.0
+                threads_per_trace: int = 4
                 ) -> Tuple[List[Iterator[Request]], int]:
     """Streams for a whole trace group (paper §5.1 replay setup).
 
@@ -250,17 +242,14 @@ def build_group(group: str, scale: float = 1.0, seed: int = 0,
     ``threads_per_trace`` threads.  Returns (streams, total span in
     bytes) — size the origin volume to at least the span.
     """
-    traces, region = _group_traces(group, scale, seed, threads_per_trace,
-                                   footprint_cap_gb)
+    traces, region = _group_traces(group, scale, seed, threads_per_trace)
     return [trace.requests() for trace in traces], region
 
 
 def build_group_chunks(group: str, scale: float = 1.0, seed: int = 0,
-                       threads_per_trace: int = 4,
-                       footprint_cap_gb: float = 0.0
+                       threads_per_trace: int = 4
                        ) -> Tuple[List[Iterator["np.ndarray"]], int]:
     """Chunked counterpart of :func:`build_group` (same traces, seeds
     and interleaving; each stream yields structured-array chunks)."""
-    traces, region = _group_traces(group, scale, seed, threads_per_trace,
-                                   footprint_cap_gb)
+    traces, region = _group_traces(group, scale, seed, threads_per_trace)
     return [trace.chunks() for trace in traces], region

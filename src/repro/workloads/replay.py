@@ -64,11 +64,9 @@ class ReplayResult:
 
 def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
                  duration: float = 60.0, warmup: float = 0.0,
-                 seed: int = 0, threads_per_trace: int = 4,
-                 max_requests: int = 0,
-                 footprint_cap_gb: float = 0.0,
-                 think_time: float = 0.0) -> ReplayResult:
-    """Replay one trace group against a cache target.
+                 seed: int = 0, think_time: float = 0.0) -> ReplayResult:
+    """Replay one trace group against a cache target, four threads per
+    trace (:func:`~repro.workloads.msr.build_group`'s default).
 
     ``scale`` shrinks trace footprints to match scaled-down devices.
     ``duration`` is the measured window in simulated seconds; if
@@ -106,16 +104,13 @@ def replay_group(target: CacheTarget, group: str, scale: float = 1.0,
     sampler = recorder.sampler if recorder.enabled else None
     if sampler is not None:
         sampler.bind_target(target)
-    streams, span = build_group(group, scale=scale, seed=seed,
-                                threads_per_trace=threads_per_trace,
-                                footprint_cap_gb=footprint_cap_gb)
+    streams, span = build_group(group, scale=scale, seed=seed)
     if span > target.size:
         raise ValueError(
             f"trace group spans {span} bytes but the target volume is "
             f"{target.size}; enlarge the origin or lower scale")
     run = run_streams(issue, streams, duration=warmup + duration,
-                      think_time=think_time,
-                      max_requests=max_requests, sampler=sampler)
+                      think_time=think_time, sampler=sampler)
     if window["cstats"] is None:   # run too short to leave warm-up
         window["cstats"] = target.cstats.copy()
     measured = min(duration, max(run.elapsed - warmup, 1e-9))

@@ -34,7 +34,7 @@ def test_full_buffer_persists_one_sequential_segment():
 
 
 def test_flush_per_segment_issues_flush():
-    wb = make_wb(flush_per_segment=True)
+    wb = make_wb()
     for i in range(wb.blocks_per_segment):
         wb.write(i * PAGE_SIZE, PAGE_SIZE, 0.0)
     assert wb.cache_dev.stats.flush_ops == 1

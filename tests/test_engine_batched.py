@@ -28,6 +28,7 @@ from repro.common.errors import PowerCutError
 from repro.common.types import Op, Request
 from repro.common.units import KIB, MIB, PAGE_SIZE
 from repro.core.arrays import B_NONE
+from repro.core.config import QosConfig
 from repro.core.src import SrcCache
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdd.backend import PrimaryStorage
@@ -242,14 +243,15 @@ def _tenant_differential(build, make_sources, names, **run_kwargs):
     return cache_b, registry_b, _vector_share(cache_b, got)
 
 
-def _tenant_stack(specs, observed=False, **registry_kwargs):
-    """``build`` for a TINY_SRC cache with one volume per
-    ``(name, MiB, QosSpec-or-None)``, in that registration order."""
+def _tenant_stack(specs, observed=False, **qos_kwargs):
+    """``build`` for a TINY_SRC cache (its ``qos`` group from
+    ``qos_kwargs``) with one volume per ``(name, MiB, QosSpec-or-None)``,
+    in that registration order."""
     def build():
-        cache = make_src()
+        cache = make_src(replace(TINY_SRC, qos=QosConfig(**qos_kwargs)))
         if observed:
             attach(cache, ObsRecorder())
-        registry = TenantRegistry(cache, **registry_kwargs)
+        registry = TenantRegistry(cache)
         for name, mib, qos in specs:
             registry.create_volume(name, mib * MIB, qos)
         return cache, registry
@@ -300,13 +302,13 @@ def test_tenant_rows_bit_identical():
 _BULK_QOS = QosSpec(min_share=0.94)
 
 
-@pytest.mark.parametrize("registry_kwargs,whale_qos,whale_rows,rejects", [
+@pytest.mark.parametrize("qos_kwargs,whale_qos,whale_rows,rejects", [
     ({}, QosSpec(max_share=0.01), 0.02, True),
     ({"work_conserving": False}, QosSpec(min_share=0.01), 0.02, True),
-    ({"enforce": False}, QosSpec(max_share=0.01), 0.02, False),
+    ({"enforce_shares": False}, QosSpec(max_share=0.01), 0.02, False),
     ({}, QosSpec(max_share=0.05), 0.3, True),
 ], ids=["max-share", "no-borrow", "unenforced", "dense"])
-def test_tenant_whale_rejections_bit_identical(registry_kwargs, whale_qos,
+def test_tenant_whale_rejections_bit_identical(qos_kwargs, whale_qos,
                                                whale_rows, rejects):
     """(b, c) A whale crosses its share mid-window while a bulk tenant
     churns the log: rejections, write-arounds and — once reclaim has
@@ -317,8 +319,8 @@ def test_tenant_whale_rejections_bit_identical(registry_kwargs, whale_qos,
     names = ["bulk", "whale"]
     cache, registry, share = _tenant_differential(
         _tenant_stack([("bulk", 512, _BULK_QOS), ("whale", 64, whale_qos)],
-                      observed="work_conserving" in registry_kwargs,
-                      **registry_kwargs),
+                      observed="work_conserving" in qos_kwargs,
+                      **qos_kwargs),
         lambda c, r: [_tagged_chunks(
             r, [1 - whale_rows, whale_rows],
             [4 * TINY_SRC.cache_space // PAGE_SIZE, 4096], seed=32)],
@@ -335,7 +337,7 @@ def test_tenant_whale_rejections_bit_identical(registry_kwargs, whale_qos,
     else:
         assert share > 0.9
     if rejects:
-        limit = max(whale["min_blocks"], 1) if registry_kwargs \
+        limit = max(whale["min_blocks"], 1) if qos_kwargs \
             else whale["max_blocks"]
         assert whale["rejected_blocks"] > 0
         assert whale["write_arounds"] == whale["rejected_blocks"]

@@ -152,6 +152,35 @@ def test_origin_losing_both_halves_of_a_pair_raises():
     assert origin.array.health.state(1) is DeviceHealth.FAILED
 
 
+def test_a_disk_failed_before_the_read_degrades_its_slot():
+    """``fail()`` outside any I/O: the read that meets the dead disk
+    records it, once, and is served by the other half."""
+    origin = PrimaryStorage(n_disks=4)
+    recorder = obs.ObsRecorder()
+    obs.attach(origin, recorder)
+    origin.disks[0].fail()
+    origin.read(0, 4 * KIB, 0.0)                  # chunk 0: pair 0
+    origin.read(0, 4 * KIB, 1.0)
+    assert origin.disks[1].stats.read_ops == 2
+    assert [origin.array.health.state(i) for i in range(4)] == [
+        DeviceHealth.DEGRADED, DeviceHealth.HEALTHY,
+        DeviceHealth.HEALTHY, DeviceHealth.HEALTHY]
+    assert [(e.member, e.old, e.new) for e in recorder.trace
+            if isinstance(e, HealthTransition)] == [
+        (0, "healthy", "degraded")]
+
+
+def test_a_pair_failed_before_the_read_fails_both_slots():
+    origin = PrimaryStorage(n_disks=4)
+    origin.disks[0].fail()
+    origin.disks[1].fail()
+    with pytest.raises(RaidDegradedError):
+        origin.read(0, 4 * KIB, 0.0)
+    assert [origin.array.health.state(i) for i in range(4)] == [
+        DeviceHealth.FAILED, DeviceHealth.FAILED,
+        DeviceHealth.HEALTHY, DeviceHealth.HEALTHY]
+
+
 def near_oracle(disk: DiskDevice, offset: int) -> bool:
     """The locality verdict by definition: a recent head position
     within the sequential window of the offset."""

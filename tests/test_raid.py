@@ -200,3 +200,28 @@ def test_losing_the_covering_copy_fails_the_slot(cls):
         (0, DeviceHealth.DEGRADED),
         (1, DeviceHealth.DEGRADED), (1, DeviceHealth.FAILED)]
     assert array.health.state(2) is DeviceHealth.HEALTHY
+
+
+@pytest.mark.parametrize("op", ["read", "write", "trim"])
+def test_a_member_failed_before_the_io_degrades_its_slot(op):
+    """A parity member failed outside any I/O is recorded by the first
+    I/O that meets it: DEGRADED, since the others still cover it."""
+    devs = members(4)
+    array = Raid5Device(devs, chunk_size=4 * KIB)
+    array.write(0, 12 * KIB, 0.0)
+    victim = array._data_member(0, 0)
+    devs[victim].failed = True
+    getattr(array, op)(0, 4 * KIB, 1.0)
+    assert array.health.state(victim) is DeviceHealth.DEGRADED
+    assert [(t.member, t.new) for t in array.health.history] == [
+        (victim, DeviceHealth.DEGRADED)]
+    array.read(0, 4 * KIB, 2.0)                 # recorded once
+    assert len(array.health.history) == 1
+
+
+def test_flush_records_a_member_failed_before_it():
+    devs = members(4)
+    array = Raid1Device(devs, chunk_size=4 * KIB)
+    devs[3].failed = True
+    array.flush(0.0)
+    assert array.health.state(3) is DeviceHealth.DEGRADED

@@ -226,11 +226,9 @@ def test_raid0_member_loss_after_retries_is_fatal():
 # configuration validation
 # ------------------------------------------------------------------
 @pytest.mark.parametrize("bad", [
-    {"retry_attempts": 0},
-    {"retry_backoff": -1e-6},
-    {"retry_timeout": 0.0},
     {"failslow_p99": -1.0},
     {"failslow_window": 1},
+    {"failslow_flush_p99": -1.0},
 ])
 def test_resilience_config_validation(bad):
     with pytest.raises(ConfigError):

@@ -183,21 +183,19 @@ def test_a_row_exactly_t_wait_after_the_clock_does_not_fire(dirty):
 # ----------------------------------------------------------------------
 # admission
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("registry_kwargs,qos,rejected", [
+@pytest.mark.parametrize("qos_kwargs,qos,rejected", [
     ({}, QosSpec(max_share=_share(40)), 1),
     ({"work_conserving": False}, QosSpec(min_share=_share(40)), 1),
-    ({"enforce": False}, QosSpec(max_share=_share(40)), 0),
+    ({"enforce_shares": False}, QosSpec(max_share=_share(40)), 0),
 ], ids=["max-share", "no-borrow", "unenforced"])
-def test_limit_reached_exactly_at_the_last_row(registry_kwargs, qos,
-                                               rejected):
+def test_limit_reached_exactly_at_the_last_row(qos_kwargs, qos, rejected):
     """41 misses of a tenant allowed 40 blocks: only the last row is
     refused, and the scalar bound may not wave the window through."""
     def source(cache, registry):
         base = registry._tenants["edge"].volumes[0].base_block
         return _chunks(base + np.arange(41), tenant=1)
     cache, registry, share = _tenant_differential(
-        _tenant_stack([("idle", 4, None), ("edge", 4, qos)],
-                      **registry_kwargs),
+        _tenant_stack([("idle", 4, None), ("edge", 4, qos)], **qos_kwargs),
         source, ["idle", "edge"])
     edge = registry.stats()["edge"]
     assert edge["rejected_blocks"] == rejected
