@@ -33,18 +33,17 @@ from repro import api as api
 from repro.api import (CACHE_SPACE, DEFAULT_SCALE, EXPERIMENTS, GIB, KIB,
                        MIB, NVME_MLC_400, PAGE_SIZE, QUICK_SCALE,
                        SATA_MLC_128, SATA_TLC_128, Array, CleanRedundancy,
-                       ClusterConfig, ClusterStats, ClusterVolume,
-                       ConfigError, ExperimentResult, ExperimentScale,
-                       FaultConfig, FlushPoint, GcScheme, IoOrigin, IoStats,
-                       LatencyStats, MigrationLedger, ObsRecorder, Op,
-                       QosConfig, QosSpec, ReclaimConfig, RepairConfig,
-                       ReproError, Request, ShardRouter, SrcCache, SrcConfig,
-                       SsdSpec, TenantRegistry, TenantStats, VictimPolicy,
-                       Volume, WritePolicy, attach, build_bcache,
-                       build_cluster, build_flashcache, build_shard,
-                       build_src, collect, events_to_csv,
-                       export_synthetic_trace, flush, generate_report,
-                       mb_per_sec, open_array, replay_group,
+                       ClusterConfig, ClusterStats, ConfigError,
+                       ExperimentResult, ExperimentScale, FaultConfig,
+                       FlushPoint, GcScheme, IoOrigin, IoStats, LatencyStats,
+                       MigrationLedger, ObsRecorder, Op, QosConfig, QosSpec,
+                       ReclaimConfig, RepairConfig, ReproError, Request,
+                       ShardRouter, SrcCache, SrcConfig, SsdSpec,
+                       TenantRegistry, TenantStats, VictimPolicy, Volume,
+                       WritePolicy, attach, build_bcache, build_cluster,
+                       build_flashcache, build_shard, build_src, collect,
+                       events_to_csv, export_synthetic_trace, flush,
+                       generate_report, mb_per_sec, open_array, replay_group,
                        result_violations, run_experiment, to_json, use)
 
 # Device-level classes below the stable facade, kept importable from

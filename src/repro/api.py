@@ -30,8 +30,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.baselines.common import WritePolicy
-from repro.cluster import (ClusterConfig, ClusterStats, ClusterVolume,
-                           MigrationLedger, ShardRouter)
+from repro.cluster import (ClusterConfig, ClusterStats, MigrationLedger,
+                           ShardRouter)
 from repro.common.errors import ConfigError, ReproError
 from repro.common.types import (IoOrigin, IoStats, LatencyStats, Op,
                                 Request, flush)
@@ -241,7 +241,6 @@ __all__ = [
     # cluster
     "ClusterConfig",
     "ClusterStats",
-    "ClusterVolume",
     "MigrationLedger",
     "ShardRouter",
     "build_cluster",

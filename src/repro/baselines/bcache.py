@@ -90,13 +90,14 @@ class BcacheDevice(CacheTarget):
     # ------------------------------------------------------------------
     # journal
     # ------------------------------------------------------------------
-    def _journal_write(self, now: float, nbytes: int = PAGE_SIZE) -> float:
-        """Append metadata to the journal; commit (flush!) periodically."""
+    def _journal_write(self, now: float) -> float:
+        """Append a metadata page to the journal; commit (flush!)
+        periodically."""
         offset = self.journal_base + self._journal_head
-        self._journal_head = (self._journal_head + nbytes) % (
+        self._journal_head = (self._journal_head + PAGE_SIZE) % (
             self.journal_size - PAGE_SIZE)
-        end = self.cache_write(offset, now, nbytes)
-        self._uncommitted_bytes += nbytes
+        end = self.cache_write(offset, now, PAGE_SIZE)
+        self._uncommitted_bytes += PAGE_SIZE
         if self._uncommitted_bytes >= self.journal_commit_bytes:
             self._uncommitted_bytes = 0
             self.journal_commits += 1

@@ -9,12 +9,10 @@ from .health import ShardHealthTracker
 from .migration import (MigrationError, MigrationJob, MigrationLedger,
                         RangeMove)
 from .router import ClusterStats, ShardRouter
-from .volume import ClusterVolume
 
 __all__ = [
     "ClusterConfig",
     "ClusterStats",
-    "ClusterVolume",
     "HashRing",
     "MigrationError",
     "MigrationJob",

@@ -51,13 +51,14 @@ from repro.obs.events import (MigrationProgress, RouterDegraded,
                               ShardHealthTransition)
 from repro.obs.recorder import ObsRecorder
 from repro.repair.health import DeviceHealth
+from repro.tenancy.registry import TenantStats
+from repro.tenancy.volume import Volume, carve
 
 from .config import ClusterConfig
 from .hashring import HashRing
 from .health import ShardHealthTracker
 from .migration import (MigrationError, MigrationJob, MigrationLedger,
                         RangeMove)
-from .volume import ClusterVolume
 
 # States in which a shard slot serves I/O.  REBUILDING serves: an
 # attached spare warms through ordinary misses while it fills.
@@ -123,8 +124,8 @@ class ShardRouter(BlockDevice):
         self._migration: Optional[MigrationJob] = None
         self._overrides: List[RangeMove] = []
         self._spare_ready: Dict[int, float] = {}
-        # Tenant volumes spanning the cluster (repro.cluster.volume).
-        self.volumes: Dict[str, object] = {}
+        # Tenant volumes spanning the cluster, by tenant.
+        self.volumes: Dict[str, Volume] = {}
         self._alloc_cursor = 0
 
     # ==================================================================
@@ -500,7 +501,7 @@ class ShardRouter(BlockDevice):
     # tenant volumes
     # ==================================================================
     def create_volume(self, tenant: str, size: int,
-                      max_write_mb_s: float = 0.0):
+                      max_write_mb_s: float = 0.0) -> Volume:
         """Carve a tenant volume out of the cluster address space.
 
         The window is contiguous in LBA space but *spans shards*: the
@@ -508,18 +509,10 @@ class ShardRouter(BlockDevice):
         """
         if tenant in self.volumes:
             raise ConfigError(f"volume for tenant {tenant!r} exists")
-        if size <= 0 or size % PAGE_SIZE:
-            raise ConfigError(
-                f"volume size must be a positive multiple of {PAGE_SIZE}, "
-                f"got {size}")
-        blocks = size // PAGE_SIZE
-        if (self._alloc_cursor + blocks) * PAGE_SIZE > self.size:
-            raise ConfigError(
-                f"volume {tenant!r} ({blocks} blocks) does not fit; "
-                f"cursor at {self._alloc_cursor}")
-        volume = ClusterVolume(self, tenant, self._alloc_cursor, blocks,
-                               max_write_mb_s=max_write_mb_s,
-                               index=len(self.volumes))
+        blocks = carve(size, self._alloc_cursor, self.size)
+        volume = Volume(self, tenant, self._alloc_cursor, blocks,
+                        max_write_mb_s, TenantStats(),
+                        index=len(self.volumes))
         self._alloc_cursor += blocks
         self.volumes[tenant] = volume
         return volume

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.common.units import GB, GIB, MB
-from repro.flash.timing import MLC_TIMING, TLC_TIMING
 from repro.ssd.spec import NVME_MLC_400, SATA_MLC_128, SATA_TLC_128, SsdSpec
 
 
@@ -72,9 +71,8 @@ class Product:
 
 
 def _sata(spec: SsdSpec, capacity: int, prog_bw: float,
-          timing, name: str) -> SsdSpec:
-    return replace(spec, name=name, capacity=capacity,
-                   nand_prog_bw=prog_bw, timing=timing)
+          name: str) -> SsdSpec:
+    return replace(spec, name=name, capacity=capacity, nand_prog_bw=prog_bw)
 
 
 # Table 12, with each column bound to a simulated device.  Company A's
@@ -87,26 +85,22 @@ PRODUCTS: Dict[str, Product] = {
             key="A-MLC(SATA)", company="A", nand="MLC", interface="SATA",
             n_units=4, unit_capacity=128 * GIB, set_cost_usd=418,
             endurance=3000, year=2012,
-            spec=_sata(SATA_MLC_128, 128 * GIB, 420 * MB, MLC_TIMING,
-                       "a-mlc-128")),
+            spec=_sata(SATA_MLC_128, 128 * GIB, 420 * MB, "a-mlc-128")),
         Product(
             key="A-TLC(SATA)", company="A", nand="TLC", interface="SATA",
             n_units=4, unit_capacity=120 * GIB, set_cost_usd=272,
             endurance=1000, year=2013,
-            spec=_sata(SATA_TLC_128, 120 * GIB, 300 * MB, TLC_TIMING,
-                       "a-tlc-120")),
+            spec=_sata(SATA_TLC_128, 120 * GIB, 300 * MB, "a-tlc-120")),
         Product(
             key="B-MLC(SATA)", company="B", nand="MLC", interface="SATA",
             n_units=4, unit_capacity=128 * GIB, set_cost_usd=374,
             endurance=3000, year=2014,
-            spec=_sata(SATA_MLC_128, 128 * GIB, 440 * MB, MLC_TIMING,
-                       "b-mlc-128")),
+            spec=_sata(SATA_MLC_128, 128 * GIB, 440 * MB, "b-mlc-128")),
         Product(
             key="B-TLC(SATA)", company="B", nand="TLC", interface="SATA",
             n_units=4, unit_capacity=128 * GIB, set_cost_usd=225,
             endurance=1000, year=2014,
-            spec=_sata(SATA_TLC_128, 128 * GIB, 320 * MB, TLC_TIMING,
-                       "b-tlc-128")),
+            spec=_sata(SATA_TLC_128, 128 * GIB, 320 * MB, "b-tlc-128")),
         Product(
             key="C-MLC(NVMe)", company="C", nand="MLC", interface="NVMe",
             n_units=1, unit_capacity=400 * GIB, set_cost_usd=469,

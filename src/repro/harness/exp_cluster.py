@@ -64,6 +64,7 @@ BALANCE_BOUND = 2.5
 
 REBALANCE_SHARDS = 3          # cluster size before the online add
 BLAST_SHARDS = 4
+MAX_DRAIN_STEPS = 500_000     # idle milliseconds a migration may drain
 BLAST_FAILURES = (0, 1)       # the correlated double failure
 
 
@@ -148,10 +149,12 @@ def _scale_cell(es: ExperimentScale, n_shards: int) -> dict:
 # ======================================================================
 # Part B: rebalance under load
 # ======================================================================
-def _drain_migration(router, now: float, max_steps: int = 500_000) -> float:
-    """Advance idle simulated time until the migration finishes."""
-    while router._migration is not None and max_steps > 0:
-        max_steps -= 1
+def _drain_migration(router, now: float) -> float:
+    """Advance idle simulated time until the migration finishes (or
+    ``MAX_DRAIN_STEPS`` milliseconds pass)."""
+    for _ in range(MAX_DRAIN_STEPS):
+        if router._migration is None:
+            break
         now += 1e-3
         router.pump(now)
     return now

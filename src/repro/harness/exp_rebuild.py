@@ -53,10 +53,10 @@ SCRUB_SEED_BLOCKS = 8
 # Degraded reads reconstruct from parity, so ~2-3x is inherent; 10x
 # would mean rebuild I/O is starving the foreground.
 P99_INFLATION_BOUND = 10.0
+MAX_DRAIN_STEPS = 200_000       # bucket-paced pumps before giving up
 
 
-def _drain_rebuild(cache: SrcCache, now: float,
-                   max_steps: int = 200_000) -> None:
+def _drain_rebuild(cache: SrcCache, now: float) -> None:
     """Pump the repair controller until the rebuild job is done.
 
     The replay window may end mid-rebuild; repair work is caller-driven
@@ -65,8 +65,9 @@ def _drain_rebuild(cache: SrcCache, now: float,
     array whose only traffic is reconstruction.
     """
     repair = cache.repair
-    while repair.jobs and max_steps > 0:
-        max_steps -= 1
+    for _ in range(MAX_DRAIN_STEPS):
+        if not repair.jobs:
+            return
         ready = repair.rebuild_bucket.ready_time(repair.unit_bytes, now)
         now = max(now + 1e-6, ready)
         repair.pump(now)

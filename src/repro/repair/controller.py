@@ -57,9 +57,6 @@ class RepairController:
         self.rebuild_bucket = TokenBucket(cfg.repair.rebuild_rate,
                                           2 * self.unit_bytes)
         self.guard = ForegroundGuard(cfg.repair.rebuild_fg_p99)
-        self._scrub_pass: Optional[List[Unit]] = None
-        self._scrub_i = 0
-        self._scrub_repaired_pass = 0
         self._scrub_next_due = cfg.repair.scrub_interval
         self._pumping = False
 
@@ -173,10 +170,7 @@ class RepairController:
         units = [
             (s.sg, s.segment) for s in self.cache.metadata.all_summaries()
             if idx in self._involved(s.sg, s.segment, s.with_parity)]
-        job = RebuildJob(
-            member=idx, target_name=spare.name, units=units,
-            failed_at=self.health.failed_since(idx) or now,
-            started_at=now, unit_bytes=self.unit_bytes)
+        job = RebuildJob(idx, units)
         self.jobs.append(job)
         stats.rebuilds_started += 1
         self._emit(RebuildStarted(t=now, device=self.cache.name,
@@ -191,7 +185,6 @@ class RepairController:
         for job in self.jobs:
             job.cancelled = True
         self.jobs = []
-        self._scrub_pass = None
         for member in range(len(self.health)):
             if not self.health.state(member).terminal:
                 self._transition(member, DeviceHealth.BYPASS, now,
@@ -312,31 +305,27 @@ class RepairController:
     # ------------------------------------------------------------------
     def _advance_scrub(self, now: float) -> None:
         cfg = self.cache.config
-        if cfg.repair.scrub_interval <= 0 or self.jobs:
+        if (cfg.repair.scrub_interval <= 0 or self.jobs
+                or now < self._scrub_next_due):
             return   # rebuild restores redundancy first; scrub waits
-        if self._scrub_pass is None:
-            if now < self._scrub_next_due:
-                return
-            self._scrub_pass = [
-                (s.sg, s.segment)
-                for s in self.cache.metadata.all_summaries()]
-            self._scrub_i = 0
-            self._scrub_repaired_pass = 0
-        total = len(self._scrub_pass)
+        cache, stats = self.cache, self.cache.srcstats
+        units = [(s.sg, s.segment) for s in cache.metadata.all_summaries()]
+        repaired_before = stats.scrub_repairs
+        total = len(units)
         progress_every = max(1, total // 8)
-        while self._scrub_i < total:
-            self._scrub_unit(self._scrub_pass[self._scrub_i], now)
-            self._scrub_i += 1
-            if self._scrub_i % progress_every == 0:
+        for checked, unit in enumerate(units, 1):
+            if cache.bypass:
+                return   # a scrub read failed the array over to the origin
+            self._scrub_unit(unit, now)
+            if checked % progress_every == 0:
                 self._emit(ScrubProgress(
-                    t=now, device=self.cache.name, checked=self._scrub_i,
-                    total=total, repaired=self._scrub_repaired_pass))
-        self._emit(ScrubProgress(t=now, device=self.cache.name,
-                                 checked=total, total=total,
-                                 repaired=self._scrub_repaired_pass))
-        self.cache.srcstats.scrub_passes += 1
+                    t=now, device=cache.name, checked=checked, total=total,
+                    repaired=stats.scrub_repairs - repaired_before))
+        self._emit(ScrubProgress(
+            t=now, device=cache.name, checked=total, total=total,
+            repaired=stats.scrub_repairs - repaired_before))
+        stats.scrub_passes += 1
         self._scrub_next_due = now + cfg.repair.scrub_interval
-        self._scrub_pass = None
 
     def scrub_now(self, now: float) -> ScrubReport:
         """One full synchronous scrub pass (tests, CLI, demos)."""
@@ -412,7 +401,6 @@ class RepairController:
             WRITE, [(member, loc.offset, PAGE_SIZE, end)], SCRUB))
         ssd.clear_corruption(loc.offset, PAGE_SIZE)
         stats.scrub_repairs += 1
-        self._scrub_repaired_pass += 1
         self._emit(CorruptionRepaired(t=wrote, device=cache.name, lba=lba,
                                       member=member, source=source))
         return wrote

@@ -1,10 +1,9 @@
 """Resumable rebuild bookkeeping.
 
 A :class:`RebuildJob` is the unit-granular work list for restoring one
-member slot onto its hot spare.  It is deliberately dumb — a cursor
-over a snapshot of units plus a done-set — so both SRC (units are
-sealed segments) and the RAID layer (units are stripes) can drive it,
-and so a job survives being advanced a few units at a time from
+member slot onto its hot spare; its units are SRC's sealed segments.
+It is deliberately dumb — a cursor over a snapshot of units plus a
+done-set — so a job survives being advanced a few units at a time from
 whatever foreground entry point pumps it.
 
 Reads that land on a not-yet-rebuilt unit may :meth:`promote` it to
@@ -21,19 +20,13 @@ from typing import Deque, Hashable, Iterable, Optional, Sequence
 class RebuildJob:
     """Work list for rebuilding one member slot onto a spare."""
 
-    def __init__(self, member: int, target_name: str,
-                 units: Sequence[Hashable], failed_at: float,
-                 started_at: float, unit_bytes: int):
+    def __init__(self, member: int, units: Sequence[Hashable]):
         self.member = member
-        self.target_name = target_name
-        self.failed_at = failed_at
-        self.started_at = started_at
-        self.unit_bytes = unit_bytes
         self._queue: Deque[Hashable] = deque(units)
         self.unit_set = set(units)
         self.done: set = set()
         self.total = len(self.unit_set)
-        self.last_io_end = started_at
+        self.last_io_end = 0.0     # _finish_job takes the later of it and now
         self.cancelled = False
 
     def pending(self) -> int:

@@ -192,7 +192,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
         # The outbound transfer streams behind the NAND reads: it starts
         # once the first page is in the buffer and cannot finish before
         # the last page has been read.
-        first_page = self.spec.timing.t_read
+        first_page = self.spec.read_latency
         _, out_end = self.read_link.transfer(nand_begin + first_page, length)
         return max(nand_end, out_end)
 
@@ -310,7 +310,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
                 nows, self.nand_reads if origin is FOREGROUND
                 else self.nand, npages * page / spec.nand_read_bw,
                 link._timeline, link.latency + lengths / link.bandwidth,
-                spec.timing.t_read, 0.0)
+                spec.read_latency, 0.0)
         costs = self.ftl.write_extents(first, npages)
         if self._corrupted_pages:          # overwrites scrub, as in _write
             for offset, length in zip(offsets.tolist(), lengths.tolist()):

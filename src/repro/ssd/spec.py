@@ -5,7 +5,9 @@ Table 12: SATA MLC (Samsung 840 Pro class — the prototype's cache
 devices), SATA TLC, and a PCIe/NVMe enterprise drive.  Interface
 bandwidths come from the vendor specification rows; sustained internal
 bandwidth and the 256 MB erase group come from the paper's Figure 2
-measurement.
+measurement.  Each preset carries its flash class's page read latency
+and rated P/E endurance, representative of 2x-nm NAND of the period
+(paper §2.1): MLC endures ~3K cycles, TLC reads slower and endures ~1K.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigError
 from repro.common.units import GIB, KIB, MB, MIB, MSEC, USEC
-from repro.flash.timing import (MLC_TIMING, NVME_MLC_TIMING, NandTiming,
-                                TLC_TIMING)
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,8 @@ class SsdSpec:
     erase_latency: float          # charged per superblock erase
     flush_latency: float          # FTL checkpoint cost of a FLUSH/FUA
     buffer_size: int              # volatile DRAM write buffer
-    timing: NandTiming = MLC_TIMING
+    read_latency: float = 60 * USEC   # NAND page read to register (MLC)
+    endurance: int = 3000         # rated P/E cycles per block (MLC)
     page_size: int = 4 * KIB
     queue_depth: int = 32         # host-visible command slots (NCQ = 32)
 
@@ -48,6 +49,8 @@ class SsdSpec:
                 f"spare_factor must be in (0,1), got {self.spare_factor}")
         if self.superblock_size % self.page_size:
             raise ConfigError("superblock must be a whole number of pages")
+        if self.read_latency <= 0 or self.endurance <= 0:
+            raise ConfigError("read_latency and endurance must be positive")
 
     @property
     def logical_pages(self) -> int:
@@ -61,10 +64,6 @@ class SsdSpec:
     @property
     def superblock_pages(self) -> int:
         return self.superblock_size // self.page_size
-
-    @property
-    def endurance(self) -> int:
-        return self.timing.endurance
 
     def scaled(self, factor: float) -> "SsdSpec":
         """Shrink capacity-like quantities by ``factor`` (0 < f <= 1).
@@ -107,7 +106,6 @@ SATA_MLC_128 = SsdSpec(
     erase_latency=2 * MSEC,
     flush_latency=3.5 * MSEC,
     buffer_size=256 * MIB,
-    timing=MLC_TIMING,
 )
 
 # SATA TLC (840 EVO class): same interface, slower flash, 1K endurance.
@@ -124,7 +122,8 @@ SATA_TLC_128 = SsdSpec(
     erase_latency=2.5 * MSEC,
     flush_latency=3.5 * MSEC,
     buffer_size=256 * MIB,
-    timing=TLC_TIMING,
+    read_latency=80 * USEC,
+    endurance=1000,
 )
 
 # Table 4 SSD-B 400 GB row: PCIe NVMe, SR 2700 / SW 1080 MB/s.
@@ -141,6 +140,6 @@ NVME_MLC_400 = SsdSpec(
     erase_latency=2 * MSEC,
     flush_latency=1.0 * MSEC,
     buffer_size=512 * MIB,
-    timing=NVME_MLC_TIMING,
+    read_latency=50 * USEC,
     queue_depth=256,           # NVMe submission queues run far deeper
 )

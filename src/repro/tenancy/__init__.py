@@ -6,8 +6,9 @@ Open-CAS attaches many core volumes to one cache (per-volume I/O
 classes, partition quotas) and ECI-Cache sizes per-VM partitions:
 
 * :class:`Volume` — a tenant-owned LBA namespace (a disjoint window of
-  the origin address space) that tags every request with its tenant
-  and applies the tenant's QoS write-rate cap at admission;
+  the origin address space, over one array or a shard router) that
+  tags every request with its tenant, applies a write-rate cap at
+  admission and accounts its tenant's I/O and latency;
 * :class:`QosSpec` — a tenant's QoS class: ``min_share`` (guaranteed
   fraction of cache data capacity), ``max_share`` (hard cap) and an
   optional write-rate limit;

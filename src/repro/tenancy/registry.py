@@ -37,11 +37,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.common.types import IoOrigin, IoStats, LatencyStats, Op, Request
-from repro.common.units import PAGE_SIZE
+from repro.common.types import IoStats, LatencyStats
 from repro.obs.events import AdmissionRejected
 from repro.tenancy.qos import QosSpec
-from repro.tenancy.volume import Volume
+from repro.tenancy.volume import Volume, carve
 
 
 def _rank_in_group(keys: np.ndarray, counted: np.ndarray) -> np.ndarray:
@@ -184,16 +183,8 @@ class TenantRegistry:
         class) on first use.  Volumes are disjoint contiguous windows
         of the origin address space, allocated front to back.
         """
-        if size <= 0 or size % PAGE_SIZE:
-            raise ConfigError(
-                f"volume size must be a positive multiple of {PAGE_SIZE}, "
-                f"got {size}")
-        blocks = size // PAGE_SIZE
         base = self._alloc_cursor
-        if (base + blocks) * PAGE_SIZE > self.cache.size:
-            raise ConfigError(
-                f"volume of {size} bytes does not fit: origin has "
-                f"{self.cache.size - base * PAGE_SIZE} bytes unallocated")
+        blocks = carve(size, base, self.cache.size)
         if tenant not in self._tenants:
             self.add_tenant(tenant, qos)
         elif qos is not None and qos != self._tenants[tenant].qos:
@@ -202,8 +193,9 @@ class TenantRegistry:
                 f"QoS class")
         self._alloc_cursor = base + blocks
         t = self._tenants[tenant]
-        volume = Volume(self, tenant, base_block=base, blocks=blocks,
-                        index=len(self._bases))
+        volume = Volume(self.cache, tenant, base, blocks,
+                        t.qos.max_write_mb_s if self.enforce else 0.0,
+                        t.stats, index=len(self._bases))
         self._bases.append(base)
         self._ends.append(base + blocks)
         self._owners.append(t)
@@ -237,9 +229,6 @@ class TenantRegistry:
         bases, ends, owners = self._volume_map
         vol = np.searchsorted(bases, blocks, side="right") - 1
         return np.where(blocks < ends[vol], owners[vol], -1)
-
-    def qos_of(self, tenant: str) -> QosSpec:
-        return self._tenants[tenant].qos
 
     # ------------------------------------------------------------------
     # membership observer (mapping table + segment buffers)
@@ -399,16 +388,8 @@ class TenantRegistry:
         return False
 
     # ------------------------------------------------------------------
-    # accounting hooks (called by Volume and SrcCache)
+    # accounting hooks (called by SrcCache)
     # ------------------------------------------------------------------
-    def record(self, tenant: str, req: Request, latency: float) -> None:
-        """Account one completed volume request for ``tenant``."""
-        stats = self._tenants[tenant].stats
-        stats.io.record(req)
-        if req.origin is IoOrigin.FOREGROUND and (
-                req.op is Op.READ or req.op is Op.WRITE):
-            stats.latency.record(latency)
-
     def count_write_around(self, block: int) -> None:
         t = self._owner_of(block)
         if t is not None:
@@ -428,11 +409,6 @@ class TenantRegistry:
             stats = self._tenants[tenant].stats
             stats.stalls += 1
             stats.stall_s += waited
-
-    def count_throttle(self, tenant: str, waited: float) -> None:
-        stats = self._tenants[tenant].stats
-        stats.throttle_waits += 1
-        stats.throttle_wait_s += waited
 
     # ------------------------------------------------------------------
     # reporting

@@ -28,6 +28,9 @@ from repro.common.errors import ConfigError
 from repro.common.types import Op, Request
 from repro.common.units import KIB, PAGE_SIZE
 
+# The request size of the read/write mix (the paper's FIO 4 KiB).
+MIXED_REQUEST = 4 * KIB
+
 
 def _with_flushes(chunk: np.ndarray, after: np.ndarray) -> np.ndarray:
     """Insert a FLUSH row after every data row flagged in ``after``."""
@@ -53,7 +56,6 @@ def _with_flushes(chunk: np.ndarray, after: np.ndarray) -> np.ndarray:
 
 def uniform_random_chunks(span: int, request_size: int = 4 * KIB,
                           op: Op = Op.WRITE, seed: int = 0,
-                          align: int = PAGE_SIZE,
                           flush_every: int = 0,
                           chunk_requests: int = DEFAULT_CHUNK_REQUESTS
                           ) -> Iterator[np.ndarray]:
@@ -63,11 +65,11 @@ def uniform_random_chunks(span: int, request_size: int = 4 * KIB,
     if chunk_requests <= 0:
         raise ConfigError("chunk_requests must be positive")
     rng = np.random.default_rng(seed)
-    slots = max(1, (span - request_size) // align + 1)
+    slots = max(1, (span - request_size) // PAGE_SIZE + 1)
     op_code = OP_CODE[op]
     issued = 0
     while True:
-        offsets = rng.integers(0, slots, size=chunk_requests) * align
+        offsets = rng.integers(0, slots, size=chunk_requests) * PAGE_SIZE
         chunk = make_chunk(offsets, request_size, op_code)
         if flush_every:
             # ``issued`` carries the cadence across chunk boundaries
@@ -80,7 +82,6 @@ def uniform_random_chunks(span: int, request_size: int = 4 * KIB,
 
 def uniform_random(span: int, request_size: int = 4 * KIB,
                    op: Op = Op.WRITE, seed: int = 0,
-                   align: int = PAGE_SIZE,
                    flush_every: int = 0) -> Iterator[Request]:
     """Uniformly random offsets over ``span`` bytes, forever.
 
@@ -88,14 +89,13 @@ def uniform_random(span: int, request_size: int = 4 * KIB,
     (Table 3's flush-impact experiment).
     """
     for chunk in uniform_random_chunks(span, request_size, op, seed,
-                                       align, flush_every):
+                                       flush_every):
         for request in requests_from_chunk(chunk):
             yield request
 
 
 def sequential_chunks(span: int, request_size: int = 128 * KIB,
-                      op: Op = Op.WRITE, start: int = 0,
-                      flush_every_bytes: int = 0,
+                      op: Op = Op.WRITE, flush_every_bytes: int = 0,
                       chunk_requests: int = DEFAULT_CHUNK_REQUESTS
                       ) -> Iterator[np.ndarray]:
     """Chunked :func:`sequential`: same offsets, structured arrays."""
@@ -104,7 +104,7 @@ def sequential_chunks(span: int, request_size: int = 128 * KIB,
     if chunk_requests <= 0:
         raise ConfigError("chunk_requests must be positive")
     op_code = OP_CODE[op]
-    offset = start
+    offset = 0
     since_flush = 0
     while True:
         # Replay the scalar wrap/flush state machine over one chunk's
@@ -126,22 +126,22 @@ def sequential_chunks(span: int, request_size: int = 128 * KIB,
 
 
 def sequential(span: int, request_size: int = 128 * KIB,
-               op: Op = Op.WRITE, start: int = 0,
+               op: Op = Op.WRITE,
                flush_every_bytes: int = 0) -> Iterator[Request]:
     """Sequential stream wrapping around ``span``, forever.
 
     ``flush_every_bytes`` issues a FLUSH after each that-many bytes
     (the paper flushes each 512 KiB of sequential writes in Table 3).
     """
-    for chunk in sequential_chunks(span, request_size, op, start,
+    for chunk in sequential_chunks(span, request_size, op,
                                    flush_every_bytes):
         for request in requests_from_chunk(chunk):
             yield request
 
 
-def mixed(span: int, read_fraction: float, request_size: int = 4 * KIB,
-          seed: int = 0) -> Iterator[Request]:
-    """Uniform random mix of reads and writes.
+def mixed(span: int, read_fraction: float, seed: int = 0
+          ) -> Iterator[Request]:
+    """Uniform random mix of 4 KiB reads and writes.
 
     Kept scalar: the historical generator alternates offset and
     read/write draws per request, an RNG consumption order a columnar
@@ -151,17 +151,15 @@ def mixed(span: int, read_fraction: float, request_size: int = 4 * KIB,
     if not 0.0 <= read_fraction <= 1.0:
         raise ConfigError("read_fraction must be in [0,1]")
     rng = np.random.default_rng(seed)
-    slots = max(1, (span - request_size) // PAGE_SIZE + 1)
+    slots = max(1, (span - MIXED_REQUEST) // PAGE_SIZE + 1)
     while True:
         offset = int(rng.integers(0, slots)) * PAGE_SIZE
         op = Op.READ if rng.random() < read_fraction else Op.WRITE
-        yield Request(op, offset, request_size)
+        yield Request(op, offset, MIXED_REQUEST)
 
 
 def mixed_chunks(span: int, read_fraction: float,
-                 request_size: int = 4 * KIB, seed: int = 0,
-                 chunk_requests: int = DEFAULT_CHUNK_REQUESTS
-                 ) -> Iterator[np.ndarray]:
+                 seed: int = 0) -> Iterator[np.ndarray]:
     """Chunked uniform random read/write mix.
 
     Draws offsets then ops column-wise per chunk, so the sequence
@@ -170,13 +168,14 @@ def mixed_chunks(span: int, read_fraction: float,
     """
     if not 0.0 <= read_fraction <= 1.0:
         raise ConfigError("read_fraction must be in [0,1]")
-    if request_size <= 0 or span < request_size:
+    if span < MIXED_REQUEST:
         raise ConfigError("span must cover at least one request")
     rng = np.random.default_rng(seed)
-    slots = max(1, (span - request_size) // PAGE_SIZE + 1)
+    slots = max(1, (span - MIXED_REQUEST) // PAGE_SIZE + 1)
     while True:
-        offsets = rng.integers(0, slots, size=chunk_requests) * PAGE_SIZE
-        reads = rng.random(chunk_requests) < read_fraction
-        chunk = make_chunk(offsets, request_size, OP_WRITE)
+        offsets = (rng.integers(0, slots, size=DEFAULT_CHUNK_REQUESTS)
+                   * PAGE_SIZE)
+        reads = rng.random(DEFAULT_CHUNK_REQUESTS) < read_fraction
+        chunk = make_chunk(offsets, MIXED_REQUEST, OP_WRITE)
         chunk["op"][reads] = OP_READ
         yield chunk

@@ -14,9 +14,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.common.chunks import DEFAULT_CHUNK_REQUESTS, OP_CODE, make_chunk
+from repro.common.chunks import DEFAULT_CHUNK_REQUESTS, OP_WRITE, make_chunk
 from repro.common.errors import ConfigError
-from repro.common.types import Op
 from repro.common.units import KIB, PAGE_SIZE
 
 
@@ -59,24 +58,19 @@ class ZipfSampler:
 
 
 def zipf_chunks(span: int, request_size: int = 4 * KIB,
-                theta: float = 0.99, op: Op = Op.WRITE, seed: int = 0,
-                chunk_requests: int = DEFAULT_CHUNK_REQUESTS
-                ) -> Iterator[np.ndarray]:
-    """Chunked Zipf-skewed request stream over ``span`` bytes, forever.
+                seed: int = 0) -> Iterator[np.ndarray]:
+    """Chunked Zipf-skewed write stream over ``span`` bytes, forever.
 
-    Offsets are page-aligned with Zipf(``theta``) popularity; the
+    Offsets are page-aligned with Zipf(0.99) popularity; the
     vector draw (:meth:`ZipfSampler.sample_many`) consumes the RNG
     bitstream exactly as repeated scalar :meth:`ZipfSampler.sample`
     calls do.
     """
     if request_size <= 0 or span < request_size:
         raise ConfigError("span must cover at least one request")
-    if chunk_requests <= 0:
-        raise ConfigError("chunk_requests must be positive")
     slots = max(1, (span - request_size) // PAGE_SIZE + 1)
-    sampler = ZipfSampler(slots, theta=theta, seed=seed)
-    op_code = OP_CODE[op]
+    sampler = ZipfSampler(slots, seed=seed)
     while True:
-        offsets = (sampler.sample_many(chunk_requests).astype(np.int64)
-                   * PAGE_SIZE)
-        yield make_chunk(offsets, request_size, op_code)
+        offsets = (sampler.sample_many(DEFAULT_CHUNK_REQUESTS)
+                   .astype(np.int64) * PAGE_SIZE)
+        yield make_chunk(offsets, request_size, OP_WRITE)

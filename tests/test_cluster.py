@@ -416,8 +416,22 @@ def test_cluster_volume_write_cap_throttles():
         end = vol.submit(
             Request(Op.WRITE, block * PAGE_SIZE, PAGE_SIZE), now)
         now = max(now, end)
-    assert vol.throttle_waits > 0
-    assert vol.throttle_wait_s > 0
+    assert vol.account.throttle_waits > 0
+    assert vol.account.throttle_wait_s > 0
+
+
+def test_cluster_volume_accounts_its_tenant_io_and_latency():
+    router, _ = make_cluster()
+    router.create_volume("acme", 256 * PAGE_SIZE)
+    vol = router.create_volume("beta", 256 * PAGE_SIZE)
+    now = 0.0
+    for block in range(64):
+        now = vol.submit(Request(Op.WRITE, block * PAGE_SIZE, PAGE_SIZE), now)
+    assert vol.account.io.write_ops == 64
+    assert vol.account.io.write_bytes == 64 * PAGE_SIZE
+    assert vol.account.latency.count == 64
+    # Each volume keeps its own account.
+    assert router.volumes["acme"].account.io.write_ops == 0
 
 
 def test_volume_allocation_checks():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 LIMIT = 600
-PACKAGE_LIMIT = 17914
+PACKAGE_LIMIT = 17746
 MEMBERS_LIMIT = 320
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.chaos.rig import TORTURE_CONFIG, build_origin, build_shard
 from repro.common.types import Op, Request
 from repro.common.units import PAGE_SIZE
 from repro.core.config import CleanRedundancy, FaultConfig, RepairConfig
@@ -154,8 +155,7 @@ def test_foreground_guard_observe_many_is_the_per_row_loop(n):
 
 
 def test_rebuild_job_queue_semantics():
-    job = RebuildJob(member=1, target_name="s", units=[(0, 0), (0, 1), (1, 0)],
-                     failed_at=0.0, started_at=1.0, unit_bytes=64)
+    job = RebuildJob(member=1, units=[(0, 0), (0, 1), (1, 0)])
     assert job.total == 3 and job.pending() == 3 and not job.complete
     job.promote((1, 0))
     assert job.next_unit() == (1, 0)           # promoted to the front
@@ -392,6 +392,26 @@ def test_periodic_scrub_runs_from_the_pump():
     assert cache.srcstats.scrub_passes == 1
     assert cache.srcstats.scrub_repairs == 1
     assert cache.srcstats.scrub_checked_blocks > 0
+
+
+@pytest.mark.parametrize("raid_level, dead", [(0, (1,)), (5, (1, 2))])
+def test_scrub_pass_stops_when_its_read_sends_the_cache_to_bypass(
+        raid_level, dead):
+    """A scrub READ that fail-stops one member too many hands the array
+    to the origin mid-pass; the pass ends there instead of scanning on."""
+    config = replace(TORTURE_CONFIG, raid_level=raid_level,
+                     repair=RepairConfig(scrub_interval=0.5))
+    cache, injectors = build_shard(build_origin(), config)
+    now = 0.0
+    for block in range(300):
+        now = cache.submit(Request(Op.WRITE, block * PAGE_SIZE, PAGE_SIZE),
+                           now)
+    assert now < 1.0 and cache.srcstats.scrub_passes == 0
+    for member in dead:
+        injectors[member].plan = FaultPlan().fail_stop(at=0.0)
+    cache.submit(Request(Op.WRITE, 0, PAGE_SIZE), 1.0)
+    assert cache.bypass
+    assert cache.srcstats.scrub_passes == 0
 
 
 # ------------------------------------------------------------------

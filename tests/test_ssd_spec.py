@@ -58,6 +58,18 @@ def test_endurance_from_timing():
     assert SATA_TLC_128.endurance == 1000
 
 
+def test_flash_class_presets():
+    """TLC reads slower and endures fewer P/E cycles than MLC."""
+    assert SATA_TLC_128.read_latency > SATA_MLC_128.read_latency
+    assert SATA_TLC_128.endurance < SATA_MLC_128.endurance
+
+
+@pytest.mark.parametrize("field", ["read_latency", "endurance"])
+def test_flash_class_rejects_nonpositive(field):
+    with pytest.raises(ConfigError):
+        variant(**{field: 0})
+
+
 def test_scaled_keeps_page_alignment():
     for factor in (1 / 3, 1 / 7, 1 / 100):
         scaled = SATA_MLC_128.scaled(factor)
