@@ -105,8 +105,9 @@ class BlockDevice(abc.ABC):
         oracle.  A served batch is counted and observed here, once.
         """
         offsets, lengths = np.asarray(offsets), np.asarray(lengths)
-        nows = np.broadcast_to(np.asarray(nows, dtype=np.float64),
-                               offsets.shape[0])
+        nows = np.asarray(nows, dtype=np.float64)
+        nows = (np.broadcast_to(nows, offsets.shape[0]) if nows.ndim
+                else np.full(offsets.shape[0], nows))
         self._check_extents(offsets, lengths)
         done = (self._batch(op, offsets, lengths, nows, origin, tenants)
                 if offsets.shape[0] else None)
@@ -138,11 +139,12 @@ class BlockDevice(abc.ABC):
     def _check_extents(self, offsets: np.ndarray,
                        lengths: np.ndarray) -> None:
         """``submit``'s argument checks over a whole batch."""
-        if (offsets < 0).any() or (lengths < 0).any():
+        if not offsets.shape[0]:
+            return
+        if offsets.min() < 0 or lengths.min() < 0:
             raise ValueError(f"{self.name}: negative offset/length in batch")
-        over = np.flatnonzero(offsets + lengths > self.size)
-        if over.shape[0]:
-            i = over[0]
+        if (offsets + lengths).max() > self.size:
+            i = np.flatnonzero(offsets + lengths > self.size)[0]
             raise AddressError(
                 f"{self.name}: request [{offsets[i]}, "
                 f"{offsets[i] + lengths[i]}) beyond device size {self.size}")

@@ -152,8 +152,15 @@ class SegmentBuffer(ElementViews):
             self.observer.blocks_evicted(lbas)
 
     def drain(self) -> List[int]:
-        """Take every buffered block, emptying the buffer."""
-        return self.drain_array().tolist()
+        """``drain_array`` element by element (a partial segment's)."""
+        blocks = self._order_v[:self._n].tolist()
+        v = self._state.a_v
+        for lba in blocks:
+            v[lba] = B_NONE
+        self._n = 0
+        if self.observer is not None:
+            self.observer.blocks_evicted(np.array(blocks, dtype=np.int64))
+        return blocks
 
     def drain_array(self) -> np.ndarray:
         """Batch-path ``drain``: the order array itself, no row objects."""

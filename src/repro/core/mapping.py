@@ -120,15 +120,6 @@ class MappingTable(ElementViews):
         sg = self._sg_v
         return lba < len(sg) and sg[lba] >= 0
 
-    def _log_append(self, sg: int, lba: int) -> None:
-        log, n = self._log[sg], self._log_n[sg]
-        if n >= log.shape[0]:
-            self._log[sg] = log = grow_to(log, n + 1)
-        log[n] = lba
-        self._pos_v[lba] = n
-        self._log_n[sg] = n + 1
-        self._sg_valid[sg] += 1
-
     def insert(self, lba: int, entry: CacheEntry) -> None:
         """Install a mapping, invalidating any previous location."""
         loc = entry.location
@@ -139,8 +130,10 @@ class MappingTable(ElementViews):
                    offset: int, dirty: bool, checksum: int,
                    version: int) -> None:
         """:meth:`insert` with the row as columns, no entry object."""
-        self.invalidate(lba)
-        self._ensure(lba + 1)
+        if lba >= len(self._sg_v):
+            self._ensure(lba + 1)
+        elif self._sg_v[lba] >= 0:
+            self.invalidate(lba)
         self._sg_v[lba] = sg
         self._segment_v[lba] = segment
         self._ssd_v[lba] = ssd
@@ -148,7 +141,13 @@ class MappingTable(ElementViews):
         self._dirty_v[lba] = dirty
         self._checksum_v[lba] = checksum
         self._version_v[lba] = version
-        self._log_append(sg, lba)
+        log, n = self._log[sg], self._log_n[sg]     # the SG's log
+        if n >= log.shape[0]:
+            self._log[sg] = log = grow_to(log, n + 1)
+        log[n] = lba
+        self._pos_v[lba] = n
+        self._log_n[sg] = n + 1
+        self._sg_valid[sg] += 1
         self._count += 1
         if dirty:
             self.dirty_count += 1
@@ -259,10 +258,7 @@ class MappingTable(ElementViews):
         lbas = self._sg_live_lbas(sg)
         return lbas, self._dirty[lbas].copy()
 
-    def locations_arrays(self, lbas: np.ndarray) -> Tuple[np.ndarray,
-                                                          np.ndarray,
-                                                          np.ndarray,
-                                                          np.ndarray]:
+    def locations_arrays(self, lbas: np.ndarray) -> Tuple[np.ndarray, ...]:
         """``(sg, segment, ssd, offset)`` column gathers for mapped LBAs.
 
         Copies, not views: reclaim invalidates/reinserts the same LBAs

@@ -6,16 +6,14 @@ policy and the fail-slow detectors; a drive that keeps erroring or
 limps is converted to fail-stop and the cache decides what the loss
 means (:meth:`~repro.core.src.SrcCache.member_failed`).  Where those
 side channels are inert (:meth:`Members.lean`) the SSD's own lean
-entries stand in: :meth:`Members.issue` batches every other member
-command, :meth:`Members.read` reads a cached block.  A read around a
-dead member, a not-yet-rebuilt unit or a checksum mismatch rebuilds the
-block from its stripe when the segment carries parity, refetches clean
-data from the origin otherwise, and re-logs it on healthy drives.
+entries stand in (:meth:`Members.issue`, :meth:`Members.read`).  A read
+around a dead member, a not-yet-rebuilt unit or a checksum mismatch
+rebuilds the block from its stripe when the segment carries parity,
+refetches clean data from the origin otherwise, and re-logs it.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import List, Optional
 
 import numpy as np
@@ -44,8 +42,7 @@ class Members:
             if faults.failslow_p99 > 0 else None)
         # FLUSH latencies get their own detector: flushes are rare and far
         # slower, so one window would drown both signals; a limping drive
-        # often shows in FLUSH first, a backed-up buffer's drain
-        # magnifying a slowdown (docs/fault_model.md).
+        # often shows in FLUSH first (docs/fault_model.md).
         self.flush_failslow: Optional[FailSlowDetector] = (
             FailSlowDetector(faults.failslow_flush_p99,
                              window=32, min_samples=8)
@@ -68,14 +65,12 @@ class Members:
         fail-stop, and so does a rolling p99 over the fail-slow
         detector's threshold."""
         cache = self.cache
-        stats = cache.srcstats
-        ssd = cache.ssds[idx]
+        stats, ssd = cache.srcstats, cache.ssds[idx]
         try:
             end = submit_with_retry(ssd, req, now, obs=cache.obs,
                                     on_retry=self._count_retry)
         except (RequestTimeoutError, DeviceFailedError) as exc:
-            if isinstance(exc, RequestTimeoutError):
-                stats.retry_give_ups += 1
+            stats.retry_give_ups += isinstance(exc, RequestTimeoutError)
             self._convert_fail_stop(idx, now)
             return None
         detector = (self.flush_failslow if req.op is FLUSH
@@ -92,14 +87,14 @@ class Members:
     def armed_fault(self) -> bool:
         """True while any member (or the origin) has an armed plan."""
         for device in (*self.cache.ssds, self.cache.origin):
-            if getattr(getattr(device, "plan", None), "armed", False):
+            plan = getattr(device, "plan", None)
+            if plan is not None and plan.armed:
                 return True
         return False
 
     def lean(self, ssd) -> bool:
-        """Whether :meth:`submit` to ``ssd`` reduces to its lean entries:
-        a plain ``SSDDevice`` (not an injector or test double) raises
-        nothing to retry, its telemetry is off, no detector samples."""
+        """Whether :meth:`submit` to ``ssd`` reduces to its lean entries: a
+        plain ``SSDDevice`` (nothing to retry), telemetry off, no detector."""
         return (type(ssd) is SSDDevice and not ssd.obs.enabled
                 and self.failslow is None)
 
@@ -117,12 +112,11 @@ class Members:
         """``op`` on each ``(member, offset, length, now)`` command: when
         it completed, None where the member is dead or died.  A READ may
         carry columns of offsets and lengths (a run from one ``now``, its
-        member's only command).  Lean: a member's commands as one
-        ``submit_extents`` batch, a lone WRITE or FLUSH by its ``_fast``
-        fork, ``DeviceFailedError`` a fail-stop.  Else, and for TRIMs, a
-        :meth:`submit` per extent in order: a fault mid-call, or a lazy
-        ``commands``, sees every earlier extent's effect."""
-        if op is TRIM or not self.seal_fast_ok():
+        member's only command).  Lean: a lone command by :meth:`_fork`
+        (no grouping when each member has one, as unit writes and FLUSH
+        do), a member's several as one ``submit_extents`` batch.  Else a
+        :meth:`submit` per extent in order: each sees every earlier one."""
+        if not self.seal_fast_ok():
             done = []
             for idx, offsets, lengths, now in commands:
                 spans = (zip(offsets.tolist(), lengths.tolist())
@@ -133,45 +127,49 @@ class Members:
                                              origin), now)
                     for offset, length in spans if self.alive(idx)]))
             return done
-        commands = list(commands)
+        if type(commands) is not list:
+            commands = list(commands)
+        if len({command[0] for command in commands}) == len(commands):
+            return [self._fork(op, *command, origin) for command in commands]
         done: List[Optional[float]] = [None] * len(commands)
         rows: dict = {}
         for i, command in enumerate(commands):
             rows.setdefault(command[0], []).append(i)
         for idx, mine in rows.items():
-            if not self.alive(idx):
-                continue
-            ssd = self.cache.ssds[idx]
-            _, offsets, lengths, nows = (
-                commands[mine[0]] if len(mine) == 1
-                else zip(*map(commands.__getitem__, mine)))
-            try:
-                if len(mine) == 1 and op is not READ:       # the forks
-                    ends = [ssd.submit_flush_fast(nows) if op is FLUSH
-                            else ssd.submit_write_fast(offsets, lengths,
-                                                       nows, origin)]
-                else:
-                    ends = ssd.submit_extents(
-                        op, np.atleast_1d(offsets), np.atleast_1d(lengths),
-                        nows, origin)
-                    ends = (ends.tolist() if len(mine) > 1
-                            else [ends.max().item()])
-            except DeviceFailedError:
-                self._convert_fail_stop(idx, commands[mine[0]][3])
-                continue
-            for i, end in zip(mine, ends):
-                done[i] = end
+            if len(mine) == 1:
+                done[mine[0]] = self._fork(op, *commands[mine[0]], origin)
+            elif self.alive(idx):
+                _, offsets, lengths, nows = zip(*[commands[i] for i in mine])
+                try:
+                    ends = self.cache.ssds[idx].submit_extents(
+                        op, np.array(offsets), np.array(lengths), nows, origin)
+                except DeviceFailedError:
+                    self._convert_fail_stop(idx, nows[0])
+                    continue
+                for i, end in zip(mine, ends.tolist()):
+                    done[i] = end
         return done
 
-    def write(self, segments, origin: IoOrigin) -> List[float]:
-        """Each segment's ``(offset, now, [(member, length)])`` unit
-        WRITEs, segment-major; each segment's end."""
-        dones = iter(self.issue(WRITE, [
-            (idx, offset, size, now)
-            for offset, now, units in segments for idx, size in units],
-            origin))
-        return [latest(now, islice(dones, len(units)))
-                for _, now, units in segments]
+    def _fork(self, op: Op, idx: int, offset, length, now: float,
+              origin: IoOrigin) -> Optional[float]:
+        """A member's lone command by its lean entry; None if it died."""
+        ssd = self.cache.ssds[idx]
+        if ssd.failed:
+            return None
+        try:
+            if op is WRITE:
+                return ssd.submit_write_fast(offset, length, now, origin)
+            if op is FLUSH:
+                return ssd.submit_flush_fast(now)
+            if op is TRIM:
+                return ssd.submit(Request(op, offset, length, False, origin),
+                                  now)
+            return ssd.submit_extents(op, np.atleast_1d(offset),
+                                      np.atleast_1d(length), now,
+                                      origin).max().item()
+        except DeviceFailedError:
+            self._convert_fail_stop(idx, now)
+            return None
 
     def flush(self, now: float) -> float:
         """FLUSH every live member; returns when the last one drained."""
@@ -211,14 +209,13 @@ class Members:
                 # serve degraded, pull the unit to the rebuild queue's front.
                 cache.repair.promote(idx, loc.sg, loc.segment)
                 return self._degraded_read(block, now)
-        if self.lean(ssd):
-            try:
-                end = ssd.submit_read_fast(offset, PAGE_SIZE, now)
-            except DeviceFailedError:
-                self._convert_fail_stop(idx, now)
-                end = None
-        else:
-            end = self.submit(idx, Request(READ, offset, PAGE_SIZE), now)
+        try:
+            end = (ssd.submit_read_fast(offset, PAGE_SIZE, now)
+                   if self.lean(ssd) else
+                   self.submit(idx, Request(READ, offset, PAGE_SIZE), now))
+        except DeviceFailedError:       # the lean read met a dead drive
+            self._convert_fail_stop(idx, now)
+            end = None
         if end is None:   # the home drive just died under this read
             if cache.bypass:
                 cache.srcstats.bypass_reads += 1
@@ -233,7 +230,7 @@ class Members:
     def stripe_read(self, home: int, offset: int, length: int, now: float,
                     origin: IoOrigin) -> float:
         """The range on every member but ``home`` (a stripe's units share
-        offsets) as one :meth:`issue`; its last end.  Callers ask
+        offsets) as one :meth:`issue`; its last end.  Ask
         :meth:`can_reconstruct` first."""
         return latest(now, self.issue(READ, [
             (idx, offset, length, now)
@@ -275,8 +272,7 @@ class Members:
             cache.obs.emit(DegradedRead(t=now, device=cache.name, lba=block))
         end = self._parity_read(entry, now)
         if end is not None:
-            # Reconstructed data is re-cached through the proper buffer
-            # so it lands on healthy drives.
+            # Re-cached through its buffer, so it lands on healthy drives.
             self._reinsert(block, entry, end)
             return end
         # No parity: clean data can be re-fetched; dirty data is lost.
@@ -313,5 +309,7 @@ class Members:
 def latest(start: Optional[float], ends) -> Optional[float]:
     """The last of ``start`` and the completions in ``ends`` (None where
     nothing completed); None if there is none."""
-    return max((end for end in (start, *ends) if end is not None),
-               default=None)
+    for end in ends:
+        if end is not None and (start is None or end > start):
+            start = end
+    return start

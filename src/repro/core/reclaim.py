@@ -213,11 +213,11 @@ class Reclaimer:
         cache = self.cache
         if not lbas.shape[0]:
             return end
+        # A mapped block is in no buffer, so every add is new.
+        assert (cache._state.a[lbas] == B_MAPPED).all()
         for pos, stop in run_bounds(dirty[1:] != dirty[:-1]).tolist():
             to_dirty = bool(dirty[pos])
             buf = cache.dirty_buf if to_dirty else cache.clean_buf
-            # A mapped block is in no buffer, so every add is new.
-            assert (cache._state.a[lbas[pos:stop]] == B_MAPPED).all()
             room = buf.capacity - len(buf)
             if stop - pos >= room:
                 full = stop - (stop - pos - room) % buf.capacity
@@ -274,8 +274,6 @@ class Reclaimer:
         moves it).
         """
         cache = self.cache
-        if not lbas.shape[0]:
-            return now
         sgs, segments, ssds, offsets = cache.mapping.locations_arrays(lbas)
         if cache.repair.jobs:
             units, unit = np.unique(np.stack((ssds, sgs, segments)), axis=1,
@@ -283,19 +281,26 @@ class Reclaimer:
             ready = [cache.repair.unit_ready(*u) for u in units.T.tolist()]
             keep = np.array(ready)[unit.ravel()]
             lbas, ssds, offsets = lbas[keep], ssds[keep], offsets[keep]
+        if not lbas.shape[0]:
+            return now
+        # One sort by (member, offset): a span breaks where the key does
+        # not step by a page, a member's spans are one slice of them.
+        span = int(offsets.max()) + 2 * PAGE_SIZE
+        key = np.sort(ssds.astype(np.int64) * span + offsets)
+        starts, stops = run_bounds(np.diff(key) != PAGE_SIZE).T
+        owner, runs = np.divmod(key[starts], span)
         end = now
         _, first = np.unique(ssds, return_index=True)
         for idx in ssds[np.sort(first)].tolist():
-            offs = np.sort(offsets[ssds == idx])
-            starts, stops = run_bounds(np.diff(offs) != PAGE_SIZE).T
+            lo, hi = np.searchsorted(owner, (idx, idx + 1)).tolist()
             done, = cache.members.issue(READ, [
-                (idx, offs[starts], (stops - starts) * PAGE_SIZE, now)],
-                origin)
+                (idx, runs[lo:hi], (stops[lo:hi] - starts[lo:hi]) * PAGE_SIZE,
+                 now)], origin)
             if done is None:
                 continue
             end = max(end, done)
-            hits = cache.ssds[idx].corrupted_in(
-                int(offs[0]), int(offs[-1] - offs[0]) + PAGE_SIZE)
+            hits = cache.ssds[idx].corrupted_in(int(runs[lo]), int(
+                key[stops[hi - 1] - 1] - key[starts[lo]]) + PAGE_SIZE)
             if hits:
                 mine = (ssds == idx) & np.isin(offsets // PAGE_SIZE,
                                                list(hits))

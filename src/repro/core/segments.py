@@ -23,6 +23,7 @@ onward and overlaps later writes instead of extending that ack.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,10 +31,11 @@ import numpy as np
 from repro.common.checksum import block_checksum, block_checksums_array
 from repro.common.chunks import SCALAR_THRESHOLD
 from repro.common.errors import ConfigError
-from repro.common.types import FOREGROUND, GC
+from repro.common.types import FOREGROUND, GC, WRITE
 from repro.common.units import PAGE_SIZE
 from repro.core.arrays import B_MAPPED
 from repro.core.config import CleanRedundancy, FlushPoint
+from repro.core.members import latest
 from repro.core.metadata import SegmentSummary
 from repro.obs.events import BackpressureStall, SegmentSealed
 
@@ -184,11 +186,11 @@ class SegmentLog:
 
         Below :data:`SCALAR_THRESHOLD` blocks a per-slot loop beats the
         fixed cost of the array calls; partial segments are most of a
-        read-mostly workload's seals (docs/performance.md).
+        read-mostly workload's seals (docs/performance.md), as lists.
         """
         cache = self.cache
         mapping = cache.mapping
-        n_blocks = lbas.shape[0]
+        n_blocks = len(lbas)
         if (n_blocks >= SCALAR_THRESHOLD or n_blocks
                 > self.layout.segment_data_capacity(with_parity)):
             checksums = block_checksums_array(lbas, versions)
@@ -215,8 +217,9 @@ class SegmentLog:
         order = layout.data_ssds(sg, segment, with_parity)
         base = layout.unit_offset(sg, segment) + PAGE_SIZE
         insert_row = mapping.insert_row
-        for slot, (lba, version) in enumerate(zip(lbas.tolist(),
-                                                  versions.tolist())):
+        if type(lbas) is not list:
+            lbas, versions = lbas.tolist(), versions.tolist()
+        for slot, (lba, version) in enumerate(zip(lbas, versions)):
             checksum = block_checksum(lba, version)
             if stored is not None and stored[slot] != checksum:
                 continue
@@ -232,7 +235,7 @@ class SegmentLog:
         then ``more`` (unmapped blocks, whole segments that never enter
         the buffer) as the next ones, all at ``now``: a chunk at a time,
         up to the group's end (one segment under ``PER_SEGMENT``), is
-        installed, summarized torn, written by one ``Members.write`` and
+        installed, summarized torn, written by one ``Members.issue`` and
         only then sealed; members flush where a group ends."""
         if self.staged is not None:
             end = self._stage(now) if dirty and more is None else None
@@ -241,8 +244,12 @@ class SegmentLog:
             self.apply_staged(self.staged)
         cache = self.cache
         buf = cache.dirty_buf if dirty else cache.clean_buf
-        size, lbas = buf.capacity, buf.drain_array()
-        if not lbas.shape[0]:
+        # A lone segment under SCALAR_THRESHOLD blocks (mostly TWAIT's)
+        # keeps its columns as Python-int lists from drain to summary.
+        size, lbas = buf.capacity, (
+            buf.drain() if more is None and len(buf) < SCALAR_THRESHOLD
+            else buf.drain_array())
+        if not len(lbas):
             return now
         if more is not None:
             lbas = np.concatenate((lbas, more))
@@ -250,30 +257,38 @@ class SegmentLog:
         per_group = self.layout.segments_per_group
         per_segment = cache.config.flush_point is FlushPoint.PER_SEGMENT
         origin = GC if cache.reclaimer.running else FOREGROUND
-        end, pos, n_blocks = now, 0, lbas.shape[0]
+        end, pos, n_blocks = now, 0, len(lbas)
         while pos < n_blocks:
             sg, first, start = self._alloc_segment(now)
             k = 1 if per_segment else min(-(-(n_blocks - pos) // size),
                                           per_group - first)
             self.groups[sg].next_segment += k - 1
             chunk = lbas[pos:pos + k * size]
-            pos += chunk.shape[0]
-            versions = cache._versions.ensure(int(chunk.max()) + 1)[chunk]
+            pos += len(chunk)
+            if type(chunk) is list:
+                cache._versions.ensure(max(chunk) + 1)
+                versions = list(map(cache._versions.a_v.__getitem__, chunk))
+            else:
+                versions = cache._versions.ensure(int(chunk.max()) + 1)[chunk]
             checksums = self.install(sg, first, chunk, versions, dirty,
                                      with_parity)
             # MS lands with the first pages of the unit writes; ME seals
             # each segment once every unit of the chunk completed.  A
             # power cut in between durably leaves torn summaries for
             # recovery to discard.
-            blocks = [min(size, chunk.shape[0] - lo)
-                      for lo in range(0, chunk.shape[0], size)]
+            blocks = [min(size, len(chunk) - lo)
+                      for lo in range(0, len(chunk), size)]
             self._summarize(sg, first, chunk, checksums, versions, blocks,
                             dirty, with_parity)
-            ends = cache.members.write(
-                [(self.layout.unit_offset(sg, first + j), now if j else start,
-                  self.layout.units(sg, first + j, n, with_parity))
-                 for j, n in enumerate(blocks)], origin)
-            for j, done in enumerate(ends):
+            segments = [(self.layout.unit_offset(sg, first + j),
+                         now if j else start,
+                         self.layout.units(sg, first + j, n, with_parity))
+                        for j, n in enumerate(blocks)]
+            dones = iter(cache.members.issue(WRITE, [
+                (idx, offset, length, at) for offset, at, units in segments
+                for idx, length in units], origin))
+            for j, (_, at, units) in enumerate(segments):
+                done = latest(at, islice(dones, len(units)))
                 cache.metadata.seal_summary(sg, first + j)
                 if cache.obs.enabled:
                     cache.obs.emit(SegmentSealed(
@@ -281,7 +296,7 @@ class SegmentLog:
                         dirty=dirty, with_parity=with_parity,
                         blocks=blocks[j], partial=blocks[j] < size))
                 end = max(end, done)
-            self._written(sg, blocks, size, ends[-1])
+            self._written(sg, blocks, size, done)
         # Watermark-driven reclaim.  Below the high watermark the
         # scheduler trickles: one victim group at a time, and only
         # once the previous reclaim's device I/O has finished (pacing
@@ -310,13 +325,15 @@ class SegmentLog:
         the next ``blocks[j]`` slots."""
         metadata, lo = self.cache.metadata, 0
         generation = self._sg_sequence * self.layout.segments_per_group + 1
+        if type(lbas) is not list:
+            lbas, versions = lbas.tolist(), versions.tolist()
         for segment, n in enumerate(blocks, first):
             metadata.write_summary(SegmentSummary(
                 sg=sg, segment=segment, sequence=metadata.next_sequence(),
                 generation=generation + segment, dirty=dirty,
-                with_parity=with_parity, lbas=lbas[lo:lo + n].tolist(),
+                with_parity=with_parity, lbas=lbas[lo:lo + n],
                 checksums=checksums[lo:lo + n],
-                versions=versions[lo:lo + n].tolist()), torn=True)
+                versions=versions[lo:lo + n]), torn=True)
             lo += n
 
     def _written(self, sg: int, blocks: List[int], size: int,

@@ -52,9 +52,13 @@ class Product:
     n_units: int          # SSDs in the array
     unit_capacity: int    # bytes per SSD
     set_cost_usd: float   # cost of the whole set
-    endurance: int        # rated P/E cycles
     year: int
     spec: SsdSpec         # simulated device for each unit
+
+    @property
+    def endurance(self) -> int:
+        """Rated P/E cycles: the flash class of :attr:`spec`."""
+        return self.spec.endurance
 
     @property
     def total_capacity(self) -> int:
@@ -83,28 +87,23 @@ PRODUCTS: Dict[str, Product] = {
     p.key: p for p in [
         Product(
             key="A-MLC(SATA)", company="A", nand="MLC", interface="SATA",
-            n_units=4, unit_capacity=128 * GIB, set_cost_usd=418,
-            endurance=3000, year=2012,
+            n_units=4, unit_capacity=128 * GIB, set_cost_usd=418, year=2012,
             spec=_sata(SATA_MLC_128, 128 * GIB, 420 * MB, "a-mlc-128")),
         Product(
             key="A-TLC(SATA)", company="A", nand="TLC", interface="SATA",
-            n_units=4, unit_capacity=120 * GIB, set_cost_usd=272,
-            endurance=1000, year=2013,
+            n_units=4, unit_capacity=120 * GIB, set_cost_usd=272, year=2013,
             spec=_sata(SATA_TLC_128, 120 * GIB, 300 * MB, "a-tlc-120")),
         Product(
             key="B-MLC(SATA)", company="B", nand="MLC", interface="SATA",
-            n_units=4, unit_capacity=128 * GIB, set_cost_usd=374,
-            endurance=3000, year=2014,
+            n_units=4, unit_capacity=128 * GIB, set_cost_usd=374, year=2014,
             spec=_sata(SATA_MLC_128, 128 * GIB, 440 * MB, "b-mlc-128")),
         Product(
             key="B-TLC(SATA)", company="B", nand="TLC", interface="SATA",
-            n_units=4, unit_capacity=128 * GIB, set_cost_usd=225,
-            endurance=1000, year=2014,
+            n_units=4, unit_capacity=128 * GIB, set_cost_usd=225, year=2014,
             spec=_sata(SATA_TLC_128, 128 * GIB, 320 * MB, "b-tlc-128")),
         Product(
             key="C-MLC(NVMe)", company="C", nand="MLC", interface="NVMe",
-            n_units=1, unit_capacity=400 * GIB, set_cost_usd=469,
-            endurance=3000, year=2015,
+            n_units=1, unit_capacity=400 * GIB, set_cost_usd=469, year=2015,
             spec=NVME_MLC_400),
     ]
 }

@@ -43,18 +43,17 @@ class PrimaryStorage(BlockDevice):
 
     def _service(self, req: Request, now: float) -> float:
         op = req.op
+        if op is READ:     # the link carries the data back
+            return self.link.transfer(self.array.read_chunk(req, now),
+                                      req.length)[1]
         if op is FLUSH:
             if self.obs.enabled:
                 self.obs.emit(FlushBarrier(t=now, device=self.name))
-            _, link_end = self.link.transfer(now, 64)  # command frame
-            return self.array.submit(req, link_end)
+            # A command frame on the link, then the array.
+            return self.array.submit(req, self.link.transfer(now, 64)[1])
         if op is WRITE:
-            _, link_end = self.link.transfer(now, req.length)
-            return self.array.submit(req, link_end)
-        if op is READ:
-            array_end = self.array.submit(req, now)
-            _, link_end = self.link.transfer(array_end, req.length)
-            return link_end
+            return self.array.submit(req, self.link.transfer(now,
+                                                             req.length)[1])
         return self.array.submit(req, now)  # TRIM
 
     def _batch(self, op, offsets, lengths, nows, origin, tenants):

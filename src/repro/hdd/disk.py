@@ -29,7 +29,7 @@ import numpy as np
 from repro.block.device import BlockDevice
 from repro.block.lifecycle import QueuedDevice
 from repro.common.errors import ConfigError
-from repro.common.types import FLUSH, TRIM, WRITE, Request
+from repro.common.types import FLUSH, TRIM, WRITE, IoOrigin, Request
 from repro.sim.timeline import Timeline
 from repro.common.units import MB, MIB, MSEC, TIB
 
@@ -80,14 +80,14 @@ class DiskDevice(QueuedDevice, BlockDevice):
         # one bisect instead of a scan.
         self._recent_sorted: list = []
 
-    def _positioning(self, req: Request) -> float:
+    def _positioning(self, offset: int, write: bool) -> float:
         # Near iff some position lies in [offset - window, offset + window].
         window, view = self.spec.sequential_window, self._recent_sorted
-        i = bisect_left(view, req.offset - window)
-        if i < len(view) and view[i] <= req.offset + window:
+        i = bisect_left(view, offset - window)
+        if i < len(view) and view[i] <= offset + window:
             return 0.0
         cost = self.spec.avg_seek + self.spec.avg_rotation
-        if req.op is WRITE:
+        if write:
             return cost * self.spec.write_positioning_factor
         return cost * self.spec.read_positioning_factor
 
@@ -95,18 +95,27 @@ class DiskDevice(QueuedDevice, BlockDevice):
         op = req.op
         if op is FLUSH:
             # Drain the on-disk write cache: wait for the arm to go idle.
-            _, end = self.arm.acquire(max(now, self.arm.drain_time()), 0.0)
-            return end
+            return self.arm.acquire(max(now, self.arm.drain_time()), 0.0)[1]
         if op is TRIM:
             return now  # no-op on spinning media
-        duration = self._positioning(req) + req.length / self.spec.transfer_bw
-        recent, view, pos = self._recent, self._recent_sorted, req.end
+        return self._move(req.offset, req.length, op is WRITE, now)
+
+    def _move(self, offset: int, length: int, write: bool,
+              now: float) -> float:
+        """Position, transfer ``length`` bytes at ``offset``: arm done."""
+        duration = (self._positioning(offset, write)
+                    + length / self.spec.transfer_bw)
+        recent, view, pos = self._recent, self._recent_sorted, offset + length
         if len(recent) == recent.maxlen:      # the oldest leaves both
             del view[bisect_left(view, recent[0])]
         recent.append(pos)
         insort(view, pos)
-        _, end = self.arm.acquire(now, duration)
-        return end
+        return self.arm.acquire(now, duration)[1]
+
+    def _read(self, offset: int, length: int, origin: IoOrigin,
+              now: float) -> float:
+        """A READ's body (:meth:`submit_read_fast`, an origin miss's)."""
+        return self._move(offset, length, False, now)
 
     def _batch(self, op, offsets, lengths, nows, origin, tenants):
         """WRITE batches: locality and durations as columns, the arm as

@@ -23,7 +23,9 @@ is no rebuild here; online repair is SRC's
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from repro.common.types import FLUSH, READ, TRIM, WRITE, Request
 from repro.common.units import KIB
 from repro.faults.policy import DEFAULT_RETRY, RetryPolicy
 from repro.faults.policy import submit_with_retry
+from repro.hdd.disk import DiskDevice
 from repro.obs.events import DegradedRead, HealthTransition
 from repro.repair.health import DeviceHealth, HealthTracker
 
@@ -99,6 +102,18 @@ class _RaidBase(BlockDevice):
     def _count_retry(self, _attempt: int) -> None:
         self.member_retries += 1
 
+    def _try_submit(self, index: int, req: Request,
+                    now: float) -> Optional[float]:
+        """:meth:`_member_submit` to a live member; None where it is dead
+        (recorded in its slot's health) or died under ``req``."""
+        if self.members[index].failed:
+            self._note_failed(index, now)
+            return None
+        try:
+            return self._member_submit(index, req, now)
+        except DeviceFailedError:
+            return None
+
     # -- failure handling ---------------------------------------------
     def _covers(self, member: int) -> bool:
         """Whether the level still holds a copy of ``member``'s data."""
@@ -133,16 +148,10 @@ class _RaidBase(BlockDevice):
             remaining -= take
 
     def _flush_all(self, now: float) -> float:
-        end = now
-        for i, m in enumerate(self.members):
-            if m.failed:
-                self._note_failed(i, now)
-                continue
-            try:
-                end = max(end, self._member_submit(i, Request(FLUSH), now))
-            except DeviceFailedError:
-                continue   # a flush can't lose data we still hold
-        return end
+        # A flush can't lose data we still hold: a dead member is skipped.
+        ends = [self._try_submit(i, Request(FLUSH), now)
+                for i in range(len(self.members))]
+        return max([now, *(end for end in ends if end is not None)])
 
 
 class Raid0Device(_RaidBase):
@@ -185,8 +194,7 @@ class Raid1Device(_RaidBase):
         op = req.op
         if op is FLUSH:
             return self._flush_all(now)
-        members, cs, end = self.members, self.chunk_size, now
-        member_submit = self._member_submit
+        cs, end = self.chunk_size, now
         for stripe, pair, within, length in self._extents(req):
             sub = Request(op, stripe * cs + within, length, req.fua,
                           req.origin, req.tenant)
@@ -201,21 +209,33 @@ class Raid1Device(_RaidBase):
                 order = (even, even + 1)
             served = False
             for i in order:
-                if members[i].failed:
-                    self._note_failed(i, now)
-                    continue
-                try:
-                    done = member_submit(i, sub, now)
-                except DeviceFailedError:
-                    continue
-                end = done if done > end else end
-                served = True
-                if op is READ:
-                    break
+                done = self._try_submit(i, sub, now)
+                if done is not None:
+                    end = done if done > end else end
+                    served = True
+                    if op is READ:
+                        break
             if not served and op is not TRIM:
                 raise RaidDegradedError(
                     f"{self.name}: both mirrors of chunk dead")
         return end
+
+    def read_chunk(self, req: Request, now: float) -> float:
+        """``submit`` of a READ, lean when it lies in one chunk and the
+        toggle's half is a live plain disk (an origin miss); else
+        ``submit``, which keeps retries, mirror fallback and slot health."""
+        cs, offset, length = self.chunk_size, req.offset, req.length
+        stripe, pair = divmod(offset // cs, self.data_members)
+        member = self.members[2 * pair + self._read_toggle]
+        within = offset % cs
+        if (self.obs.enabled or not 0 < length <= cs - within
+                or stripe >= self.stripes or member.failed
+                or type(member) is not DiskDevice or member.obs.enabled):
+            return self.submit(req, now)
+        self._read_toggle ^= 1     # a plain disk has nothing to retry
+        self.stats.record(req)
+        return member.submit_read_fast(stripe * cs + within, length, now,
+                                       req.origin)
 
     def _batch(self, op, offsets, lengths, nows, origin, tenants):
         """WRITE batches while every member is alive and has a batch
@@ -257,11 +277,12 @@ class Raid1Device(_RaidBase):
 class _ParityRaid(_RaidBase):
     """Common machinery for RAID-4 and RAID-5."""
 
-    def __init__(self, members: List[BlockDevice], chunk_size: int,
-                 name: str):
+    def __init__(self, members: List[BlockDevice], chunk_size: int = 4 * KIB,
+                 name: str = ""):
         if len(members) < 3:
             raise ConfigError("parity RAID needs >=3 members")
-        super().__init__(members, len(members) - 1, chunk_size, name)
+        super().__init__(members, len(members) - 1, chunk_size,
+                         name or f"raid{self.level}")
         # Metrics the experiments report on: extra I/O from parity upkeep.
         self.parity_writes = 0
         self.rmw_reads = 0
@@ -344,18 +365,10 @@ class _ParityRaid(_RaidBase):
     def _write(self, req: Request, now: float) -> float:
         self._check_failed(now)
         end = now
-        for stripe, extents in self._group_by_stripe(req):
-            end = max(end, self._write_stripe(stripe, extents, req, now))
+        for stripe, extents in groupby(self._extents(req), itemgetter(0)):
+            end = max(end, self._write_stripe(stripe, list(extents), req,
+                                              now))
         return end
-
-    def _group_by_stripe(self, req: Request):
-        grouped: List[Tuple[int, List[Extent]]] = []
-        for ext in self._extents(req):
-            if grouped and grouped[-1][0] == ext[0]:
-                grouped[-1][1].append(ext)
-            else:
-                grouped.append((ext[0], [ext]))
-        return grouped
 
     def _write_stripe(self, stripe: int, extents: List[Extent],
                       req: Request, now: float) -> float:
@@ -422,27 +435,20 @@ class _ParityRaid(_RaidBase):
             return now
 
     def _trim(self, req: Request, now: float) -> float:
-        end = now
+        end = now   # a TRIM to a dead or dying member loses nothing
         for stripe, chunk, within, length in self._extents(req):
-            idx = self._data_member(stripe, chunk)
-            if not self._alive(idx):
-                self._note_failed(idx, now)
-                continue
-            off = stripe * self.chunk_size + within
-            try:
-                end = max(end, self._member_submit(
-                    idx, Request(TRIM, off, length, False, req.origin), now))
-            except DeviceFailedError:
-                continue   # TRIM to a dying member loses nothing
+            done = self._try_submit(
+                self._data_member(stripe, chunk), Request(
+                    TRIM, stripe * self.chunk_size + within, length, False,
+                    req.origin), now)
+            end = end if done is None else max(end, done)
         return end
 
 
 class Raid4Device(_ParityRaid):
     """Dedicated parity member (the last one)."""
 
-    def __init__(self, members: List[BlockDevice], chunk_size: int = 4 * KIB,
-                 name: str = "raid4"):
-        super().__init__(members, chunk_size, name)
+    level = 4
 
     def _parity_member(self, stripe: int) -> int:
         return len(self.members) - 1
@@ -451,9 +457,7 @@ class Raid4Device(_ParityRaid):
 class Raid5Device(_ParityRaid):
     """Rotating parity (left-symmetric)."""
 
-    def __init__(self, members: List[BlockDevice], chunk_size: int = 4 * KIB,
-                 name: str = "raid5"):
-        super().__init__(members, chunk_size, name)
+    level = 5
 
     def _parity_member(self, stripe: int) -> int:
         return (len(self.members) - 1 - stripe) % len(self.members)
@@ -462,12 +466,7 @@ class Raid5Device(_ParityRaid):
 def make_raid(level: int, members: List[BlockDevice],
               chunk_size: int = 4 * KIB) -> BlockDevice:
     """Factory for the RAID levels used in the paper's experiments."""
-    if level == 0:
-        return Raid0Device(members, chunk_size)
-    if level == 1:
-        return Raid1Device(members, chunk_size)
-    if level == 4:
-        return Raid4Device(members, chunk_size)
-    if level == 5:
-        return Raid5Device(members, chunk_size)
-    raise ConfigError(f"unsupported RAID level {level}")
+    levels = {0: Raid0Device, 1: Raid1Device, 4: Raid4Device, 5: Raid5Device}
+    if level not in levels:
+        raise ConfigError(f"unsupported RAID level {level}")
+    return levels[level](members, chunk_size)

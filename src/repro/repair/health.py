@@ -156,10 +156,6 @@ class HealthTracker:
                     self.last_mttr = window
         return record
 
-    def failed_since(self, member: int) -> Optional[float]:
-        """When ``member`` left HEALTHY (None while healthy)."""
-        return self._unhealthy_since.get(member)
-
     def as_dict(self) -> dict:
         return {
             "states": [s.value for s in self._states],

@@ -46,12 +46,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
         super().__init__(spec.capacity, name or spec.name)
         self.init_queue(spec.queue_depth)
         self.spec = spec
-        self.ftl = PageMappedFtl(
-            logical_pages=spec.logical_pages,
-            physical_pages=spec.physical_pages,
-            superblock_pages=spec.superblock_pages,
-        )
-        self.ftl.owner = self.name
+        self.ftl = self._blank_ftl()
         self.link = Link(spec.interface_write_bw, spec.interface_latency)
         self.read_link = Link(spec.interface_read_bw, spec.interface_latency)
         self.nand = Timeline(1)
@@ -70,14 +65,17 @@ class SSDDevice(QueuedDevice, BlockDevice):
         """Bring a replacement drive online (optionally blank)."""
         self.failed = False
         if wipe:
-            self.ftl = PageMappedFtl(
-                logical_pages=self.spec.logical_pages,
-                physical_pages=self.spec.physical_pages,
-                superblock_pages=self.spec.superblock_pages,
-            )
-            self.ftl.owner = self.name
+            self.ftl = self._blank_ftl()
             self.ftl.obs = self.obs   # keep any attached recorder
             self._corrupted_pages.clear()
+
+    def _blank_ftl(self) -> PageMappedFtl:
+        spec = self.spec
+        ftl = PageMappedFtl(logical_pages=spec.logical_pages,
+                            physical_pages=spec.physical_pages,
+                            superblock_pages=spec.superblock_pages)
+        ftl.owner = self.name
+        return ftl
 
     def inject_corruption(self, offset: int, length: int) -> None:
         """Silently corrupt the stored data in a logical byte range."""
@@ -211,8 +209,7 @@ class SSDDevice(QueuedDevice, BlockDevice):
     def _command_only(self, now: float) -> float:
         """A command that moves no data (TRIM, a zero-length READ or
         WRITE): link time only, no flash page touched."""
-        _, end = self.link.transfer(now, 512)
-        return end
+        return self.link.transfer(now, 512)[1]
 
     def _flush(self, now: float) -> float:
         drain = max(now, self.nand.drain_time())
@@ -227,50 +224,21 @@ class SSDDevice(QueuedDevice, BlockDevice):
     def submit_write_fast(self, offset: int, length: int, now: float,
                           origin: IoOrigin = IoOrigin.FOREGROUND,
                           staged: Optional[int] = None) -> float:
-        """Lean WRITE submission, bit-identical to ``submit``.
-
-        The ``_lifecycle`` sequence — stats, queue admission,
-        :meth:`_write`, retire — without allocating a :class:`Request`
-        or dispatching through ``_service``.  Callers (the SRC seal
-        path) guarantee obs is off, the range is inside the device and
-        ``fua`` is not needed; everything else, including queue-depth
-        delays and fail-stop, behaves exactly as the generic path.
-        With ``staged`` pages the FTL write is the caller's, who found
-        room for them (``ftl.fits``) and programs them later
-        (``ftl.write_extents``): every time is still ``submit``'s.
-        A failed drive counts and admits the write, then raises.
-        """
+        """Lean WRITE submission: the write twin of ``submit_read_fast``
+        (the SRC seal path's, ``fua`` not needed).  With ``staged`` pages
+        the FTL write is the caller's, who found room for them
+        (``ftl.fits``) and programs them later (``ftl.write_extents``):
+        every time is still ``submit``'s."""
         stats = self.stats
         stats.write_ops += 1
         stats.write_bytes += length
-        by_origin = stats.bytes_by_origin
         key = origin._value_
-        by_origin[key] = by_origin.get(key, 0) + length
+        stats.bytes_by_origin[key] = stats.bytes_by_origin.get(key, 0) + length
         begin = self._admit(None, now)
         if self.failed:
             raise DeviceFailedError(f"{self.name} has failed")
         done = self._write(offset, length, False, begin,
                            None if staged is None else FtlOpResult(staged))
-        self._retire(None, now, begin, done)
-        return done
-
-    def submit_read_fast(self, offset: int, length: int,
-                         now: float) -> float:
-        """Lean foreground READ submission, bit-identical to ``submit``
-        (a failed drive too: counted and admitted, then it raises).  The
-        read twin of :meth:`submit_write_fast`: the caller (a cached
-        block's read) guarantees obs is off and the range is inside the
-        device."""
-        stats = self.stats
-        stats.read_ops += 1
-        stats.read_bytes += length
-        by_origin = stats.bytes_by_origin
-        key = FOREGROUND._value_
-        by_origin[key] = by_origin.get(key, 0) + length
-        begin = self._admit(None, now)
-        if self.failed:
-            raise DeviceFailedError(f"{self.name} has failed")
-        done = self._read(offset, length, FOREGROUND, begin)
         self._retire(None, now, begin, done)
         return done
 

@@ -109,22 +109,10 @@ SATA_MLC_128 = SsdSpec(
 )
 
 # SATA TLC (840 EVO class): same interface, slower flash, 1K endurance.
-SATA_TLC_128 = SsdSpec(
-    name="sata-tlc-128",
-    capacity=128 * GIB,
-    spare_factor=0.07,
-    superblock_size=256 * MIB,
-    interface_read_bw=530 * MB,
-    interface_write_bw=390 * MB,
-    interface_latency=20 * USEC,
-    nand_read_bw=1400 * MB,
-    nand_prog_bw=300 * MB,
-    erase_latency=2.5 * MSEC,
-    flush_latency=3.5 * MSEC,
-    buffer_size=256 * MIB,
-    read_latency=80 * USEC,
-    endurance=1000,
-)
+SATA_TLC_128 = replace(
+    SATA_MLC_128, name="sata-tlc-128", nand_read_bw=1400 * MB,
+    nand_prog_bw=300 * MB, erase_latency=2.5 * MSEC, read_latency=80 * USEC,
+    endurance=1000)
 
 # Table 4 SSD-B 400 GB row: PCIe NVMe, SR 2700 / SW 1080 MB/s.
 NVME_MLC_400 = SsdSpec(

@@ -7,7 +7,7 @@ import pytest
 
 from repro import obs
 from repro.common.errors import ConfigError, RaidDegradedError
-from repro.common.types import IoOrigin, Op, Request
+from repro.common.types import IoOrigin, Op
 from repro.common.units import GIB, KIB, MIB, mb_per_sec
 from repro.faults import FaultInjector, FaultPlan
 from repro.hdd.backend import PrimaryStorage
@@ -207,7 +207,7 @@ def test_positioning_matches_the_scan_oracle():
                     continue
                 near = near_oracle(disk, offset)
                 verdicts[near] += 1
-                cost = disk._positioning(Request(Op.READ, offset, 4096))
+                cost = disk._positioning(offset, False)
                 assert (cost == 0.0) == near, (step, offset)
         if step % 16 == 15:
             offs = np.array([rng.randrange(space) for _ in range(20)])
@@ -234,8 +234,8 @@ def test_an_evicted_duplicate_leaves_its_twin_near():
     for offset in far[:depth - 1]:        # evicts the first twin only
         disk.write(offset, 4096, 0.0)
     assert list(disk._recent).count(twin) == 1
-    probe = Request(Op.READ, twin + window, 4096)
-    assert disk._positioning(probe) == 0.0
+    probe = twin + window
+    assert disk._positioning(probe, False) == 0.0
     disk.write(far[-1], 4096, 0.0)        # and now the second
     assert twin not in disk._recent_sorted
-    assert disk._positioning(probe) > 0.0
+    assert disk._positioning(probe, False) > 0.0

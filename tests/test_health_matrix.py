@@ -117,7 +117,11 @@ def test_illegal_transition_preserves_accounting():
         tracker.transition(0, H, 2.0)   # DEGRADED -> HEALTHY is illegal
     assert len(tracker.history) == history_len
     assert tracker.degraded_window_s == window
-    assert tracker.failed_since(0) == 1.0
+    assert tracker.state(0) is D and tracker.last_mttr is None
+    # The failure clock still runs from 1.0: FAILED at 3.0 closes a
+    # 2.0 s window.
+    tracker.transition(0, F, 3.0)
+    assert tracker.degraded_window_s == window + 2.0
 
 
 @pytest.mark.parametrize("tracker_cls", [HealthTracker, ShardHealthTracker])

@@ -75,7 +75,8 @@ def fail_member(cache, now):
 def test_health_cycle_accounts_mttr_and_degraded_window():
     h = HealthTracker(2, device="arr")
     h.transition(0, DeviceHealth.DEGRADED, 1.0, "fail-stop")
-    assert h.failed_since(0) == 1.0
+    assert h.state(0) is DeviceHealth.DEGRADED
+    assert h.degraded_window_s == 0.0 and h.last_mttr is None   # clock runs
     assert not h.all_healthy()
     h.transition(0, DeviceHealth.REBUILDING, 2.0, "spare attached")
     h.transition(0, DeviceHealth.HEALTHY, 5.0, "rebuild complete")
